@@ -6,6 +6,18 @@
 //! schedule, one `case` arm per control step, operand wiring from the
 //! binding — and syntactically well-formed (balanced `begin`/`end`,
 //! declared wires), which the tests check.
+//!
+//! A **control step** is a cycle in which the controller does something:
+//! an op issues, or the block finishes. Cycles are not control steps. A
+//! nested loop is one macro node whose latency is the whole loop, so a
+//! schedule can span millions of cycles while only a handful of them
+//! issue anything; the FSM gets one arm per control step, labelled with
+//! its cycle number, and sits out the idle stretch between two steps in
+//! the earlier arm by counting `wait_cnt` up to the gap. The text
+//! therefore grows with the node count, never with the trip counts,
+//! while `state` still holds a cycle number (`S_IDLE` = schedule length)
+//! and the machine still takes exactly `schedule.len` cycles from
+//! `start` to `done`.
 
 use crate::binding::Binding;
 use crate::cdfg::Dfg;
@@ -17,6 +29,19 @@ pub fn emit_module(name: &str, dfg: &Dfg, schedule: &Schedule, binding: &Binding
     let mut v = String::new();
     let states = schedule.len.max(1);
     let state_bits = 64 - (states.max(2) - 1).leading_zeros() as u64;
+    let last = states - 1;
+
+    // Nodes in issue order (ties keep program order), and the control
+    // steps: cycle 0, every cycle that issues an op, and the final cycle.
+    // A zero-latency op scheduled at the very end issues in the final step.
+    let issue_cycle = |id: usize| schedule.start.get(id).map_or(last, |s| (*s).min(last));
+    let mut order: Vec<usize> = (0..dfg.len()).collect();
+    order.sort_by_key(|id| issue_cycle(*id));
+    let mut steps: Vec<u64> = vec![0];
+    steps.extend(order.iter().map(|id| issue_cycle(*id)));
+    steps.push(last);
+    steps.dedup();
+    let longest_wait = steps.windows(2).map(|w| w[1] - w[0] - 1).max().unwrap_or(0);
 
     writeln!(v, "// Generated by everest-hls (FSMD emission)").unwrap();
     writeln!(v, "module {name} (").unwrap();
@@ -27,6 +52,11 @@ pub fn emit_module(name: &str, dfg: &Dfg, schedule: &Schedule, binding: &Binding
     writeln!(v, ");").unwrap();
     writeln!(v, "  reg [{}:0] state;", state_bits.saturating_sub(1)).unwrap();
     writeln!(v, "  localparam S_IDLE = {states};").unwrap();
+    if longest_wait > 0 {
+        let wait_bits = 64 - longest_wait.leading_zeros();
+        writeln!(v, "  reg [{}:0] wait_cnt; // idle cycles spent in a control step", wait_bits - 1)
+            .unwrap();
+    }
 
     // Datapath registers: one per SSA result of a latency-bearing op.
     for (id, node) in dfg.nodes.iter().enumerate() {
@@ -46,32 +76,51 @@ pub fn emit_module(name: &str, dfg: &Dfg, schedule: &Schedule, binding: &Binding
     writeln!(v, "    if (rst) begin").unwrap();
     writeln!(v, "      state <= S_IDLE;").unwrap();
     writeln!(v, "      done <= 1'b0;").unwrap();
+    if longest_wait > 0 {
+        writeln!(v, "      wait_cnt <= 0;").unwrap();
+    }
     writeln!(v, "    end else begin").unwrap();
     writeln!(v, "      case (state)").unwrap();
     writeln!(v, "        S_IDLE: if (start) begin state <= 0; done <= 1'b0; end").unwrap();
-    for cycle in 0..states {
+    let mut issuing = order.iter().copied().peekable();
+    for (si, &cycle) in steps.iter().enumerate() {
+        // Idle cycles to sit out in this arm before the next control step.
+        let wait = steps.get(si + 1).map_or(0, |next| next - cycle - 1);
         writeln!(v, "        {cycle}: begin").unwrap();
-        for (id, node) in dfg.nodes.iter().enumerate() {
-            if schedule.start.get(id) == Some(&cycle) {
-                let fu = binding
-                    .assignment
-                    .get(id)
-                    .and_then(|a| *a)
-                    .map(|(k, i)| format!("fu_{k}_{i}"))
-                    .unwrap_or_else(|| "wire_only".to_owned());
-                let operands: Vec<String> =
-                    node.operands.iter().map(|o| format!("v{}", o.0)).collect();
-                writeln!(v, "          // issue {} on {} ({})", node.name, fu, operands.join(", "))
-                    .unwrap();
-                for (ri, _) in node.results.iter().enumerate() {
-                    writeln!(v, "          r_{id}_{ri} <= {fu}_out;").unwrap();
-                }
+        // An arm that waits issues its ops on its first cycle only.
+        let pad = if wait > 0 {
+            writeln!(v, "          if (wait_cnt == 0) begin").unwrap();
+            "            "
+        } else {
+            "          "
+        };
+        while let Some(id) = issuing.next_if(|id| issue_cycle(*id) == cycle) {
+            let node = &dfg.nodes[id];
+            let fu = binding
+                .assignment
+                .get(id)
+                .and_then(|a| *a)
+                .map(|(k, i)| format!("fu_{k}_{i}"))
+                .unwrap_or_else(|| "wire_only".to_owned());
+            let operands: Vec<String> = node.operands.iter().map(|o| format!("v{}", o.0)).collect();
+            writeln!(v, "{pad}// issue {} on {} ({})", node.name, fu, operands.join(", ")).unwrap();
+            for (ri, _) in node.results.iter().enumerate() {
+                writeln!(v, "{pad}r_{id}_{ri} <= {fu}_out;").unwrap();
             }
         }
-        if cycle + 1 == states {
-            writeln!(v, "          state <= S_IDLE; done <= 1'b1;").unwrap();
-        } else {
-            writeln!(v, "          state <= {};", cycle + 1).unwrap();
+        match steps.get(si + 1) {
+            None => writeln!(v, "          state <= S_IDLE; done <= 1'b1;").unwrap(),
+            Some(next) if wait == 0 => writeln!(v, "          state <= {next};").unwrap(),
+            Some(next) => {
+                writeln!(v, "          end").unwrap();
+                writeln!(v, "          // wait {wait} idle cycles").unwrap();
+                writeln!(
+                    v,
+                    "          if (wait_cnt == {wait}) begin wait_cnt <= 0; state <= {next}; end"
+                )
+                .unwrap();
+                writeln!(v, "          else wait_cnt <= wait_cnt + 1;").unwrap();
+            }
         }
         writeln!(v, "        end").unwrap();
     }
@@ -103,16 +152,32 @@ mod tests {
     use everest_ir::{FuncBuilder, Type};
     use std::collections::HashMap;
 
-    fn sample() -> (Dfg, Schedule, Binding) {
+    /// `p = a * b; q = p + a`, with the multiply's latency overridden
+    /// when `mul_latency` is given (a stand-in for a loop macro node).
+    fn sample_with(mul_latency: Option<u64>) -> (Dfg, Schedule, Binding) {
         let mut fb = FuncBuilder::new("f", &[Type::F64, Type::F64], &[Type::F64]);
         let p = fb.binary("arith.mulf", fb.arg(0), fb.arg(1), Type::F64);
         let q = fb.binary("arith.addf", p, fb.arg(0), Type::F64);
         fb.ret(&[q]);
         let f = fb.finish();
-        let dfg = Dfg::from_block(&f, f.body.entry().unwrap(), &HashMap::new());
+        let mut dfg = Dfg::from_block(&f, f.body.entry().unwrap(), &HashMap::new());
+        if let Some(latency) = mul_latency {
+            dfg.nodes[0].latency = latency;
+        }
         let s = list_schedule(&dfg, &ResourceBudget::default()).unwrap();
         let b = bind(&dfg, &s);
         (dfg, s, b)
+    }
+
+    fn sample() -> (Dfg, Schedule, Binding) {
+        sample_with(None)
+    }
+
+    /// The body of the `case` arm labelled `cycle`.
+    fn arm(rtl: &str, cycle: u64) -> &str {
+        let head = format!("        {cycle}: begin\n");
+        let from = rtl.find(&head).unwrap_or_else(|| panic!("missing state {cycle}")) + head.len();
+        &rtl[from..from + rtl[from..].find("\n        end\n").expect("arm is closed")]
     }
 
     #[test]
@@ -125,12 +190,41 @@ mod tests {
         assert!(rtl.contains("case (state)"));
     }
 
+    /// One arm per issuing cycle (plus the final cycle) and no other;
+    /// every gap of more than one cycle is bridged by a counted wait; the
+    /// last arm raises `done`.
     #[test]
     fn one_case_arm_per_control_step() {
-        let (dfg, s, b) = sample();
-        let rtl = emit_module("k", &dfg, &s, &b);
-        for cycle in 0..s.len {
-            assert!(rtl.contains(&format!("        {cycle}: begin")), "missing state {cycle}");
+        for mul_latency in [None, Some(1), Some(5_000_000)] {
+            let (dfg, s, b) = sample_with(mul_latency);
+            let rtl = emit_module("k", &dfg, &s, &b);
+            let mut steps = s.start.clone();
+            steps.push(s.len - 1);
+            steps.sort_unstable();
+            steps.dedup();
+            let arms: Vec<u64> = rtl
+                .lines()
+                .filter_map(|l| l.strip_prefix("        ")?.strip_suffix(": begin")?.parse().ok())
+                .collect();
+            assert_eq!(arms, steps, "arms are the control steps, in order");
+            for w in steps.windows(2) {
+                let (body, idle) = (arm(&rtl, w[0]), w[1] - w[0] - 1);
+                if idle > 0 {
+                    let leave = format!(
+                        "if (wait_cnt == {idle}) begin wait_cnt <= 0; state <= {}; end",
+                        w[1]
+                    );
+                    assert!(body.contains(&leave), "state {} must wait {idle}:\n{body}", w[0]);
+                    assert!(body.contains("else wait_cnt <= wait_cnt + 1;"));
+                } else {
+                    assert!(body.contains(&format!("state <= {};", w[1])));
+                    assert!(!body.contains("wait_cnt"), "no wait between adjacent steps");
+                }
+            }
+            let last = arm(&rtl, s.len - 1);
+            assert!(last.contains("state <= S_IDLE; done <= 1'b1;"));
+            assert!(check_structure(&rtl));
+            assert!(rtl.len() < 4096, "RTL size follows the node count: {} bytes", rtl.len());
         }
     }
 

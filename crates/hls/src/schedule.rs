@@ -7,21 +7,34 @@
 //! pipelined floating-point IP.
 //!
 //! The list scheduler is the inner loop of design-space exploration (one
-//! run per DSE candidate), so its scratch state lives in a reusable
-//! [`ScheduleArena`]: ready queues, in-degree counters, the ALAP
-//! priority table and a calendar-queue finish ring are bump-grown once
-//! and then recycled, and per-cycle issue counts use a fixed
-//! [`FuKind`]-indexed array instead of a hash map. After warm-up,
-//! [`ScheduleArena::list_schedule_into`] performs **zero heap
-//! allocations per candidate** (enforced by a counting-allocator test);
-//! the plain [`list_schedule`] entry point reuses a thread-local arena
-//! and allocates only its output.
+//! run per DSE candidate), and it is **event-driven**: its cost follows
+//! the number of nodes, never the number of cycles the schedule spans. A
+//! nested `loop.for` enters its parent's DFG as one macro node carrying
+//! the whole loop latency (millions of cycles for a large matmul), so
+//! the scheduler only ever visits cycles in which something can happen:
+//! the finish times of in-flight ops wait in a min-heap, and when
+//! nothing is ready to issue the clock jumps straight to the earliest
+//! of them. Every visited cycle issues an op or retires one, so a call
+//! visits at most `2 · nodes` cycles and sorts the ready list in each:
+//! O(nodes · log nodes) when units are plentiful, one more factor of
+//! `nodes` at worst when every op queues for the same unit, and O(nodes)
+//! space — whatever the trip counts.
+//!
+//! Its scratch state lives in a reusable [`ScheduleArena`]: ready
+//! queues, in-degree counters, the ALAP priority table and the finish
+//! heap are bump-grown once and then recycled, and per-cycle issue
+//! counts use a fixed [`FuKind`]-indexed array instead of a hash map.
+//! After warm-up, [`ScheduleArena::list_schedule_into`] performs **zero
+//! heap allocations per candidate** (enforced by a counting-allocator
+//! test); the plain [`list_schedule`] entry point reuses a thread-local
+//! arena and allocates only its output.
 
 use crate::cdfg::Dfg;
 use crate::error::{HlsError, HlsResult};
 use crate::oplib::FuKind;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Available functional-unit instances per kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,10 +135,10 @@ pub struct ScheduleArena {
     /// Nodes ready to issue / deferred to the next pass.
     ready: Vec<usize>,
     still_ready: Vec<usize>,
-    /// Calendar-queue finish ring: bucket `c % ring.len()` holds the
-    /// nodes finishing at cycle `c`. Valid because every in-flight
-    /// latency is `< ring.len()`, so cycles never collide in a bucket.
-    ring: Vec<Vec<usize>>,
+    /// In-flight ops as a min-heap of `(finish_cycle, node)`: one entry
+    /// per issued op of non-zero latency, popped when the clock reaches
+    /// its finish. Sized by the node count, not by any latency.
+    in_flight: BinaryHeap<Reverse<(u64, usize)>>,
     /// Per-cycle issue count and budget, indexed by `FuKind as usize`.
     issued: [usize; FuKind::ALL.len()],
     counts: [usize; FuKind::ALL.len()],
@@ -181,7 +194,6 @@ impl ScheduleArena {
         for (i, kind) in FuKind::ALL.iter().enumerate() {
             self.counts[i] = budget.count(*kind);
         }
-        let mut max_latency = 0u64;
         for node in &dfg.nodes {
             if let Some(fu) = node.fu {
                 if self.counts[fu as usize] == 0 {
@@ -191,7 +203,6 @@ impl ScheduleArena {
                     )));
                 }
             }
-            max_latency = max_latency.max(node.latency);
         }
         out.start.clear();
         out.len = 0;
@@ -208,27 +219,18 @@ impl ScheduleArena {
         self.ready.clear();
         self.ready.extend((0..n).filter(|i| self.remaining_preds[*i] == 0));
         self.still_ready.clear();
-        // Ring span must exceed every in-flight latency; buckets keep
-        // their capacity across candidates.
-        let span = max_latency as usize + 1;
-        if self.ring.len() < span {
-            self.ring.resize_with(span, Vec::new);
-        }
-        for bucket in &mut self.ring {
-            bucket.clear();
-        }
-        let span = self.ring.len();
+        self.in_flight.clear();
         let mut scheduled = 0usize;
         let mut cycle: u64 = 0;
 
         while scheduled < n {
-            // Release successors of nodes that finished by `cycle`.
-            let bucket = (cycle as usize) % span;
-            // Swap the bucket out through `still_ready` (empty here) so
-            // releases can push to `ready` without aliasing the ring.
-            std::mem::swap(&mut self.ring[bucket], &mut self.still_ready);
-            for di in 0..self.still_ready.len() {
-                let d = self.still_ready[di];
+            // Release successors of nodes that finished by `cycle`. The
+            // order of release is immaterial: `ready` is sorted below.
+            while let Some(&Reverse((fin, d))) = self.in_flight.peek() {
+                if fin > cycle {
+                    break;
+                }
+                self.in_flight.pop();
                 for s in &dfg.nodes[d].succs {
                     self.remaining_preds[*s] -= 1;
                     if self.remaining_preds[*s] == 0 {
@@ -236,7 +238,6 @@ impl ScheduleArena {
                     }
                 }
             }
-            self.still_ready.clear();
             self.issued = [0; FuKind::ALL.len()];
             // Iterate within the cycle so zero-latency ops (constants)
             // release their consumers immediately instead of costing a
@@ -270,7 +271,7 @@ impl ScheduleArena {
                                 }
                             }
                         } else {
-                            self.ring[(fin as usize) % span].push(i);
+                            self.in_flight.push(Reverse((fin, i)));
                         }
                         scheduled += 1;
                     } else {
@@ -283,7 +284,13 @@ impl ScheduleArena {
                     break;
                 }
             }
-            cycle += 1;
+            // Ops left in `ready` lost out on a unit and retry next
+            // cycle; otherwise nothing can happen before the earliest
+            // in-flight op finishes, so skip the idle stretch.
+            cycle = match self.in_flight.peek() {
+                Some(&Reverse((fin, _))) if self.ready.is_empty() => fin,
+                _ => cycle + 1,
+            };
         }
         Ok(())
     }

@@ -7,6 +7,11 @@
 //! state. Lives in its own integration-test binary because it swaps in a
 //! counting global allocator (the same technique as
 //! `crates/apps/tests/ptdr_no_alloc.rs`).
+//!
+//! The same allocator also counts bytes, for the scale tests at the end:
+//! what one `synthesize` call allocates, and the size of the RTL it
+//! returns, follow the number of DFG nodes — never the loop trip counts,
+//! however many cycles the schedule spans. They read no clock.
 
 use everest_hls::cdfg::Dfg;
 use everest_hls::schedule::{ResourceBudget, Schedule, ScheduleArena};
@@ -24,11 +29,13 @@ struct CountingAllocator;
 // sibling test) from perturbing the measured window.
 std::thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + layout.size() as u64));
         unsafe { System.alloc(layout) }
     }
 
@@ -38,6 +45,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + new_size.saturating_sub(layout.size()) as u64));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -76,7 +84,7 @@ fn warm_arena_schedules_allocate_nothing() {
     let mut out = Schedule::default();
 
     // Warm-up: touch the largest candidate under every budget so all
-    // scratch buffers (priority table, ready queues, finish ring, output
+    // scratch buffers (priority table, ready queues, finish heap, output
     // starts) reach their high-water capacity.
     for budget in &budgets {
         arena.list_schedule_into(&mut out, &large, budget).unwrap();
@@ -109,4 +117,35 @@ fn arena_path_matches_public_entry_point() {
     arena.list_schedule_into(&mut out, &dfg, &budget).unwrap();
     assert_eq!(out.start, via_fn.start);
     assert_eq!(out.len, via_fn.len);
+}
+
+fn kernel(source: &str, name: &str) -> everest_ir::Func {
+    everest_dsl::compile_kernels(source).expect("kernels compile").func(name).unwrap().clone()
+}
+
+#[test]
+fn synthesizing_a_billion_cycle_matmul_allocates_a_few_mebibytes() {
+    let mm = kernel(
+        "kernel mm(a: tensor<2048x2048xf64>, b: tensor<2048x2048xf64>) -> tensor<2048x2048xf64> {
+             return a @ b;
+         }",
+        "mm",
+    );
+    let config = everest_hls::HlsConfig::default();
+    let before = BYTES.with(Cell::get);
+    let acc = everest_hls::synthesize(&mm, &config).unwrap();
+    let allocated = BYTES.with(Cell::get) - before;
+    // 2048³ ≈ 8.6e9 multiply-accumulates at II = 1, split over the PEs.
+    assert!(acc.latency_cycles > 1_000_000_000 / acc.pe as u64, "{} cycles", acc.latency_cycles);
+    assert!(allocated < 4 << 20, "one synthesis allocated {allocated} bytes");
+}
+
+#[test]
+fn full_size_ensemble_kernel_emits_kilobytes_of_rtl() {
+    let source = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/cascade.edsl");
+    let ensemble = kernel(&std::fs::read_to_string(source).unwrap(), "ensemble");
+    let acc = everest_hls::synthesize(&ensemble, &everest_hls::HlsConfig::default()).unwrap();
+    assert!(acc.latency_cycles > 1_000_000, "the schedule spans millions of cycles");
+    assert!(acc.rtl.len() < 64 << 10, "{} bytes of RTL", acc.rtl.len());
+    assert!(everest_hls::rtl::check_structure(&acc.rtl));
 }

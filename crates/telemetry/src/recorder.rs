@@ -8,7 +8,14 @@
 //! plus a slot write). Old events are overwritten in place, bounding
 //! both memory and time: the recorder never allocates per event after
 //! its ring is created, and setting the capacity to zero reduces
-//! [`FlightRecorder::record`] to a single relaxed atomic load.
+//! [`FlightRecorder::record`] to a single relaxed atomic load. A ring
+//! outlives its thread, so what a worker did just before it exited stays
+//! dumpable; but only the [`RETIRED_RINGS_KEPT`] most recently used such
+//! rings are kept, and a new thread adopts the oldest beyond that
+//! instead of allocating. The number of rings is therefore bounded by
+//! the peak number of threads recording at once plus that constant, not
+//! by how many threads ever recorded — pools that start short-lived
+//! workers for every batch recycle the same few rings.
 //!
 //! [`FlightRecorder::dump`] merges every thread's ring into one
 //! time-ordered [`FlightDump`] — a post-hoc "what just happened" trace.
@@ -26,6 +33,10 @@ use std::time::Instant;
 
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
+
+/// How many rings of exited threads stay registered (and dumpable)
+/// before new threads start adopting the oldest of them.
+pub const RETIRED_RINGS_KEPT: usize = 16;
 
 /// What a [`FlightEvent`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,13 +128,13 @@ impl RingBuf {
     }
 }
 
-struct Ring {
-    tid: u32,
-    buf: Mutex<RingBuf>,
-}
+type Ring = Mutex<RingBuf>;
 
 thread_local! {
-    static THREAD_RING: OnceCell<Arc<Ring>> = const { OnceCell::new() };
+    /// The calling thread's dense id and its ring. Dropped when the
+    /// thread exits, which leaves the recorder as the ring's only owner:
+    /// that is what marks it retired.
+    static THREAD_RING: OnceCell<(u32, Arc<Ring>)> = const { OnceCell::new() };
 }
 
 /// The process-wide flight recorder. Use [`crate::flight`] to reach the
@@ -157,7 +168,7 @@ impl FlightRecorder {
     pub fn set_capacity(&self, capacity: usize) {
         self.capacity.store(capacity, Ordering::Relaxed);
         for ring in self.rings.lock().iter() {
-            let mut buf = ring.buf.lock();
+            let mut buf = ring.lock();
             buf.slots = Vec::with_capacity(capacity);
             buf.capacity = capacity;
             buf.head = 0;
@@ -184,21 +195,36 @@ impl FlightRecorder {
         }
         let ts_us = self.now_us();
         THREAD_RING.with(|cell| {
-            let ring = cell.get_or_init(|| {
-                let ring = Arc::new(Ring {
-                    tid: current_tid(),
-                    buf: Mutex::new(RingBuf {
-                        slots: Vec::with_capacity(capacity),
-                        capacity,
-                        head: 0,
-                        written: 0,
-                    }),
-                });
-                self.rings.lock().push(Arc::clone(&ring));
-                ring
-            });
-            ring.buf.lock().push(FlightEvent { ts_us, tid: ring.tid, kind, name, value });
+            let (tid, ring) = cell.get_or_init(|| (current_tid(), self.claim_ring(capacity)));
+            ring.lock().push(FlightEvent { ts_us, tid: *tid, kind, name, value });
         });
+    }
+
+    /// A ring for a thread recording its first event. A ring is retired
+    /// once its thread has exited, which leaves the recorder holding the
+    /// only reference. While no more than [`RETIRED_RINGS_KEPT`] are
+    /// retired the thread gets a new ring; beyond that it adopts the
+    /// retired ring that has gone unclaimed longest (claims move a ring to
+    /// the back of the registry). An adopted ring keeps the dead thread's
+    /// events — each carries its own `tid` — until the new owner
+    /// overwrites them. The registry lock serializes claims, so two
+    /// threads never adopt the same ring.
+    fn claim_ring(&self, capacity: usize) -> Arc<Ring> {
+        let mut rings = self.rings.lock();
+        let is_retired = |ring: &Arc<Ring>| Arc::strong_count(ring) == 1;
+        let ring = if rings.iter().filter(|r| is_retired(r)).count() > RETIRED_RINGS_KEPT {
+            let oldest = rings.iter().position(is_retired).expect("counted above");
+            rings.remove(oldest)
+        } else {
+            Arc::new(Mutex::new(RingBuf {
+                slots: Vec::with_capacity(capacity),
+                capacity,
+                head: 0,
+                written: 0,
+            }))
+        };
+        rings.push(Arc::clone(&ring));
+        ring
     }
 
     /// Shorthand for a [`EventKind::Marker`] event.
@@ -238,7 +264,7 @@ impl FlightRecorder {
         let mut events = Vec::new();
         let mut dropped = 0u64;
         for ring in rings.iter() {
-            let buf = ring.buf.lock();
+            let buf = ring.lock();
             dropped += buf.written.saturating_sub(buf.slots.len() as u64);
             events.extend(buf.ordered());
         }
@@ -252,7 +278,7 @@ impl FlightRecorder {
     /// registrations survive so live threads keep recording.
     pub fn reset(&self) {
         for ring in self.rings.lock().iter() {
-            let mut buf = ring.buf.lock();
+            let mut buf = ring.lock();
             buf.slots.clear();
             buf.head = 0;
             buf.written = 0;
@@ -266,7 +292,9 @@ impl FlightRecorder {
 pub struct FlightDump {
     /// Why the dump was taken (alarm name, `"cli"`, ...).
     pub reason: String,
-    /// Number of threads that had recorded events.
+    /// Number of per-thread rings merged: those of live threads plus at
+    /// most [`RETIRED_RINGS_KEPT`] (and any being torn down) of threads
+    /// that have exited.
     pub threads: usize,
     /// Events overwritten before the dump (total across threads).
     pub dropped: u64,

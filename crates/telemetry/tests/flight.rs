@@ -2,7 +2,7 @@
 //! process-wide singleton, so every test serializes on one lock and
 //! tags its events with test-unique names.
 
-use everest_telemetry::recorder::DEFAULT_RING_CAPACITY;
+use everest_telemetry::recorder::{DEFAULT_RING_CAPACITY, RETIRED_RINGS_KEPT};
 use everest_telemetry::EventKind;
 
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -128,5 +128,33 @@ fn dump_serializes_to_json() {
         assert!(json.contains("\"reason\": \"json-test\""));
         assert!(json.contains("\"kind\": \"counter_add\""));
         assert!(json.contains("\"name\": \"t6.count\""));
+    });
+}
+
+#[test]
+fn short_lived_threads_recycle_retired_rings() {
+    with_recorder(64, |flight| {
+        // This thread stays alive throughout: its ring is never retired,
+        // so nothing a newcomer records can overwrite its events.
+        flight.marker("t8.live", 1.0);
+        let rings_before = flight.dump("test").threads;
+        for i in 0..1_000 {
+            // `join` returns once the thread is gone, thread-locals and
+            // all, so each ring is retired before the next thread starts.
+            std::thread::spawn(move || everest_telemetry::flight().marker("t8.worker", i as f64))
+                .join()
+                .unwrap();
+        }
+        let dump = flight.dump("test");
+        assert!(
+            dump.threads <= rings_before + RETIRED_RINGS_KEPT + 1,
+            "1000 sequential threads grew the recorder from {rings_before} to {} rings",
+            dump.threads
+        );
+        assert!(dump.events.iter().any(|e| e.name == "t8.live"), "a live thread lost its event");
+        let workers: Vec<_> = dump.events.iter().filter(|e| e.name == "t8.worker").collect();
+        assert_eq!(workers.last().map(|e| e.value), Some(999.0), "the newest event survives");
+        let tids: std::collections::HashSet<u32> = workers.iter().map(|e| e.tid).collect();
+        assert_eq!(tids.len(), workers.len(), "an adopted ring records under its new thread's id");
     });
 }
