@@ -299,7 +299,7 @@ pub struct TravelTimeStats {
 /// from the learned distributions, advancing the clock along the route so
 /// later segments see the hour they are actually traversed.
 ///
-/// Delegates to the batched SoA engine in [`service`]; the original
+/// Delegates to the block-wise engine in [`service`]; the original
 /// scalar implementation survives as
 /// [`service::ptdr_travel_time_reference`] for validation and as the
 /// benchmark baseline.

@@ -7,15 +7,32 @@
 //! percentile. This module restructures that kernel the way the EVEREST
 //! design flow restructures kernels before offloading them:
 //!
-//! * [`PtdrEngine`] — route-local **SoA tables** (`length_km`,
-//!   `clamp_hi`, flattened per-hour `mean`/`std`) prefetched once per
-//!   route, a reusable scratch buffer (zero heap allocations per query
-//!   once warm), and **block-wise sampling** over a lane-count-
+//! * [`PtdrEngine`] — a reusable scratch buffer (zero heap allocations
+//!   per query once warm) and **block-wise sampling** over a lane-count-
 //!   parameterized inner loop mirroring the 32-lane FPGA sampling engine
-//!   modeled in E11. Normals come from a 128-layer ziggurat sampler (one
-//!   RNG word and one multiply on the ~98% path, no transcendentals),
-//!   and the result summary uses streaming Welford mean/variance plus a
-//!   `select_nth_unstable` 95th percentile instead of a full sort.
+//!   modeled in E11. Each block walks the route edge by edge in two
+//!   phases: first the block's normals are drawn, in lane order, into a
+//!   stack buffer; then a loop of arithmetic alone (hour lookup in the
+//!   edge's hour-major speed rows, clamp, divide) advances the lanes.
+//!   Normals come from a 128-layer ziggurat sampler: one RNG word, one
+//!   multiply (the layer table is stored pre-scaled by 2⁻⁵³) and one
+//!   compare on the 97 % path, no transcendentals. The sign is applied
+//!   by moving the word's sign bit into the sign position of the
+//!   non-negative value — what multiplying by ±1.0 computes, −0.0
+//!   included, minus a branch that is a coin flip. The wedge and tail
+//!   cases (2.8 % of draws; `exp`, `ln`) live in one `#[cold]`
+//!   out-of-line function, so the hot loop holds neither their code nor
+//!   their register spills; it takes the generator by value and hands it
+//!   back, which lets the loop keep the generator's state in a register.
+//!   The summary is streaming Welford mean/variance, stepped from the
+//!   last edge's loop so its serial divide chain runs under the
+//!   sampling, plus a `select_nth_unstable` 95th percentile instead of a
+//!   full sort. RNG words are consumed in the order the one-loop,
+//!   one-sample-at-a-time form of this kernel consumed them, and every
+//!   floating-point operation is the same operation on the same
+//!   operands, so every answer is bit-identical to that form's — which
+//!   survives as the unit tests' reference, next to a committed golden
+//!   table (`tests/ptdr_golden.rs`).
 //! * [`PtdrService`] — the batch front-end: fans a slice of
 //!   [`RouteQuery`]s across [`everest_workflow::pool::parallel_map`]
 //!   and answers repeated questions from an LRU response cache keyed by
@@ -101,8 +118,40 @@ pub fn ptdr_travel_time_reference(
 // Streaming summary
 // ---------------------------------------------------------------------------
 
-/// Summarizes a sample buffer without sorting it: Welford's streaming
-/// mean/variance in one pass, then the 95th percentile via
+/// Welford's streaming mean/variance, one sample at a time. The engine
+/// feeds it from the last edge's loop, so the divide chain of each step
+/// (subtract, divide, add: ≈ 22 cycles, each step waiting on the one
+/// before) runs under the sampling of the following lanes instead of in
+/// a pass of its own.
+#[derive(Debug, Default)]
+struct Moments {
+    count: usize,
+    mean: f64,
+    m2: f64,
+}
+
+impl Moments {
+    #[inline(always)]
+    fn push(&mut self, t: f64) {
+        self.count += 1;
+        let delta = t - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (t - self.mean);
+    }
+
+    /// Closes the summary over `times`, the samples pushed (reordered in
+    /// place by the selection).
+    fn finish(self, times: &mut [f64]) -> TravelTimeStats {
+        assert_eq!(self.count, times.len(), "one push per sample");
+        let var = (self.m2 / times.len() as f64).max(0.0);
+        let idx = ((0.95 * (times.len() - 1) as f64).round() as usize).min(times.len() - 1);
+        let (_, p95, _) = times.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
+        TravelTimeStats { mean_h: self.mean, p95_h: *p95, std_h: var.sqrt() }
+    }
+}
+
+/// Summarizes a sample buffer without sorting it: Welford's
+/// streaming mean/variance in one pass, then the 95th percentile via
 /// `select_nth_unstable` (average O(n), versus O(n log n) for the sorted
 /// reference). Produces the same percentile element the sorted reference
 /// indexes at `round(0.95 * (n - 1))`.
@@ -114,36 +163,36 @@ pub fn ptdr_travel_time_reference(
 /// Panics on an empty buffer.
 pub fn summarize(times: &mut [f64]) -> TravelTimeStats {
     assert!(!times.is_empty(), "need at least one sample");
-    let mut mean = 0.0f64;
-    let mut m2 = 0.0f64;
-    for (i, &t) in times.iter().enumerate() {
-        let delta = t - mean;
-        mean += delta / (i + 1) as f64;
-        m2 += delta * (t - mean);
+    let mut moments = Moments::default();
+    for &t in times.iter() {
+        moments.push(t);
     }
-    let var = (m2 / times.len() as f64).max(0.0);
-    let idx = ((0.95 * (times.len() - 1) as f64).round() as usize).min(times.len() - 1);
-    let (_, p95, _) = times.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
-    TravelTimeStats { mean_h: mean, p95_h: *p95, std_h: var.sqrt() }
+    moments.finish(times)
 }
 
 // ---------------------------------------------------------------------------
-// Batched SoA Monte-Carlo engine
+// Block-wise Monte-Carlo engine
 // ---------------------------------------------------------------------------
 
 /// Ziggurat tables for the standard normal (Marsaglia & Tsang, 128
 /// layers): `x[i]` are the layer widths (descending, `x[1]` = the tail
-/// cutoff `R`), `f[i] = exp(-x[i]²/2)` the layer heights. Built once per
+/// cutoff `R`), `f[i] = exp(-x[i]²/2)` the layer heights, and
+/// `scaled[i] = x[i] · 2⁻⁵³` (a power-of-two scaling, so exact) turns a
+/// 53-bit mantissa straight into a point of layer `i`. Built once per
 /// process; stored inline in a `OnceLock`, so initialization performs no
 /// heap allocation.
 struct ZigTables {
     x: [f64; 129],
     f: [f64; 129],
+    scaled: [f64; 128],
 }
 
 /// Tail cutoff and per-layer area of the 128-layer normal ziggurat.
 const ZIG_R: f64 = 3.442_619_855_899;
 const ZIG_V: f64 = 9.912_563_035_262_17e-3;
+
+/// 2⁻⁵³: maps a 53-bit mantissa onto `[0, 1)`.
+const MANTISSA_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 
 fn zig_tables() -> &'static ZigTables {
     static TABLES: std::sync::OnceLock<ZigTables> = std::sync::OnceLock::new();
@@ -163,121 +212,139 @@ fn zig_tables() -> &'static ZigTables {
         for i in 0..129 {
             f[i] = (-0.5 * x[i] * x[i]).exp();
         }
-        ZigTables { x, f }
+        let mut scaled = [0.0f64; 128];
+        for i in 0..128 {
+            scaled[i] = x[i] * MANTISSA_SCALE;
+        }
+        ZigTables { x, f, scaled }
     })
 }
 
-/// One standard normal by the ziggurat method: the ~98% common path
-/// spends a single RNG word, one table compare and one multiply — no
-/// `ln`/`sqrt`/`cos` (the Box-Muller reference pays one of each per
-/// draw). One u64 supplies the 7-bit layer index, the sign bit, and the
-/// 53-bit mantissa.
-#[inline]
-fn normal(rng: &mut StdRng) -> f64 {
-    let tables = zig_tables();
+/// One RNG word split the ziggurat way: bits 0–6 the layer, bit 7 the
+/// sign, bits 11–63 the mantissa, already scaled to a point `x ≥ 0` of
+/// the layer.
+#[inline(always)]
+fn zig_draw(rng: &mut StdRng, tables: &ZigTables) -> (u64, usize, f64) {
+    let bits = rng.next_u64();
+    let layer = (bits & 0x7F) as usize;
+    (bits, layer, (bits >> 11) as f64 * tables.scaled[layer])
+}
+
+/// `x` (non-negative) with bit 7 of `bits` as its sign. Moving the bit
+/// into the sign position is what multiplying by ±1.0 computes, −0.0
+/// included, without the branch a `if bit { -1.0 } else { 1.0 }` compiles
+/// to — a coin flip the predictor loses every second draw.
+#[inline(always)]
+fn zig_signed(x: f64, bits: u64) -> f64 {
+    f64::from_bits(x.to_bits() | ((bits & 0x80) << 56))
+}
+
+/// One standard normal by the ziggurat method: the 97.2% common path
+/// spends a single RNG word, one multiply, one table compare and one
+/// `or` — no `ln`/`sqrt`/`cos` (the Box-Muller reference pays one of each
+/// per draw), and its only branch is the rarely-taken exit to
+/// [`normal_slow`].
+#[inline(always)]
+fn normal(rng: &mut StdRng, tables: &ZigTables) -> f64 {
+    let (bits, layer, x) = zig_draw(rng, tables);
+    if x < tables.x[layer + 1] {
+        return zig_signed(x, bits);
+    }
+    // By value, and back by value: were the generator lent to the
+    // out-of-line call, it would have to live in memory, and every draw
+    // would wait on a store-to-load round trip of its state.
+    let (z, next) = normal_slow(rng.clone(), tables, bits, layer, x);
+    *rng = next;
+    z
+}
+
+/// The rest of the ziggurat for a draw that missed its layer's
+/// rectangle: the wedge test (2.7% of draws), the tail past `R`
+/// (0.06%), and a fresh draw after a rejected wedge point. Kept out of
+/// line and cold so that `exp`, `ln` and their spills stay out of the
+/// sampling loop's registers and instruction stream; RNG words are
+/// consumed in the same order as when this was the body of one loop.
+#[cold]
+#[inline(never)]
+fn normal_slow(
+    mut rng: StdRng,
+    tables: &ZigTables,
+    mut bits: u64,
+    mut layer: usize,
+    mut x: f64,
+) -> (f64, StdRng) {
+    let unit = |rng: &mut StdRng| ((rng.next_u64() >> 11) + 1) as f64 * MANTISSA_SCALE;
+    // The caller's draw enters below the rectangle test it already
+    // failed; redraws come round to it.
     loop {
-        let bits = rng.next_u64();
-        let i = (bits & 0x7F) as usize;
-        let sign = if bits & 0x80 != 0 { -1.0f64 } else { 1.0 };
-        let u = (bits >> 11) as f64 / (1u64 << 53) as f64;
-        let x = u * tables.x[i];
-        if x < tables.x[i + 1] {
-            return sign * x;
-        }
-        if i == 0 {
+        if layer == 0 {
             // Tail past R: Marsaglia's exponential-rejection sampler.
             loop {
-                let u1 = ((rng.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64;
-                let u2 = ((rng.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64;
+                let u1 = unit(&mut rng);
+                let u2 = unit(&mut rng);
                 let xt = -u1.ln() / ZIG_R;
                 let yt = -u2.ln();
                 if yt + yt > xt * xt {
-                    return sign * (ZIG_R + xt);
+                    return (zig_signed(ZIG_R + xt, bits), rng);
                 }
             }
         }
         // Wedge between the layer's rectangle and the density.
-        let y = tables.f[i]
-            + (tables.f[i + 1] - tables.f[i])
-                * ((rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64);
+        let y = tables.f[layer]
+            + (tables.f[layer + 1] - tables.f[layer])
+                * ((rng.next_u64() >> 11) as f64 * MANTISSA_SCALE);
         if y < (-0.5 * x * x).exp() {
-            return sign * x;
+            return (zig_signed(x, bits), rng);
+        }
+        (bits, layer, x) = zig_draw(&mut rng, tables);
+        if x < tables.x[layer + 1] {
+            return (zig_signed(x, bits), rng);
         }
     }
 }
 
-/// Hour bin for an absolute clock value (hours since midnight).
-#[inline]
+/// Hour bin for an absolute clock value (hours since midnight):
+/// `clock_h as usize % HOUR_BINS` for every input. x86-64 has no
+/// instruction for the saturating `f64 → u64` cast, which costs a dozen
+/// there — a third of the arithmetic loop; below 2³² h the cast to `u32`
+/// gives the same integer in one conversion, and the comparison that
+/// picks it is never mispredicted on a clock that counts hours of a day.
+#[inline(always)]
 fn hour_bin(clock_h: f64) -> usize {
-    (clock_h as usize) % HOUR_BINS
+    if clock_h < 4_294_967_296.0 {
+        (clock_h as u32 as usize) % HOUR_BINS
+    } else {
+        (clock_h as usize) % HOUR_BINS
+    }
 }
 
 /// The restructured PTDR Monte-Carlo kernel.
 ///
-/// Holds route-local SoA tables and a scratch sample buffer, both reused
-/// across queries: estimating repeatedly over routes of bounded length
-/// and sample counts performs **zero heap allocations** once the
-/// high-water capacity is reached (enforced by the
-/// `ptdr_no_alloc` integration test).
+/// Holds the scratch sample buffer, reused across queries: estimating
+/// repeatedly at bounded sample counts performs **zero heap
+/// allocations** once the high-water capacity is reached (enforced by
+/// the `ptdr_no_alloc` integration test). Nothing else outlives a call —
+/// segment lengths and the hour-major speed rows are read in place from
+/// the network and the profiles handed to [`estimate`](Self::estimate),
+/// so one engine can serve any number of them.
 ///
 /// `LANES` parameterizes the block width of the inner sampling loop:
 /// each block advances `LANES` Monte-Carlo walkers through the route
-/// edge-by-edge, so per-edge table rows are loaded once per block
-/// instead of once per sample. The default (32) matches the sampling
-/// engine modeled in E11. Note that the lane count shapes the RNG draw
-/// order, so estimates are reproducible per `(seed, LANES)` pair.
+/// edge-by-edge, so per-edge rows are looked up once per block instead
+/// of once per sample. The default (32) matches the sampling engine
+/// modeled in E11. Note that the lane count shapes the RNG draw order, so
+/// estimates are reproducible per `(seed, LANES)` pair.
 #[derive(Debug, Default)]
 pub struct PtdrEngine<const LANES: usize = 32> {
-    /// Edge ids of the currently prepared route (`prepare` fast-path).
-    edges: Vec<usize>,
-    /// Per route position: segment length, km.
-    length_km: Vec<f64>,
-    /// Per route position: upper speed clamp (1.1 × free-flow), km/h.
-    clamp_hi: Vec<f64>,
-    /// Per route position × hour: mean speed, km/h (row-major rows of
-    /// [`HOUR_BINS`]).
-    mean: Vec<f64>,
-    /// Per route position × hour: speed spread, km/h.
-    std: Vec<f64>,
     /// Reusable sample buffer.
     times: Vec<f64>,
 }
 
 impl<const LANES: usize> PtdrEngine<LANES> {
-    /// An empty engine; tables are built on first use.
+    /// An empty engine; the sample buffer grows on first use.
     pub fn new() -> PtdrEngine<LANES> {
         assert!(LANES >= 1, "need at least one lane");
-        PtdrEngine {
-            edges: Vec::new(),
-            length_km: Vec::new(),
-            clamp_hi: Vec::new(),
-            mean: Vec::new(),
-            std: Vec::new(),
-            times: Vec::new(),
-        }
-    }
-
-    /// Prefetches the SoA tables for `route`, reusing existing capacity.
-    /// A repeated route is detected by comparison and skipped entirely.
-    fn prepare(&mut self, network: &RoadNetwork, profiles: &SpeedProfiles, route: &[usize]) {
-        if self.edges == route {
-            return;
-        }
-        self.edges.clear();
-        self.edges.extend_from_slice(route);
-        self.length_km.clear();
-        self.clamp_hi.clear();
-        self.mean.clear();
-        self.std.clear();
-        for &ei in route {
-            let e = &network.edges[ei];
-            self.length_km.push(e.length_km);
-            self.clamp_hi.push(e.free_speed_kmh * 1.1);
-            for h in 0..HOUR_BINS {
-                self.mean.push(profiles.mean_speed(ei, h));
-                self.std.push(profiles.std_speed(ei, h));
-            }
-        }
+        PtdrEngine { times: Vec::new() }
     }
 
     /// Estimates the travel-time distribution of `route` departing at
@@ -300,32 +367,59 @@ impl<const LANES: usize> PtdrEngine<LANES> {
         seed: u64,
     ) -> TravelTimeStats {
         assert!(samples > 0, "need at least one sample");
-        self.prepare(network, profiles, route);
+        let Some((&last, rest)) = route.split_last() else {
+            // Nowhere to go: every walk takes no time.
+            return TravelTimeStats { mean_h: 0.0, p95_h: 0.0, std_h: 0.0 };
+        };
+        let tables = zig_tables();
         let mut rng = StdRng::seed_from_u64(seed);
         self.times.clear();
         self.times.reserve(samples);
-        let route_len = self.edges.len();
+        let mut moments = Moments::default();
         let mut t = [0.0f64; LANES];
+        let mut z = [0.0f64; LANES];
+        // Phase one of an edge: the block's normals, drawn in lane order.
+        // The only branch in here is the sampler's cold exit.
+        let mut draw = |z: &mut [f64]| {
+            for z in z.iter_mut() {
+                *z = normal(&mut rng, tables);
+            }
+        };
+        // Phase two: arithmetic only, so no lane waits on a neighbour
+        // and the divides pipeline.
+        let advance = |ei: usize| {
+            let edge = &network.edges[ei];
+            let (len, hi) = (edge.length_km, edge.free_speed_kmh * 1.1);
+            let (mean, std) = (&profiles.mean[ei], &profiles.std[ei]);
+            move |lane_t: f64, z: f64| {
+                let h = hour_bin(depart_hour + lane_t);
+                lane_t + len / (mean[h] + std[h] * z).clamp(MIN_SPEED_KMH, hi)
+            }
+        };
         let mut done = 0usize;
         while done < samples {
             let width = LANES.min(samples - done);
-            t[..width].fill(0.0);
-            for e in 0..route_len {
-                let len = self.length_km[e];
-                let hi = self.clamp_hi[e];
-                let mean = &self.mean[e * HOUR_BINS..(e + 1) * HOUR_BINS];
-                let std = &self.std[e * HOUR_BINS..(e + 1) * HOUR_BINS];
-                for lane_t in t[..width].iter_mut() {
-                    let z = normal(&mut rng);
-                    let h = hour_bin(depart_hour + *lane_t);
-                    let v = (mean[h] + std[h] * z).clamp(MIN_SPEED_KMH, hi);
-                    *lane_t += len / v;
+            let (t, z) = (&mut t[..width], &mut z[..width]);
+            t.fill(0.0);
+            for &ei in rest {
+                draw(z);
+                let advance = advance(ei);
+                for (lane_t, &z) in t.iter_mut().zip(z.iter()) {
+                    *lane_t = advance(*lane_t, z);
                 }
             }
-            self.times.extend_from_slice(&t[..width]);
+            // The last edge completes each walk, so its loop also takes
+            // the Welford step (see [`Moments`]).
+            draw(z);
+            let advance = advance(last);
+            for (lane_t, &z) in t.iter_mut().zip(z.iter()) {
+                *lane_t = advance(*lane_t, z);
+                moments.push(*lane_t);
+            }
+            self.times.extend_from_slice(t);
             done += width;
         }
-        summarize(&mut self.times)
+        moments.finish(&mut self.times)
     }
 }
 
@@ -670,6 +764,186 @@ mod tests {
         (net, profiles)
     }
 
+    /// How often the reference sampler left the common path.
+    #[derive(Default)]
+    struct SlowPaths {
+        wedge: u64,
+        tail: u64,
+    }
+
+    /// The sampler as it stood before the fast path went branch-free
+    /// (sign as a `±1.0` factor, mantissa divided by 2⁵³, one loop
+    /// holding all three cases), kept word for word as the reference the
+    /// shipped one is compared against; the counters are the only
+    /// addition.
+    fn normal_reference(rng: &mut StdRng, paths: &mut SlowPaths) -> f64 {
+        let tables = zig_tables();
+        loop {
+            let bits = rng.next_u64();
+            let i = (bits & 0x7F) as usize;
+            let sign = if bits & 0x80 != 0 { -1.0f64 } else { 1.0 };
+            let u = (bits >> 11) as f64 / (1u64 << 53) as f64;
+            let x = u * tables.x[i];
+            if x < tables.x[i + 1] {
+                return sign * x;
+            }
+            if i == 0 {
+                paths.tail += 1;
+                loop {
+                    let u1 = ((rng.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64;
+                    let u2 = ((rng.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64;
+                    let xt = -u1.ln() / ZIG_R;
+                    let yt = -u2.ln();
+                    if yt + yt > xt * xt {
+                        return sign * (ZIG_R + xt);
+                    }
+                }
+            }
+            paths.wedge += 1;
+            let y = tables.f[i]
+                + (tables.f[i + 1] - tables.f[i])
+                    * ((rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64);
+            if y < (-0.5 * x * x).exp() {
+                return sign * x;
+            }
+        }
+    }
+
+    /// The sampling loop as it stood before the two-phase blocks: tables
+    /// copied per route, draw and arithmetic interleaved lane by lane, and
+    /// the summary as a pass of its own.
+    fn estimate_reference<const LANES: usize>(
+        network: &RoadNetwork,
+        profiles: &SpeedProfiles,
+        route: &[usize],
+        depart_hour: f64,
+        samples: usize,
+        seed: u64,
+    ) -> TravelTimeStats {
+        let mut paths = SlowPaths::default();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut times = Vec::with_capacity(samples);
+        let mut t = [0.0f64; LANES];
+        let mut done = 0usize;
+        while done < samples {
+            let width = LANES.min(samples - done);
+            t[..width].fill(0.0);
+            for &ei in route {
+                let len = network.edges[ei].length_km;
+                let hi = network.edges[ei].free_speed_kmh * 1.1;
+                for lane_t in t[..width].iter_mut() {
+                    let z = normal_reference(&mut rng, &mut paths);
+                    let h = ((depart_hour + *lane_t) as usize) % HOUR_BINS;
+                    let v = (profiles.mean_speed(ei, h) + profiles.std_speed(ei, h) * z)
+                        .clamp(MIN_SPEED_KMH, hi);
+                    *lane_t += len / v;
+                }
+            }
+            times.extend_from_slice(&t[..width]);
+            done += width;
+        }
+        let mut mean = 0.0f64;
+        let mut m2 = 0.0f64;
+        for (i, &t) in times.iter().enumerate() {
+            let delta = t - mean;
+            mean += delta / (i + 1) as f64;
+            m2 += delta * (t - mean);
+        }
+        let var = (m2 / times.len() as f64).max(0.0);
+        let idx = ((0.95 * (times.len() - 1) as f64).round() as usize).min(times.len() - 1);
+        let (_, p95, _) = times.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
+        TravelTimeStats { mean_h: mean, p95_h: *p95, std_h: var.sqrt() }
+    }
+
+    #[test]
+    fn sampler_matches_reference_draw_for_draw() {
+        const DRAWS: usize = 2_500_000;
+        let tables = zig_tables();
+        let mut paths = SlowPaths::default();
+        let (mut sum, mut sum2, mut sum4) = (0.0f64, 0.0f64, 0.0f64);
+        for seed in [0u64, 1, 2026, u64::MAX] {
+            let mut fast_rng = StdRng::seed_from_u64(seed);
+            let mut slow_rng = StdRng::seed_from_u64(seed);
+            for draw in 0..DRAWS {
+                let fast = normal(&mut fast_rng, tables);
+                let slow = normal_reference(&mut slow_rng, &mut paths);
+                // `to_bits`, so that −0.0 and +0.0 count as different.
+                assert_eq!(fast.to_bits(), slow.to_bits(), "seed {seed}, draw {draw}");
+                sum += fast;
+                sum2 += fast * fast;
+                sum4 += fast * fast * fast * fast;
+            }
+            // Equal values could hide unequal consumption of RNG words.
+            assert_eq!(fast_rng.next_u64(), slow_rng.next_u64(), "seed {seed}: streams diverged");
+        }
+        let n = (4 * DRAWS) as f64;
+        // Both slow paths must have been compared, at their known rates.
+        let (wedge, tail) = (paths.wedge as f64 / n, paths.tail as f64 / n);
+        // (The tables put them at 2.70 % and 0.057 % of first words;
+        // rejected wedge points come round again.)
+        assert!((0.026..0.029).contains(&wedge), "wedge share {wedge}");
+        assert!((0.0004..0.0008).contains(&tail), "tail share {tail}");
+        // Standard normal: mean 0, variance 1, kurtosis 3 (standard
+        // errors at n = 10⁷: 3·10⁻⁴, 4·10⁻⁴, 3·10⁻³).
+        let mean = sum / n;
+        let var = sum2 / n - mean * mean;
+        let kurtosis = sum4 / n / (var * var);
+        assert!(mean.abs() < 2e-3, "mean {mean}");
+        assert!((var - 1.0).abs() < 3e-3, "variance {var}");
+        assert!((kurtosis - 3.0).abs() < 2e-2, "kurtosis {kurtosis}");
+    }
+
+    #[test]
+    fn engine_matches_reference_loop_bit_for_bit() {
+        let (net, profiles) = setup();
+        let long = shortest_route(&net, &profiles, 0, 63, 8).unwrap();
+        fn check<const LANES: usize>(
+            net: &RoadNetwork,
+            profiles: &SpeedProfiles,
+            route: &[usize],
+            depart: f64,
+            samples: usize,
+        ) {
+            let mut engine: PtdrEngine<LANES> = PtdrEngine::new();
+            for seed in [3u64, 4] {
+                let fast = engine.estimate(net, profiles, route, depart, samples, seed);
+                let slow = estimate_reference::<LANES>(net, profiles, route, depart, samples, seed);
+                let bits = |s: TravelTimeStats| [s.mean_h, s.p95_h, s.std_h].map(f64::to_bits);
+                assert_eq!(
+                    bits(fast),
+                    bits(slow),
+                    "lanes {LANES}, {} edges, depart {depart}, {samples} samples, seed {seed}",
+                    route.len()
+                );
+            }
+        }
+        // Empty and one-edge routes, a walk across midnight, clocks the
+        // hour bin saturates on, and sample counts on both sides of a
+        // block boundary.
+        for route in [&long[..0], &long[..1], &long[..5], &long[..]] {
+            for depart in [0.0, 8.125, 23.875, -3.0, 5e9, 1e30, f64::NAN] {
+                for samples in [1usize, 5, 32, 33, 200, 3_000] {
+                    check::<32>(&net, &profiles, route, depart, samples);
+                    check::<4>(&net, &profiles, route, depart, samples);
+                    check::<1>(&net, &profiles, route, depart, samples);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_engine_serves_two_profiles() {
+        let (net, morning) = setup();
+        let evening = SpeedProfiles::learn(&net, &generate_fcd(&net, 99, 60_000));
+        let route = shortest_route(&net, &morning, 0, 63, 8).unwrap();
+        let mut shared: PtdrEngine = PtdrEngine::new();
+        let first = shared.estimate(&net, &morning, &route, 8.0, 500, 1);
+        let second = shared.estimate(&net, &evening, &route, 8.0, 500, 1);
+        let mut fresh: PtdrEngine = PtdrEngine::new();
+        assert_eq!(second, fresh.estimate(&net, &evening, &route, 8.0, 500, 1));
+        assert_ne!(first, second, "the two profile sets must disagree for the test to bite");
+    }
+
     #[test]
     fn engine_matches_reference_statistically() {
         let (net, profiles) = setup();
@@ -704,7 +978,7 @@ mod tests {
         let first = engine.estimate(&net, &profiles, &long, 8.0, 2_000, 1);
         let _ = engine.estimate(&net, &profiles, &short, 8.0, 2_000, 1);
         let again = engine.estimate(&net, &profiles, &long, 8.0, 2_000, 1);
-        assert_eq!(first, again, "table rebuild must not change results");
+        assert_eq!(first, again, "a route in between must not change results");
     }
 
     #[test]

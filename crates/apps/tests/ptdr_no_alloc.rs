@@ -1,8 +1,9 @@
 //! Enforces the PTDR engine's zero-allocation acceptance criterion:
-//! once the SoA tables and scratch buffer reach their high-water
-//! capacity, repeated queries — fresh seeds, departures, and
-//! already-seen routes alike — perform no heap allocation, and neither
-//! does the service's cache-hit path. Lives in its own integration-test
+//! once the scratch sample buffer reaches its high-water capacity,
+//! repeated queries — fresh seeds, departures, routes, and sample counts
+//! that leave a partial last block alike — perform no heap allocation
+//! (the per-block buffers of times and normals live on the stack), and
+//! neither does the service's cache-hit path. Lives in its own integration-test
 //! binary because it swaps in a counting global allocator (the same
 //! technique as the telemetry crate's `no_alloc` test).
 
@@ -54,11 +55,8 @@ fn warm_engine_queries_allocate_nothing() {
     let short = shortest_route(&net, &profiles, 0, 9, 8).unwrap();
     let mut engine: PtdrEngine = PtdrEngine::new();
 
-    // Warm-up: reach the high-water capacity on the longest route and
-    // the largest sample count, and touch both routes once so the
-    // table-switch path has capacity too.
-    engine.estimate(&net, &profiles, &long, 8.0, 4_000, 1);
-    engine.estimate(&net, &profiles, &short, 8.0, 4_000, 1);
+    // Warm-up: reach the high-water capacity at the largest sample
+    // count.
     engine.estimate(&net, &profiles, &long, 8.0, 4_000, 1);
 
     let before = ALLOCATIONS.with(Cell::get);
@@ -67,6 +65,9 @@ fn warm_engine_queries_allocate_nothing() {
         // — everything a steady-state request stream varies.
         engine.estimate(&net, &profiles, &long, (round % 24) as f64, 4_000, round);
         engine.estimate(&net, &profiles, &short, 17.25, 1_000, round);
+        // A last block of 13 lanes, then a query narrower than a block.
+        engine.estimate(&net, &profiles, &long, 23.875, 333, round);
+        engine.estimate(&net, &profiles, &short, 0.125, 7, round);
     }
     let after = ALLOCATIONS.with(Cell::get);
     assert_eq!(after - before, 0, "warm engine queries must not allocate");

@@ -165,3 +165,27 @@ fn per_query_latency_and_hit_age_are_recorded() {
     let age = count(&after, "ptdr.cache.hit_age_us") - count(&before, "ptdr.cache.hit_age_us");
     assert!(age > 0, "cache hit age histogram populated");
 }
+
+#[test]
+fn two_services_on_one_thread_do_not_share_route_tables() {
+    let _guard = counter_lock();
+    let (net, morning) = setup();
+    let evening = SpeedProfiles::learn(&net, &generate_fcd(&net, 77, 60_000));
+    let route = shortest_route(&net, &morning, 0, net.nodes.len() - 1, 8).unwrap();
+    let query = RouteQuery { route, depart_hour: 8.1, samples: 500 };
+
+    // Both services compute on this thread's engine, one after the
+    // other, over the same route; only the profiles differ.
+    let a = PtdrService::new(net.clone(), morning).with_seed(5).query(&query);
+    let b = PtdrService::new(net.clone(), evening.clone()).with_seed(5).query(&query);
+
+    // The same second service on a thread whose engine has seen nothing.
+    let alone = std::thread::spawn({
+        let query = query.clone();
+        move || PtdrService::new(net, evening).with_seed(5).query(&query)
+    })
+    .join()
+    .expect("fresh-thread service runs");
+    assert_eq!(b, alone, "the second service answered from the first one's profiles");
+    assert_ne!(a, b, "the two profile sets must disagree for the test to bite");
+}
