@@ -48,6 +48,7 @@ use super::service::{bin_center_hour, cache_key, derive_seed, CacheKey, LruCache
 use super::{random_od, shortest_route, RoadNetwork, SpeedProfiles, TravelTimeStats};
 use everest_platform::ecosystem::ServeCostModel;
 use everest_telemetry::{HistogramSnapshot, LogHistogram};
+use everest_workflow::seed::mix;
 use parking_lot::Mutex;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -64,16 +65,6 @@ pub const DEFAULT_VNODES: usize = 64;
 // ---------------------------------------------------------------------------
 // Consistent-hash ring
 // ---------------------------------------------------------------------------
-
-/// SplitMix64 finalizer: decorrelates ring points and rank scatter from
-/// their structured inputs.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// A consistent-hash ring mapping 64-bit key hashes to shards.
 ///

@@ -45,6 +45,7 @@ use crate::error::{RuntimeError, RuntimeResult};
 use crate::monitor::RuntimeMonitor;
 use everest_platform::{Attachment, Link, LinkProfile, System};
 use everest_telemetry::LogHistogram;
+use everest_workflow::seed::{fnv1a, mix};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -101,24 +102,6 @@ impl FaultRates {
         }
         Ok(())
     }
-}
-
-/// FNV-1a, used to fold string keys into the outcome seed.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in s.bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 finalizer: decorrelates the combined seed words.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A seeded, deterministic fault-injection plan.

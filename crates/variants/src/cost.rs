@@ -3,17 +3,18 @@
 //! Software variants use a roofline model (compute roof vs. bandwidth
 //! roof, adjusted by threading, tiling and layout); hardware variants run
 //! the actual HLS flow from [`everest_hls`] and add the attachment's
-//! transfer cost. Every entry point takes the typed [`KnobVector`]; the
-//! historical `&[Transform]` entry points survive as deprecated wrappers
-//! for one release.
+//! transfer cost. Every entry point takes the typed [`KnobVector`].
+//! [`summarize_batch`] is the one fan-out every exploration and dataset
+//! run synthesizes through.
 
 use crate::analysis::KernelWorkload;
 use crate::knob::KnobVector;
-use crate::transform::{Layout, Target, Transform};
+use crate::transform::{Layout, Target};
 use crate::variant::Metrics;
-use everest_hls::accel::{synthesize, HlsConfig, SynthSummary};
+use everest_hls::accel::{synthesize, SynthSummary};
 use everest_hls::HlsError;
 use everest_ir::Func;
+use everest_workflow::pool;
 
 /// Reference host CPU for software variants (one POWER9-class socket).
 const GFLOPS_PER_CORE: f64 = 12.0;
@@ -49,31 +50,9 @@ pub fn evaluate_knob(
     }
 }
 
-/// Evaluates one design point through the shared
-/// [synthesis cache](everest_hls::cache): hardware points whose
-/// HLS-relevant knobs match an already-synthesized point reuse its
-/// summary instead of re-running synthesis. Metrics are derived from the
-/// same [`SynthSummary`] either way, so the result is bit-identical to
-/// [`evaluate_knob`].
-///
-/// # Errors
-///
-/// Propagates [`HlsError`] from hardware synthesis on a cache miss.
-pub fn evaluate_knob_memo(
-    func: &Func,
-    workload: &KernelWorkload,
-    knob: &KnobVector,
-) -> Result<Metrics, HlsError> {
-    match knob {
-        KnobVector::Software { .. } => Ok(software_metrics_knob(workload, knob)),
-        KnobVector::Hardware { target, .. } => {
-            let summary = everest_hls::cache::synthesize_cached(func, &knob.hls_config())?;
-            Ok(metrics_from_summary(&summary, workload, *target))
-        }
-    }
-}
-
-/// The synthesis summary of a hardware point, through the memo cache or
+/// The synthesis summary of a hardware point, through the shared
+/// [synthesis cache](everest_hls::cache) — points whose HLS-relevant
+/// knobs match an already-synthesized point reuse its summary — or
 /// directly (both yield bit-identical summaries). Software points are a
 /// caller bug.
 ///
@@ -91,6 +70,21 @@ pub(crate) fn summarize_hardware(
     } else {
         Ok(synthesize(func, &knob.hls_config())?.summary())
     }
+}
+
+/// The batch evaluator: synthesizes every `(kernel, hardware point)` pair
+/// on `jobs` pool workers, results in input order. Exhaustive sweeps,
+/// surrogate training samples, margin survivors and dataset rows all come
+/// through here, so worker fan-out and memoization are decided once.
+pub(crate) fn summarize_batch(
+    label: &str,
+    jobs: usize,
+    memoize: bool,
+    pairs: &[(&Func, KnobVector)],
+) -> Vec<Result<SynthSummary, HlsError>> {
+    pool::parallel_map(label, jobs, pairs.to_vec(), |_, (func, knob)| {
+        summarize_hardware(func, &knob, memoize)
+    })
 }
 
 /// Roofline software model over the typed knobs.
@@ -147,49 +141,6 @@ pub(crate) fn metrics_from_summary(
         area_luts: summary.area.luts,
         area_brams: summary.area.brams,
     }
-}
-
-/// Evaluates one variant specification (deprecated transform-list entry
-/// point).
-///
-/// # Errors
-///
-/// Propagates [`HlsError`] from hardware synthesis.
-#[deprecated(since = "0.1.0", note = "pass a typed KnobVector to evaluate_knob instead")]
-pub fn evaluate(
-    func: &Func,
-    workload: &KernelWorkload,
-    spec: &[Transform],
-) -> Result<Metrics, HlsError> {
-    evaluate_knob(func, workload, &KnobVector::from_spec(spec))
-}
-
-/// Memoized evaluation of one variant specification (deprecated
-/// transform-list entry point).
-///
-/// # Errors
-///
-/// Propagates [`HlsError`] from hardware synthesis on a cache miss.
-#[deprecated(since = "0.1.0", note = "pass a typed KnobVector to evaluate_knob_memo instead")]
-pub fn evaluate_memo(
-    func: &Func,
-    workload: &KernelWorkload,
-    spec: &[Transform],
-) -> Result<Metrics, HlsError> {
-    evaluate_knob_memo(func, workload, &KnobVector::from_spec(spec))
-}
-
-/// Roofline software model (deprecated transform-list entry point).
-#[deprecated(since = "0.1.0", note = "pass a typed KnobVector to software_metrics_knob instead")]
-pub fn software_metrics(workload: &KernelWorkload, spec: &[Transform]) -> Metrics {
-    software_metrics_knob(workload, &KnobVector::from_spec(spec))
-}
-
-/// The HLS configuration a variant specification selects (deprecated:
-/// derive it from the typed knobs with [`KnobVector::hls_config`]).
-#[deprecated(since = "0.1.0", note = "use KnobVector::hls_config instead")]
-pub fn hls_config(spec: &[Transform]) -> HlsConfig {
-    KnobVector::from_spec(spec).hls_config()
 }
 
 #[cfg(test)]
@@ -286,7 +237,8 @@ mod tests {
         let w = analyze(&f);
         let knob = hw(Target::FpgaBus, false);
         let direct = evaluate_knob(&f, &w, &knob).unwrap();
-        let memo = evaluate_knob_memo(&f, &w, &knob).unwrap();
+        let memo =
+            metrics_from_summary(&summarize_hardware(&f, &knob, true).unwrap(), &w, knob.target());
         assert_eq!(direct, memo, "memoized metrics must be bit-identical to direct synthesis");
     }
 }

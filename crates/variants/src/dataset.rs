@@ -1,28 +1,29 @@
 //! Mass production of HLS training data.
 //!
 //! The dataset factory samples thousands of (kernel, knob-vector) points
-//! and fans them through the synthesis flow — the same
-//! [`everest_workflow::pool`] + [`everest_hls::cache`] machinery the DSE
-//! engine uses — emitting one row per point: provenance (kernel name,
-//! IR fingerprint, seed, sample index), the feature encoding from
-//! [`crate::knob`], and the synthesis targets from
+//! and fans them through the batch evaluator the DSE engine uses
+//! ([`crate::explore`]; always memoized here — a dataset has no
+//! direct-synthesis reference to keep) — emitting one row per point:
+//! provenance (kernel name, IR fingerprint, seed, sample index), the
+//! feature encoding from [`crate::knob`], and the synthesis targets from
 //! [`SynthSummary::targets`]. This is the table
 //! [`crate::model::SurrogateModel`] trains on.
 //!
 //! Everything is seed-reproducible: sampling is a pure function of
-//! `(seed, index)` (a splitmix64 stream per row), the pool preserves
+//! `(seed, index)` (a [`splitmix64`] stream per row), the pool preserves
 //! enumeration order at any worker count, and synthesis itself is
 //! deterministic — so the emitted bytes are identical across machines
 //! and `--jobs` settings.
 
 use crate::analysis::{self, KernelWorkload};
+use crate::cost;
 use crate::error::{VariantError, VariantResult};
 use crate::knob::{kernel_features, KnobVector, KERNEL_FEATURES, KNOB_FEATURES};
 use crate::transform::Target;
 use everest_hls::accel::SynthSummary;
 use everest_hls::cache;
 use everest_ir::Func;
-use everest_workflow::pool;
+use everest_workflow::seed::splitmix64;
 
 /// The hardware-knob values the sampler draws from. Wider than
 /// [`crate::space::DesignSpace`]'s defaults on purpose: a surrogate
@@ -87,16 +88,6 @@ impl KnobDomains {
     }
 }
 
-/// splitmix64: the standard 64-bit mixing stream (Steele et al.),
-/// dependency-free and bit-stable everywhere.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Configuration of one dataset production run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetConfig {
@@ -139,6 +130,30 @@ pub struct DatasetRow {
     pub targets: Vec<f64>,
 }
 
+impl DatasetRow {
+    /// The row of one exactly-synthesized point: provenance from the
+    /// kernel and the sampling stream, features from the (workload, knob)
+    /// pair, targets from the synthesis summary.
+    pub(crate) fn new(
+        func: &Func,
+        workload: &KernelWorkload,
+        seed: u64,
+        index: usize,
+        knob: KnobVector,
+        summary: &SynthSummary,
+    ) -> DatasetRow {
+        DatasetRow {
+            kernel: func.name.clone(),
+            fingerprint: cache::func_fingerprint(func),
+            seed,
+            index,
+            knob,
+            features: features_for(workload, &knob),
+            targets: summary.targets().to_vec(),
+        }
+    }
+}
+
 /// A produced table of training points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
@@ -174,6 +189,15 @@ pub fn feature_names() -> Vec<String> {
 }
 
 impl Dataset {
+    /// A table over `rows` with the stock feature and target schema.
+    pub(crate) fn from_rows(rows: Vec<DatasetRow>) -> Dataset {
+        Dataset {
+            feature_names: feature_names(),
+            target_names: SynthSummary::TARGET_NAMES.iter().map(|s| (*s).to_string()).collect(),
+            rows,
+        }
+    }
+
     /// Renders the table as CSV: a header row, then one line per point.
     /// Byte-identical for a given (kernels, config) on any machine at any
     /// job count — the golden-file tests pin exactly this property.
@@ -214,10 +238,10 @@ fn format_num(v: f64) -> String {
 /// Produces a dataset: samples `cfg.points` hardware points across the
 /// kernels (round-robin: row `i` uses kernel `i % funcs.len()`),
 /// synthesizes each through the shared [`cache`] with `cfg.jobs` pool
-/// workers, and tabulates features and targets. Points the HLS flow
-/// rejects (e.g. more banks than buffer elements) are skipped —
-/// deterministically, since synthesis errors are a pure function of the
-/// (kernel, config) pair.
+/// workers (memoized at any job count), and tabulates features and
+/// targets. Points the HLS flow rejects (e.g. more banks than buffer
+/// elements) are skipped — deterministically, since synthesis errors are
+/// a pure function of the (kernel, config) pair.
 ///
 /// # Errors
 ///
@@ -234,40 +258,21 @@ pub fn produce(funcs: &[&Func], cfg: &DatasetConfig) -> VariantResult<Dataset> {
     span.attr("jobs", cfg.jobs.max(1));
 
     let workloads: Vec<KernelWorkload> = funcs.iter().map(|f| analysis::analyze(f)).collect();
-    let fingerprints: Vec<u64> = funcs.iter().map(|f| cache::func_fingerprint(f)).collect();
+    let pairs: Vec<(&Func, KnobVector)> = (0..cfg.points)
+        .map(|i| (funcs[i % funcs.len()], cfg.domains.sample(cfg.seed, i)))
+        .collect();
+    let summaries = cost::summarize_batch("dse.dataset.worker", cfg.jobs, true, &pairs);
 
-    let items: Vec<usize> = (0..cfg.points).collect();
-    let summaries: Vec<Option<(KnobVector, SynthSummary)>> =
-        pool::parallel_map("dse.dataset.worker", cfg.jobs, items, |_, i| {
-            let k = i % funcs.len();
-            let knob = cfg.domains.sample(cfg.seed, i);
-            cache::synthesize_cached(funcs[k], &knob.hls_config()).ok().map(|s| (knob, s))
-        });
-
-    let names = feature_names();
     let mut rows = Vec::with_capacity(cfg.points);
-    for (i, slot) in summaries.into_iter().enumerate() {
-        let Some((knob, summary)) = slot else {
+    for (i, ((func, knob), summary)) in pairs.into_iter().zip(summaries).enumerate() {
+        let Ok(summary) = summary else {
             everest_telemetry::metrics().counter_inc("dse.dataset.skipped");
             continue;
         };
-        let k = i % funcs.len();
-        rows.push(DatasetRow {
-            kernel: funcs[k].name.clone(),
-            fingerprint: fingerprints[k],
-            seed: cfg.seed,
-            index: i,
-            knob,
-            features: features_for(&workloads[k], &knob),
-            targets: summary.targets().to_vec(),
-        });
+        rows.push(DatasetRow::new(func, &workloads[i % funcs.len()], cfg.seed, i, knob, &summary));
     }
     everest_telemetry::metrics().counter_add("dse.dataset.points", rows.len() as u64);
-    Ok(Dataset {
-        feature_names: names,
-        target_names: SynthSummary::TARGET_NAMES.iter().map(|s| (*s).to_string()).collect(),
-        rows,
-    })
+    Ok(Dataset::from_rows(rows))
 }
 
 #[cfg(test)]

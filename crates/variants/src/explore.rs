@@ -1,26 +1,40 @@
-//! Surrogate-guided design-space exploration.
+//! The design-space exploration engine.
 //!
-//! The exhaustive engine ([`crate::generate_all`]) synthesizes every
-//! hardware point. This module trades a small exact training set for a
-//! learned shortcut: it synthesizes a deterministic sample of the
-//! hardware points, fits a [`SurrogateModel`] on them, predicts the rest,
-//! and runs exact synthesis only for points within a configurable margin
-//! of the *predicted* Pareto front. Software points are always evaluated
-//! exactly — the roofline model is cheaper than a prediction.
+//! One engine serves every entry point. It enumerates the space once,
+//! keeps one table of exact synthesis summaries indexed `kernel × point`,
+//! fills it through the batch evaluator ([`cost`]'s `summarize_batch`, the
+//! crate's only pool fan-out), and assembles [`Variant`]s from the table
+//! in one place. Software points never enter the table: the roofline
+//! model is arithmetic, evaluated during assembly.
+//!
+//! What differs between callers is only *which hardware pairs are asked
+//! for*:
+//!
+//! * exhaustive ([`crate::generate_all`]) asks for all of them;
+//! * surrogate-pruned ([`generate_all_pruned`]) asks for a deterministic
+//!   training sample, fits a [`SurrogateModel`] on it, predicts the rest,
+//!   and asks only for the points within a configurable margin of the
+//!   *predicted* Pareto front.
 //!
 //! Safety valve: when the model's held-out validation error exceeds
 //! [`PruneConfig::max_val_mape`] (or there are too few hardware points to
-//! learn from), the explorer falls back to the exhaustive engine, so a
-//! bad fit can cost time but never front quality.
+//! learn from), the pruned policy asks for every remaining pair — the
+//! training points it already paid for stay in the table — so a bad fit
+//! can cost time but never front quality.
 //!
-//! Determinism matches the exhaustive engine's contract: training-set
-//! selection is a pure function of `(seed, point count)`, the fit and the
-//! predictions are deterministic, and all synthesis fans through the
-//! order-preserving pool — so the pruned variant sets are bit-identical
-//! at any `--jobs` count.
+//! Memoization is decided here, once: two or more workers synthesize
+//! through the shared [`everest_hls::cache`], one worker is the memo-free
+//! direct-synthesis reference the parallel engine is tested against.
+//!
+//! Determinism: training-set selection is a pure function of
+//! `(seed, point count)`, the fit and the predictions are deterministic,
+//! and the batch evaluator returns results in request order — so variant
+//! ids, ordering, metrics and reports are bit-identical at any `--jobs`
+//! count, and a failure is always the lowest-indexed failing pair of the
+//! batch that hit it.
 
 use crate::analysis::{self, KernelWorkload};
-use crate::dataset::{feature_names, features_for, Dataset, DatasetRow};
+use crate::dataset::{features_for, Dataset, DatasetRow};
 use crate::error::{VariantError, VariantResult};
 use crate::knob::KnobVector;
 use crate::model::{FitConfig, SurrogateModel};
@@ -28,9 +42,9 @@ use crate::space::DesignSpace;
 use crate::variant::{Metrics, Variant};
 use crate::{cost, pareto};
 use everest_hls::accel::SynthSummary;
-use everest_hls::{cache, AreaReport};
+use everest_hls::AreaReport;
 use everest_ir::Func;
-use everest_workflow::pool;
+use everest_workflow::seed::splitmix64;
 
 /// Configuration of the surrogate-pruned exploration.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,7 +127,7 @@ pub struct ExploreReport {
     pub exact: usize,
     /// Hardware pairs pruned away on the model's word.
     pub pruned: usize,
-    /// Whether the explorer fell back to the exhaustive engine.
+    /// Whether the pruned policy gave up and asked for every pair.
     pub fallback: bool,
     /// Worst per-target held-out MAPE of the fitted model (0 when no
     /// model was fit).
@@ -132,17 +146,10 @@ fn dominates3(a: (f64, f64, f64), b: (f64, f64, f64)) -> bool {
 /// `seed`, returned in ascending order. Pure in `(seed, total, n)`.
 fn training_indices(seed: u64, total: usize, n: usize) -> Vec<usize> {
     let mut state = seed ^ 0xD6E8_FEB8_6659_FD93;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
     let mut pool: Vec<usize> = (0..total).collect();
     let n = n.min(total);
     for i in 0..n {
-        let j = i + (next() % (total - i) as u64) as usize;
+        let j = i + (splitmix64(&mut state) % (total - i) as u64) as usize;
         pool.swap(i, j);
     }
     let mut chosen = pool[..n].to_vec();
@@ -173,6 +180,298 @@ fn predicted_summary(pred: &[f64], knob: &KnobVector) -> SynthSummary {
     }
 }
 
+/// One `(kernel, point)` pair, as indices into the engine's kernel list
+/// and enumeration order.
+type Pair = (usize, usize);
+
+/// The state of one exploration: the enumerated space, the per-kernel
+/// workloads, and the table of exact synthesis summaries.
+struct Engine<'a> {
+    funcs: &'a [&'a Func],
+    knobs: Vec<KnobVector>,
+    workloads: Vec<KernelWorkload>,
+    jobs: usize,
+    /// Exact summaries indexed `kernel × point`; `None` for software
+    /// points and for hardware points nobody asked for.
+    table: Vec<Option<SynthSummary>>,
+}
+
+impl Engine<'_> {
+    fn slot(&self, (k, i): Pair) -> usize {
+        k * self.knobs.len() + i
+    }
+
+    fn exact(&self, pair: Pair) -> Option<&SynthSummary> {
+        self.table[self.slot(pair)].as_ref()
+    }
+
+    /// Synthesizes the requested hardware pairs that are not in the table
+    /// yet and stores their summaries. On failure the lowest-indexed
+    /// failing pair's error is returned.
+    fn request(&mut self, label: &str, pairs: &[Pair]) -> VariantResult<()> {
+        let missing: Vec<Pair> =
+            pairs.iter().copied().filter(|&pair| self.exact(pair).is_none()).collect();
+        let batch: Vec<(&Func, KnobVector)> =
+            missing.iter().map(|&(k, i)| (self.funcs[k], self.knobs[i])).collect();
+        let memoize = self.jobs >= 2;
+        let summaries = cost::summarize_batch(label, self.jobs, memoize, &batch);
+        for (pair, summary) in missing.into_iter().zip(summaries) {
+            let slot = self.slot(pair);
+            self.table[slot] = Some(summary?);
+        }
+        Ok(())
+    }
+
+    /// The variant sets: every software point plus every hardware point
+    /// with an exact summary, under their enumeration ids.
+    fn assemble(&self) -> Vec<Vec<Variant>> {
+        let mut sets = Vec::with_capacity(self.funcs.len());
+        for (k, (func, workload)) in self.funcs.iter().zip(&self.workloads).enumerate() {
+            let mut span = everest_telemetry::span("variants.generate", "variants");
+            span.attr("kernel", &func.name);
+            span.attr("space", self.knobs.len());
+            let mut variants = Vec::with_capacity(self.knobs.len());
+            for (i, knob) in self.knobs.iter().enumerate() {
+                let metrics = if knob.is_hardware() {
+                    let Some(summary) = self.exact((k, i)) else {
+                        continue; // pruned
+                    };
+                    cost::metrics_from_summary(summary, workload, knob.target())
+                } else {
+                    cost::software_metrics_knob(workload, knob)
+                };
+                variants.push(Variant {
+                    id: format!("{}#{}", func.name, i),
+                    kernel: func.name.clone(),
+                    transforms: knob.to_transforms(),
+                    metrics,
+                });
+            }
+            sets.push(variants);
+        }
+        sets
+    }
+
+    /// The surrogate-pruned selection policy: train, fit, predict, and
+    /// ask for the margin survivors — or for everything when the model
+    /// cannot be trusted. `all` is the keep-everything report.
+    fn prune(
+        &mut self,
+        cfg: &PruneConfig,
+        hw_pairs: &[Pair],
+        all: ExploreReport,
+    ) -> VariantResult<ExploreReport> {
+        let metrics = everest_telemetry::metrics();
+        let want = ((hw_pairs.len() as f64 * cfg.train_fraction).ceil() as usize)
+            .max(cfg.min_train)
+            .min(hw_pairs.len());
+        // Too few hardware points for the model to earn its keep: every
+        // pair would be a training pair anyway.
+        if want >= hw_pairs.len() {
+            metrics.counter_inc("dse.model.fallback");
+            self.request("dse.worker", hw_pairs)?;
+            return Ok(ExploreReport { fallback: true, ..all });
+        }
+
+        // --- Phase 1: exact synthesis of the training sample. ---
+        let train_at = training_indices(cfg.seed, hw_pairs.len(), want);
+        let train_pairs: Vec<Pair> = train_at.iter().map(|&t| hw_pairs[t]).collect();
+        self.request("dse.explore.train", &train_pairs)?;
+        let rows = train_at
+            .iter()
+            .zip(&train_pairs)
+            .map(|(&t, &(k, i))| {
+                let summary = self.exact((k, i)).expect("training pair was just synthesized");
+                DatasetRow::new(
+                    self.funcs[k],
+                    &self.workloads[k],
+                    cfg.seed,
+                    t,
+                    self.knobs[i],
+                    summary,
+                )
+            })
+            .collect();
+        let dataset = Dataset::from_rows(rows);
+        metrics.counter_add("dse.model.train_points", dataset.rows.len() as u64);
+
+        // --- Phase 2: fit, with the accuracy safety valve. ---
+        let model = SurrogateModel::fit(&dataset, &cfg.fit);
+        let val_mape = model.validation.worst_mape();
+        if val_mape > cfg.max_val_mape {
+            metrics.counter_inc("dse.model.fallback");
+            self.request("dse.worker", hw_pairs)?;
+            return Ok(ExploreReport { train: want, fallback: true, val_mape, ..all });
+        }
+
+        // --- Phase 3: predict every hardware pair, prune against the
+        // predicted front. ---
+        let survivors = self.margin_survivors(cfg, hw_pairs, &model);
+        metrics.counter_add("dse.model.predicted", (hw_pairs.len() - want) as u64);
+
+        // --- Phase 4: exact evaluation of the survivors. ---
+        self.request("dse.explore.exact", &survivors)?;
+        let exact = want + survivors.len();
+        let pruned = hw_pairs.len() - exact;
+        metrics.counter_add("dse.model.kept", exact as u64);
+        metrics.counter_add("dse.model.pruned", pruned as u64);
+        Ok(ExploreReport {
+            train: want,
+            predicted: hw_pairs.len() - want,
+            exact,
+            pruned,
+            val_mape,
+            ..all
+        })
+    }
+
+    /// The untrained hardware pairs worth exact synthesis: those whose
+    /// predicted objectives sit within `cfg.margin` of the predicted
+    /// per-kernel Pareto front, one representative per `cfg.dedup_eps`
+    /// cell.
+    fn margin_survivors(
+        &self,
+        cfg: &PruneConfig,
+        hw_pairs: &[Pair],
+        model: &SurrogateModel,
+    ) -> Vec<Pair> {
+        let trained = |p: usize| self.exact(hw_pairs[p]).is_some();
+        let predicted: Vec<Metrics> = hw_pairs
+            .iter()
+            .map(|&(k, i)| {
+                let (workload, knob) = (&self.workloads[k], &self.knobs[i]);
+                let summary = match self.exact((k, i)) {
+                    // Training points contribute their exact summaries:
+                    // free accuracy right where the front is decided.
+                    Some(exact) => *exact,
+                    None => predicted_summary(&model.predict(&features_for(workload, knob)), knob),
+                };
+                cost::metrics_from_summary(&summary, workload, knob.target())
+            })
+            .collect();
+
+        // Per kernel: front over exact software metrics + (predicted |
+        // exact) hardware metrics, then the margin test.
+        let mut keep = vec![false; hw_pairs.len()];
+        for (k, workload) in self.workloads.iter().enumerate() {
+            let sw_objs: Vec<(f64, f64, u64)> = self
+                .knobs
+                .iter()
+                .filter(|kn| !kn.is_hardware())
+                .map(|kn| {
+                    let m = cost::software_metrics_knob(workload, kn);
+                    (m.total_us(), m.energy_mj, m.area_luts)
+                })
+                .collect();
+            let hw_at: Vec<usize> = (0..hw_pairs.len()).filter(|&p| hw_pairs[p].0 == k).collect();
+            let mut objs = sw_objs.clone();
+            objs.extend(hw_at.iter().map(|&p| {
+                let m = &predicted[p];
+                (m.total_us(), m.energy_mj, m.area_luts)
+            }));
+            let dominated = pareto::dominated_objective_flags(&objs);
+            let front: Vec<(f64, f64, f64)> = objs
+                .iter()
+                .zip(&dominated)
+                .filter(|(_, d)| !**d)
+                .map(|(&(t, e, a), _)| (t, e, a as f64))
+                .collect();
+            for (slot, &p) in hw_at.iter().enumerate() {
+                let (t, e, a) = objs[sw_objs.len() + slot];
+                let shrunk =
+                    (t * (1.0 - cfg.margin), e * (1.0 - cfg.margin), a as f64 * (1.0 - cfg.margin));
+                keep[p] = !front.iter().any(|&q| dominates3(q, shrunk));
+            }
+
+            // Near-duplicate collapse: snap predicted objectives to a
+            // multiplicative grid of width `dedup_eps` and keep one
+            // representative per occupied cell (lowest enumeration index;
+            // training pairs seed their cells first — they are already
+            // paid for). Without this, clouds of points the model cannot
+            // tell apart (e.g. banks beyond the port clamp) all survive
+            // the margin test and exact synthesis re-learns their
+            // equivalence the expensive way.
+            if cfg.dedup_eps > 0.0 {
+                let cell_of =
+                    |x: f64| (x.max(1e-12).ln() / (1.0 + cfg.dedup_eps).ln()).floor() as i64;
+                let cell = |p: usize| {
+                    let m = &predicted[p];
+                    (cell_of(m.total_us()), cell_of(m.energy_mj), cell_of(m.area_luts as f64 + 1.0))
+                };
+                let kept: Vec<usize> = hw_at.iter().copied().filter(|&p| keep[p]).collect();
+                let mut seen: Vec<(i64, i64, i64)> =
+                    kept.iter().filter(|&&p| trained(p)).map(|&p| cell(p)).collect();
+                for &p in kept.iter().filter(|&&p| !trained(p)) {
+                    let c = cell(p);
+                    if seen.contains(&c) {
+                        keep[p] = false;
+                    } else {
+                        seen.push(c);
+                    }
+                }
+            }
+        }
+        (0..hw_pairs.len()).filter(|&p| keep[p] && !trained(p)).map(|p| hw_pairs[p]).collect()
+    }
+}
+
+/// Runs one exploration of `funcs` over `space` with `jobs` workers.
+/// `policy` selects the hardware pairs synthesized exactly: `None` keeps
+/// them all, `Some` prunes on a surrogate's word.
+pub(crate) fn explore(
+    funcs: &[&Func],
+    space: &DesignSpace,
+    jobs: usize,
+    policy: Option<&PruneConfig>,
+) -> VariantResult<(Vec<Vec<Variant>>, ExploreReport)> {
+    space.validate()?;
+    if let Some(cfg) = policy {
+        cfg.validate()?;
+    }
+    let knobs = space.enumerate_knobs();
+    // Flattened hardware (kernel, point) pairs in enumeration order.
+    let hw_pairs: Vec<Pair> = (0..funcs.len())
+        .flat_map(|k| {
+            knobs.iter().enumerate().filter(|(_, kn)| kn.is_hardware()).map(move |(i, _)| (k, i))
+        })
+        .collect();
+    let points = funcs.len() * knobs.len();
+
+    let name = if policy.is_some() { "dse.explore" } else { "dse.evaluate" };
+    let mut span = everest_telemetry::span(name, "variants");
+    span.attr("kernels", funcs.len());
+    span.attr("points", points);
+    span.attr("jobs", jobs.max(1));
+
+    let mut engine = Engine {
+        funcs,
+        workloads: funcs.iter().map(|f| analysis::analyze(f)).collect(),
+        jobs,
+        table: vec![None; points],
+        knobs,
+    };
+    let all = ExploreReport {
+        points,
+        software: points - hw_pairs.len(),
+        train: 0,
+        predicted: 0,
+        exact: hw_pairs.len(),
+        pruned: 0,
+        fallback: false,
+        val_mape: 0.0,
+    };
+    let report = match policy {
+        None => {
+            engine.request("dse.worker", &hw_pairs)?;
+            all
+        }
+        Some(cfg) => engine.prune(cfg, &hw_pairs, all)?,
+    };
+    span.attr("exact", report.exact);
+    span.attr("pruned", report.pruned);
+    Ok((engine.assemble(), report))
+}
+
 /// Surrogate-pruned counterpart of [`crate::generate_all`]: returns the
 /// exactly-evaluated variants (software points, training points and
 /// margin survivors — ids keep their exhaustive enumeration indices) plus
@@ -190,238 +489,7 @@ pub fn generate_all_pruned(
     jobs: usize,
     cfg: &PruneConfig,
 ) -> VariantResult<(Vec<Vec<Variant>>, ExploreReport)> {
-    space.validate()?;
-    cfg.validate()?;
-    let knobs = space.enumerate_knobs();
-    let workloads: Vec<KernelWorkload> = funcs.iter().map(|f| analysis::analyze(f)).collect();
-    let metrics = everest_telemetry::metrics();
-
-    // Flattened hardware (kernel, point) pairs in enumeration order.
-    let hw_pairs: Vec<(usize, usize)> = (0..funcs.len())
-        .flat_map(|k| {
-            knobs.iter().enumerate().filter(|(_, kn)| kn.is_hardware()).map(move |(i, _)| (k, i))
-        })
-        .collect();
-    let points = funcs.len() * knobs.len();
-    let software = points - hw_pairs.len();
-
-    let mut span = everest_telemetry::span("dse.explore", "variants");
-    span.attr("kernels", funcs.len());
-    span.attr("points", points);
-    span.attr("jobs", jobs.max(1));
-
-    let want = ((hw_pairs.len() as f64 * cfg.train_fraction).ceil() as usize)
-        .max(cfg.min_train)
-        .min(hw_pairs.len());
-    // Too few hardware points for the model to earn its keep: every pair
-    // would be a training pair anyway.
-    if want >= hw_pairs.len() {
-        metrics.counter_inc("dse.model.fallback");
-        let sets = crate::generate_all(funcs, space, jobs)?;
-        let report = ExploreReport {
-            points,
-            software,
-            train: 0,
-            predicted: 0,
-            exact: hw_pairs.len(),
-            pruned: 0,
-            fallback: true,
-            val_mape: 0.0,
-        };
-        return Ok((sets, report));
-    }
-
-    // --- Phase 1: exact synthesis of the training sample. ---
-    let train_at = training_indices(cfg.seed, hw_pairs.len(), want);
-    let memoize = jobs >= 2;
-    let train_pairs: Vec<(usize, usize)> = train_at.iter().map(|&t| hw_pairs[t]).collect();
-    let summaries =
-        pool::parallel_map("dse.explore.train", jobs, train_pairs.clone(), |_, (k, i)| {
-            cost::summarize_hardware(funcs[k], &knobs[i], memoize).map(|s| (k, i, s))
-        });
-    let mut rows = Vec::with_capacity(summaries.len());
-    let mut exact_summaries: Vec<Option<SynthSummary>> = vec![None; points];
-    for (t, result) in train_at.iter().zip(summaries) {
-        let (k, i, summary) = result.map_err(VariantError::Hls)?;
-        exact_summaries[k * knobs.len() + i] = Some(summary);
-        rows.push(DatasetRow {
-            kernel: funcs[k].name.clone(),
-            fingerprint: cache::func_fingerprint(funcs[k]),
-            seed: cfg.seed,
-            index: *t,
-            knob: knobs[i],
-            features: features_for(&workloads[k], &knobs[i]),
-            targets: summary.targets().to_vec(),
-        });
-    }
-    let dataset = Dataset {
-        feature_names: feature_names(),
-        target_names: SynthSummary::TARGET_NAMES.iter().map(|s| (*s).to_string()).collect(),
-        rows,
-    };
-    metrics.counter_add("dse.model.train_points", dataset.rows.len() as u64);
-
-    // --- Phase 2: fit, with the accuracy safety valve. ---
-    let model = SurrogateModel::fit(&dataset, &cfg.fit);
-    let val_mape = model.validation.worst_mape();
-    if val_mape > cfg.max_val_mape {
-        metrics.counter_inc("dse.model.fallback");
-        let sets = crate::generate_all(funcs, space, jobs)?;
-        let report = ExploreReport {
-            points,
-            software,
-            train: want,
-            predicted: 0,
-            exact: hw_pairs.len(),
-            pruned: 0,
-            fallback: true,
-            val_mape,
-        };
-        return Ok((sets, report));
-    }
-
-    // --- Phase 3: predict every hardware pair, prune against the
-    // predicted front. ---
-    let predicted: Vec<Metrics> = hw_pairs
-        .iter()
-        .map(|&(k, i)| {
-            let summary = match exact_summaries[k * knobs.len() + i] {
-                // Training points contribute their exact summaries: free
-                // accuracy right where the front is decided.
-                Some(exact) => exact,
-                None => predicted_summary(
-                    &model.predict(&features_for(&workloads[k], &knobs[i])),
-                    &knobs[i],
-                ),
-            };
-            cost::metrics_from_summary(&summary, &workloads[k], knobs[i].target())
-        })
-        .collect();
-    metrics.counter_add("dse.model.predicted", (hw_pairs.len() - want) as u64);
-
-    // Per kernel: front over exact software metrics + (predicted | exact)
-    // hardware metrics, then the margin test.
-    let mut keep = vec![false; hw_pairs.len()];
-    for (k, workload) in workloads.iter().enumerate() {
-        let sw_objs: Vec<(f64, f64, u64)> = knobs
-            .iter()
-            .filter(|kn| !kn.is_hardware())
-            .map(|kn| {
-                let m = cost::software_metrics_knob(workload, kn);
-                (m.total_us(), m.energy_mj, m.area_luts)
-            })
-            .collect();
-        let hw_at: Vec<usize> = (0..hw_pairs.len()).filter(|&p| hw_pairs[p].0 == k).collect();
-        let mut objs = sw_objs.clone();
-        objs.extend(hw_at.iter().map(|&p| {
-            let m = &predicted[p];
-            (m.total_us(), m.energy_mj, m.area_luts)
-        }));
-        let dominated = pareto::dominated_objective_flags(&objs);
-        let front: Vec<(f64, f64, f64)> = objs
-            .iter()
-            .zip(&dominated)
-            .filter(|(_, d)| !**d)
-            .map(|(&(t, e, a), _)| (t, e, a as f64))
-            .collect();
-        for (slot, &p) in hw_at.iter().enumerate() {
-            let (t, e, a) = objs[sw_objs.len() + slot];
-            let shrunk =
-                (t * (1.0 - cfg.margin), e * (1.0 - cfg.margin), a as f64 * (1.0 - cfg.margin));
-            keep[p] = !front.iter().any(|&q| dominates3(q, shrunk));
-        }
-
-        // Near-duplicate collapse: snap predicted objectives to a
-        // multiplicative grid of width `dedup_eps` and keep one
-        // representative per occupied cell (lowest enumeration index;
-        // training pairs seed their cells first — they are already paid
-        // for). Without this, clouds of points the model cannot tell
-        // apart (e.g. banks beyond the port clamp) all survive the
-        // margin test and exact synthesis re-learns their equivalence
-        // the expensive way.
-        if cfg.dedup_eps > 0.0 {
-            let cell_of = |x: f64| (x.max(1e-12).ln() / (1.0 + cfg.dedup_eps).ln()).floor() as i64;
-            let cell = |p: usize| {
-                let m = &predicted[p];
-                (cell_of(m.total_us()), cell_of(m.energy_mj), cell_of(m.area_luts as f64 + 1.0))
-            };
-            let mut seen: Vec<(i64, i64, i64)> = Vec::new();
-            let trained =
-                |p: usize| exact_summaries[hw_pairs[p].0 * knobs.len() + hw_pairs[p].1].is_some();
-            let kept: Vec<usize> = hw_at.iter().copied().filter(|&p| keep[p]).collect();
-            for &p in kept.iter().filter(|&&p| trained(p)) {
-                seen.push(cell(p));
-            }
-            for &p in kept.iter().filter(|&&p| !trained(p)) {
-                let c = cell(p);
-                if seen.contains(&c) {
-                    keep[p] = false;
-                } else {
-                    seen.push(c);
-                }
-            }
-        }
-    }
-
-    // --- Phase 4: exact evaluation of survivors (training pairs are
-    // already synthesized; their metrics derive from stored summaries).
-    let survivors: Vec<(usize, usize)> = (0..hw_pairs.len())
-        .filter(|&p| {
-            keep[p] && exact_summaries[hw_pairs[p].0 * knobs.len() + hw_pairs[p].1].is_none()
-        })
-        .map(|p| hw_pairs[p])
-        .collect();
-    let survivor_count = survivors.len();
-    let evaluated =
-        pool::parallel_map("dse.explore.exact", jobs, survivors.clone(), |_, (k, i)| {
-            cost::summarize_hardware(funcs[k], &knobs[i], memoize).map(|s| (k, i, s))
-        });
-    for result in evaluated {
-        let (k, i, summary) = result.map_err(VariantError::Hls)?;
-        exact_summaries[k * knobs.len() + i] = Some(summary);
-    }
-    let exact = want + survivor_count;
-    let pruned = hw_pairs.len() - exact;
-    metrics.counter_add("dse.model.kept", exact as u64);
-    metrics.counter_add("dse.model.pruned", pruned as u64);
-
-    // --- Assemble: every exactly-known point, original enumeration ids.
-    let mut sets = Vec::with_capacity(funcs.len());
-    for (k, func) in funcs.iter().enumerate() {
-        let mut variants = Vec::new();
-        for (i, knob) in knobs.iter().enumerate() {
-            let m = if knob.is_hardware() {
-                match exact_summaries[k * knobs.len() + i] {
-                    Some(summary) => {
-                        cost::metrics_from_summary(&summary, &workloads[k], knob.target())
-                    }
-                    None => continue, // pruned
-                }
-            } else {
-                cost::software_metrics_knob(&workloads[k], knob)
-            };
-            variants.push(Variant {
-                id: format!("{}#{}", func.name, i),
-                kernel: func.name.clone(),
-                transforms: knob.to_transforms(),
-                metrics: m,
-            });
-        }
-        sets.push(variants);
-    }
-    span.attr("exact", exact);
-    span.attr("pruned", pruned);
-    let report = ExploreReport {
-        points,
-        software,
-        train: want,
-        predicted: hw_pairs.len() - want,
-        exact,
-        pruned,
-        fallback: false,
-        val_mape,
-    };
-    Ok((sets, report))
+    explore(funcs, space, jobs, Some(cfg))
 }
 
 #[cfg(test)]
@@ -455,7 +523,7 @@ mod tests {
         let (sets, report) =
             generate_all_pruned(&refs, &space, 1, &PruneConfig::default()).unwrap();
         assert!(report.fallback);
-        assert_eq!(sets, crate::generate_all(&refs, &space, 1).unwrap());
+        assert_eq!(sets, explore(&refs, &space, 1, None).unwrap().0);
     }
 
     #[test]
@@ -465,7 +533,7 @@ mod tests {
         let space = wide_space();
         let (pruned, report) =
             generate_all_pruned(&refs, &space, 2, &PruneConfig::default()).unwrap();
-        let full = crate::generate_all(&refs, &space, 2).unwrap();
+        let full = explore(&refs, &space, 2, None).unwrap().0;
         assert!(!report.fallback, "wide space should engage the model");
         assert!(report.pruned > 0, "nothing pruned: {report:?}");
         for (p_set, f_set) in pruned.iter().zip(&full) {
@@ -495,7 +563,7 @@ mod tests {
         let refs: Vec<&Func> = funcs.iter().collect();
         let space = wide_space();
         let (pruned, _) = generate_all_pruned(&refs, &space, 2, &PruneConfig::default()).unwrap();
-        let full = crate::generate_all(&refs, &space, 2).unwrap();
+        let full = explore(&refs, &space, 2, None).unwrap().0;
         for (p_set, f_set) in pruned.iter().zip(&full) {
             let reference = pareto::reference_point(f_set);
             let hv_full = pareto::hypervolume(&pareto::pareto_front(f_set), reference);

@@ -15,7 +15,7 @@
 //! [`SpecExt`]: crate::transform::SpecExt
 
 use crate::analysis::KernelWorkload;
-use crate::transform::{Layout, SpecExt, Target, Transform};
+use crate::transform::{Layout, Target, Transform};
 use everest_hls::accel::HlsConfig;
 use everest_hls::dift::DiftConfig;
 use everest_hls::memory::Scheme;
@@ -135,10 +135,8 @@ impl KnobVector {
 
     /// Lowers to the transform list the rest of the pipeline (variant
     /// records, HLS lowering, the runtime's variant metadata) consumes.
-    /// The element order matches what [`DesignSpace::enumerate`] has
-    /// always emitted, so serialized [`crate::Variant`]s are unchanged.
-    ///
-    /// [`DesignSpace::enumerate`]: crate::space::DesignSpace::enumerate
+    /// The element order is part of the serialized [`crate::Variant`]
+    /// schema.
     pub fn to_transforms(&self) -> Vec<Transform> {
         match *self {
             KnobVector::Software { threads, layout, tile } => {
@@ -159,27 +157,6 @@ impl KnobVector {
                 Transform::Pipeline(pipeline),
                 Transform::Dift(dift),
             ],
-        }
-    }
-
-    /// Recovers the typed knobs from a legacy transform list, applying
-    /// the same defaults [`SpecExt`] always has. `to_transforms` ∘
-    /// `from_spec` is the identity on everything the enumerator emits.
-    pub fn from_spec(spec: &[Transform]) -> KnobVector {
-        if spec.target().is_fpga() {
-            KnobVector::Hardware {
-                target: spec.target(),
-                banks: spec.banks(),
-                pe: spec.pe(),
-                pipeline: spec.pipelined(),
-                dift: spec.dift(),
-            }
-        } else {
-            KnobVector::Software {
-                threads: spec.threads(),
-                layout: spec.layout(),
-                tile: spec.tile(),
-            }
         }
     }
 
@@ -262,10 +239,14 @@ impl Deserialize for KnobVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::SpecExt;
     use everest_hls::cache::ConfigKey;
 
     #[test]
     fn transform_round_trip_is_identity() {
+        // Every typed knob must survive the lowering: what the `SpecExt`
+        // readers (variant records, the runtime) recover from the
+        // transform list is what the enumerator put in.
         let points = [
             KnobVector::Software { threads: 4, layout: Layout::Soa, tile: Some(32) },
             KnobVector::Software { threads: 1, layout: Layout::Aos, tile: None },
@@ -278,7 +259,23 @@ mod tests {
             },
         ];
         for knob in points {
-            assert_eq!(KnobVector::from_spec(&knob.to_transforms()), knob);
+            let spec = knob.to_transforms();
+            let back = match knob {
+                KnobVector::Software { .. } => KnobVector::Software {
+                    threads: spec.threads(),
+                    layout: spec.layout(),
+                    tile: spec.tile(),
+                },
+                KnobVector::Hardware { .. } => KnobVector::Hardware {
+                    target: spec.target(),
+                    banks: spec.banks(),
+                    pe: spec.pe(),
+                    pipeline: spec.pipelined(),
+                    dift: spec.dift(),
+                },
+            };
+            assert_eq!(back, knob);
+            assert_eq!(spec.target(), knob.target());
         }
     }
 

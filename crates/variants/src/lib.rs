@@ -20,7 +20,8 @@
 //!   tables (`everestc dataset`);
 //! * [`model`] — pure-Rust learned cost models (gradient-boosted stumps
 //!   with a ridge baseline) trained on those tables;
-//! * [`explore`] — surrogate-pruned exploration: predict everything,
+//! * [`explore`] — the one exploration engine: exhaustive sweeps keep
+//!   every hardware point, surrogate-pruned ones predict everything and
 //!   synthesize only near the predicted Pareto front;
 //! * [`error`] — the [`VariantError`] DSE failure type;
 //! * [`variant`] — the [`variant::Variant`] records, serializable as the
@@ -61,7 +62,6 @@ pub use transform::{Layout, Target, Transform};
 pub use variant::{Metrics, Variant};
 
 use everest_ir::Func;
-use everest_workflow::pool;
 
 /// Generates the full variant set for a kernel over a design space using
 /// the sequential reference evaluator (`jobs = 1`).
@@ -88,23 +88,21 @@ pub fn generate_jobs(
     Ok(generate_all(&[func], space, jobs)?.pop().expect("one variant set per kernel"))
 }
 
-/// The DSE engine: evaluates every design point of every kernel, fanning
-/// the flattened (kernel × point) batch across `jobs` pool workers.
+/// Exhaustive exploration: evaluates every design point of every kernel,
+/// fanning the hardware (kernel × point) pairs across `jobs` pool workers
+/// (the [`explore`] engine with the keep-all policy).
 ///
-/// * `jobs == 1` runs the sequential reference flow: every point is
-///   evaluated in enumeration order on the calling thread and every
-///   hardware point synthesizes directly (no memoization) — exactly the
-///   historical behavior.
-/// * `jobs >= 2` engages the parallel, memoized engine: points are
-///   evaluated concurrently and hardware synthesis goes through the
+/// * `jobs == 1` is the sequential reference: every hardware point
+///   synthesizes directly on the calling thread, in enumeration order,
+///   with no memoization.
+/// * two or more workers evaluate concurrently and synthesize through the
 ///   shared [`everest_hls::cache`], collapsing the redundancy between
 ///   points that differ only in software knobs or attachment target and
 ///   sharing results across structurally identical kernels.
 ///
-/// Results are written back by enumeration index, so variant ids,
-/// ordering and metrics are bit-identical at any worker count; on
-/// failure, the error of the lowest-indexed failing point is returned
-/// regardless of evaluation order.
+/// Variant ids, ordering and metrics are bit-identical at any worker
+/// count; on failure, the error of the lowest-indexed failing point is
+/// returned regardless of evaluation order.
 ///
 /// # Errors
 ///
@@ -115,43 +113,5 @@ pub fn generate_all(
     space: &space::DesignSpace,
     jobs: usize,
 ) -> VariantResult<Vec<Vec<Variant>>> {
-    space.validate()?;
-    let knobs = space.enumerate_knobs();
-    let points = knobs.len();
-    let mut dse_span = everest_telemetry::span("dse.evaluate", "variants");
-    dse_span.attr("kernels", funcs.len());
-    dse_span.attr("points", points * funcs.len());
-    dse_span.attr("jobs", jobs.max(1));
-    let workloads: Vec<KernelWorkload> = funcs.iter().map(|f| analysis::analyze(f)).collect();
-
-    let items: Vec<(usize, usize)> =
-        (0..funcs.len()).flat_map(|k| (0..points).map(move |i| (k, i))).collect();
-    let memoize = jobs >= 2;
-    let evaluated = pool::parallel_map("dse.worker", jobs, items, |_, (k, i)| {
-        if memoize {
-            cost::evaluate_knob_memo(funcs[k], &workloads[k], &knobs[i])
-        } else {
-            cost::evaluate_knob(funcs[k], &workloads[k], &knobs[i])
-        }
-    });
-
-    let mut sets = Vec::with_capacity(funcs.len());
-    let mut results = evaluated.into_iter();
-    for func in funcs {
-        let mut span = everest_telemetry::span("variants.generate", "variants");
-        span.attr("kernel", &func.name);
-        span.attr("space", points);
-        let mut variants = Vec::with_capacity(points);
-        for (i, knob) in knobs.iter().enumerate() {
-            let metrics = results.next().expect("one result per point")?;
-            variants.push(Variant {
-                id: format!("{}#{}", func.name, i),
-                kernel: func.name.clone(),
-                transforms: knob.to_transforms(),
-                metrics,
-            });
-        }
-        sets.push(variants);
-    }
-    Ok(sets)
+    Ok(explore::explore(funcs, space, jobs, None)?.0)
 }

@@ -2,7 +2,7 @@
 
 use crate::error::VariantError;
 use crate::knob::KnobVector;
-use crate::transform::{Layout, Target, Transform};
+use crate::transform::{Layout, Target};
 
 /// The knob domains a design-space exploration sweeps.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,7 +74,7 @@ impl DesignSpace {
     /// Each knob group (software: threads/layouts/tiles, hardware:
     /// hw_targets/banks/pes/pipeline/dift) must be either fully populated
     /// or fully empty — an empty dimension inside a populated group would
-    /// make [`DesignSpace::enumerate`] yield zero points for the whole
+    /// make [`DesignSpace::enumerate_knobs`] yield zero points for the whole
     /// group without any indication of why. A duplicated knob value
     /// (e.g. `threads: [4, 4]`) would enumerate the same point twice,
     /// double-counting it in every downstream consumer — Pareto
@@ -153,14 +153,6 @@ impl DesignSpace {
         points
     }
 
-    /// Enumerates every point as a legacy transform list. Prefer
-    /// [`DesignSpace::enumerate_knobs`]; this lowers each typed point
-    /// through [`KnobVector::to_transforms`] for consumers that still
-    /// speak `Vec<Transform>`.
-    pub fn enumerate(&self) -> Vec<Vec<Transform>> {
-        self.enumerate_knobs().iter().map(KnobVector::to_transforms).collect()
-    }
-
     /// Number of points this space enumerates.
     pub fn size(&self) -> usize {
         self.threads.len() * self.layouts.len() * self.tiles.len()
@@ -191,25 +183,25 @@ fn reject_duplicates<T: PartialEq + std::fmt::Debug>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::SpecExt;
+    use crate::transform::Transform;
 
     #[test]
     fn default_space_size() {
         let s = DesignSpace::default();
         assert_eq!(s.size(), 4 * 2 * 2 + 2 * 2 * 2);
-        assert_eq!(s.enumerate().len(), s.size());
+        assert_eq!(s.enumerate_knobs().len(), s.size());
     }
 
     #[test]
     fn small_space_has_three_points() {
         let s = DesignSpace::small();
-        assert_eq!(s.enumerate().len(), 3);
+        assert_eq!(s.enumerate_knobs().len(), 3);
     }
 
     #[test]
     fn software_only_space_has_no_fpga_points() {
         let s = DesignSpace::software_only();
-        assert!(s.enumerate().iter().all(|spec| !spec.target().is_fpga()));
+        assert!(s.enumerate_knobs().iter().all(|knob| !knob.is_hardware()));
     }
 
     #[test]
@@ -222,7 +214,7 @@ mod tests {
     #[test]
     fn validate_rejects_empty_knob_inside_populated_group() {
         let space = DesignSpace { threads: Vec::new(), ..DesignSpace::default() };
-        assert_eq!(space.enumerate().len(), 8, "software points silently vanish");
+        assert_eq!(space.enumerate_knobs().len(), 8, "software points silently vanish");
         let err = space.validate().unwrap_err();
         let VariantError::Space(msg) = err else {
             panic!("expected a space error");
@@ -245,7 +237,7 @@ mod tests {
             pipeline: Vec::new(),
             dift: Vec::new(),
         };
-        assert_eq!(space.enumerate().len(), 0);
+        assert_eq!(space.enumerate_knobs().len(), 0);
         assert!(matches!(space.validate(), Err(VariantError::Space(_))));
     }
 
@@ -253,7 +245,7 @@ mod tests {
     fn validate_rejects_duplicate_knob_values() {
         let space = DesignSpace { threads: vec![1, 4, 4], ..DesignSpace::default() };
         assert_eq!(
-            space.enumerate().len(),
+            space.enumerate_knobs().len(),
             space.size(),
             "duplicates double-count points, which is exactly the bias validate must reject"
         );
@@ -273,23 +265,11 @@ mod tests {
     }
 
     #[test]
-    fn typed_and_legacy_enumeration_agree() {
-        let space = DesignSpace::default();
-        let knobs = space.enumerate_knobs();
-        let specs = space.enumerate();
-        assert_eq!(knobs.len(), specs.len());
-        for (knob, spec) in knobs.iter().zip(&specs) {
-            assert_eq!(&knob.to_transforms(), spec);
-            assert_eq!(KnobVector::from_spec(spec), *knob);
-        }
-    }
-
-    #[test]
     fn every_point_names_a_target() {
-        for spec in DesignSpace::default().enumerate() {
+        for knob in DesignSpace::default().enumerate_knobs() {
             // target() defaulting is not exercised: the enumerator is
             // explicit about targets.
-            assert!(spec.iter().any(|t| matches!(t, Transform::OnTarget(_))));
+            assert!(knob.to_transforms().iter().any(|t| matches!(t, Transform::OnTarget(_))));
         }
     }
 }

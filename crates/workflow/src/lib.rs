@@ -16,6 +16,8 @@
 //!   index-stable result order (the DSE engine's fan-out primitive);
 //! * [`race`] — a static detector for read-write/write-write dataset
 //!   conflicts between tasks with no ordering edge;
+//! * [`seed`] — the shared hashing/mixing primitives and the
+//!   stream-derivation rules every seeded layer follows;
 //! * [`fuse`] — the stream-fusion legality classifier: every dataset edge
 //!   gets a fusable/must-spill/racy verdict with a machine-checkable proof
 //!   ([`fuse::FusionPlan`]), the contract the P2P transport layer consumes.
@@ -45,6 +47,7 @@ pub mod parallel;
 pub mod pool;
 pub mod race;
 pub mod scheduler;
+pub mod seed;
 pub mod worker;
 
 pub use error::{WorkflowError, WorkflowResult};

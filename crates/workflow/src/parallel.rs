@@ -6,6 +6,7 @@ use crate::error::{WorkflowError, WorkflowResult};
 use crate::graph::TaskId;
 use crossbeam::channel;
 use parking_lot::RwLock;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 type TaskFn<T> = Arc<dyn Fn(&[Arc<T>]) -> Result<T, String> + Send + Sync>;
@@ -82,7 +83,8 @@ impl<T: Send + Sync + 'static> ParallelGraph<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`WorkflowError::TaskFailed`] with the first failing task;
+    /// Returns [`WorkflowError::TaskFailed`] with the first failing task
+    /// (a task that panics fails with reason `panicked: <message>`);
     /// remaining tasks are abandoned.
     pub fn run(self, threads: usize) -> WorkflowResult<Vec<Arc<T>>> {
         let threads = threads.max(1);
@@ -122,7 +124,17 @@ impl<T: Send + Sync + 'static> ParallelGraph<T> {
                             .map(|d| Arc::clone(guard[*d].as_ref().expect("dep completed")))
                             .collect()
                     };
-                    let out = (tasks[id].run)(&inputs);
+                    // A panicking task must still report: a worker that dies
+                    // without sending leaves the coordinator in `recv` forever.
+                    let out = catch_unwind(AssertUnwindSafe(|| (tasks[id].run)(&inputs)))
+                        .unwrap_or_else(|payload| {
+                            let msg = payload
+                                .downcast_ref::<&str>()
+                                .map(|s| (*s).to_owned())
+                                .or_else(|| payload.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "non-string panic payload".to_owned());
+                            Err(format!("panicked: {msg}"))
+                        });
                     if done_tx.send((id, out)).is_err() {
                         break;
                     }
@@ -218,6 +230,31 @@ mod tests {
             err,
             WorkflowError::TaskFailed { task: "boom".into(), reason: "division by zero".into() }
         );
+    }
+
+    #[test]
+    fn panicking_task_fails_the_run_instead_of_hanging_it() {
+        for threads in [1, 2, 4] {
+            let (verdict_tx, verdict_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut g: ParallelGraph<i32> = ParallelGraph::new();
+                let a = g.add_task("ok", &[], |_| Ok(1));
+                let b = g.add_task("boom", &[a], |_| panic!("index out of range"));
+                g.add_task("after", &[b], |ins| Ok(*ins[0] + 1));
+                let _ = verdict_tx.send(g.run(threads));
+            });
+            let verdict = verdict_rx
+                .recv_timeout(std::time::Duration::from_secs(3))
+                .unwrap_or_else(|_| panic!("run hung or panicked at threads={threads}"));
+            assert_eq!(
+                verdict.unwrap_err(),
+                WorkflowError::TaskFailed {
+                    task: "boom".into(),
+                    reason: "panicked: index out of range".into()
+                },
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
