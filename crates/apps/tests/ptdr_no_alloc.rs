@@ -7,36 +7,9 @@
 //! binary because it swaps in a counting global allocator (the same
 //! technique as the telemetry crate's `no_alloc` test).
 
+use everest_alloc_counter::{measure, CountingAllocator};
 use everest_apps::traffic::service::{PtdrEngine, PtdrService, RouteQuery};
 use everest_apps::traffic::{generate_fcd, shortest_route, RoadNetwork, SpeedProfiles};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAllocator;
-
-// Const-initialized Cell<u64> TLS: the access itself never allocates
-// and registers no destructor, so it is safe inside the allocator.
-// Per-thread counting keeps the libtest harness's main thread (and any
-// sibling test) from perturbing the measured window.
-std::thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -59,18 +32,18 @@ fn warm_engine_queries_allocate_nothing() {
     // count.
     engine.estimate(&net, &profiles, &long, 8.0, 4_000, 1);
 
-    let before = ALLOCATIONS.with(Cell::get);
-    for round in 0..50u64 {
-        // Vary seed, departure, sample count (≤ high water), and route
-        // — everything a steady-state request stream varies.
-        engine.estimate(&net, &profiles, &long, (round % 24) as f64, 4_000, round);
-        engine.estimate(&net, &profiles, &short, 17.25, 1_000, round);
-        // A last block of 13 lanes, then a query narrower than a block.
-        engine.estimate(&net, &profiles, &long, 23.875, 333, round);
-        engine.estimate(&net, &profiles, &short, 0.125, 7, round);
-    }
-    let after = ALLOCATIONS.with(Cell::get);
-    assert_eq!(after - before, 0, "warm engine queries must not allocate");
+    let (allocations, _) = measure(|| {
+        for round in 0..50u64 {
+            // Vary seed, departure, sample count (≤ high water), and route
+            // — everything a steady-state request stream varies.
+            engine.estimate(&net, &profiles, &long, (round % 24) as f64, 4_000, round);
+            engine.estimate(&net, &profiles, &short, 17.25, 1_000, round);
+            // A last block of 13 lanes, then a query narrower than a block.
+            engine.estimate(&net, &profiles, &long, 23.875, 333, round);
+            engine.estimate(&net, &profiles, &short, 0.125, 7, round);
+        }
+    });
+    assert_eq!(allocations, 0, "warm engine queries must not allocate");
 }
 
 #[test]
@@ -96,10 +69,10 @@ fn service_cache_hits_allocate_nothing() {
         service.query(&query);
     }
 
-    let before = ALLOCATIONS.with(Cell::get);
-    for i in 0..1_000usize {
-        std::hint::black_box(service.query(&warm[i % warm.len()]));
-    }
-    let after = ALLOCATIONS.with(Cell::get);
-    assert_eq!(after - before, 0, "cache hits must not allocate");
+    let (allocations, _) = measure(|| {
+        for i in 0..1_000usize {
+            std::hint::black_box(service.query(&warm[i % warm.len()]));
+        }
+    });
+    assert_eq!(allocations, 0, "cache hits must not allocate");
 }

@@ -3,10 +3,13 @@
 //! design space at `jobs = 1` (sequential reference), `2` and `4`
 //! (pooled, memoized engine), checks the outputs are bit-identical, and
 //! writes the wall-clock/cache trajectory to `BENCH_dse.json` at the
-//! repository root.
+//! repository root. A second row (`wide`) sweeps four structurally
+//! distinct kernels over a 7×9×2×2 hardware grid the same way: the
+//! exhaustive cost of a 2 080-point space, the number E25 closes on.
 //!
 //! Run with `cargo bench -p everest-bench --bench dse`.
 
+use everest::variants::space::DesignSpace;
 use everest::Sdk;
 use serde_json::Value;
 use std::time::Instant;
@@ -28,6 +31,36 @@ const SRC: &str = "
         return stencil(x, [0.25, 0.5, 0.25]);
     }
 ";
+
+/// Four structurally distinct kernels — dense matmul, stencil, streaming
+/// triad, pointwise scale — so the synthesis cache cannot share results
+/// across kernels.
+const WIDE_SRC: &str = "
+    kernel gemm(a: tensor<24x24xf64>, b: tensor<24x24xf64>) -> tensor<24x24xf64> {
+        return a @ b;
+    }
+    kernel smooth(x: tensor<256xf64>) -> tensor<256xf64> {
+        return stencil(x, [0.25, 0.5, 0.25]);
+    }
+    kernel axpy(a: tensor<256xf64>, b: tensor<256xf64>) -> tensor<256xf64> {
+        return 2.0 * a + b;
+    }
+    kernel scale(x: tensor<48x48xf64>) -> tensor<48x48xf64> {
+        return 3.0 * x;
+    }
+";
+
+/// The default software knobs crossed with a 7×9×2×2 hardware grid per
+/// attachment target: 520 points per kernel.
+fn wide_space() -> DesignSpace {
+    DesignSpace {
+        banks: vec![1, 2, 4, 8, 16, 32, 64],
+        pes: vec![1, 2, 4, 8, 16, 32, 64, 128, 256],
+        pipeline: vec![true, false],
+        dift: vec![false, true],
+        ..DesignSpace::default()
+    }
+}
 
 const RUNS: usize = 5;
 
@@ -54,14 +87,14 @@ fn fingerprint(compiled: &everest::Compiled) -> String {
 
 /// Times one full compile at the given worker count with a cold synthesis
 /// cache, returning the wall clock, cache counters and output fingerprint.
-fn measure(jobs: usize) -> (Run, String) {
-    let sdk = Sdk::builder().jobs(jobs).build();
+fn measure(src: &str, space: &DesignSpace, jobs: usize) -> (Run, String) {
+    let sdk = Sdk::builder().space(space.clone()).jobs(jobs).build();
     let points = sdk.space.size();
 
     // Warm-up run (cold allocator, lazy statics), then keep the fastest
     // of RUNS cold-cache runs to suppress scheduler noise.
     everest::hls::cache::global().clear();
-    let compiled = sdk.compile(SRC).expect("compiles");
+    let compiled = sdk.compile(src).expect("compiles");
     let fp = fingerprint(&compiled);
     let kernels = compiled.kernels.len();
 
@@ -72,7 +105,7 @@ fn measure(jobs: usize) -> (Run, String) {
         everest::hls::cache::global().clear();
         let before = everest_telemetry::metrics().snapshot();
         let start = Instant::now();
-        let out = sdk.compile(SRC).expect("compiles");
+        let out = sdk.compile(src).expect("compiles");
         let wall = start.elapsed().as_secs_f64() * 1e3;
         let after = everest_telemetry::metrics().snapshot();
         assert_eq!(fp, fingerprint(&out), "jobs={jobs} output drifted between runs");
@@ -97,11 +130,13 @@ fn measure(jobs: usize) -> (Run, String) {
     (run, fp)
 }
 
-fn main() {
+/// One sweep of `src` over `space` at jobs 1, 2 and 4, asserting every
+/// worker count produces the sequential reference's output.
+fn sweep(label: &str, src: &str, space: &DesignSpace) -> Vec<Run> {
     let mut runs = Vec::new();
     let mut reference_fp: Option<String> = None;
     for jobs in [1usize, 2, 4] {
-        let (run, fp) = measure(jobs);
+        let (run, fp) = measure(src, space, jobs);
         match &reference_fp {
             None => reference_fp = Some(fp),
             Some(reference) => {
@@ -109,7 +144,7 @@ fn main() {
             }
         }
         println!(
-            "jobs={:<2} wall={:>8.2} ms  {:>8.0} points/s  cache {}h/{}m ({:.0}% hit)",
+            "{label:<8} jobs={:<2} wall={:>8.2} ms  {:>8.0} points/s  cache {}h/{}m ({:.0}% hit)",
             run.jobs,
             run.wall_ms,
             run.points_per_sec,
@@ -119,6 +154,30 @@ fn main() {
         );
         runs.push(run);
     }
+    runs
+}
+
+fn runs_json(runs: &[Run]) -> Value {
+    Value::Array(
+        runs.iter()
+            .map(|r| {
+                Value::Object(vec![
+                    ("jobs".to_owned(), Value::UInt(r.jobs as u64)),
+                    ("wall_ms".to_owned(), Value::Float(r.wall_ms)),
+                    ("points".to_owned(), Value::UInt(r.points as u64)),
+                    ("points_per_sec".to_owned(), Value::Float(r.points_per_sec)),
+                    ("cache_hits".to_owned(), Value::UInt(r.cache_hits)),
+                    ("cache_misses".to_owned(), Value::UInt(r.cache_misses)),
+                    ("hit_rate".to_owned(), Value::Float(r.hit_rate)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+fn main() {
+    let runs = sweep("default", SRC, &DesignSpace::default());
+    let wide = sweep("wide", WIDE_SRC, &wide_space());
 
     let wall_1 = runs[0].wall_ms;
     let wall_4 = runs[runs.len() - 1].wall_ms;
@@ -130,26 +189,18 @@ fn main() {
         ("bench".to_owned(), Value::Str("dse".to_owned())),
         ("experiment".to_owned(), Value::Str("E18".to_owned())),
         ("kernels".to_owned(), Value::UInt(4)),
-        (
-            "runs".to_owned(),
-            Value::Array(
-                runs.iter()
-                    .map(|r| {
-                        Value::Object(vec![
-                            ("jobs".to_owned(), Value::UInt(r.jobs as u64)),
-                            ("wall_ms".to_owned(), Value::Float(r.wall_ms)),
-                            ("points".to_owned(), Value::UInt(r.points as u64)),
-                            ("points_per_sec".to_owned(), Value::Float(r.points_per_sec)),
-                            ("cache_hits".to_owned(), Value::UInt(r.cache_hits)),
-                            ("cache_misses".to_owned(), Value::UInt(r.cache_misses)),
-                            ("hit_rate".to_owned(), Value::Float(r.hit_rate)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("runs".to_owned(), runs_json(&runs)),
         ("speedup_jobs4_vs_jobs1".to_owned(), Value::Float(speedup)),
         ("outputs_identical".to_owned(), Value::Bool(true)),
+        (
+            "wide".to_owned(),
+            Value::Object(vec![
+                ("kernels".to_owned(), Value::UInt(4)),
+                ("points".to_owned(), Value::UInt(wide[0].points as u64)),
+                ("runs".to_owned(), runs_json(&wide)),
+                ("outputs_identical".to_owned(), Value::Bool(true)),
+            ]),
+        ),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dse.json");
     std::fs::write(path, serde_json::to_string_pretty(&json).expect("serializes"))

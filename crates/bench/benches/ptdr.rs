@@ -18,13 +18,15 @@ use everest::apps::traffic::service::{
 use everest::apps::traffic::{generate_fcd, random_od, shortest_route, RoadNetwork, SpeedProfiles};
 use everest_telemetry::{MetricsSnapshot, DEFAULT_RING_CAPACITY};
 use serde_json::Value;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SINGLE_SAMPLES: usize = 10_000;
 const BATCH_SAMPLES: usize = 2_000;
 const ROUTES: usize = 32;
 const REPEATS: usize = 4;
 const RUNS: usize = 5;
+/// Minimum length of one timed sample of the warm-cache pass.
+const WARM_SAMPLE: Duration = Duration::from_millis(20);
 
 struct BatchRun {
     jobs: usize,
@@ -190,18 +192,28 @@ fn main() {
     // that already answered it.
     let service = warm_service.expect("jobs=4 ran");
     everest_telemetry::metrics().reset();
-    // Best-of-RUNS: a single warm pass is sub-millisecond, so one-shot
-    // timing is all noise. Every repetition is pure hits.
+    // A single warm pass is a fraction of a millisecond — at the timer's
+    // and the scheduler's resolution — so one sample is a block of passes
+    // repeated until WARM_SAMPLE has elapsed; best block of RUNS. Every
+    // pass is pure hits and is fingerprint-checked outside the timed
+    // region.
     let mut warm_ms = f64::INFINITY;
     for _ in 0..RUNS {
+        let mut block = Vec::new();
         let start = Instant::now();
-        let warm_stats = service.route_batch(&queries);
-        warm_ms = warm_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(reference_fp.as_deref(), Some(fingerprint(&warm_stats).as_str()));
+        while start.elapsed() < WARM_SAMPLE {
+            block.push(service.route_batch(&queries));
+        }
+        let block_ms = start.elapsed().as_secs_f64() * 1e3;
+        warm_ms = warm_ms.min(block_ms / block.len() as f64);
+        for warm_stats in &block {
+            assert_eq!(reference_fp.as_deref(), Some(fingerprint(warm_stats).as_str()));
+        }
     }
     let warm_snapshot = everest_telemetry::metrics().snapshot();
     let warm_hits = warm_snapshot.counter("ptdr.cache.hit");
     let warm_misses = warm_snapshot.counter("ptdr.cache.miss");
+    assert_eq!(warm_misses, 0, "a warm pass recomputed a route");
     let warm_hit_rate = warm_hits as f64 / (warm_hits + warm_misses).max(1) as f64;
     let warm_qps = queries.len() as f64 / (warm_ms / 1e3);
     println!(

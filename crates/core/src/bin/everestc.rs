@@ -9,14 +9,13 @@
 //! ```text
 //! everestc ir <kernels.edsl>              print the unified IR
 //! everestc variants <kernels.edsl>        print the variant table per kernel
-//!          [--surrogate] [--margin <f>]   ... pruned by a learned cost model
 //! everestc rtl <kernels.edsl> <kernel>    print the synthesized RTL
 //! everestc workflow <pipeline.ewf>        validate + print a workflow
 //! everestc check [--format <f>] <path>..  run the static lints
 //! everestc fuse [--explain] <wf.ewf> ..   prove which dataset edges can stream
 //! everestc profile <kernels.edsl>         per-phase timing summary table
-//! everestc dataset [--seed <n>] [--points <n>] [--out <csv>] [--model <json>]
-//!                                         mass-produce an HLS training table
+//! everestc dataset [--seed <n>] [--points <n>] [--out <csv>]
+//!                                         mass-produce an HLS data table
 //! everestc route [--queries <n>] ...      serve a PTDR routing workload
 //! everestc offload [--fault-profile <p>]  run a fault-injected offload batch
 //! everestc serve [--shards <n>] ...       drive the sharded PTDR serving tier
@@ -35,7 +34,7 @@
 //! dumps the flight recorder's recent-event rings. `everestc stats`
 //! reloads, merges, and re-renders JSON snapshots offline.
 
-use everest::{PruneConfig, Sdk};
+use everest::Sdk;
 use everest_telemetry::export::{chrome_trace_json, flame_summary, spans_to_events};
 use everest_telemetry::openmetrics::{openmetrics_text, render_table};
 use everest_telemetry::{MetricsSnapshot, Tracer};
@@ -112,23 +111,9 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "variants",
-        synopsis: "[--surrogate] [--margin <f>] <kernels.edsl>",
+        synopsis: "<kernels.edsl>",
         summary: "explore the design space and print the variant table per kernel",
-        flags: &[
-            FlagDoc {
-                name: "--surrogate",
-                value: "",
-                help: "prune the exploration with a learned cost model: train on \
-                       a sample of the hardware points, synthesize exactly only \
-                       near the predicted Pareto front",
-            },
-            FlagDoc {
-                name: "--margin",
-                value: "<f>",
-                help: "surrogate pruning margin in [0, 1): larger keeps a thicker \
-                       band around the predicted front (default 0.15)",
-            },
-        ],
+        flags: &[],
         records: false,
         run: cmd_variants,
     },
@@ -196,9 +181,8 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "dataset",
-        synopsis: "[--seed <n>] [--points <n>] [--kernels <file.edsl>] [--out <csv>] [--model <json>]",
-        summary: "mass-produce a seed-reproducible HLS training table (and \
-                  optionally fit + save a surrogate cost model)",
+        synopsis: "[--seed <n>] [--points <n>] [--kernels <file.edsl>] [--out <csv>]",
+        summary: "mass-produce a seed-reproducible table of synthesized design points",
         flags: &[
             FlagDoc {
                 name: "--seed",
@@ -222,12 +206,6 @@ const COMMANDS: &[CommandSpec] = &[
                 name: "--out",
                 value: "<csv>",
                 help: "write the table to this file instead of stdout",
-            },
-            FlagDoc {
-                name: "--model",
-                value: "<json>",
-                help: "fit a surrogate cost model on the produced table and \
-                       write it as JSON",
             },
         ],
         records: false,
@@ -622,31 +600,12 @@ fn cmd_ir(ctx: &Ctx, rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>
     Ok(0)
 }
 
-fn cmd_variants(ctx: &Ctx, mut rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let surrogate = extract_bool_flag(&mut rest, "--surrogate");
-    let margin = match extract_value_flag(&mut rest, "--margin")? {
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(f) if (0.0..1.0).contains(&f) => Some(f),
-            _ => return Err(format!("--margin requires a fraction in [0, 1), got '{raw}'").into()),
-        },
-        None => None,
-    };
-    if margin.is_some() && !surrogate {
-        return Err("--margin only applies with --surrogate".into());
-    }
+fn cmd_variants(ctx: &Ctx, rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
     let [path] = rest.as_slice() else {
         return Ok(usage());
     };
     let source = read(path)?;
-    let mut builder = Sdk::builder().jobs(ctx.jobs);
-    if surrogate {
-        let mut cfg = PruneConfig::default();
-        if let Some(m) = margin {
-            cfg.margin = m;
-        }
-        builder = builder.surrogate(cfg);
-    }
-    let compiled = builder.build().compile(&source)?;
+    let compiled = Sdk::builder().jobs(ctx.jobs).build().compile(&source)?;
     for kernel in &compiled.kernels {
         println!("kernel {} — {} variants:", kernel.name, kernel.variants.len());
         for v in &kernel.variants {
@@ -662,19 +621,6 @@ fn cmd_variants(ctx: &Ctx, mut rest: Vec<String>) -> Result<u8, Box<dyn std::err
         let front = kernel.pareto_front();
         let ids: Vec<&str> = front.iter().map(|v| v.id.as_str()).collect();
         println!("  pareto: {}", ids.join(", "));
-    }
-    if let Some(report) = &compiled.explore {
-        if report.fallback {
-            println!(
-                "surrogate: fell back to exhaustive exploration ({} points, val mape {:.3})",
-                report.points, report.val_mape
-            );
-        } else {
-            println!(
-                "surrogate: trained {}, predicted {}, exact {}, pruned {} (val mape {:.3})",
-                report.train, report.predicted, report.exact, report.pruned, report.val_mape
-            );
-        }
     }
     Ok(0)
 }
@@ -849,13 +795,12 @@ const DATASET_CORPUS: &str = "
 ";
 
 fn cmd_dataset(ctx: &Ctx, mut rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    use everest::variants::{DatasetConfig, SurrogateModel};
+    use everest::variants::DatasetConfig;
 
     let seed = extract_seed_flag(&mut rest, 7)?;
     let points = extract_count_flag(&mut rest, "--points", 256)?;
     let kernels_path = extract_value_flag(&mut rest, "--kernels")?;
     let out_path = extract_value_flag(&mut rest, "--out")?;
-    let model_path = extract_value_flag(&mut rest, "--model")?;
     if !rest.is_empty() {
         return Ok(usage());
     }
@@ -885,16 +830,6 @@ fn cmd_dataset(ctx: &Ctx, mut rest: Vec<String>) -> Result<u8, Box<dyn std::erro
         None => print!("{csv}"),
     }
 
-    if let Some(path) = &model_path {
-        let model = SurrogateModel::fit(&dataset, &Default::default());
-        std::fs::write(path, model.to_json()).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        eprintln!(
-            "model: fit on {} rows, validated on {} (worst mape {:.3}), written to {path}",
-            model.validation.rows_train,
-            model.validation.rows_val,
-            model.validation.worst_mape()
-        );
-    }
     Ok(0)
 }
 

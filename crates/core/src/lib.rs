@@ -46,7 +46,7 @@ pub use bridge::task_graph_from_workflow;
 pub use check::{check_workflow_spec, workflow_accesses};
 pub use error::{SdkError, SdkResult};
 pub use fuse::{build_plan, kernel_index, plan_diags, render_plan_text, unresolved_diags};
-pub use sdk::{Compiled, CompiledKernel, Deployment, Sdk, SdkBuilder};
+pub use sdk::{Compiled, CompiledKernel, Deployment, ExploreReport, Sdk, SdkBuilder};
 
 // The shared diagnostic vocabulary of `everestc check`.
 pub use everest_ir::{Diagnostic, Severity};
@@ -59,9 +59,7 @@ pub use everest_runtime::offload::{
     FaultKind, FaultPlan, FaultRates, OffloadCall, OffloadManager, OffloadOutcome, TargetClass,
 };
 pub use everest_variants::space::DesignSpace;
-pub use everest_variants::{
-    Dataset, DatasetConfig, ExploreReport, KnobVector, PruneConfig, SurrogateModel, Variant,
-};
+pub use everest_variants::{Dataset, DatasetConfig, KnobVector, Variant};
 pub use everest_workflow::RunReport;
 
 // Re-export the subsystem crates under stable names.

@@ -13,7 +13,7 @@ use everest_platform::System;
 use everest_runtime::offload::{FaultPlan, OffloadManager};
 use everest_runtime::{Autotuner, Hypervisor};
 use everest_variants::space::DesignSpace;
-use everest_variants::{pareto, ExploreReport, PruneConfig, Variant};
+use everest_variants::{pareto, Variant};
 
 /// A compiled kernel: its variants (operating points) and the Pareto set.
 #[derive(Debug, Clone)]
@@ -48,9 +48,22 @@ pub struct Compiled {
     pub module: Module,
     /// Per-kernel variant sets, in declaration order.
     pub kernels: Vec<CompiledKernel>,
-    /// What the surrogate-pruned explorer did, when the SDK was built
-    /// with [`SdkBuilder::surrogate`] (`None` for exhaustive DSE).
+    /// Size of the exploration behind `kernels`; [`Sdk::compile`] always
+    /// fills it. The field and its `Option` stay only because `benchmark/`
+    /// builds `Compiled { .., explore: None }` literally and is frozen;
+    /// drop both the next time `benchmark/` is opened (ROADMAP item 1).
     pub explore: Option<ExploreReport>,
+}
+
+/// The counts of one exploration (see [`Compiled::explore`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExploreReport {
+    /// Total (kernel × point) pairs in the space.
+    pub points: usize,
+    /// Software pairs, costed by the roofline model.
+    pub software: usize,
+    /// Hardware pairs, each synthesized exactly.
+    pub exact: usize,
 }
 
 impl Compiled {
@@ -85,7 +98,6 @@ pub struct SdkBuilder {
     jobs: usize,
     trace: bool,
     fault_plan: Option<FaultPlan>,
-    surrogate: Option<PruneConfig>,
 }
 
 impl Default for SdkBuilder {
@@ -97,7 +109,6 @@ impl Default for SdkBuilder {
             jobs: 2,
             trace: false,
             fault_plan: None,
-            surrogate: None,
         }
     }
 }
@@ -148,17 +159,6 @@ impl SdkBuilder {
         self
     }
 
-    /// Enables surrogate-pruned DSE: [`Sdk::compile`] trains a learned
-    /// cost model on a sample of the hardware points and synthesizes
-    /// exactly only near the predicted Pareto front (falling back to
-    /// exhaustive exploration when the model validates poorly — see
-    /// [`PruneConfig::max_val_mape`]).
-    #[must_use]
-    pub fn surrogate(mut self, cfg: PruneConfig) -> SdkBuilder {
-        self.surrogate = Some(cfg);
-        self
-    }
-
     /// Finalizes the configuration.
     pub fn build(self) -> Sdk {
         if self.trace {
@@ -170,7 +170,6 @@ impl SdkBuilder {
             system: self.system,
             jobs: self.jobs,
             fault_plan: self.fault_plan,
-            surrogate: self.surrogate,
         }
     }
 }
@@ -191,9 +190,6 @@ pub struct Sdk {
     /// The armed fault-injection plan, if any (see
     /// [`SdkBuilder::fault_plan`]).
     pub fault_plan: Option<FaultPlan>,
-    /// Surrogate-pruned DSE configuration, if enabled (see
-    /// [`SdkBuilder::surrogate`]).
-    pub surrogate: Option<PruneConfig>,
 }
 
 impl Default for Sdk {
@@ -234,25 +230,20 @@ impl Sdk {
             let _span = everest_telemetry::span("ir.verify", "ir");
             module.verify()?;
         }
-        let (kernels, explore) = {
+        let kernels = {
             let funcs: Vec<&everest_ir::Func> = module.iter().collect();
-            let (sets, explore) = match &self.surrogate {
-                Some(cfg) => {
-                    let (sets, report) =
-                        everest_variants::generate_all_pruned(&funcs, &self.space, self.jobs, cfg)?;
-                    (sets, Some(report))
-                }
-                None => (everest_variants::generate_all(&funcs, &self.space, self.jobs)?, None),
-            };
-            let kernels = funcs
+            let sets = everest_variants::generate_all(&funcs, &self.space, self.jobs)?;
+            funcs
                 .iter()
                 .zip(sets)
                 .map(|(func, variants)| CompiledKernel { name: func.name.clone(), variants })
-                .collect::<Vec<_>>();
-            (kernels, explore)
+                .collect::<Vec<_>>()
         };
         compile_span.attr("kernels", kernels.len());
         compile_span.attr("jobs", self.jobs);
+        let exact = kernels.iter().flat_map(|k| &k.variants).filter(|v| v.is_hardware()).count();
+        let points = kernels.iter().map(|k| k.variants.len()).sum();
+        let explore = Some(ExploreReport { points, software: points - exact, exact });
         Ok(Compiled { module, kernels, explore })
     }
 
@@ -438,6 +429,9 @@ mod tests {
         assert_eq!(gemm.variants.len(), sdk.space.size());
         assert!(gemm.fastest().is_some());
         assert!(!gemm.pareto_front().is_empty());
+        let report = compiled.explore.as_ref().expect("compile fills the report");
+        assert_eq!(report.points, 2 * sdk.space.size());
+        assert_eq!(report.exact, 2 * gemm.variants.iter().filter(|v| v.is_hardware()).count());
     }
 
     #[test]
@@ -522,26 +516,6 @@ mod tests {
         // The armed plan reaches the offload layer.
         let mgr = sdk.offload_manager().unwrap();
         assert!(!mgr.chain().is_empty());
-    }
-
-    #[test]
-    fn surrogate_compile_reports_and_matches_ids() {
-        // The small space has too few hardware points to train on, so the
-        // surrogate path must fall back to exhaustive exploration and say
-        // so — while producing the identical variant set.
-        let exhaustive = small_sdk().compile(SRC).unwrap();
-        let pruned = Sdk::builder()
-            .space(DesignSpace::small())
-            .surrogate(PruneConfig::default())
-            .build()
-            .compile(SRC)
-            .unwrap();
-        let report = pruned.explore.as_ref().expect("surrogate compile carries a report");
-        assert!(report.fallback);
-        assert!(exhaustive.explore.is_none());
-        for (a, b) in exhaustive.kernels.iter().zip(&pruned.kernels) {
-            assert_eq!(a.variants, b.variants);
-        }
     }
 
     #[test]

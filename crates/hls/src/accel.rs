@@ -127,13 +127,12 @@ pub struct SynthSummary {
 
 impl SynthSummary {
     /// Stable ordering of the numeric columns [`SynthSummary::targets`]
-    /// emits. The learned-cost-model dataset and serialized surrogates
-    /// index targets by this list, so the order is part of the on-disk
-    /// schema — append, never reorder.
+    /// emits. The `everestc dataset` table indexes targets by this list,
+    /// so the order is part of the on-disk schema — append, never reorder.
     pub const TARGET_NAMES: [&'static str; 5] = ["latency_cycles", "luts", "ffs", "dsps", "brams"];
 
     /// The summary as target columns in [`SynthSummary::TARGET_NAMES`]
-    /// order — what a surrogate cost model learns to predict.
+    /// order — the numeric columns of a dataset row.
     pub fn targets(&self) -> [f64; 5] {
         [
             self.latency_cycles as f64,

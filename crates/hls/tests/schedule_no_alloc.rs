@@ -13,42 +13,12 @@
 //! returns, follow the number of DFG nodes — never the loop trip counts,
 //! however many cycles the schedule spans. They read no clock.
 
+use everest_alloc_counter::{measure, CountingAllocator};
 use everest_hls::cdfg::Dfg;
 use everest_hls::schedule::{ResourceBudget, Schedule, ScheduleArena};
 use everest_hls::FuKind;
 use everest_ir::{FuncBuilder, Type};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashMap;
-
-struct CountingAllocator;
-
-// Const-initialized Cell<u64> TLS: the access itself never allocates
-// and registers no destructor, so it is safe inside the allocator.
-// Per-thread counting keeps the libtest harness's main thread (and any
-// sibling test) from perturbing the measured window.
-std::thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        BYTES.with(|c| c.set(c.get() + layout.size() as u64));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        BYTES.with(|c| c.set(c.get() + new_size.saturating_sub(layout.size()) as u64));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -91,16 +61,16 @@ fn warm_arena_schedules_allocate_nothing() {
     }
     let reference: Vec<u64> = out.start.clone();
 
-    let before = ALLOCATIONS.with(Cell::get);
-    for round in 0..50usize {
-        // A DSE-style sweep: alternate candidates and budgets, reusing
-        // both the arena and the output schedule.
-        let dfg = if round % 2 == 0 { &large } else { &small };
-        arena.list_schedule_into(&mut out, dfg, &budgets[round % budgets.len()]).unwrap();
-        std::hint::black_box(out.len);
-    }
-    let after = ALLOCATIONS.with(Cell::get);
-    assert_eq!(after - before, 0, "warm arena schedules must not allocate");
+    let (allocations, _) = measure(|| {
+        for round in 0..50usize {
+            // A DSE-style sweep: alternate candidates and budgets, reusing
+            // both the arena and the output schedule.
+            let dfg = if round % 2 == 0 { &large } else { &small };
+            arena.list_schedule_into(&mut out, dfg, &budgets[round % budgets.len()]).unwrap();
+            std::hint::black_box(out.len);
+        }
+    });
+    assert_eq!(allocations, 0, "warm arena schedules must not allocate");
 
     // The recycled path still produces the exact same schedule.
     arena.list_schedule_into(&mut out, &large, &budgets[2]).unwrap();
@@ -132,9 +102,9 @@ fn synthesizing_a_billion_cycle_matmul_allocates_a_few_mebibytes() {
         "mm",
     );
     let config = everest_hls::HlsConfig::default();
-    let before = BYTES.with(Cell::get);
-    let acc = everest_hls::synthesize(&mm, &config).unwrap();
-    let allocated = BYTES.with(Cell::get) - before;
+    let mut acc = None;
+    let (_, allocated) = measure(|| acc = Some(everest_hls::synthesize(&mm, &config).unwrap()));
+    let acc = acc.expect("synthesis ran");
     // 2048³ ≈ 8.6e9 multiply-accumulates at II = 1, split over the PEs.
     assert!(acc.latency_cycles > 1_000_000_000 / acc.pe as u64, "{} cycles", acc.latency_cycles);
     assert!(allocated < 4 << 20, "one synthesis allocated {allocated} bytes");

@@ -112,16 +112,17 @@ impl Diagnostic {
 
     /// Serializes the diagnostic as one JSON object.
     pub fn to_json(&self) -> String {
+        let q = |s: &str| serde_json::to_string(s).expect("a string always serializes");
         format!(
-            "{{\"severity\": \"{}\", \"code\": \"{}\", \"func\": \"{}\", \"location\": \"{}\", \
-             \"message\": \"{}\", \"snippet\": \"{}\", \"file\": \"{}\"}}",
+            "{{\"severity\": \"{}\", \"code\": {}, \"func\": {}, \"location\": {}, \
+             \"message\": {}, \"snippet\": {}, \"file\": {}}}",
             self.severity,
-            escape_json(self.code),
-            escape_json(&self.func),
-            escape_json(&self.location),
-            escape_json(&self.message),
-            escape_json(&self.snippet),
-            escape_json(&self.file),
+            q(self.code),
+            q(&self.func),
+            q(&self.location),
+            q(&self.message),
+            q(&self.snippet),
+            q(&self.file),
         )
     }
 }
@@ -209,22 +210,6 @@ pub fn op_snippet(op: &Op) -> String {
     out
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +232,12 @@ mod tests {
         let json = sample().to_json();
         assert!(json.contains("\\\"out\\\""));
         assert!(json.contains("\"code\": \"taint-flow\""));
+
+        // Every escape class survives a parse.
+        let hostile = "quote \" backslash \\ newline \n tab \t control \u{1}";
+        let json = Diagnostic::new(Severity::Error, "taint-flow", "leak", hostile).to_json();
+        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(parsed.get("message"), Some(&serde_json::Value::Str(hostile.into())));
     }
 
     #[test]

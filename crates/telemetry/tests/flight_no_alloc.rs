@@ -5,32 +5,7 @@
 //! the libtest harness's main thread occasionally allocates while the
 //! test body runs, and those allocations are not the recorder's.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAllocator;
-
-// Const-initialized Cell<u64> TLS: the access itself never allocates
-// and registers no destructor, so it is safe inside the allocator.
-std::thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use everest_alloc_counter::{measure, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -41,14 +16,14 @@ fn recording_allocates_nothing_after_ring_warmup() {
     // First event creates this thread's preallocated ring.
     flight.marker("warmup", 0.0);
 
-    let before = ALLOCATIONS.with(Cell::get);
     // More events than the ring holds, so both the fill and the
     // overwrite paths are exercised.
-    for i in 0..4096 {
-        flight.record(everest_telemetry::EventKind::Observe, "hot.value", i as f64);
-    }
-    let after = ALLOCATIONS.with(Cell::get);
-    assert_eq!(after - before, 0, "flight recording must not allocate per event");
+    let (allocations, _) = measure(|| {
+        for i in 0..4096 {
+            flight.record(everest_telemetry::EventKind::Observe, "hot.value", i as f64);
+        }
+    });
+    assert_eq!(allocations, 0, "flight recording must not allocate per event");
 
     // The events really are there (ring capacity's worth).
     let dump = flight.dump("check");

@@ -5,32 +5,7 @@
 //! main thread may allocate concurrently with the measured window, and
 //! those allocations are not the span's.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAllocator;
-
-// Const-initialized Cell<u64> TLS: the access itself never allocates
-// and registers no destructor, so it is safe inside the allocator.
-std::thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use everest_alloc_counter::{measure, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -44,14 +19,14 @@ fn disabled_spans_allocate_nothing() {
         span.attr("k", 1);
     }
 
-    let before = ALLOCATIONS.with(Cell::get);
-    for _ in 0..1000 {
-        let mut span = everest_telemetry::span("hot", "test");
-        span.attr("iteration", 42);
-        drop(span);
-    }
-    let after = ALLOCATIONS.with(Cell::get);
-    assert_eq!(after - before, 0, "disabled spans must not allocate");
+    let (allocations, _) = measure(|| {
+        for _ in 0..1000 {
+            let mut span = everest_telemetry::span("hot", "test");
+            span.attr("iteration", 42);
+            drop(span);
+        }
+    });
+    assert_eq!(allocations, 0, "disabled spans must not allocate");
 }
 
 #[test]

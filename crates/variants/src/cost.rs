@@ -4,8 +4,8 @@
 //! roof, adjusted by threading, tiling and layout); hardware variants run
 //! the actual HLS flow from [`everest_hls`] and add the attachment's
 //! transfer cost. Every entry point takes the typed [`KnobVector`].
-//! [`summarize_batch`] is the one fan-out every exploration and dataset
-//! run synthesizes through.
+//! [`summarize_batch`] is the one fan-out the exploration and dataset
+//! runs synthesize through.
 
 use crate::analysis::KernelWorkload;
 use crate::knob::KnobVector;
@@ -73,9 +73,8 @@ pub(crate) fn summarize_hardware(
 }
 
 /// The batch evaluator: synthesizes every `(kernel, hardware point)` pair
-/// on `jobs` pool workers, results in input order. Exhaustive sweeps,
-/// surrogate training samples, margin survivors and dataset rows all come
-/// through here, so worker fan-out and memoization are decided once.
+/// on `jobs` pool workers, results in input order. The exploration and
+/// dataset rows both come through here, so worker fan-out is decided once.
 pub(crate) fn summarize_batch(
     label: &str,
     jobs: usize,
@@ -120,8 +119,7 @@ pub fn software_metrics_knob(workload: &KernelWorkload, knob: &KnobVector) -> Me
 /// Derives variant metrics from a synthesis summary plus the
 /// attachment's transfer cost. This is the single bridge from the
 /// synthesis domain (cycles, LUTs) to the DSE objective domain
-/// (time, energy, area) — the surrogate's predicted summaries go through
-/// the same function as exact ones.
+/// (time, energy, area).
 pub(crate) fn metrics_from_summary(
     summary: &SynthSummary,
     workload: &KernelWorkload,

@@ -1,13 +1,12 @@
-//! Mass production of HLS training data.
+//! Mass production of HLS data tables.
 //!
 //! The dataset factory samples thousands of (kernel, knob-vector) points
-//! and fans them through the batch evaluator the DSE engine uses
-//! ([`crate::explore`]; always memoized here — a dataset has no
+//! and fans them through the batch evaluator the exploration uses
+//! ([`crate::generate_all`]; always memoized here — a dataset has no
 //! direct-synthesis reference to keep) — emitting one row per point:
 //! provenance (kernel name, IR fingerprint, seed, sample index), the
 //! feature encoding from [`crate::knob`], and the synthesis targets from
-//! [`SynthSummary::targets`]. This is the table
-//! [`crate::model::SurrogateModel`] trains on.
+//! [`SynthSummary::targets`].
 //!
 //! Everything is seed-reproducible: sampling is a pure function of
 //! `(seed, index)` (a [`splitmix64`] stream per row), the pool preserves
@@ -26,9 +25,9 @@ use everest_ir::Func;
 use everest_workflow::seed::splitmix64;
 
 /// The hardware-knob values the sampler draws from. Wider than
-/// [`crate::space::DesignSpace`]'s defaults on purpose: a surrogate
-/// trained on the sweep corners only would extrapolate everywhere the
-/// DSE actually explores.
+/// [`crate::space::DesignSpace`]'s defaults on purpose: a table of the
+/// sweep corners only would say nothing about the interior the DSE
+/// actually explores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KnobDomains {
     /// Attachment targets.
@@ -154,7 +153,7 @@ impl DatasetRow {
     }
 }
 
-/// A produced table of training points.
+/// A produced table of synthesized points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Feature column names: [`KERNEL_FEATURES`] then [`KNOB_FEATURES`].
@@ -170,8 +169,7 @@ pub struct Dataset {
 /// base column, matching [`Dataset::feature_names`]. The log copies
 /// matter: synthesis targets follow power laws in PE and bank counts
 /// (`latency ≈ work / pe`, `area ≈ pe · unit`), which are *linear* in
-/// log-feature/log-target space — exactly what the ridge baseline (and a
-/// shallow stump ensemble) can represent from a small training sample.
+/// log-feature/log-target space.
 pub fn features_for(workload: &KernelWorkload, knob: &KnobVector) -> Vec<f64> {
     let mut features = Vec::with_capacity(2 * (KERNEL_FEATURES.len() + KNOB_FEATURES.len()));
     features.extend_from_slice(&kernel_features(workload));

@@ -5,11 +5,11 @@
 //! about through [`SpecExt`] defaults. That worked until three consumers
 //! had to agree exactly: enumeration ([`DesignSpace::enumerate_knobs`]),
 //! synthesis memoization ([`everest_hls::cache::ConfigKey`] via
-//! [`KnobVector::hls_config`]) and the surrogate cost model's feature
-//! encoder ([`KnobVector::to_features`]). A [`KnobVector`] is the single
-//! typed value all three derive from, so they can never skew: the memo
-//! key and the model features are both pure functions of the same struct
-//! the enumerator produced.
+//! [`KnobVector::hls_config`]) and the dataset's feature encoder
+//! ([`KnobVector::to_features`]). A [`KnobVector`] is the single typed
+//! value all three derive from, so they can never skew: the memo key and
+//! the feature columns are both pure functions of the same struct the
+//! enumerator produced.
 //!
 //! [`DesignSpace::enumerate_knobs`]: crate::space::DesignSpace::enumerate_knobs
 //! [`SpecExt`]: crate::transform::SpecExt
@@ -23,9 +23,8 @@ use serde::value::Value;
 use serde::{DeError, Deserialize, Serialize};
 
 /// Stable ordering of the knob feature columns emitted by
-/// [`KnobVector::to_features`]. Datasets, serialized models and the
-/// surrogate's predict path all index features by this list, so the
-/// order is part of the on-disk schema — append, never reorder.
+/// [`KnobVector::to_features`]. Datasets index features by this list, so
+/// the order is part of the on-disk schema — append, never reorder.
 pub const KNOB_FEATURES: [&str; 10] = [
     "is_fpga",
     "is_network",
@@ -95,11 +94,11 @@ impl KnobVector {
     /// Encodes the knobs as feature columns in [`KNOB_FEATURES`] order.
     /// Absent knobs encode as their neutral value (software points have
     /// `banks = pe = 0`, hardware points have `threads = 1`), so the
-    /// vector length is identical for every point and a single model can
-    /// see the whole space. `eff_pe` is the port-clamped replication the
+    /// vector length is identical for every point and one table can hold
+    /// the whole space. `eff_pe` is the port-clamped replication the
     /// synthesizer actually exploits (`min(pe, banks × ports_per_bank)`)
     /// — the interaction latency and area follow, surfaced as its own
-    /// column so a shallow model does not have to learn the clamp.
+    /// column so a consumer of the table does not have to learn the clamp.
     pub fn to_features(&self) -> [f64; 10] {
         match *self {
             KnobVector::Software { threads, layout, tile } => [

@@ -12,17 +12,12 @@
 //! * [`cost`] — software (roofline-style) and hardware (via
 //!   [`everest_hls`]) cost models;
 //! * [`knob`] — the typed [`KnobVector`] design point shared by
-//!   enumeration, memoization and the surrogate feature encoder;
+//!   enumeration, memoization and the dataset feature encoder;
 //! * [`space`] — design-space enumeration and validation;
 //! * [`pareto`] — O(n log n) Pareto-front filtering over (latency,
 //!   energy, area), plus exact [`pareto::hypervolume`];
-//! * [`dataset`] — mass production of seed-reproducible HLS training
-//!   tables (`everestc dataset`);
-//! * [`model`] — pure-Rust learned cost models (gradient-boosted stumps
-//!   with a ridge baseline) trained on those tables;
-//! * [`explore`] — the one exploration engine: exhaustive sweeps keep
-//!   every hardware point, surrogate-pruned ones predict everything and
-//!   synthesize only near the predicted Pareto front;
+//! * [`dataset`] — seed-reproducible tables of synthesized design points
+//!   (`everestc dataset`);
 //! * [`error`] — the [`VariantError`] DSE failure type;
 //! * [`variant`] — the [`variant::Variant`] records, serializable as the
 //!   "meta-information about the variants ... provided to the runtime".
@@ -44,9 +39,7 @@ pub mod analysis;
 pub mod cost;
 pub mod dataset;
 pub mod error;
-pub mod explore;
 pub mod knob;
-pub mod model;
 pub mod pareto;
 pub mod space;
 pub mod transform;
@@ -55,9 +48,7 @@ pub mod variant;
 pub use analysis::KernelWorkload;
 pub use dataset::{Dataset, DatasetConfig, KnobDomains};
 pub use error::{VariantError, VariantResult};
-pub use explore::{generate_all_pruned, ExploreReport, PruneConfig};
 pub use knob::{KnobVector, KERNEL_FEATURES, KNOB_FEATURES};
-pub use model::{FitConfig, SurrogateModel};
 pub use transform::{Layout, Target, Transform};
 pub use variant::{Metrics, Variant};
 
@@ -88,9 +79,11 @@ pub fn generate_jobs(
     Ok(generate_all(&[func], space, jobs)?.pop().expect("one variant set per kernel"))
 }
 
-/// Exhaustive exploration: evaluates every design point of every kernel,
-/// fanning the hardware (kernel × point) pairs across `jobs` pool workers
-/// (the [`explore`] engine with the keep-all policy).
+/// The one exploration: enumerates the space, synthesizes every hardware
+/// (kernel × point) pair through [`cost`]'s batch evaluator — the crate's
+/// only pool fan-out — on `jobs` workers, and assembles the variant sets.
+/// Software points never reach the evaluator: the roofline model is
+/// arithmetic, evaluated during assembly.
 ///
 /// * `jobs == 1` is the sequential reference: every hardware point
 ///   synthesizes directly on the calling thread, in enumeration order,
@@ -113,5 +106,49 @@ pub fn generate_all(
     space: &space::DesignSpace,
     jobs: usize,
 ) -> VariantResult<Vec<Vec<Variant>>> {
-    Ok(explore::explore(funcs, space, jobs, None)?.0)
+    space.validate()?;
+    let knobs = space.enumerate_knobs();
+    // Hardware (kernel, point) pairs, kernel-major in enumeration order.
+    let batch: Vec<(&Func, KnobVector)> = funcs
+        .iter()
+        .flat_map(|&func| knobs.iter().filter(|kn| kn.is_hardware()).map(move |&kn| (func, kn)))
+        .collect();
+
+    let mut span = everest_telemetry::span("dse.evaluate", "variants");
+    span.attr("kernels", funcs.len());
+    span.attr("points", funcs.len() * knobs.len());
+    span.attr("jobs", jobs.max(1));
+
+    let workloads: Vec<KernelWorkload> = funcs.iter().map(|f| analysis::analyze(f)).collect();
+    let memoize = jobs >= 2;
+    // Results come back in request order, so the first error met is the
+    // lowest-indexed failing pair.
+    let summaries = cost::summarize_batch("dse.worker", jobs, memoize, &batch)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+
+    let mut exact = summaries.iter();
+    let mut sets = Vec::with_capacity(funcs.len());
+    for (func, workload) in funcs.iter().zip(&workloads) {
+        let mut span = everest_telemetry::span("variants.generate", "variants");
+        span.attr("kernel", &func.name);
+        span.attr("space", knobs.len());
+        let mut variants = Vec::with_capacity(knobs.len());
+        for (i, knob) in knobs.iter().enumerate() {
+            let metrics = if knob.is_hardware() {
+                let summary = exact.next().expect("one summary per hardware pair");
+                cost::metrics_from_summary(summary, workload, knob.target())
+            } else {
+                cost::software_metrics_knob(workload, knob)
+            };
+            variants.push(Variant {
+                id: format!("{}#{}", func.name, i),
+                kernel: func.name.clone(),
+                transforms: knob.to_transforms(),
+                metrics,
+            });
+        }
+        sets.push(variants);
+    }
+    Ok(sets)
 }

@@ -47,10 +47,8 @@ fn dominated_flags(variants: &[Variant]) -> Vec<bool> {
     dominated_objective_flags(&variants.iter().map(objectives).collect::<Vec<_>>())
 }
 
-/// The same sweep over bare objective triples, shared with the
-/// surrogate-guided explorer (which tests domination over *predicted*
-/// objectives that have no backing [`Variant`] yet).
-pub(crate) fn dominated_objective_flags(objs: &[(f64, f64, u64)]) -> Vec<bool> {
+/// The sweep itself, over bare objective triples.
+fn dominated_objective_flags(objs: &[(f64, f64, u64)]) -> Vec<bool> {
     let mut order: Vec<usize> = (0..objs.len()).collect();
     order.sort_by(|&a, &b| {
         objs[a]
@@ -112,9 +110,8 @@ pub fn pareto_front(variants: &[Variant]) -> Vec<Variant> {
 
 /// A reference point for [`hypervolume`]: the componentwise worst
 /// objectives across `variants`, padded by 10% so every point dominates
-/// it strictly. Compare two fronts (e.g. surrogate-pruned vs exhaustive)
-/// against the SAME reference — conventionally the one computed from the
-/// exhaustive set.
+/// it strictly. Compare two fronts against the SAME reference —
+/// conventionally the one computed from the full variant set.
 pub fn reference_point(variants: &[Variant]) -> (f64, f64, f64) {
     let mut r = (0.0f64, 0.0f64, 0.0f64);
     for v in variants {

@@ -170,10 +170,11 @@ impl FusionPlan {
     /// Serializes the plan as a versioned JSON object. Deterministic:
     /// edges are pre-sorted and all fields render in a fixed order.
     pub fn to_json(&self) -> String {
+        let q = |s: &str| serde_json::to_string(s).expect("a string always serializes");
         let mut out = format!(
-            "{{\"schema_version\": {FUSION_SCHEMA_VERSION}, \"workflow\": \"{}\", \
+            "{{\"schema_version\": {FUSION_SCHEMA_VERSION}, \"workflow\": {}, \
              \"budget_bytes\": {}, \"edges\": [",
-            escape(&self.workflow),
+            q(&self.workflow),
             self.budget_bytes
         );
         for (i, e) in self.edges.iter().enumerate() {
@@ -181,36 +182,32 @@ impl FusionPlan {
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "{{\"item\": \"{}\", \"producer\": \"{}\", \"consumer\": \"{}\", \
-                 \"class\": \"{}\", \"reason\": \"{}\", \"detail\": \"{}\", \"bytes\": {}, \
+                "{{\"item\": {}, \"producer\": {}, \"consumer\": {}, \
+                 \"class\": \"{}\", \"reason\": \"{}\", \"detail\": {}, \"bytes\": {}, \
                  \"readers\": {}, \"ordering_path\": {}, \"race\": {}}}",
-                escape(&e.edge.item),
-                escape(&e.edge.producer.name),
-                escape(&e.edge.consumer.name),
+                q(&e.edge.item),
+                q(&e.edge.producer.name),
+                q(&e.edge.consumer.name),
                 e.class,
                 e.reason,
-                escape(&e.detail),
+                q(&e.detail),
                 e.edge.bytes.map_or("null".to_string(), |b| b.to_string()),
                 e.edge.readers,
                 match &e.ordering_path {
-                    Some(path) => format!(
-                        "[{}]",
-                        path.iter()
-                            .map(|t| format!("\"{}\"", escape(t)))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
+                    Some(path) => {
+                        format!("[{}]", path.iter().map(|t| q(t)).collect::<Vec<_>>().join(", "))
+                    }
                     None => "null".to_string(),
                 },
                 match &e.race {
                     Some(r) => format!(
-                        "{{\"kind\": \"{}\", \"first\": \"{}\", \"second\": \"{}\", \
-                         \"dataset\": \"{}\", \"evidence\": \"{}\"}}",
+                        "{{\"kind\": \"{}\", \"first\": {}, \"second\": {}, \
+                         \"dataset\": {}, \"evidence\": {}}}",
                         r.kind,
-                        escape(&r.first),
-                        escape(&r.second),
-                        escape(&r.dataset),
-                        escape(&r.evidence.to_string()),
+                        q(&r.first),
+                        q(&r.second),
+                        q(&r.dataset),
+                        q(&r.evidence.to_string()),
                     ),
                     None => "null".to_string(),
                 },
@@ -219,20 +216,6 @@ impl FusionPlan {
         out.push_str("]}\n");
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Shortest *directed* path from `from` to `to` through the ordering
@@ -512,5 +495,11 @@ mod tests {
         // Sorted by item: "a" before "z".
         assert!(json.find("\"item\": \"a\"").unwrap() < json.find("\"item\": \"z\"").unwrap());
         assert_eq!(json, plan.to_json());
+
+        // Every escape class survives a parse.
+        let hostile = "quote \" backslash \\ newline \n tab \t control \u{1}";
+        let json = classify(hostile, Vec::new(), &[], &[], 4096).to_json();
+        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(parsed.get("workflow"), Some(&serde_json::Value::Str(hostile.into())));
     }
 }

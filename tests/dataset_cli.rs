@@ -1,7 +1,6 @@
 //! End-to-end checks of `everestc dataset`: the table's schema is stable,
 //! the bytes are a pure function of `--seed` (pinned by a committed golden
-//! file), the worker count never shows through, and the optional
-//! `--model` pass trains and saves a loadable surrogate.
+//! file), and the worker count never shows through.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -70,26 +69,6 @@ fn out_flag_writes_the_same_bytes_as_stdout() {
 }
 
 #[test]
-fn model_flag_fits_and_saves_a_surrogate() {
-    let path = tmp("model.json");
-    let out = everestc()
-        .args(["dataset", "--seed", "7", "--points", "96", "--jobs", "2", "--out"])
-        .arg(tmp("model-table.csv"))
-        .arg("--model")
-        .arg(&path)
-        .output()
-        .expect("everestc runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("model: fit on"), "missing fit summary: {stderr}");
-    let json = std::fs::read_to_string(&path).expect("model written");
-    let model = everest::SurrogateModel::from_json(&json).expect("model JSON loads");
-    assert_eq!(model.target_names, vec!["latency_cycles", "luts", "ffs", "dsps", "brams"]);
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(tmp("model-table.csv")).ok();
-}
-
-#[test]
 fn bad_flags_are_rejected() {
     let out = everestc().args(["dataset", "--points", "0"]).output().expect("everestc runs");
     assert_eq!(out.status.code(), Some(1));
@@ -99,7 +78,10 @@ fn bad_flags_are_rejected() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--seed requires"));
 
-    let out = everestc().args(["dataset", "stray"]).output().expect("everestc runs");
-    assert_eq!(out.status.code(), Some(2), "stray arguments are a usage error");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    // The exporter writes a table and nothing else.
+    for stray in [&["stray"][..], &["--model", "m.json"][..]] {
+        let out = everestc().arg("dataset").args(stray).output().expect("everestc runs");
+        assert_eq!(out.status.code(), Some(2), "stray arguments are a usage error: {stray:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    }
 }

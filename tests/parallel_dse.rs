@@ -87,40 +87,6 @@ fn sequential_reference_does_not_touch_the_cache() {
 }
 
 #[test]
-fn forced_fallback_returns_the_exhaustive_sets_without_paying_for_training_twice() {
-    use everest::variants::{space::DesignSpace, PruneConfig};
-    let _guard = compile_lock();
-    // Wide enough for the explorer to train a model; an unmeetable
-    // accuracy bar then forces the fall-back after training.
-    let space = DesignSpace {
-        banks: vec![1, 2, 4, 8, 16],
-        pes: vec![1, 2, 4, 8, 16, 32],
-        pipeline: vec![true, false],
-        dift: vec![false, true],
-        ..DesignSpace::default()
-    };
-    let exhaustive = Sdk::builder().jobs(2).space(space.clone()).build().compile(SRC).unwrap();
-
-    let lookups = || {
-        let snap = everest_telemetry::metrics().snapshot();
-        snap.counter("dse.hls.cache.hit") + snap.counter("dse.hls.cache.miss")
-    };
-    let before = lookups();
-    let cfg = PruneConfig { max_val_mape: 0.0, ..PruneConfig::default() };
-    let pruned = Sdk::builder().jobs(2).space(space).surrogate(cfg).build().compile(SRC).unwrap();
-    let report = pruned.explore.as_ref().expect("surrogate compile attaches a report");
-
-    assert!(report.fallback, "val mape {} cannot meet a 0.0 bar", report.val_mape);
-    assert!(report.train > 0 && report.pruned == 0, "{report:?}");
-    assert_eq!(fingerprint(&pruned), fingerprint(&exhaustive));
-    assert_eq!(
-        lookups() - before,
-        report.exact as u64,
-        "every hardware pair is looked up once: training pairs are not synthesized again"
-    );
-}
-
-#[test]
 fn empty_knob_dimension_is_rejected_before_enumeration() {
     let mut sdk = Sdk::builder().build();
     sdk.space.banks.clear();
@@ -150,32 +116,27 @@ fn cli_help_documents_the_jobs_flag() {
 #[test]
 fn cli_variant_table_is_identical_across_job_counts() {
     let cascade = fixture().with_file_name("cascade.edsl");
-    // Exhaustive, then surrogate-pruned on a space wide enough to train
-    // (the `surrogate:` summary line is part of the compared stdout).
-    for (flags, input, all_jobs) in [
-        (&[][..], fixture(), &["1", "8"][..]),
-        (&["--surrogate"][..], cascade, &["1", "2", "4"][..]),
-    ] {
+    for input in [fixture(), cascade] {
+        let all_jobs = ["1", "2", "4"];
         let mut outputs = Vec::new();
         for jobs in all_jobs {
             let output = everestc()
                 .arg("--jobs")
                 .arg(jobs)
                 .arg("variants")
-                .args(flags)
                 .arg(&input)
                 .output()
                 .expect("everestc runs");
-            assert!(output.status.success(), "variants {flags:?} --jobs {jobs} failed");
+            assert!(output.status.success(), "variants {input:?} --jobs {jobs} failed");
             outputs.push(String::from_utf8_lossy(&output.stdout).into_owned());
         }
         assert!(
             outputs.windows(2).all(|w| w[0] == w[1]),
-            "variants {flags:?} printed different tables at --jobs {all_jobs:?}"
+            "variants {input:?} printed different tables at --jobs {all_jobs:?}"
         );
-        assert_eq!(
-            outputs[0].contains("\nsurrogate: trained "),
-            !flags.is_empty(),
+        // The table is all there is: no exploration summary line.
+        assert!(
+            !outputs[0].lines().any(|l| l.starts_with("surrogate:")),
             "summary line:\n{}",
             outputs[0]
         );
@@ -189,5 +150,12 @@ fn cli_rejects_bad_jobs_values() {
             everestc().args(bad).arg("variants").arg(fixture()).output().expect("everestc runs");
         assert_eq!(output.status.code(), Some(2), "{bad:?} should be rejected");
         assert!(String::from_utf8_lossy(&output.stderr).contains("--jobs requires"));
+    }
+    // `variants` takes no options of its own.
+    for stray in [&["--surrogate"][..], &["--margin", "0.1"][..]] {
+        let output =
+            everestc().arg("variants").args(stray).arg(fixture()).output().expect("everestc runs");
+        assert_eq!(output.status.code(), Some(2), "{stray:?} should be rejected");
+        assert!(String::from_utf8_lossy(&output.stderr).contains("usage:"));
     }
 }
