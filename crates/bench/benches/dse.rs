@@ -7,6 +7,14 @@
 //! distinct kernels over a 7×9×2×2 hardware grid the same way: the
 //! exhaustive cost of a 2 080-point space, the number E25 closes on.
 //!
+//! The memoized engine is timed twice per worker count: `cold`, from a
+//! cleared memo, and `warm`, the same compile with the memo kept — every
+//! hardware point a hit, outputs equal to the cold run's. The two
+//! headline ratios keep the two effects apart: `speedup_jobs4_vs_jobs2`
+//! is one engine at two worker counts (parallelism only),
+//! `warm_vs_cold_jobs2` one worker count with and without the memo's
+//! content (memo only). Neither divides by the memo-free `jobs = 1` run.
+//!
 //! Run with `cargo bench -p everest-bench --bench dse`.
 
 use everest::variants::space::DesignSpace;
@@ -72,6 +80,9 @@ struct Run {
     cache_hits: u64,
     cache_misses: u64,
     hit_rate: f64,
+    /// The same compile with the memo kept; `None` at `jobs = 1`, which
+    /// has no memo to keep.
+    warm_points_per_sec: Option<f64>,
 }
 
 fn fingerprint(compiled: &everest::Compiled) -> String {
@@ -85,47 +96,64 @@ fn fingerprint(compiled: &everest::Compiled) -> String {
     out
 }
 
-/// Times one full compile at the given worker count with a cold synthesis
-/// cache, returning the wall clock, cache counters and output fingerprint.
-fn measure(src: &str, space: &DesignSpace, jobs: usize) -> (Run, String) {
-    let sdk = Sdk::builder().space(space.clone()).jobs(jobs).build();
-    let points = sdk.space.size();
-
-    // Warm-up run (cold allocator, lazy statics), then keep the fastest
-    // of RUNS cold-cache runs to suppress scheduler noise.
-    everest::hls::cache::global().clear();
-    let compiled = sdk.compile(src).expect("compiles");
-    let fp = fingerprint(&compiled);
-    let kernels = compiled.kernels.len();
-
-    let mut best = f64::INFINITY;
-    let mut hits = 0;
-    let mut misses = 0;
+/// The fastest of RUNS compiles (to suppress scheduler noise), each
+/// checked against `fp`, from a cleared memo (`cold`) or the memo as the
+/// last compile left it: `(wall ms, hits, misses)` of that compile.
+fn fastest(sdk: &Sdk, src: &str, fp: &str, cold: bool) -> (f64, u64, u64) {
+    let mut best = (f64::INFINITY, 0, 0);
     for _ in 0..RUNS {
-        everest::hls::cache::global().clear();
+        if cold {
+            everest::hls::cache::global().clear();
+        }
         let before = everest_telemetry::metrics().snapshot();
         let start = Instant::now();
         let out = sdk.compile(src).expect("compiles");
         let wall = start.elapsed().as_secs_f64() * 1e3;
         let after = everest_telemetry::metrics().snapshot();
-        assert_eq!(fp, fingerprint(&out), "jobs={jobs} output drifted between runs");
-        if wall < best {
-            best = wall;
-            hits = after.counter("dse.hls.cache.hit") - before.counter("dse.hls.cache.hit");
-            misses = after.counter("dse.hls.cache.miss") - before.counter("dse.hls.cache.miss");
+        assert_eq!(fp, fingerprint(&out), "jobs={} output drifted between runs", sdk.jobs);
+        if wall < best.0 {
+            let delta = |name: &str| after.counter(name) - before.counter(name);
+            best = (wall, delta("dse.hls.cache.hit"), delta("dse.hls.cache.miss"));
         }
     }
+    best
+}
 
-    let total_points = points * kernels;
+/// Times one full compile at the given worker count, cold and (for the
+/// memoized engine) warm, returning the wall clocks, cache counters and
+/// output fingerprint.
+fn measure(src: &str, space: &DesignSpace, jobs: usize) -> (Run, String) {
+    let sdk = Sdk::builder().space(space.clone()).jobs(jobs).build();
+
+    // Warm-up run (cold allocator, lazy statics).
+    everest::hls::cache::global().clear();
+    let compiled = sdk.compile(src).expect("compiles");
+    let fp = fingerprint(&compiled);
+    let total_points = sdk.space.size() * compiled.kernels.len();
+    let per_sec = |wall_ms: f64| total_points as f64 / (wall_ms / 1e3);
+
+    let (wall_ms, hits, misses) = fastest(&sdk, src, &fp, true);
+    let warm_points_per_sec = (jobs >= 2).then(|| {
+        // The last cold compile left the memo full.
+        let (warm_ms, warm_hits, warm_misses) = fastest(&sdk, src, &fp, false);
+        assert_eq!(
+            (warm_hits, warm_misses),
+            (hits + misses, 0),
+            "jobs={jobs}: a warm compile makes the cold one's lookups and hits on every one"
+        );
+        per_sec(warm_ms)
+    });
+
     let lookups = hits + misses;
     let run = Run {
         jobs,
-        wall_ms: best,
+        wall_ms,
         points: total_points,
-        points_per_sec: total_points as f64 / (best / 1e3),
+        points_per_sec: per_sec(wall_ms),
         cache_hits: hits,
         cache_misses: misses,
         hit_rate: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
+        warm_points_per_sec,
     };
     (run, fp)
 }
@@ -144,13 +172,15 @@ fn sweep(label: &str, src: &str, space: &DesignSpace) -> Vec<Run> {
             }
         }
         println!(
-            "{label:<8} jobs={:<2} wall={:>8.2} ms  {:>8.0} points/s  cache {}h/{}m ({:.0}% hit)",
+            "{label:<8} jobs={:<2} wall={:>8.2} ms  {:>8.0} points/s  cache {}h/{}m ({:.0}% hit)  \
+             warm {:>9} points/s",
             run.jobs,
             run.wall_ms,
             run.points_per_sec,
             run.cache_hits,
             run.cache_misses,
-            run.hit_rate * 100.0
+            run.hit_rate * 100.0,
+            run.warm_points_per_sec.map_or("-".to_owned(), |warm| format!("{warm:.0}")),
         );
         runs.push(run);
     }
@@ -161,7 +191,7 @@ fn runs_json(runs: &[Run]) -> Value {
     Value::Array(
         runs.iter()
             .map(|r| {
-                Value::Object(vec![
+                let mut row = vec![
                     ("jobs".to_owned(), Value::UInt(r.jobs as u64)),
                     ("wall_ms".to_owned(), Value::Float(r.wall_ms)),
                     ("points".to_owned(), Value::UInt(r.points as u64)),
@@ -169,7 +199,11 @@ fn runs_json(runs: &[Run]) -> Value {
                     ("cache_hits".to_owned(), Value::UInt(r.cache_hits)),
                     ("cache_misses".to_owned(), Value::UInt(r.cache_misses)),
                     ("hit_rate".to_owned(), Value::Float(r.hit_rate)),
-                ])
+                ];
+                if let Some(warm) = r.warm_points_per_sec {
+                    row.push(("warm_points_per_sec".to_owned(), Value::Float(warm)));
+                }
+                Value::Object(row)
             })
             .collect(),
     )
@@ -179,18 +213,23 @@ fn main() {
     let runs = sweep("default", SRC, &DesignSpace::default());
     let wide = sweep("wide", WIDE_SRC, &wide_space());
 
-    let wall_1 = runs[0].wall_ms;
-    let wall_4 = runs[runs.len() - 1].wall_ms;
-    let speedup = wall_1 / wall_4;
-    let hit_rate = runs[runs.len() - 1].hit_rate;
-    println!("speedup jobs=4 vs jobs=1: {speedup:.2}x, memoized hit rate {:.0}%", hit_rate * 100.0);
+    // runs[1] is jobs = 2, runs[2] jobs = 4: the memoized engine both times.
+    let speedup = runs[1].wall_ms / runs[2].wall_ms;
+    let warm_vs_cold =
+        runs[1].warm_points_per_sec.expect("jobs=2 has a warm run") / runs[1].points_per_sec;
+    println!(
+        "jobs=4 vs jobs=2 (cold): {speedup:.2}x, warm vs cold at jobs=2: {warm_vs_cold:.2}x, \
+         cold hit rate {:.0}%",
+        runs[2].hit_rate * 100.0
+    );
 
     let json = Value::Object(vec![
         ("bench".to_owned(), Value::Str("dse".to_owned())),
         ("experiment".to_owned(), Value::Str("E18".to_owned())),
         ("kernels".to_owned(), Value::UInt(4)),
         ("runs".to_owned(), runs_json(&runs)),
-        ("speedup_jobs4_vs_jobs1".to_owned(), Value::Float(speedup)),
+        ("speedup_jobs4_vs_jobs2".to_owned(), Value::Float(speedup)),
+        ("warm_vs_cold_jobs2".to_owned(), Value::Float(warm_vs_cold)),
         ("outputs_identical".to_owned(), Value::Bool(true)),
         (
             "wide".to_owned(),

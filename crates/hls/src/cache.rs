@@ -1,6 +1,6 @@
 //! Memoization of synthesis results.
 //!
-//! Design-space exploration re-runs full HLS synthesis for every hardware
+//! Design-space exploration asks for the synthesis of every hardware
 //! point, even though many points differ only in knobs (threads, layout,
 //! tile size, attachment) that never reach the [`HlsConfig`]. This module
 //! collapses that redundancy: a structural content hash of the kernel
@@ -9,11 +9,22 @@
 //! HLS-relevant knobs index a process-wide concurrent memo of
 //! [`SynthSummary`] records.
 //!
+//! Naming a point and evaluating it are kept apart. The fingerprint
+//! prints the whole kernel, so it costs microseconds where a lookup costs
+//! a hash: the keyed entry points — [`SynthCache::probe`] and
+//! [`SynthCache::synthesize_keyed`] — take a fingerprint and a key the
+//! caller built, which a batch builds once per kernel and once per
+//! configuration and not once per point.
+//! [`SynthCache::get_or_synthesize`] is the one-off form: it names its
+//! point and goes through the same two calls.
+//!
 //! Concurrent callers racing on the same key are deduplicated: the first
 //! caller synthesizes while the rest block on the entry and then read the
 //! finished summary, so one synthesis run serves every variant that maps
-//! to the key. Hits and misses are counted on the
-//! `dse.hls.cache.hit` / `dse.hls.cache.miss` telemetry counters.
+//! to the key. A failed synthesis leaves nothing behind. Lookups are
+//! counted per cache ([`SynthCache::lookups`]) and on the
+//! `dse.hls.cache.hit` / `dse.hls.cache.miss` telemetry counters, both
+//! through [`SynthCache::count_lookups`].
 
 use crate::accel::{synthesize, HlsConfig, SynthSummary};
 use crate::error::HlsResult;
@@ -25,7 +36,9 @@ use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// A structural content hash of a function: the canonical printed form
 /// with the symbol name blanked, so two kernels that differ only in name
@@ -33,19 +46,33 @@ use std::sync::{Arc, OnceLock};
 /// ordered maps and values are numbered in program order), so the
 /// fingerprint is stable across processes.
 pub fn func_fingerprint(func: &Func) -> u64 {
+    // The print opens `func @<name>(`. Hashing around the name gives what
+    // hashing a copy with the name cut out (`str::hash`: the bytes, then
+    // 0xff) would, and the value is a column of committed tables.
+    const OPENING: &str = "func @";
     let text = print_func(func, 0);
-    let canon = text.replacen(&format!("@{}(", func.name), "@(", 1);
     let mut hasher = DefaultHasher::new();
-    canon.hash(&mut hasher);
+    hasher.write(OPENING.as_bytes());
+    hasher.write(&text.as_bytes()[OPENING.len() + func.name.len()..]);
+    hasher.write_u8(0xff);
     hasher.finish()
 }
 
 /// The HLS-relevant knobs of an [`HlsConfig`], flattened into a hashable
-/// key. Two configs with equal keys synthesize to identical results.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// key. Two configs with equal keys synthesize to identical results. The
+/// key owns no heap memory, so copying one into a map key is a `memcpy`,
+/// and it is hashed once, when it is made: a map hashes one word of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfigKey {
+    knobs: Knobs,
+    /// Hash of `knobs`, which is all [`Hash`] feeds a hasher.
+    digest: u64,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Knobs {
     /// Functional-unit counts in [`FuKind::ALL`] order.
-    budget: Vec<usize>,
+    budget: [usize; FuKind::ALL.len()],
     /// Bit pattern of the target clock (exact, not rounded).
     clock_bits: u64,
     pipeline: bool,
@@ -61,8 +88,8 @@ pub struct ConfigKey {
 impl ConfigKey {
     /// Derives the key for one configuration.
     pub fn of(config: &HlsConfig) -> ConfigKey {
-        ConfigKey {
-            budget: FuKind::ALL.iter().map(|kind| config.budget.count(*kind)).collect(),
+        let knobs = Knobs {
+            budget: FuKind::ALL.map(|kind| config.budget.count(kind)),
             clock_bits: config.clock_mhz.to_bits(),
             pipeline: config.pipeline,
             banks: config.banks,
@@ -71,7 +98,16 @@ impl ConfigKey {
             pe: config.pe,
             assoc_reduction: config.assoc_reduction,
             dift: config.dift.as_ref().map(|d| (d.taint_bits, d.check_on_store)),
-        }
+        };
+        let mut hasher = DefaultHasher::new();
+        knobs.hash(&mut hasher);
+        ConfigKey { knobs, digest: hasher.finish() }
+    }
+}
+
+impl Hash for ConfigKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
     }
 }
 
@@ -83,6 +119,8 @@ type Slot = Arc<Mutex<Option<SynthSummary>>>;
 #[derive(Default)]
 pub struct SynthCache {
     map: Mutex<HashMap<Key, Slot>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl SynthCache {
@@ -106,36 +144,107 @@ impl SynthCache {
         self.map.lock().clear();
     }
 
+    /// `(hits, misses)` counted on this cache since it was created.
+    pub fn lookups(&self) -> (u64, u64) {
+        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+    }
+
+    /// Counts `hits` and `misses` lookups, on this cache and on the
+    /// `dse.hls.cache.hit` / `dse.hls.cache.miss` telemetry counters. A
+    /// batch calls this once with its totals, so the registry is taken
+    /// per batch and not per point.
+    pub fn count_lookups(&self, hits: u64, misses: u64) {
+        for (total, name, n) in
+            [(&self.hits, "dse.hls.cache.hit", hits), (&self.misses, "dse.hls.cache.miss", misses)]
+        {
+            if n > 0 {
+                total.fetch_add(n, Ordering::Relaxed);
+                everest_telemetry::metrics().counter_add(name, n);
+            }
+        }
+    }
+
+    /// The finished summary under `(fingerprint, key)`, if there is one.
+    /// A synthesis of that key in flight on another thread is waited for,
+    /// not duplicated. Neither synthesizes nor counts.
+    pub fn probe(&self, fingerprint: u64, key: &ConfigKey) -> Option<SynthSummary> {
+        let slot = Arc::clone(self.map.lock().get(&(fingerprint, *key))?);
+        let summary = *slot.lock();
+        summary
+    }
+
+    /// Synthesizes `func` under `config` into the entry named
+    /// `(fingerprint, key)` — which the caller derived from the same two
+    /// ([`func_fingerprint`], [`ConfigKey::of`]) — unless a racing caller
+    /// finished it first. Callers racing on one key run one synthesis;
+    /// the rest block on the entry. Does not count the lookup.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`crate::HlsError`] from synthesis. A failure is not
+    /// cached and leaves no entry behind, so a later call retries.
+    pub fn synthesize_keyed(
+        &self,
+        fingerprint: u64,
+        key: &ConfigKey,
+        func: &Func,
+        config: &HlsConfig,
+    ) -> HlsResult<SynthSummary> {
+        let start = Instant::now();
+        let memo_key = (fingerprint, *key);
+        let slot: Slot = Arc::clone(self.map.lock().entry(memo_key).or_default());
+        let mut entry = slot.lock();
+        if let Some(summary) = *entry {
+            return Ok(summary);
+        }
+        everest_telemetry::flight().marker("dse.hls.cache.miss", 1.0);
+        let mut span = everest_telemetry::span("hls.synthesize", "hls");
+        span.attr("kernel", &func.name);
+        match synthesize(func, config) {
+            Ok(accelerator) => {
+                let summary = accelerator.summary();
+                *entry = Some(summary);
+                everest_telemetry::metrics().observe(
+                    "dse.hls.cache.miss_synthesis_us",
+                    start.elapsed().as_secs_f64() * 1e6,
+                );
+                Ok(summary)
+            }
+            Err(error) => {
+                // Take the placeholder out again. The entry lock goes
+                // first: `len` holds the map while it looks into entries.
+                drop(entry);
+                let mut map = self.map.lock();
+                if map.get(&memo_key).is_some_and(|current| Arc::ptr_eq(current, &slot)) {
+                    map.remove(&memo_key);
+                }
+                Err(error)
+            }
+        }
+    }
+
     /// Returns the memoized summary for `(func, config)`, synthesizing on
-    /// the first request. Concurrent requests for the same key block on
-    /// the in-flight synthesis instead of duplicating it.
+    /// the first request: the one-off form of [`SynthCache::probe`] +
+    /// [`SynthCache::synthesize_keyed`], which names the point itself,
+    /// counts the lookup and times a hit.
     ///
     /// # Errors
     ///
     /// Propagates [`crate::HlsError`] from synthesis; failures are not
     /// cached, so a later call retries.
     pub fn get_or_synthesize(&self, func: &Func, config: &HlsConfig) -> HlsResult<SynthSummary> {
-        let start = std::time::Instant::now();
-        let key = (func_fingerprint(func), ConfigKey::of(config));
-        let slot: Slot = Arc::clone(self.map.lock().entry(key).or_default());
-        let mut entry = slot.lock();
-        if let Some(summary) = *entry {
-            let telemetry = everest_telemetry::metrics();
-            telemetry.counter_inc("dse.hls.cache.hit");
-            // Hit latency (key hash + two lock hops) vs the synthesis
-            // cost below quantifies what the memo cache is worth.
-            telemetry.observe("dse.hls.cache.hit_us", start.elapsed().as_secs_f64() * 1e6);
+        let start = Instant::now();
+        let (fingerprint, key) = (func_fingerprint(func), ConfigKey::of(config));
+        if let Some(summary) = self.probe(fingerprint, &key) {
+            self.count_lookups(1, 0);
+            // Hit latency (naming the point + two lock hops) vs the
+            // synthesis cost quantifies what the memo is worth.
+            everest_telemetry::metrics()
+                .observe("dse.hls.cache.hit_us", start.elapsed().as_secs_f64() * 1e6);
             return Ok(summary);
         }
-        everest_telemetry::metrics().counter_inc("dse.hls.cache.miss");
-        everest_telemetry::flight().marker("dse.hls.cache.miss", 1.0);
-        let mut span = everest_telemetry::span("hls.synthesize", "hls");
-        span.attr("kernel", &func.name);
-        let summary = synthesize(func, config)?.summary();
-        *entry = Some(summary);
-        everest_telemetry::metrics()
-            .observe("dse.hls.cache.miss_synthesis_us", start.elapsed().as_secs_f64() * 1e6);
-        Ok(summary)
+        self.count_lookups(0, 1);
+        self.synthesize_keyed(fingerprint, &key, func, config)
     }
 }
 
@@ -145,15 +254,6 @@ impl SynthCache {
 pub fn global() -> &'static SynthCache {
     static CACHE: OnceLock<SynthCache> = OnceLock::new();
     CACHE.get_or_init(SynthCache::new)
-}
-
-/// Synthesizes through the [`global`] cache.
-///
-/// # Errors
-///
-/// Propagates [`crate::HlsError`] from synthesis on a cache miss.
-pub fn synthesize_cached(func: &Func, config: &HlsConfig) -> HlsResult<SynthSummary> {
-    global().get_or_synthesize(func, config)
 }
 
 #[cfg(test)]
@@ -170,6 +270,29 @@ mod tests {
         let b =
             kernel("kernel bbb(x: tensor<16xf64>) -> tensor<16xf64> { return relu(x); }", "bbb");
         assert_eq!(func_fingerprint(&a), func_fingerprint(&b));
+    }
+
+    #[test]
+    fn fingerprint_is_the_hash_of_the_print_with_the_name_cut_out() {
+        for (src, name) in [
+            ("kernel a(x: tensor<16xf64>) -> tensor<16xf64> { return relu(x); }", "a"),
+            (
+                "kernel a_long_name(x: tensor<8x8xf64>) -> tensor<8x8xf64> { return x @ x; }",
+                "a_long_name",
+            ),
+            (
+                "kernel s(x: tensor<64xf64>) -> tensor<64xf64> { return stencil(x, [0.5, 0.0, 0.5]); }",
+                "s",
+            ),
+        ] {
+            let func = kernel(src, name);
+            let text = print_func(&func, 0);
+            assert!(text.starts_with(&format!("func @{name}(")), "the print opens with the name");
+            let canon = text.replacen(&format!("@{name}("), "@(", 1);
+            let mut hasher = DefaultHasher::new();
+            canon.hash(&mut hasher);
+            assert_eq!(func_fingerprint(&func), hasher.finish(), "{name}");
+        }
     }
 
     #[test]
@@ -230,7 +353,28 @@ mod tests {
         let bad = HlsConfig { banks: 0, ..HlsConfig::default() };
         assert!(cache.get_or_synthesize(&f, &bad).is_err());
         assert_eq!(cache.len(), 0);
+        assert!(cache.map.lock().is_empty(), "a failure must not leave its placeholder behind");
+        assert!(cache.get_or_synthesize(&f, &bad).is_err(), "and is retried, not remembered");
+        assert!(cache.map.lock().is_empty());
         assert!(cache.get_or_synthesize(&f, &HlsConfig::default()).is_ok());
+        assert_eq!((cache.len(), cache.map.lock().len()), (1, 1), "a later good config caches");
+        assert_eq!(cache.lookups(), (0, 3));
+        assert!(cache.get_or_synthesize(&f, &HlsConfig::default()).is_ok());
+        assert_eq!(cache.lookups(), (1, 3));
+    }
+
+    #[test]
+    fn keyed_entry_points_are_what_the_one_off_form_goes_through() {
+        let f = kernel("kernel id(a: tensor<4xf64>) -> tensor<4xf64> { return a; }", "id");
+        let cache = SynthCache::new();
+        let config = HlsConfig::default();
+        let (fingerprint, key) = (func_fingerprint(&f), ConfigKey::of(&config));
+        assert_eq!(cache.probe(fingerprint, &key), None);
+        let keyed = cache.synthesize_keyed(fingerprint, &key, &f, &config).unwrap();
+        assert_eq!(cache.probe(fingerprint, &key), Some(keyed));
+        assert_eq!(cache.lookups(), (0, 0), "the keyed calls leave counting to their caller");
+        assert_eq!(cache.get_or_synthesize(&f, &config).unwrap(), keyed);
+        assert_eq!(cache.lookups(), (1, 0));
     }
 
     #[test]

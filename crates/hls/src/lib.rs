@@ -53,7 +53,7 @@ pub mod schedule;
 pub mod tensor_to_loops;
 
 pub use accel::{synthesize, synthesize_gated, Accelerator, DiftGate, HlsConfig, SynthSummary};
-pub use cache::{synthesize_cached, SynthCache};
+pub use cache::SynthCache;
 pub use error::{HlsError, HlsResult};
 pub use memory::{stream_buffer_brams, stream_capacity_bytes, BRAM_BYTES};
 pub use oplib::{AreaReport, FuKind};

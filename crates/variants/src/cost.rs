@@ -5,16 +5,22 @@
 //! the actual HLS flow from [`everest_hls`] and add the attachment's
 //! transfer cost. Every entry point takes the typed [`KnobVector`].
 //! [`summarize_batch`] is the one fan-out the exploration and dataset
-//! runs synthesize through.
+//! runs synthesize through. It works per batch, not per point: kernels
+//! are fingerprinted and knobs keyed once, the synthesis memo is probed
+//! before any worker starts, and only the distinct keys the memo lacks
+//! are synthesized — a memo hit costs a hash lookup.
 
 use crate::analysis::KernelWorkload;
 use crate::knob::KnobVector;
 use crate::transform::{Layout, Target};
 use crate::variant::Metrics;
-use everest_hls::accel::{synthesize, SynthSummary};
+use everest_hls::accel::{synthesize, HlsConfig, SynthSummary};
+use everest_hls::cache::{func_fingerprint, ConfigKey, SynthCache};
 use everest_hls::HlsError;
 use everest_ir::Func;
 use everest_workflow::pool;
+use std::collections::HashMap;
+use std::time::Instant;
 
 /// Reference host CPU for software variants (one POWER9-class socket).
 const GFLOPS_PER_CORE: f64 = 12.0;
@@ -50,40 +56,100 @@ pub fn evaluate_knob(
     }
 }
 
-/// The synthesis summary of a hardware point, through the shared
-/// [synthesis cache](everest_hls::cache) — points whose HLS-relevant
-/// knobs match an already-synthesized point reuse its summary — or
-/// directly (both yield bit-identical summaries). Software points are a
-/// caller bug.
-///
-/// # Errors
-///
-/// Propagates [`HlsError`] from synthesis.
-pub(crate) fn summarize_hardware(
-    func: &Func,
-    knob: &KnobVector,
-    memoize: bool,
-) -> Result<SynthSummary, HlsError> {
-    debug_assert!(knob.is_hardware(), "software points have no synthesis summary");
-    if memoize {
-        everest_hls::cache::synthesize_cached(func, &knob.hls_config())
-    } else {
-        Ok(synthesize(func, &knob.hls_config())?.summary())
-    }
+/// What [`summarize_batch`] hands back: one result per requested pair, in
+/// request order, and how the memo answered.
+pub(crate) struct Batch {
+    pub summaries: Vec<Result<SynthSummary, HlsError>>,
+    /// [`func_fingerprint`] of each kernel, taken once for the batch
+    /// (empty without a memo: the reference names nothing).
+    pub fingerprints: Vec<u64>,
+    /// Pairs served by an entry the memo already held, or by another pair
+    /// of this batch with the same key.
+    pub hits: usize,
+    /// Distinct keys the memo did not hold: the syntheses this batch ran.
+    pub misses: usize,
 }
 
-/// The batch evaluator: synthesizes every `(kernel, hardware point)` pair
-/// on `jobs` pool workers, results in input order. The exploration and
+/// The batch evaluator: the synthesis summary of every requested
+/// `(funcs[f], knobs[k])` pair, in request order. The exploration and
 /// dataset rows both come through here, so worker fan-out is decided once.
+///
+/// With a `memo`, what can be done once per batch is not done per pair:
+/// each kernel is fingerprinted once and each knob turned into its
+/// [`HlsConfig`] + [`ConfigKey`] once, the memo is probed on the calling
+/// thread, and only the distinct keys it does not hold go to the `jobs`
+/// pool workers — one synthesis per key, failing or not — before the
+/// summaries are scattered back. A batch of hits starts no worker. The
+/// lookups are counted once, on the cache, and `dse.hls.cache.hit_us`
+/// gets one observation: naming and probing, per pair.
+///
+/// Without one, every pair is synthesized directly: the memo-free
+/// reference the memoized results are tested against.
 pub(crate) fn summarize_batch(
     label: &str,
     jobs: usize,
-    memoize: bool,
-    pairs: &[(&Func, KnobVector)],
-) -> Vec<Result<SynthSummary, HlsError>> {
-    pool::parallel_map(label, jobs, pairs.to_vec(), |_, (func, knob)| {
-        summarize_hardware(func, &knob, memoize)
-    })
+    memo: Option<&SynthCache>,
+    funcs: &[&Func],
+    knobs: &[KnobVector],
+    pairs: &[(usize, usize)],
+) -> Batch {
+    debug_assert!(knobs.iter().all(KnobVector::is_hardware), "software points never synthesize");
+    let start = Instant::now();
+    let configs: Vec<(HlsConfig, ConfigKey)> = knobs
+        .iter()
+        .map(|knob| {
+            let config = knob.hls_config();
+            let key = ConfigKey::of(&config);
+            (config, key)
+        })
+        .collect();
+    let fingerprints: Vec<u64> = match memo {
+        Some(_) => funcs.iter().map(|func| func_fingerprint(func)).collect(),
+        None => Vec::new(),
+    };
+
+    // Each pair resolves to a summary now, or to the slot of `work` whose
+    // synthesis will produce it.
+    let mut work: Vec<(usize, usize)> = Vec::new();
+    let mut resolved: Vec<Result<SynthSummary, usize>> = Vec::with_capacity(pairs.len());
+    let (mut hits, mut misses) = (0, 0);
+    if let Some(cache) = memo {
+        let mut slot_of: HashMap<(u64, ConfigKey), usize> = HashMap::new();
+        for &(f, k) in pairs {
+            let (fingerprint, key) = (fingerprints[f], &configs[k].1);
+            resolved.push(cache.probe(fingerprint, key).ok_or_else(|| {
+                *slot_of.entry((fingerprint, *key)).or_insert_with(|| {
+                    work.push((f, k));
+                    work.len() - 1
+                })
+            }));
+        }
+        misses = work.len();
+        hits = pairs.len() - misses;
+        cache.count_lookups(hits as u64, misses as u64);
+        if !pairs.is_empty() {
+            let per_pair_us = start.elapsed().as_secs_f64() * 1e6 / pairs.len() as f64;
+            everest_telemetry::metrics().observe("dse.hls.cache.hit_us", per_pair_us);
+        }
+    } else {
+        work.extend_from_slice(pairs);
+        resolved.extend((0..pairs.len()).map(Err));
+    }
+
+    let synthesized = if work.is_empty() {
+        Vec::new()
+    } else {
+        pool::parallel_map(label, jobs, work, |_, (f, k)| {
+            let (config, key) = &configs[k];
+            match memo {
+                Some(cache) => cache.synthesize_keyed(fingerprints[f], key, funcs[f], config),
+                None => Ok(synthesize(funcs[f], config)?.summary()),
+            }
+        })
+    };
+    let summaries =
+        resolved.into_iter().map(|r| r.or_else(|slot| synthesized[slot].clone())).collect();
+    Batch { summaries, fingerprints, hits, misses }
 }
 
 /// Roofline software model over the typed knobs.
@@ -235,8 +301,13 @@ mod tests {
         let w = analyze(&f);
         let knob = hw(Target::FpgaBus, false);
         let direct = evaluate_knob(&f, &w, &knob).unwrap();
-        let memo =
-            metrics_from_summary(&summarize_hardware(&f, &knob, true).unwrap(), &w, knob.target());
-        assert_eq!(direct, memo, "memoized metrics must be bit-identical to direct synthesis");
+        let cache = SynthCache::new();
+        for expected in [(0, 1), (1, 1)] {
+            let batch = summarize_batch("test.worker", 2, Some(&cache), &[&f], &[knob], &[(0, 0)]);
+            let memo =
+                metrics_from_summary(batch.summaries[0].as_ref().unwrap(), &w, knob.target());
+            assert_eq!(direct, memo, "memoized metrics must be bit-identical to direct synthesis");
+            assert_eq!(cache.lookups(), expected);
+        }
     }
 }

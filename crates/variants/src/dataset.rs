@@ -129,30 +129,6 @@ pub struct DatasetRow {
     pub targets: Vec<f64>,
 }
 
-impl DatasetRow {
-    /// The row of one exactly-synthesized point: provenance from the
-    /// kernel and the sampling stream, features from the (workload, knob)
-    /// pair, targets from the synthesis summary.
-    pub(crate) fn new(
-        func: &Func,
-        workload: &KernelWorkload,
-        seed: u64,
-        index: usize,
-        knob: KnobVector,
-        summary: &SynthSummary,
-    ) -> DatasetRow {
-        DatasetRow {
-            kernel: func.name.clone(),
-            fingerprint: cache::func_fingerprint(func),
-            seed,
-            index,
-            knob,
-            features: features_for(workload, &knob),
-            targets: summary.targets().to_vec(),
-        }
-    }
-}
-
 /// A produced table of synthesized points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
@@ -256,18 +232,27 @@ pub fn produce(funcs: &[&Func], cfg: &DatasetConfig) -> VariantResult<Dataset> {
     span.attr("jobs", cfg.jobs.max(1));
 
     let workloads: Vec<KernelWorkload> = funcs.iter().map(|f| analysis::analyze(f)).collect();
-    let pairs: Vec<(&Func, KnobVector)> = (0..cfg.points)
-        .map(|i| (funcs[i % funcs.len()], cfg.domains.sample(cfg.seed, i)))
-        .collect();
-    let summaries = cost::summarize_batch("dse.dataset.worker", cfg.jobs, true, &pairs);
+    let knobs: Vec<KnobVector> = (0..cfg.points).map(|i| cfg.domains.sample(cfg.seed, i)).collect();
+    let pairs: Vec<(usize, usize)> = (0..cfg.points).map(|i| (i % funcs.len(), i)).collect();
+    let memo = Some(cache::global());
+    let batch = cost::summarize_batch("dse.dataset.worker", cfg.jobs, memo, funcs, &knobs, &pairs);
 
     let mut rows = Vec::with_capacity(cfg.points);
-    for (i, ((func, knob), summary)) in pairs.into_iter().zip(summaries).enumerate() {
+    for (i, summary) in batch.summaries.into_iter().enumerate() {
         let Ok(summary) = summary else {
             everest_telemetry::metrics().counter_inc("dse.dataset.skipped");
             continue;
         };
-        rows.push(DatasetRow::new(func, &workloads[i % funcs.len()], cfg.seed, i, knob, &summary));
+        let f = i % funcs.len();
+        rows.push(DatasetRow {
+            kernel: funcs[f].name.clone(),
+            fingerprint: batch.fingerprints[f],
+            seed: cfg.seed,
+            index: i,
+            knob: knobs[i],
+            features: features_for(&workloads[f], &knobs[i]),
+            targets: summary.targets().to_vec(),
+        });
     }
     everest_telemetry::metrics().counter_add("dse.dataset.points", rows.len() as u64);
     Ok(Dataset::from_rows(rows))

@@ -52,6 +52,7 @@ pub use knob::{KnobVector, KERNEL_FEATURES, KNOB_FEATURES};
 pub use transform::{Layout, Target, Transform};
 pub use variant::{Metrics, Variant};
 
+use everest_hls::cache::{self, SynthCache};
 use everest_ir::Func;
 
 /// Generates the full variant set for a kernel over a design space using
@@ -79,19 +80,22 @@ pub fn generate_jobs(
     Ok(generate_all(&[func], space, jobs)?.pop().expect("one variant set per kernel"))
 }
 
-/// The one exploration: enumerates the space, synthesizes every hardware
-/// (kernel × point) pair through [`cost`]'s batch evaluator — the crate's
-/// only pool fan-out — on `jobs` workers, and assembles the variant sets.
+/// The one exploration: enumerates the space, gets the synthesis summary
+/// of every hardware (kernel × point) pair from [`cost`]'s batch evaluator
+/// — the crate's only pool fan-out — and assembles the variant sets.
 /// Software points never reach the evaluator: the roofline model is
 /// arithmetic, evaluated during assembly.
 ///
 /// * `jobs == 1` is the sequential reference: every hardware point
 ///   synthesizes directly on the calling thread, in enumeration order,
 ///   with no memoization.
-/// * two or more workers evaluate concurrently and synthesize through the
-///   shared [`everest_hls::cache`], collapsing the redundancy between
-///   points that differ only in software knobs or attachment target and
-///   sharing results across structurally identical kernels.
+/// * at two or more the batch goes through the process-wide
+///   [`everest_hls::cache`]: each kernel is fingerprinted and each knob
+///   keyed once, the memo is probed on the calling thread, and only the
+///   distinct keys it lacks — points that differ in software knobs or
+///   attachment target share one, as do structurally identical kernels —
+///   are synthesized, on up to `jobs` workers. A compile the memo already
+///   covers starts no worker.
 ///
 /// Variant ids, ordering and metrics are bit-identical at any worker
 /// count; on failure, the error of the lowest-indexed failing point is
@@ -106,27 +110,48 @@ pub fn generate_all(
     space: &space::DesignSpace,
     jobs: usize,
 ) -> VariantResult<Vec<Vec<Variant>>> {
+    generate_all_in(cache::global(), funcs, space, jobs)
+}
+
+/// [`generate_all`] memoizing in `memo` rather than in the process-wide
+/// cache, so that a caller — a test, above all — can own what is cached
+/// and read its [`SynthCache::lookups`].
+///
+/// # Errors
+///
+/// As [`generate_all`].
+pub fn generate_all_in(
+    memo: &SynthCache,
+    funcs: &[&Func],
+    space: &space::DesignSpace,
+    jobs: usize,
+) -> VariantResult<Vec<Vec<Variant>>> {
     space.validate()?;
     let knobs = space.enumerate_knobs();
+    let hardware: Vec<KnobVector> = knobs.iter().copied().filter(|k| k.is_hardware()).collect();
     // Hardware (kernel, point) pairs, kernel-major in enumeration order.
-    let batch: Vec<(&Func, KnobVector)> = funcs
-        .iter()
-        .flat_map(|&func| knobs.iter().filter(|kn| kn.is_hardware()).map(move |&kn| (func, kn)))
-        .collect();
+    let pairs: Vec<(usize, usize)> =
+        (0..funcs.len()).flat_map(|f| (0..hardware.len()).map(move |k| (f, k))).collect();
 
     let mut span = everest_telemetry::span("dse.evaluate", "variants");
     span.attr("kernels", funcs.len());
     span.attr("points", funcs.len() * knobs.len());
     span.attr("jobs", jobs.max(1));
+    span.attr("hw_pairs", pairs.len());
 
     let workloads: Vec<KernelWorkload> = funcs.iter().map(|f| analysis::analyze(f)).collect();
-    let memoize = jobs >= 2;
+    let memo = (jobs >= 2).then_some(memo);
+    let batch = cost::summarize_batch("dse.worker", jobs, memo, funcs, &hardware, &pairs);
+    span.attr("hits", batch.hits);
+    span.attr("misses", batch.misses);
     // Results come back in request order, so the first error met is the
     // lowest-indexed failing pair.
-    let summaries = cost::summarize_batch("dse.worker", jobs, memoize, &batch)
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+    let summaries = batch.summaries.into_iter().collect::<Result<Vec<_>, _>>()?;
 
+    // What every kernel's variant of a point shares is made once per point:
+    // the id suffix and the transform list.
+    let points: Vec<(String, Vec<Transform>)> =
+        knobs.iter().enumerate().map(|(i, knob)| (format!("#{i}"), knob.to_transforms())).collect();
     let mut exact = summaries.iter();
     let mut sets = Vec::with_capacity(funcs.len());
     for (func, workload) in funcs.iter().zip(&workloads) {
@@ -134,7 +159,7 @@ pub fn generate_all(
         span.attr("kernel", &func.name);
         span.attr("space", knobs.len());
         let mut variants = Vec::with_capacity(knobs.len());
-        for (i, knob) in knobs.iter().enumerate() {
+        for (knob, (suffix, transforms)) in knobs.iter().zip(&points) {
             let metrics = if knob.is_hardware() {
                 let summary = exact.next().expect("one summary per hardware pair");
                 cost::metrics_from_summary(summary, workload, knob.target())
@@ -142,9 +167,9 @@ pub fn generate_all(
                 cost::software_metrics_knob(workload, knob)
             };
             variants.push(Variant {
-                id: format!("{}#{}", func.name, i),
+                id: [func.name.as_str(), suffix].concat(),
                 kernel: func.name.clone(),
-                transforms: knob.to_transforms(),
+                transforms: transforms.clone(),
                 metrics,
             });
         }
