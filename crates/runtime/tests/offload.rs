@@ -7,6 +7,7 @@ use everest_runtime::offload::{
     BreakerConfig, BreakerState, CircuitBreaker, FaultPlan, OffloadCall, OffloadManager,
     RetryPolicy, TargetClass,
 };
+use everest_workflow::seed::fnv1a;
 use proptest::prelude::*;
 
 fn call(i: usize) -> OffloadCall {
@@ -74,6 +75,53 @@ fn meltdown_still_completes_every_call_on_the_cpu() {
     // All seven FPGAs of the reference system are gone for good.
     assert_eq!(mgr.tripped_devices().len(), 7);
     assert!(mgr.trace().contains("device LOST"));
+}
+
+/// Calls of mixed payload and work, so transfer and compute times (and
+/// with them every virtual clock in the trace) differ from call to call.
+fn mixed_call(i: usize) -> OffloadCall {
+    OffloadCall {
+        kernel: format!("k{}", i % 64),
+        payload_bytes: 4096 << (i % 5),
+        work_us: 50.0 + (i * 37 % 450) as f64,
+    }
+}
+
+/// `(profile, seed, FNV-1a of trace(), lines of trace())` over 16 384
+/// [`mixed_call`]s, taken on the build whose trace events still owned
+/// their device names as `String`s. The fold, the merge and the
+/// rendering may be rearranged freely; these may not move.
+const TRACE_DIGESTS: [(&str, u64, u64, usize); 8] = [
+    ("none", 7, 0xef45_28ad_33f3_e906, 32_768),
+    ("none", 2026, 0xef45_28ad_33f3_e906, 32_768),
+    ("lossy", 7, 0x40a1_29aa_fc5f_9b6f, 49_233),
+    ("lossy", 2026, 0x0935_ce8a_c267_4f5c, 49_254),
+    ("flaky", 7, 0x95f6_81bb_3b91_d6e1, 52_088),
+    ("flaky", 2026, 0x409f_274f_af38_98bf, 52_026),
+    ("meltdown", 7, 0xb106_a420_de40_661f, 65_550),
+    ("meltdown", 2026, 0xb106_a420_de40_661f, 65_550),
+];
+
+#[test]
+fn long_traces_reproduce_the_pinned_digests() {
+    let calls: Vec<OffloadCall> = (0..16_384).map(mixed_call).collect();
+    let mut seen = Vec::new();
+    for (profile, seed, _, _) in TRACE_DIGESTS {
+        let traces: Vec<String> = [1usize, 4]
+            .iter()
+            .map(|&jobs| {
+                let plan = FaultPlan::from_profile(profile, seed).unwrap();
+                let mut mgr =
+                    OffloadManager::for_system(&System::everest_reference(), plan).unwrap();
+                mgr.run_batch(&calls, jobs).unwrap();
+                assert_eq!(mgr.events().len(), mgr.trace().lines().count());
+                mgr.trace()
+            })
+            .collect();
+        assert_eq!(traces[0], traces[1], "{profile}/{seed}: jobs 1 and 4 disagree");
+        seen.push((profile, seed, fnv1a(&traces[0]), traces[0].lines().count()));
+    }
+    assert_eq!(seen, TRACE_DIGESTS, "left: this build, right: pinned");
 }
 
 proptest! {

@@ -48,6 +48,33 @@ fn same_seed_same_trace_at_any_jobs_count() {
     assert!(serial.contains("offload.retries"), "missing counters: {serial}");
 }
 
+/// The whole stdout below the header — every trace line, the summary,
+/// the reschedule and the counters — is pinned byte for byte. The file
+/// was written by the build before trace events carried chain indices
+/// instead of device names, so it checks the rendering as well as the
+/// fold.
+#[test]
+fn pinned_seed_reproduces_the_golden_trace_at_any_jobs_count() {
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/offload_trace_flaky_seed7.txt"
+    ))
+    .expect("golden offload trace is committed");
+    for jobs in ["1", "2", "4"] {
+        let out = everestc()
+            .args(["offload", "--seed", "7", "--fault-profile", "flaky", "--calls", "256"])
+            .args(["--jobs", jobs])
+            .output()
+            .expect("everestc runs");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(
+            trace_of(&String::from_utf8_lossy(&out.stdout)),
+            golden.trim_end_matches('\n'),
+            "--jobs {jobs} must reproduce the golden trace byte for byte"
+        );
+    }
+}
+
 #[test]
 fn meltdown_completes_on_the_cpu_in_degraded_mode() {
     let out = everestc()
