@@ -7,6 +7,7 @@
 
 use crate::autotuner::SystemState;
 use everest_security::{AutoProtect, ProtectAction, TimingMonitor};
+use everest_telemetry::LogHistogram;
 
 /// Aggregated runtime monitor for one kernel.
 #[derive(Debug, Clone)]
@@ -35,9 +36,29 @@ impl RuntimeMonitor {
     /// Records one invocation: observed latency plus monitor alarms from
     /// the data-protection layer.
     pub fn record(&mut self, latency_us: f64, access_alarm: bool, range_alarm: bool) {
+        everest_telemetry::metrics().observe("runtime.latency_us", latency_us);
+        self.step(latency_us, access_alarm, range_alarm);
+    }
+
+    /// Records a run of invocations in order — the same alarms, counters
+    /// and state as [`RuntimeMonitor::record`] on each in turn — with
+    /// their latencies gathered locally and folded into
+    /// `runtime.latency_us` once, so a long run takes the registry lock
+    /// once instead of once per invocation.
+    pub fn record_batch(&mut self, records: impl IntoIterator<Item = (f64, bool, bool)>) {
+        let mut latencies = LogHistogram::new();
+        for (latency_us, access_alarm, range_alarm) in records {
+            latencies.observe(latency_us);
+            self.step(latency_us, access_alarm, range_alarm);
+        }
+        everest_telemetry::metrics().merge_histogram("runtime.latency_us", &latencies);
+    }
+
+    /// Feeds one observation to the timing monitor and the protection
+    /// policy, raising alarms and switching mode as they decide.
+    fn step(&mut self, latency_us: f64, access_alarm: bool, range_alarm: bool) {
         let telemetry = everest_telemetry::metrics();
         let flight = everest_telemetry::flight();
-        telemetry.observe("runtime.latency_us", latency_us);
         let timing_alarm = self.timing.observe(latency_us);
         // Each alarm also snapshots the flight recorder, so the events
         // *leading up to* the alarm survive for post-hoc inspection
@@ -56,9 +77,14 @@ impl RuntimeMonitor {
         }
         match self.protect.step(timing_alarm, access_alarm, range_alarm) {
             ProtectAction::None | ProtectAction::Audit => {}
+            // The policy asks for the hardened variant on every step once
+            // its alarm counts are past the threshold; the switch happens
+            // (and is counted) when the mode actually changes.
             ProtectAction::SwitchHardenedVariant => {
-                telemetry.counter_inc("runtime.hardened_switches");
-                self.hardened_mode = true;
+                if !self.hardened_mode {
+                    telemetry.counter_inc("runtime.hardened_switches");
+                    self.hardened_mode = true;
+                }
             }
             ProtectAction::Isolate => {
                 telemetry.counter_inc("runtime.isolations");
@@ -125,6 +151,22 @@ mod tests {
         assert!(m.system_state().require_hardened);
         m.reset_protection();
         assert!(!m.system_state().require_hardened);
+    }
+
+    #[test]
+    fn a_batch_records_what_one_by_one_records() {
+        let history =
+            |i: u32| (100.0 + f64::from(i % 7), i % 97 == 96, i % 41 == 40 || i % 97 == 96);
+        let mut one_by_one = RuntimeMonitor::new(5);
+        let mut batched = one_by_one.clone();
+        for i in 0..500 {
+            let (latency_us, access, range) = history(i);
+            one_by_one.record(latency_us, access, range);
+        }
+        batched.record_batch((0..500).map(history));
+        assert_eq!(batched.system_state(), one_by_one.system_state());
+        assert_eq!(batched.isolations(), one_by_one.isolations());
+        assert!(one_by_one.isolations() > 0, "the history escalates");
     }
 
     #[test]

@@ -44,13 +44,25 @@ impl RetryPolicy {
     /// `[nominal/2, nominal)`, derived from `(seed, device, invocation,
     /// attempt)` so schedules replay bit-identically per seed.
     pub fn backoff_us(&self, seed: u64, device: &str, invocation: u64, attempt: u32) -> f64 {
+        self.keyed_backoff_us(backoff_key(seed, device), invocation, attempt)
+    }
+
+    /// [`RetryPolicy::backoff_us`] for a device whose [`backoff_key`] is
+    /// already known: the form the fold uses, one key per chain target.
+    pub(super) fn keyed_backoff_us(&self, key: u64, invocation: u64, attempt: u32) -> f64 {
         let nominal = self.nominal_backoff_us(attempt);
-        let word = mix(seed ^ fnv1a(device).rotate_left(17))
-            ^ mix(invocation.wrapping_mul(0x9e37_79b9).wrapping_add(u64::from(attempt)));
+        let word = key ^ mix(invocation.wrapping_mul(0x9e37_79b9).wrapping_add(u64::from(attempt)));
         let mut rng = ChaCha8Rng::seed_from_u64(word);
         let unit: f64 = rng.gen_range(0.0..1.0);
         nominal * (0.5 + 0.5 * unit)
     }
+}
+
+/// The device-keyed seed word of the backoff jitter. The rotation keeps
+/// this stream apart from the fault plan's, which hashes the same name
+/// under the same seed.
+pub(super) fn backoff_key(seed: u64, device: &str) -> u64 {
+    mix(seed ^ fnv1a(device).rotate_left(17))
 }
 
 /// Circuit-breaker states (the classic three-state machine).

@@ -1,9 +1,16 @@
 //! What goes in and comes out of the fold: chain targets, calls,
 //! outcomes and the retry/fallback trace events.
+//!
+//! A batch makes two to four events per call, so an [`OffloadEvent`] is
+//! `Copy` and owns nothing: it names a device by its index in the
+//! manager's chain, and [`OffloadEvent::display`] puts the name back when
+//! the trace is printed. An [`OffloadOutcome`] — one per call — shares
+//! its device name with the chain target instead of copying it.
 
 use super::fault::FaultKind;
 use everest_platform::{Link, LinkProfile};
 use std::fmt;
+use std::sync::Arc;
 
 /// Where in the fallback chain a target sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +64,8 @@ pub struct OffloadCall {
 pub struct OffloadOutcome {
     /// Invocation index (assignment order).
     pub task: u64,
-    /// Device that completed the call.
-    pub device: String,
+    /// Device that completed the call (`&outcome.device` is a `&str`).
+    pub device: Arc<str>,
     /// Its class.
     pub class: TargetClass,
     /// Attempts made across the whole chain.
@@ -70,15 +77,37 @@ pub struct OffloadOutcome {
     pub degraded: bool,
 }
 
-/// One entry of the deterministic retry/fallback trace.
-#[derive(Debug, Clone, PartialEq)]
+/// Why a target was skipped without an attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SkipReason {
+    /// Its breaker is open and still cooling down.
+    BreakerOpen,
+    /// It was lost for good earlier in the run.
+    DeviceLost,
+}
+
+impl fmt::Display for SkipReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SkipReason::BreakerOpen => "breaker-open",
+            SkipReason::DeviceLost => "device-lost",
+        })
+    }
+}
+
+/// One entry of the deterministic retry/fallback trace. Every `device`,
+/// `from` and `to` is an index into [`OffloadManager::chain`] of the
+/// manager that recorded the event.
+///
+/// [`OffloadManager::chain`]: super::OffloadManager::chain
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OffloadEvent {
     /// An attempt started on a device.
     Attempt {
         /// Invocation index.
         task: u64,
         /// Target device.
-        device: String,
+        device: u16,
         /// Attempt number on this device (0-based).
         attempt: u32,
     },
@@ -87,7 +116,7 @@ pub enum OffloadEvent {
         /// Invocation index.
         task: u64,
         /// Target device.
-        device: String,
+        device: u16,
         /// Attempt number on this device.
         attempt: u32,
         /// Failure mode.
@@ -98,7 +127,7 @@ pub enum OffloadEvent {
         /// Invocation index.
         task: u64,
         /// Target device.
-        device: String,
+        device: u16,
         /// The retry this wait precedes (1-based).
         attempt: u32,
         /// Jittered wait, microseconds.
@@ -109,55 +138,53 @@ pub enum OffloadEvent {
         /// Invocation index.
         task: u64,
         /// Skipped device.
-        device: String,
-        /// Why (`breaker-open` or `device-lost`).
-        reason: &'static str,
+        device: u16,
+        /// Why.
+        reason: SkipReason,
     },
     /// A device's breaker tripped open.
     BreakerOpened {
         /// Invocation index that tripped it.
         task: u64,
         /// Device.
-        device: String,
+        device: u16,
     },
     /// A breaker began half-open probing.
     BreakerHalfOpen {
         /// Invocation index probing it.
         task: u64,
         /// Device.
-        device: String,
+        device: u16,
     },
     /// A half-open breaker re-closed after successful probes.
     BreakerClosed {
         /// Invocation index that closed it.
         task: u64,
         /// Device.
-        device: String,
+        device: u16,
     },
     /// A device was lost permanently.
     DeviceLost {
         /// Invocation index that observed the loss.
         task: u64,
         /// Device.
-        device: String,
+        device: u16,
     },
     /// The call moved down the fallback chain.
     Fallback {
         /// Invocation index.
         task: u64,
         /// Abandoned device.
-        from: String,
+        from: u16,
         /// Next device in the chain.
-        to: String,
+        to: u16,
     },
     /// The call completed.
     Completed {
         /// Invocation index.
         task: u64,
         /// Completing device.
-        device: String,
-        /// Its class.
-        class: TargetClass,
+        device: u16,
         /// Attempts across the whole chain.
         attempts: u32,
         /// Simulated end-to-end time, microseconds.
@@ -165,61 +192,64 @@ pub enum OffloadEvent {
     },
 }
 
-impl fmt::Display for OffloadEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OffloadEvent::Attempt { task, device, attempt } => {
-                write!(f, "task {task}: attempt {attempt} on {device}")
-            }
-            OffloadEvent::Fault { task, device, attempt, kind } => {
-                write!(f, "task {task}: {kind} on {device} (attempt {attempt})")
-            }
-            OffloadEvent::Backoff { task, device, attempt, wait_us } => {
-                write!(f, "task {task}: backoff {wait_us:.1} us before retry {attempt} on {device}")
-            }
-            OffloadEvent::Skip { task, device, reason } => {
-                write!(f, "task {task}: skip {device} ({reason})")
-            }
-            OffloadEvent::BreakerOpened { task, device } => {
-                write!(f, "task {task}: breaker OPEN on {device}")
-            }
-            OffloadEvent::BreakerHalfOpen { task, device } => {
-                write!(f, "task {task}: breaker HALF-OPEN on {device}")
-            }
-            OffloadEvent::BreakerClosed { task, device } => {
-                write!(f, "task {task}: breaker CLOSED on {device}")
-            }
-            OffloadEvent::DeviceLost { task, device } => {
-                write!(f, "task {task}: device LOST: {device}")
-            }
-            OffloadEvent::Fallback { task, from, to } => {
-                write!(f, "task {task}: fallback {from} -> {to}")
-            }
-            OffloadEvent::Completed { task, device, class, attempts, elapsed_us } => {
-                write!(
-                    f,
-                    "task {task}: completed on {device} [{class}] after {attempts} attempts, {elapsed_us:.1} us"
-                )
-            }
-        }
+impl OffloadEvent {
+    /// The event as its trace line, with device names (and the completing
+    /// target's class) looked up in `chain`.
+    ///
+    /// # Panics
+    ///
+    /// Formatting panics when `chain` is shorter than the chain of the
+    /// manager that recorded the event.
+    pub fn display<'a>(&'a self, chain: &'a [OffloadTarget]) -> impl fmt::Display + 'a {
+        TraceLine { event: self, chain }
     }
 }
 
-impl OffloadEvent {
-    /// The invocation index this event belongs to (used by the merge
-    /// phase to re-interleave lane-local traces in invocation order).
-    pub(super) fn task(&self) -> u64 {
-        match self {
-            OffloadEvent::Attempt { task, .. }
-            | OffloadEvent::Fault { task, .. }
-            | OffloadEvent::Backoff { task, .. }
-            | OffloadEvent::Skip { task, .. }
-            | OffloadEvent::BreakerOpened { task, .. }
-            | OffloadEvent::BreakerHalfOpen { task, .. }
-            | OffloadEvent::BreakerClosed { task, .. }
-            | OffloadEvent::DeviceLost { task, .. }
-            | OffloadEvent::Fallback { task, .. }
-            | OffloadEvent::Completed { task, .. } => *task,
+/// [`OffloadEvent::display`]'s adapter.
+struct TraceLine<'a> {
+    event: &'a OffloadEvent,
+    chain: &'a [OffloadTarget],
+}
+
+impl fmt::Display for TraceLine<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = |index: u16| self.chain[usize::from(index)].device.as_str();
+        match *self.event {
+            OffloadEvent::Attempt { task, device, attempt } => {
+                write!(f, "task {task}: attempt {attempt} on {}", name(device))
+            }
+            OffloadEvent::Fault { task, device, attempt, kind } => {
+                write!(f, "task {task}: {kind} on {} (attempt {attempt})", name(device))
+            }
+            OffloadEvent::Backoff { task, device, attempt, wait_us } => write!(
+                f,
+                "task {task}: backoff {wait_us:.1} us before retry {attempt} on {}",
+                name(device)
+            ),
+            OffloadEvent::Skip { task, device, reason } => {
+                write!(f, "task {task}: skip {} ({reason})", name(device))
+            }
+            OffloadEvent::BreakerOpened { task, device } => {
+                write!(f, "task {task}: breaker OPEN on {}", name(device))
+            }
+            OffloadEvent::BreakerHalfOpen { task, device } => {
+                write!(f, "task {task}: breaker HALF-OPEN on {}", name(device))
+            }
+            OffloadEvent::BreakerClosed { task, device } => {
+                write!(f, "task {task}: breaker CLOSED on {}", name(device))
+            }
+            OffloadEvent::DeviceLost { task, device } => {
+                write!(f, "task {task}: device LOST: {}", name(device))
+            }
+            OffloadEvent::Fallback { task, from, to } => {
+                write!(f, "task {task}: fallback {} -> {}", name(from), name(to))
+            }
+            OffloadEvent::Completed { task, device, attempts, elapsed_us } => write!(
+                f,
+                "task {task}: completed on {} [{}] after {attempts} attempts, {elapsed_us:.1} us",
+                name(device),
+                self.chain[usize::from(device)].class
+            ),
         }
     }
 }

@@ -1,4 +1,10 @@
 //! The seeded fault-injection plan: which failure an attempt meets.
+//!
+//! [`FaultPlan::outcome`] is the public, name-keyed form. It goes through
+//! [`FaultKey`], the plan resolved for one device, which is what the fold
+//! holds per chain target: the rates (two map look-ups) and the
+//! device-keyed seed word (one name hash) are found once, at
+//! construction, instead of once per attempt.
 
 use crate::error::{RuntimeError, RuntimeResult};
 use everest_platform::LinkProfile;
@@ -167,8 +173,50 @@ impl FaultPlan {
         invocation: u64,
         attempt: u32,
     ) -> Option<FaultKind> {
+        self.key_for(device, profile).outcome(invocation, attempt)
+    }
+
+    /// Everything about `device` that [`FaultPlan::outcome`] looks up or
+    /// hashes, resolved once. The fold keeps one per chain target.
+    pub(super) fn key_for(&self, device: &str, profile: Option<LinkProfile>) -> FaultKey {
         let rates = self.rates_for(device, profile);
-        let seed = mix(self.seed ^ fnv1a(device))
+        FaultKey {
+            rates,
+            word: mix(self.seed ^ fnv1a(device)),
+            armed: [rates.drop, rates.timeout, rates.corrupt, rates.device_loss]
+                .iter()
+                .any(|p| *p > 0.0),
+        }
+    }
+}
+
+/// A [`FaultPlan`] resolved for one device: its rates and the
+/// device-keyed seed word, so sampling an attempt is arithmetic only —
+/// no map look-up, no name hash.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct FaultKey {
+    rates: FaultRates,
+    /// `mix(seed ^ fnv1a(device))`.
+    word: u64,
+    /// Whether any rate is positive. When none is, every threshold below
+    /// is 0 and `draw < 0` never holds for a draw from `[0, 1)`, so the
+    /// draw is skipped.
+    armed: bool,
+}
+
+impl FaultKey {
+    /// The key of a target that never faults (the local reference
+    /// kernel).
+    pub(super) const NEVER: FaultKey = FaultKey { rates: FaultRates::NONE, word: 0, armed: false };
+
+    /// The outcome of attempt `attempt` of invocation `invocation` on
+    /// this key's device.
+    pub(super) fn outcome(&self, invocation: u64, attempt: u32) -> Option<FaultKind> {
+        if !self.armed {
+            return None;
+        }
+        let rates = &self.rates;
+        let seed = self.word
             ^ mix(invocation.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(u64::from(attempt)));
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let draw: f64 = rng.gen_range(0.0..1.0);

@@ -1,12 +1,72 @@
 //! The lane fold: one call through retry, breaker and fallback, and a
 //! lane's share of a batch.
+//!
+//! Everything the fold needs to know about a target is resolved when the
+//! manager is built and kept in the lane's [`Rung`]: the chain index that
+//! trace events carry, link and speedup, the shared device name, the
+//! [`FaultKey`] and the backoff seed word. A call therefore costs its
+//! arithmetic — one ChaCha draw per attempt on a target that can fault,
+//! none on one that cannot — and no heap allocation, map look-up or name
+//! hash per event, rung or attempt. What a call adds to the `offload.*`
+//! metrics comes back as a [`CallStats`], which a lane fold sums locally
+//! and the single-call path publishes as is.
 
-use super::breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
-use super::event::{OffloadCall, OffloadEvent, OffloadOutcome, OffloadTarget, TargetClass};
-use super::fault::{FaultKind, FaultPlan};
+use super::breaker::{backoff_key, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
+use super::event::{
+    OffloadCall, OffloadEvent, OffloadOutcome, OffloadTarget, SkipReason, TargetClass,
+};
+use super::fault::{FaultKey, FaultKind, FaultPlan};
 use crate::error::{RuntimeError, RuntimeResult};
-use everest_telemetry::LogHistogram;
+use everest_platform::Link;
+use everest_telemetry::{EventKind, LogHistogram};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// One rung of a lane: a chain target as the fold sees it, plus the
+/// recovery state the lane keeps for it.
+#[derive(Debug, Clone)]
+pub(super) struct Rung {
+    /// Index of the target in the chain; what trace events carry.
+    pub(super) target: u16,
+    class: TargetClass,
+    link: Link,
+    speedup: f64,
+    /// The device name, shared with every outcome that completes here.
+    /// Each lane holds its own copy, so lanes folding in parallel never
+    /// touch one reference count — the CPU terminal sits on all of them.
+    name: Arc<str>,
+    faults: FaultKey,
+    backoff_key: u64,
+    pub(super) breaker: CircuitBreaker,
+    /// Permanent-loss flag.
+    pub(super) lost: bool,
+}
+
+impl Rung {
+    fn new(index: usize, target: &OffloadTarget, plan: &FaultPlan, cfg: BreakerConfig) -> Rung {
+        Rung {
+            target: u16::try_from(index).expect("the manager bounds the chain length"),
+            class: target.class,
+            link: target.link,
+            speedup: target.speedup,
+            name: Arc::from(target.device.as_str()),
+            faults: if target.class == TargetClass::HostCpu {
+                // The reference kernel is local: no injected faults.
+                FaultKey::NEVER
+            } else {
+                plan.key_for(&target.device, target.profile)
+            },
+            backoff_key: backoff_key(plan.seed(), &target.device),
+            breaker: CircuitBreaker::new(cfg),
+            lost: false,
+        }
+    }
+
+    /// Lost, or breaker not Closed.
+    pub(super) fn is_tripped(&self) -> bool {
+        self.lost || self.breaker.state() != BreakerState::Closed
+    }
+}
 
 /// One fold lane: a disjoint slice of the fallback chain rooted at a
 /// primary device, ending in the shared (stateless) CPU terminal. The
@@ -15,31 +75,18 @@ use std::time::Instant;
 /// sharing anything mutable.
 #[derive(Debug, Clone)]
 pub(super) struct Lane {
-    /// Chain indices this lane tries, in preference order.
-    pub(super) targets: Vec<usize>,
-    /// Breaker per rung (parallel to `targets`).
-    pub(super) breakers: Vec<CircuitBreaker>,
-    /// Permanent-loss flag per rung (parallel to `targets`).
-    pub(super) lost: Vec<bool>,
+    /// The targets this lane tries, in preference order.
+    pub(super) rungs: Vec<Rung>,
     /// The lane's simulated clock, microseconds.
     pub(super) clock_us: f64,
+    /// Scratch: the flight events of the call being folded, recorded as
+    /// one group (one clock read, one ring lock) when the call ends.
+    flight: Vec<(EventKind, &'static str, f64)>,
 }
 
 impl Lane {
-    fn new(targets: Vec<usize>, cfg: BreakerConfig) -> Lane {
-        let n = targets.len();
-        Lane {
-            targets,
-            breakers: vec![CircuitBreaker::new(cfg); n],
-            lost: vec![false; n],
-            clock_us: 0.0,
-        }
-    }
-
-    fn push(&mut self, idx: usize, cfg: BreakerConfig) {
-        self.targets.push(idx);
-        self.breakers.push(CircuitBreaker::new(cfg));
-        self.lost.push(false);
+    fn new(rungs: Vec<Rung>) -> Lane {
+        Lane { rungs, clock_us: 0.0, flight: Vec::new() }
     }
 }
 
@@ -51,56 +98,48 @@ impl Lane {
 /// cross-device fallback: a call whose device is unavailable degrades
 /// straight to the CPU reference kernel. A chain with no FPGA rungs
 /// collapses to a single lane over everything.
-pub(super) fn partition_lanes(chain: &[OffloadTarget], cfg: BreakerConfig) -> Vec<Lane> {
-    if !chain.iter().any(|t| t.class != TargetClass::HostCpu) {
-        return vec![Lane::new((0..chain.len()).collect(), cfg)];
+pub(super) fn partition_lanes(
+    chain: &[OffloadTarget],
+    plan: &FaultPlan,
+    cfg: BreakerConfig,
+) -> Vec<Lane> {
+    let rung = |i: usize| Rung::new(i, &chain[i], plan, cfg);
+    let is_cpu = |i: &usize| chain[*i].class == TargetClass::HostCpu;
+    let fpgas: Vec<usize> = (0..chain.len()).filter(|i| !is_cpu(i)).collect();
+    if fpgas.is_empty() {
+        return vec![Lane::new((0..chain.len()).map(rung).collect())];
     }
-    let mut lanes: Vec<Lane> = chain
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.class != TargetClass::HostCpu)
-        .map(|(i, _)| Lane::new(vec![i], cfg))
-        .collect();
-    for (i, t) in chain.iter().enumerate() {
-        if t.class == TargetClass::HostCpu {
-            for lane in &mut lanes {
-                lane.push(i, cfg);
-            }
-        }
-    }
-    lanes
+    fpgas
+        .into_iter()
+        .map(|root| {
+            let terminals = (0..chain.len()).filter(is_cpu);
+            Lane::new(std::iter::once(root).chain(terminals).map(rung).collect())
+        })
+        .collect()
 }
 
-/// Lane-local telemetry, flushed to the global registry once per lane
-/// fold so the hot loop never takes the registry lock.
-pub(super) struct LaneStats {
+/// The `offload.*` counters, as deltas to add to the registry.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counters {
     completed: u64,
     faults: u64,
     retries: u64,
     fallbacks: u64,
     device_loss: u64,
     breaker_open: u64,
-    latency: LogHistogram,
-    sim: LogHistogram,
-    attempts: LogHistogram,
 }
 
-impl LaneStats {
-    pub(super) fn new() -> LaneStats {
-        LaneStats {
-            completed: 0,
-            faults: 0,
-            retries: 0,
-            fallbacks: 0,
-            device_loss: 0,
-            breaker_open: 0,
-            latency: LogHistogram::new(),
-            sim: LogHistogram::new(),
-            attempts: LogHistogram::new(),
-        }
+impl Counters {
+    fn add(&mut self, other: &Counters) {
+        self.completed += other.completed;
+        self.faults += other.faults;
+        self.retries += other.retries;
+        self.fallbacks += other.fallbacks;
+        self.device_loss += other.device_loss;
+        self.breaker_open += other.breaker_open;
     }
 
-    pub(super) fn flush(&self) {
+    fn publish(&self) {
         let telemetry = everest_telemetry::metrics();
         for (name, value) in [
             ("offload.completed", self.completed),
@@ -114,6 +153,62 @@ impl LaneStats {
                 telemetry.counter_add(name, value);
             }
         }
+    }
+}
+
+/// What one call adds to the `offload.*` metrics: counter deltas, and
+/// the call's one observation for each per-call histogram.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct CallStats {
+    counters: Counters,
+    /// Attempts across the whole lane (`offload.call.attempts`).
+    attempts: u32,
+    /// For a call that completed: the successful attempt's latency
+    /// (`offload.latency_us`) and the whole call's simulated time
+    /// (`offload.call.sim_us`).
+    completed: Option<(f64, f64)>,
+}
+
+impl CallStats {
+    /// Publishes one call straight to the registry: what the single-call
+    /// path does, where lane-local histograms would cost more to
+    /// allocate and merge than the three observations they save.
+    pub(super) fn publish(&self) {
+        let telemetry = everest_telemetry::metrics();
+        self.counters.publish();
+        if let Some((latency_us, sim_us)) = self.completed {
+            telemetry.observe("offload.latency_us", latency_us);
+            telemetry.observe("offload.call.sim_us", sim_us);
+        }
+        telemetry.observe("offload.call.attempts", f64::from(self.attempts));
+    }
+}
+
+/// Lane-local telemetry, so the hot loop never takes the registry lock.
+/// The merge flushes it once per lane fold, in lane order — not the pool
+/// worker, whenever it happens to finish — so that the histograms'
+/// floating-point sums do not depend on `jobs` or on thread timing.
+#[derive(Default)]
+pub(super) struct LaneStats {
+    counters: Counters,
+    latency: LogHistogram,
+    sim: LogHistogram,
+    attempts: LogHistogram,
+}
+
+impl LaneStats {
+    fn add(&mut self, call: &CallStats) {
+        self.counters.add(&call.counters);
+        if let Some((latency_us, sim_us)) = call.completed {
+            self.latency.observe(latency_us);
+            self.sim.observe(sim_us);
+        }
+        self.attempts.observe(f64::from(call.attempts));
+    }
+
+    pub(super) fn flush(&self) {
+        let telemetry = everest_telemetry::metrics();
+        self.counters.publish();
         telemetry.merge_histogram("offload.latency_us", &self.latency);
         telemetry.merge_histogram("offload.call.sim_us", &self.sim);
         telemetry.merge_histogram("offload.call.attempts", &self.attempts);
@@ -121,10 +216,10 @@ impl LaneStats {
 }
 
 /// A monitor observation deferred until the merge phase:
-/// `(task, latency_us, access_alarm, range_alarm)`. The EWMA monitor is
+/// `(latency_us, access_alarm, range_alarm)`. The EWMA monitor is
 /// order-sensitive, so lanes queue observations and the merge replays
 /// them in invocation order.
-pub(super) type MonitorRecord = (u64, f64, bool, bool);
+pub(super) type MonitorRecord = (f64, bool, bool);
 
 /// Everything one lane fold produces, merged back on the caller thread.
 pub(super) struct LaneReport {
@@ -132,29 +227,19 @@ pub(super) struct LaneReport {
     pub(super) results: Vec<RuntimeResult<OffloadOutcome>>,
     pub(super) events: Vec<OffloadEvent>,
     pub(super) records: Vec<MonitorRecord>,
+    /// Per task, where its events and records end in the two buffers
+    /// above (they begin where the previous task's end).
+    pub(super) ends: Vec<(usize, usize)>,
+    pub(super) stats: LaneStats,
     pub(super) fold_us: f64,
 }
 
-/// Emits the `Fallback` trace event (and counts it, when the abandoned
-/// rung was actually attempted) for a call moving down its lane.
-#[allow(clippy::too_many_arguments)]
-fn push_fallback(
-    lane: &Lane,
-    li: usize,
-    chain: &[OffloadTarget],
-    task: u64,
-    from: &str,
-    events: &mut Vec<OffloadEvent>,
-    stats: &mut LaneStats,
-    tried: bool,
-) {
-    if li + 1 < lane.targets.len() {
-        let to = chain[lane.targets[li + 1]].device.clone();
-        events.push(OffloadEvent::Fallback { task, from: from.to_owned(), to });
-        if tried {
-            stats.fallbacks += 1;
-            everest_telemetry::flight().marker("offload.fallback", task as f64);
-        }
+impl LaneReport {
+    /// The events and monitor records of the lane's `k`-th task.
+    pub(super) fn task(&self, k: usize) -> (&[OffloadEvent], &[MonitorRecord]) {
+        let (events_at, records_at) = if k == 0 { (0, 0) } else { self.ends[k - 1] };
+        let (events_end, records_end) = self.ends[k];
+        (&self.events[events_at..events_end], &self.records[records_at..records_end])
     }
 }
 
@@ -163,21 +248,17 @@ fn push_fallback(
 /// `(seed, device, task, attempt)`, so inline sampling is identical to
 /// pre-sampling). Mutates only lane-local state; trace events and
 /// monitor observations queue into the caller's buffers for the merge.
-#[allow(clippy::too_many_arguments)]
 pub(super) fn fold_call(
-    plan: &FaultPlan,
     retry: &RetryPolicy,
-    chain: &[OffloadTarget],
     lane: &mut Lane,
     task: u64,
     call: &OffloadCall,
     events: &mut Vec<OffloadEvent>,
     records: &mut Vec<MonitorRecord>,
-    stats: &mut LaneStats,
-) -> RuntimeResult<OffloadOutcome> {
-    let flight = everest_telemetry::flight();
-    let clock_start = lane.clock_us;
-    let mut attempts_total: u32 = 0;
+) -> (RuntimeResult<OffloadOutcome>, CallStats) {
+    let Lane { rungs, clock_us, flight } = lane;
+    let clock_start = *clock_us;
+    let mut stats = CallStats::default();
 
     // Causal context: attempt spans opened below nest under this call
     // span, so a recorded trace links every retry/backoff/fallback to
@@ -185,89 +266,67 @@ pub(super) fn fold_call(
     let mut call_span = everest_telemetry::span("offload.call", "offload");
     call_span.attr("task", task);
     call_span.attr("kernel", &call.kernel);
-    flight.record(everest_telemetry::EventKind::SpanBegin, "offload.call", task as f64);
+    flight.clear();
+    flight.push((EventKind::SpanBegin, "offload.call", task as f64));
 
-    for li in 0..lane.targets.len() {
-        let target = &chain[lane.targets[li]];
-        let device = target.device.clone();
-
-        if lane.lost[li] {
-            events.push(OffloadEvent::Skip { task, device: device.clone(), reason: "device-lost" });
-            push_fallback(lane, li, chain, task, &device, events, stats, false);
-            continue;
-        }
-        match lane.breakers[li].poll(lane.clock_us) {
-            BreakerState::Open => {
-                events.push(OffloadEvent::Skip {
-                    task,
-                    device: device.clone(),
-                    reason: "breaker-open",
-                });
-                push_fallback(lane, li, chain, task, &device, events, stats, false);
-                continue;
-            }
-            BreakerState::HalfOpen => {
-                events.push(OffloadEvent::BreakerHalfOpen { task, device: device.clone() });
-            }
-            BreakerState::Closed => {}
-        }
-
-        let transfer_us = target.link.transfer_us(call.payload_bytes);
-        let compute_us = call.work_us / target.speedup;
-        let mut abandoned = false;
-        for attempt in 0..retry.max_attempts.max(1) {
-            events.push(OffloadEvent::Attempt { task, device: device.clone(), attempt });
-            attempts_total += 1;
-            let mut attempt_span = everest_telemetry::span("offload.attempt", "offload");
-            attempt_span.attr("task", task);
-            attempt_span.attr("device", &device);
-            attempt_span.attr("attempt", attempt);
-            flight.marker("offload.attempt", attempt as f64);
-            let outcome = if target.class == TargetClass::HostCpu {
-                // The reference kernel is local: no injected faults.
-                None
-            } else {
-                plan.outcome(&device, target.profile, task, attempt)
-            };
-            match outcome {
-                None => {
-                    let latency = transfer_us + compute_us;
-                    lane.clock_us += latency;
-                    records.push((task, latency, false, false));
-                    stats.latency.observe(latency);
-                    stats.completed += 1;
-                    if lane.breakers[li].on_success() {
-                        events.push(OffloadEvent::BreakerClosed { task, device: device.clone() });
-                    }
-                    events.push(OffloadEvent::Completed {
-                        task,
-                        device: device.clone(),
-                        class: target.class,
-                        attempts: attempts_total,
-                        elapsed_us: lane.clock_us,
-                    });
-                    let sim_us = lane.clock_us - clock_start;
-                    stats.sim.observe(sim_us);
-                    stats.attempts.observe(f64::from(attempts_total));
-                    flight.record(everest_telemetry::EventKind::SpanEnd, "offload.call", sim_us);
-                    return Ok(OffloadOutcome {
-                        task,
-                        device,
-                        class: target.class,
-                        attempts: attempts_total,
-                        elapsed_us: lane.clock_us,
-                        degraded: li != 0,
-                    });
+    let completed = 'rungs: {
+        for li in 0..rungs.len() {
+            let next = rungs.get(li + 1).map(|r| r.target);
+            let rung = &mut rungs[li];
+            let device = rung.target;
+            // Whether the rung was attempted at all before the call left it.
+            let tried = 'rung: {
+                if rung.lost {
+                    let reason = SkipReason::DeviceLost;
+                    events.push(OffloadEvent::Skip { task, device, reason });
+                    break 'rung false;
                 }
-                Some(kind) => {
-                    stats.faults += 1;
-                    flight.record(everest_telemetry::EventKind::CounterAdd, "offload.faults", 1.0);
-                    events.push(OffloadEvent::Fault {
-                        task,
-                        device: device.clone(),
-                        attempt,
-                        kind,
-                    });
+                match rung.breaker.poll(*clock_us) {
+                    BreakerState::Open => {
+                        let reason = SkipReason::BreakerOpen;
+                        events.push(OffloadEvent::Skip { task, device, reason });
+                        break 'rung false;
+                    }
+                    BreakerState::HalfOpen => {
+                        events.push(OffloadEvent::BreakerHalfOpen { task, device });
+                    }
+                    BreakerState::Closed => {}
+                }
+
+                let transfer_us = rung.link.transfer_us(call.payload_bytes);
+                let compute_us = call.work_us / rung.speedup;
+                let mut abandoned = false;
+                for attempt in 0..retry.max_attempts.max(1) {
+                    events.push(OffloadEvent::Attempt { task, device, attempt });
+                    stats.attempts += 1;
+                    let mut attempt_span = everest_telemetry::span("offload.attempt", "offload");
+                    attempt_span.attr("task", task);
+                    attempt_span.attr("device", &rung.name);
+                    attempt_span.attr("attempt", attempt);
+                    flight.push((EventKind::Marker, "offload.attempt", attempt as f64));
+                    let Some(kind) = rung.faults.outcome(task, attempt) else {
+                        let latency = transfer_us + compute_us;
+                        *clock_us += latency;
+                        records.push((latency, false, false));
+                        if rung.breaker.on_success() {
+                            events.push(OffloadEvent::BreakerClosed { task, device });
+                        }
+                        let (attempts, elapsed_us) = (stats.attempts, *clock_us);
+                        events.push(OffloadEvent::Completed { task, device, attempts, elapsed_us });
+                        stats.counters.completed = 1;
+                        stats.completed = Some((latency, elapsed_us - clock_start));
+                        break 'rungs Some(OffloadOutcome {
+                            task,
+                            device: Arc::clone(&rung.name),
+                            class: rung.class,
+                            attempts,
+                            elapsed_us,
+                            degraded: li != 0,
+                        });
+                    };
+                    stats.counters.faults += 1;
+                    flight.push((EventKind::CounterAdd, "offload.faults", 1.0));
+                    events.push(OffloadEvent::Fault { task, device, attempt, kind });
                     // Cost of the failed attempt: a corrupt result came
                     // back (full round trip, checksum reject);
                     // everything else burns the deadline.
@@ -275,21 +334,21 @@ pub(super) fn fold_call(
                         FaultKind::Corrupt => transfer_us + compute_us,
                         _ => retry.timeout_us,
                     };
-                    lane.clock_us += penalty;
-                    records.push((task, penalty, false, kind == FaultKind::Corrupt));
+                    *clock_us += penalty;
+                    records.push((penalty, false, kind == FaultKind::Corrupt));
                     if kind == FaultKind::DeviceLoss {
-                        lane.lost[li] = true;
-                        lane.breakers[li].force_open();
-                        stats.device_loss += 1;
-                        flight.marker("offload.device_loss", task as f64);
-                        events.push(OffloadEvent::DeviceLost { task, device: device.clone() });
+                        rung.lost = true;
+                        rung.breaker.force_open();
+                        stats.counters.device_loss += 1;
+                        flight.push((EventKind::Marker, "offload.device_loss", task as f64));
+                        events.push(OffloadEvent::DeviceLost { task, device });
                         abandoned = true;
                         break;
                     }
-                    if lane.breakers[li].on_failure(lane.clock_us) {
-                        stats.breaker_open += 1;
-                        flight.marker("offload.breaker_open", task as f64);
-                        events.push(OffloadEvent::BreakerOpened { task, device: device.clone() });
+                    if rung.breaker.on_failure(*clock_us) {
+                        stats.counters.breaker_open += 1;
+                        flight.push((EventKind::Marker, "offload.breaker_open", task as f64));
+                        events.push(OffloadEvent::BreakerOpened { task, device });
                         abandoned = true;
                         break;
                     }
@@ -298,26 +357,34 @@ pub(super) fn fold_call(
                         abandoned = true;
                         break;
                     }
-                    let wait_us = retry.backoff_us(plan.seed(), &device, task, retry_no);
-                    lane.clock_us += wait_us;
-                    stats.retries += 1;
-                    flight.marker("offload.backoff_us", wait_us);
-                    events.push(OffloadEvent::Backoff {
-                        task,
-                        device: device.clone(),
-                        attempt: retry_no,
-                        wait_us,
-                    });
+                    let wait_us = retry.keyed_backoff_us(rung.backoff_key, task, retry_no);
+                    *clock_us += wait_us;
+                    stats.counters.retries += 1;
+                    flight.push((EventKind::Marker, "offload.backoff_us", wait_us));
+                    events.push(OffloadEvent::Backoff { task, device, attempt: retry_no, wait_us });
+                }
+                debug_assert!(abandoned, "loop only exits via success or abandonment");
+                true
+            };
+            // The call moves down the lane; the fallback is counted only
+            // when the abandoned rung was actually attempted.
+            if let Some(to) = next {
+                events.push(OffloadEvent::Fallback { task, from: device, to });
+                if tried {
+                    stats.counters.fallbacks += 1;
+                    flight.push((EventKind::Marker, "offload.fallback", task as f64));
                 }
             }
         }
-        debug_assert!(abandoned, "loop only exits via success or abandonment");
-        push_fallback(lane, li, chain, task, &device, events, stats, true);
-    }
-    let sim_us = lane.clock_us - clock_start;
-    stats.attempts.observe(f64::from(attempts_total));
-    flight.record(everest_telemetry::EventKind::SpanEnd, "offload.call", sim_us);
-    Err(RuntimeError::OffloadFailed { kernel: call.kernel.clone(), attempts: attempts_total })
+        None
+    };
+    flight.push((EventKind::SpanEnd, "offload.call", *clock_us - clock_start));
+    everest_telemetry::flight().record_all(flight);
+    let result = completed.ok_or_else(|| RuntimeError::OffloadFailed {
+        kernel: call.kernel.clone(),
+        attempts: stats.attempts,
+    });
+    (result, stats)
 }
 
 /// Below this, a pacing lag is carried to the next call instead of
@@ -325,7 +392,7 @@ pub(super) fn fold_call(
 const PACING_QUANTUM_US: f64 = 200.0;
 
 /// Folds every task assigned to one lane, in task order, on the calling
-/// pool worker. Telemetry counters/histograms flush once at the end.
+/// pool worker.
 ///
 /// With `pacing = Some(scale)` the lane replays its virtual clock at
 /// `scale` simulated microseconds per real microsecond, sleeping off any
@@ -336,9 +403,7 @@ const PACING_QUANTUM_US: f64 = 200.0;
 /// folding in parallel overlap their device waits like real offload
 /// queues do.
 pub(super) fn fold_lane(
-    plan: &FaultPlan,
     retry: &RetryPolicy,
-    chain: &[OffloadTarget],
     mut lane: Lane,
     tasks: &[(u64, &OffloadCall)],
     pacing: Option<f64>,
@@ -346,21 +411,18 @@ pub(super) fn fold_lane(
     let t = Instant::now();
     let clock_start = lane.clock_us;
     let mut results = Vec::with_capacity(tasks.len());
-    let mut events = Vec::new();
-    let mut records = Vec::new();
-    let mut stats = LaneStats::new();
+    let mut ends = Vec::with_capacity(tasks.len());
+    // A call makes at least two events (attempt, completed) and one
+    // monitor record; faulty profiles grow the buffers by doubling.
+    let mut events = Vec::with_capacity(2 * tasks.len());
+    let mut records = Vec::with_capacity(tasks.len());
+    let mut stats = LaneStats::default();
     for &(task, call) in tasks {
-        results.push(fold_call(
-            plan,
-            retry,
-            chain,
-            &mut lane,
-            task,
-            call,
-            &mut events,
-            &mut records,
-            &mut stats,
-        ));
+        let (result, call_stats) =
+            fold_call(retry, &mut lane, task, call, &mut events, &mut records);
+        results.push(result);
+        ends.push((events.len(), records.len()));
+        stats.add(&call_stats);
         if let Some(scale) = pacing {
             let owed_us = (lane.clock_us - clock_start) / scale;
             let lag_us = owed_us - t.elapsed().as_secs_f64() * 1e6;
@@ -369,7 +431,6 @@ pub(super) fn fold_lane(
             }
         }
     }
-    stats.flush();
     let fold_us = t.elapsed().as_secs_f64() * 1e6;
-    LaneReport { lane, results, events, records, fold_us }
+    LaneReport { lane, results, events, records, ends, stats, fold_us }
 }

@@ -1,25 +1,29 @@
 //! The manager: builds the chain and its lanes, deals calls onto them
 //! and merges the lane folds back into invocation order.
 
-use super::breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
+use super::breaker::{BreakerConfig, CircuitBreaker, RetryPolicy};
 use super::event::{OffloadCall, OffloadEvent, OffloadOutcome, OffloadTarget, TargetClass};
 use super::fault::FaultPlan;
-use super::lane::{fold_call, fold_lane, partition_lanes, Lane, LaneReport, LaneStats};
+use super::lane::{fold_call, fold_lane, partition_lanes, Lane, LaneReport, MonitorRecord, Rung};
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::monitor::RuntimeMonitor;
 use everest_platform::{Attachment, Link, LinkProfile, System};
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Wraps remote kernel invocations with retry, circuit breaking and
 /// graceful degradation. See the module docs for the full contract.
 #[derive(Debug, Clone)]
 pub struct OffloadManager {
-    plan: FaultPlan,
     retry: RetryPolicy,
     chain: Vec<OffloadTarget>,
     lanes: Vec<Lane>,
     monitor: RuntimeMonitor,
     events: Vec<OffloadEvent>,
+    /// Scratch of [`OffloadManager::execute`]: the monitor records of the
+    /// call in flight. Empty between calls; kept so that a call does not
+    /// allocate.
+    records: Vec<MonitorRecord>,
     invocations: u64,
     pacing: Option<f64>,
 }
@@ -29,19 +33,29 @@ impl OffloadManager {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Unknown`] for an empty chain.
+    /// Returns [`RuntimeError::Unknown`] for an empty chain, or one too
+    /// long for the 16-bit target index trace events carry.
     pub fn new(chain: Vec<OffloadTarget>, plan: FaultPlan) -> RuntimeResult<OffloadManager> {
         if chain.is_empty() {
             return Err(RuntimeError::Unknown("empty offload chain".to_owned()));
         }
-        let lanes = partition_lanes(&chain, BreakerConfig::default());
+        if chain.len() > usize::from(u16::MAX) + 1 {
+            return Err(RuntimeError::Unknown(format!(
+                "offload chain of {} targets (at most {})",
+                chain.len(),
+                usize::from(u16::MAX) + 1
+            )));
+        }
+        // The plan is consumed here: each lane rung keeps what the plan
+        // says about its target.
+        let lanes = partition_lanes(&chain, &plan, BreakerConfig::default());
         Ok(OffloadManager {
-            plan,
             retry: RetryPolicy::default(),
             lanes,
             chain,
             monitor: RuntimeMonitor::new(0),
             events: Vec::new(),
+            records: Vec::new(),
             invocations: 0,
             pacing: None,
         })
@@ -104,8 +118,8 @@ impl OffloadManager {
     /// Replaces every breaker's thresholds (breakers reset to Closed).
     #[must_use]
     pub fn with_breaker(mut self, cfg: BreakerConfig) -> OffloadManager {
-        for lane in &mut self.lanes {
-            lane.breakers = vec![CircuitBreaker::new(cfg); lane.targets.len()];
+        for rung in self.lanes.iter_mut().flat_map(|lane| &mut lane.rungs) {
+            rung.breaker = CircuitBreaker::new(cfg);
         }
         self
     }
@@ -156,26 +170,22 @@ impl OffloadManager {
     /// breaker is returned.
     pub fn breaker(&self, device: &str) -> Option<&CircuitBreaker> {
         let idx = self.chain.iter().position(|t| t.device == device)?;
-        self.lanes.iter().find_map(|lane| {
-            lane.targets.iter().position(|&t| t == idx).map(|li| &lane.breakers[li])
-        })
+        self.rungs().find(|rung| usize::from(rung.target) == idx).map(|rung| &rung.breaker)
+    }
+
+    /// Every rung of every lane; the CPU terminal appears once per lane.
+    fn rungs(&self) -> impl Iterator<Item = &Rung> {
+        self.lanes.iter().flat_map(|lane| &lane.rungs)
     }
 
     /// Devices currently unusable: lost, or breaker not Closed.
     /// Reported in chain order.
     pub fn tripped_devices(&self) -> Vec<String> {
-        self.chain
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| {
-                self.lanes.iter().any(|lane| {
-                    lane.targets.iter().position(|&t| t == *idx).is_some_and(|li| {
-                        lane.lost[li] || lane.breakers[li].state() != BreakerState::Closed
-                    })
-                })
-            })
-            .map(|(_, t)| t.device.clone())
-            .collect()
+        let mut tripped = vec![false; self.chain.len()];
+        for rung in self.rungs().filter(|rung| rung.is_tripped()) {
+            tripped[usize::from(rung.target)] = true;
+        }
+        self.chain.iter().zip(tripped).filter(|(_, t)| *t).map(|(t, _)| t.device.clone()).collect()
     }
 
     /// The trace as one line per event (what `everestc offload` prints
@@ -183,8 +193,7 @@ impl OffloadManager {
     pub fn trace(&self) -> String {
         let mut out = String::new();
         for event in &self.events {
-            out.push_str(&event.to_string());
-            out.push('\n');
+            writeln!(out, "{}", event.display(&self.chain)).expect("writing to a String");
         }
         out
     }
@@ -202,23 +211,17 @@ impl OffloadManager {
         let task = self.invocations;
         self.invocations += 1;
         let lane_idx = (task % self.lanes.len() as u64) as usize;
-        let OffloadManager { plan, retry, chain, lanes, monitor, events, .. } = self;
-        let mut records = Vec::new();
-        let mut stats = LaneStats::new();
-        let result = fold_call(
-            plan,
-            retry,
-            chain,
-            &mut lanes[lane_idx],
+        let (result, stats) = fold_call(
+            &self.retry,
+            &mut self.lanes[lane_idx],
             task,
             call,
-            events,
-            &mut records,
-            &mut stats,
+            &mut self.events,
+            &mut self.records,
         );
-        stats.flush();
-        for (_, latency, access, range) in records {
-            monitor.record(latency, access, range);
+        stats.publish();
+        for (latency, access, range) in self.records.drain(..) {
+            self.monitor.record(latency, access, range);
         }
         result
     }
@@ -276,60 +279,60 @@ impl OffloadManager {
         // Phase 2: fold every lane, concurrently on up to `jobs` pool
         // workers. Each lane's fold time is its own observation, so the
         // phase histogram accumulates lanes × batches samples.
-        let plan = &self.plan;
         let retry = &self.retry;
-        let chain = &self.chain;
         let pacing = self.pacing;
-        let reports: Vec<LaneReport> = everest_workflow::pool::parallel_map(
+        let mut reports: Vec<LaneReport> = everest_workflow::pool::parallel_map(
             "offload.lane",
             jobs,
             items,
-            |_, (lane, tasks)| fold_lane(plan, retry, chain, lane, &tasks, pacing),
+            |_, (lane, tasks)| fold_lane(retry, lane, &tasks, pacing),
         );
         for report in &reports {
+            report.stats.flush();
             telemetry.observe("offload.phase.fold_us", report.fold_us);
             flight.marker("offload.phase.fold_us", report.fold_us);
         }
 
         // Phase 3: merge lane-local results back into invocation order.
-        // Each lane's buffers are already task-ordered, so the merge is
-        // a linear interleave steered by `task % nlanes`.
+        // Dealing was round-robin, so the batch's `i`-th call is the
+        // `i / nlanes`-th task of lane `task % nlanes`, and each report
+        // says where that task's events and records lie in its buffers:
+        // the merge copies slices, it never looks inside an event.
         let t_merge = Instant::now();
-        let mut results = Vec::with_capacity(reports.len());
-        let mut events = Vec::with_capacity(reports.len());
-        let mut records = Vec::with_capacity(reports.len());
-        let mut lanes_back = Vec::with_capacity(reports.len());
-        for report in reports {
-            lanes_back.push(report.lane);
-            results.push(report.results.into_iter());
-            events.push(report.events.into_iter().peekable());
-            records.push(report.records.into_iter().peekable());
-        }
-        self.lanes = lanes_back;
-        let mut outcomes = Vec::with_capacity(calls.len());
+        let slot = |i: usize| (((first_task + i as u64) % nlanes) as usize, i / nlanes as usize);
+        self.events.reserve(reports.iter().map(|r| r.events.len()).sum());
         for i in 0..calls.len() {
-            let task = first_task + i as u64;
-            let lane = (task % nlanes) as usize;
-            while records[lane].peek().is_some_and(|r| r.0 == task) {
-                let (_, latency, access, range) = records[lane].next().expect("peeked");
-                self.monitor.record(latency, access, range);
-            }
-            while events[lane].peek().is_some_and(|e| e.task() == task) {
-                self.events.push(events[lane].next().expect("peeked"));
-            }
-            outcomes.push(results[lane].next().expect("one result per task"));
+            let (lane, k) = slot(i);
+            self.events.extend_from_slice(reports[lane].task(k).0);
         }
+        self.monitor.record_batch((0..calls.len()).flat_map(|i| {
+            let (lane, k) = slot(i);
+            reports[lane].task(k).1.iter().copied()
+        }));
+        let mut results: Vec<_> =
+            reports.iter_mut().map(|r| std::mem::take(&mut r.results).into_iter()).collect();
+        let mut outcomes = Vec::with_capacity(calls.len());
+        let mut first_error = None;
+        for i in 0..calls.len() {
+            match results[slot(i).0].next().expect("one result per task") {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(error) => drop(first_error.get_or_insert(error)),
+            }
+        }
+        self.lanes = reports.into_iter().map(|r| r.lane).collect();
         let merge_us = t_merge.elapsed().as_secs_f64() * 1e6;
         telemetry.observe("offload.phase.merge_us", merge_us);
         flight.marker("offload.phase.merge_us", merge_us);
-        outcomes.into_iter().collect()
+        first_error.map_or(Ok(outcomes), Err)
     }
 
     #[cfg(test)]
     pub(super) fn lane_devices(&self) -> Vec<Vec<&str>> {
         self.lanes
             .iter()
-            .map(|l| l.targets.iter().map(|&i| self.chain[i].device.as_str()).collect())
+            .map(|l| {
+                l.rungs.iter().map(|r| self.chain[usize::from(r.target)].device.as_str()).collect()
+            })
             .collect()
     }
 }

@@ -216,3 +216,19 @@ fn interleaved_execute_matches_batch() {
 fn empty_chain_rejected() {
     assert!(OffloadManager::new(vec![], FaultPlan::none(0)).is_err());
 }
+
+#[test]
+fn trace_events_are_small_and_own_nothing() {
+    // The merge is memory-bound: it copies every event of a batch once.
+    fn assert_copy<T: Copy>() {}
+    assert_copy::<OffloadEvent>();
+    assert!(std::mem::size_of::<OffloadEvent>() <= 24);
+}
+
+#[test]
+fn a_chain_too_long_for_the_event_index_is_rejected() {
+    let target = manager("none", 1).chain()[0].clone();
+    let chain = vec![target; usize::from(u16::MAX) + 2];
+    let err = OffloadManager::new(chain, FaultPlan::none(0)).unwrap_err();
+    assert!(err.to_string().contains("65537 targets"), "{err}");
+}

@@ -1,14 +1,21 @@
 //! Integration tests for the offload recovery layer: circuit-breaker
 //! state machine transitions, deterministic bounded backoff schedules,
-//! and end-to-end batch recovery over the reference system.
+//! end-to-end batch recovery over the reference system, pinned trace
+//! digests, and an allocation pin on the batch fold (which is why this
+//! binary installs the counting allocator; it counts per thread, so the
+//! tests running beside the pin do not disturb it).
 
+use everest_alloc_counter::{measure, CountingAllocator};
 use everest_platform::System;
 use everest_runtime::offload::{
-    BreakerConfig, BreakerState, CircuitBreaker, FaultPlan, OffloadCall, OffloadManager,
-    RetryPolicy, TargetClass,
+    BreakerConfig, BreakerState, CircuitBreaker, FaultPlan, FaultRates, OffloadCall,
+    OffloadManager, RetryPolicy, TargetClass,
 };
 use everest_workflow::seed::fnv1a;
 use proptest::prelude::*;
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn call(i: usize) -> OffloadCall {
     OffloadCall { kernel: format!("k{i}"), payload_bytes: 32 << 10, work_us: 250.0 }
@@ -124,6 +131,57 @@ fn long_traces_reproduce_the_pinned_digests() {
     assert_eq!(seen, TRACE_DIGESTS, "left: this build, right: pinned");
 }
 
+/// A batch allocates per buffer, never per event, rung, attempt or call:
+/// four times the calls may cost a few more doublings of the lane
+/// buffers and nothing else. At `jobs = 1` the lanes fold inline, on the
+/// thread the allocator counts. Fails if a `String` (or any other heap
+/// value) comes back into the trace events, the per-rung state or the
+/// outcomes.
+#[test]
+fn a_batch_allocates_per_buffer_not_per_call() {
+    for profile in ["none", "flaky"] {
+        let allocations = |n_calls: usize| {
+            let calls: Vec<OffloadCall> = (0..n_calls).map(mixed_call).collect();
+            let plan = FaultPlan::from_profile(profile, 2026).unwrap();
+            let mut mgr = OffloadManager::for_system(&System::everest_reference(), plan).unwrap();
+            let (allocations, _) = measure(|| {
+                mgr.run_batch(&calls, 1).unwrap();
+            });
+            assert!(mgr.events().len() >= 2 * n_calls);
+            allocations
+        };
+        // Warm-up: this thread's flight ring, the registry's metric names.
+        allocations(16);
+        let (small, large) = (allocations(1_024), allocations(4_096));
+        assert!(
+            large <= small + 64,
+            "{profile}: 1 024 calls made {small} allocations, 4 096 made {large}"
+        );
+    }
+}
+
+/// The single-call path shares the fold and publishes its few
+/// observations directly: once the manager's buffers and the registry's
+/// names exist, a call allocates nothing of its own. What is left is the
+/// trace doubling now and then (and one flight dump, if a timing alarm
+/// fires for the first time).
+#[test]
+fn execute_allocates_nothing_per_call_after_warm_up() {
+    let plan = FaultPlan::from_profile("flaky", 2026).unwrap();
+    let mut mgr = OffloadManager::for_system(&System::everest_reference(), plan).unwrap();
+    let calls: Vec<OffloadCall> = (0..1_064).map(mixed_call).collect();
+    let (warm_up, measured) = calls.split_at(64);
+    for call in warm_up {
+        mgr.execute(call).unwrap();
+    }
+    let (allocations, _) = measure(|| {
+        for call in measured {
+            mgr.execute(call).unwrap();
+        }
+    });
+    assert!(allocations <= 32, "1 000 calls made {allocations} allocations");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -183,25 +241,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The load-bearing invariant of the lane-partitioned parallel fold:
-    /// for any fault profile, seed, and batch size, `run_batch` at
-    /// jobs ∈ {1, 2, 4, 8} produces byte-identical traces (which embed
+    /// for any fault plan (a named profile, or random rates on every
+    /// FPGA), seed and batch size, `run_batch` at jobs ∈ {1, 2, 4, 8},
+    /// `execute` call by call, and `execute` for a prefix followed by a
+    /// batch over the rest all produce byte-identical traces (which embed
     /// every retry, fallback, breaker transition, and device loss in
-    /// invocation order), identical outcomes, and identical breaker
-    /// state sequences across the device chain.
+    /// invocation order), identical outcomes, identical breaker states
+    /// across the device chain, the same tripped set and the same
+    /// monitor state.
     #[test]
     fn run_batch_is_jobs_invariant_over_random_fault_profiles(
-        profile_idx in 0usize..FaultPlan::PROFILES.len(),
+        profile_idx in 0usize..=FaultPlan::PROFILES.len(),
+        rates in (0.0f64..0.3, 0.0f64..0.3, 0.0f64..0.3, 0.0f64..0.02),
         seed in any::<u64>(),
-        n_calls in 1usize..48,
+        n_calls in 1usize..2_000,
+        split in 0usize..2_000,
     ) {
-        let profile = FaultPlan::PROFILES[profile_idx];
-        let calls: Vec<OffloadCall> = (0..n_calls).map(call).collect();
+        let plan = match FaultPlan::PROFILES.get(profile_idx) {
+            Some(profile) => FaultPlan::from_profile(profile, seed).unwrap(),
+            None => {
+                let (drop, timeout, corrupt, device_loss) = rates;
+                FaultPlan::new(seed, FaultRates { drop, timeout, corrupt, device_loss }).unwrap()
+            }
+        };
+        let calls: Vec<OffloadCall> = (0..n_calls).map(mixed_call).collect();
 
-        let run = |jobs: usize| {
-            let plan = FaultPlan::from_profile(profile, seed).unwrap();
+        // The first `one_by_one` calls through `execute`, the rest as one
+        // batch at `jobs`.
+        let run = |one_by_one: usize, jobs: usize| {
             let mut mgr =
-                OffloadManager::for_system(&System::everest_reference(), plan).unwrap();
-            let outcomes = mgr.run_batch(&calls, jobs).unwrap();
+                OffloadManager::for_system(&System::everest_reference(), plan.clone()).unwrap();
+            let (head, tail) = calls.split_at(one_by_one.min(calls.len()));
+            let mut outcomes: Vec<_> = head.iter().map(|c| mgr.execute(c).unwrap()).collect();
+            outcomes.extend(mgr.run_batch(tail, jobs).unwrap());
             let breakers: Vec<(String, BreakerState)> = mgr
                 .chain()
                 .iter()
@@ -209,16 +281,18 @@ proptest! {
                     (t.device.clone(), mgr.breaker(&t.device).map_or(BreakerState::Closed, |b| b.state()))
                 })
                 .collect();
-            (outcomes, mgr.trace(), breakers, mgr.tripped_devices())
+            (outcomes, mgr.trace(), breakers, mgr.tripped_devices(), mgr.monitor().system_state())
         };
 
-        let reference = run(1);
-        for jobs in [2usize, 4, 8] {
-            let (outcomes, trace, breakers, tripped) = run(jobs);
-            prop_assert_eq!(&outcomes, &reference.0, "outcomes diverge at jobs={}", jobs);
-            prop_assert_eq!(&trace, &reference.1, "trace diverges at jobs={}", jobs);
-            prop_assert_eq!(&breakers, &reference.2, "breakers diverge at jobs={}", jobs);
-            prop_assert_eq!(&tripped, &reference.3, "tripped set diverges at jobs={}", jobs);
+        let reference = run(0, 1);
+        for (one_by_one, jobs) in [(0, 2), (0, 4), (0, 8), (n_calls, 1), (split, 2)] {
+            let (outcomes, trace, breakers, tripped, state) = run(one_by_one, jobs);
+            let at = format!("{one_by_one} calls one by one, then jobs={jobs}");
+            prop_assert_eq!(&outcomes, &reference.0, "outcomes diverge: {}", at);
+            prop_assert_eq!(&trace, &reference.1, "trace diverges: {}", at);
+            prop_assert_eq!(&breakers, &reference.2, "breakers diverge: {}", at);
+            prop_assert_eq!(&tripped, &reference.3, "tripped set diverges: {}", at);
+            prop_assert_eq!(&state, &reference.4, "monitor state diverges: {}", at);
         }
     }
 }

@@ -53,14 +53,27 @@ pub use recorder::{EventKind, FlightDump, FlightEvent, FlightRecorder, DEFAULT_R
 pub use trace::{Span, SpanRecord, Tracer};
 
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 static GLOBAL: RwLock<Tracer> = RwLock::new(Tracer::disabled());
+/// Whether the tracer in [`GLOBAL`] records. Written only while the
+/// write lock on `GLOBAL` is held, so it never disagrees with the tracer
+/// once the lock is released; [`span`] reads it to skip the lock — two
+/// atomic read-modify-writes on a cache line every thread shares —
+/// whenever tracing is off, which is the common case.
+static RECORDING: AtomicBool = AtomicBool::new(false);
 static METRICS: MetricsRegistry = MetricsRegistry::new();
 static FLIGHT: FlightRecorder = FlightRecorder::new();
 
 /// Replaces the global tracer (usually with [`Tracer::recording`]).
 pub fn install_global(tracer: Tracer) {
-    *GLOBAL.write() = tracer;
+    let mut global = GLOBAL.write();
+    // Release, pairing with the Acquire load in `span`: a thread that
+    // reads the flag as set goes on to take the read lock, which cannot
+    // be had before this write lock is dropped, and so finds the tracer
+    // stored below (or a later one).
+    RECORDING.store(tracer.is_enabled(), Ordering::Release);
+    *global = tracer;
 }
 
 /// A handle to the current global tracer.
@@ -71,12 +84,20 @@ pub fn global() -> Tracer {
 /// Swaps the global tracer back to disabled and returns the old one, so
 /// its spans can be [`Tracer::finish`]ed exactly once.
 pub fn take_global() -> Tracer {
-    std::mem::take(&mut *GLOBAL.write())
+    let mut global = GLOBAL.write();
+    RECORDING.store(false, Ordering::Release);
+    std::mem::take(&mut *global)
 }
 
-/// Opens a span on the global tracer. A no-op (no heap allocation) while
-/// the global tracer is disabled.
+/// Opens a span on the global tracer. While the global tracer is
+/// disabled this is one atomic load: no lock, no heap allocation. A span
+/// opened after [`install_global`] returned (on this thread, or on one
+/// that synchronized with it) is recorded; one opened after
+/// [`take_global`] returned is not.
 pub fn span(name: &str, category: &str) -> Span {
+    if !RECORDING.load(Ordering::Acquire) {
+        return Span::disabled();
+    }
     GLOBAL.read().span(name, category)
 }
 

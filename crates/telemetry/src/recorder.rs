@@ -189,14 +189,28 @@ impl FlightRecorder {
     /// after the thread's first event; near-free when disabled.
     #[inline]
     pub fn record(&self, kind: EventKind, name: &'static str, value: f64) {
+        self.record_all(&[(kind, name, value)]);
+    }
+
+    /// Records a group of events that belong to one instant — everything
+    /// one offload call did, say — into the calling thread's ring: the
+    /// clock is read once and the ring locked once for the whole group,
+    /// so each event after the first costs a slot write. The events keep
+    /// their order and share one timestamp; a dump, which orders by
+    /// `(ts_us, tid)` with a stable sort, shows them in the order given.
+    #[inline]
+    pub fn record_all(&self, events: &[(EventKind, &'static str, f64)]) {
         let capacity = self.capacity.load(Ordering::Relaxed);
-        if capacity == 0 {
+        if capacity == 0 || events.is_empty() {
             return;
         }
         let ts_us = self.now_us();
         THREAD_RING.with(|cell| {
             let (tid, ring) = cell.get_or_init(|| (current_tid(), self.claim_ring(capacity)));
-            ring.lock().push(FlightEvent { ts_us, tid: *tid, kind, name, value });
+            let mut ring = ring.lock();
+            for &(kind, name, value) in events {
+                ring.push(FlightEvent { ts_us, tid: *tid, kind, name, value });
+            }
         });
     }
 

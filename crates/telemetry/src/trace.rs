@@ -95,7 +95,7 @@ impl Tracer {
     /// allocation.
     pub fn span(&self, name: &str, category: &str) -> Span {
         let Some(core) = &self.core else {
-            return Span { active: None };
+            return Span::disabled();
         };
         let id = core.next_id.fetch_add(1, Ordering::Relaxed);
         let parent = SPAN_STACK.with(|stack| {
@@ -156,6 +156,11 @@ pub struct Span {
 }
 
 impl Span {
+    /// The guard a disabled tracer hands out: records nothing on drop.
+    pub(crate) const fn disabled() -> Span {
+        Span { active: None }
+    }
+
     /// Attaches a `key=value` attribute. No-op on a disabled tracer.
     pub fn attr(&mut self, key: &str, value: impl std::fmt::Display) {
         if let Some(active) = &mut self.active {

@@ -36,6 +36,40 @@ fn events_dump_in_time_order_with_payloads() {
 }
 
 #[test]
+fn a_group_shares_one_timestamp_and_dumps_in_push_order() {
+    with_recorder(64, |flight| {
+        flight.marker("t9.alone", 0.0);
+        // Same thread, same timestamp: only push order can order these
+        // in the dump, against a kind/name/value order that would not.
+        flight.record_all(&[
+            (EventKind::SpanBegin, "t9.call", 7.0),
+            (EventKind::Marker, "t9.attempt", 1.0),
+            (EventKind::CounterAdd, "t9.faults", 1.0),
+            (EventKind::Marker, "t9.attempt", 0.0),
+            (EventKind::SpanEnd, "t9.call", 250.0),
+        ]);
+        flight.record_all(&[]);
+        let dump = flight.dump("test");
+        let mine: Vec<_> = dump.events.iter().filter(|e| e.name.starts_with("t9.")).collect();
+        assert_eq!(mine.len(), 6);
+        let group = &mine[1..];
+        assert!(group.iter().all(|e| e.ts_us == group[0].ts_us && e.tid == group[0].tid));
+        assert!(mine[0].ts_us <= group[0].ts_us);
+        let seen: Vec<_> = group.iter().map(|e| (e.kind, e.name, e.value)).collect();
+        assert_eq!(
+            seen,
+            [
+                (EventKind::SpanBegin, "t9.call", 7.0),
+                (EventKind::Marker, "t9.attempt", 1.0),
+                (EventKind::CounterAdd, "t9.faults", 1.0),
+                (EventKind::Marker, "t9.attempt", 0.0),
+                (EventKind::SpanEnd, "t9.call", 250.0),
+            ]
+        );
+    });
+}
+
+#[test]
 fn ring_overwrites_oldest_and_accounts_drops() {
     with_recorder(8, |flight| {
         for i in 0..20 {

@@ -57,6 +57,17 @@ pub struct AssignState {
     /// Finish time per task.
     pub finish: Vec<f64>,
     rr_cursor: usize,
+    /// Scratch of [`AssignState::choose`]: `(finish, assignment,
+    /// output_bytes)` of each input of the task being placed, gathered
+    /// once per task instead of once per candidate worker.
+    inputs: Vec<(f64, usize, u64)>,
+}
+
+/// The first index in `0..n` whose `key` is smallest under `total_cmp` —
+/// the index `Iterator::min_by` would pick with that comparator — calling
+/// `key` once per index rather than twice per comparison.
+fn first_min(n: usize, mut key: impl FnMut(usize) -> f64) -> usize {
+    (0..n).map(|i| (i, key(i))).min_by(|a, b| a.1.total_cmp(&b.1)).expect("non-empty worker pool").0
 }
 
 impl AssignState {
@@ -68,6 +79,7 @@ impl AssignState {
             start: vec![0.0; tasks],
             finish: vec![0.0; tasks],
             rr_cursor: 0,
+            inputs: Vec::new(),
         }
     }
 
@@ -121,14 +133,58 @@ impl AssignState {
             }
             Policy::MinLoad => {
                 // Earliest finish ignoring communication.
-                (0..workers.len())
-                    .min_by(|a, b| {
-                        let fa = self.avail[*a] + workers[*a].exec_time(graph.task(task).cost_us);
-                        let fb = self.avail[*b] + workers[*b].exec_time(graph.task(task).cost_us);
-                        fa.total_cmp(&fb)
-                    })
-                    .expect("non-empty worker pool")
+                let cost_us = graph.task(task).cost_us;
+                first_min(workers.len(), |w| self.avail[w] + workers[w].exec_time(cost_us))
             }
+            Policy::Heft => {
+                let spec = graph.task(task);
+                self.inputs.clear();
+                self.inputs.extend(
+                    spec.deps.iter().map(|d| {
+                        (self.finish[*d], self.assignment[*d], graph.task(*d).output_bytes)
+                    }),
+                );
+                // The earliest finish time on `w`: `data_ready`, over the
+                // gathered inputs, then the worker's own availability.
+                let (inputs, avail) = (&self.inputs, &self.avail);
+                first_min(workers.len(), |w| {
+                    let ready = inputs
+                        .iter()
+                        .map(|&(produced, on, bytes)| {
+                            if on == w {
+                                produced
+                            } else {
+                                produced + workers[w].transfer_time(bytes)
+                            }
+                        })
+                        .fold(0.0, f64::max);
+                    ready.max(avail[w]) + workers[w].exec_time(spec.cost_us)
+                })
+            }
+        }
+    }
+
+    /// [`AssignState::choose`] as it was first written: the finish time
+    /// computed inside the comparator, for both sides of every
+    /// comparison, through [`AssignState::data_ready`]. The reference the
+    /// single-evaluation scan is checked against.
+    #[cfg(test)]
+    fn choose_reference(
+        &mut self,
+        graph: &TaskGraph,
+        workers: &[Worker],
+        task: TaskId,
+        policy: Policy,
+    ) -> usize {
+        match policy {
+            Policy::Fifo => self.choose(graph, workers, task, policy),
+            Policy::MinLoad => (0..workers.len())
+                .min_by(|a, b| {
+                    let fa = self.avail[*a] + workers[*a].exec_time(graph.task(task).cost_us);
+                    let fb = self.avail[*b] + workers[*b].exec_time(graph.task(task).cost_us);
+                    fa.total_cmp(&fb)
+                })
+                .expect("non-empty worker pool"),
             Policy::Heft => (0..workers.len())
                 .min_by(|a, b| {
                     let eft = |w: usize| {
@@ -193,6 +249,29 @@ mod tests {
         st.place(&g, &workers, 0, wa);
         let wb = st.choose(&g, &workers, 1, Policy::Heft);
         assert_eq!(wa, wb, "HEFT should keep the big intermediate local");
+    }
+
+    #[test]
+    fn single_evaluation_scan_picks_what_the_comparator_picked() {
+        // Uniform pools are all ties (the first minimum must win);
+        // heterogeneous ones mix transfer costs into the finish times.
+        for (seed, workers) in [
+            (1, Worker::uniform_pool(5, 1.0)),
+            (2, Worker::heterogeneous_pool(2, 6)),
+            (3, Worker::heterogeneous_pool(8, 24)),
+        ] {
+            let g = TaskGraph::random(seed, 8, 12, 300.0);
+            for policy in [Policy::Fifo, Policy::MinLoad, Policy::Heft] {
+                let mut fast = AssignState::new(g.len(), workers.len());
+                let mut slow = fast.clone();
+                for task in task_order(&g, policy) {
+                    let w = fast.choose(&g, &workers, task, policy);
+                    assert_eq!(w, slow.choose_reference(&g, &workers, task, policy), "{policy}");
+                    fast.place(&g, &workers, task, w);
+                    slow.place(&g, &workers, task, w);
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! schedules on random graphs, and the threaded executor computes the
 //! same values as a sequential evaluation.
 
-use everest_workflow::exec::simulate;
+use everest_workflow::exec::{simulate, simulate_available};
 use everest_workflow::graph::TaskGraph;
 use everest_workflow::parallel::ParallelGraph;
-use everest_workflow::scheduler::Policy;
+use everest_workflow::scheduler::{task_order, AssignState, Policy};
 use everest_workflow::worker::Worker;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -14,8 +14,83 @@ fn random_graph(seed: u64, layers: usize, width: usize) -> TaskGraph {
     TaskGraph::random(seed, layers.max(1), width.max(1), 200.0)
 }
 
+/// The list scheduler as it was before `AssignState::choose` evaluated
+/// each (task, worker) pair once: the finish time is computed inside the
+/// `min_by` comparator, through `data_ready`, for both sides of every
+/// comparison. Returns `(assignment, start, finish)` over `pool`.
+fn reference_schedule(
+    g: &TaskGraph,
+    pool: &[Worker],
+    policy: Policy,
+) -> (Vec<usize>, Vec<f64>, Vec<f64>) {
+    let mut st = AssignState::new(g.len(), pool.len());
+    for (nth, task) in task_order(g, policy).into_iter().enumerate() {
+        let cost_us = g.task(task).cost_us;
+        let w = match policy {
+            Policy::Fifo => nth % pool.len(),
+            Policy::MinLoad => (0..pool.len())
+                .min_by(|a, b| {
+                    let fa = st.avail[*a] + pool[*a].exec_time(cost_us);
+                    let fb = st.avail[*b] + pool[*b].exec_time(cost_us);
+                    fa.total_cmp(&fb)
+                })
+                .unwrap(),
+            Policy::Heft => (0..pool.len())
+                .min_by(|a, b| {
+                    let eft = |w: usize| {
+                        st.data_ready(g, pool, task, w).max(st.avail[w])
+                            + pool[w].exec_time(cost_us)
+                    };
+                    eft(*a).total_cmp(&eft(*b))
+                })
+                .unwrap(),
+        };
+        st.place(g, pool, task, w);
+    }
+    (st.assignment, st.start, st.finish)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Evaluating each (task, worker) pair once changes no schedule: on
+    /// random DAGs, over uniform pools (every choice a tie, so the first
+    /// minimum must win) and heterogeneous ones, with any subset of the
+    /// workers excluded, all three policies assign every task to the
+    /// worker the comparator-based scheduler picked, at bit-equal times.
+    #[test]
+    fn single_evaluation_scheduler_matches_the_comparator_reference(
+        seed in any::<u64>(),
+        layers in 1usize..6,
+        width in 1usize..8,
+        fast in 0usize..4,
+        slow in 1usize..7,
+        uniform in any::<bool>(),
+        mask in any::<u16>(),
+    ) {
+        let g = random_graph(seed, layers, width);
+        let workers = if uniform {
+            Worker::uniform_pool(fast + slow, 1.0)
+        } else {
+            Worker::heterogeneous_pool(fast, slow)
+        };
+        // Exclude the workers whose mask bit is clear, but never all.
+        let mut available: Vec<bool> = (0..workers.len()).map(|w| mask >> w & 1 == 1).collect();
+        if !available.contains(&true) {
+            available[seed as usize % workers.len()] = true;
+        }
+        let keep: Vec<usize> = (0..workers.len()).filter(|w| available[*w]).collect();
+        let pool: Vec<Worker> = keep.iter().map(|w| workers[*w].clone()).collect();
+        for policy in [Policy::Fifo, Policy::MinLoad, Policy::Heft] {
+            let run = simulate_available(&g, &workers, policy, &available).expect("simulates");
+            let (assignment, start, finish) = reference_schedule(&g, &pool, policy);
+            let assignment: Vec<usize> = assignment.iter().map(|w| keep[*w]).collect();
+            prop_assert_eq!(&run.assignment, &assignment, "{}: assignment", policy);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&run.start), bits(&start), "{}: start", policy);
+            prop_assert_eq!(bits(&run.finish), bits(&finish), "{}: finish", policy);
+        }
+    }
 
     #[test]
     fn every_policy_yields_valid_schedules(
