@@ -412,10 +412,15 @@ pub(super) fn fold_lane(
     let clock_start = lane.clock_us;
     let mut results = Vec::with_capacity(tasks.len());
     let mut ends = Vec::with_capacity(tasks.len());
-    // A call makes at least two events (attempt, completed) and one
-    // monitor record; faulty profiles grow the buffers by doubling.
-    let mut events = Vec::with_capacity(2 * tasks.len());
-    let mut records = Vec::with_capacity(tasks.len());
+    // Sized for the steady state of a faulty lane, so that the buffers
+    // are not doubled (copied, and their new half paged in) once per
+    // batch: a call that skips a dead rung and completes on the next
+    // makes four events (skip, fallback, attempt, completed) and one
+    // monitor record; the slack and the second record absorb the calls
+    // that retry. What a healthy lane leaves untouched is never paged in,
+    // and a lane that needs more still grows.
+    let mut events = Vec::with_capacity(4 * tasks.len() + 64);
+    let mut records = Vec::with_capacity(2 * tasks.len());
     let mut stats = LaneStats::default();
     for &(task, call) in tasks {
         let (result, call_stats) =

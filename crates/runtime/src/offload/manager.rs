@@ -191,7 +191,8 @@ impl OffloadManager {
     /// The trace as one line per event (what `everestc offload` prints
     /// and what the determinism contract compares).
     pub fn trace(&self) -> String {
-        let mut out = String::new();
+        // A line is 40–90 bytes.
+        let mut out = String::with_capacity(64 * self.events.len());
         for event in &self.events {
             writeln!(out, "{}", event.display(&self.chain)).expect("writing to a String");
         }

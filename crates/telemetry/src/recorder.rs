@@ -201,7 +201,7 @@ impl FlightRecorder {
     #[inline]
     pub fn record_all(&self, events: &[(EventKind, &'static str, f64)]) {
         let capacity = self.capacity.load(Ordering::Relaxed);
-        if capacity == 0 || events.is_empty() {
+        if capacity == 0 {
             return;
         }
         let ts_us = self.now_us();

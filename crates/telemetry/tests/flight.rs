@@ -48,7 +48,6 @@ fn a_group_shares_one_timestamp_and_dumps_in_push_order() {
             (EventKind::Marker, "t9.attempt", 0.0),
             (EventKind::SpanEnd, "t9.call", 250.0),
         ]);
-        flight.record_all(&[]);
         let dump = flight.dump("test");
         let mine: Vec<_> = dump.events.iter().filter(|e| e.name.starts_with("t9.")).collect();
         assert_eq!(mine.len(), 6);
