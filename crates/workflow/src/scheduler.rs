@@ -57,27 +57,10 @@ pub struct AssignState {
     /// Finish time per task.
     pub finish: Vec<f64>,
     rr_cursor: usize,
-    /// Scratch of [`AssignState::choose`]: the inputs of the task being
-    /// placed, gathered once per task instead of once per candidate
-    /// worker.
-    inputs: Vec<Input>,
-}
-
-/// One input of a task as placement sees it: when it was produced, on
-/// which worker, and how many bytes it is.
-type Input = (f64, usize, u64);
-
-/// Earliest time all of `inputs` are present on worker `w`: an input
-/// produced elsewhere arrives after its transfer.
-fn ready_on(inputs: impl Iterator<Item = Input>, workers: &[Worker], w: usize) -> f64 {
-    let arrival = |(produced, on, bytes): Input| {
-        if on == w {
-            produced
-        } else {
-            produced + workers[w].transfer_time(bytes)
-        }
-    };
-    inputs.map(arrival).fold(0.0, f64::max)
+    /// Scratch of [`AssignState::choose`]: `(finish, assignment,
+    /// output_bytes)` of each input of the task being placed, gathered
+    /// once per task instead of once per candidate worker.
+    inputs: Vec<(f64, usize, u64)>,
 }
 
 /// The first index in `0..n` whose `key` is smallest under `total_cmp` —
@@ -108,17 +91,19 @@ impl AssignState {
         task: TaskId,
         worker: usize,
     ) -> f64 {
-        ready_on(self.inputs_of(graph, task), workers, worker)
-    }
-
-    fn inputs_of<'a>(
-        &'a self,
-        graph: &'a TaskGraph,
-        task: TaskId,
-    ) -> impl Iterator<Item = Input> + 'a {
-        let input =
-            |d: &TaskId| (self.finish[*d], self.assignment[*d], graph.task(*d).output_bytes);
-        graph.task(task).deps.iter().map(input)
+        graph
+            .task(task)
+            .deps
+            .iter()
+            .map(|d| {
+                let produced = self.finish[*d];
+                if self.assignment[*d] == worker {
+                    produced
+                } else {
+                    produced + workers[worker].transfer_time(graph.task(*d).output_bytes)
+                }
+            })
+            .fold(0.0, f64::max)
     }
 
     /// Places `task` on `worker`, updating the timelines.
@@ -152,18 +137,32 @@ impl AssignState {
                 first_min(workers.len(), |w| self.avail[w] + workers[w].exec_time(cost_us))
             }
             Policy::Heft => {
-                let mut inputs = std::mem::take(&mut self.inputs);
-                inputs.clear();
-                inputs.extend(self.inputs_of(graph, task));
+                let spec = graph.task(task);
+                self.inputs.clear();
+                self.inputs.extend(
+                    spec.deps.iter().map(|d| {
+                        (self.finish[*d], self.assignment[*d], graph.task(*d).output_bytes)
+                    }),
+                );
                 // The earliest finish time on `w`: `data_ready`, over the
-                // gathered inputs, then the worker's own availability.
-                let cost_us = graph.task(task).cost_us;
-                let best = first_min(workers.len(), |w| {
-                    let ready = ready_on(inputs.iter().copied(), workers, w);
-                    ready.max(self.avail[w]) + workers[w].exec_time(cost_us)
-                });
-                self.inputs = inputs;
-                best
+                // gathered inputs, then the worker's own availability. The
+                // arrival expression is restated here, not shared with
+                // `data_ready` through a helper over an input iterator:
+                // that form placed a task 3 ns (Fifo: 12 %) slower.
+                let (inputs, avail) = (&self.inputs, &self.avail);
+                first_min(workers.len(), |w| {
+                    let ready = inputs
+                        .iter()
+                        .map(|&(produced, on, bytes)| {
+                            if on == w {
+                                produced
+                            } else {
+                                produced + workers[w].transfer_time(bytes)
+                            }
+                        })
+                        .fold(0.0, f64::max);
+                    ready.max(avail[w]) + workers[w].exec_time(spec.cost_us)
+                })
             }
         }
     }
