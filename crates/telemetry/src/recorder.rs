@@ -8,7 +8,11 @@
 //! plus a slot write). Old events are overwritten in place, bounding
 //! both memory and time: the recorder never allocates per event after
 //! its ring is created, and setting the capacity to zero reduces
-//! [`FlightRecorder::record`] to a single relaxed atomic load. A ring
+//! [`FlightRecorder::record`] to a single relaxed atomic load. What an
+//! event costs is mostly the clock read, so a caller with several events
+//! for one instant — an offload call's begin, attempts, faults and end —
+//! hands them over as one group ([`FlightRecorder::record_all`]): one
+//! clock read and one lock for all of them, one shared timestamp. A ring
 //! outlives its thread, so what a worker did just before it exited stays
 //! dumpable; but only the [`RETIRED_RINGS_KEPT`] most recently used such
 //! rings are kept, and a new thread adopts the oldest beyond that
