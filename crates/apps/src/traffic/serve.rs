@@ -43,6 +43,7 @@
 //! gauges, and `serve.query.latency_us` / `serve.queue.wait_us`
 //! virtual-time histograms, all exported through `everestc stats`.
 
+pub use super::ring::{HashRing, DEFAULT_VNODES};
 use super::service::RouteQuery;
 use super::service::{bin_center_hour, cache_key, derive_seed, CacheKey, LruCache, PtdrEngine};
 use super::{random_od, shortest_route, RoadNetwork, SpeedProfiles, TravelTimeStats};
@@ -58,62 +59,6 @@ use std::time::Instant;
 
 /// Shortest sub-route the load generator synthesizes, edges.
 pub const MIN_ROUTE_EDGES: usize = 4;
-
-/// Default virtual nodes per shard on the consistent-hash ring.
-pub const DEFAULT_VNODES: usize = 64;
-
-// ---------------------------------------------------------------------------
-// Consistent-hash ring
-// ---------------------------------------------------------------------------
-
-/// A consistent-hash ring mapping 64-bit key hashes to shards.
-///
-/// Each shard owns `vnodes` pseudo-random points on the u64 ring; a key
-/// belongs to the shard owning the first point at or clockwise-after the
-/// key's (re-mixed) hash. Ring points depend only on `(shard, vnode)`,
-/// so growing the ring from N to N+1 shards leaves every surviving
-/// point in place: keys either keep their shard or move to the new one.
-#[derive(Debug, Clone)]
-pub struct HashRing {
-    /// `(point, shard)` sorted by point.
-    points: Vec<(u64, u32)>,
-    shards: usize,
-}
-
-impl HashRing {
-    /// A ring of `shards` shards with `vnodes` points each.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either count is zero.
-    pub fn new(shards: usize, vnodes: usize) -> HashRing {
-        assert!(shards >= 1, "need at least one shard");
-        assert!(vnodes >= 1, "need at least one virtual node per shard");
-        let mut points = Vec::with_capacity(shards * vnodes);
-        for shard in 0..shards as u64 {
-            for vnode in 0..vnodes as u64 {
-                points.push((mix(shard << 32 | vnode), shard as u32));
-            }
-        }
-        // Ties (64-bit collisions) resolve to the lower shard id so the
-        // ring is a pure function of (shards, vnodes).
-        points.sort_unstable();
-        HashRing { points, shards }
-    }
-
-    /// Number of shards on the ring.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning `key_hash` (e.g. a [`CacheKey::route_hash`]).
-    pub fn shard_of(&self, key_hash: u64) -> usize {
-        let h = mix(key_hash);
-        let at = self.points.partition_point(|&(p, _)| p < h);
-        let (_, shard) = self.points[if at == self.points.len() { 0 } else { at }];
-        shard as usize
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Configuration

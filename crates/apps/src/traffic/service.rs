@@ -47,15 +47,16 @@
 //! Telemetry: `ptdr.queries`, `ptdr.cache.hit`, `ptdr.cache.miss`
 //! counters, and a `ptdr.batch` span per batch.
 
+pub(crate) use super::lru::LruCache;
+pub use super::lru::{
+    bin_center_hour, cache_key, derive_seed, CacheKey, DEPARTURE_BINS, DEPARTURE_BINS_PER_HOUR,
+};
 use super::{RoadNetwork, SpeedProfiles, TravelTimeStats, HOUR_BINS};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 /// Slowest speed a sampled segment can fall to, km/h (matches the
@@ -65,12 +66,6 @@ pub const MIN_SPEED_KMH: f64 = 3.0;
 /// Lane count of the default engine, matching the "32-lane sampling
 /// engine" modeled for the E11 accelerator estimate.
 pub const DEFAULT_LANES: usize = 32;
-
-/// Departure-time quantization of the response cache: 15-minute bins.
-pub const DEPARTURE_BINS_PER_HOUR: usize = 4;
-
-/// Total departure bins per day.
-pub const DEPARTURE_BINS: usize = HOUR_BINS * DEPARTURE_BINS_PER_HOUR;
 
 // ---------------------------------------------------------------------------
 // Reference kernel
@@ -421,165 +416,6 @@ impl<const LANES: usize> PtdrEngine<LANES> {
         }
         moments.finish(&mut self.times)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Response cache
-// ---------------------------------------------------------------------------
-
-/// Cache identity of a PTDR query: structural route hash, quantized
-/// departure bin, and sample count. Queries with equal keys receive
-/// bit-identical answers (the per-query seed is derived from the key).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Hash of the route's edge sequence.
-    pub route_hash: u64,
-    /// Departure bin, `0..DEPARTURE_BINS` (15-minute resolution).
-    pub departure_bin: u32,
-    /// Monte-Carlo sample count.
-    pub samples: u64,
-}
-
-/// Sentinel slot index for the intrusive recency list.
-const NIL: usize = usize::MAX;
-
-/// One slab slot of the [`LruCache`]: the entry plus its intrusive
-/// doubly-linked recency list neighbours.
-#[derive(Debug)]
-struct LruSlot {
-    key: CacheKey,
-    stats: TravelTimeStats,
-    inserted: Instant,
-    prev: usize,
-    next: usize,
-}
-
-/// A fixed-capacity least-recently-used map of finished responses:
-/// a hash map from key to slot in a slab threaded with an intrusive
-/// doubly-linked recency list. Lookups, inserts, *and eviction* are
-/// O(1) — the previous stamp-scan eviction was O(capacity) per insert,
-/// which dominated the serving tier's warm path whenever the small
-/// per-shard edge caches churned. Shared with the sharded serving tier
-/// ([`super::serve`]), which keeps one per shard per cache level.
-#[derive(Debug)]
-pub(crate) struct LruCache {
-    capacity: usize,
-    tick: u64,
-    map: HashMap<CacheKey, usize>,
-    slots: Vec<LruSlot>,
-    /// Most-recently-used slot, `NIL` when empty.
-    head: usize,
-    /// Least-recently-used slot (the eviction victim), `NIL` when empty.
-    tail: usize,
-}
-
-impl LruCache {
-    pub(crate) fn new(capacity: usize) -> LruCache {
-        LruCache {
-            capacity: capacity.max(1),
-            tick: 0,
-            map: HashMap::new(),
-            slots: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    /// Detaches `at` from the recency list.
-    fn unlink(&mut self, at: usize) {
-        let (prev, next) = (self.slots[at].prev, self.slots[at].next);
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].prev = prev,
-        }
-    }
-
-    /// Attaches `at` at the most-recently-used end.
-    fn link_front(&mut self, at: usize) {
-        self.slots[at].prev = NIL;
-        self.slots[at].next = self.head;
-        match self.head {
-            NIL => self.tail = at,
-            h => self.slots[h].prev = at,
-        }
-        self.head = at;
-    }
-
-    /// Returns the cached stats and the entry's insertion stamp (the
-    /// caller derives the age only when it samples — a clock read on
-    /// every hit would tax the warm path).
-    pub(crate) fn get(&mut self, key: &CacheKey) -> Option<(TravelTimeStats, Instant)> {
-        self.tick += 1;
-        let at = *self.map.get(key)?;
-        if self.head != at {
-            self.unlink(at);
-            self.link_front(at);
-        }
-        Some((self.slots[at].stats, self.slots[at].inserted))
-    }
-
-    pub(crate) fn insert(&mut self, key: CacheKey, stats: TravelTimeStats) {
-        self.tick += 1;
-        if let Some(&at) = self.map.get(&key) {
-            self.slots[at].stats = stats;
-            self.slots[at].inserted = Instant::now();
-            if self.head != at {
-                self.unlink(at);
-                self.link_front(at);
-            }
-            return;
-        }
-        let at = if self.slots.len() < self.capacity {
-            self.slots.push(LruSlot { key, stats, inserted: Instant::now(), prev: NIL, next: NIL });
-            self.slots.len() - 1
-        } else {
-            // Full: reuse the least-recently-used slot in place.
-            let victim = self.tail;
-            self.unlink(victim);
-            self.map.remove(&self.slots[victim].key);
-            self.slots[victim] =
-                LruSlot { key, stats, inserted: Instant::now(), prev: NIL, next: NIL };
-            victim
-        };
-        self.map.insert(key, at);
-        self.link_front(at);
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
-/// The cache identity of a query: structural route hash, quantized
-/// departure bin, sample count. Two queries with equal keys receive
-/// bit-identical answers — the per-query seed is a pure function of
-/// the key (see [`derive_seed`]).
-pub fn cache_key(route: &[usize], depart_hour: f64, samples: usize) -> CacheKey {
-    let mut hasher = DefaultHasher::new();
-    route.hash(&mut hasher);
-    let bin = (depart_hour * DEPARTURE_BINS_PER_HOUR as f64).floor();
-    let bin = if bin.is_finite() && bin >= 0.0 { bin as usize % DEPARTURE_BINS } else { 0 };
-    CacheKey { route_hash: hasher.finish(), departure_bin: bin as u32, samples: samples as u64 }
-}
-
-/// Deterministic per-query seed: a function of the cache key and the
-/// serving seed only, so any two queries with the same key — and any
-/// worker or shard interleaving — produce bit-identical statistics.
-pub fn derive_seed(base_seed: u64, key: &CacheKey) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    base_seed.hash(&mut hasher);
-    key.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// The canonical departure hour of a key's bin (its center) — the hour
-/// every query in the bin is actually estimated at.
-pub fn bin_center_hour(key: &CacheKey) -> f64 {
-    (key.departure_bin as f64 + 0.5) / DEPARTURE_BINS_PER_HOUR as f64
 }
 
 // ---------------------------------------------------------------------------
