@@ -143,6 +143,18 @@ impl LruCache {
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
+
+    /// Every entry, most recently used first.
+    #[cfg(test)]
+    fn by_recency(&self) -> Vec<(CacheKey, TravelTimeStats)> {
+        let mut out = Vec::with_capacity(self.len());
+        let mut at = self.head;
+        while at != NIL {
+            out.push((self.slots[at].key, self.slots[at].stats));
+            at = self.slots[at].next;
+        }
+        out
+    }
 }
 
 /// The cache identity of a query: structural route hash, quantized
@@ -171,4 +183,64 @@ pub fn derive_seed(base_seed: u64, key: &CacheKey) -> u64 {
 /// every query in the bin is actually estimated at.
 pub fn bin_center_hour(key: &CacheKey) -> f64 {
     (key.departure_bin as f64 + 0.5) / DEPARTURE_BINS_PER_HOUR as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Twelve keys that share words with each other — equal route
+    /// hashes under different bins and budgets, route hashes that differ
+    /// in one high or one low bit — so that whatever the table hashes,
+    /// some of them meet in a bucket.
+    fn key(i: usize) -> CacheKey {
+        let route_hash = [0, 1, 1 << 63, u64::MAX][i % 4];
+        let (departure_bin, samples) = [(0, 64), (95, 64), (0, 65)][i / 4 % 3];
+        CacheKey { route_hash, departure_bin, samples }
+    }
+
+    fn payload(v: u32) -> TravelTimeStats {
+        TravelTimeStats { mean_h: f64::from(v), p95_h: 0.0, std_h: 0.0 }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The cache against the obvious model — a `Vec` kept in recency
+        /// order — over random look-ups and inserts: the same hits with
+        /// the same payloads, the same victim at every eviction (the
+        /// whole recency order is compared after every step), the same
+        /// length.
+        #[test]
+        fn cache_equals_a_vec_kept_in_recency_order(
+            capacity in 1usize..9,
+            ops in prop::collection::vec((any::<bool>(), 0usize..12, any::<u32>()), 1..200),
+        ) {
+            let mut lru = LruCache::new(capacity);
+            let mut model: Vec<(CacheKey, TravelTimeStats)> = Vec::new();
+            for (step, &(insert, k, v)) in ops.iter().enumerate() {
+                let at = model.iter().position(|entry| entry.0 == key(k));
+                if insert {
+                    lru.insert(key(k), payload(v));
+                    match at {
+                        Some(at) => drop(model.remove(at)),
+                        None if model.len() == capacity => drop(model.pop()),
+                        None => {}
+                    }
+                    model.insert(0, (key(k), payload(v)));
+                } else {
+                    let hit = lru.get(&key(k)).map(|(stats, _)| stats);
+                    let expected = at.map(|at| {
+                        let entry = model.remove(at);
+                        model.insert(0, entry);
+                        entry.1
+                    });
+                    prop_assert_eq!(hit, expected, "step {}: look-up of key {}", step, k);
+                }
+                prop_assert_eq!(lru.len(), model.len(), "step {}", step);
+                prop_assert_eq!(lru.by_recency(), model.clone(), "step {}", step);
+            }
+        }
+    }
 }

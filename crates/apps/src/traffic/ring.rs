@@ -49,9 +49,60 @@ impl HashRing {
 
     /// The shard owning `key_hash` (e.g. a [`CacheKey::route_hash`](super::lru::CacheKey::route_hash)).
     pub fn shard_of(&self, key_hash: u64) -> usize {
-        let h = mix(key_hash);
+        self.owner(mix(key_hash))
+    }
+
+    /// The shard owning ring position `h`: the first point at or after
+    /// it, the first point of all once `h` is past the last.
+    fn owner(&self, h: u64) -> usize {
         let at = self.points.partition_point(|&(p, _)| p < h);
         let (_, shard) = self.points[if at == self.points.len() { 0 } else { at }];
         shard as usize
+    }
+
+    /// [`owner`](Self::owner) as a binary search over the sorted points:
+    /// the definition, kept as the reference any faster look-up is
+    /// compared against.
+    #[cfg(test)]
+    fn owner_reference(&self, h: u64) -> usize {
+        let at = self.points.partition_point(|&(p, _)| p < h);
+        let (_, shard) = self.points[if at == self.points.len() { 0 } else { at }];
+        shard as usize
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn look_up_equals_the_binary_search(
+            shards in 1usize..10,
+            vnodes in 1usize..129,
+            positions in prop::collection::vec(any::<u64>(), 1..64),
+        ) {
+            let ring = HashRing::new(shards, vnodes);
+            let check = |h: u64| {
+                prop_assert_eq!(ring.owner(h), ring.owner_reference(h), "position {:#x}", h);
+                Ok(())
+            };
+            for &h in &positions {
+                check(h)?;
+                prop_assert_eq!(ring.shard_of(h), ring.owner_reference(mix(h)));
+            }
+            // On every point, just before and just after it (past the
+            // last point the ring wraps to the first), and at both ends.
+            for &(p, _) in &ring.points {
+                check(p)?;
+                check(p.wrapping_sub(1))?;
+                check(p.wrapping_add(1))?;
+            }
+            check(0)?;
+            check(u64::MAX)?;
+        }
     }
 }
