@@ -6,11 +6,10 @@
 //! Everything here is re-exported from [`super::service`], where it
 //! lived before the split.
 
-use super::{TravelTimeStats, HOUR_BINS};
+use super::HOUR_BINS;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::time::Instant;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Departure-time quantization of the response cache: 15-minute bins.
 pub const DEPARTURE_BINS_PER_HOUR: usize = 4;
@@ -31,45 +30,76 @@ pub struct CacheKey {
     pub samples: u64,
 }
 
+/// Hasher of the table inside [`LruCache`]: one rotate-xor-multiply per
+/// word written (the FxHash step). Sound only because of what the table
+/// is keyed by — see the module docs.
+#[derive(Default)]
+struct WordMix(u64);
+
+impl Hasher for WordMix {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    /// Not reached by [`CacheKey`], whose derived `Hash` writes whole
+    /// words; any other key is folded eight bytes at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Sentinel slot index for the intrusive recency list.
 const NIL: usize = usize::MAX;
 
 /// One slab slot of the [`LruCache`]: the entry plus its intrusive
-/// doubly-linked recency list neighbours.
+/// doubly-linked recency list neighbours. With a
+/// [`TravelTimeStats`](super::TravelTimeStats) payload a slot is one 64-byte cache line.
 #[derive(Debug)]
-struct LruSlot {
+struct LruSlot<V> {
     key: CacheKey,
-    stats: TravelTimeStats,
-    inserted: Instant,
+    value: V,
     prev: usize,
     next: usize,
 }
 
-/// A fixed-capacity least-recently-used map of finished responses:
-/// a hash map from key to slot in a slab threaded with an intrusive
-/// doubly-linked recency list. Lookups, inserts, *and eviction* are
-/// O(1) — the previous stamp-scan eviction was O(capacity) per insert,
-/// which dominated the serving tier's warm path whenever the small
-/// per-shard edge caches churned. Shared with the sharded serving tier
-/// ([`super::serve`]), which keeps one per shard per cache level.
+/// A fixed-capacity least-recently-used map from [`CacheKey`] to a
+/// `Copy` payload: a hash map from key to slot in a slab threaded with
+/// an intrusive doubly-linked recency list. Lookups, inserts, *and
+/// eviction* are O(1), and none of them reads a clock or allocates once
+/// the slab is full.
 #[derive(Debug)]
-pub(crate) struct LruCache {
+pub(crate) struct LruCache<V> {
     capacity: usize,
-    pub(crate) tick: u64,
-    map: HashMap<CacheKey, usize>,
-    slots: Vec<LruSlot>,
+    tick: u64,
+    map: HashMap<CacheKey, usize, BuildHasherDefault<WordMix>>,
+    slots: Vec<LruSlot<V>>,
     /// Most-recently-used slot, `NIL` when empty.
     head: usize,
     /// Least-recently-used slot (the eviction victim), `NIL` when empty.
     tail: usize,
 }
 
-impl LruCache {
-    pub(crate) fn new(capacity: usize) -> LruCache {
+impl<V: Copy> LruCache<V> {
+    pub(crate) fn new(capacity: usize) -> LruCache<V> {
         LruCache {
             capacity: capacity.max(1),
             tick: 0,
-            map: HashMap::new(),
+            map: HashMap::default(),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -100,40 +130,41 @@ impl LruCache {
         self.head = at;
     }
 
-    /// Returns the cached stats and the entry's insertion stamp (the
-    /// caller derives the age only when it samples — a clock read on
-    /// every hit would tax the warm path).
-    pub(crate) fn get(&mut self, key: &CacheKey) -> Option<(TravelTimeStats, Instant)> {
-        self.tick += 1;
-        let at = *self.map.get(key)?;
+    /// Moves `at` to the most-recently-used end.
+    fn touch(&mut self, at: usize) {
         if self.head != at {
             self.unlink(at);
             self.link_front(at);
         }
-        Some((self.slots[at].stats, self.slots[at].inserted))
     }
 
-    pub(crate) fn insert(&mut self, key: CacheKey, stats: TravelTimeStats) {
+    /// The payload cached under `key`, which becomes the most recently
+    /// used entry.
+    pub(crate) fn get(&mut self, key: &CacheKey) -> Option<V> {
+        self.tick += 1;
+        let at = *self.map.get(key)?;
+        self.touch(at);
+        Some(self.slots[at].value)
+    }
+
+    /// Caches `value` under `key` as the most recently used entry; a
+    /// full cache gives up its least recently used one.
+    pub(crate) fn insert(&mut self, key: CacheKey, value: V) {
         self.tick += 1;
         if let Some(&at) = self.map.get(&key) {
-            self.slots[at].stats = stats;
-            self.slots[at].inserted = Instant::now();
-            if self.head != at {
-                self.unlink(at);
-                self.link_front(at);
-            }
+            self.slots[at].value = value;
+            self.touch(at);
             return;
         }
         let at = if self.slots.len() < self.capacity {
-            self.slots.push(LruSlot { key, stats, inserted: Instant::now(), prev: NIL, next: NIL });
+            self.slots.push(LruSlot { key, value, prev: NIL, next: NIL });
             self.slots.len() - 1
         } else {
             // Full: reuse the least-recently-used slot in place.
             let victim = self.tail;
             self.unlink(victim);
             self.map.remove(&self.slots[victim].key);
-            self.slots[victim] =
-                LruSlot { key, stats, inserted: Instant::now(), prev: NIL, next: NIL };
+            self.slots[victim] = LruSlot { key, value, prev: NIL, next: NIL };
             victim
         };
         self.map.insert(key, at);
@@ -144,13 +175,19 @@ impl LruCache {
         self.map.len()
     }
 
+    /// Look-ups and inserts so far: what a caller that samples one
+    /// operation in N counts on.
+    pub(crate) fn tick(&self) -> u64 {
+        self.tick
+    }
+
     /// Every entry, most recently used first.
     #[cfg(test)]
-    fn by_recency(&self) -> Vec<(CacheKey, TravelTimeStats)> {
+    fn by_recency(&self) -> Vec<(CacheKey, V)> {
         let mut out = Vec::with_capacity(self.len());
         let mut at = self.head;
         while at != NIL {
-            out.push((self.slots[at].key, self.slots[at].stats));
+            out.push((self.slots[at].key, self.slots[at].value));
             at = self.slots[at].next;
         }
         out
@@ -187,6 +224,7 @@ pub fn bin_center_hour(key: &CacheKey) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use super::super::TravelTimeStats;
     use super::*;
     use proptest::prelude::*;
 
@@ -230,7 +268,7 @@ mod tests {
                     }
                     model.insert(0, (key(k), payload(v)));
                 } else {
-                    let hit = lru.get(&key(k)).map(|(stats, _)| stats);
+                    let hit = lru.get(&key(k));
                     let expected = at.map(|at| {
                         let entry = model.remove(at);
                         model.insert(0, entry);

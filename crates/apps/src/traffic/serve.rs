@@ -297,8 +297,8 @@ impl LoadGen {
 /// Per-shard cache + engine state, persistent across runs so a repeated
 /// workload measures the warm path.
 struct ShardState {
-    edge: LruCache,
-    cloud: LruCache,
+    edge: LruCache<TravelTimeStats>,
+    cloud: LruCache<TravelTimeStats>,
     engine: PtdrEngine,
 }
 
@@ -683,12 +683,12 @@ impl ServeTier {
         report: &mut ShardReport,
     ) -> (TravelTimeStats, f64) {
         let cost = &self.config.cost;
-        if let Some((stats, _)) = state.edge.get(key) {
+        if let Some(stats) = state.edge.get(key) {
             report.edge_hits += 1;
             return (stats, cost.hit_us);
         }
         report.edge_misses += 1;
-        if let Some((stats, _)) = state.cloud.get(key) {
+        if let Some(stats) = state.cloud.get(key) {
             state.edge.insert(*key, stats);
             return (stats, cost.fill_rtt_us + cost.hit_us);
         }

@@ -450,7 +450,8 @@ pub struct PtdrService {
     profiles: SpeedProfiles,
     jobs: usize,
     seed: u64,
-    cache: Mutex<LruCache>,
+    /// Finished responses, each with the instant it was computed at.
+    cache: Mutex<LruCache<(TravelTimeStats, Instant)>>,
 }
 
 impl PtdrService {
@@ -532,7 +533,7 @@ impl PtdrService {
         let key = self.key(query);
         let (hit, tick) = {
             let mut cache = self.cache.lock();
-            (cache.get(&key), cache.tick)
+            (cache.get(&key), cache.tick())
         };
         if let Some((stats, inserted)) = hit {
             telemetry.counter_inc("ptdr.cache.hit");
@@ -545,7 +546,8 @@ impl PtdrService {
         telemetry.counter_inc("ptdr.cache.miss");
         everest_telemetry::flight().marker("ptdr.cache.miss", 1.0);
         let stats = self.compute(query, &key);
-        self.cache.lock().insert(key, stats);
+        let computed = Instant::now();
+        self.cache.lock().insert(key, (stats, computed));
         telemetry.observe("ptdr.query.latency_us", start.elapsed().as_secs_f64() * 1e6);
         stats
     }
@@ -861,7 +863,7 @@ mod tests {
         let updated = TravelTimeStats { mean_h: 9.0, p95_h: 9.5, std_h: 0.2 };
         lru.insert(key(3), updated);
         assert_eq!(lru.len(), 3);
-        assert_eq!(lru.get(&key(3)).unwrap().0, updated);
+        assert_eq!(lru.get(&key(3)).unwrap(), updated);
         assert!(lru.get(&key(1)).is_some() && lru.get(&key(2)).is_some());
         // One past capacity evicts exactly one entry.
         lru.insert(key(4), stats);
