@@ -16,9 +16,16 @@ pub const DEFAULT_VNODES: usize = 64;
 /// point in place: keys either keep their shard or move to the new one.
 #[derive(Debug, Clone)]
 pub struct HashRing {
-    /// `(point, shard)` sorted by point.
+    /// `(point, shard)` sorted by point, then one sentinel past them all
+    /// — `u64::MAX` under the first point's shard — which is where a
+    /// scan for a position past the last point comes to rest.
     points: Vec<(u64, u32)>,
     shards: usize,
+    /// `first[b]` is the index of the first point at or after
+    /// `b << shift`: where the scan for a position whose top bits are
+    /// `b` starts.
+    first: Vec<u32>,
+    shift: u32,
 }
 
 impl HashRing {
@@ -26,11 +33,13 @@ impl HashRing {
     ///
     /// # Panics
     ///
-    /// Panics when either count is zero.
+    /// Panics when either count is zero, or when the ring would have
+    /// 2³⁰ points or more.
     pub fn new(shards: usize, vnodes: usize) -> HashRing {
         assert!(shards >= 1, "need at least one shard");
         assert!(vnodes >= 1, "need at least one virtual node per shard");
-        let mut points = Vec::with_capacity(shards * vnodes);
+        let count = shards.checked_mul(vnodes).filter(|&n| n < 1 << 30).expect("ring too large");
+        let mut points = Vec::with_capacity(count + 1);
         for shard in 0..shards as u64 {
             for vnode in 0..vnodes as u64 {
                 points.push((mix(shard << 32 | vnode), shard as u32));
@@ -39,7 +48,15 @@ impl HashRing {
         // Ties (64-bit collisions) resolve to the lower shard id so the
         // ring is a pure function of (shards, vnodes).
         points.sort_unstable();
-        HashRing { points, shards }
+        // Four buckets a point: a bucket's scan passes over an eighth of
+        // a point on average.
+        let bits = (4 * count).next_power_of_two().trailing_zeros();
+        let shift = 64 - bits;
+        let first = (0..1u64 << bits)
+            .map(|b| points.partition_point(|&(p, _)| p < b << shift) as u32)
+            .collect();
+        points.push((u64::MAX, points[0].1));
+        HashRing { points, shards, first, shift }
     }
 
     /// Number of shards on the ring.
@@ -53,11 +70,17 @@ impl HashRing {
     }
 
     /// The shard owning ring position `h`: the first point at or after
-    /// it, the first point of all once `h` is past the last.
+    /// it, the first point of all once `h` is past the last. Found by a
+    /// forward scan from the first point of `h`'s bucket; no point lies
+    /// between the bucket's start and that one, so the scan stops where
+    /// the binary search over all points would.
+    #[inline]
     fn owner(&self, h: u64) -> usize {
-        let at = self.points.partition_point(|&(p, _)| p < h);
-        let (_, shard) = self.points[if at == self.points.len() { 0 } else { at }];
-        shard as usize
+        let mut at = self.first[(h >> self.shift) as usize] as usize;
+        while self.points[at].0 < h {
+            at += 1;
+        }
+        self.points[at].1 as usize
     }
 
     /// [`owner`](Self::owner) as a binary search over the sorted points:
@@ -65,8 +88,9 @@ impl HashRing {
     /// compared against.
     #[cfg(test)]
     fn owner_reference(&self, h: u64) -> usize {
-        let at = self.points.partition_point(|&(p, _)| p < h);
-        let (_, shard) = self.points[if at == self.points.len() { 0 } else { at }];
+        let points = &self.points[..self.points.len() - 1];
+        let at = points.partition_point(|&(p, _)| p < h);
+        let (_, shard) = points[if at == points.len() { 0 } else { at }];
         shard as usize
     }
 }
@@ -96,7 +120,7 @@ mod tests {
             }
             // On every point, just before and just after it (past the
             // last point the ring wraps to the first), and at both ends.
-            for &(p, _) in &ring.points {
+            for &(p, _) in &ring.points[..shards * vnodes] {
                 check(p)?;
                 check(p.wrapping_sub(1))?;
                 check(p.wrapping_add(1))?;
