@@ -477,8 +477,8 @@ impl PtdrService {
         self
     }
 
-    /// Resizes the response cache (existing entries are kept up to the
-    /// new capacity as they age out).
+    /// Replaces the response cache with an empty one of `capacity`
+    /// entries (clamped to at least 1): whatever was cached is dropped.
     #[must_use]
     pub fn with_cache_capacity(mut self, capacity: usize) -> PtdrService {
         self.cache = Mutex::new(LruCache::new(capacity));
@@ -583,8 +583,8 @@ impl PtdrService {
             everest_workflow::pool::parallel_map(
                 "ptdr.batch.worker",
                 self.jobs,
-                queries.to_vec(),
-                |_, query| self.serve_cached(&query),
+                queries.iter().collect(),
+                |_, query| self.serve_cached(query),
             )
         }
     }

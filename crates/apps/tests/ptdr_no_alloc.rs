@@ -3,7 +3,8 @@
 //! repeated queries — fresh seeds, departures, routes, and sample counts
 //! that leave a partial last block alike — perform no heap allocation
 //! (the per-block buffers of times and normals live on the stack), and
-//! neither does the service's cache-hit path. Lives in its own integration-test
+//! neither does the service's cache-hit path; a pooled batch allocates
+//! per buffer, not per query. Lives in its own integration-test
 //! binary because it swaps in a counting global allocator (the same
 //! technique as the telemetry crate's `no_alloc` test).
 
@@ -75,4 +76,34 @@ fn service_cache_hits_allocate_nothing() {
         }
     });
     assert_eq!(allocations, 0, "cache hits must not allocate");
+}
+
+/// A pooled batch borrows its queries: on the calling thread (the
+/// allocator counts per thread) four times the queries may cost a few
+/// more doublings of the pool's queue and result table and nothing else.
+/// Fails if the batch goes back to cloning its input, one route `Vec` a
+/// query.
+#[test]
+fn a_pooled_batch_allocates_per_buffer_not_per_query() {
+    let (net, profiles) = setup();
+    let route = shortest_route(&net, &profiles, 0, net.nodes.len() - 1, 8).unwrap();
+    let service = PtdrService::new(net, profiles).with_jobs(2).with_seed(5);
+    let batch = |queries: usize| -> Vec<RouteQuery> {
+        (0..queries)
+            .map(|i| RouteQuery {
+                route: route.clone(),
+                depart_hour: (i % 96) as f64 * 0.25,
+                samples: 500,
+            })
+            .collect()
+    };
+    // Warm-up: every departure bin cached, the metric names registered.
+    service.route_batch(&batch(96));
+    let allocations = |queries: usize| {
+        let batch = batch(queries);
+        let (allocations, _) = measure(|| drop(std::hint::black_box(service.route_batch(&batch))));
+        allocations
+    };
+    let (small, large) = (allocations(1_024), allocations(4_096));
+    assert!(large <= small + 64, "1 024 queries made {small} allocations, 4 096 made {large}");
 }
