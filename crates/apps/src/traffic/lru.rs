@@ -5,6 +5,39 @@
 //! serving tier ([`super::serve`]) keep their finished responses in.
 //! Everything here is re-exported from [`super::service`], where it
 //! lived before the split.
+//!
+//! **One cache, any payload.** [`LruCache`] maps a [`CacheKey`] to a
+//! `Copy` payload and knows nothing about time. The tier's two levels
+//! store plain [`TravelTimeStats`](super::TravelTimeStats) — key, stats
+//! and the two list links make a slot one 64-byte line — and
+//! `PtdrService` stores `(TravelTimeStats, Instant)`, stamping an entry
+//! on its own miss path (≈ 10 µs of sampling) for the one-in-sixteen
+//! `ptdr.cache.hit_age_us` sample. A promote on the tier (edge miss,
+//! cloud hit, insert into the full edge cache) therefore reads no clock;
+//! it used to read one per insert, ≈ 55 ns that nobody looked at.
+//!
+//! **Why the table may hash by word mixing.** The `HashMap` inside the
+//! cache hashes its key with a rotate-xor-multiply per word, not with
+//! SipHash, and a promote is five probes, so the hasher was most of what
+//! a cache-answered query cost (EXPERIMENTS.md E31). That is sound for
+//! this key and no other: its first word, [`CacheKey::route_hash`], is
+//! already a SipHash of the route, so the bits the table indexes by are
+//! well mixed before the first multiply; keys are made by [`cache_key`]
+//! from queries this program generated or was handed as routes over its
+//! own road network, and the cache is capacity-bound, so the worst a
+//! crafted set of colliding routes could do is slow one bounded table
+//! down; and nothing iterates the map, so no output can depend on its
+//! order. Correctness never rests on the hash: a proptest drives the
+//! cache with keys that collide under any word-wise hasher against a
+//! `Vec` kept in recency order.
+//!
+//! **What `#[derive(Hash)]` on [`CacheKey`] is still for.** Both hashers
+//! go through it. [`derive_seed`] feeds the key to a `DefaultHasher`
+//! (SipHash-1-3 under fixed keys), and [`cache_key`] hashes the route
+//! with one: those values decide which shard a query lands on and which
+//! seed its Monte-Carlo walk draws from — every answer, digest and
+//! golden file — and are not touched. The table's hasher sees the same
+//! three `write_*` calls and mixes them its own way.
 
 use super::HOUR_BINS;
 use std::collections::hash_map::DefaultHasher;

@@ -1,6 +1,23 @@
 //! Consistent-hash routing of cache keys to the serving tier's shards
 //! ([`super::serve`], which re-exports everything here: it lived there
 //! before the split).
+//!
+//! A key belongs to the shard owning the first ring point at or after
+//! `mix(key_hash)`, the first point of all past the last one. That is a
+//! binary search over the sorted points by definition, and
+//! [`HashRing::shard_of`] answers it without searching: a prefix table,
+//! four buckets a point, maps the top bits of the position to the first
+//! point at or after the bucket's start, and a forward scan — an eighth
+//! of a step on average, each step a well-predicted branch where the
+//! search took eight coin flips over 256 points — finishes at the first
+//! point not below the position. A sentinel past the last point carries
+//! the first point's shard, so the wrap-around is not a case. No point
+//! lies between a bucket's start and the bucket's first point, hence the
+//! scan stops exactly where the search would; the search is kept as the
+//! `#[cfg(test)]` reference, and a proptest compares the two on every
+//! point, on the positions either side of it and on both ends of the
+//! ring (`tests/serve_props.rs` repeats it through the public look-up
+//! against a ring rebuilt from the definition).
 
 use everest_workflow::seed::mix;
 

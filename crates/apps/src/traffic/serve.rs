@@ -35,8 +35,25 @@
 //! and per-query seeds derive from the cache key, so the same seed and
 //! topology produce identical shard assignment, identical shed/admit
 //! decisions, identical virtual latencies, and bit-identical statistics
-//! at any `jobs` count. Wall-clock throughput is measured *around* the
-//! run and reported separately.
+//! at any `jobs` count. Wall-clock throughput is measured over the run
+//! ([`ServeReport::wall_s`]) and reported separately.
+//!
+//! **A run is two fan-outs and a merge.** *Admission* cuts the workload
+//! into one chunk of consecutive arrivals a worker (`serve.admit` on the
+//! same pool; inline at `jobs = 1`): a worker checks its chunk's time
+//! order (against the last arrival of the chunk before it, too), writes
+//! each arrival's [`CacheKey`] into its own slice of one key table, and
+//! returns per shard the indices of the chunk's arrivals the ring routes
+//! there. Then each *shard* (`serve.shard`) walks its lists chunk by
+//! chunk. Indices ascend within a list and every index of a chunk is
+//! below every index of the next, so a shard meets its arrivals in
+//! global arrival order however the day was cut — the number of chunks,
+//! like the number of workers, changes when work runs and never what it
+//! computes. The *merge* scatters the shards' results into arrival order
+//! and sums histograms and busy time in shard order, on the calling
+//! thread. Nothing on the path of a cache-answered arrival reads a
+//! clock, hashes a key with SipHash more than the once that makes the
+//! key, or allocates (`tests/serve_props.rs` pins the last).
 //!
 //! Telemetry: `serve.queries`, `serve.shard.{hit,miss,fill,shed,
 //! rejected}` counters, per-shard `serve.shard<i>.queue_depth` peak
