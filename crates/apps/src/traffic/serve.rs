@@ -60,9 +60,10 @@
 //! gauges, and `serve.query.latency_us` / `serve.queue.wait_us`
 //! virtual-time histograms, all exported through `everestc stats`.
 
+use super::lru::LruCache;
 pub use super::ring::{HashRing, DEFAULT_VNODES};
 use super::service::RouteQuery;
-use super::service::{bin_center_hour, cache_key, derive_seed, CacheKey, LruCache, PtdrEngine};
+use super::service::{bin_center_hour, cache_key, derive_seed, CacheKey, PtdrEngine};
 use super::{random_od, shortest_route, RoadNetwork, SpeedProfiles, TravelTimeStats};
 use everest_platform::ecosystem::ServeCostModel;
 use everest_telemetry::{HistogramSnapshot, LogHistogram};

@@ -47,7 +47,7 @@
 //! Telemetry: `ptdr.queries`, `ptdr.cache.hit`, `ptdr.cache.miss`
 //! counters, and a `ptdr.batch` span per batch.
 
-pub(crate) use super::lru::LruCache;
+use super::lru::LruCache;
 pub use super::lru::{
     bin_center_hour, cache_key, derive_seed, CacheKey, DEPARTURE_BINS, DEPARTURE_BINS_PER_HOUR,
 };

@@ -208,21 +208,13 @@ const TIER_DIGESTS: [(u64, &str, &str, u64, usize); 8] = [
 const PINNED_ARRIVALS: usize = 8_192;
 const PINNED_QPS: f64 = 60_000.0;
 
-/// One day served cold and then replayed on the tier it filled: 4
-/// shards, queue depth 16, caches small enough that both levels evict —
-/// so the replay takes every branch of the hierarchy (edge hit, cloud
+/// One pinned day served cold and then replayed on the tier it filled:
+/// 4 shards, queue depth 16, caches small enough that both levels evict
+/// — so the replay takes every branch of the hierarchy (edge hit, cloud
 /// hit promoted into a full edge cache, recompute of what the cold run
 /// shed or the cloud partition dropped).
-fn pinned_run(seed: u64, policy: &str, jobs: usize) -> [String; 2] {
+fn pinned_run(workload: &[Arrival], seed: u64, policy: &str, jobs: usize) -> [String; 2] {
     let (network, profiles, _) = fixture();
-    let generator = LoadGen::new(network, profiles, 16, seed);
-    let workload = generator.generate(
-        0,
-        PINNED_QPS,
-        1.05 * PINNED_ARRIVALS as f64 / PINNED_QPS,
-        PINNED_ARRIVALS,
-    );
-    assert!(workload.len() >= 8_000, "only {} arrivals", workload.len());
     let mut config = ServeConfig::new(4);
     config.seed = seed;
     config.jobs = jobs;
@@ -231,8 +223,8 @@ fn pinned_run(seed: u64, policy: &str, jobs: usize) -> [String; 2] {
     config.edge_cache = 128;
     config.cloud_cache = 1_500;
     let tier = ServeTier::new(network.clone(), profiles.clone(), config);
-    let cold = tier.run(&workload);
-    let replay = tier.run(&workload);
+    let cold = tier.run(workload);
+    let replay = tier.run(workload);
     assert!(cold.dropped() > 0 && replay.dropped() > 0, "the pinned day must shed");
     assert!(replay.edge_hits() > 0 && replay.cloud_fills() > 0, "the replay must hit and fill");
     assert!(replay.edge_misses() > replay.cloud_fills(), "the replay must promote cloud hits");
@@ -241,13 +233,21 @@ fn pinned_run(seed: u64, policy: &str, jobs: usize) -> [String; 2] {
 
 #[test]
 fn tier_reproduces_the_digests_pinned_on_the_parent() {
+    let (network, profiles, _) = fixture();
     let mut seen = Vec::new();
     for seed in [7u64, 2026] {
+        let workload = LoadGen::new(network, profiles, 16, seed).generate(
+            0,
+            PINNED_QPS,
+            1.05 * PINNED_ARRIVALS as f64 / PINNED_QPS,
+            PINNED_ARRIVALS,
+        );
+        assert!(workload.len() >= 8_000, "only {} arrivals", workload.len());
         for policy in ["reject-new", "shed-oldest"] {
-            let reference = pinned_run(seed, policy, 1);
+            let reference = pinned_run(&workload, seed, policy, 1);
             for jobs in [2usize, 4, 8] {
                 assert!(
-                    pinned_run(seed, policy, jobs) == reference,
+                    pinned_run(&workload, seed, policy, jobs) == reference,
                     "seed {seed}, {policy}: jobs {jobs} and 1 disagree"
                 );
             }
