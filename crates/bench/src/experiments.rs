@@ -1,6 +1,12 @@
 //! The E1–E16 experiments: every figure and every Section VI-D claim of
 //! the paper, regenerated as a table. See `DESIGN.md` for the index and
 //! `EXPERIMENTS.md` for paper-vs-measured commentary.
+//!
+//! Two outputs. [`full_report`] holds only cells that are functions of the
+//! code (seeded inputs, virtual time) and is pinned byte for byte by
+//! `tests/golden/report.txt`; [`timings`] holds the cells read from the
+//! wall clock (E8's software crypto throughput, E11's PTDR CPU time, E13's
+//! plume time per hour-step), which vary from run to run.
 
 use crate::table::{f, Table};
 use everest::apps::{airquality, traffic, weather};
@@ -26,6 +32,10 @@ const STENCIL: &str =
     "kernel smooth(x: tensor<4096xf64>) -> tensor<4096xf64> { return stencil(x, [0.25, 0.5, 0.25]); }";
 const SIGMOID: &str =
     "kernel activate(x: tensor<4096xf64>) -> tensor<4096xf64> { return sigmoid(x); }";
+
+/// First line of [`full_report`]; bump it when a table gains or loses a
+/// column, and re-bless the golden in the same commit.
+const REPORT_SCHEMA_VERSION: u32 = 1;
 
 fn section(id: &str, title: &str, body: &str) -> String {
     format!("\n=== {id}: {title} ===\n{body}")
@@ -409,47 +419,22 @@ pub fn e7_dift_overhead() -> String {
 // E8 — crypto library throughput
 // ---------------------------------------------------------------------------
 
-/// E8: measured software crypto throughput vs the modeled near-memory
-/// engine.
-pub fn e8_crypto() -> String {
-    let mut t = Table::new(&["primitive", "sw MB/s (measured)", "near-mem model MB/s", "speedup"]);
-    let payload = vec![0xa5u8; 1 << 20];
-
-    let gcm = AesGcm::new(&[7u8; 16]);
-    let nonce = [1u8; 12];
-    let start = Instant::now();
-    let mut sink = 0u8;
-    let reps = 8;
-    for _ in 0..reps {
-        let ct = gcm.seal(&nonce, &payload, b"");
-        sink ^= ct[0];
-    }
-    let gcm_mbs = (reps as f64 * payload.len() as f64 / 1e6) / start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    for _ in 0..reps {
-        sink ^= sha256(&payload)[0];
-    }
-    let sha_mbs = (reps as f64 * payload.len() as f64 / 1e6) / start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    for _ in 0..reps {
-        sink ^= hmac_sha256(b"key", &payload)[0];
-    }
-    let hmac_mbs = (reps as f64 * payload.len() as f64 / 1e6) / start.elapsed().as_secs_f64();
-    std::hint::black_box(sink);
-
-    // Near-memory engine model: one 16-byte AES block per cycle at 200 MHz
-    // (round-unrolled pipeline); SHA-256 chains within a stream, so the
-    // engine hashes 4 independent lanes at 64 bytes per 64-cycle block.
+/// The near-memory engine model, MB/s per primitive: one 16-byte AES block
+/// per cycle at 200 MHz (round-unrolled pipeline); SHA-256 chains within a
+/// stream, so the engine hashes 4 independent lanes at 64 bytes per
+/// 64-cycle block.
+fn crypto_engines() -> [(&'static str, f64); 3] {
     let aes_hw = 16.0 * 200e6 / 1e6;
     let sha_hw = 4.0 * 64.0 * 200e6 / 64.0 / 1e6;
-    for (name, sw, hw) in [
-        ("AES-128-GCM seal", gcm_mbs, aes_hw),
-        ("SHA-256", sha_mbs, sha_hw),
-        ("HMAC-SHA256", hmac_mbs, sha_hw),
-    ] {
-        t.row(&[name.into(), f(sw, 1), f(hw, 0), format!("{:.0}x", hw / sw)]);
+    [("AES-128-GCM seal", aes_hw), ("SHA-256", sha_hw), ("HMAC-SHA256", sha_hw)]
+}
+
+/// E8: the modeled near-memory crypto engines. The measured software
+/// throughput they are compared against is in [`timings`].
+pub fn e8_crypto() -> String {
+    let mut t = Table::new(&["primitive", "near-mem model MB/s"]);
+    for (name, hw) in crypto_engines() {
+        t.row(&[name.into(), f(hw, 0)]);
     }
     section(
         "E8",
@@ -574,18 +559,33 @@ pub fn e10_workflow_scalability() -> String {
 // E11 — PTDR Monte-Carlo routing
 // ---------------------------------------------------------------------------
 
-/// E11: PTDR estimator error and runtime vs sample count, with the modeled
-/// FPGA sampling speedup.
-pub fn e11_ptdr() -> String {
+const PTDR_SAMPLES: [usize; 4] = [10, 100, 1_000, 10_000];
+
+/// The E11 query: corner to corner across a 12×12 grid at 8:00, on speed
+/// profiles learned from 200 000 floating-car points.
+fn ptdr_query() -> (traffic::RoadNetwork, traffic::SpeedProfiles, Vec<usize>) {
     let network = traffic::RoadNetwork::grid(2026, 12, 0.8);
     let fcd = traffic::generate_fcd(&network, 7, 200_000);
     let profiles = traffic::SpeedProfiles::learn(&network, &fcd);
     let route =
         traffic::shortest_route(&network, &profiles, 0, network.nodes.len() - 1, 8).unwrap();
+    (network, profiles, route)
+}
+
+/// FPGA model: 32 parallel samplers, one segment sample per cycle each at
+/// 200 MHz (ref \[37\] accelerates exactly this kernel).
+fn ptdr_fpga_ms(samples: usize, route_len: usize) -> f64 {
+    (samples * route_len) as f64 / (32.0 * 200e6) * 1e3
+}
+
+/// E11: PTDR estimator error vs sample count, with the modeled FPGA
+/// sampling time. The CPU time it is compared against is in [`timings`].
+pub fn e11_ptdr() -> String {
+    let (network, profiles, route) = ptdr_query();
     let reference = traffic::ptdr_travel_time(&network, &profiles, &route, 8.0, 100_000, 999);
 
-    let mut t = Table::new(&["samples", "mean err %", "p95 min", "cpu ms", "fpga ms (model)"]);
-    for samples in [10usize, 100, 1_000, 10_000] {
+    let mut t = Table::new(&["samples", "mean err %", "p95 min", "fpga ms (model)"]);
+    for samples in PTDR_SAMPLES {
         // Average error over seeds to show the 1/sqrt(N) trend.
         let mut err = 0.0;
         for seed in 0..10 {
@@ -593,18 +593,12 @@ pub fn e11_ptdr() -> String {
             err += (est.mean_h - reference.mean_h).abs() / reference.mean_h;
         }
         err /= 10.0;
-        let start = Instant::now();
         let stats = traffic::ptdr_travel_time(&network, &profiles, &route, 8.0, samples, 1);
-        let cpu_ms = start.elapsed().as_secs_f64() * 1e3;
-        // FPGA model: 32 parallel samplers, one segment sample per cycle
-        // each at 200 MHz (ref [37] accelerates exactly this kernel).
-        let fpga_ms = (samples * route.len()) as f64 / (32.0 * 200e6) * 1e3;
         t.row(&[
             samples.to_string(),
             f(err * 100.0, 2),
             f(stats.p95_h * 60.0, 1),
-            f(cpu_ms, 3),
-            f(fpga_ms, 4),
+            f(ptdr_fpga_ms(samples, route.len()), 4),
         ]);
     }
     section(
@@ -661,18 +655,20 @@ pub fn e12_wind_resolution() -> String {
 // E13 — air-quality forecast latency budget
 // ---------------------------------------------------------------------------
 
-/// E13: plume-forecast fidelity and latency vs grid resolution on the
-/// 10-km domain.
+const PLUME_CELLS: [usize; 4] = [16, 32, 64, 128];
+
+fn plume_meteo() -> airquality::Meteo {
+    airquality::Meteo { wind_ms: 2.5, wind_dir_rad: 0.35, stability: airquality::Stability::E }
+}
+
+/// E13: plume-forecast fidelity vs grid resolution on the 10-km domain.
+/// The time per hour-step is in [`timings`].
 pub fn e13_air_quality() -> String {
-    let met =
-        airquality::Meteo { wind_ms: 2.5, wind_dir_rad: 0.35, stability: airquality::Stability::E };
-    let mut t = Table::new(&["cells/edge", "peak ug/m3", ">50 ug/m3 %", "ms per hour-step"]);
-    for cells in [16usize, 32, 64, 128] {
-        let model = airquality::reference_site(cells);
-        let start = Instant::now();
-        let (frac, peak) = model.exceedance(&met, 50.0);
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        t.row(&[cells.to_string(), f(peak, 0), f(frac * 100.0, 1), f(ms, 2)]);
+    let met = plume_meteo();
+    let mut t = Table::new(&["cells/edge", "peak ug/m3", ">50 ug/m3 %"]);
+    for cells in PLUME_CELLS {
+        let (frac, peak) = airquality::reference_site(cells).exceedance(&met, 50.0);
+        t.row(&[cells.to_string(), f(peak, 0), f(frac * 100.0, 1)]);
     }
     section(
         "E13",
@@ -750,11 +746,9 @@ pub fn e15_cache_tiling() -> String {
         "E15",
         "cache-model validation of the tiling variant (paper III-B, refs [25][26])",
         &format!(
-            "{}
-Blocked matmul keeps the 3 x tile^2 working set inside L1: the trace-driven
-             model confirms the miss-rate collapse the software cost model's tiling
-             boost assumes.
-",
+            "{}\nBlocked matmul keeps the 3 x tile^2 working set inside L1: the trace-driven\n\
+             model confirms the miss-rate collapse the software cost model's tiling\n\
+             boost assumes.\n",
             t.render()
         ),
     )
@@ -790,19 +784,20 @@ pub fn e16_multi_tenant() -> String {
         "E16",
         "multi-VM accelerator sharing (paper IV / Fig. 2)",
         &format!(
-            "{}
-Three use-case VMs co-located on shared vFPGA slots: consolidation keeps
-             utilization high; the sizing helper picks {} slot(s) for a 1.5x response SLO.
-",
+            "{}\nThree use-case VMs co-located on shared vFPGA slots: consolidation keeps\n\
+             utilization high; the sizing helper picks {} slot(s) for a 1.5x response SLO.\n",
             t.render(),
             needed.map(|n| n.to_string()).unwrap_or_else(|| "-".into())
         ),
     )
 }
 
-/// Runs every experiment and concatenates the report.
+/// Runs every experiment and concatenates the report. No cell is read from
+/// the wall clock, so the text is the same on every run and every build
+/// profile: `tests/golden/report.txt` pins it.
 pub fn full_report() -> String {
     let mut out = String::new();
+    writeln!(out, "report schema_version {REPORT_SCHEMA_VERSION}").unwrap();
     writeln!(out, "EVEREST reproduction — experiment report (E1-E16)").unwrap();
     writeln!(out, "==================================================").unwrap();
     out.push_str(&e1_compilation_flow());
@@ -822,6 +817,69 @@ pub fn full_report() -> String {
     out.push_str(&e15_cache_tiling());
     out.push_str(&e16_multi_tenant());
     out
+}
+
+/// The wall-clock cells E8, E11 and E13 set against their hardware
+/// models. They vary from run to run, so `report` prints them on stderr;
+/// use a release build for representative numbers.
+pub fn timings() -> String {
+    let mut out = String::from("EVEREST reproduction — wall-clock cells (E8, E11, E13)\n");
+
+    let payload = vec![0xa5u8; 1 << 20];
+    let gcm = AesGcm::new(&[7u8; 16]);
+    let nonce = [1u8; 12];
+    let measured = [
+        mb_per_s(payload.len(), || gcm.seal(&nonce, &payload, b"")[0]),
+        mb_per_s(payload.len(), || sha256(&payload)[0]),
+        mb_per_s(payload.len(), || hmac_sha256(b"key", &payload)[0]),
+    ];
+    let mut t = Table::new(&["primitive", "sw MB/s (measured)", "near-mem model MB/s", "speedup"]);
+    for ((name, hw), sw) in crypto_engines().into_iter().zip(measured) {
+        t.row(&[name.into(), f(sw, 1), f(hw, 0), format!("{:.0}x", hw / sw)]);
+    }
+    out.push_str(&section("E8", "software crypto throughput", &t.render()));
+
+    let (network, profiles, route) = ptdr_query();
+    let mut t = Table::new(&["samples", "cpu ms", "fpga ms (model)", "model speedup"]);
+    for samples in PTDR_SAMPLES {
+        let start = Instant::now();
+        std::hint::black_box(traffic::ptdr_travel_time(
+            &network, &profiles, &route, 8.0, samples, 1,
+        ));
+        let cpu_ms = start.elapsed().as_secs_f64() * 1e3;
+        let fpga_ms = ptdr_fpga_ms(samples, route.len());
+        t.row(&[
+            samples.to_string(),
+            f(cpu_ms, 3),
+            f(fpga_ms, 4),
+            format!("{:.0}x", cpu_ms / fpga_ms),
+        ]);
+    }
+    out.push_str(&section("E11", "PTDR estimate on the CPU", &t.render()));
+
+    let met = plume_meteo();
+    let mut t = Table::new(&["cells/edge", "ms per hour-step"]);
+    for cells in PLUME_CELLS {
+        let model = airquality::reference_site(cells);
+        let start = Instant::now();
+        std::hint::black_box(model.exceedance(&met, 50.0));
+        t.row(&[cells.to_string(), f(start.elapsed().as_secs_f64() * 1e3, 2)]);
+    }
+    out.push_str(&section("E13", "plume forecast per hour-step", &t.render()));
+    out
+}
+
+/// Throughput of `op` over a `bytes`-long payload in MB/s, from 8 timed
+/// repetitions.
+fn mb_per_s(bytes: usize, mut op: impl FnMut() -> u8) -> f64 {
+    const REPS: usize = 8;
+    let start = Instant::now();
+    let mut sink = 0u8;
+    for _ in 0..REPS {
+        sink ^= op();
+    }
+    std::hint::black_box(sink);
+    (REPS as f64 * bytes as f64 / 1e6) / start.elapsed().as_secs_f64()
 }
 
 #[cfg(test)]
