@@ -17,18 +17,19 @@
 //!   networks, floating-car-data generation, speed-profile learning,
 //!   probabilistic time-dependent routing (PTDR, ref \[37\]) by Monte-Carlo
 //!   sampling, and a macroscopic traffic simulator with O/D demand;
+//! * [`micro`] — the microscopic half of VI-C: the Intelligent Driver
+//!   Model on a ring road and its fundamental diagram;
 //! * [`mlp`] — a small from-scratch neural network shared by the use
 //!   cases;
 //! * [`synthetic`] — seeded smooth-field and time-series generators.
 
-// Index arithmetic over flat buffers (strided weights, grids, particle
-// arrays) reads better as explicit loops than as iterator chains here.
+// Index arithmetic over flat buffers (strided weights, grids) reads better
+// as explicit loops than as iterator chains here.
 #![allow(clippy::needless_range_loop)]
 
 pub mod airquality;
 pub mod micro;
 pub mod mlp;
-pub mod particles;
 pub mod synthetic;
 pub mod traffic;
 pub mod weather;

@@ -64,11 +64,6 @@ impl Mlp {
         Mlp { layers }
     }
 
-    /// Number of trainable parameters.
-    pub fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.weights.len() + l.bias.len()).sum()
-    }
-
     /// Forward pass.
     ///
     /// # Panics
@@ -154,12 +149,6 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn param_count() {
-        let net = Mlp::new(0, &[3, 8, 2]);
-        assert_eq!(net.num_params(), 3 * 8 + 8 + 8 * 2 + 2);
-    }
 
     #[test]
     fn learns_a_linear_function() {

@@ -141,22 +141,6 @@ impl Ensemble {
         }
         Ensemble { members: out }
     }
-
-    /// Ensemble-mean wind at fractional truth-grid coordinates, per hour.
-    pub fn mean_wind_at(&self, fx: f64, fy: f64, truth_nx: usize) -> Vec<f64> {
-        let mut out = vec![0.0; HOURS];
-        for member in &self.members {
-            let n = member.hourly[0].nx;
-            let scale = n as f64 / truth_nx as f64;
-            for (h, field) in member.hourly.iter().enumerate() {
-                out[h] += field.sample(fx * scale, fy * scale);
-            }
-        }
-        for v in &mut out {
-            *v /= self.members.len() as f64;
-        }
-        out
-    }
 }
 
 /// A wind farm: turbine positions on the truth grid plus rated power.

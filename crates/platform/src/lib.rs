@@ -1,4 +1,4 @@
-//! # everest-platform — target-system model and simulator
+//! # everest-platform — target-system model
 //!
 //! The EVEREST target system (paper Section V, Fig. 3 and Fig. 4) combines
 //! POWER9 cloud nodes with **bus-attached, cache-coherent FPGAs**
@@ -13,11 +13,10 @@
 //!   edge WAN) with latency + bandwidth transfer costs;
 //! * [`system`] — assembled systems, including the reference EVEREST
 //!   demonstrator topology;
-//! * [`sim`] — a deterministic resource-timeline simulator for transfers
-//!   and kernel executions with contention;
-//! * [`energy`] — static + dynamic energy accounting;
 //! * [`ecosystem`] — the endpoint → inner-edge → cloud hierarchy of Fig. 3
-//!   with tier-placement evaluation.
+//!   with tier-placement evaluation;
+//! * [`cache`] — a trace-driven L1/L2 cache model (report §E15 checks the
+//!   variants cost model's tiling boost against it).
 //!
 //! ## Example
 //!
@@ -32,17 +31,14 @@
 
 pub mod cache;
 pub mod ecosystem;
-pub mod energy;
 pub mod error;
 pub mod fpga;
 pub mod link;
 pub mod node;
-pub mod sim;
 pub mod system;
 
 pub use error::{PlatformError, PlatformResult};
 pub use fpga::{Attachment, FabricCapacity, FpgaDevice};
 pub use link::{Link, LinkProfile};
 pub use node::{CpuSpec, Node, NodeKind};
-pub use sim::Sim;
 pub use system::System;

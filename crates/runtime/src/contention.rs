@@ -3,12 +3,10 @@
 //! instances running in different virtual machines" (paper IV).
 //!
 //! Each tenant VM issues kernel invocations periodically; invocations are
-//! dispatched to the least-loaded of the shared accelerator slots. The
-//! simulator reports per-tenant response times and slot utilization, which
-//! is the evidence behind consolidation decisions (how many vFPGAs does a
-//! given co-location need?).
-
-use everest_platform::Sim;
+//! dispatched FIFO to the least-loaded of the shared accelerator slots.
+//! The simulator reports per-tenant response times and slot utilization,
+//! which is the evidence behind consolidation decisions (how many vFPGAs
+//! does a given co-location need?).
 
 /// One tenant VM's invocation pattern.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,11 +36,6 @@ impl Tenant {
         assert!(kernel_us > 0.0 && period_us > 0.0, "positive times required");
         assert!(invocations > 0, "at least one invocation");
         Tenant { name: name.into(), kernel_us, period_us, invocations }
-    }
-
-    /// Offered load of this tenant (fraction of one slot).
-    pub fn offered_load(&self) -> f64 {
-        self.kernel_us / self.period_us
     }
 }
 
@@ -76,26 +69,27 @@ pub fn share_slots(tenants: &[Tenant], slots: usize) -> ContentionReport {
     assert!(slots > 0, "need at least one slot");
     assert!(!tenants.is_empty(), "need at least one tenant");
     // Gather all arrivals, globally ordered (stable by tenant for ties).
-    let mut arrivals: Vec<(f64, usize, usize)> = Vec::new(); // (time, tenant, seq)
+    let mut arrivals: Vec<(f64, usize)> = Vec::new(); // (time, tenant)
     for (ti, t) in tenants.iter().enumerate() {
         for i in 0..t.invocations {
-            arrivals.push((i as f64 * t.period_us, ti, i));
+            arrivals.push((i as f64 * t.period_us, ti));
         }
     }
     arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-    let mut sim = Sim::new();
-    let slot_names: Vec<String> = (0..slots).map(|i| format!("slot{i}")).collect();
+    // Per slot: when it frees up and how long it has been busy.
+    let mut free_at = vec![0.0f64; slots];
+    let mut busy_us = vec![0.0f64; slots];
+    let mut makespan_us = 0.0f64;
     let mut sums = vec![0.0f64; tenants.len()];
     let mut maxes = vec![0.0f64; tenants.len()];
-    for (arrival, ti, seq) in arrivals {
-        // Least-loaded dispatch: the slot that frees up first.
-        let slot = slot_names
-            .iter()
-            .min_by(|a, b| sim.available_at(a).total_cmp(&sim.available_at(b)))
-            .expect("slots exist");
-        let finish =
-            sim.run(slot, &format!("{}#{}", tenants[ti].name, seq), arrival, tenants[ti].kernel_us);
+    for (arrival, ti) in arrivals {
+        let slot = first_free(&free_at);
+        let kernel_us = tenants[ti].kernel_us;
+        let finish = free_at[slot].max(arrival) + kernel_us;
+        free_at[slot] = finish;
+        busy_us[slot] += kernel_us;
+        makespan_us = makespan_us.max(finish);
         let response = finish - arrival;
         sums[ti] += response;
         maxes[ti] = maxes[ti].max(response);
@@ -107,13 +101,23 @@ pub fn share_slots(tenants: &[Tenant], slots: usize) -> ContentionReport {
         .collect();
     let max_response_us =
         tenants.iter().enumerate().map(|(ti, t)| (t.name.clone(), maxes[ti])).collect();
-    let utilization = slot_names.iter().map(|s| sim.utilization(s)).sum::<f64>() / slots as f64;
+    let utilization = if makespan_us > 0.0 {
+        busy_us.iter().map(|b| b / makespan_us).sum::<f64>() / slots as f64
+    } else {
+        0.0
+    };
     ContentionReport {
         mean_response_us,
         max_response_us,
         slot_utilization: utilization,
-        makespan_us: sim.makespan(),
+        makespan_us,
     }
+}
+
+/// Least-loaded dispatch: the slot that frees up first, the lowest index
+/// among equals.
+fn first_free(free_at: &[f64]) -> usize {
+    (0..free_at.len()).min_by(|&a, &b| free_at[a].total_cmp(&free_at[b])).expect("slots exist")
 }
 
 /// The smallest slot count for which every tenant's mean response stays
@@ -190,6 +194,15 @@ mod tests {
         let tenants = vec![Tenant::new("x", 10.0, 20.0, 100)];
         let r = share_slots(&tenants, 4);
         assert!(r.slot_utilization > 0.0 && r.slot_utilization <= 1.0);
+    }
+
+    #[test]
+    fn ties_go_to_the_lowest_slot_index() {
+        // Slots are interchangeable in the report, so the tie-break is
+        // pinned on the dispatch itself.
+        assert_eq!(first_free(&[0.0; 4]), 0);
+        assert_eq!(first_free(&[5.0, 3.0, 3.0, 4.0]), 1);
+        assert_eq!(first_free(&[2.0, 7.0, 2.0]), 0);
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //!    autotuner ([`autotuner`]) selecting among the pre-generated variants
 //!    of [`everest_variants`], plus the closed adaptation loop in
 //!    [`adaptation`];
-//! 3. **Virtualization support** — VMs, the vFPGA manager with
-//!    partial-reconfiguration slots and the API-remoting cost model in
-//!    [`vm`].
+//! 3. **Virtualization support** — VMs and the vFPGA manager with
+//!    partial-reconfiguration slots in [`vm`], and tenant VMs sharing
+//!    accelerator slots in [`contention`] (report §E16).
+//!
+//! Beside them, [`offload`] runs accelerator calls against injected
+//! faults: retries, per-device circuit breakers and a fallback chain
+//! network FPGA → bus FPGA → host CPU.
 //!
 //! ## Example
 //!

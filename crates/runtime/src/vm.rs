@@ -1,5 +1,5 @@
-//! Virtualization support: VMs, hypervisor extensions, the vFPGA manager
-//! and the API-remoting cost model (paper IV, refs \[32\], \[33\]).
+//! Virtualization support: VMs, hypervisor extensions and the vFPGA
+//! manager (paper IV, refs \[32\], \[33\]).
 //!
 //! "Hardware configurable parameters, including accelerator APIs, are
 //! exposed directly to the applications inside the VMs" — guests hold
@@ -109,36 +109,6 @@ impl VfpgaManager {
     }
 }
 
-/// API-remoting cost model: guest accelerator calls trap to the hypervisor;
-/// batching amortizes the exit cost ("API remoting techniques will improve
-/// data exchanges").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RemotingCost {
-    /// Cost of one VM exit + hypercall, microseconds.
-    pub vmexit_us: f64,
-    /// Marshalling cost per call, microseconds.
-    pub per_call_us: f64,
-}
-
-impl Default for RemotingCost {
-    fn default() -> RemotingCost {
-        RemotingCost { vmexit_us: 6.0, per_call_us: 1.5 }
-    }
-}
-
-impl RemotingCost {
-    /// Overhead per accelerator invocation when `batch` calls share one
-    /// exit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn overhead_per_call_us(&self, batch: usize) -> f64 {
-        assert!(batch > 0, "batch must be positive");
-        self.vmexit_us / batch as f64 + self.per_call_us
-    }
-}
-
 /// The hypervisor of one node: VMs plus the vFPGA manager.
 #[derive(Debug, Clone, Default)]
 pub struct Hypervisor {
@@ -147,19 +117,12 @@ pub struct Hypervisor {
     vms: Vec<Vm>,
     /// The vFPGA manager.
     pub vfpga: VfpgaManager,
-    /// Remoting cost model.
-    pub remoting: RemotingCost,
 }
 
 impl Hypervisor {
     /// Creates a hypervisor managing `devices` on `node`.
     pub fn new(node: impl Into<String>, devices: Vec<FpgaDevice>) -> Hypervisor {
-        Hypervisor {
-            node: node.into(),
-            vms: Vec::new(),
-            vfpga: VfpgaManager::new(devices),
-            remoting: RemotingCost::default(),
-        }
+        Hypervisor { node: node.into(), vms: Vec::new(), vfpga: VfpgaManager::new(devices) }
     }
 
     /// Boots a VM.
@@ -203,26 +166,6 @@ impl Hypervisor {
             vm.vfpgas.push(handle.clone());
         }
         Ok(handle)
-    }
-
-    /// Migrates every grant of `vm` away (releases them), modeling a VM
-    /// migration between nodes; returns the released role count.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Unknown`] for a missing VM.
-    pub fn detach_all(&mut self, vm_name: &str) -> RuntimeResult<usize> {
-        let vm = self
-            .vms
-            .iter_mut()
-            .find(|v| v.name == vm_name)
-            .ok_or_else(|| RuntimeError::Unknown(vm_name.to_owned()))?;
-        let handles = std::mem::take(&mut vm.vfpgas);
-        let n = handles.len();
-        for h in handles {
-            self.vfpga.release(&h)?;
-        }
-        Ok(n)
     }
 }
 
@@ -293,35 +236,8 @@ mod tests {
     }
 
     #[test]
-    fn detach_all_releases_everything() {
-        let mut h = hypervisor();
-        h.create_vm("g", 2, "linux");
-        h.attach_vfpga("g", "a", small_area(1_000)).unwrap();
-        h.attach_vfpga("g", "b", small_area(1_000)).unwrap();
-        let before = h.vfpga.free_luts();
-        assert_eq!(h.detach_all("g").unwrap(), 2);
-        assert!(h.vfpga.free_luts() > before);
-        assert!(h.vm("g").unwrap().vfpgas.is_empty());
-    }
-
-    #[test]
     fn release_unknown_handle_fails() {
         let mut m = VfpgaManager::new(vec![FpgaDevice::bus_attached("d")]);
         assert!(matches!(m.release("vfpga99"), Err(RuntimeError::Unknown(_))));
-    }
-
-    #[test]
-    fn batching_amortizes_remoting_overhead() {
-        let cost = RemotingCost::default();
-        let single = cost.overhead_per_call_us(1);
-        let batched = cost.overhead_per_call_us(16);
-        assert!(batched < single / 2.0);
-        assert!(batched >= cost.per_call_us);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch must be positive")]
-    fn zero_batch_panics() {
-        RemotingCost::default().overhead_per_call_us(0);
     }
 }
