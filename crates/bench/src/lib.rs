@@ -7,11 +7,13 @@
 //! `DESIGN.md`):
 //!
 //! * the `report` binary (`cargo run -p everest-bench --bin report`)
-//!   regenerates every experiment table; `EXPERIMENTS.md` records the
-//!   paper-claim vs. measured comparison;
-//! * the Criterion benches under `benches/` measure the real runtime of
-//!   the reproduction's own machinery (compilation flow, HLS, crypto,
-//!   Monte-Carlo routing, workflow simulation).
+//!   prints every experiment table on stdout, byte for byte the committed
+//!   `tests/golden/report.txt`, and the wall-clock cells (E8/E11/E13) on
+//!   stderr; `EXPERIMENTS.md` records the paper-claim vs. measured
+//!   comparison;
+//! * the benches under `benches/` (DSE, PTDR, offload, SIMD kernels, the
+//!   serving tier) each write a tracked `BENCH_*.json` that the
+//!   `bench_diff` binary gates.
 
 pub mod diff;
 pub mod experiments;
