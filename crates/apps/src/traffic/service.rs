@@ -14,25 +14,32 @@
 //!   phases: first the block's normals are drawn, in lane order, into a
 //!   stack buffer; then a loop of arithmetic alone (hour lookup in the
 //!   edge's hour-major speed rows, clamp, divide) advances the lanes.
+//!   While every lane of a block is still in the departure hour (93 % of
+//!   block-edges on the `serve_cold` corpus), that loop reads the edge's
+//!   speed row for that hour once and has no branch — clamp, divide, add
+//!   and a compare against the next hour boundary — so release builds
+//!   divide two lanes at a time (`divpd`); once a lane crosses, the block
+//!   finishes on the per-lane hour lookup.
 //!   Normals come from a 128-layer ziggurat sampler: one RNG word, one
-//!   multiply (the layer table is stored pre-scaled by 2⁻⁵³) and one
-//!   compare on the 97 % path, no transcendentals. The sign is applied
-//!   by moving the word's sign bit into the sign position of the
-//!   non-negative value — what multiplying by ±1.0 computes, −0.0
-//!   included, minus a branch that is a coin flip. The wedge and tail
+//!   integer compare and one multiply on the 97 % path, no
+//!   transcendentals. The word's low byte (layer and sign) indexes two
+//!   tables built with the layer widths: the smallest 53-bit mantissa
+//!   whose point leaves the layer's rectangle, and the layer's width
+//!   pre-scaled by ±2⁻⁵³ — a negated scale is exact, so the product is
+//!   what multiplying by ±1.0 computes, −0.0 included, with neither a
+//!   float compare nor a branch on a coin flip. The wedge and tail
 //!   cases (2.8 % of draws; `exp`, `ln`) live in one `#[cold]`
 //!   out-of-line function, so the hot loop holds neither their code nor
 //!   their register spills; it takes the generator by value and hands it
 //!   back, which lets the loop keep the generator's state in a register.
-//!   The summary is streaming Welford mean/variance, stepped from the
-//!   last edge's loop so its serial divide chain runs under the
-//!   sampling, plus a `select_nth_unstable` 95th percentile instead of a
-//!   full sort. RNG words are consumed in the order the one-loop,
-//!   one-sample-at-a-time form of this kernel consumed them, and every
-//!   floating-point operation is the same operation on the same
-//!   operands, so every answer is bit-identical to that form's — which
-//!   survives as the unit tests' reference, next to a committed golden
-//!   table (`tests/ptdr_golden.rs`).
+//!   The summary is streaming Welford mean/variance, pushed in a loop of
+//!   its own after each block's last edge, plus a `select_nth_unstable`
+//!   95th percentile instead of a full sort. RNG words are consumed in
+//!   the order the one-loop, one-sample-at-a-time form of this kernel
+//!   consumed them, and every floating-point operation is the same
+//!   operation on the same operands, so every answer is bit-identical to
+//!   that form's — which survives as the unit tests' reference, next to a
+//!   committed golden table (`tests/ptdr_golden.rs`).
 //! * [`PtdrService`] — the batch front-end: fans a slice of
 //!   [`RouteQuery`]s across [`everest_workflow::pool::parallel_map`]
 //!   and answers repeated questions from an LRU response cache keyed by
@@ -114,10 +121,11 @@ pub fn ptdr_travel_time_reference(
 // ---------------------------------------------------------------------------
 
 /// Welford's streaming mean/variance, one sample at a time. The engine
-/// feeds it from the last edge's loop, so the divide chain of each step
+/// pushes a block's lanes in a loop of their own once the block's last
+/// edge has been stepped, which keeps that step the same branch-free
+/// loop as every other edge's; the cost is that each push's divide chain
 /// (subtract, divide, add: ≈ 22 cycles, each step waiting on the one
-/// before) runs under the sampling of the following lanes instead of in
-/// a pass of its own.
+/// before) runs serially.
 #[derive(Debug, Default)]
 struct Moments {
     count: usize,
@@ -173,13 +181,20 @@ pub fn summarize(times: &mut [f64]) -> TravelTimeStats {
 /// layers): `x[i]` are the layer widths (descending, `x[1]` = the tail
 /// cutoff `R`), `f[i] = exp(-x[i]²/2)` the layer heights, and
 /// `scaled[i] = x[i] · 2⁻⁵³` (a power-of-two scaling, so exact) turns a
-/// 53-bit mantissa straight into a point of layer `i`. Built once per
-/// process; stored inline in a `OnceLock`, so initialization performs no
-/// heap allocation.
+/// 53-bit mantissa straight into a point of layer `i`. The fast path's
+/// two tables are indexed by a word's low byte, `b = layer | sign << 7`:
+/// `signed[b]` is `scaled[layer]` negated when the sign bit is set, and
+/// `accept[b]` the smallest mantissa `m` with
+/// `m as f64 * scaled[layer] >= x[layer + 1]` — the product rounds
+/// monotonically in `m`, so `m < accept[b]` is exactly the rectangle
+/// test. Built once per process; stored inline in a `OnceLock`, so
+/// initialization performs no heap allocation.
 struct ZigTables {
     x: [f64; 129],
     f: [f64; 129],
     scaled: [f64; 128],
+    signed: [f64; 256],
+    accept: [u64; 256],
 }
 
 /// Tail cutoff and per-layer area of the 128-layer normal ziggurat.
@@ -211,13 +226,29 @@ fn zig_tables() -> &'static ZigTables {
         for i in 0..128 {
             scaled[i] = x[i] * MANTISSA_SCALE;
         }
-        ZigTables { x, f, scaled }
+        let (mut signed, mut accept) = ([0.0f64; 256], [0u64; 256]);
+        for b in 0..256 {
+            let layer = b & 0x7F;
+            signed[b] = if b & 0x80 != 0 { -scaled[layer] } else { scaled[layer] };
+            // Bisection for the first mantissa that fails the float test.
+            let (mut lo, mut hi) = (0u64, 1u64 << 53);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if (mid as f64 * scaled[layer]) < x[layer + 1] {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            accept[b] = lo;
+        }
+        ZigTables { x, f, scaled, signed, accept }
     })
 }
 
 /// One RNG word split the ziggurat way: bits 0–6 the layer, bit 7 the
 /// sign, bits 11–63 the mantissa, already scaled to a point `x ≥ 0` of
-/// the layer.
+/// the layer. [`normal_slow`] redraws with it.
 #[inline(always)]
 fn zig_draw(rng: &mut StdRng, tables: &ZigTables) -> (u64, usize, f64) {
     let bits = rng.next_u64();
@@ -228,27 +259,30 @@ fn zig_draw(rng: &mut StdRng, tables: &ZigTables) -> (u64, usize, f64) {
 /// `x` (non-negative) with bit 7 of `bits` as its sign. Moving the bit
 /// into the sign position is what multiplying by ±1.0 computes, −0.0
 /// included, without the branch a `if bit { -1.0 } else { 1.0 }` compiles
-/// to — a coin flip the predictor loses every second draw.
+/// to. Only [`normal_slow`] uses it; the fast path reads the sign from
+/// `ZigTables::signed`.
 #[inline(always)]
 fn zig_signed(x: f64, bits: u64) -> f64 {
     f64::from_bits(x.to_bits() | ((bits & 0x80) << 56))
 }
 
 /// One standard normal by the ziggurat method: the 97.2% common path
-/// spends a single RNG word, one multiply, one table compare and one
-/// `or` — no `ln`/`sqrt`/`cos` (the Box-Muller reference pays one of each
-/// per draw), and its only branch is the rarely-taken exit to
-/// [`normal_slow`].
+/// spends a single RNG word, two loads indexed by its low byte, one
+/// integer compare and one multiply — no `ln`/`sqrt`/`cos` (the
+/// Box-Muller reference pays one of each per draw), and its only branch
+/// is the rarely-taken exit to [`normal_slow`].
 #[inline(always)]
 fn normal(rng: &mut StdRng, tables: &ZigTables) -> f64 {
-    let (bits, layer, x) = zig_draw(rng, tables);
-    if x < tables.x[layer + 1] {
-        return zig_signed(x, bits);
+    let bits = rng.next_u64();
+    let (byte, m) = ((bits & 0xFF) as usize, bits >> 11);
+    if m < tables.accept[byte] {
+        return m as f64 * tables.signed[byte];
     }
+    let layer = byte & 0x7F;
     // By value, and back by value: were the generator lent to the
     // out-of-line call, it would have to live in memory, and every draw
     // would wait on a store-to-load round trip of its state.
-    let (z, next) = normal_slow(rng.clone(), tables, bits, layer, x);
+    let (z, next) = normal_slow(rng.clone(), tables, bits, layer, m as f64 * tables.scaled[layer]);
     *rng = next;
     z
 }
@@ -362,10 +396,6 @@ impl<const LANES: usize> PtdrEngine<LANES> {
         seed: u64,
     ) -> TravelTimeStats {
         assert!(samples > 0, "need at least one sample");
-        let Some((&last, rest)) = route.split_last() else {
-            // Nowhere to go: every walk takes no time.
-            return TravelTimeStats { mean_h: 0.0, p95_h: 0.0, std_h: 0.0 };
-        };
         let tables = zig_tables();
         let mut rng = StdRng::seed_from_u64(seed);
         self.times.clear();
@@ -373,43 +403,46 @@ impl<const LANES: usize> PtdrEngine<LANES> {
         let mut moments = Moments::default();
         let mut t = [0.0f64; LANES];
         let mut z = [0.0f64; LANES];
-        // Phase one of an edge: the block's normals, drawn in lane order.
-        // The only branch in here is the sampler's cold exit.
-        let mut draw = |z: &mut [f64]| {
-            for z in z.iter_mut() {
-                *z = normal(&mut rng, tables);
-            }
-        };
-        // Phase two: arithmetic only, so no lane waits on a neighbour
-        // and the divides pipeline.
-        let advance = |ei: usize| {
-            let edge = &network.edges[ei];
-            let (len, hi) = (edge.length_km, edge.free_speed_kmh * 1.1);
-            let (mean, std) = (&profiles.mean[ei], &profiles.std[ei]);
-            move |lane_t: f64, z: f64| {
-                let h = hour_bin(depart_hour + lane_t);
-                lane_t + len / (mean[h] + std[h] * z).clamp(MIN_SPEED_KMH, hi)
-            }
-        };
+        // A lane whose `depart_hour + t` is below `boundary` reads hour
+        // `h0`: `t` starts at zero and never falls while edge lengths are
+        // non-negative, and below 2³² − 1 h `hour_bin` truncates.
+        let in_hour = (0.0..4_294_967_295.0).contains(&depart_hour);
+        let (h0, boundary) = (hour_bin(depart_hour), depart_hour.floor() + 1.0);
         let mut done = 0usize;
         while done < samples {
             let width = LANES.min(samples - done);
             let (t, z) = (&mut t[..width], &mut z[..width]);
             t.fill(0.0);
-            for &ei in rest {
-                draw(z);
-                let advance = advance(ei);
-                for (lane_t, &z) in t.iter_mut().zip(z.iter()) {
-                    *lane_t = advance(*lane_t, z);
+            let mut same_hour = in_hour;
+            for &ei in route {
+                // Phase one: the block's normals, drawn in lane order. The
+                // only branch in here is the sampler's cold exit.
+                for z in z.iter_mut() {
+                    *z = normal(&mut rng, tables);
+                }
+                // Phase two: arithmetic only, so no lane waits on a
+                // neighbour and the divides pipeline.
+                let edge = &network.edges[ei];
+                let (len, hi) = (edge.length_km, edge.free_speed_kmh * 1.1);
+                let (mean, std) = (&profiles.mean[ei], &profiles.std[ei]);
+                same_hour &= len >= 0.0;
+                if same_hour {
+                    let (mean, std) = (mean[h0], std[h0]);
+                    let mut below = true;
+                    for (lane_t, &z) in t.iter_mut().zip(z.iter()) {
+                        *lane_t += len / (mean + std * z).clamp(MIN_SPEED_KMH, hi);
+                        below &= depart_hour + *lane_t < boundary;
+                    }
+                    same_hour = below;
+                } else {
+                    for (lane_t, &z) in t.iter_mut().zip(z.iter()) {
+                        let h = hour_bin(depart_hour + *lane_t);
+                        *lane_t += len / (mean[h] + std[h] * z).clamp(MIN_SPEED_KMH, hi);
+                    }
                 }
             }
-            // The last edge completes each walk, so its loop also takes
-            // the Welford step (see [`Moments`]).
-            draw(z);
-            let advance = advance(last);
-            for (lane_t, &z) in t.iter_mut().zip(z.iter()) {
-                *lane_t = advance(*lane_t, z);
-                moments.push(*lane_t);
+            for &lane_t in t.iter() {
+                moments.push(lane_t);
             }
             self.times.extend_from_slice(t);
             done += width;
@@ -757,14 +790,62 @@ mod tests {
         }
         // Empty and one-edge routes, a walk across midnight, clocks the
         // hour bin saturates on, and sample counts on both sides of a
-        // block boundary.
+        // block boundary. For the same-hour path: blocks that leave the
+        // departure hour mid-route, a departure on an hour boundary, −0.0,
+        // and one departure on each side of its guard.
+        let departs = [
+            0.0,
+            8.125,
+            8.96875,
+            9.0,
+            23.875,
+            -0.0,
+            -3.0,
+            4_294_967_294.5,
+            4_294_967_295.5,
+            5e9,
+            1e30,
+            f64::NAN,
+        ];
         for route in [&long[..0], &long[..1], &long[..5], &long[..]] {
-            for depart in [0.0, 8.125, 23.875, -3.0, 5e9, 1e30, f64::NAN] {
+            for depart in departs {
                 for samples in [1usize, 5, 32, 33, 200, 3_000] {
                     check::<32>(&net, &profiles, route, depart, samples);
                     check::<4>(&net, &profiles, route, depart, samples);
                     check::<1>(&net, &profiles, route, depart, samples);
                 }
+            }
+        }
+        // Negative lengths turn the clock back into an earlier hour, which
+        // the same-hour path must not read as the departure's.
+        let mut back = net.clone();
+        for edge in &mut back.edges {
+            edge.length_km = -edge.length_km;
+        }
+        for depart in [8.03125, 8.96875, 0.5] {
+            check::<32>(&back, &profiles, &long, depart, 200);
+        }
+    }
+
+    #[test]
+    fn sampler_tables_are_exact() {
+        let tables = zig_tables();
+        for b in 0..256usize {
+            let (layer, accept) = (b & 0x7F, tables.accept[b]);
+            let scaled = tables.scaled[layer];
+            let inside = |m: u64| (m as f64 * scaled) < tables.x[layer + 1];
+            // The exact cut of the rectangle test.
+            assert!(accept < 1 << 53, "byte {b}: every layer has points outside");
+            assert!(!inside(accept), "byte {b}: accept {accept} passes");
+            assert!(accept == 0 || inside(accept - 1), "byte {b}: accept {accept} - 1 fails");
+            assert_eq!(accept == 0, layer == 127, "byte {b}");
+            let bits = b as u64;
+            for m in [0, 1, accept.saturating_sub(1), accept, (1 << 53) - 1] {
+                assert_eq!(
+                    (m as f64 * tables.signed[b]).to_bits(),
+                    zig_signed(m as f64 * scaled, bits).to_bits(),
+                    "byte {b}, mantissa {m}"
+                );
             }
         }
     }
