@@ -10,7 +10,8 @@ use std::collections::HashMap;
 ///
 /// `cost_of` supplies `(cost_us, output_bytes)` per task name — typically
 /// from the variant metrics of the kernels the tasks invoke. Sources and
-/// sinks become lightweight I/O tasks.
+/// sinks become lightweight I/O tasks. A cost below 1 µs or NaN becomes
+/// 1 µs and +∞ the largest finite cost, which the graph accepts.
 ///
 /// # Panics
 ///
@@ -27,7 +28,7 @@ pub fn task_graph_from_workflow(
         match step {
             WorkflowStep::Source { name, kind } => {
                 let (cost, bytes) = cost_of(kind);
-                let id = graph.add_task(format!("source:{kind}"), cost.max(1.0), bytes, &[]);
+                let id = graph.add_task(format!("source:{kind}"), task_cost(cost), bytes, &[]);
                 producer.insert(name, id);
             }
             WorkflowStep::Task { name, inputs, outputs } => {
@@ -36,7 +37,7 @@ pub fn task_graph_from_workflow(
                     .map(|i| *producer.get(i.as_str()).expect("validated spec"))
                     .collect();
                 let (cost, bytes) = cost_of(name);
-                let id = graph.add_task(name.clone(), cost.max(1.0), bytes, &deps);
+                let id = graph.add_task(name.clone(), task_cost(cost), bytes, &deps);
                 for out in outputs {
                     producer.insert(out, id);
                 }
@@ -48,6 +49,15 @@ pub fn task_graph_from_workflow(
         }
     }
     graph
+}
+
+/// `cost` clamped to `[1, f64::MAX]`, NaN to 1.
+fn task_cost(cost: f64) -> f64 {
+    if cost.is_nan() {
+        1.0
+    } else {
+        cost.clamp(1.0, f64::MAX)
+    }
 }
 
 #[cfg(test)]
@@ -87,6 +97,16 @@ mod tests {
         let graph = task_graph_from_workflow(&spec, |_| (100.0, 1_000));
         let run = simulate(&graph, &Worker::uniform_pool(2, 1.0), Policy::Heft).unwrap();
         assert!(run.makespan_us >= 300.0, "three chained levels of 100us");
+    }
+
+    #[test]
+    fn non_finite_costs_are_clamped() {
+        let spec = WorkflowSpec::parse(WF).unwrap();
+        for (cost, want) in [(f64::NAN, 1.0), (f64::INFINITY, f64::MAX), (-5.0, 1.0)] {
+            let graph = task_graph_from_workflow(&spec, |_| (cost, 0));
+            assert_eq!(graph.task(0).cost_us, want);
+            assert!(simulate(&graph, &Worker::uniform_pool(2, 1.0), Policy::Heft).is_ok());
+        }
     }
 
     #[test]

@@ -260,15 +260,16 @@ impl OffloadManager {
         let flight = everest_telemetry::flight();
         let first_task = self.invocations;
         self.invocations += calls.len() as u64;
-        let nlanes = self.lanes.len() as u64;
+        let nlanes = self.lanes.len();
+        let first_lane = (first_task % nlanes as u64) as usize;
+        let slots = || round_robin_slots(first_lane, nlanes).take(calls.len());
 
         // Phase 1: deal invocations round-robin onto the lanes.
         let t_partition = Instant::now();
         let mut lane_tasks: Vec<Vec<(u64, &OffloadCall)>> =
-            (0..nlanes).map(|_| Vec::with_capacity(calls.len() / nlanes as usize + 1)).collect();
-        for (i, call) in calls.iter().enumerate() {
-            let task = first_task + i as u64;
-            lane_tasks[(task % nlanes) as usize].push((task, call));
+            (0..nlanes).map(|_| Vec::with_capacity(calls.len() / nlanes + 1)).collect();
+        for ((lane, _), (task, call)) in slots().zip((first_task..).zip(calls)) {
+            lane_tasks[lane].push((task, call));
         }
         let lanes = std::mem::take(&mut self.lanes);
         let items: Vec<(Lane, Vec<(u64, &OffloadCall)>)> =
@@ -295,27 +296,22 @@ impl OffloadManager {
         }
 
         // Phase 3: merge lane-local results back into invocation order.
-        // Dealing was round-robin, so the batch's `i`-th call is the
-        // `i / nlanes`-th task of lane `task % nlanes`, and each report
-        // says where that task's events and records lie in its buffers:
-        // the merge copies slices, it never looks inside an event.
+        // Each call's slot says which task of which lane it was, and each
+        // report says where that task's events and records lie in its
+        // buffers: the merge copies slices, it never looks inside an event.
         let t_merge = Instant::now();
-        let slot = |i: usize| (((first_task + i as u64) % nlanes) as usize, i / nlanes as usize);
         self.events.reserve(reports.iter().map(|r| r.events.len()).sum());
-        for i in 0..calls.len() {
-            let (lane, k) = slot(i);
+        for (lane, k) in slots() {
             self.events.extend_from_slice(reports[lane].task(k).0);
         }
-        self.monitor.record_batch((0..calls.len()).flat_map(|i| {
-            let (lane, k) = slot(i);
-            reports[lane].task(k).1.iter().copied()
-        }));
+        self.monitor
+            .record_batch(slots().flat_map(|(lane, k)| reports[lane].task(k).1.iter().copied()));
         let mut results: Vec<_> =
             reports.iter_mut().map(|r| std::mem::take(&mut r.results).into_iter()).collect();
         let mut outcomes = Vec::with_capacity(calls.len());
         let mut first_error = None;
-        for i in 0..calls.len() {
-            match results[slot(i).0].next().expect("one result per task") {
+        for (lane, _) in slots() {
+            match results[lane].next().expect("one result per task") {
                 Ok(outcome) => outcomes.push(outcome),
                 Err(error) => drop(first_error.get_or_insert(error)),
             }
@@ -335,5 +331,39 @@ impl OffloadManager {
                 l.rungs.iter().map(|r| self.chain[usize::from(r.target)].device.as_str()).collect()
             })
             .collect()
+    }
+}
+
+/// The `(lane, k)` slot of each call of a batch dealt round-robin from
+/// `first_lane`: the `i`-th call is the `i / nlanes`-th task of lane
+/// `(first_lane + i) % nlanes`, stepped here without dividing.
+fn round_robin_slots(first_lane: usize, nlanes: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (mut lane, mut dealt, mut k) = (first_lane, 0, 0);
+    std::iter::from_fn(move || {
+        let slot = (lane, k);
+        lane = if lane + 1 == nlanes { 0 } else { lane + 1 };
+        dealt += 1;
+        if dealt == nlanes {
+            dealt = 0;
+            k += 1;
+        }
+        Some(slot)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::round_robin_slots;
+
+    #[test]
+    fn round_robin_slots_are_the_dealing_formula() {
+        for nlanes in 1..7 {
+            for first_lane in 0..nlanes {
+                let stepped: Vec<_> = round_robin_slots(first_lane, nlanes).take(50).collect();
+                let divided: Vec<_> =
+                    (0..50).map(|i| ((first_lane + i) % nlanes, i / nlanes)).collect();
+                assert_eq!(stepped, divided, "{nlanes} lanes from {first_lane}");
+            }
+        }
     }
 }

@@ -160,7 +160,7 @@ pub fn simulate_available(
     span.attr("workers", pool.len());
     span.attr("excluded", excluded.len());
     span.attr("policy", policy);
-    let mut st = AssignState::new(graph.len(), pool.len());
+    let mut st = AssignState::new(graph.len(), &pool);
     for task in task_order(graph, policy) {
         let w = st.choose(graph, &pool, task, policy);
         st.place(graph, &pool, task, w);

@@ -40,7 +40,7 @@ impl TaskGraph {
     /// # Panics
     ///
     /// Panics if a dependency id has not been added yet (which also makes
-    /// cycles unrepresentable).
+    /// cycles unrepresentable), or if `cost_us` is negative or not finite.
     pub fn add_task(
         &mut self,
         name: impl Into<String>,
@@ -52,7 +52,11 @@ impl TaskGraph {
         for d in deps {
             assert!(*d < id, "dependency {d} does not exist yet");
         }
-        self.tasks.push(TaskSpec { name: name.into(), cost_us, output_bytes, deps: deps.to_vec() });
+        let name = name.into();
+        if let Err(e) = check_cost(&name, cost_us) {
+            panic!("{e}");
+        }
+        self.tasks.push(TaskSpec { name, cost_us, output_bytes, deps: deps.to_vec() });
         id
     }
 
@@ -61,7 +65,8 @@ impl TaskGraph {
     /// # Errors
     ///
     /// Returns [`WorkflowError::UnknownTask`] for a forward/missing
-    /// dependency.
+    /// dependency and [`WorkflowError::InvalidCost`] for a cost that is
+    /// negative or not finite.
     pub fn try_add_task(
         &mut self,
         name: impl Into<String>,
@@ -75,6 +80,8 @@ impl TaskGraph {
                 return Err(WorkflowError::UnknownTask(*d));
             }
         }
+        let name = name.into();
+        check_cost(&name, cost_us)?;
         Ok(self.add_task(name, cost_us, output_bytes, deps))
     }
 
@@ -98,17 +105,6 @@ impl TaskGraph {
         self.tasks.is_empty()
     }
 
-    /// Successor lists (inverse of the dependency edges).
-    pub fn successors(&self) -> Vec<Vec<TaskId>> {
-        let mut succ = vec![Vec::new(); self.tasks.len()];
-        for (id, t) in self.tasks.iter().enumerate() {
-            for d in &t.deps {
-                succ[*d].push(id);
-            }
-        }
-        succ
-    }
-
     /// Total serial work (sum of costs).
     pub fn total_work_us(&self) -> f64 {
         self.tasks.iter().map(|t| t.cost_us).sum()
@@ -128,8 +124,33 @@ impl TaskGraph {
 
     /// Upward rank of every task (HEFT priority): the longest cost path
     /// from the task to any exit, inclusive.
+    ///
+    /// One reverse pass: every successor of a task has a larger id, so
+    /// when the pass reaches a task, `rank` already holds the largest rank
+    /// among its successors, pushed there by each of them; the task then
+    /// adds its own cost and pushes its rank into its dependencies.
     pub fn upward_ranks(&self) -> Vec<f64> {
-        let succ = self.successors();
+        let mut rank = vec![0.0f64; self.tasks.len()];
+        for (id, task) in self.tasks.iter().enumerate().rev() {
+            let own = task.cost_us + rank[id];
+            rank[id] = own;
+            for d in &task.deps {
+                rank[*d] = rank[*d].max(own);
+            }
+        }
+        rank
+    }
+
+    /// [`TaskGraph::upward_ranks`] as it was first written, over successor
+    /// lists: the reference the one-pass form is checked against.
+    #[cfg(test)]
+    pub(crate) fn upward_ranks_reference(&self) -> Vec<f64> {
+        let mut succ = vec![Vec::new(); self.tasks.len()];
+        for (id, t) in self.tasks.iter().enumerate() {
+            for d in &t.deps {
+                succ[*d].push(id);
+            }
+        }
         let mut rank = vec![0.0f64; self.tasks.len()];
         for id in (0..self.tasks.len()).rev() {
             let down = succ[id].iter().map(|s| rank[*s]).fold(0.0, f64::max);
@@ -202,6 +223,16 @@ impl TaskGraph {
     }
 }
 
+/// A task cost the schedulers can order by: finite and non-negative, so
+/// upward rank never increases along an edge.
+fn check_cost(task: &str, cost_us: f64) -> WorkflowResult<()> {
+    if cost_us.is_finite() && cost_us >= 0.0 {
+        Ok(())
+    } else {
+        Err(WorkflowError::InvalidCost { task: task.to_owned(), cost_us })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +254,33 @@ mod tests {
     }
 
     #[test]
+    fn negative_and_non_finite_costs_are_rejected() {
+        let mut g = TaskGraph::new("g");
+        for cost_us in [f64::NAN, -100.0, f64::INFINITY, f64::NEG_INFINITY] {
+            let Err(WorkflowError::InvalidCost { task, cost_us: got }) =
+                g.try_add_task("a", cost_us, 0, &[])
+            else {
+                panic!("cost {cost_us} accepted");
+            };
+            assert_eq!((task.as_str(), got.to_bits()), ("a", cost_us.to_bits()));
+        }
+        assert!(g.is_empty(), "a rejected task is not added");
+        assert_eq!(g.try_add_task("free", 0.0, 0, &[]), Ok(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "task 'a' has cost NaN us")]
+    fn nan_cost_panics() {
+        TaskGraph::new("g").add_task("a", f64::NAN, 0, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 'a' has cost -100 us")]
+    fn negative_cost_panics() {
+        TaskGraph::new("g").add_task("a", -100.0, 0, &[]);
+    }
+
+    #[test]
     fn critical_path_of_chain_is_total_work() {
         let g = TaskGraph::deep(5, 10.0, 0);
         assert_eq!(g.critical_path_us(), 50.0);
@@ -240,8 +298,8 @@ mod tests {
     fn diamond_structure() {
         let g = TaskGraph::diamond(4, 1.0, 0);
         assert_eq!(g.len(), 6);
-        let succ = g.successors();
-        assert_eq!(succ[0].len(), 4); // source feeds all branches
+        // The source feeds all branches.
+        assert_eq!(g.tasks().iter().filter(|t| t.deps.contains(&0)).count(), 4);
         assert_eq!(g.task(5).deps.len(), 4); // sink joins all branches
     }
 
@@ -253,6 +311,27 @@ mod tests {
             for d in &t.deps {
                 assert!(ranks[*d] > ranks[id], "rank must strictly decrease along edges");
             }
+        }
+    }
+
+    #[test]
+    fn one_pass_ranks_equal_the_successor_list_formula() {
+        let mut zero_cost = TaskGraph::new("zero");
+        for id in 0..40 {
+            let deps: Vec<TaskId> = (0..id).filter(|d| (id * 7 + d * 3) % 5 == 0).collect();
+            zero_cost.add_task(format!("t{id}"), (id % 3) as f64 * 10.0, 0, &deps);
+        }
+        let graphs = [
+            TaskGraph::random(7, 4, 5, 100.0),
+            TaskGraph::random(2026, 30, 20, 100.0),
+            TaskGraph::wide(9, 3.0, 10),
+            TaskGraph::diamond(6, 2.5, 0),
+            TaskGraph::deep(12, 0.0, 0),
+            zero_cost,
+        ];
+        for g in &graphs {
+            let bits = |r: Vec<f64>| r.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(bits(g.upward_ranks()), bits(g.upward_ranks_reference()), "{}", g.name);
         }
     }
 

@@ -8,10 +8,52 @@ use everest_workflow::parallel::ParallelGraph;
 use everest_workflow::scheduler::{task_order, AssignState, Policy};
 use everest_workflow::worker::Worker;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn random_graph(seed: u64, layers: usize, width: usize) -> TaskGraph {
     TaskGraph::random(seed, layers.max(1), width.max(1), 200.0)
+}
+
+/// `(speed, us_per_byte, latency_us)` of the workers of a mixed pool: the
+/// two classes of `Worker::heterogeneous_pool`, two that share the fast
+/// speed but not its latency or its per-byte cost, and a co-located one.
+const PALETTE: [(f64, f64, f64); 5] = [
+    (4.0, 1.0 / 1.2e3, 4.0),
+    (1.0, 1.0 / 1.1e3, 25.0),
+    (4.0, 1.0 / 1.2e3, 25.0),
+    (4.0, 1.0 / 1.1e3, 4.0),
+    (1.0, 0.0, 0.0),
+];
+
+/// `n` workers drawn from [`PALETTE`] by `picks`, three bits each: the
+/// classes interleave and repeat.
+fn mixed_pool(n: usize, picks: u64) -> Vec<Worker> {
+    (0..n)
+        .map(|i| {
+            let (speed, us_per_byte, latency_us) = PALETTE[(picks >> (3 * i)) as usize % 5];
+            Worker::new(format!("m{i}"), speed, us_per_byte, latency_us)
+        })
+        .collect()
+}
+
+/// A DAG of `n` tasks with up to four inputs each, where half the costs
+/// and half the outputs are zero.
+fn zero_heavy_graph(seed: u64, n: usize) -> TaskGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = TaskGraph::new("zero-heavy");
+    for id in 0..n {
+        let deps: Vec<usize> = if id == 0 {
+            Vec::new()
+        } else {
+            (0..rng.gen_range(0..5)).map(|_| rng.gen_range(0..id)).collect()
+        };
+        let cost = [0.0, 0.0, 50.0, 200.0][rng.gen_range(0..4)];
+        let bytes = [0, 0, 1_000, 100_000][rng.gen_range(0..4)];
+        g.add_task(format!("z{id}"), cost, bytes, &deps);
+    }
+    g
 }
 
 /// The list scheduler as it was before `AssignState::choose` evaluated
@@ -23,7 +65,7 @@ fn reference_schedule(
     pool: &[Worker],
     policy: Policy,
 ) -> (Vec<usize>, Vec<f64>, Vec<f64>) {
-    let mut st = AssignState::new(g.len(), pool.len());
+    let mut st = AssignState::new(g.len(), pool);
     for (nth, task) in task_order(g, policy).into_iter().enumerate() {
         let cost_us = g.task(task).cost_us;
         let w = match policy {
@@ -53,11 +95,14 @@ fn reference_schedule(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Evaluating each (task, worker) pair once changes no schedule: on
-    /// random DAGs, over uniform pools (every choice a tie, so the first
-    /// minimum must win) and heterogeneous ones, with any subset of the
-    /// workers excluded, all three policies assign every task to the
-    /// worker the comparator-based scheduler picked, at bit-equal times.
+    /// Pricing each task once per cost class and taking the first minimum
+    /// over integer keys changes no schedule: on random, wide, diamond and
+    /// zero-cost/zero-byte DAGs, over uniform pools (every choice a tie, so
+    /// the first minimum must win), heterogeneous ones and pools of
+    /// interleaved, repeated classes that share a speed but not a latency
+    /// or a per-byte cost, with any subset of the workers excluded, all
+    /// three policies assign every task to the worker the comparator-based
+    /// scheduler picked, at bit-equal times.
     #[test]
     fn single_evaluation_scheduler_matches_the_comparator_reference(
         seed in any::<u64>(),
@@ -65,14 +110,22 @@ proptest! {
         width in 1usize..8,
         fast in 0usize..4,
         slow in 1usize..7,
-        uniform in any::<bool>(),
+        pool_kind in 0u8..3,
+        picks in any::<u64>(),
+        shape in 0u8..4,
         mask in any::<u16>(),
     ) {
-        let g = random_graph(seed, layers, width);
-        let workers = if uniform {
-            Worker::uniform_pool(fast + slow, 1.0)
-        } else {
-            Worker::heterogeneous_pool(fast, slow)
+        let bytes = [0, 1_000, 100_000][(seed % 3) as usize];
+        let g = match shape {
+            0 => random_graph(seed, layers, width),
+            1 => TaskGraph::wide(layers * width, 200.0, bytes),
+            2 => TaskGraph::diamond(layers * width, 200.0, bytes),
+            _ => zero_heavy_graph(seed, layers * width * 2),
+        };
+        let workers = match pool_kind {
+            0 => Worker::uniform_pool(fast + slow, 1.0),
+            1 => Worker::heterogeneous_pool(fast, slow),
+            _ => mixed_pool(fast + slow, picks),
         };
         // Exclude the workers whose mask bit is clear, but never all.
         let mut available: Vec<bool> = (0..workers.len()).map(|w| mask >> w & 1 == 1).collect();
