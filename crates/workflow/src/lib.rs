@@ -11,9 +11,10 @@
 //! * [`exec`] — a deterministic distributed-execution simulator producing
 //!   makespans, schedules and utilization;
 //! * [`parallel`] — a real multi-threaded executor that runs closures as
-//!   tasks with dependency-ordered hand-off;
-//! * [`pool`] — a scoped parallel-map over independent items with
-//!   index-stable result order (the DSE engine's fan-out primitive);
+//!   tasks with dependency-ordered hand-off, on the pool's workers;
+//! * [`pool`] — the process-wide pool of parked workers and its
+//!   parallel-map over independent items with index-stable result order
+//!   (every fan-out in the workspace runs on it);
 //! * [`race`] — a static detector for read-write/write-write dataset
 //!   conflicts between tasks with no ordering edge;
 //! * [`seed`] — the shared hashing/mixing primitives and the

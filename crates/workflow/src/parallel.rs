@@ -1,13 +1,20 @@
 //! A real multi-threaded executor: runs closures as tasks with
-//! dependency-ordered hand-off across a thread pool — the in-process
-//! equivalent of HyperLoom's worker processes.
+//! dependency-ordered hand-off — the in-process equivalent of HyperLoom's
+//! worker processes.
+//!
+//! [`ParallelGraph::run`] is one [`crate::pool::parallel_map`] of
+//! `threads` worker loops over shared state: a locked ready queue with
+//! the remaining in-degrees, completion count and first failure, a
+//! `Condvar` that idle loops park on, and one `OnceLock` result slot per
+//! task. The loops run on the process-wide pool's parked workers (the
+//! caller is worker 0), so a run starts no thread once the pool is warm.
 
 use crate::error::{WorkflowError, WorkflowResult};
 use crate::graph::TaskId;
-use crossbeam::channel;
-use parking_lot::RwLock;
+use crate::pool::{self, lock};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 type TaskFn<T> = Arc<dyn Fn(&[Arc<T>]) -> Result<T, String> + Send + Sync>;
 
@@ -78,111 +85,107 @@ impl<T: Send + Sync + 'static> ParallelGraph<T> {
         id
     }
 
-    /// Executes the graph on `threads` worker threads and returns every
-    /// task's output (indexed by task id).
+    /// Executes the graph on `threads` workers of the process-wide pool
+    /// and returns every task's output (indexed by task id).
     ///
     /// # Errors
     ///
     /// Returns [`WorkflowError::TaskFailed`] with the first failing task
     /// (a task that panics fails with reason `panicked: <message>`);
-    /// remaining tasks are abandoned.
+    /// remaining tasks are abandoned: no worker claims a task once a
+    /// failure is recorded, so the run returns when the tasks already
+    /// running finish.
     pub fn run(self, threads: usize) -> WorkflowResult<Vec<Arc<T>>> {
-        let threads = threads.max(1);
         let n = self.tasks.len();
         if n == 0 {
             return Ok(Vec::new());
         }
-        let tasks: Arc<Vec<ParallelTask<T>>> = Arc::new(self.tasks);
-        let results: Arc<RwLock<Vec<Option<Arc<T>>>>> = Arc::new(RwLock::new(vec![None; n]));
-
-        // Successor lists + indegrees for the coordinator.
+        let tasks = self.tasks;
         let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut indeg: Vec<usize> = vec![0; n];
         for (id, t) in tasks.iter().enumerate() {
-            indeg[id] = t.deps.len();
             for d in &t.deps {
                 succs[*d].push(id);
             }
         }
+        let results: Vec<OnceLock<Arc<T>>> = (0..n).map(|_| OnceLock::new()).collect();
+        let state = Mutex::new(Schedule {
+            ready: (0..n).filter(|id| tasks[*id].deps.is_empty()).collect(),
+            indeg: tasks.iter().map(|t| t.deps.len()).collect(),
+            completed: 0,
+            failure: None,
+        });
+        let wake = Condvar::new();
 
-        let (ready_tx, ready_rx) = channel::unbounded::<TaskId>();
-        let (done_tx, done_rx) = channel::unbounded::<(TaskId, Result<T, String>)>();
-
-        let mut handles = Vec::new();
-        for _ in 0..threads.min(n) {
-            let ready_rx = ready_rx.clone();
-            let done_tx = done_tx.clone();
-            let tasks = Arc::clone(&tasks);
-            let results = Arc::clone(&results);
-            handles.push(std::thread::spawn(move || {
-                while let Ok(id) = ready_rx.recv() {
-                    let inputs: Vec<Arc<T>> = {
-                        let guard = results.read();
-                        tasks[id]
-                            .deps
-                            .iter()
-                            .map(|d| Arc::clone(guard[*d].as_ref().expect("dep completed")))
-                            .collect()
-                    };
-                    // A panicking task must still report: a worker that dies
-                    // without sending leaves the coordinator in `recv` forever.
-                    let out = catch_unwind(AssertUnwindSafe(|| (tasks[id].run)(&inputs)))
-                        .unwrap_or_else(|payload| {
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| (*s).to_owned())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".to_owned());
-                            Err(format!("panicked: {msg}"))
-                        });
-                    if done_tx.send((id, out)).is_err() {
-                        break;
+        let threads = threads.max(1).min(n);
+        pool::parallel_map("workflow.parallel", threads, vec![(); threads], |_, ()| loop {
+            let id = {
+                let mut s = lock(&state);
+                loop {
+                    if s.failure.is_some() || s.completed == n {
+                        return;
                     }
+                    if let Some(id) = s.ready.pop_front() {
+                        break id;
+                    }
+                    s = wake.wait(s).unwrap_or_else(PoisonError::into_inner);
                 }
-            }));
-        }
-        drop(done_tx);
-
-        for (id, d) in indeg.iter().enumerate() {
-            if *d == 0 {
-                ready_tx.send(id).expect("workers alive");
-            }
-        }
-
-        let mut completed = 0usize;
-        let mut failure: Option<WorkflowError> = None;
-        while completed < n {
-            let Ok((id, out)) = done_rx.recv() else {
-                break;
             };
+            let task = &tasks[id];
+            let inputs: Vec<Arc<T>> = task
+                .deps
+                .iter()
+                .map(|d| Arc::clone(results[*d].get().expect("dep completed")))
+                .collect();
+            // A panicking task must still report, or its successors would
+            // wait forever.
+            let out =
+                catch_unwind(AssertUnwindSafe(|| (task.run)(&inputs))).unwrap_or_else(|payload| {
+                    let msg = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_owned())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_owned());
+                    Err(format!("panicked: {msg}"))
+                });
+            let mut s = lock(&state);
             match out {
                 Ok(value) => {
-                    results.write()[id] = Some(Arc::new(value));
-                    completed += 1;
-                    for s in &succs[id] {
-                        indeg[*s] -= 1;
-                        if indeg[*s] == 0 {
-                            let _ = ready_tx.send(*s);
+                    let _ = results[id].set(Arc::new(value));
+                    s.completed += 1;
+                    for &succ in &succs[id] {
+                        s.indeg[succ] -= 1;
+                        if s.indeg[succ] == 0 {
+                            s.ready.push_back(succ);
                         }
                     }
                 }
                 Err(reason) => {
-                    failure =
-                        Some(WorkflowError::TaskFailed { task: tasks[id].name.clone(), reason });
-                    break;
+                    s.failure.get_or_insert(WorkflowError::TaskFailed {
+                        task: task.name.clone(),
+                        reason,
+                    });
                 }
             }
-        }
-        drop(ready_tx);
-        for h in handles {
-            let _ = h.join();
-        }
-        if let Some(err) = failure {
+            drop(s);
+            wake.notify_all();
+        });
+
+        if let Some(err) = state.into_inner().unwrap_or_else(PoisonError::into_inner).failure {
             return Err(err);
         }
-        let guard = results.read();
-        Ok(guard.iter().map(|r| Arc::clone(r.as_ref().expect("all tasks completed"))).collect())
+        Ok(results.into_iter().map(|r| r.into_inner().expect("all tasks completed")).collect())
     }
+}
+
+/// What [`ParallelGraph::run`]'s worker loops share under one lock.
+struct Schedule {
+    /// Tasks whose dependencies have all completed, in release order.
+    ready: VecDeque<TaskId>,
+    /// Dependencies each task still waits for.
+    indeg: Vec<usize>,
+    completed: usize,
+    /// The first failure; once set, no loop claims another task.
+    failure: Option<WorkflowError>,
 }
 
 #[cfg(test)]
@@ -253,6 +256,42 @@ mod tests {
                     reason: "panicked: index out of range".into()
                 },
                 "threads={threads}"
+            );
+        }
+    }
+
+    /// One failing task ahead of 400 independent 2 ms tasks: once the
+    /// failure is recorded no worker claims another task, so only the
+    /// tasks already claimed run and the error returns in milliseconds
+    /// (draining the ready queue took 400 × 2 ms / threads).
+    #[test]
+    fn a_failure_abandons_the_tasks_not_yet_claimed() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        for threads in [2, 4, 8] {
+            let ran = Arc::new(AtomicUsize::new(0));
+            let mut g: ParallelGraph<usize> = ParallelGraph::new();
+            g.add_task("boom", &[], |_| Err("stop".into()));
+            for i in 0..400 {
+                let ran = Arc::clone(&ran);
+                g.add_task(format!("t{i}"), &[], move |_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(2));
+                    Ok(i)
+                });
+            }
+            let started = Instant::now();
+            let err = g.run(threads).unwrap_err();
+            let elapsed = started.elapsed();
+            assert_eq!(
+                err,
+                WorkflowError::TaskFailed { task: "boom".into(), reason: "stop".into() }
+            );
+            let ran = ran.load(Ordering::SeqCst);
+            assert!(ran <= 4 * threads, "threads={threads}: {ran} tasks ran after the failure");
+            assert!(
+                elapsed < Duration::from_millis(100),
+                "threads={threads}: the error took {elapsed:?}"
             );
         }
     }

@@ -195,30 +195,36 @@ proptest! {
 
     #[test]
     fn threaded_executor_matches_sequential_evaluation(
-        seeds in prop::collection::vec(1i64..100, 1..6),
-        threads in 1usize..6,
+        seed in any::<u64>(),
+        n in 1usize..80,
     ) {
-        // Build a chain DAG and compare against a sequential fold with
-        // identical structure.
-        let mut g: ParallelGraph<i64> = ParallelGraph::new();
-        let mut expected: Vec<i64> = Vec::new();
-        let mut ids = Vec::new();
-        for (i, s) in seeds.iter().enumerate() {
-            let s = *s;
-            if i == 0 {
-                ids.push(g.add_task("seed", &[], move |_| Ok(s)));
-                expected.push(s);
-            } else {
-                let dep = ids[i - 1];
-                ids.push(g.add_task(format!("t{i}"), &[dep], move |ins: &[Arc<i64>]| {
-                    Ok(*ins[0] * 2 + s)
-                }));
-                expected.push(expected[i - 1] * 2 + s);
-            }
+        // Each task draws up to four dependencies among the earlier ids,
+        // so id order is a topological order.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let deps: Vec<Vec<usize>> = (0..n)
+            .map(|i| {
+                let k = if i == 0 { 0 } else { rng.gen_range(0..5usize) };
+                (0..k).map(|_| rng.gen_range(0..i)).collect()
+            })
+            .collect();
+        let value = |i: usize, ins: &[i64]| {
+            ins.iter().fold(i as i64 + 1, |acc, x| acc.wrapping_mul(31).wrapping_add(*x))
+        };
+        let mut expected: Vec<i64> = Vec::with_capacity(n);
+        for (i, ds) in deps.iter().enumerate() {
+            let ins: Vec<i64> = ds.iter().map(|d| expected[*d]).collect();
+            expected.push(value(i, &ins));
         }
-        let results = g.run(threads).expect("executes");
-        for (id, want) in ids.iter().zip(&expected) {
-            prop_assert_eq!(*results[*id], *want);
+        for threads in [1, 2, 4, 8] {
+            let mut g: ParallelGraph<i64> = ParallelGraph::new();
+            for (i, ds) in deps.iter().enumerate() {
+                g.add_task(format!("t{i}"), ds, move |ins: &[Arc<i64>]| {
+                    let ins: Vec<i64> = ins.iter().map(|x| **x).collect();
+                    Ok(value(i, &ins))
+                });
+            }
+            let got: Vec<i64> = g.run(threads).expect("executes").iter().map(|x| **x).collect();
+            prop_assert_eq!(&got, &expected, "threads={}", threads);
         }
     }
 }
