@@ -70,7 +70,7 @@ impl Stability {
 
     /// Briggs rural dispersion coefficients: returns (σy, σz) in metres at
     /// downwind distance `x_m` (metres).
-    pub fn sigmas(&self, x_m: f64) -> (f64, f64) {
+    pub(crate) fn sigmas(&self, x_m: f64) -> (f64, f64) {
         self.briggs().sigmas(x_m.max(1.0))
     }
 }
@@ -116,14 +116,14 @@ impl PlumeModel {
     /// # Panics
     ///
     /// Panics if the domain or cell count is zero.
-    pub fn new(domain_m: f64, cells: usize, stacks: Vec<Stack>) -> PlumeModel {
+    pub(crate) fn new(domain_m: f64, cells: usize, stacks: Vec<Stack>) -> PlumeModel {
         assert!(domain_m > 0.0 && cells > 1, "invalid domain");
         PlumeModel { domain_m, cells, stacks }
     }
 
     /// Ground-level concentration (µg/m³) of one stack at receptor
     /// `(rx, ry)` metres under `met`.
-    pub fn stack_concentration(stack: &Stack, met: &Meteo, rx: f64, ry: f64) -> f64 {
+    pub(crate) fn stack_concentration(stack: &Stack, met: &Meteo, rx: f64, ry: f64) -> f64 {
         // Rotate into plume coordinates: x downwind, y crosswind.
         let dx = rx - stack.x_m;
         let dy = ry - stack.y_m;

@@ -29,7 +29,7 @@
 
 pub mod airquality;
 pub mod micro;
-pub mod mlp;
-pub mod synthetic;
+pub(crate) mod mlp;
+pub(crate) mod synthetic;
 pub mod traffic;
 pub mod weather;

@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// IDM parameters (standard highway calibration).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IdmParams {
+pub(crate) struct IdmParams {
     /// Desired speed, m/s.
     pub v0: f64,
     /// Safe time headway, s.
@@ -34,7 +34,7 @@ impl Default for IdmParams {
 
 /// A ring-road microscopic simulation.
 #[derive(Debug, Clone)]
-pub struct RingRoad {
+pub(crate) struct RingRoad {
     /// Ring circumference, m.
     pub circumference: f64,
     params: IdmParams,
@@ -49,7 +49,12 @@ impl RingRoad {
     /// # Panics
     ///
     /// Panics if the vehicles do not fit the ring.
-    pub fn new(seed: u64, circumference: f64, vehicles: usize, params: IdmParams) -> RingRoad {
+    pub(crate) fn new(
+        seed: u64,
+        circumference: f64,
+        vehicles: usize,
+        params: IdmParams,
+    ) -> RingRoad {
         assert!(vehicles as f64 * (params.length + params.s0) < circumference, "ring over-packed");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let spacing = circumference / vehicles as f64;
@@ -60,12 +65,12 @@ impl RingRoad {
     }
 
     /// Number of vehicles.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.positions.len()
     }
 
     /// `true` when no vehicles are present.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.positions.is_empty()
     }
 
@@ -87,7 +92,7 @@ impl RingRoad {
     }
 
     /// Advances the simulation by `dt` seconds (ballistic update).
-    pub fn step(&mut self, dt: f64) {
+    pub(crate) fn step(&mut self, dt: f64) {
         let acc: Vec<f64> = (0..self.len()).map(|i| self.acceleration(i)).collect();
         for i in 0..self.len() {
             let v = (self.speeds[i] + acc[i] * dt).max(0.0);
@@ -97,12 +102,12 @@ impl RingRoad {
     }
 
     /// Mean speed across vehicles, m/s.
-    pub fn mean_speed(&self) -> f64 {
+    pub(crate) fn mean_speed(&self) -> f64 {
         self.speeds.iter().sum::<f64>() / self.len() as f64
     }
 
     /// Speed standard deviation (stop-and-go waves show up here).
-    pub fn speed_std(&self) -> f64 {
+    pub(crate) fn speed_std(&self) -> f64 {
         let mean = self.mean_speed();
         let var =
             self.speeds.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / self.len() as f64;
@@ -110,24 +115,24 @@ impl RingRoad {
     }
 
     /// Current speeds (m/s), one per vehicle.
-    pub fn speeds(&self) -> &[f64] {
+    pub(crate) fn speeds(&self) -> &[f64] {
         &self.speeds
     }
 
     /// Vehicle density, veh/km.
-    pub fn density(&self) -> f64 {
+    pub(crate) fn density(&self) -> f64 {
         self.len() as f64 / (self.circumference / 1000.0)
     }
 
     /// Traffic flow (veh/h) at the current state: density × mean speed.
-    pub fn flow_veh_h(&self) -> f64 {
+    pub(crate) fn flow_veh_h(&self) -> f64 {
         self.density() * self.mean_speed() * 3.6
     }
 }
 
 /// Simulates `seconds` of a ring at the given density and returns
 /// `(mean_speed, speed_std, flow)` after the transient.
-pub fn equilibrium(
+pub(crate) fn equilibrium(
     seed: u64,
     vehicles: usize,
     circumference: f64,

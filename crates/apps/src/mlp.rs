@@ -41,7 +41,7 @@ impl Dense {
 
 /// A feed-forward regressor with ReLU hidden layers and a linear output.
 #[derive(Debug, Clone)]
-pub struct Mlp {
+pub(crate) struct Mlp {
     layers: Vec<Dense>,
 }
 
@@ -51,7 +51,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if fewer than two widths are given or any width is zero.
-    pub fn new(seed: u64, widths: &[usize]) -> Mlp {
+    pub(crate) fn new(seed: u64, widths: &[usize]) -> Mlp {
         assert!(widths.len() >= 2, "need input and output widths");
         assert!(widths.iter().all(|w| *w > 0), "zero-width layer");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -69,7 +69,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `x` does not match the input width.
-    pub fn predict(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn predict(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.layers[0].inputs, "input width mismatch");
         let mut cur = x.to_vec();
         for layer in &self.layers {
@@ -80,7 +80,7 @@ impl Mlp {
 
     /// One SGD step on a single sample; returns the sample's MSE loss
     /// before the update.
-    pub fn train_step(&mut self, x: &[f64], target: &[f64], lr: f64) -> f64 {
+    pub(crate) fn train_step(&mut self, x: &[f64], target: &[f64], lr: f64) -> f64 {
         // Forward, caching activations.
         let mut activations: Vec<Vec<f64>> = vec![x.to_vec()];
         let mut pre_acts: Vec<Vec<f64>> = Vec::new();
@@ -125,7 +125,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `inputs` and `targets` lengths differ or are empty.
-    pub fn fit(
+    pub(crate) fn fit(
         &mut self,
         inputs: &[Vec<f64>],
         targets: &[Vec<f64>],

@@ -22,7 +22,7 @@ impl Grid2d {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn zeros(nx: usize, ny: usize) -> Grid2d {
+    pub(crate) fn zeros(nx: usize, ny: usize) -> Grid2d {
         assert!(nx > 0 && ny > 0, "grid dimensions must be positive");
         Grid2d { nx, ny, data: vec![0.0; nx * ny] }
     }
@@ -32,7 +32,7 @@ impl Grid2d {
     /// # Panics
     ///
     /// Panics when out of bounds.
-    pub fn at(&self, x: usize, y: usize) -> f64 {
+    pub(crate) fn at(&self, x: usize, y: usize) -> f64 {
         assert!(x < self.nx && y < self.ny, "grid index out of bounds");
         self.data[y * self.nx + x]
     }
@@ -42,7 +42,7 @@ impl Grid2d {
     /// # Panics
     ///
     /// Panics when out of bounds.
-    pub fn set(&mut self, x: usize, y: usize, v: f64) {
+    pub(crate) fn set(&mut self, x: usize, y: usize, v: f64) {
         assert!(x < self.nx && y < self.ny, "grid index out of bounds");
         self.data[y * self.nx + x] = v;
     }
@@ -53,7 +53,7 @@ impl Grid2d {
     }
 
     /// Mutable access to the raw samples (row-major).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -68,7 +68,7 @@ impl Grid2d {
     }
 
     /// Bilinear sample at fractional coordinates (clamped to the border).
-    pub fn sample(&self, fx: f64, fy: f64) -> f64 {
+    pub(crate) fn sample(&self, fx: f64, fy: f64) -> f64 {
         let fx = fx.clamp(0.0, (self.nx - 1) as f64);
         let fy = fy.clamp(0.0, (self.ny - 1) as f64);
         let (x0, y0) = (fx.floor() as usize, fy.floor() as usize);
@@ -84,7 +84,7 @@ impl Grid2d {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn rmse(&self, other: &Grid2d) -> f64 {
+    pub(crate) fn rmse(&self, other: &Grid2d) -> f64 {
         assert_eq!((self.nx, self.ny), (other.nx, other.ny), "grid shapes differ");
         let sum: f64 = self.data.iter().zip(&other.data).map(|(a, b)| (a - b) * (a - b)).sum();
         (sum / self.data.len() as f64).sqrt()
@@ -94,7 +94,14 @@ impl Grid2d {
 /// Generates a smooth random field in `[lo, hi]` by summing `octaves`
 /// randomized harmonics: low frequencies dominate, like real
 /// meteorological fields.
-pub fn smooth_field(seed: u64, nx: usize, ny: usize, lo: f64, hi: f64, octaves: u32) -> Grid2d {
+pub(crate) fn smooth_field(
+    seed: u64,
+    nx: usize,
+    ny: usize,
+    lo: f64,
+    hi: f64,
+    octaves: u32,
+) -> Grid2d {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut grid = Grid2d::zeros(nx, ny);
     let mut components = Vec::new();
@@ -130,7 +137,7 @@ pub fn smooth_field(seed: u64, nx: usize, ny: usize, lo: f64, hi: f64, octaves: 
 
 /// A 24-hour diurnal profile: `base + amplitude * sin(peak-centred)` with
 /// optional seeded jitter, sampled hourly.
-pub fn diurnal_profile(
+pub(crate) fn diurnal_profile(
     seed: u64,
     base: f64,
     amplitude: f64,

@@ -22,7 +22,7 @@ pub mod serve;
 pub mod service;
 
 /// Hour bins per day for the speed profiles.
-pub const HOUR_BINS: usize = 24;
+pub(crate) const HOUR_BINS: usize = 24;
 
 /// A directed road segment.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +94,7 @@ impl RoadNetwork {
     }
 
     /// Outgoing edge indices per node.
-    pub fn adjacency(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn adjacency(&self) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); self.nodes.len()];
         for (ei, e) in self.edges.iter().enumerate() {
             adj[e.from].push(ei);
@@ -103,7 +103,7 @@ impl RoadNetwork {
     }
 
     /// Free-flow travel time of edge `ei` in hours.
-    pub fn free_time_h(&self, ei: usize) -> f64 {
+    pub(crate) fn free_time_h(&self, ei: usize) -> f64 {
         let e = &self.edges[ei];
         e.length_km / e.free_speed_kmh
     }
@@ -194,12 +194,12 @@ impl SpeedProfiles {
     }
 
     /// Expected speed of `edge` at `hour`.
-    pub fn mean_speed(&self, edge: usize, hour: usize) -> f64 {
+    pub(crate) fn mean_speed(&self, edge: usize, hour: usize) -> f64 {
         self.mean[edge][hour % HOUR_BINS]
     }
 
     /// Speed spread of `edge` at `hour`.
-    pub fn std_speed(&self, edge: usize, hour: usize) -> f64 {
+    pub(crate) fn std_speed(&self, edge: usize, hour: usize) -> f64 {
         self.std[edge][hour % HOUR_BINS]
     }
 }

@@ -45,16 +45,16 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Departure-time quantization of the response cache: 15-minute bins.
-pub const DEPARTURE_BINS_PER_HOUR: usize = 4;
+pub(crate) const DEPARTURE_BINS_PER_HOUR: usize = 4;
 
 /// Total departure bins per day.
-pub const DEPARTURE_BINS: usize = HOUR_BINS * DEPARTURE_BINS_PER_HOUR;
+pub(crate) const DEPARTURE_BINS: usize = HOUR_BINS * DEPARTURE_BINS_PER_HOUR;
 
 /// Cache identity of a PTDR query: structural route hash, quantized
 /// departure bin, and sample count. Queries with equal keys receive
 /// bit-identical answers (the per-query seed is derived from the key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     /// Hash of the route's edge sequence.
     pub route_hash: u64,
     /// Departure bin, `0..DEPARTURE_BINS` (15-minute resolution).
@@ -231,7 +231,7 @@ impl<V: Copy> LruCache<V> {
 /// departure bin, sample count. Two queries with equal keys receive
 /// bit-identical answers — the per-query seed is a pure function of
 /// the key (see [`derive_seed`]).
-pub fn cache_key(route: &[usize], depart_hour: f64, samples: usize) -> CacheKey {
+pub(crate) fn cache_key(route: &[usize], depart_hour: f64, samples: usize) -> CacheKey {
     let mut hasher = DefaultHasher::new();
     route.hash(&mut hasher);
     let bin = (depart_hour * DEPARTURE_BINS_PER_HOUR as f64).floor();
@@ -242,7 +242,7 @@ pub fn cache_key(route: &[usize], depart_hour: f64, samples: usize) -> CacheKey 
 /// Deterministic per-query seed: a function of the cache key and the
 /// serving seed only, so any two queries with the same key — and any
 /// worker or shard interleaving — produce bit-identical statistics.
-pub fn derive_seed(base_seed: u64, key: &CacheKey) -> u64 {
+pub(crate) fn derive_seed(base_seed: u64, key: &CacheKey) -> u64 {
     let mut hasher = DefaultHasher::new();
     base_seed.hash(&mut hasher);
     key.hash(&mut hasher);
@@ -251,7 +251,7 @@ pub fn derive_seed(base_seed: u64, key: &CacheKey) -> u64 {
 
 /// The canonical departure hour of a key's bin (its center) — the hour
 /// every query in the bin is actually estimated at.
-pub fn bin_center_hour(key: &CacheKey) -> f64 {
+pub(crate) fn bin_center_hour(key: &CacheKey) -> f64 {
     (key.departure_bin as f64 + 0.5) / DEPARTURE_BINS_PER_HOUR as f64
 }
 

@@ -22,7 +22,7 @@
 use everest_workflow::seed::mix;
 
 /// Default virtual nodes per shard on the consistent-hash ring.
-pub const DEFAULT_VNODES: usize = 64;
+pub(crate) const DEFAULT_VNODES: usize = 64;
 
 /// A consistent-hash ring mapping 64-bit key hashes to shards.
 ///
@@ -77,7 +77,7 @@ impl HashRing {
     }
 
     /// Number of shards on the ring.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards
     }
 

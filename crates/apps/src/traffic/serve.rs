@@ -61,7 +61,8 @@
 //! virtual-time histograms, all exported through `everestc stats`.
 
 use super::lru::LruCache;
-pub use super::ring::{HashRing, DEFAULT_VNODES};
+pub use super::ring::HashRing;
+pub(crate) use super::ring::DEFAULT_VNODES;
 use super::service::RouteQuery;
 use super::service::{bin_center_hour, cache_key, derive_seed, CacheKey, PtdrEngine};
 use super::{random_od, shortest_route, RoadNetwork, SpeedProfiles, TravelTimeStats};
@@ -76,7 +77,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Shortest sub-route the load generator synthesizes, edges.
-pub const MIN_ROUTE_EDGES: usize = 4;
+pub(crate) const MIN_ROUTE_EDGES: usize = 4;
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -170,7 +171,7 @@ pub struct Arrival {
 /// The diurnal arrival-rate shape: a base load plus morning and evening
 /// rush-hour peaks. Dimensionless; [`LoadGen::generate`] rescales it so
 /// the *mean* over a day equals the offered rate.
-pub fn diurnal_shape(hour: f64) -> f64 {
+pub(crate) fn diurnal_shape(hour: f64) -> f64 {
     let peak = |center: f64, width: f64| {
         let d = (hour - center) / width;
         (-d * d).exp()
@@ -416,13 +417,13 @@ impl ServeReport {
     }
 
     /// Mean virtual service cost of a served query, microseconds.
-    pub fn mean_service_cost_us(&self) -> f64 {
+    pub(crate) fn mean_service_cost_us(&self) -> f64 {
         self.busy_us / self.served().max(1) as f64
     }
 
     /// Virtual serving capacity implied by this run's cache behaviour:
     /// one query per `mean_service_cost_us` per shard.
-    pub fn capacity_qps(&self) -> f64 {
+    pub(crate) fn capacity_qps(&self) -> f64 {
         self.shards.len() as f64 * 1e6 / self.mean_service_cost_us().max(1e-9)
     }
 
@@ -497,7 +498,7 @@ impl ServeTier {
     }
 
     /// The consistent-hash ring in use.
-    pub fn ring(&self) -> &HashRing {
+    pub(crate) fn ring(&self) -> &HashRing {
         &self.ring
     }
 
@@ -512,7 +513,7 @@ impl ServeTier {
     }
 
     /// Entries currently cached across all shards `(edge, cloud)`.
-    pub fn cache_len(&self) -> (usize, usize) {
+    pub(crate) fn cache_len(&self) -> (usize, usize) {
         let mut edge = 0;
         let mut cloud = 0;
         for state in &self.states {

@@ -55,9 +55,7 @@
 //! counters, and a `ptdr.batch` span per batch.
 
 use super::lru::LruCache;
-pub use super::lru::{
-    bin_center_hour, cache_key, derive_seed, CacheKey, DEPARTURE_BINS, DEPARTURE_BINS_PER_HOUR,
-};
+pub(crate) use super::lru::{bin_center_hour, cache_key, derive_seed, CacheKey};
 use super::{RoadNetwork, SpeedProfiles, TravelTimeStats, HOUR_BINS};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -68,11 +66,11 @@ use std::time::Instant;
 
 /// Slowest speed a sampled segment can fall to, km/h (matches the
 /// reference kernel's clamp).
-pub const MIN_SPEED_KMH: f64 = 3.0;
+pub(crate) const MIN_SPEED_KMH: f64 = 3.0;
 
 /// Lane count of the default engine, matching the "32-lane sampling
 /// engine" modeled for the E11 accelerator estimate.
-pub const DEFAULT_LANES: usize = 32;
+pub(crate) const DEFAULT_LANES: usize = 32;
 
 // ---------------------------------------------------------------------------
 // Reference kernel
@@ -519,12 +517,12 @@ impl PtdrService {
     }
 
     /// The road network served.
-    pub fn network(&self) -> &RoadNetwork {
+    pub(crate) fn network(&self) -> &RoadNetwork {
         &self.network
     }
 
     /// The learned speed profiles served.
-    pub fn profiles(&self) -> &SpeedProfiles {
+    pub(crate) fn profiles(&self) -> &SpeedProfiles {
         &self.profiles
     }
 
@@ -534,7 +532,7 @@ impl PtdrService {
     }
 
     /// The cache identity of `query` (see [`cache_key`]).
-    pub fn key(&self, query: &RouteQuery) -> CacheKey {
+    pub(crate) fn key(&self, query: &RouteQuery) -> CacheKey {
         cache_key(&query.route, query.depart_hour, query.samples)
     }
 

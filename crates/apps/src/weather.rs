@@ -20,7 +20,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Hours in the day-ahead forecast window.
-pub const HOURS: usize = 24;
+pub(crate) const HOURS: usize = 24;
 
 /// A 24-hour sequence of wind-speed fields (m/s) at some resolution.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ pub struct WindSeries {
 
 impl WindSeries {
     /// Grid cells per field.
-    pub fn cells(&self) -> usize {
+    pub(crate) fn cells(&self) -> usize {
         self.hourly.first().map(|g| g.nx * g.ny).unwrap_or(0)
     }
 }
@@ -90,7 +90,7 @@ fn coarsen(fine: &Grid2d, n: usize) -> Grid2d {
 
 /// An ensemble of perturbed coarse forecasts derived from the truth.
 #[derive(Debug, Clone)]
-pub struct Ensemble {
+pub(crate) struct Ensemble {
     /// Member forecasts (all at the same coarse resolution).
     pub members: Vec<WindSeries>,
 }
@@ -104,7 +104,7 @@ impl Ensemble {
     ///
     /// Panics if `resolution_km` is coarser than the whole domain or
     /// `members == 0`.
-    pub fn from_truth(
+    pub(crate) fn from_truth(
         truth: &WindSeries,
         resolution_km: f64,
         members: usize,
@@ -154,7 +154,7 @@ pub struct WindFarm {
 
 impl WindFarm {
     /// A clustered farm of `n` turbines around the domain centre.
-    pub fn clustered(seed: u64, n: usize, grid_n: usize) -> WindFarm {
+    pub(crate) fn clustered(seed: u64, n: usize, grid_n: usize) -> WindFarm {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let c = grid_n as f64 / 2.0;
         let spread = grid_n as f64 / 6.0;
@@ -186,7 +186,7 @@ impl WindFarm {
     }
 
     /// Farm output in MW for one wind field (sampled at each turbine).
-    pub fn power_mw(&self, field: &Grid2d) -> f64 {
+    pub(crate) fn power_mw(&self, field: &Grid2d) -> f64 {
         self.turbines
             .iter()
             .map(|(x, y)| Self::power_fraction(field.sample(*x, *y)) * self.rated_mw)
@@ -194,7 +194,7 @@ impl WindFarm {
     }
 
     /// Hourly farm output for a full series.
-    pub fn hourly_power_mw(&self, series: &WindSeries) -> Vec<f64> {
+    pub(crate) fn hourly_power_mw(&self, series: &WindSeries) -> Vec<f64> {
         series.hourly.iter().map(|f| self.power_mw(f)).collect()
     }
 }
@@ -230,7 +230,11 @@ impl ForecastReport {
 
 /// Forecasts day-ahead farm power by averaging per-member power (the
 /// standard ensemble approach).
-pub fn ensemble_power_forecast(ensemble: &Ensemble, farm: &WindFarm, truth_nx: usize) -> Vec<f64> {
+pub(crate) fn ensemble_power_forecast(
+    ensemble: &Ensemble,
+    farm: &WindFarm,
+    truth_nx: usize,
+) -> Vec<f64> {
     let mut out = vec![0.0; HOURS];
     for member in &ensemble.members {
         let n = member.hourly[0].nx;

@@ -29,7 +29,7 @@ pub struct DiffEntry {
 
 impl DiffEntry {
     /// `fresh / baseline`; 0 when the leaf vanished or baseline is 0.
-    pub fn ratio(&self) -> f64 {
+    pub(crate) fn ratio(&self) -> f64 {
         match self.fresh {
             Some(fresh) if self.baseline > 0.0 => fresh / self.baseline,
             _ => 0.0,
@@ -59,7 +59,7 @@ fn numeric(value: &Value) -> Option<f64> {
 
 /// Collects every `(path, value)` throughput leaf in a JSON tree, in
 /// deterministic traversal order.
-pub fn throughput_leaves(tree: &Value) -> Vec<(String, f64)> {
+pub(crate) fn throughput_leaves(tree: &Value) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     walk(tree, "", &mut out);
     out

@@ -47,7 +47,7 @@ fn section(id: &str, title: &str, body: &str) -> String {
 
 /// E1: runs the full DSL → IR → variants flow on three kernels and reports
 /// per-stage artifacts.
-pub fn e1_compilation_flow() -> String {
+pub(crate) fn e1_compilation_flow() -> String {
     let sdk = Sdk::builder().build();
     let mut t = Table::new(&[
         "kernel",
@@ -125,7 +125,7 @@ fn scenario_phases() -> Vec<Phase> {
 
 /// E2: the dynamic-adaptation loop vs static choices vs the oracle across
 /// workload phases.
-pub fn e2_runtime_adaptation() -> String {
+pub(crate) fn e2_runtime_adaptation() -> String {
     let points = scenario_points();
     let phases = scenario_phases();
     let mut t = Table::new(&["strategy", "total ms", "vs oracle", "fallbacks"]);
@@ -161,7 +161,7 @@ pub fn e2_runtime_adaptation() -> String {
 
 /// E3: sweeps every valid placement of a streaming inference pipeline over
 /// the endpoint/inner-edge/cloud hierarchy.
-pub fn e3_ecosystem_placement() -> String {
+pub(crate) fn e3_ecosystem_placement() -> String {
     let stages = vec![
         Stage::new("pre-process", 2e6, 10_000, false),
         Stage::new("inference", 5e8, 1_000, true),
@@ -203,7 +203,7 @@ pub fn e3_ecosystem_placement() -> String {
 
 /// E4: effective bandwidth and scale-out crossover between OpenCAPI
 /// bus-attached and TCP/UDP network-attached FPGAs.
-pub fn e4_attachment_comparison() -> String {
+pub(crate) fn e4_attachment_comparison() -> String {
     let bus = Link::opencapi();
     let udp = Link::udp_datacenter();
     let tcp = Link::tcp_datacenter();
@@ -255,7 +255,7 @@ pub fn e4_attachment_comparison() -> String {
 // ---------------------------------------------------------------------------
 
 /// E5: per-kernel best-hardware vs software latency and energy.
-pub fn e5_acceleration() -> String {
+pub(crate) fn e5_acceleration() -> String {
     let sdk = Sdk::builder().build();
     let mut t = Table::new(&[
         "kernel",
@@ -329,7 +329,7 @@ pub fn e5_acceleration() -> String {
 
 /// E6: banks x scheme ablation on the 5-point stencil (single PE to
 /// isolate the memory effect).
-pub fn e6_memory_partitioning() -> String {
+pub(crate) fn e6_memory_partitioning() -> String {
     let module = everest::dsl::compile_kernels(
         "kernel s(x: tensor<1024xf64>) -> tensor<1024xf64> { return stencil(x, [0.1, 0.2, 0.4, 0.2, 0.1]); }",
     )
@@ -374,7 +374,7 @@ pub fn e6_memory_partitioning() -> String {
 // ---------------------------------------------------------------------------
 
 /// E7: area/latency overhead of DIFT instrumentation per kernel.
-pub fn e7_dift_overhead() -> String {
+pub(crate) fn e7_dift_overhead() -> String {
     let mut t = Table::new(&[
         "kernel",
         "LUTs",
@@ -431,7 +431,7 @@ fn crypto_engines() -> [(&'static str, f64); 3] {
 
 /// E8: the modeled near-memory crypto engines. The measured software
 /// throughput they are compared against is in [`timings`].
-pub fn e8_crypto() -> String {
+pub(crate) fn e8_crypto() -> String {
     let mut t = Table::new(&["primitive", "near-mem model MB/s"]);
     for (name, hw) in crypto_engines() {
         t.row(&[name.into(), f(hw, 0)]);
@@ -452,7 +452,7 @@ pub fn e8_crypto() -> String {
 // ---------------------------------------------------------------------------
 
 /// E9: operating-point selection under an energy cap as conditions change.
-pub fn e9_autotuning() -> String {
+pub(crate) fn e9_autotuning() -> String {
     let points = scenario_points();
     let sw_energy_floor = points
         .iter()
@@ -509,7 +509,7 @@ pub fn e9_autotuning() -> String {
 
 /// E10: makespan vs worker count for canonical DAG shapes + scheduler
 /// comparison.
-pub fn e10_workflow_scalability() -> String {
+pub(crate) fn e10_workflow_scalability() -> String {
     let graphs = vec![
         TaskGraph::wide(64, 1_000.0, 10_000),
         TaskGraph::deep(32, 1_000.0, 10_000),
@@ -580,7 +580,7 @@ fn ptdr_fpga_ms(samples: usize, route_len: usize) -> f64 {
 
 /// E11: PTDR estimator error vs sample count, with the modeled FPGA
 /// sampling time. The CPU time it is compared against is in [`timings`].
-pub fn e11_ptdr() -> String {
+pub(crate) fn e11_ptdr() -> String {
     let (network, profiles, route) = ptdr_query();
     let reference = traffic::ptdr_travel_time(&network, &profiles, &route, 8.0, 100_000, 999);
 
@@ -617,7 +617,7 @@ pub fn e11_ptdr() -> String {
 // ---------------------------------------------------------------------------
 
 /// E12: forecast skill and compute cost vs ensemble grid resolution.
-pub fn e12_wind_resolution() -> String {
+pub(crate) fn e12_wind_resolution() -> String {
     let mut t = Table::new(&["res km", "cells", "RMSE MW", "imbalance EUR/day", "rel. compute"]);
     let mut base_cells = 0.0;
     for res_km in [25.0, 12.0, 6.0, 3.0] {
@@ -663,7 +663,7 @@ fn plume_meteo() -> airquality::Meteo {
 
 /// E13: plume-forecast fidelity vs grid resolution on the 10-km domain.
 /// The time per hour-step is in [`timings`].
-pub fn e13_air_quality() -> String {
+pub(crate) fn e13_air_quality() -> String {
     let met = plume_meteo();
     let mut t = Table::new(&["cells/edge", "peak ug/m3", ">50 ug/m3 %"]);
     for cells in PLUME_CELLS {
@@ -687,7 +687,7 @@ pub fn e13_air_quality() -> String {
 // ---------------------------------------------------------------------------
 
 /// E14: edge-node failure with and without runtime migration.
-pub fn e14_failure_migration() -> String {
+pub(crate) fn e14_failure_migration() -> String {
     // A stream of 100 identical inference tasks on an edge worker; the
     // worker dies after 40. With adaptation the remainder migrates to the
     // cloud (slower link, faster compute); without it they are lost.
@@ -726,7 +726,7 @@ pub fn e14_failure_migration() -> String {
 /// E15: validates the variants cost model's tiling knob against the
 /// trace-driven cache hierarchy (the gem5-class model of paper refs
 /// \[25\]\[26\]).
-pub fn e15_cache_tiling() -> String {
+pub(crate) fn e15_cache_tiling() -> String {
     use everest::platform::cache::{matmul_trace, Hierarchy};
     let mut t = Table::new(&["n", "tile", "L1 miss %", "L2 miss %", "AMAT cyc"]);
     for n in [64usize, 128] {
@@ -761,7 +761,7 @@ pub fn e15_cache_tiling() -> String {
 /// E16: consolidation of tenant VMs onto shared vFPGA slots (paper IV:
 /// "parallel application instances running in different virtual
 /// machines").
-pub fn e16_multi_tenant() -> String {
+pub(crate) fn e16_multi_tenant() -> String {
     use everest::runtime::contention::{share_slots, slots_for_slo, Tenant};
     let tenants = vec![
         Tenant::new("vm-energy", 120.0, 400.0, 80),

@@ -17,6 +17,4 @@
 
 pub mod diff;
 pub mod experiments;
-pub mod table;
-
-pub use table::Table;
+pub(crate) mod table;

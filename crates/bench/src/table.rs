@@ -2,14 +2,14 @@
 
 /// A simple text table with a header row.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Table {
+    pub(crate) fn new(header: &[&str]) -> Table {
         Table { header: header.iter().map(|h| (*h).to_owned()).collect(), rows: Vec::new() }
     }
 
@@ -18,24 +18,24 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count does not match the header.
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: &[String]) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells.to_vec());
         self
     }
 
     /// Number of data rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// `true` when no rows were added.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
     /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -68,7 +68,7 @@ impl Table {
 }
 
 /// Formats a float with the given precision (helper for experiment rows).
-pub fn f(v: f64, digits: usize) -> String {
+pub(crate) fn f(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
 }
 

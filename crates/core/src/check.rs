@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 /// Derives each task's external-dataset access set from a workflow spec:
 /// reads are the kinds of sources whose items the task consumes, writes the
 /// kinds of sinks its outputs feed.
-pub fn workflow_accesses(spec: &WorkflowSpec) -> Vec<TaskAccess> {
+pub(crate) fn workflow_accesses(spec: &WorkflowSpec) -> Vec<TaskAccess> {
     let mut source_kind: BTreeMap<&str, &str> = BTreeMap::new();
     let mut sink_kinds: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for step in &spec.steps {
@@ -74,7 +74,7 @@ fn race_diagnostic(spec: &WorkflowSpec, race: &Race) -> Diagnostic {
 
 /// Runs the race detector over a parsed workflow and renders the findings
 /// as `wf-race` diagnostics (bumping the `check.diag.*` counters).
-pub fn check_workflow_spec(spec: &WorkflowSpec) -> Vec<Diagnostic> {
+pub(crate) fn check_workflow_spec(spec: &WorkflowSpec) -> Vec<Diagnostic> {
     let mut span = everest_telemetry::span("workflow.check", "workflow");
     let accesses = workflow_accesses(spec);
     let races = detect_races(&accesses, &spec.task_edges());

@@ -73,7 +73,7 @@ pub fn unresolved_diags(
 /// positionally mapping the task's output list onto the kernel's results.
 /// Tasks without a summary (unresolved kernels — already reported by
 /// [`unresolved_diags`]) contribute unbounded edges.
-pub fn build_plan(
+pub(crate) fn build_plan(
     spec: &WorkflowSpec,
     index: &BTreeMap<String, FnFootprint>,
     budget_bytes: u64,
@@ -151,7 +151,7 @@ pub fn build_plan(
 
 /// Renders every racy edge of a plan as a `fuse-racy` error with the race
 /// counterexample (and its ordering witness) as the snippet.
-pub fn plan_diags(spec: &WorkflowSpec, plan: &FusionPlan) -> Vec<Diagnostic> {
+pub(crate) fn plan_diags(spec: &WorkflowSpec, plan: &FusionPlan) -> Vec<Diagnostic> {
     let diags: Vec<Diagnostic> = plan
         .racy()
         .map(|e| {

@@ -36,17 +36,16 @@
 //! assert!(kernel.pareto_front().len() <= kernel.variants.len());
 //! ```
 
-pub mod bridge;
-pub mod check;
-pub mod error;
-pub mod fuse;
-pub mod sdk;
+pub(crate) mod bridge;
+pub(crate) mod check;
+pub(crate) mod error;
+pub(crate) mod fuse;
+pub(crate) mod sdk;
 
 pub use bridge::task_graph_from_workflow;
-pub use check::{check_workflow_spec, workflow_accesses};
 pub use error::{SdkError, SdkResult};
-pub use fuse::{build_plan, kernel_index, plan_diags, render_plan_text, unresolved_diags};
-pub use sdk::{Compiled, CompiledKernel, Deployment, ExploreReport, Sdk, SdkBuilder};
+pub use fuse::{kernel_index, render_plan_text, unresolved_diags};
+pub use sdk::{Compiled, CompiledKernel, Sdk};
 
 // The shared diagnostic vocabulary of `everestc check`.
 pub use everest_ir::{Diagnostic, Severity};
@@ -54,7 +53,7 @@ pub use everest_ir::{Diagnostic, Severity};
 // Re-export the types users touch on every path through the façade, so
 // `use everest::{Sdk, System, Link}` works without naming the subsystem
 // crates.
-pub use everest_platform::{Link, LinkProfile, System};
+pub use everest_platform::System;
 pub use everest_runtime::offload::{
     FaultKind, FaultPlan, FaultRates, OffloadCall, OffloadManager, OffloadOutcome, TargetClass,
 };

@@ -31,17 +31,17 @@ pub struct TensorTy {
 
 impl TensorTy {
     /// A scalar of the given element type.
-    pub fn scalar(elem: ElemTy) -> TensorTy {
+    pub(crate) fn scalar(elem: ElemTy) -> TensorTy {
         TensorTy { elem, shape: Vec::new() }
     }
 
     /// Whether this type is a scalar.
-    pub fn is_scalar(&self) -> bool {
+    pub(crate) fn is_scalar(&self) -> bool {
         self.shape.is_empty()
     }
 
     /// Total element count (1 for scalars).
-    pub fn num_elements(&self) -> usize {
+    pub(crate) fn num_elements(&self) -> usize {
         self.shape.iter().product()
     }
 }
@@ -107,7 +107,7 @@ pub enum Expr {
 
 impl Expr {
     /// The source line of this expression.
-    pub fn line(&self) -> usize {
+    pub(crate) fn line(&self) -> usize {
         match self {
             Expr::Var { line, .. }
             | Expr::Num { line, .. }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias for DSL operations.
-pub type DslResult<T> = Result<T, DslError>;
+pub(crate) type DslResult<T> = Result<T, DslError>;
 
 /// Compilation phase in which a DSL error occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,8 +34,8 @@ impl fmt::Display for Phase {
 ///
 /// ```
 /// use everest_dsl::DslError;
-/// let err = DslError::ty(4, "shape mismatch");
-/// assert_eq!(err.to_string(), "type error at line 4: shape mismatch");
+/// let err = DslError::parse(4, "expected `)`");
+/// assert_eq!(err.to_string(), "parse error at line 4: expected `)`");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DslError {
@@ -49,7 +49,7 @@ pub struct DslError {
 
 impl DslError {
     /// Builds a lexer error.
-    pub fn lex(line: usize, msg: impl Into<String>) -> DslError {
+    pub(crate) fn lex(line: usize, msg: impl Into<String>) -> DslError {
         DslError { phase: Phase::Lex, line, msg: msg.into() }
     }
 
@@ -59,12 +59,12 @@ impl DslError {
     }
 
     /// Builds a type-checking error.
-    pub fn ty(line: usize, msg: impl Into<String>) -> DslError {
+    pub(crate) fn ty(line: usize, msg: impl Into<String>) -> DslError {
         DslError { phase: Phase::Type, line, msg: msg.into() }
     }
 
     /// Builds a lowering error.
-    pub fn lower(line: usize, msg: impl Into<String>) -> DslError {
+    pub(crate) fn lower(line: usize, msg: impl Into<String>) -> DslError {
         DslError { phase: Phase::Lower, line, msg: msg.into() }
     }
 }

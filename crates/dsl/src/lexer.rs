@@ -4,7 +4,7 @@ use crate::error::{DslError, DslResult};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Identifier or keyword.
     Ident(String),
     /// Integer literal.
@@ -53,7 +53,7 @@ pub enum Tok {
 
 /// A token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpannedTok {
+pub(crate) struct SpannedTok {
     /// The token.
     pub tok: Tok,
     /// 1-based line number.
@@ -67,7 +67,7 @@ pub struct SpannedTok {
 /// # Errors
 ///
 /// Returns [`DslError`] on unknown characters or malformed literals.
-pub fn lex(source: &str) -> DslResult<Vec<SpannedTok>> {
+pub(crate) fn lex(source: &str) -> DslResult<Vec<SpannedTok>> {
     let bytes = source.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;

@@ -28,16 +28,16 @@
 //! module.verify().unwrap();
 //! ```
 
-pub mod ast;
-pub mod error;
-pub mod lexer;
+pub(crate) mod ast;
+pub(crate) mod error;
+pub(crate) mod lexer;
 pub mod lower;
 pub mod parser;
 pub mod typecheck;
-pub mod workflow;
+pub(crate) mod workflow;
 
-pub use ast::{Expr, Kernel, Program, Stmt};
-pub use error::{DslError, DslResult};
+pub use error::DslError;
+pub(crate) use error::DslResult;
 pub use workflow::{WorkflowSpec, WorkflowStep};
 
 use everest_ir::Module;

@@ -21,7 +21,7 @@ fn ir_elem(elem: ElemTy) -> Type {
 
 /// Converts a DSL type to an IR type (scalars stay scalar, tensors become
 /// `tensor<...>`).
-pub fn ir_type(ty: &TensorTy) -> Type {
+pub(crate) fn ir_type(ty: &TensorTy) -> Type {
     if ty.is_scalar() {
         ir_elem(ty.elem)
     } else {
@@ -49,7 +49,7 @@ pub fn lower_program(program: &Program) -> DslResult<Module> {
 ///
 /// Returns a [`DslError`] on internal inconsistencies (should not happen for
 /// type-checked kernels).
-pub fn lower_kernel(kernel: &Kernel) -> DslResult<everest_ir::Func> {
+pub(crate) fn lower_kernel(kernel: &Kernel) -> DslResult<everest_ir::Func> {
     let param_types: Vec<Type> = kernel.params.iter().map(|p| ir_type(&p.ty)).collect();
     let ret_types = vec![ir_type(&kernel.ret)];
     let mut fb = FuncBuilder::new(kernel.name.clone(), &param_types, &ret_types);

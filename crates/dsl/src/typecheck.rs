@@ -32,7 +32,7 @@ pub fn check_program(program: &Program) -> DslResult<()> {
 /// # Errors
 ///
 /// Returns a [`DslError`] describing the first shape violation.
-pub fn check_kernel(kernel: &Kernel) -> DslResult<()> {
+pub(crate) fn check_kernel(kernel: &Kernel) -> DslResult<()> {
     let mut env: HashMap<String, TensorTy> = HashMap::new();
     for param in &kernel.params {
         if env.insert(param.name.clone(), param.ty.clone()).is_some() {
@@ -78,7 +78,7 @@ pub fn check_kernel(kernel: &Kernel) -> DslResult<()> {
 /// # Errors
 ///
 /// Returns a [`DslError`] on unknown names or shape mismatches.
-pub fn infer(expr: &Expr, env: &HashMap<String, TensorTy>) -> DslResult<TensorTy> {
+pub(crate) fn infer(expr: &Expr, env: &HashMap<String, TensorTy>) -> DslResult<TensorTy> {
     match expr {
         Expr::Var { name, line } => env
             .get(name.as_str())

@@ -86,7 +86,7 @@ impl WorkflowSpec {
     /// # Errors
     ///
     /// Returns a [`DslError`] (phase `Type`) naming the offending item.
-    pub fn validate(&self) -> DslResult<()> {
+    pub(crate) fn validate(&self) -> DslResult<()> {
         let mut produced: HashMap<&str, ()> = HashMap::new();
         for step in &self.steps {
             match step {

@@ -89,7 +89,7 @@ impl Accelerator {
     /// Estimated dynamic energy in microjoules, using a simple
     /// activity-proportional model (~0.1 nJ per LUT-activity-cycle at the
     /// modeled node, scaled down by a 0.1 activity factor).
-    pub fn energy_uj(&self) -> f64 {
+    pub(crate) fn energy_uj(&self) -> f64 {
         self.summary().energy_uj()
     }
 
@@ -270,7 +270,7 @@ pub fn synthesize(func: &Func, config: &HlsConfig) -> HlsResult<Accelerator> {
 /// was actually synthesized, and — when the static taint analysis proved
 /// the kernel clean — the area and latency the gate saved.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DiftGate {
+pub(crate) struct DiftGate {
     /// `true` when the configuration asked for DIFT.
     pub requested: bool,
     /// `true` when shadow logic was actually synthesized.
@@ -300,7 +300,7 @@ pub struct DiftGate {
 /// # Errors
 ///
 /// Same failure modes as [`synthesize`].
-pub fn synthesize_gated(func: &Func, config: &HlsConfig) -> HlsResult<(Accelerator, DiftGate)> {
+pub(crate) fn synthesize_gated(func: &Func, config: &HlsConfig) -> HlsResult<(Accelerator, DiftGate)> {
     let mut gate = DiftGate { requested: config.dift.is_some(), ..DiftGate::default() };
     if !gate.requested {
         return Ok((synthesize(func, config)?, gate));

@@ -24,7 +24,7 @@ pub struct Binding {
 impl Binding {
     /// Total datapath area: functional units plus registers (64-bit) plus a
     /// small steering/mux overhead per bound op.
-    pub fn area(&self) -> AreaReport {
+    pub(crate) fn area(&self) -> AreaReport {
         let mut area = AreaReport::default();
         for (kind, count) in &self.allocation {
             area += kind.area().scaled(*count as u64);

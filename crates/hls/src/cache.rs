@@ -232,7 +232,11 @@ impl SynthCache {
     ///
     /// Propagates [`crate::HlsError`] from synthesis; failures are not
     /// cached, so a later call retries.
-    pub fn get_or_synthesize(&self, func: &Func, config: &HlsConfig) -> HlsResult<SynthSummary> {
+    pub(crate) fn get_or_synthesize(
+        &self,
+        func: &Func,
+        config: &HlsConfig,
+    ) -> HlsResult<SynthSummary> {
         let start = Instant::now();
         let (fingerprint, key) = (func_fingerprint(func), ConfigKey::of(config));
         if let Some(summary) = self.probe(fingerprint, &key) {

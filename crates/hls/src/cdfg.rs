@@ -16,7 +16,7 @@ use everest_ir::{Block, Func, Value};
 use std::collections::HashMap;
 
 /// Index of a node within a [`Dfg`].
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 /// One node of the data-flow graph.
 #[derive(Debug, Clone)]
@@ -192,12 +192,12 @@ impl Dfg {
     }
 
     /// `true` when the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 
     /// Count of nodes that occupy the given functional-unit kind.
-    pub fn count_fu(&self, kind: FuKind) -> usize {
+    pub(crate) fn count_fu(&self, kind: FuKind) -> usize {
         self.nodes.iter().filter(|n| n.fu == Some(kind)).count()
     }
 

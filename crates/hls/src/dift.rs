@@ -40,7 +40,7 @@ pub struct DiftReport {
 
 impl DiftReport {
     /// Relative LUT overhead versus a baseline area.
-    pub fn lut_overhead_pct(&self, baseline: &AreaReport) -> f64 {
+    pub(crate) fn lut_overhead_pct(&self, baseline: &AreaReport) -> f64 {
         if baseline.luts == 0 {
             return 0.0;
         }
@@ -50,7 +50,7 @@ impl DiftReport {
 
 /// Computes the DIFT overhead for a bound datapath with `buffer_elems`
 /// total on-chip buffer elements.
-pub fn instrument(binding: &Binding, buffer_elems: u64, config: &DiftConfig) -> DiftReport {
+pub(crate) fn instrument(binding: &Binding, buffer_elems: u64, config: &DiftConfig) -> DiftReport {
     let tb = config.taint_bits as u64;
     let fu_instances: u64 = binding.allocation.values().map(|c| *c as u64).sum();
     // One propagation cell (OR-tree over operand labels) per FU instance:
@@ -113,7 +113,7 @@ impl TaintEngine {
     }
 
     /// Labels currently attached to `location`.
-    pub fn labels(&self, location: &str) -> Vec<&str> {
+    pub(crate) fn labels(&self, location: &str) -> Vec<&str> {
         self.labels
             .get(location)
             .map(|s| s.iter().map(String::as_str).collect())

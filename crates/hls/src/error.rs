@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias for HLS operations.
-pub type HlsResult<T> = Result<T, HlsError>;
+pub(crate) type HlsResult<T> = Result<T, HlsError>;
 
 /// Errors raised by the HLS flow.
 #[derive(Debug, Clone, PartialEq, Eq)]

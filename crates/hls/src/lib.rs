@@ -44,16 +44,15 @@ pub mod binding;
 pub mod cache;
 pub mod cdfg;
 pub mod dift;
-pub mod error;
+pub(crate) mod error;
 pub mod memory;
-pub mod oplib;
-pub mod pipeline;
+pub(crate) mod oplib;
+pub(crate) mod pipeline;
 pub mod rtl;
 pub mod schedule;
 pub mod tensor_to_loops;
 
-pub use accel::{synthesize, synthesize_gated, Accelerator, DiftGate, HlsConfig, SynthSummary};
-pub use cache::SynthCache;
-pub use error::{HlsError, HlsResult};
-pub use memory::{stream_buffer_brams, stream_capacity_bytes, BRAM_BYTES};
+pub use accel::{synthesize, Accelerator, HlsConfig};
+pub use error::HlsError;
+pub use memory::stream_capacity_bytes;
 pub use oplib::{AreaReport, FuKind};

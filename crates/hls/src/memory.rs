@@ -12,15 +12,15 @@ use crate::error::{HlsError, HlsResult};
 use crate::oplib::AreaReport;
 
 /// Bits in one block RAM (18-kbit primitives throughout this crate).
-pub const BRAM_BITS: u64 = 18 * 1024;
+pub(crate) const BRAM_BITS: u64 = 18 * 1024;
 
 /// Payload bytes of one 18-kbit block RAM.
-pub const BRAM_BYTES: u64 = BRAM_BITS / 8;
+pub(crate) const BRAM_BYTES: u64 = BRAM_BITS / 8;
 
 /// Block RAMs needed for a double-buffered (ping/pong) stream FIFO holding
 /// one `bytes`-sized transfer: two full copies so the producer fills one
 /// half while the consumer drains the other.
-pub fn stream_buffer_brams(bytes: u64) -> u64 {
+pub(crate) fn stream_buffer_brams(bytes: u64) -> u64 {
     (2 * bytes * 8).div_ceil(BRAM_BITS)
 }
 
@@ -115,7 +115,7 @@ impl Partitioning {
     /// mod `banks` land on different banks, so a 3-point stencil on ≥3
     /// banks is conflict-free; block partitioning keeps neighbouring
     /// elements in one bank and conflicts stay.
-    pub fn max_conflicts(&self, offsets: &[i64]) -> usize {
+    pub(crate) fn max_conflicts(&self, offsets: &[i64]) -> usize {
         if offsets.is_empty() {
             return 0;
         }
@@ -156,7 +156,7 @@ impl Partitioning {
 
     /// BRAM cost: each bank occupies at least one 18-kbit BRAM; deep banks
     /// take several (64-bit elements assumed).
-    pub fn area(&self) -> AreaReport {
+    pub(crate) fn area(&self) -> AreaReport {
         let bits_per_bank = self.bank_depth() as u64 * 64;
         let brams_per_bank = bits_per_bank.div_ceil(18 * 1024).max(1);
         AreaReport {

@@ -46,7 +46,7 @@ impl FuKind {
     ];
 
     /// Pipeline latency in cycles for one operation on this unit.
-    pub fn latency(&self) -> u64 {
+    pub(crate) fn latency(&self) -> u64 {
         match self {
             FuKind::FAdd => 3,
             FuKind::FMul => 4,
@@ -61,7 +61,7 @@ impl FuKind {
     }
 
     /// Area cost of one instance of this unit.
-    pub fn area(&self) -> AreaReport {
+    pub(crate) fn area(&self) -> AreaReport {
         match self {
             FuKind::FAdd => AreaReport { luts: 380, ffs: 520, dsps: 2, brams: 0 },
             FuKind::FMul => AreaReport { luts: 140, ffs: 260, dsps: 3, brams: 0 },
@@ -96,7 +96,7 @@ impl fmt::Display for FuKind {
 /// Maps an IR op name to the functional unit it executes on. Returns `None`
 /// for ops that consume no datapath resources (constants, control flow,
 /// yields and structured ops handled elsewhere).
-pub fn fu_for_op(name: &str) -> Option<FuKind> {
+pub(crate) fn fu_for_op(name: &str) -> Option<FuKind> {
     Some(match name {
         "arith.addf" | "arith.subf" | "arith.maxf" | "arith.minf" | "arith.negf" | "arith.cmpf" => {
             FuKind::FAdd
@@ -116,7 +116,7 @@ pub fn fu_for_op(name: &str) -> Option<FuKind> {
 }
 
 /// Latency in cycles of an IR op (0 for resource-free ops).
-pub fn latency_for_op(name: &str) -> u64 {
+pub(crate) fn latency_for_op(name: &str) -> u64 {
     fu_for_op(name).map(|fu| fu.latency()).unwrap_or(0)
 }
 
@@ -135,7 +135,7 @@ pub struct AreaReport {
 
 impl AreaReport {
     /// Scales every component by an integer factor.
-    pub fn scaled(&self, factor: u64) -> AreaReport {
+    pub(crate) fn scaled(&self, factor: u64) -> AreaReport {
         AreaReport {
             luts: self.luts * factor,
             ffs: self.ffs * factor,
@@ -145,7 +145,7 @@ impl AreaReport {
     }
 
     /// `true` if this report fits within `budget` in every dimension.
-    pub fn fits_in(&self, budget: &AreaReport) -> bool {
+    pub(crate) fn fits_in(&self, budget: &AreaReport) -> bool {
         self.luts <= budget.luts
             && self.ffs <= budget.ffs
             && self.dsps <= budget.dsps

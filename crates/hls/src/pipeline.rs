@@ -17,7 +17,7 @@ use crate::schedule::{list_schedule, ResourceBudget};
 
 /// Pipelining analysis result for one loop body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineReport {
+pub(crate) struct PipelineReport {
     /// Resource-constrained minimum II.
     pub res_mii: u64,
     /// Recurrence-constrained minimum II.
@@ -32,7 +32,7 @@ pub struct PipelineReport {
 
 impl PipelineReport {
     /// Total latency of a pipelined loop with `trips` iterations.
-    pub fn loop_latency(&self, trips: u64) -> u64 {
+    pub(crate) fn loop_latency(&self, trips: u64) -> u64 {
         if trips == 0 {
             0
         } else {
@@ -58,7 +58,7 @@ const ASSOCIATIVE: [&str; 6] =
 /// # Errors
 ///
 /// Propagates scheduling failures (e.g. zero-budget unit kinds).
-pub fn analyze(
+pub(crate) fn analyze(
     dfg: &Dfg,
     budget: &ResourceBudget,
     mem_mii: u64,

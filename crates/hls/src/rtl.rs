@@ -25,7 +25,7 @@ use crate::schedule::Schedule;
 use std::fmt::Write;
 
 /// Emits a Verilog module named `name` for one scheduled block.
-pub fn emit_module(name: &str, dfg: &Dfg, schedule: &Schedule, binding: &Binding) -> String {
+pub(crate) fn emit_module(name: &str, dfg: &Dfg, schedule: &Schedule, binding: &Binding) -> String {
     let mut v = String::new();
     let states = schedule.len.max(1);
     let state_bits = 64 - (states.max(2) - 1).leading_zeros() as u64;

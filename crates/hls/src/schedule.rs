@@ -88,7 +88,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// Finish cycle of node `id`.
-    pub fn finish(&self, dfg: &Dfg, id: usize) -> u64 {
+    pub(crate) fn finish(&self, dfg: &Dfg, id: usize) -> u64 {
         self.start[id] + dfg.nodes[id].latency
     }
 }

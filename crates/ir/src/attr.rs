@@ -57,7 +57,7 @@ impl Attr {
     }
 
     /// Returns the boolean payload, if this is an [`Attr::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Attr::Bool(b) => Some(*b),
             _ => None,
@@ -73,7 +73,7 @@ impl Attr {
     }
 
     /// Convenience: an array attribute of integers.
-    pub fn ints(values: &[i64]) -> Attr {
+    pub(crate) fn ints(values: &[i64]) -> Attr {
         Attr::Array(values.iter().map(|v| Attr::Int(*v)).collect())
     }
 

@@ -97,13 +97,13 @@ impl Interval {
     }
 
     /// `true` for the empty interval.
-    pub fn is_bottom(&self) -> bool {
+    pub(crate) fn is_bottom(&self) -> bool {
         self.lo > self.hi
     }
 
     /// `true` when both bounds are finite (neither sentinel), i.e. the
     /// analysis actually knows a range.
-    pub fn is_bounded(&self) -> bool {
+    pub(crate) fn is_bounded(&self) -> bool {
         !self.is_bottom() && self.lo > i64::MIN && self.hi < i64::MAX
     }
 
@@ -255,7 +255,7 @@ pub struct Site {
 /// One entry of the converged solution: the op, its location, and the state
 /// entering it in the analysis direction (pre-state for forward analyses,
 /// post-state for backward ones).
-pub type SolvedOp<'f, S> = (Site, &'f Op, S);
+pub(crate) type SolvedOp<'f, S> = (Site, &'f Op, S);
 
 /// Safety cap on back-edge iterations of one structured region.
 const MAX_REGION_PASSES: usize = 64;

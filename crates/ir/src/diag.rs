@@ -111,7 +111,7 @@ impl Diagnostic {
     }
 
     /// Serializes the diagnostic as one JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let q = |s: &str| serde_json::to_string(s).expect("a string always serializes");
         format!(
             "{{\"severity\": \"{}\", \"code\": {}, \"func\": {}, \"location\": {}, \
@@ -147,7 +147,7 @@ pub fn render_text(diags: &[Diagnostic]) -> String {
 /// Version of the JSON envelope emitted by [`render_json`]. Bumped whenever
 /// a field is renamed, removed, or changes meaning; purely additive changes
 /// keep the version. CI gates and external tooling key on this.
-pub const DIAG_SCHEMA_VERSION: u32 = 1;
+pub(crate) const DIAG_SCHEMA_VERSION: u32 = 1;
 
 /// Serializes diagnostics as a versioned JSON envelope (`--format json`):
 /// `{"schema_version": 1, "diagnostics": [...]}`.
@@ -184,7 +184,7 @@ pub fn record_metrics(diags: &[Diagnostic]) {
 
 /// Renders one op as a single-line snippet using raw SSA ids (`%7`), the
 /// same ids the verifier reports.
-pub fn op_snippet(op: &Op) -> String {
+pub(crate) fn op_snippet(op: &Op) -> String {
     let mut out = String::new();
     if !op.results.is_empty() {
         let rs: Vec<String> = op.results.iter().map(|r| r.to_string()).collect();

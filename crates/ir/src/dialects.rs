@@ -104,7 +104,7 @@ pub mod tensor {
     }
 
     /// Emits `tensor.fill` of the given shape and constant.
-    pub fn fill(fb: &mut FuncBuilder, value: f64, elem: Type, shape: &[usize]) -> Value {
+    pub(crate) fn fill(fb: &mut FuncBuilder, value: f64, elem: Type, shape: &[usize]) -> Value {
         let op = Op::new("tensor.fill").with_attr("value", value);
         fb.op1(op, Type::tensor(elem, shape))
     }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias used throughout [`everest_ir`](crate).
-pub type IrResult<T> = Result<T, IrError>;
+pub(crate) type IrResult<T> = Result<T, IrError>;
 
 /// Errors produced while building, verifying, parsing or transforming IR.
 ///

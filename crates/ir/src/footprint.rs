@@ -48,7 +48,7 @@ pub enum ShapeFact {
 impl ShapeFact {
     /// The exact fact for a static type, when it has one: shaped types map
     /// every dimension to a point interval, scalars to a rank-0 fact.
-    pub fn of_type(ty: &Type) -> ShapeFact {
+    pub(crate) fn of_type(ty: &Type) -> ShapeFact {
         match (ty.shape(), ty.elem().and_then(Type::scalar_bytes), ty.scalar_bytes()) {
             (Some(shape), Some(eb), _) => ShapeFact::Dims {
                 dims: shape.iter().map(|d| Interval::point(*d as i64)).collect(),
@@ -113,7 +113,7 @@ impl Lattice for ShapeFact {
 }
 
 /// Per-value shape facts (map lattice: missing keys are bottom).
-pub type ShapeState = BTreeMap<Value, ShapeFact>;
+pub(crate) type ShapeState = BTreeMap<Value, ShapeFact>;
 
 /// Interprocedural summary of one function's memory behaviour, in bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]

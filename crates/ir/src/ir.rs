@@ -63,7 +63,7 @@ impl Op {
     }
 
     /// The dialect prefix of the op name (`"arith"` for `"arith.addf"`).
-    pub fn dialect(&self) -> &str {
+    pub(crate) fn dialect(&self) -> &str {
         self.name.split('.').next().unwrap_or(&self.name)
     }
 
@@ -83,7 +83,7 @@ impl Op {
     /// # Panics
     ///
     /// Panics if the op does not have exactly one result.
-    pub fn result(&self) -> Value {
+    pub(crate) fn result(&self) -> Value {
         assert_eq!(self.results.len(), 1, "op {} has {} results", self.name, self.results.len());
         self.results[0]
     }
@@ -122,7 +122,7 @@ pub struct Region {
 
 impl Region {
     /// Creates an empty region.
-    pub fn new() -> Region {
+    pub(crate) fn new() -> Region {
         Region::default()
     }
 
@@ -132,12 +132,12 @@ impl Region {
     }
 
     /// Mutable access to the entry block, if present.
-    pub fn entry_mut(&mut self) -> Option<&mut Block> {
+    pub(crate) fn entry_mut(&mut self) -> Option<&mut Block> {
         self.blocks.first_mut()
     }
 
     /// Visits every op in this region, depth-first, in program order.
-    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Op)) {
+    pub(crate) fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Op)) {
         for block in &self.blocks {
             for op in &block.ops {
                 f(op);
@@ -149,7 +149,7 @@ impl Region {
     }
 
     /// Counts all ops in the region, including nested ones.
-    pub fn op_count(&self) -> usize {
+    pub(crate) fn op_count(&self) -> usize {
         let mut n = 0;
         self.walk(&mut |_| n += 1);
         n
@@ -210,7 +210,7 @@ impl Func {
     }
 
     /// The number of SSA values allocated so far.
-    pub fn num_values(&self) -> usize {
+    pub(crate) fn num_values(&self) -> usize {
         self.value_types.len()
     }
 
@@ -220,7 +220,7 @@ impl Func {
     /// # Panics
     ///
     /// Panics if `v` was not allocated by this function.
-    pub fn set_value_type(&mut self, v: Value, ty: Type) {
+    pub(crate) fn set_value_type(&mut self, v: Value, ty: Type) {
         self.value_types[v.0 as usize] = ty;
     }
 
@@ -269,7 +269,7 @@ impl Module {
     }
 
     /// Mutable lookup of a function by symbol name.
-    pub fn func_mut(&mut self, name: &str) -> Option<&mut Func> {
+    pub(crate) fn func_mut(&mut self, name: &str) -> Option<&mut Func> {
         self.funcs.iter_mut().find(|f| f.name == name)
     }
 
@@ -279,7 +279,7 @@ impl Module {
     }
 
     /// Mutably iterates over functions.
-    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, Func> {
+    pub(crate) fn iter_mut(&mut self) -> std::slice::IterMut<'_, Func> {
         self.funcs.iter_mut()
     }
 
@@ -289,7 +289,7 @@ impl Module {
     }
 
     /// `true` if the module holds no functions.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.funcs.is_empty()
     }
 

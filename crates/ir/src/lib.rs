@@ -43,15 +43,15 @@
 
 pub mod attr;
 pub mod builder;
-pub mod dataflow;
+pub(crate) mod dataflow;
 pub mod diag;
 pub mod dialects;
-pub mod error;
+pub(crate) mod error;
 pub mod footprint;
 pub mod interp;
 pub mod ir;
 pub mod lints;
-pub mod parse;
+pub(crate) mod parse;
 pub mod pass;
 pub mod print;
 pub mod registry;
@@ -63,11 +63,10 @@ pub mod verify;
 pub use attr::Attr;
 pub use builder::FuncBuilder;
 pub use dataflow::{analyze, analyze_ordered, Analysis, Direction, Interval, Lattice, Site};
-pub use diag::{render_json, render_text, Diagnostic, Severity, DIAG_SCHEMA_VERSION};
-pub use error::{IrError, IrResult};
-pub use footprint::{fn_footprint, module_footprints, FnFootprint, ShapeAnalysis, ShapeFact};
-pub use ir::{Block, BlockId, Func, Module, Op, Region, Value};
-pub use lints::{check_func, check_module, taint_summary, CheckPass, TaintSummary};
+pub use diag::{render_json, render_text, Diagnostic, Severity};
+pub use error::IrError;
+pub use footprint::fn_footprint;
+pub use ir::{Block, BlockId, Func, Module, Op, Value};
+pub use lints::{check_func, check_module};
 pub use parse::parse_module;
-pub use pass::{Pass, PassManager};
 pub use types::Type;

@@ -30,13 +30,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 /// A store into a locally allocated buffer that is never read afterwards.
-pub const LINT_DEAD_STORE: &str = "dead-store";
+pub(crate) const LINT_DEAD_STORE: &str = "dead-store";
 /// A pure op whose results are never used.
-pub const LINT_UNUSED_RESULT: &str = "unused-result";
+pub(crate) const LINT_UNUSED_RESULT: &str = "unused-result";
 /// A memory access whose index range provably exceeds the buffer shape.
-pub const LINT_RANGE_OOB: &str = "range-oob";
+pub(crate) const LINT_RANGE_OOB: &str = "range-oob";
 /// A secret-labelled value reaching an unprotected sink.
-pub const LINT_TAINT_FLOW: &str = "taint-flow";
+pub(crate) const LINT_TAINT_FLOW: &str = "taint-flow";
 /// Two workflow tasks touching the same dataset with no ordering edge
 /// (reported by `everest-workflow`'s race detector through the same
 /// diagnostic format).
@@ -51,7 +51,7 @@ pub const LINT_UNRESOLVED_KERNEL: &str = "wf-unresolved-kernel";
 pub const LINT_FUSE_RACY: &str = "fuse-racy";
 
 /// Registry of every stable lint code this crate family can emit.
-pub const LINT_CODES: &[&str] = &[
+pub(crate) const LINT_CODES: &[&str] = &[
     LINT_DEAD_STORE,
     LINT_UNUSED_RESULT,
     LINT_RANGE_OOB,
@@ -68,7 +68,7 @@ pub const LINT_CODES: &[&str] = &[
 /// Backward liveness facts: values that may still be read, and buffers that
 /// may still be read (or escape) later in the execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LiveState {
+pub(crate) struct LiveState {
     /// SSA values with a later use.
     pub live: BTreeSet<Value>,
     /// Buffer values with a later read or escape.
@@ -91,7 +91,7 @@ impl Lattice for LiveState {
 /// read" bit per memref value. Everything except `mem.store`/`mem.alloc`
 /// counts as reading (or escaping) its memref operands, so passing a buffer
 /// to a call, sink or return conservatively keeps its stores alive.
-pub struct Liveness;
+pub(crate) struct Liveness;
 
 impl Analysis for Liveness {
     type State = LiveState;
@@ -172,7 +172,7 @@ fn liveness_lints(func: &Func) -> Vec<Diagnostic> {
 /// parameters and unknown results are `TOP` (anything), `loop.for`
 /// induction variables get their static trip range, and only *bounded*
 /// intervals ever produce diagnostics — the analysis never guesses.
-pub struct RangeAnalysis;
+pub(crate) struct RangeAnalysis;
 
 type RangeState = BTreeMap<Value, Interval>;
 
@@ -316,7 +316,7 @@ type TaintState = BTreeMap<Value, BTreeSet<String>>;
 /// label, labels union through ordinary ops, flow through buffers
 /// (`mem.store`/`mem.load`/`mem.copy`) and across region boundaries via
 /// yields. `secure.declassify`/`secure.encrypt` launder their input.
-pub struct TaintAnalysis;
+pub(crate) struct TaintAnalysis;
 
 fn labels_of(state: &TaintState, v: Value) -> BTreeSet<String> {
     state.get(&v).cloned().unwrap_or_default()
@@ -329,7 +329,7 @@ fn add_labels(state: &mut TaintState, v: Value, labels: &BTreeSet<String>) {
 }
 
 /// `true` if any label denotes secret data (everything except `public`).
-pub fn is_secret(labels: &BTreeSet<String>) -> bool {
+pub(crate) fn is_secret(labels: &BTreeSet<String>) -> bool {
     labels.iter().any(|l| l != "public")
 }
 
@@ -539,18 +539,18 @@ pub fn check_module(module: &Module) -> Vec<Diagnostic> {
 /// The pass never mutates the module; collected diagnostics are retrieved
 /// with [`CheckPass::take`].
 #[derive(Default)]
-pub struct CheckPass {
+pub(crate) struct CheckPass {
     diags: Mutex<Vec<Diagnostic>>,
 }
 
 impl CheckPass {
     /// Creates an empty check phase.
-    pub fn new() -> CheckPass {
+    pub(crate) fn new() -> CheckPass {
         CheckPass::default()
     }
 
     /// Drains the diagnostics collected by previous runs.
-    pub fn take(&self) -> Vec<Diagnostic> {
+    pub(crate) fn take(&self) -> Vec<Diagnostic> {
         std::mem::take(&mut self.diags.lock().expect("check pass mutex poisoned"))
     }
 }

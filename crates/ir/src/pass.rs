@@ -12,7 +12,7 @@ use crate::registry;
 use std::collections::{HashMap, HashSet};
 
 /// A transformation over a module.
-pub trait Pass {
+pub(crate) trait Pass {
     /// Human-readable pass name (used in diagnostics).
     fn name(&self) -> &str;
     /// Runs the pass; returns `true` if the module changed.
@@ -27,9 +27,8 @@ pub trait Pass {
 /// Runs a pipeline of passes in order.
 ///
 /// ```
-/// use everest_ir::{PassManager, Module};
-/// let mut pm = PassManager::new();
-/// pm.add(everest_ir::pass::Dce);
+/// use everest_ir::{pass::PassManager, Module};
+/// let pm = PassManager::standard();
 /// let mut m = Module::new("m");
 /// pm.run(&mut m).unwrap();
 /// ```
@@ -47,12 +46,12 @@ impl std::fmt::Debug for PassManager {
 
 impl PassManager {
     /// Creates an empty pipeline.
-    pub fn new() -> PassManager {
+    pub(crate) fn new() -> PassManager {
         PassManager::default()
     }
 
     /// Appends a pass to the pipeline.
-    pub fn add(&mut self, pass: impl Pass + 'static) -> &mut Self {
+    pub(crate) fn add(&mut self, pass: impl Pass + 'static) -> &mut Self {
         self.passes.push(Box::new(pass));
         self
     }
@@ -100,7 +99,7 @@ fn for_each_func(module: &mut Module, f: impl Fn(&mut Func) -> bool) -> bool {
 
 /// Removes pure operations whose results are never used.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Dce;
+pub(crate) struct Dce;
 
 fn collect_uses(region: &Region, used: &mut HashSet<Value>) {
     region.walk(&mut |op| {
@@ -131,7 +130,7 @@ fn dce_region(region: &mut Region, used: &HashSet<Value>) -> bool {
 }
 
 /// Runs DCE on one function until a fixed point.
-pub fn dce_func(func: &mut Func) -> bool {
+pub(crate) fn dce_func(func: &mut Func) -> bool {
     let mut changed = false;
     loop {
         let mut used = HashSet::new();
@@ -159,7 +158,7 @@ impl Pass for Dce {
 
 /// Deduplicates pure operations with identical name, operands and attributes.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Cse;
+pub(crate) struct Cse;
 
 fn attr_key(attrs: &std::collections::BTreeMap<String, Attr>) -> String {
     let mut out = String::new();
@@ -222,7 +221,7 @@ fn cse_block(
 }
 
 /// Runs CSE on one function.
-pub fn cse_func(func: &mut Func) -> bool {
+pub(crate) fn cse_func(func: &mut Func) -> bool {
     let mut seen = HashMap::new();
     let mut map = HashMap::new();
     let mut changed = false;
@@ -250,7 +249,7 @@ impl Pass for Cse {
 
 /// Evaluates arithmetic ops whose operands are constants.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Fold;
+pub(crate) struct Fold;
 
 fn fold_float(name: &str, a: f64, b: f64) -> Option<f64> {
     Some(match name {
@@ -343,7 +342,7 @@ fn fold_region(func: &Func, region: &mut Region, consts: &mut HashMap<Value, Att
 }
 
 /// Runs constant folding on one function.
-pub fn fold_func(func: &mut Func) -> bool {
+pub(crate) fn fold_func(func: &mut Func) -> bool {
     let mut consts = HashMap::new();
     let mut body = std::mem::take(&mut func.body);
     let changed = fold_region(func, &mut body, &mut consts);
@@ -367,7 +366,7 @@ impl Pass for Fold {
 
 /// Iterates folding, CSE and DCE until nothing changes (bounded).
 #[derive(Debug, Clone, Copy)]
-pub struct Canonicalize {
+pub(crate) struct Canonicalize {
     /// Maximum number of iterations (safety bound).
     pub max_iters: usize,
 }

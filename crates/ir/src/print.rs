@@ -161,7 +161,7 @@ pub fn print_func(func: &Func, depth: usize) -> String {
 }
 
 /// Prints a whole module in canonical form.
-pub fn print_module(module: &Module) -> String {
+pub(crate) fn print_module(module: &Module) -> String {
     let mut out = String::new();
     writeln!(out, "module @{} {{", module.name).unwrap();
     for func in module.iter() {

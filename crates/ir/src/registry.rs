@@ -23,7 +23,7 @@ pub enum Arity {
 
 impl Arity {
     /// Whether `n` satisfies this constraint.
-    pub fn admits(&self, n: usize) -> bool {
+    pub(crate) fn admits(&self, n: usize) -> bool {
         match self {
             Arity::Exact(k) => n == *k,
             Arity::AtLeast(k) => n >= *k,
@@ -53,7 +53,7 @@ pub struct OpSpec {
 }
 
 /// All registered dialect names.
-pub const DIALECTS: &[&str] =
+pub(crate) const DIALECTS: &[&str] =
     &["arith", "func", "cf", "loop", "mem", "tensor", "df", "hls", "secure"];
 
 const fn spec(
@@ -69,7 +69,7 @@ const fn spec(
 }
 
 /// The full op table, grouped by dialect.
-pub static OP_SPECS: &[OpSpec] = &[
+pub(crate) static OP_SPECS: &[OpSpec] = &[
     // --- arith: scalar arithmetic --------------------------------------
     spec("arith.constant", Arity::Exact(0), Arity::Exact(1), true, false, &["value"], 0),
     spec("arith.addf", Arity::Exact(2), Arity::Exact(1), true, false, &[], 0),
@@ -164,7 +164,7 @@ pub fn lookup(name: &str) -> Option<&'static OpSpec> {
 
 /// Whether the given op name denotes a pure (side-effect free) operation.
 /// Unknown ops are conservatively treated as impure.
-pub fn is_pure(name: &str) -> bool {
+pub(crate) fn is_pure(name: &str) -> bool {
     lookup(name).map(|s| s.pure).unwrap_or(false)
 }
 

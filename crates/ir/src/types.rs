@@ -80,7 +80,7 @@ impl Type {
     }
 
     /// Constructs a stream-of-`elem` type.
-    pub fn stream(elem: Type) -> Type {
+    pub(crate) fn stream(elem: Type) -> Type {
         Type::Stream(Box::new(elem))
     }
 
@@ -95,7 +95,7 @@ impl Type {
     }
 
     /// Returns `true` for integer scalar types (including `i1` and `index`).
-    pub fn is_int(&self) -> bool {
+    pub(crate) fn is_int(&self) -> bool {
         matches!(self, Type::I1 | Type::I32 | Type::I64 | Type::Index)
     }
 
@@ -123,7 +123,7 @@ impl Type {
     }
 
     /// Size of one scalar of this type in bytes, if meaningful.
-    pub fn scalar_bytes(&self) -> Option<usize> {
+    pub(crate) fn scalar_bytes(&self) -> Option<usize> {
         match self {
             Type::I1 => Some(1),
             Type::I32 | Type::F32 => Some(4),

@@ -22,7 +22,7 @@ use std::collections::HashSet;
 /// # Errors
 ///
 /// Returns the first [`IrError`] encountered; the module is left untouched.
-pub fn verify_module(module: &Module) -> IrResult<()> {
+pub(crate) fn verify_module(module: &Module) -> IrResult<()> {
     let mut names = HashSet::new();
     for func in module.iter() {
         if !names.insert(func.name.as_str()) {

@@ -5,7 +5,7 @@
 
 /// Configuration of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
+pub(crate) struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
     /// Line size in bytes.
@@ -16,12 +16,12 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// A typical 32 KiB, 8-way L1 data cache with 64-byte lines.
-    pub fn l1d() -> CacheConfig {
+    pub(crate) fn l1d() -> CacheConfig {
         CacheConfig { size_bytes: 32 << 10, line_bytes: 64, ways: 8 }
     }
 
     /// A 1 MiB, 16-way L2.
-    pub fn l2() -> CacheConfig {
+    pub(crate) fn l2() -> CacheConfig {
         CacheConfig { size_bytes: 1 << 20, line_bytes: 64, ways: 16 }
     }
 
@@ -48,14 +48,14 @@ impl Cache {
     ///
     /// Panics if the geometry is degenerate (zero sizes, capacity smaller
     /// than one way of lines).
-    pub fn new(config: CacheConfig) -> Cache {
+    pub(crate) fn new(config: CacheConfig) -> Cache {
         assert!(config.line_bytes > 0 && config.ways > 0, "degenerate cache");
         assert!(config.size_bytes >= config.line_bytes * config.ways, "capacity below one set");
         Cache { config, sets: vec![Vec::new(); config.sets()], clock: 0, accesses: 0, misses: 0 }
     }
 
     /// Accesses a byte address; returns `true` on hit.
-    pub fn access(&mut self, addr: u64) -> bool {
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         self.clock += 1;
         self.accesses += 1;
         let line = addr / self.config.line_bytes as u64;
@@ -83,12 +83,12 @@ impl Cache {
     }
 
     /// Accesses performed so far.
-    pub fn accesses(&self) -> u64 {
+    pub(crate) fn accesses(&self) -> u64 {
         self.accesses
     }
 
     /// Misses so far.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
@@ -103,7 +103,7 @@ impl Cache {
 
 /// Where an access was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServedBy {
+pub(crate) enum ServedBy {
     /// L1 hit.
     L1,
     /// L1 miss, L2 hit.
@@ -124,11 +124,11 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// L1 hit latency (cycles).
-    pub const L1_CYCLES: u64 = 4;
+    pub(crate) const L1_CYCLES: u64 = 4;
     /// L2 hit latency.
-    pub const L2_CYCLES: u64 = 14;
+    pub(crate) const L2_CYCLES: u64 = 14;
     /// DRAM latency.
-    pub const MEM_CYCLES: u64 = 120;
+    pub(crate) const MEM_CYCLES: u64 = 120;
 
     /// Creates the default L1+L2 hierarchy.
     pub fn typical() -> Hierarchy {
@@ -140,7 +140,7 @@ impl Hierarchy {
     }
 
     /// Accesses an address through the hierarchy.
-    pub fn access(&mut self, addr: u64) -> ServedBy {
+    pub(crate) fn access(&mut self, addr: u64) -> ServedBy {
         if self.l1.access(addr) {
             self.cycles += Self::L1_CYCLES;
             ServedBy::L1
@@ -154,7 +154,7 @@ impl Hierarchy {
     }
 
     /// Total modeled memory-access cycles.
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         self.cycles
     }
 

@@ -25,10 +25,10 @@ pub enum Tier {
 
 impl Tier {
     /// All tiers, outermost first.
-    pub const ALL: [Tier; 3] = [Tier::Endpoint, Tier::InnerEdge, Tier::Cloud];
+    pub(crate) const ALL: [Tier; 3] = [Tier::Endpoint, Tier::InnerEdge, Tier::Cloud];
 
     /// The compute capability of this tier.
-    pub fn cpu(&self) -> CpuSpec {
+    pub(crate) fn cpu(&self) -> CpuSpec {
         match self {
             Tier::Endpoint => CpuSpec::endpoint(),
             Tier::InnerEdge => CpuSpec::arm_edge(),
@@ -39,7 +39,7 @@ impl Tier {
     /// FPGA acceleration factor available at this tier (1.0 = none).
     /// Endpoints have no FPGA; the inner edge has a small one; the cloud
     /// has bus- and network-attached cards.
-    pub fn fpga_speedup(&self) -> f64 {
+    pub(crate) fn fpga_speedup(&self) -> f64 {
         match self {
             Tier::Endpoint => 1.0,
             Tier::InnerEdge => 6.0,
@@ -48,7 +48,7 @@ impl Tier {
     }
 
     /// The uplink from this tier towards the next-inner tier.
-    pub fn uplink(&self) -> Option<Link> {
+    pub(crate) fn uplink(&self) -> Option<Link> {
         match self {
             Tier::Endpoint => Some(Link::edge_wan()),
             Tier::InnerEdge => Some(Link::tcp_datacenter()),
@@ -181,15 +181,15 @@ fn transfer_bytes_energy_j(bytes: u64) -> f64 {
 /// Nominal floating-point work of one Monte-Carlo sample-edge step in
 /// the PTDR kernel (normal draw + clamp + divide), used to translate
 /// query shape into tier compute time.
-pub const PTDR_SAMPLE_EDGE_FLOPS: f64 = 50.0;
+pub(crate) const PTDR_SAMPLE_EDGE_FLOPS: f64 = 50.0;
 
 /// Nominal work of one cache lookup + response serialization on the
 /// serving path.
-pub const PTDR_LOOKUP_FLOPS: f64 = 2_000.0;
+pub(crate) const PTDR_LOOKUP_FLOPS: f64 = 2_000.0;
 
 /// Request/response payload sizes of a cloud-tier cache fill, bytes.
-pub const PTDR_REQUEST_BYTES: u64 = 64;
-pub const PTDR_RESPONSE_BYTES: u64 = 24;
+pub(crate) const PTDR_REQUEST_BYTES: u64 = 64;
+pub(crate) const PTDR_RESPONSE_BYTES: u64 = 24;
 
 /// Virtual service-cost model of one PTDR edge shard, derived from the
 /// Fig. 3 tier specs: lookups and Monte-Carlo recomputes run on an

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias for platform operations.
-pub type PlatformResult<T> = Result<T, PlatformError>;
+pub(crate) type PlatformResult<T> = Result<T, PlatformError>;
 
 /// Errors raised by the platform model and simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]

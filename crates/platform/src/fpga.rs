@@ -20,17 +20,17 @@ pub struct FabricCapacity {
 
 impl FabricCapacity {
     /// A mid-range datacenter card (VU33P-class, role region only).
-    pub fn datacenter() -> FabricCapacity {
+    pub(crate) fn datacenter() -> FabricCapacity {
         FabricCapacity { luts: 440_000, ffs: 880_000, dsps: 2_880, brams: 1_440 }
     }
 
     /// A small edge-class fabric (Zynq-class).
-    pub fn edge() -> FabricCapacity {
+    pub(crate) fn edge() -> FabricCapacity {
         FabricCapacity { luts: 70_000, ffs: 140_000, dsps: 360, brams: 216 }
     }
 
     /// Whether `area` fits in this fabric.
-    pub fn fits(&self, area: &AreaReport) -> bool {
+    pub(crate) fn fits(&self, area: &AreaReport) -> bool {
         area.luts <= self.luts
             && area.ffs <= self.ffs
             && area.dsps <= self.dsps
@@ -40,12 +40,12 @@ impl FabricCapacity {
     /// Largest double-buffered stream transfer this fabric's BRAMs can
     /// hold — the per-device budget the fusion-legality classifier proves
     /// fusable edges against.
-    pub fn stream_budget_bytes(&self) -> u64 {
+    pub(crate) fn stream_budget_bytes(&self) -> u64 {
         everest_hls::stream_capacity_bytes(self.brams)
     }
 
     /// Remaining capacity after subtracting `area` (saturating).
-    pub fn minus(&self, area: &AreaReport) -> FabricCapacity {
+    pub(crate) fn minus(&self, area: &AreaReport) -> FabricCapacity {
         FabricCapacity {
             luts: self.luts.saturating_sub(area.luts),
             ffs: self.ffs.saturating_sub(area.ffs),
@@ -151,7 +151,7 @@ impl FpgaDevice {
     }
 
     /// A small edge FPGA (bus-attached to an embedded CPU).
-    pub fn edge(name: impl Into<String>) -> FpgaDevice {
+    pub(crate) fn edge(name: impl Into<String>) -> FpgaDevice {
         FpgaDevice {
             name: name.into(),
             fabric: FabricCapacity::edge(),
@@ -213,12 +213,12 @@ impl FpgaDevice {
     }
 
     /// The deployed roles (by slot).
-    pub fn roles(&self) -> &[Option<Role>] {
+    pub(crate) fn roles(&self) -> &[Option<Role>] {
         &self.roles
     }
 
     /// Finds the slot running a role by name.
-    pub fn find_role(&self, name: &str) -> Option<usize> {
+    pub(crate) fn find_role(&self, name: &str) -> Option<usize> {
         self.roles.iter().position(|r| r.as_ref().is_some_and(|role| role.name == name))
     }
 }

@@ -21,7 +21,7 @@
 //! ## Example
 //!
 //! ```
-//! use everest_platform::system::System;
+//! use everest_platform::System;
 //!
 //! let sys = System::everest_reference();
 //! assert!(sys.nodes().len() >= 3);
@@ -31,14 +31,13 @@
 
 pub mod cache;
 pub mod ecosystem;
-pub mod error;
+pub(crate) mod error;
 pub mod fpga;
-pub mod link;
-pub mod node;
-pub mod system;
+pub(crate) mod link;
+pub(crate) mod node;
+pub(crate) mod system;
 
-pub use error::{PlatformError, PlatformResult};
-pub use fpga::{Attachment, FabricCapacity, FpgaDevice};
+pub use error::PlatformError;
+pub use fpga::Attachment;
 pub use link::{Link, LinkProfile};
-pub use node::{CpuSpec, Node, NodeKind};
 pub use system::System;

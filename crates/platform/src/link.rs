@@ -29,7 +29,7 @@ pub enum LinkProfile {
 
 impl LinkProfile {
     /// Every profile, ordered from tightest to loosest coupling.
-    pub const ALL: [LinkProfile; 6] = [
+    pub(crate) const ALL: [LinkProfile; 6] = [
         LinkProfile::OpenCapi,
         LinkProfile::Pcie,
         LinkProfile::UdpDatacenter,
@@ -101,7 +101,7 @@ impl Link {
     }
 
     /// The preset link for a named interconnect profile.
-    pub fn profile(profile: LinkProfile) -> Link {
+    pub(crate) fn profile(profile: LinkProfile) -> Link {
         match profile {
             // Sub-microsecond latency, ~22 GB/s usable.
             LinkProfile::OpenCapi => Link::new(0.4, 22.0, 64),
@@ -121,7 +121,7 @@ impl Link {
     }
 
     /// PCIe Gen4 x8 DMA attachment ([`LinkProfile::Pcie`]).
-    pub fn pcie() -> Link {
+    pub(crate) fn pcie() -> Link {
         Link::profile(LinkProfile::Pcie)
     }
 
@@ -137,12 +137,12 @@ impl Link {
     }
 
     /// Edge wide-area uplink ([`LinkProfile::EdgeWan`]).
-    pub fn edge_wan() -> Link {
+    pub(crate) fn edge_wan() -> Link {
         Link::profile(LinkProfile::EdgeWan)
     }
 
     /// Local-area link between inner-edge nodes ([`LinkProfile::Lan`]).
-    pub fn lan() -> Link {
+    pub(crate) fn lan() -> Link {
         Link::profile(LinkProfile::Lan)
     }
 

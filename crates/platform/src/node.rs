@@ -19,7 +19,7 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// `true` for cloud-tier nodes.
-    pub fn is_cloud(&self) -> bool {
+    pub(crate) fn is_cloud(&self) -> bool {
         matches!(self, NodeKind::CloudPower9 | NodeKind::CloudX86)
     }
 }
@@ -39,39 +39,39 @@ pub struct CpuSpec {
 
 impl CpuSpec {
     /// POWER9 22-core.
-    pub fn power9() -> CpuSpec {
+    pub(crate) fn power9() -> CpuSpec {
         CpuSpec { cores: 22, gflops_per_core: 12.0, power_w: 190.0, idle_power_w: 60.0 }
     }
 
     /// x86 server part.
-    pub fn x86_server() -> CpuSpec {
+    pub(crate) fn x86_server() -> CpuSpec {
         CpuSpec { cores: 16, gflops_per_core: 10.0, power_w: 150.0, idle_power_w: 45.0 }
     }
 
     /// ARM edge server.
-    pub fn arm_edge() -> CpuSpec {
+    pub(crate) fn arm_edge() -> CpuSpec {
         CpuSpec { cores: 8, gflops_per_core: 4.0, power_w: 30.0, idle_power_w: 8.0 }
     }
 
     /// RISC-V edge board.
-    pub fn riscv_edge() -> CpuSpec {
+    pub(crate) fn riscv_edge() -> CpuSpec {
         CpuSpec { cores: 4, gflops_per_core: 1.5, power_w: 12.0, idle_power_w: 3.0 }
     }
 
     /// Endpoint microcontroller-class device.
-    pub fn endpoint() -> CpuSpec {
+    pub(crate) fn endpoint() -> CpuSpec {
         CpuSpec { cores: 2, gflops_per_core: 0.2, power_w: 2.0, idle_power_w: 0.4 }
     }
 
     /// Total sustained GFLOP/s.
-    pub fn total_gflops(&self) -> f64 {
+    pub(crate) fn total_gflops(&self) -> f64 {
         self.cores as f64 * self.gflops_per_core
     }
 
     /// Time in microseconds to execute `flops` floating-point operations on
     /// `threads` cores (capped at the core count, 70% parallel efficiency
     /// beyond one core).
-    pub fn compute_us(&self, flops: f64, threads: u32) -> f64 {
+    pub(crate) fn compute_us(&self, flops: f64, threads: u32) -> f64 {
         let t = threads.clamp(1, self.cores) as f64;
         let eff = if t > 1.0 { 0.7 } else { 1.0 };
         flops / (self.gflops_per_core * 1e3 * t * eff)
@@ -95,23 +95,28 @@ pub struct Node {
 
 impl Node {
     /// Creates a node without devices.
-    pub fn new(name: impl Into<String>, kind: NodeKind, cpu: CpuSpec, memory_bytes: u64) -> Node {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        kind: NodeKind,
+        cpu: CpuSpec,
+        memory_bytes: u64,
+    ) -> Node {
         Node { name: name.into(), kind, cpu, memory_bytes, devices: Vec::new() }
     }
 
     /// Adds an FPGA device, returning `self` for chaining.
-    pub fn with_device(mut self, device: FpgaDevice) -> Node {
+    pub(crate) fn with_device(mut self, device: FpgaDevice) -> Node {
         self.devices.push(device);
         self
     }
 
     /// Finds a device by name.
-    pub fn device(&self, name: &str) -> Option<&FpgaDevice> {
+    pub(crate) fn device(&self, name: &str) -> Option<&FpgaDevice> {
         self.devices.iter().find(|d| d.name == name)
     }
 
     /// Mutable device lookup.
-    pub fn device_mut(&mut self, name: &str) -> Option<&mut FpgaDevice> {
+    pub(crate) fn device_mut(&mut self, name: &str) -> Option<&mut FpgaDevice> {
         self.devices.iter_mut().find(|d| d.name == name)
     }
 }

@@ -16,18 +16,18 @@ pub struct System {
 
 impl System {
     /// Creates an empty system.
-    pub fn new() -> System {
+    pub(crate) fn new() -> System {
         System::default()
     }
 
     /// Adds a node.
-    pub fn add_node(&mut self, node: Node) -> &mut Self {
+    pub(crate) fn add_node(&mut self, node: Node) -> &mut Self {
         self.nodes.push(node);
         self
     }
 
     /// Connects two nodes bidirectionally.
-    pub fn connect(&mut self, a: &str, b: &str, link: Link) -> &mut Self {
+    pub(crate) fn connect(&mut self, a: &str, b: &str, link: Link) -> &mut Self {
         self.links.insert((a.to_owned(), b.to_owned()), link);
         self.links.insert((b.to_owned(), a.to_owned()), link);
         self
@@ -39,7 +39,7 @@ impl System {
     }
 
     /// Mutable access to all nodes.
-    pub fn nodes_mut(&mut self) -> &mut [Node] {
+    pub(crate) fn nodes_mut(&mut self) -> &mut [Node] {
         &mut self.nodes
     }
 
@@ -49,7 +49,7 @@ impl System {
     }
 
     /// Mutable node lookup.
-    pub fn node_by_name_mut(&mut self, name: &str) -> Option<&mut Node> {
+    pub(crate) fn node_by_name_mut(&mut self, name: &str) -> Option<&mut Node> {
         self.nodes.iter_mut().find(|n| n.name == name)
     }
 
@@ -73,7 +73,7 @@ impl System {
     }
 
     /// Every FPGA device in the system as `(node, device)` name pairs.
-    pub fn fpga_inventory(&self) -> Vec<(String, String)> {
+    pub(crate) fn fpga_inventory(&self) -> Vec<(String, String)> {
         self.nodes
             .iter()
             .flat_map(|n| n.devices.iter().map(move |d| (n.name.clone(), d.name.clone())))

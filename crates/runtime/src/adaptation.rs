@@ -67,7 +67,7 @@ pub struct ScenarioReport {
 
 /// The "ground-truth" time of running `point` once under `phase`
 /// conditions (what the hardware would actually deliver).
-pub fn actual_time_us(point: &Variant, phase: &Phase) -> f64 {
+pub(crate) fn actual_time_us(point: &Variant, phase: &Phase) -> f64 {
     if point.is_hardware() {
         point.metrics.latency_us * phase.hw_slowdown + point.metrics.transfer_us * phase.congestion
     } else {
@@ -105,7 +105,7 @@ pub fn run_scenario(points: &[Variant], phases: &[Phase], strategy: Strategy) ->
 ///
 /// Panics if `points` is empty, or `Strategy::Static` indexes out of
 /// bounds.
-pub fn run_scenario_with_costs(
+pub(crate) fn run_scenario_with_costs(
     points: &[Variant],
     phases: &[Phase],
     strategy: Strategy,

@@ -103,13 +103,13 @@ impl Autotuner {
     }
 
     /// The operating points.
-    pub fn points(&self) -> &[Variant] {
+    pub(crate) fn points(&self) -> &[Variant] {
         &self.points
     }
 
     /// Feeds back an observed latency for point `id`, updating its
     /// correction factor.
-    pub fn observe(&mut self, id: &str, observed_us: f64) {
+    pub(crate) fn observe(&mut self, id: &str, observed_us: f64) {
         let Some(point) = self.points.iter().find(|p| p.id == id) else {
             return;
         };
@@ -120,7 +120,7 @@ impl Autotuner {
     }
 
     /// The corrected expected time of a point under `state`.
-    pub fn corrected_time_us(&self, point: &Variant, state: &SystemState) -> f64 {
+    pub(crate) fn corrected_time_us(&self, point: &Variant, state: &SystemState) -> f64 {
         let corr = self.correction.get(&point.id).copied().unwrap_or(1.0);
         let transfer = point.metrics.transfer_us
             * if point.is_hardware() { state.link_congestion } else { 1.0 };

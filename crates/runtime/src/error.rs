@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias for runtime operations.
-pub type RuntimeResult<T> = Result<T, RuntimeError>;
+pub(crate) type RuntimeResult<T> = Result<T, RuntimeError>;
 
 /// Errors raised by the virtualized runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -38,16 +38,12 @@
 pub mod adaptation;
 pub mod autotuner;
 pub mod contention;
-pub mod error;
-pub mod monitor;
+pub(crate) mod error;
+pub(crate) mod monitor;
 pub mod offload;
-pub mod vm;
+pub(crate) mod vm;
 
-pub use autotuner::{Autotuner, Constraint, Objective, SystemState};
-pub use error::{RuntimeError, RuntimeResult};
+pub use autotuner::{Autotuner, Objective};
+pub use error::RuntimeError;
 pub use monitor::RuntimeMonitor;
-pub use offload::{
-    BreakerConfig, BreakerState, CircuitBreaker, FaultKind, FaultPlan, FaultRates, OffloadCall,
-    OffloadEvent, OffloadManager, OffloadOutcome, OffloadTarget, RetryPolicy, TargetClass,
-};
-pub use vm::{Hypervisor, VfpgaManager, Vm};
+pub use vm::Hypervisor;

@@ -95,13 +95,13 @@ impl RuntimeMonitor {
     }
 
     /// Updates resource availability (fabric reclaimed or consumed).
-    pub fn set_free_luts(&mut self, free: u64) {
+    pub(crate) fn set_free_luts(&mut self, free: u64) {
         self.free_luts = free;
         everest_telemetry::metrics().gauge_set("runtime.free_luts", free as f64);
     }
 
     /// Updates the observed link congestion factor (≥ 1).
-    pub fn set_congestion(&mut self, factor: f64) {
+    pub(crate) fn set_congestion(&mut self, factor: f64) {
         self.congestion = factor.max(1.0);
         everest_telemetry::metrics().gauge_set("runtime.congestion", self.congestion);
     }

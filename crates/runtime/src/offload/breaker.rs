@@ -189,7 +189,7 @@ impl CircuitBreaker {
     }
 
     /// Latches the breaker open forever (device loss).
-    pub fn force_open(&mut self) {
+    pub(crate) fn force_open(&mut self) {
         self.state = BreakerState::Open;
         self.open_until_us = f64::INFINITY;
     }

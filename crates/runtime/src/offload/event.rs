@@ -200,7 +200,7 @@ impl OffloadEvent {
     ///
     /// Formatting panics when `chain` is shorter than the chain of the
     /// manager that recorded the event.
-    pub fn display<'a>(&'a self, chain: &'a [OffloadTarget]) -> impl fmt::Display + 'a {
+    pub(crate) fn display<'a>(&'a self, chain: &'a [OffloadTarget]) -> impl fmt::Display + 'a {
         TraceLine { event: self, chain }
     }
 }

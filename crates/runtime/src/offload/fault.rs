@@ -142,19 +142,19 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Rejects invalid rates, like [`FaultPlan::new`].
-    pub fn with_rates(mut self, key: &str, rates: FaultRates) -> RuntimeResult<FaultPlan> {
+    pub(crate) fn with_rates(mut self, key: &str, rates: FaultRates) -> RuntimeResult<FaultPlan> {
         rates.validate()?;
         self.overrides.insert(key.to_owned(), rates);
         Ok(self)
     }
 
     /// The plan's seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
     /// Resolves the rates for a device, most specific key first.
-    pub fn rates_for(&self, device: &str, profile: Option<LinkProfile>) -> FaultRates {
+    pub(crate) fn rates_for(&self, device: &str, profile: Option<LinkProfile>) -> FaultRates {
         if let Some(rates) = self.overrides.get(device) {
             return *rates;
         }

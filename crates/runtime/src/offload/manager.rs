@@ -35,7 +35,7 @@ impl OffloadManager {
     ///
     /// Returns [`RuntimeError::Unknown`] for an empty chain, or one too
     /// long for the 16-bit target index trace events carry.
-    pub fn new(chain: Vec<OffloadTarget>, plan: FaultPlan) -> RuntimeResult<OffloadManager> {
+    pub(crate) fn new(chain: Vec<OffloadTarget>, plan: FaultPlan) -> RuntimeResult<OffloadManager> {
         if chain.is_empty() {
             return Err(RuntimeError::Unknown("empty offload chain".to_owned()));
         }
@@ -110,14 +110,14 @@ impl OffloadManager {
 
     /// Replaces the retry policy.
     #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> OffloadManager {
+    pub(crate) fn with_retry(mut self, retry: RetryPolicy) -> OffloadManager {
         self.retry = retry;
         self
     }
 
     /// Replaces every breaker's thresholds (breakers reset to Closed).
     #[must_use]
-    pub fn with_breaker(mut self, cfg: BreakerConfig) -> OffloadManager {
+    pub(crate) fn with_breaker(mut self, cfg: BreakerConfig) -> OffloadManager {
         for rung in self.lanes.iter_mut().flat_map(|lane| &mut lane.rungs) {
             rung.breaker = CircuitBreaker::new(cfg);
         }
@@ -146,7 +146,7 @@ impl OffloadManager {
     /// The number of independent fold lanes (one per primary device;
     /// a chain with no FPGA rungs collapses to one lane). Invocation
     /// `task` folds on lane `task % lane_count()`.
-    pub fn lane_count(&self) -> usize {
+    pub(crate) fn lane_count(&self) -> usize {
         self.lanes.len()
     }
 

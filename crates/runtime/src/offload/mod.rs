@@ -90,8 +90,6 @@ mod manager;
 mod tests;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
-pub use event::{
-    OffloadCall, OffloadEvent, OffloadOutcome, OffloadTarget, SkipReason, TargetClass,
-};
+pub use event::{OffloadCall, OffloadOutcome, TargetClass};
 pub use fault::{FaultKind, FaultPlan, FaultRates};
 pub use manager::OffloadManager;

@@ -1,4 +1,5 @@
 use super::*;
+use super::event::OffloadEvent;
 use everest_platform::{LinkProfile, System};
 
 fn call(kernel: &str) -> OffloadCall {

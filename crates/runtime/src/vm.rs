@@ -42,7 +42,7 @@ pub struct VfpgaManager {
 
 impl VfpgaManager {
     /// Creates a manager over the given physical devices.
-    pub fn new(devices: Vec<FpgaDevice>) -> VfpgaManager {
+    pub(crate) fn new(devices: Vec<FpgaDevice>) -> VfpgaManager {
         VfpgaManager { devices, grants: HashMap::new(), next_handle: 0 }
     }
 
@@ -58,7 +58,7 @@ impl VfpgaManager {
     ///
     /// Returns [`RuntimeError::Exhausted`] when no device can host the
     /// role, naming every device tried and why it refused.
-    pub fn request(
+    pub(crate) fn request(
         &mut self,
         vm: &str,
         role_name: &str,
@@ -86,7 +86,7 @@ impl VfpgaManager {
     /// # Errors
     ///
     /// Returns [`RuntimeError::Unknown`] for a bogus handle.
-    pub fn release(&mut self, handle: &str) -> RuntimeResult<()> {
+    pub(crate) fn release(&mut self, handle: &str) -> RuntimeResult<()> {
         let grant =
             self.grants.remove(handle).ok_or_else(|| RuntimeError::Unknown(handle.to_owned()))?;
         self.devices[grant.device]
@@ -96,12 +96,12 @@ impl VfpgaManager {
     }
 
     /// The physical `(device, slot)` backing a handle.
-    pub fn backing(&self, handle: &str) -> Option<(usize, usize)> {
+    pub(crate) fn backing(&self, handle: &str) -> Option<(usize, usize)> {
         self.grants.get(handle).map(|g| (g.device, g.slot))
     }
 
     /// Handles granted to a VM.
-    pub fn handles_of(&self, vm: &str) -> Vec<&str> {
+    pub(crate) fn handles_of(&self, vm: &str) -> Vec<&str> {
         let mut hs: Vec<&str> =
             self.grants.iter().filter(|(_, g)| g.vm == vm).map(|(h, _)| h.as_str()).collect();
         hs.sort_unstable();
@@ -142,7 +142,7 @@ impl Hypervisor {
     }
 
     /// All VMs.
-    pub fn vms(&self) -> &[Vm] {
+    pub(crate) fn vms(&self) -> &[Vm] {
         &self.vms
     }
 

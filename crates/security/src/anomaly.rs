@@ -57,7 +57,7 @@ impl TimingMonitor {
     }
 
     /// Current latency estimate.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.mean
     }
 }
@@ -197,7 +197,7 @@ impl AutoProtect {
     }
 
     /// Total alarms recorded so far.
-    pub fn total_alarms(&self) -> usize {
+    pub(crate) fn total_alarms(&self) -> usize {
         self.timing_alarms + self.access_alarms + self.range_alarms
     }
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias for security operations.
-pub type SecurityResult<T> = Result<T, SecurityError>;
+pub(crate) type SecurityResult<T> = Result<T, SecurityError>;
 
 /// Errors raised by the crypto and monitoring layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -33,14 +33,12 @@
 //! assert_eq!(pt, b"wind farm telemetry");
 //! ```
 
-pub mod aes;
-pub mod anomaly;
-pub mod error;
+pub(crate) mod aes;
+pub(crate) mod anomaly;
+pub(crate) mod error;
 pub mod modes;
 pub mod sha256;
 
 pub use aes::Aes128;
 pub use anomaly::{AccessMonitor, AutoProtect, ProtectAction, RangeMonitor, TimingMonitor};
-pub use error::{SecurityError, SecurityResult};
-pub use modes::AesGcm;
 pub use sha256::{hmac_sha256, sha256};

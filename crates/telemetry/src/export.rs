@@ -51,7 +51,14 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// A complete (`X`) event.
-    pub fn complete(name: &str, cat: &str, ts_us: u64, dur_us: u64, pid: u32, tid: u32) -> Self {
+    pub(crate) fn complete(
+        name: &str,
+        cat: &str,
+        ts_us: u64,
+        dur_us: u64,
+        pid: u32,
+        tid: u32,
+    ) -> Self {
         TraceEvent {
             name: name.to_owned(),
             cat: cat.to_owned(),
@@ -127,7 +134,7 @@ impl TraceEvent {
 }
 
 /// Pid lane used for compiler-side spans.
-pub const COMPILER_PID: u32 = 1;
+pub(crate) const COMPILER_PID: u32 = 1;
 
 /// Pid lane used for simulated workflow timelines (keeps the Gantt chart
 /// separate from compiler spans in the viewer).
@@ -168,7 +175,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 
 /// Aggregated timing for one span name in a [`flame_summary`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct FlameRow {
+pub(crate) struct FlameRow {
     /// Span name.
     pub name: String,
     /// Number of spans with this name.
@@ -181,7 +188,7 @@ pub struct FlameRow {
 
 /// Aggregates spans by name (calls, total µs, self µs), ordered by total
 /// time descending.
-pub fn flame_rows(spans: &[SpanRecord]) -> Vec<FlameRow> {
+pub(crate) fn flame_rows(spans: &[SpanRecord]) -> Vec<FlameRow> {
     // Time attributed to children, keyed by parent span id.
     let mut child_us: Vec<(u64, u64)> = Vec::new();
     for span in spans {

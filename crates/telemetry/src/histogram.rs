@@ -135,7 +135,7 @@ impl LogHistogram {
     }
 
     /// Total accepted observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
@@ -190,7 +190,7 @@ pub struct HistogramBucket {
 
 impl HistogramBucket {
     /// `[lower, upper)` value bounds of this bucket.
-    pub fn bounds(&self) -> (f64, f64) {
+    pub(crate) fn bounds(&self) -> (f64, f64) {
         bucket_bounds(self.index)
     }
 }
@@ -230,7 +230,7 @@ impl HistogramSnapshot {
     /// cumulative bucket counts and reporting the matched bucket's
     /// midpoint, clamped to the observed `[min, max]`. Relative error is
     /// bounded by half the bucket width (~1.6%).
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -255,7 +255,7 @@ impl HistogramSnapshot {
     }
 
     /// 90th-percentile estimate.
-    pub fn p90(&self) -> f64 {
+    pub(crate) fn p90(&self) -> f64 {
         self.quantile(0.90)
     }
 
@@ -270,7 +270,7 @@ impl HistogramSnapshot {
     }
 
     /// 99.9th-percentile estimate.
-    pub fn p999(&self) -> f64 {
+    pub(crate) fn p999(&self) -> f64 {
         self.quantile(0.999)
     }
 

@@ -40,17 +40,18 @@
 //! ```
 
 pub mod export;
-pub mod histogram;
-pub mod metrics;
+pub(crate) mod histogram;
+pub(crate) mod metrics;
 pub mod openmetrics;
 pub mod recorder;
-pub mod trace;
+pub(crate) mod trace;
 
 pub use export::TraceEvent;
 pub use histogram::{HistogramSnapshot, LogHistogram};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use recorder::{EventKind, FlightDump, FlightEvent, FlightRecorder, DEFAULT_RING_CAPACITY};
-pub use trace::{Span, SpanRecord, Tracer};
+pub use recorder::{EventKind, FlightRecorder, DEFAULT_RING_CAPACITY};
+pub(crate) use trace::Span;
+pub use trace::{SpanRecord, Tracer};
 
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,7 +78,7 @@ pub fn install_global(tracer: Tracer) {
 }
 
 /// A handle to the current global tracer.
-pub fn global() -> Tracer {
+pub(crate) fn global() -> Tracer {
     GLOBAL.read().clone()
 }
 

@@ -5,8 +5,8 @@
 //! whole registry serialize to stable JSON and merge across invocations
 //! via [`MetricsSnapshot::merge`].
 
+pub(crate) use crate::histogram::HistogramSnapshot;
 use crate::histogram::LogHistogram;
-pub use crate::histogram::{HistogramBucket, HistogramSnapshot};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 

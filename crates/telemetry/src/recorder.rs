@@ -63,7 +63,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable lowercase name used in dumps.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             EventKind::SpanBegin => "span_begin",
             EventKind::SpanEnd => "span_end",
@@ -162,7 +162,7 @@ impl FlightRecorder {
     }
 
     /// Current per-thread ring capacity; 0 means disabled.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity.load(Ordering::Relaxed)
     }
 

@@ -30,7 +30,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Span duration in µs.
-    pub fn duration_us(&self) -> u64 {
+    pub(crate) fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
 }
@@ -86,7 +86,7 @@ impl Tracer {
     }
 
     /// Whether spans opened on this tracer are recorded.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.core.is_some()
     }
 

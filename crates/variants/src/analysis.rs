@@ -5,7 +5,7 @@ use everest_ir::{Func, Type};
 
 /// Workload characteristics of one kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct KernelWorkload {
+pub(crate) struct KernelWorkload {
     /// Floating-point operations per invocation.
     pub flops: f64,
     /// Bytes read from inputs plus written to outputs.
@@ -17,7 +17,7 @@ pub struct KernelWorkload {
 impl KernelWorkload {
     /// Arithmetic intensity (flops per byte); high values favour compute
     /// resources, low values are bandwidth-bound.
-    pub fn intensity(&self) -> f64 {
+    pub(crate) fn intensity(&self) -> f64 {
         if self.bytes <= 0.0 {
             return 0.0;
         }
@@ -30,7 +30,7 @@ fn tensor_elems(ty: &Type) -> f64 {
 }
 
 /// Analyzes a tensor-dialect kernel.
-pub fn analyze(func: &Func) -> KernelWorkload {
+pub(crate) fn analyze(func: &Func) -> KernelWorkload {
     let mut flops = 0.0;
     let mut max_dim = 0usize;
     let mut bytes = 0.0;

@@ -42,7 +42,7 @@ const NET_BW_GBPS: f64 = 1.2;
 /// # Errors
 ///
 /// Propagates [`HlsError`] from hardware synthesis.
-pub fn evaluate_knob(
+pub(crate) fn evaluate_knob(
     func: &Func,
     workload: &KernelWorkload,
     knob: &KnobVector,
@@ -153,7 +153,7 @@ pub(crate) fn summarize_batch(
 }
 
 /// Roofline software model over the typed knobs.
-pub fn software_metrics_knob(workload: &KernelWorkload, knob: &KnobVector) -> Metrics {
+pub(crate) fn software_metrics_knob(workload: &KernelWorkload, knob: &KnobVector) -> Metrics {
     let (threads, layout, tile) = match *knob {
         KnobVector::Software { threads, layout, tile } => (threads, layout, tile),
         // A hardware point run on the CPU fallback path: bare reference

@@ -58,7 +58,7 @@ impl KnobDomains {
     /// Draws the `index`-th hardware point of the `seed` stream — a pure
     /// function of its arguments, so row `i` is the same knob vector no
     /// matter which worker draws it or how many points surround it.
-    pub fn sample(&self, seed: u64, index: usize) -> KnobVector {
+    pub(crate) fn sample(&self, seed: u64, index: usize) -> KnobVector {
         let mut state = seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut draw = |n: usize| (splitmix64(&mut state) % n as u64) as usize;
         KnobVector::Hardware {
@@ -146,7 +146,7 @@ pub struct Dataset {
 /// matter: synthesis targets follow power laws in PE and bank counts
 /// (`latency ≈ work / pe`, `area ≈ pe · unit`), which are *linear* in
 /// log-feature/log-target space.
-pub fn features_for(workload: &KernelWorkload, knob: &KnobVector) -> Vec<f64> {
+pub(crate) fn features_for(workload: &KernelWorkload, knob: &KnobVector) -> Vec<f64> {
     let mut features = Vec::with_capacity(2 * (KERNEL_FEATURES.len() + KNOB_FEATURES.len()));
     features.extend_from_slice(&kernel_features(workload));
     features.extend_from_slice(&knob.to_features());
@@ -157,7 +157,7 @@ pub fn features_for(workload: &KernelWorkload, knob: &KnobVector) -> Vec<f64> {
 }
 
 /// The stable feature-column names, matching [`features_for`].
-pub fn feature_names() -> Vec<String> {
+pub(crate) fn feature_names() -> Vec<String> {
     let base = KERNEL_FEATURES.iter().chain(KNOB_FEATURES.iter());
     base.clone().map(|s| (*s).to_string()).chain(base.map(|s| format!("log_{s}"))).collect()
 }

@@ -4,7 +4,7 @@ use everest_hls::HlsError;
 use std::fmt;
 
 /// Result alias for DSE operations.
-pub type VariantResult<T> = Result<T, VariantError>;
+pub(crate) type VariantResult<T> = Result<T, VariantError>;
 
 /// A failure while exploring a design space.
 #[derive(Debug, Clone, PartialEq)]

@@ -25,7 +25,7 @@ use serde::{DeError, Deserialize, Serialize};
 /// Stable ordering of the knob feature columns emitted by
 /// [`KnobVector::to_features`]. Datasets index features by this list, so
 /// the order is part of the on-disk schema — append, never reorder.
-pub const KNOB_FEATURES: [&str; 10] = [
+pub(crate) const KNOB_FEATURES: [&str; 10] = [
     "is_fpga",
     "is_network",
     "threads",
@@ -40,11 +40,11 @@ pub const KNOB_FEATURES: [&str; 10] = [
 
 /// Stable ordering of the kernel feature columns emitted by
 /// [`kernel_features`]. Same append-only contract as [`KNOB_FEATURES`].
-pub const KERNEL_FEATURES: [&str; 4] = ["flops", "bytes", "intensity", "max_dim"];
+pub(crate) const KERNEL_FEATURES: [&str; 4] = ["flops", "bytes", "intensity", "max_dim"];
 
 /// Encodes a kernel workload as feature columns in [`KERNEL_FEATURES`]
 /// order.
-pub fn kernel_features(workload: &KernelWorkload) -> [f64; 4] {
+pub(crate) fn kernel_features(workload: &KernelWorkload) -> [f64; 4] {
     [workload.flops, workload.bytes, workload.intensity(), workload.max_dim as f64]
 }
 
@@ -79,7 +79,7 @@ pub enum KnobVector {
 
 impl KnobVector {
     /// The execution target of this point.
-    pub fn target(&self) -> Target {
+    pub(crate) fn target(&self) -> Target {
         match self {
             KnobVector::Software { .. } => Target::Cpu,
             KnobVector::Hardware { target, .. } => *target,
@@ -99,7 +99,7 @@ impl KnobVector {
     /// synthesizer actually exploits (`min(pe, banks × ports_per_bank)`)
     /// — the interaction latency and area follow, surfaced as its own
     /// column so a consumer of the table does not have to learn the clamp.
-    pub fn to_features(&self) -> [f64; 10] {
+    pub(crate) fn to_features(&self) -> [f64; 10] {
         match *self {
             KnobVector::Software { threads, layout, tile } => [
                 0.0,
@@ -136,7 +136,7 @@ impl KnobVector {
     /// records, HLS lowering, the runtime's variant metadata) consumes.
     /// The element order is part of the serialized [`crate::Variant`]
     /// schema.
-    pub fn to_transforms(&self) -> Vec<Transform> {
+    pub(crate) fn to_transforms(&self) -> Vec<Transform> {
         match *self {
             KnobVector::Software { threads, layout, tile } => {
                 let mut spec = vec![

@@ -29,26 +29,27 @@
 //!     "kernel mm(a: tensor<16x16xf64>, b: tensor<16x16xf64>) -> tensor<16x16xf64> { return a @ b; }",
 //! ).unwrap();
 //! let space = everest_variants::space::DesignSpace::default();
-//! let variants = everest_variants::generate(module.func("mm").unwrap(), &space).unwrap();
+//! let variants = everest_variants::generate_jobs(module.func("mm").unwrap(), &space, 1).unwrap();
 //! assert!(variants.len() > 4);
 //! let front = everest_variants::pareto::pareto_front(&variants);
 //! assert!(!front.is_empty());
 //! ```
 
-pub mod analysis;
-pub mod cost;
+pub(crate) mod analysis;
+pub(crate) mod cost;
 pub mod dataset;
-pub mod error;
-pub mod knob;
+pub(crate) mod error;
+pub(crate) mod knob;
 pub mod pareto;
 pub mod space;
-pub mod transform;
+pub(crate) mod transform;
 pub mod variant;
 
-pub use analysis::KernelWorkload;
-pub use dataset::{Dataset, DatasetConfig, KnobDomains};
-pub use error::{VariantError, VariantResult};
-pub use knob::{KnobVector, KERNEL_FEATURES, KNOB_FEATURES};
+pub(crate) use analysis::KernelWorkload;
+pub use dataset::{Dataset, DatasetConfig};
+pub use error::VariantError;
+pub(crate) use error::VariantResult;
+pub use knob::KnobVector;
 pub use transform::{Layout, Target, Transform};
 pub use variant::{Metrics, Variant};
 
@@ -61,7 +62,7 @@ use everest_ir::Func;
 /// # Errors
 ///
 /// Returns [`VariantError`] for a malformed space or an HLS failure.
-pub fn generate(func: &Func, space: &space::DesignSpace) -> VariantResult<Vec<Variant>> {
+pub(crate) fn generate(func: &Func, space: &space::DesignSpace) -> VariantResult<Vec<Variant>> {
     generate_jobs(func, space, 1)
 }
 

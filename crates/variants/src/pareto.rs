@@ -176,7 +176,7 @@ pub fn fastest(variants: &[Variant]) -> Option<&Variant> {
 }
 
 /// The variant with the lowest energy.
-pub fn most_efficient(variants: &[Variant]) -> Option<&Variant> {
+pub(crate) fn most_efficient(variants: &[Variant]) -> Option<&Variant> {
     variants.iter().min_by(|a, b| a.metrics.energy_mj.total_cmp(&b.metrics.energy_mj))
 }
 

@@ -56,7 +56,7 @@ impl DesignSpace {
     }
 
     /// A software-only space (for hosts without FPGAs).
-    pub fn software_only() -> DesignSpace {
+    pub(crate) fn software_only() -> DesignSpace {
         DesignSpace {
             hw_targets: Vec::new(),
             banks: Vec::new(),
@@ -84,7 +84,7 @@ impl DesignSpace {
     /// # Errors
     ///
     /// Returns [`VariantError::Space`] naming the offending knob.
-    pub fn validate(&self) -> Result<(), VariantError> {
+    pub(crate) fn validate(&self) -> Result<(), VariantError> {
         let software = [
             ("threads", self.threads.is_empty()),
             ("layouts", self.layouts.is_empty()),

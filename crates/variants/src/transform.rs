@@ -25,7 +25,7 @@ pub enum Target {
 
 impl Target {
     /// `true` for hardware targets.
-    pub fn is_fpga(&self) -> bool {
+    pub(crate) fn is_fpga(&self) -> bool {
         !matches!(self, Target::Cpu)
     }
 }
@@ -64,7 +64,7 @@ pub enum Transform {
 
 /// A variant specification: an ordered list of transforms. Helper
 /// accessors pull out individual knobs with defaults.
-pub trait SpecExt {
+pub(crate) trait SpecExt {
     /// The execution target (default CPU).
     fn target(&self) -> Target;
     /// Software threads (default 1).

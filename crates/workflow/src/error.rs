@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias for workflow operations.
-pub type WorkflowResult<T> = Result<T, WorkflowError>;
+pub(crate) type WorkflowResult<T> = Result<T, WorkflowError>;
 
 /// Errors raised by graph construction, scheduling or execution.
 #[derive(Debug, Clone, PartialEq)]

@@ -31,7 +31,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Parallel speedup versus serial execution on a speed-1 worker.
-    pub fn speedup(&self, graph: &TaskGraph) -> f64 {
+    pub(crate) fn speedup(&self, graph: &TaskGraph) -> f64 {
         if self.makespan_us <= 0.0 {
             return 1.0;
         }
@@ -56,7 +56,7 @@ impl RunReport {
     /// vector: `partition[w]` lists the tasks worker `w` ran. Tasks
     /// assigned beyond `workers` are skipped, mirroring [`Self::tasks_on`]
     /// returning an empty list for an out-of-range worker.
-    pub fn worker_partition(&self, workers: usize) -> Vec<Vec<TaskId>> {
+    pub(crate) fn worker_partition(&self, workers: usize) -> Vec<Vec<TaskId>> {
         let mut partition = vec![Vec::new(); workers];
         for (task, &w) in self.assignment.iter().enumerate() {
             if let Some(lane) = partition.get_mut(w) {
@@ -76,7 +76,7 @@ impl RunReport {
     /// each task's `E` before the next task's `B` already yields the
     /// per-lane timestamp order Chrome requires (end before begin on
     /// ties), so no global sort is needed.
-    pub fn trace_events(&self, graph: &TaskGraph) -> Vec<everest_telemetry::TraceEvent> {
+    pub(crate) fn trace_events(&self, graph: &TaskGraph) -> Vec<everest_telemetry::TraceEvent> {
         let workers =
             self.worker_busy_us.len().max(self.assignment.iter().map(|w| w + 1).max().unwrap_or(0));
         let mut partition = self.worker_partition(workers);

@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Version of the JSON fusion plan emitted by [`FusionPlan::to_json`].
 /// Bumped on any breaking field change; CI artifacts key on this.
-pub const FUSION_SCHEMA_VERSION: u32 = 1;
+pub(crate) const FUSION_SCHEMA_VERSION: u32 = 1;
 
 /// The legality verdict for one dataset edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

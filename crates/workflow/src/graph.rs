@@ -67,7 +67,7 @@ impl TaskGraph {
     /// Returns [`WorkflowError::UnknownTask`] for a forward/missing
     /// dependency and [`WorkflowError::InvalidCost`] for a cost that is
     /// negative or not finite.
-    pub fn try_add_task(
+    pub(crate) fn try_add_task(
         &mut self,
         name: impl Into<String>,
         cost_us: f64,
@@ -101,7 +101,7 @@ impl TaskGraph {
     }
 
     /// `true` when the graph has no tasks.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.tasks.is_empty()
     }
 
@@ -129,7 +129,7 @@ impl TaskGraph {
     /// when the pass reaches a task, `rank` already holds the largest rank
     /// among its successors, pushed there by each of them; the task then
     /// adds its own cost and pushes its rank into its dependencies.
-    pub fn upward_ranks(&self) -> Vec<f64> {
+    pub(crate) fn upward_ranks(&self) -> Vec<f64> {
         let mut rank = vec![0.0f64; self.tasks.len()];
         for (id, task) in self.tasks.iter().enumerate().rev() {
             let own = task.cost_us + rank[id];

@@ -40,7 +40,7 @@
 //! assert!(run.makespan_us >= 700.0);
 //! ```
 
-pub mod error;
+pub(crate) mod error;
 pub mod exec;
 pub mod fuse;
 pub mod graph;
@@ -51,15 +51,9 @@ pub mod scheduler;
 pub mod seed;
 pub mod worker;
 
-pub use error::{WorkflowError, WorkflowResult};
-pub use exec::{simulate, simulate_available, RunReport};
-pub use fuse::{
-    classify, DataEdge, EdgeClass, EdgeEnd, EndpointRole, FusionEdge, FusionPlan,
-    FUSION_SCHEMA_VERSION,
-};
+pub use error::WorkflowError;
+pub use exec::{simulate, RunReport};
+pub use fuse::EdgeClass;
 pub use graph::{TaskGraph, TaskId, TaskSpec};
-pub use race::{
-    canonical_pair, detect_races, ordering_evidence, OrderingEvidence, Race, RaceKind, TaskAccess,
-};
 pub use scheduler::Policy;
 pub use worker::Worker;

@@ -53,12 +53,12 @@ impl<T: Send + Sync + 'static> ParallelGraph<T> {
     }
 
     /// Number of tasks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tasks.len()
     }
 
     /// `true` when no tasks were added.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.tasks.is_empty()
     }
 

@@ -21,7 +21,7 @@ pub struct TaskAccess {
 
 impl TaskAccess {
     /// Builds an access record from slices of dataset names.
-    pub fn new(task: impl Into<String>, reads: &[&str], writes: &[&str]) -> TaskAccess {
+    pub(crate) fn new(task: impl Into<String>, reads: &[&str], writes: &[&str]) -> TaskAccess {
         TaskAccess {
             task: task.into(),
             reads: reads.iter().map(|s| s.to_string()).collect(),
@@ -93,7 +93,7 @@ pub struct Race {
 /// Canonical (first, second) orientation for an unordered task pair — the
 /// single place symmetric pairs are normalized before reporting or
 /// deduplication.
-pub fn canonical_pair<'a>(a: &'a str, b: &'a str) -> (&'a str, &'a str) {
+pub(crate) fn canonical_pair<'a>(a: &'a str, b: &'a str) -> (&'a str, &'a str) {
     if a <= b {
         (a, b)
     } else {
@@ -136,7 +136,7 @@ fn undirected_path(from: &str, to: &str, edges: &[(String, String)]) -> Option<V
 
 /// The [`OrderingEvidence`] for an unordered pair: the shortest undirected
 /// chain through the ordering edges, or [`OrderingEvidence::NoPath`].
-pub fn ordering_evidence(a: &str, b: &str, edges: &[(String, String)]) -> OrderingEvidence {
+pub(crate) fn ordering_evidence(a: &str, b: &str, edges: &[(String, String)]) -> OrderingEvidence {
     match undirected_path(a, b, edges) {
         Some(chain) => OrderingEvidence::MisdirectedPath(chain),
         None => OrderingEvidence::NoPath,

@@ -202,7 +202,7 @@ impl AssignState {
     ///
     /// Panics if `workers` is not as long as the pool the state was built
     /// for.
-    pub fn choose(
+    pub(crate) fn choose(
         &mut self,
         graph: &TaskGraph,
         workers: &[Worker],

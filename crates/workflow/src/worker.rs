@@ -49,7 +49,7 @@ impl Worker {
     }
 
     /// Time to pull `bytes` of input produced on another worker.
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> f64 {
         self.latency_us + bytes as f64 * self.us_per_byte
     }
 }
