@@ -69,11 +69,6 @@ impl RingRoad {
         self.positions.len()
     }
 
-    /// `true` when no vehicles are present.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.positions.is_empty()
-    }
-
     /// IDM acceleration of vehicle `i` given its leader.
     fn acceleration(&self, i: usize) -> f64 {
         let p = &self.params;
@@ -106,19 +101,6 @@ impl RingRoad {
         self.speeds.iter().sum::<f64>() / self.len() as f64
     }
 
-    /// Speed standard deviation (stop-and-go waves show up here).
-    pub(crate) fn speed_std(&self) -> f64 {
-        let mean = self.mean_speed();
-        let var =
-            self.speeds.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / self.len() as f64;
-        var.sqrt()
-    }
-
-    /// Current speeds (m/s), one per vehicle.
-    pub(crate) fn speeds(&self) -> &[f64] {
-        &self.speeds
-    }
-
     /// Vehicle density, veh/km.
     pub(crate) fn density(&self) -> f64 {
         self.len() as f64 / (self.circumference / 1000.0)
@@ -128,23 +110,6 @@ impl RingRoad {
     pub(crate) fn flow_veh_h(&self) -> f64 {
         self.density() * self.mean_speed() * 3.6
     }
-}
-
-/// Simulates `seconds` of a ring at the given density and returns
-/// `(mean_speed, speed_std, flow)` after the transient.
-pub(crate) fn equilibrium(
-    seed: u64,
-    vehicles: usize,
-    circumference: f64,
-    seconds: f64,
-) -> (f64, f64, f64) {
-    let mut ring = RingRoad::new(seed, circumference, vehicles, IdmParams::default());
-    let dt = 0.25;
-    let steps = (seconds / dt) as usize;
-    for _ in 0..steps {
-        ring.step(dt);
-    }
-    (ring.mean_speed(), ring.speed_std(), ring.flow_veh_h())
 }
 
 /// Generates the fundamental diagram — flow vs density — by sweeping the
@@ -168,18 +133,31 @@ pub fn fundamental_diagram(seed: u64, circumference: f64, counts: &[usize]) -> V
 mod tests {
     use super::*;
 
+    /// A ring of `vehicles` on `circumference` metres after `seconds` of
+    /// quarter-second steps.
+    fn settled(seed: u64, vehicles: usize, circumference: f64, seconds: f64) -> RingRoad {
+        let mut ring = RingRoad::new(seed, circumference, vehicles, IdmParams::default());
+        for _ in 0..(seconds / 0.25) as usize {
+            ring.step(0.25);
+        }
+        ring
+    }
+
     #[test]
     fn light_traffic_reaches_free_flow() {
         // 10 vehicles on 2 km: plenty of room, everyone near v0.
-        let (mean, std, _) = equilibrium(1, 10, 2_000.0, 300.0);
+        let ring = settled(1, 10, 2_000.0, 300.0);
+        let mean = ring.mean_speed();
         assert!(mean > 0.9 * IdmParams::default().v0, "mean {mean}");
-        assert!(std < 1.0, "free flow is homogeneous, std {std}");
+        let var =
+            ring.speeds.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / ring.len() as f64;
+        assert!(var.sqrt() < 1.0, "free flow is homogeneous, std {}", var.sqrt());
     }
 
     #[test]
     fn dense_traffic_jams() {
         // 180 vehicles on 2 km (90 veh/km): congested regime.
-        let (mean, _, _) = equilibrium(1, 180, 2_000.0, 300.0);
+        let mean = settled(1, 180, 2_000.0, 300.0).mean_speed();
         assert!(mean < 0.35 * IdmParams::default().v0, "jammed mean {mean}");
     }
 
@@ -221,7 +199,7 @@ mod tests {
         let mut ring = RingRoad::new(7, 2_000.0, 100, IdmParams::default());
         for _ in 0..1_000 {
             ring.step(0.25);
-            for v in ring.speeds() {
+            for v in &ring.speeds {
                 assert!(*v >= 0.0 && *v <= IdmParams::default().v0 * 1.2);
             }
         }
@@ -229,9 +207,9 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed() {
-        let a = equilibrium(11, 50, 1_500.0, 60.0);
-        let b = equilibrium(11, 50, 1_500.0, 60.0);
-        assert_eq!(a, b);
+        let a = settled(11, 50, 1_500.0, 60.0);
+        let b = settled(11, 50, 1_500.0, 60.0);
+        assert_eq!((a.positions, a.speeds), (b.positions, b.speeds));
     }
 
     #[test]

@@ -78,17 +78,6 @@ impl Grid2d {
         let b = self.at(x0, y1) * (1.0 - tx) + self.at(x1, y1) * tx;
         a * (1.0 - ty) + b * ty
     }
-
-    /// Root-mean-square difference against another grid of the same shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub(crate) fn rmse(&self, other: &Grid2d) -> f64 {
-        assert_eq!((self.nx, self.ny), (other.nx, other.ny), "grid shapes differ");
-        let sum: f64 = self.data.iter().zip(&other.data).map(|(a, b)| (a - b) * (a - b)).sum();
-        (sum / self.data.len() as f64).sqrt()
-    }
 }
 
 /// Generates a smooth random field in `[lo, hi]` by summing `octaves`
@@ -211,12 +200,6 @@ mod tests {
             }
         }
         assert!(max_step < 0.35, "max neighbour step {max_step}");
-    }
-
-    #[test]
-    fn rmse_zero_for_identical() {
-        let g = smooth_field(4, 16, 16, 0.0, 1.0, 3);
-        assert_eq!(g.rmse(&g), 0.0);
     }
 
     #[test]

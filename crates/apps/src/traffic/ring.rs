@@ -37,7 +37,6 @@ pub struct HashRing {
     /// — `u64::MAX` under the first point's shard — which is where a
     /// scan for a position past the last point comes to rest.
     points: Vec<(u64, u32)>,
-    shards: usize,
     /// `first[b]` is the index of the first point at or after
     /// `b << shift`: where the scan for a position whose top bits are
     /// `b` starts.
@@ -73,12 +72,7 @@ impl HashRing {
             .map(|b| points.partition_point(|&(p, _)| p < b << shift) as u32)
             .collect();
         points.push((u64::MAX, points[0].1));
-        HashRing { points, shards, first, shift }
-    }
-
-    /// Number of shards on the ring.
-    pub(crate) fn shards(&self) -> usize {
-        self.shards
+        HashRing { points, first, shift }
     }
 
     /// The shard owning `key_hash` (e.g. a [`CacheKey::route_hash`](super::lru::CacheKey::route_hash)).

@@ -497,11 +497,6 @@ impl ServeTier {
         &self.config
     }
 
-    /// The consistent-hash ring in use.
-    pub(crate) fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
     /// Drops every cached response (cold restart); the ring and
     /// configuration are untouched.
     pub fn reset(&self) {
@@ -510,18 +505,6 @@ impl ServeTier {
             state.edge = LruCache::new(self.config.edge_cache);
             state.cloud = LruCache::new(self.config.cloud_cache);
         }
-    }
-
-    /// Entries currently cached across all shards `(edge, cloud)`.
-    pub(crate) fn cache_len(&self) -> (usize, usize) {
-        let mut edge = 0;
-        let mut cloud = 0;
-        for state in &self.states {
-            let state = state.lock();
-            edge += state.edge.len();
-            cloud += state.cloud.len();
-        }
-        (edge, cloud)
     }
 
     /// Estimates the tier's serving capacity (queries/second) by
@@ -975,7 +958,6 @@ mod tests {
             "cached answers must be bit-identical to computed ones"
         );
         tier.reset();
-        assert_eq!(tier.cache_len(), (0, 0));
         let again = tier.run(&workload);
         assert_eq!(again.cloud_fills(), cold.cloud_fills());
     }

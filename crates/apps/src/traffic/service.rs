@@ -68,10 +68,6 @@ use std::time::Instant;
 /// reference kernel's clamp).
 pub(crate) const MIN_SPEED_KMH: f64 = 3.0;
 
-/// Lane count of the default engine, matching the "32-lane sampling
-/// engine" modeled for the E11 accelerator estimate.
-pub(crate) const DEFAULT_LANES: usize = 32;
-
 // ---------------------------------------------------------------------------
 // Reference kernel
 // ---------------------------------------------------------------------------
@@ -514,16 +510,6 @@ impl PtdrService {
     pub fn with_cache_capacity(mut self, capacity: usize) -> PtdrService {
         self.cache = Mutex::new(LruCache::new(capacity));
         self
-    }
-
-    /// The road network served.
-    pub(crate) fn network(&self) -> &RoadNetwork {
-        &self.network
-    }
-
-    /// The learned speed profiles served.
-    pub(crate) fn profiles(&self) -> &SpeedProfiles {
-        &self.profiles
     }
 
     /// Number of cached responses.

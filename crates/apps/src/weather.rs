@@ -31,13 +31,6 @@ pub struct WindSeries {
     pub resolution_km: f64,
 }
 
-impl WindSeries {
-    /// Grid cells per field.
-    pub(crate) fn cells(&self) -> usize {
-        self.hourly.first().map(|g| g.nx * g.ny).unwrap_or(0)
-    }
-}
-
 /// Generates the synthetic ground-truth wind field: `domain_km` square at
 /// `resolution_km` spacing, hourly, with a diurnal breeze cycle and
 /// small-scale evolution.

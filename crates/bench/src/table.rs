@@ -24,16 +24,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub(crate) fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when no rows were added.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
@@ -86,8 +76,7 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("name"));
         assert!(lines[2].ends_with("1"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl SdkBuilder {
 
     /// Sets the HLS configuration for hardware variants.
     #[must_use]
-    pub(crate) fn hls(mut self, hls: HlsConfig) -> SdkBuilder {
+    pub fn hls(mut self, hls: HlsConfig) -> SdkBuilder {
         self.hls = hls;
         self
     }
@@ -131,7 +131,7 @@ impl SdkBuilder {
     /// Sets the target system model (default: the reference EVEREST
     /// demonstrator of Fig. 4).
     #[must_use]
-    pub(crate) fn system(mut self, system: System) -> SdkBuilder {
+    pub fn system(mut self, system: System) -> SdkBuilder {
         self.system = system;
         self
     }
@@ -146,7 +146,7 @@ impl SdkBuilder {
     /// When `true`, [`SdkBuilder::build`] installs the recording tracer so
     /// every span the pipeline emits is captured for Chrome-trace export.
     #[must_use]
-    pub(crate) fn trace(mut self, trace: bool) -> SdkBuilder {
+    pub fn trace(mut self, trace: bool) -> SdkBuilder {
         self.trace = trace;
         self
     }

@@ -39,11 +39,6 @@ impl TensorTy {
     pub(crate) fn is_scalar(&self) -> bool {
         self.shape.is_empty()
     }
-
-    /// Total element count (1 for scalars).
-    pub(crate) fn num_elements(&self) -> usize {
-        self.shape.iter().product()
-    }
 }
 
 impl fmt::Display for TensorTy {
@@ -105,18 +100,6 @@ pub enum Expr {
     Call { name: String, args: Vec<Expr>, list: Option<Vec<f64>>, line: usize },
 }
 
-impl Expr {
-    /// The source line of this expression.
-    pub(crate) fn line(&self) -> usize {
-        match self {
-            Expr::Var { line, .. }
-            | Expr::Num { line, .. }
-            | Expr::Binary { line, .. }
-            | Expr::Call { line, .. } => *line,
-        }
-    }
-}
-
 /// A statement in a kernel body.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
@@ -173,17 +156,5 @@ mod tests {
         assert!(TensorTy::scalar(ElemTy::F64).is_scalar());
         let t = TensorTy { elem: ElemTy::F32, shape: vec![3, 5] };
         assert!(!t.is_scalar());
-        assert_eq!(t.num_elements(), 15);
-    }
-
-    #[test]
-    fn expr_line_propagates() {
-        let e = Expr::Binary {
-            op: BinOp::Add,
-            lhs: Box::new(Expr::Num { value: 1.0, line: 3 }),
-            rhs: Box::new(Expr::Num { value: 2.0, line: 3 }),
-            line: 3,
-        };
-        assert_eq!(e.line(), 3);
     }
 }

@@ -86,13 +86,6 @@ impl Accelerator {
         self.summary().time_us()
     }
 
-    /// Estimated dynamic energy in microjoules, using a simple
-    /// activity-proportional model (~0.1 nJ per LUT-activity-cycle at the
-    /// modeled node, scaled down by a 0.1 activity factor).
-    pub(crate) fn energy_uj(&self) -> f64 {
-        self.summary().energy_uj()
-    }
-
     /// The name-independent numeric summary of this synthesis run: the
     /// part worth memoizing across structurally identical kernels (the
     /// RTL text embeds the kernel name, the summary does not).
@@ -148,8 +141,9 @@ impl SynthSummary {
         self.latency_cycles as f64 / self.clock_mhz
     }
 
-    /// Estimated dynamic energy in microjoules (same model as
-    /// [`Accelerator::energy_uj`]).
+    /// Estimated dynamic energy in microjoules, using a simple
+    /// activity-proportional model (~0.1 nJ per LUT-activity-cycle at the
+    /// modeled node, scaled down by a 0.1 activity factor).
     pub fn energy_uj(&self) -> f64 {
         let power_w = 0.5 + self.area.luts as f64 * 2.0e-5; // static + dynamic
         power_w * self.time_us() * 1e-6 * 1e6
@@ -263,66 +257,6 @@ pub fn synthesize(func: &Func, config: &HlsConfig) -> HlsResult<Accelerator> {
         rtl: rtl_text,
         dift: dift_report,
     })
-}
-
-/// The outcome of taint-gated DIFT instrumentation (see
-/// [`synthesize_gated`]): whether shadow hardware was requested, whether it
-/// was actually synthesized, and — when the static taint analysis proved
-/// the kernel clean — the area and latency the gate saved.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct DiftGate {
-    /// `true` when the configuration asked for DIFT.
-    pub requested: bool,
-    /// `true` when shadow logic was actually synthesized.
-    pub instrumented: bool,
-    /// Number of values the static taint analysis found may carry secrets.
-    pub tainted_values: usize,
-    /// LUTs saved by skipping instrumentation (0 when instrumented).
-    pub luts_saved: u64,
-    /// Flip-flops saved by skipping instrumentation.
-    pub ffs_saved: u64,
-    /// BRAMs saved by skipping instrumentation.
-    pub brams_saved: u64,
-    /// Latency cycles saved by skipping instrumentation.
-    pub latency_saved: u64,
-}
-
-/// Like [`synthesize`], but gates DIFT instrumentation on the static
-/// taint/IFC analysis (`everest_ir::lints::taint_summary`): shadow hardware
-/// is only worth its area when the kernel actually carries secret-labelled
-/// flows. For a clean kernel the DIFT request is dropped and the returned
-/// [`DiftGate`] reports the area/latency saved (computed by synthesizing
-/// both ways); for a tainted kernel instrumentation proceeds as usual.
-///
-/// Telemetry: bumps `hls.dift.gate.instrumented` or
-/// `hls.dift.gate.skipped`.
-///
-/// # Errors
-///
-/// Same failure modes as [`synthesize`].
-pub(crate) fn synthesize_gated(func: &Func, config: &HlsConfig) -> HlsResult<(Accelerator, DiftGate)> {
-    let mut gate = DiftGate { requested: config.dift.is_some(), ..DiftGate::default() };
-    if !gate.requested {
-        return Ok((synthesize(func, config)?, gate));
-    }
-    let summary = everest_ir::lints::taint_summary(func);
-    gate.tainted_values = summary.tainted_values.len();
-    if summary.is_tainted() {
-        gate.instrumented = true;
-        everest_telemetry::metrics().counter_inc("hls.dift.gate.instrumented");
-        return Ok((synthesize(func, config)?, gate));
-    }
-    // Untainted: synthesize both ways so the gate can report what the
-    // skipped shadow logic would have cost.
-    let with_dift = synthesize(func, config)?;
-    let plain_config = HlsConfig { dift: None, ..config.clone() };
-    let plain = synthesize(func, &plain_config)?;
-    gate.luts_saved = with_dift.area.luts.saturating_sub(plain.area.luts);
-    gate.ffs_saved = with_dift.area.ffs.saturating_sub(plain.area.ffs);
-    gate.brams_saved = with_dift.area.brams.saturating_sub(plain.area.brams);
-    gate.latency_saved = with_dift.latency_cycles.saturating_sub(plain.latency_cycles);
-    everest_telemetry::metrics().counter_inc("hls.dift.gate.skipped");
-    Ok((plain, gate))
 }
 
 /// `true` when every top-level loop of the function is data-parallel
@@ -581,48 +515,7 @@ mod tests {
         assert!(dift.area.luts > plain.area.luts);
         assert!(dift.latency_cycles > plain.latency_cycles);
         let report = dift.dift.unwrap();
-        assert!(report.lut_overhead_pct(&plain.area) < 30.0);
-    }
-
-    #[test]
-    fn taint_gated_dift_skips_clean_kernels_and_reports_savings() {
-        let clean =
-            kernel("kernel g(a: tensor<32xf64>) -> tensor<32xf64> { return sigmoid(a); }", "g");
-        let config = HlsConfig { dift: Some(DiftConfig::default()), ..HlsConfig::default() };
-        let (acc, gate) = synthesize_gated(&clean, &config).unwrap();
-        assert!(gate.requested && !gate.instrumented);
-        assert!(acc.dift.is_none(), "no shadow logic on an untainted kernel");
-        assert!(gate.luts_saved > 0, "gate should report the area it saved");
-        assert!(gate.latency_saved > 0);
-        assert_eq!(gate.tainted_values, 0);
-
-        let (tacc, tgate) = synthesize_gated(&tainted_kernel(), &config).unwrap();
-        assert!(tgate.requested && tgate.instrumented);
-        assert!(tacc.dift.is_some(), "tainted kernel keeps its shadow logic");
-        assert!(tgate.tainted_values > 0);
-        assert_eq!(tgate.luts_saved, 0);
-
-        // Without a DIFT request the gate is inert.
-        let (plain, pgate) = synthesize_gated(&clean, &HlsConfig::default()).unwrap();
-        assert!(!pgate.requested && plain.dift.is_none());
-    }
-
-    fn tainted_kernel() -> Func {
-        use everest_ir::ir::Op;
-        use everest_ir::types::MemSpace;
-        use everest_ir::FuncBuilder;
-        let buf = Type::memref(Type::F64, &[16], MemSpace::Host);
-        let mut fb = FuncBuilder::new("redact", &[buf.clone(), buf], &[]);
-        fb.for_loop(0, 16, 1, &[], |fb, iv, _carried| {
-            let x = fb.load(fb.arg(0), &[iv], Type::F64);
-            let mut taint = Op::new("secure.taint").with_attr("label", "patient-data");
-            taint.operands = vec![x];
-            let secret = fb.op1(taint, Type::F64);
-            fb.store(secret, fb.arg(1), &[iv]);
-            vec![]
-        });
-        fb.ret(&[]);
-        fb.finish()
+        assert!(100 * report.extra_area.luts < 30 * plain.area.luts);
     }
 
     #[test]
@@ -631,7 +524,7 @@ mod tests {
         let slow = synthesize(&f, &HlsConfig { clock_mhz: 100.0, ..HlsConfig::default() }).unwrap();
         let fast = synthesize(&f, &HlsConfig { clock_mhz: 400.0, ..HlsConfig::default() }).unwrap();
         assert!(fast.time_us() < slow.time_us());
-        assert!(slow.energy_uj() > 0.0);
+        assert!(slow.summary().energy_uj() > 0.0);
     }
 
     #[test]

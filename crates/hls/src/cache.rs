@@ -15,8 +15,6 @@
 //! [`SynthCache::synthesize_keyed`] — take a fingerprint and a key the
 //! caller built, which a batch builds once per kernel and once per
 //! configuration and not once per point.
-//! [`SynthCache::get_or_synthesize`] is the one-off form: it names its
-//! point and goes through the same two calls.
 //!
 //! Concurrent callers racing on the same key are deduplicated: the first
 //! caller synthesizes while the rest block on the entry and then read the
@@ -222,34 +220,6 @@ impl SynthCache {
             }
         }
     }
-
-    /// Returns the memoized summary for `(func, config)`, synthesizing on
-    /// the first request: the one-off form of [`SynthCache::probe`] +
-    /// [`SynthCache::synthesize_keyed`], which names the point itself,
-    /// counts the lookup and times a hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::HlsError`] from synthesis; failures are not
-    /// cached, so a later call retries.
-    pub(crate) fn get_or_synthesize(
-        &self,
-        func: &Func,
-        config: &HlsConfig,
-    ) -> HlsResult<SynthSummary> {
-        let start = Instant::now();
-        let (fingerprint, key) = (func_fingerprint(func), ConfigKey::of(config));
-        if let Some(summary) = self.probe(fingerprint, &key) {
-            self.count_lookups(1, 0);
-            // Hit latency (naming the point + two lock hops) vs the
-            // synthesis cost quantifies what the memo is worth.
-            everest_telemetry::metrics()
-                .observe("dse.hls.cache.hit_us", start.elapsed().as_secs_f64() * 1e6);
-            return Ok(summary);
-        }
-        self.count_lookups(0, 1);
-        self.synthesize_keyed(fingerprint, &key, func, config)
-    }
 }
 
 /// The process-wide synthesis cache shared by every DSE run. Entries are
@@ -324,6 +294,16 @@ mod tests {
         }
     }
 
+    /// Probes `(func, config)` and synthesizes it on a miss, the two
+    /// calls a batch makes for each key.
+    fn fetch(cache: &SynthCache, func: &Func, config: &HlsConfig) -> HlsResult<SynthSummary> {
+        let (fingerprint, key) = (func_fingerprint(func), ConfigKey::of(config));
+        match cache.probe(fingerprint, &key) {
+            Some(summary) => Ok(summary),
+            None => cache.synthesize_keyed(fingerprint, &key, func, config),
+        }
+    }
+
     #[test]
     fn cache_hits_return_identical_summaries() {
         let f = kernel(
@@ -332,9 +312,11 @@ mod tests {
         );
         let cache = SynthCache::new();
         let config = HlsConfig::default();
-        let first = cache.get_or_synthesize(&f, &config).unwrap();
-        let second = cache.get_or_synthesize(&f, &config).unwrap();
+        let first = fetch(&cache, &f, &config).unwrap();
+        let (fingerprint, key) = (func_fingerprint(&f), ConfigKey::of(&config));
+        let second = cache.probe(fingerprint, &key).expect("the first call filled the entry");
         assert_eq!(first, second);
+        assert_eq!(cache.synthesize_keyed(fingerprint, &key, &f, &config).unwrap(), first);
         assert_eq!(cache.len(), 1);
         let direct = synthesize(&f, &config).unwrap().summary();
         assert_eq!(first, direct, "cached summary must match direct synthesis bit-for-bit");
@@ -345,8 +327,9 @@ mod tests {
         let a = kernel("kernel a(x: tensor<32xf64>) -> tensor<32xf64> { return relu(x); }", "a");
         let b = kernel("kernel b(x: tensor<32xf64>) -> tensor<32xf64> { return relu(x); }", "b");
         let cache = SynthCache::new();
-        cache.get_or_synthesize(&a, &HlsConfig::default()).unwrap();
-        cache.get_or_synthesize(&b, &HlsConfig::default()).unwrap();
+        let summary = fetch(&cache, &a, &HlsConfig::default()).unwrap();
+        let key = ConfigKey::of(&HlsConfig::default());
+        assert_eq!(cache.probe(func_fingerprint(&b), &key), Some(summary));
         assert_eq!(cache.len(), 1);
     }
 
@@ -355,20 +338,18 @@ mod tests {
         let f = kernel("kernel id(a: tensor<4xf64>) -> tensor<4xf64> { return a; }", "id");
         let cache = SynthCache::new();
         let bad = HlsConfig { banks: 0, ..HlsConfig::default() };
-        assert!(cache.get_or_synthesize(&f, &bad).is_err());
+        assert!(fetch(&cache, &f, &bad).is_err());
         assert_eq!(cache.len(), 0);
         assert!(cache.map.lock().is_empty(), "a failure must not leave its placeholder behind");
-        assert!(cache.get_or_synthesize(&f, &bad).is_err(), "and is retried, not remembered");
+        assert_eq!(cache.probe(func_fingerprint(&f), &ConfigKey::of(&bad)), None);
+        assert!(fetch(&cache, &f, &bad).is_err(), "and is retried, not remembered");
         assert!(cache.map.lock().is_empty());
-        assert!(cache.get_or_synthesize(&f, &HlsConfig::default()).is_ok());
+        assert!(fetch(&cache, &f, &HlsConfig::default()).is_ok());
         assert_eq!((cache.len(), cache.map.lock().len()), (1, 1), "a later good config caches");
-        assert_eq!(cache.lookups(), (0, 3));
-        assert!(cache.get_or_synthesize(&f, &HlsConfig::default()).is_ok());
-        assert_eq!(cache.lookups(), (1, 3));
     }
 
     #[test]
-    fn keyed_entry_points_are_what_the_one_off_form_goes_through() {
+    fn keyed_entry_points_leave_counting_to_their_caller() {
         let f = kernel("kernel id(a: tensor<4xf64>) -> tensor<4xf64> { return a; }", "id");
         let cache = SynthCache::new();
         let config = HlsConfig::default();
@@ -377,33 +358,30 @@ mod tests {
         let keyed = cache.synthesize_keyed(fingerprint, &key, &f, &config).unwrap();
         assert_eq!(cache.probe(fingerprint, &key), Some(keyed));
         assert_eq!(cache.lookups(), (0, 0), "the keyed calls leave counting to their caller");
-        assert_eq!(cache.get_or_synthesize(&f, &config).unwrap(), keyed);
+        cache.count_lookups(1, 0);
         assert_eq!(cache.lookups(), (1, 0));
     }
 
     #[test]
-    fn hit_and_miss_latencies_are_recorded() {
+    fn miss_synthesis_latency_is_recorded() {
         let f = kernel("kernel h(x: tensor<16xf64>) -> tensor<16xf64> { return relu(x); }", "h");
         let cache = SynthCache::new();
         let before = everest_telemetry::metrics().snapshot();
-        cache.get_or_synthesize(&f, &HlsConfig::default()).unwrap();
-        cache.get_or_synthesize(&f, &HlsConfig::default()).unwrap();
+        fetch(&cache, &f, &HlsConfig::default()).unwrap();
         let after = everest_telemetry::metrics().snapshot();
         // The registry is process-global and other tests run in
         // parallel, so assert growth rather than exact counts.
-        let grew = |name: &str| {
-            after.histogram(name).map_or(0, |h| h.count)
-                > before.histogram(name).map_or(0, |h| h.count)
+        let count = |snapshot: &everest_telemetry::MetricsSnapshot| {
+            snapshot.histogram("dse.hls.cache.miss_synthesis_us").map_or(0, |h| h.count)
         };
-        assert!(grew("dse.hls.cache.miss_synthesis_us"), "miss path timed");
-        assert!(grew("dse.hls.cache.hit_us"), "hit path timed");
+        assert!(count(&after) > count(&before), "miss path timed");
     }
 
     #[test]
     fn clear_forgets_entries() {
         let f = kernel("kernel id(a: tensor<4xf64>) -> tensor<4xf64> { return a; }", "id");
         let cache = SynthCache::new();
-        cache.get_or_synthesize(&f, &HlsConfig::default()).unwrap();
+        fetch(&cache, &f, &HlsConfig::default()).unwrap();
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());

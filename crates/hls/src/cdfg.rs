@@ -192,7 +192,7 @@ impl Dfg {
     }
 
     /// `true` when the graph has no nodes.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 

@@ -19,13 +19,16 @@ pub(crate) const BRAM_BYTES: u64 = BRAM_BITS / 8;
 
 /// Block RAMs needed for a double-buffered (ping/pong) stream FIFO holding
 /// one `bytes`-sized transfer: two full copies so the producer fills one
-/// half while the consumer drains the other.
-pub(crate) fn stream_buffer_brams(bytes: u64) -> u64 {
+/// half while the consumer drains the other. The reference
+/// [`stream_capacity_bytes`] is tested against.
+#[cfg(test)]
+fn stream_buffer_brams(bytes: u64) -> u64 {
     (2 * bytes * 8).div_ceil(BRAM_BITS)
 }
 
 /// Largest single transfer a double-buffered stream FIFO built from
-/// `brams` block RAMs can hold (the inverse of [`stream_buffer_brams`]).
+/// `brams` block RAMs can hold: two copies of it fill at most `brams`
+/// 18-kbit block RAMs.
 pub fn stream_capacity_bytes(brams: u64) -> u64 {
     brams / 2 * BRAM_BYTES
 }

@@ -143,14 +143,6 @@ impl AreaReport {
             brams: self.brams * factor,
         }
     }
-
-    /// `true` if this report fits within `budget` in every dimension.
-    pub(crate) fn fits_in(&self, budget: &AreaReport) -> bool {
-        self.luts <= budget.luts
-            && self.ffs <= budget.ffs
-            && self.dsps <= budget.dsps
-            && self.brams <= budget.brams
-    }
 }
 
 impl Add for AreaReport {
@@ -204,8 +196,6 @@ mod tests {
         let sum = a + b;
         assert_eq!(sum, AreaReport { luts: 15, ffs: 25, dsps: 1, brams: 2 });
         assert_eq!(a.scaled(3).luts, 30);
-        assert!(b.fits_in(&sum));
-        assert!(!sum.fits_in(&b));
     }
 
     #[test]

@@ -86,13 +86,6 @@ pub struct Schedule {
     pub len: u64,
 }
 
-impl Schedule {
-    /// Finish cycle of node `id`.
-    pub(crate) fn finish(&self, dfg: &Dfg, id: usize) -> u64 {
-        self.start[id] + dfg.nodes[id].latency
-    }
-}
-
 /// As-soon-as-possible schedule (ignores resources).
 pub fn asap(dfg: &Dfg) -> Schedule {
     let mut start = vec![0u64; dfg.len()];

@@ -56,14 +56,6 @@ impl Attr {
         }
     }
 
-    /// Returns the boolean payload, if this is an [`Attr::Bool`].
-    pub(crate) fn as_bool(&self) -> Option<bool> {
-        match self {
-            Attr::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the array payload, if this is an [`Attr::Array`].
     pub fn as_array(&self) -> Option<&[Attr]> {
         match self {
@@ -147,7 +139,6 @@ mod tests {
         assert_eq!(Attr::Int(7).as_float(), Some(7.0));
         assert_eq!(Attr::Float(2.5).as_float(), Some(2.5));
         assert_eq!(Attr::Str("x".into()).as_str(), Some("x"));
-        assert_eq!(Attr::Bool(true).as_bool(), Some(true));
         assert_eq!(Attr::Int(7).as_str(), None);
     }
 

@@ -102,12 +102,6 @@ pub mod tensor {
         op.operands = vec![a];
         fb.op1(op, ty)
     }
-
-    /// Emits `tensor.fill` of the given shape and constant.
-    pub(crate) fn fill(fb: &mut FuncBuilder, value: f64, elem: Type, shape: &[usize]) -> Value {
-        let op = Op::new("tensor.fill").with_attr("value", value);
-        fb.op1(op, Type::tensor(elem, shape))
-    }
 }
 
 /// Helpers for the `df` dialect: workflow orchestration ops that lower to

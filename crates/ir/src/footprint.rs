@@ -463,7 +463,7 @@ mod tests {
         fb.ret(&[out[0]]);
         let mut func = fb.finish();
         // Strip the loop bounds: the trip count is now unknown.
-        func.body.entry_mut().unwrap().ops[1].attrs.remove("hi");
+        func.body.blocks.first_mut().unwrap().ops[1].attrs.remove("hi");
         let fp = fn_footprint(&func, &BTreeMap::new());
         assert!(!fp.local_bytes.is_bounded());
         assert!(!fp.is_bounded());

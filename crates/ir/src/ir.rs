@@ -62,11 +62,6 @@ impl Op {
         }
     }
 
-    /// The dialect prefix of the op name (`"arith"` for `"arith.addf"`).
-    pub(crate) fn dialect(&self) -> &str {
-        self.name.split('.').next().unwrap_or(&self.name)
-    }
-
     /// Looks up an attribute by name.
     pub fn attr(&self, key: &str) -> Option<&Attr> {
         self.attrs.get(key)
@@ -76,16 +71,6 @@ impl Op {
     pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<Attr>) -> Op {
         self.attrs.insert(key.into(), value.into());
         self
-    }
-
-    /// The single result of this op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the op does not have exactly one result.
-    pub(crate) fn result(&self) -> Value {
-        assert_eq!(self.results.len(), 1, "op {} has {} results", self.name, self.results.len());
-        self.results[0]
     }
 }
 
@@ -129,11 +114,6 @@ impl Region {
     /// The entry block, if present.
     pub fn entry(&self) -> Option<&Block> {
         self.blocks.first()
-    }
-
-    /// Mutable access to the entry block, if present.
-    pub(crate) fn entry_mut(&mut self) -> Option<&mut Block> {
-        self.blocks.first_mut()
     }
 
     /// Visits every op in this region, depth-first, in program order.
@@ -289,7 +269,7 @@ impl Module {
     }
 
     /// `true` if the module holds no functions.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.funcs.is_empty()
     }
 
@@ -333,15 +313,8 @@ mod tests {
     #[test]
     fn op_builder_helpers() {
         let op = Op::new("arith.constant").with_attr("value", 4i64);
-        assert_eq!(op.dialect(), "arith");
         assert_eq!(op.attr("value").and_then(Attr::as_int), Some(4));
         assert_eq!(op.attr("missing"), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "has 0 results")]
-    fn result_panics_without_results() {
-        Op::new("x.y").result();
     }
 
     #[test]
@@ -367,8 +340,8 @@ mod tests {
         inner_block.ops.push(Op::new("df.task"));
         inner_region.blocks.push(inner_block);
         outer.regions.push(inner_region);
-        f.body.entry_mut().unwrap().ops.push(outer);
-        f.body.entry_mut().unwrap().ops.push(Op::new("func.return"));
+        f.body.blocks.first_mut().unwrap().ops.push(outer);
+        f.body.blocks.first_mut().unwrap().ops.push(Op::new("func.return"));
         assert_eq!(f.op_count(), 4);
     }
 

@@ -49,7 +49,7 @@ pub mod dialects;
 pub(crate) mod error;
 pub mod footprint;
 pub mod interp;
-pub mod ir;
+pub(crate) mod ir;
 pub mod lints;
 pub(crate) mod parse;
 pub mod pass;

@@ -10,24 +10,18 @@
 //! * **taint/IFC analysis** (forward) drives `taint-flow`: `secure.taint`
 //!   ops introduce labels, flows propagate through ops, buffers and region
 //!   boundaries, and any secret label reaching an unprotected sink
-//!   (`df.sink`, `func.return`) is an error. Its per-function
-//!   [`TaintSummary`] also feeds `everest-hls` so DIFT shadow hardware is
-//!   only synthesized for kernels with real tainted flows.
+//!   (`df.sink`, `func.return`) is an error.
 //!
 //! All findings use the shared [`Diagnostic`] type; [`check_module`] is the
-//! entry point used by `everestc check` and the [`CheckPass`] pipeline
-//! phase.
+//! entry point used by `everestc check`.
 
 use crate::attr::Attr;
 use crate::dataflow::{analyze, Analysis, Direction, Interval, Lattice};
 use crate::diag::{op_snippet, record_metrics, Diagnostic, Severity};
-use crate::error::IrResult;
 use crate::ir::{Block, Func, Module, Op, Value};
-use crate::pass::Pass;
 use crate::registry;
 use crate::types::Type;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
 
 /// A store into a locally allocated buffer that is never read afterwards.
 pub(crate) const LINT_DEAD_STORE: &str = "dead-store";
@@ -49,17 +43,6 @@ pub const LINT_UNRESOLVED_KERNEL: &str = "wf-unresolved-kernel";
 /// classifier: unordered conflicting access with a concrete counterexample
 /// (reported by `everestc fuse`).
 pub const LINT_FUSE_RACY: &str = "fuse-racy";
-
-/// Registry of every stable lint code this crate family can emit.
-pub(crate) const LINT_CODES: &[&str] = &[
-    LINT_DEAD_STORE,
-    LINT_UNUSED_RESULT,
-    LINT_RANGE_OOB,
-    LINT_TAINT_FLOW,
-    LINT_WF_RACE,
-    LINT_UNRESOLVED_KERNEL,
-    LINT_FUSE_RACY,
-];
 
 // ---------------------------------------------------------------------------
 // Liveness → dead-store / unused-result
@@ -423,26 +406,6 @@ impl Analysis for TaintAnalysis {
     }
 }
 
-/// The per-function taint verdict `everest-hls` uses to gate DIFT
-/// instrumentation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TaintSummary {
-    /// Number of `secure.taint` source ops.
-    pub sources: usize,
-    /// Every value that may carry a secret label at some program point.
-    pub tainted_values: BTreeSet<Value>,
-    /// Number of secret→unprotected-sink violations.
-    pub violations: usize,
-}
-
-impl TaintSummary {
-    /// `true` if any value in the function may carry secret data — the
-    /// signal that DIFT shadow hardware is worth instrumenting.
-    pub fn is_tainted(&self) -> bool {
-        !self.tainted_values.is_empty()
-    }
-}
-
 /// Values passed through a `secure.check` op (treated as protected sinks).
 fn checked_values(func: &Func) -> BTreeSet<Value> {
     let mut checked = BTreeSet::new();
@@ -454,25 +417,10 @@ fn checked_values(func: &Func) -> BTreeSet<Value> {
     checked
 }
 
-fn taint_solution(func: &Func) -> (Vec<Diagnostic>, TaintSummary) {
-    let mut summary = TaintSummary::default();
-    func.walk(&mut |op| {
-        if op.name == "secure.taint" {
-            summary.sources += 1;
-        }
-    });
+fn taint_lints(func: &Func) -> Vec<Diagnostic> {
     let checked = checked_values(func);
     let mut diags = Vec::new();
     for (site, op, before) in analyze(func, &TaintAnalysis) {
-        // Accumulate the may-taint set from the post-state of every op, so
-        // values tainted by the last op of a block are seen too.
-        let mut after = before.clone();
-        TaintAnalysis.transfer(func, op, &mut after);
-        for (v, labels) in &after {
-            if is_secret(labels) {
-                summary.tainted_values.insert(*v);
-            }
-        }
         if op.name != "df.sink" && op.name != "func.return" {
             continue;
         }
@@ -500,14 +448,7 @@ fn taint_solution(func: &Func) -> (Vec<Diagnostic>, TaintSummary) {
             }
         }
     }
-    summary.violations = diags.len();
-    (diags, summary)
-}
-
-/// Runs the taint/IFC analysis on one function and returns its summary
-/// (sources, may-tainted values, sink violations).
-pub fn taint_summary(func: &Func) -> TaintSummary {
-    taint_solution(func).1
+    diags
 }
 
 // ---------------------------------------------------------------------------
@@ -518,7 +459,7 @@ pub fn taint_summary(func: &Func) -> TaintSummary {
 pub fn check_func(func: &Func) -> Vec<Diagnostic> {
     let mut diags = liveness_lints(func);
     diags.extend(range_lints(func));
-    diags.extend(taint_solution(func).0);
+    diags.extend(taint_lints(func));
     diags
 }
 
@@ -533,38 +474,6 @@ pub fn check_module(module: &Module) -> Vec<Diagnostic> {
     span.attr("diagnostics", diags.len());
     record_metrics(&diags);
     diags
-}
-
-/// A [`Pass`] wrapper so the lints can run as a pipeline analysis phase.
-/// The pass never mutates the module; collected diagnostics are retrieved
-/// with [`CheckPass::take`].
-#[derive(Default)]
-pub(crate) struct CheckPass {
-    diags: Mutex<Vec<Diagnostic>>,
-}
-
-impl CheckPass {
-    /// Creates an empty check phase.
-    pub(crate) fn new() -> CheckPass {
-        CheckPass::default()
-    }
-
-    /// Drains the diagnostics collected by previous runs.
-    pub(crate) fn take(&self) -> Vec<Diagnostic> {
-        std::mem::take(&mut self.diags.lock().expect("check pass mutex poisoned"))
-    }
-}
-
-impl Pass for CheckPass {
-    fn name(&self) -> &str {
-        "check"
-    }
-
-    fn run(&self, module: &mut Module) -> IrResult<bool> {
-        let diags = check_module(module);
-        self.diags.lock().expect("check pass mutex poisoned").extend(diags);
-        Ok(false)
-    }
 }
 
 #[cfg(test)]
@@ -687,10 +596,6 @@ mod tests {
         let taint: Vec<_> = diags.iter().filter(|d| d.code == LINT_TAINT_FLOW).collect();
         assert_eq!(taint.len(), 1, "{diags:?}");
         assert!(taint[0].message.contains("patient-data"));
-        let summary = taint_summary(&func);
-        assert!(summary.is_tainted());
-        assert_eq!(summary.sources, 1);
-        assert_eq!(summary.violations, 1);
     }
 
     #[test]
@@ -707,8 +612,6 @@ mod tests {
         let func = fb.finish();
         let diags = check_func(&func);
         assert!(codes(&diags).iter().all(|c| *c != LINT_TAINT_FLOW), "{diags:?}");
-        // The function still *contains* taint, so DIFT stays on.
-        assert!(taint_summary(&func).is_tainted());
     }
 
     #[test]
@@ -744,20 +647,5 @@ mod tests {
         fb.ret(&[v]);
         let func = fb.finish();
         assert!(check_func(&func).is_empty());
-        assert!(!taint_summary(&func).is_tainted());
-    }
-
-    #[test]
-    fn check_pass_collects_without_mutating() {
-        let mut module = Module::new("m");
-        module.push(tainted_to_sink());
-        let before = module.to_text();
-        let pass = CheckPass::new();
-        let changed = pass.run(&mut module).unwrap();
-        assert!(!changed);
-        assert_eq!(module.to_text(), before);
-        let diags = pass.take();
-        assert!(diags.iter().any(|d| d.code == LINT_TAINT_FLOW));
-        assert!(pass.take().is_empty());
     }
 }

@@ -97,10 +97,6 @@ fn for_each_func(module: &mut Module, f: impl Fn(&mut Func) -> bool) -> bool {
 // Dead code elimination
 // ---------------------------------------------------------------------------
 
-/// Removes pure operations whose results are never used.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Dce;
-
 fn collect_uses(region: &Region, used: &mut HashSet<Value>) {
     region.walk(&mut |op| {
         for v in &op.operands {
@@ -142,23 +138,9 @@ pub(crate) fn dce_func(func: &mut Func) -> bool {
     }
 }
 
-impl Pass for Dce {
-    fn name(&self) -> &str {
-        "dce"
-    }
-
-    fn run(&self, module: &mut Module) -> IrResult<bool> {
-        Ok(for_each_func(module, dce_func))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Common subexpression elimination
 // ---------------------------------------------------------------------------
-
-/// Deduplicates pure operations with identical name, operands and attributes.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Cse;
 
 fn attr_key(attrs: &std::collections::BTreeMap<String, Attr>) -> String {
     let mut out = String::new();
@@ -233,23 +215,9 @@ pub(crate) fn cse_func(func: &mut Func) -> bool {
     changed
 }
 
-impl Pass for Cse {
-    fn name(&self) -> &str {
-        "cse"
-    }
-
-    fn run(&self, module: &mut Module) -> IrResult<bool> {
-        Ok(for_each_func(module, cse_func))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Constant folding
 // ---------------------------------------------------------------------------
-
-/// Evaluates arithmetic ops whose operands are constants.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Fold;
 
 fn fold_float(name: &str, a: f64, b: f64) -> Option<f64> {
     Some(match name {
@@ -350,16 +318,6 @@ pub(crate) fn fold_func(func: &mut Func) -> bool {
     changed
 }
 
-impl Pass for Fold {
-    fn name(&self) -> &str {
-        "fold"
-    }
-
-    fn run(&self, module: &mut Module) -> IrResult<bool> {
-        Ok(for_each_func(module, fold_func))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Canonicalize: fold + cse + dce to a fixed point
 // ---------------------------------------------------------------------------
@@ -445,7 +403,7 @@ mod tests {
         let _dead2 = fb.binary("arith.mulf", dead, dead, Type::F64);
         fb.ret(&[fb.arg(0)]);
         let mut m = module_of(fb.finish());
-        assert!(Dce.run(&mut m).unwrap());
+        assert!(for_each_func(&mut m, dce_func));
         assert_eq!(m.func("f").unwrap().op_count(), 1); // just the return
         m.verify().unwrap();
     }
@@ -459,7 +417,7 @@ mod tests {
         fb.push_op(sink);
         fb.ret(&[]);
         let mut m = module_of(fb.finish());
-        Dce.run(&mut m).unwrap();
+        for_each_func(&mut m, dce_func);
         assert_eq!(m.func("f").unwrap().op_count(), 3);
     }
 
@@ -471,7 +429,7 @@ mod tests {
         let s = fb.binary("arith.addf", a, b, Type::F64);
         fb.ret(&[s]);
         let mut m = module_of(fb.finish());
-        assert!(Cse.run(&mut m).unwrap());
+        assert!(for_each_func(&mut m, cse_func));
         let f = m.func("f").unwrap();
         assert_eq!(f.op_count(), 3); // mulf, addf, return
         m.verify().unwrap();
@@ -487,7 +445,7 @@ mod tests {
         let b = fb.const_f(2.0, Type::F64);
         fb.ret(&[a, b]);
         let mut m = module_of(fb.finish());
-        assert!(!Cse.run(&mut m).unwrap());
+        assert!(!for_each_func(&mut m, cse_func));
         assert_eq!(m.func("f").unwrap().op_count(), 3);
     }
 
@@ -500,7 +458,7 @@ mod tests {
         let q = fb.unary("arith.sqrtf", p, Type::F64);
         fb.ret(&[q]);
         let mut m = module_of(fb.finish());
-        assert!(Fold.run(&mut m).unwrap());
+        assert!(for_each_func(&mut m, fold_func));
         let f = m.func("f").unwrap();
         let ret = f.body.entry().unwrap().terminator().unwrap();
         let final_const = constant_of(f, ret.operands[0]).unwrap();
@@ -515,7 +473,7 @@ mod tests {
         let d = fb.binary("arith.divi", a, b, Type::I64);
         fb.ret(&[d]);
         let mut m = module_of(fb.finish());
-        assert!(!Fold.run(&mut m).unwrap());
+        assert!(!for_each_func(&mut m, fold_func));
     }
 
     #[test]
@@ -564,8 +522,7 @@ mod tests {
 
     #[test]
     fn pass_manager_debug_lists_passes() {
-        let mut pm = PassManager::new();
-        pm.add(Dce).add(Cse);
-        assert_eq!(format!("{pm:?}"), "PassManager { passes: [\"dce\", \"cse\"] }");
+        let pm = PassManager::standard();
+        assert_eq!(format!("{pm:?}"), "PassManager { passes: [\"canonicalize\"] }");
     }
 }

@@ -53,8 +53,8 @@ pub struct OpSpec {
 }
 
 /// All registered dialect names.
-pub(crate) const DIALECTS: &[&str] =
-    &["arith", "func", "cf", "loop", "mem", "tensor", "df", "hls", "secure"];
+#[cfg(test)]
+const DIALECTS: &[&str] = &["arith", "func", "cf", "loop", "mem", "tensor", "df", "hls", "secure"];
 
 const fn spec(
     name: &'static str,

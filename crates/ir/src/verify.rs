@@ -400,7 +400,7 @@ mod tests {
         let mut op = IrOp::new("arith.negf");
         op.operands = vec![ghost];
         op.results = vec![ghost2];
-        let entry = f.body.entry_mut().unwrap();
+        let entry = f.body.blocks.first_mut().unwrap();
         entry.ops.push(op);
         entry.ops.push(IrOp::new("func.return"));
         let err = verify_func(&f).unwrap_err();
@@ -410,7 +410,7 @@ mod tests {
     #[test]
     fn unknown_op_rejected() {
         let mut f = Func::new("f", &[], &[]);
-        f.body.entry_mut().unwrap().ops.push(IrOp::new("alien.op"));
+        f.body.blocks.first_mut().unwrap().ops.push(IrOp::new("alien.op"));
         assert_eq!(verify_func(&f).unwrap_err(), IrError::UnknownOp("alien.op".into()));
     }
 

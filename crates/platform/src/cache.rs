@@ -87,11 +87,6 @@ impl Cache {
         self.accesses
     }
 
-    /// Misses so far.
-    pub(crate) fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Miss rate in [0, 1].
     pub fn miss_rate(&self) -> f64 {
         if self.accesses == 0 {
@@ -153,11 +148,6 @@ impl Hierarchy {
         }
     }
 
-    /// Total modeled memory-access cycles.
-    pub(crate) fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
     /// Average memory access time in cycles.
     pub fn amat(&self) -> f64 {
         if self.l1.accesses() == 0 {
@@ -208,7 +198,7 @@ mod tests {
             c.access(addr);
         }
         // 4096 bytes / 64-byte lines = 64 misses out of 512 accesses.
-        assert_eq!(c.misses(), 64);
+        assert_eq!(c.misses, 64);
         assert!((c.miss_rate() - 64.0 / 512.0).abs() < 1e-12);
     }
 
@@ -250,7 +240,7 @@ mod tests {
         let mut h = Hierarchy::typical();
         assert_eq!(h.access(0), ServedBy::Memory);
         assert_eq!(h.access(0), ServedBy::L1);
-        assert_eq!(h.cycles(), Hierarchy::MEM_CYCLES + Hierarchy::L1_CYCLES);
+        assert_eq!(h.cycles, Hierarchy::MEM_CYCLES + Hierarchy::L1_CYCLES);
         assert!(h.amat() > 0.0);
     }
 

@@ -211,16 +211,6 @@ impl FpgaDevice {
         }
         Ok(self.roles[slot].take())
     }
-
-    /// The deployed roles (by slot).
-    pub(crate) fn roles(&self) -> &[Option<Role>] {
-        &self.roles
-    }
-
-    /// Finds the slot running a role by name.
-    pub(crate) fn find_role(&self, name: &str) -> Option<usize> {
-        self.roles.iter().position(|r| r.as_ref().is_some_and(|role| role.name == name))
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +234,7 @@ mod tests {
         let s0 = d.deploy(small_role("gemm", 10_000)).unwrap();
         let s1 = d.deploy(small_role("aes", 5_000)).unwrap();
         assert_ne!(s0, s1);
-        assert_eq!(d.find_role("aes"), Some(s1));
+        assert_eq!(d.roles[s1].as_ref().map(|r| r.name.as_str()), Some("aes"));
         // Third role: no free slot.
         let err = d.deploy(small_role("extra", 1_000)).unwrap_err();
         assert!(err.to_string().contains("PR slots"));

@@ -17,13 +17,6 @@ pub enum NodeKind {
     Endpoint,
 }
 
-impl NodeKind {
-    /// `true` for cloud-tier nodes.
-    pub(crate) fn is_cloud(&self) -> bool {
-        matches!(self, NodeKind::CloudPower9 | NodeKind::CloudX86)
-    }
-}
-
 /// CPU capability model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSpec {
@@ -43,11 +36,6 @@ impl CpuSpec {
         CpuSpec { cores: 22, gflops_per_core: 12.0, power_w: 190.0, idle_power_w: 60.0 }
     }
 
-    /// x86 server part.
-    pub(crate) fn x86_server() -> CpuSpec {
-        CpuSpec { cores: 16, gflops_per_core: 10.0, power_w: 150.0, idle_power_w: 45.0 }
-    }
-
     /// ARM edge server.
     pub(crate) fn arm_edge() -> CpuSpec {
         CpuSpec { cores: 8, gflops_per_core: 4.0, power_w: 30.0, idle_power_w: 8.0 }
@@ -61,11 +49,6 @@ impl CpuSpec {
     /// Endpoint microcontroller-class device.
     pub(crate) fn endpoint() -> CpuSpec {
         CpuSpec { cores: 2, gflops_per_core: 0.2, power_w: 2.0, idle_power_w: 0.4 }
-    }
-
-    /// Total sustained GFLOP/s.
-    pub(crate) fn total_gflops(&self) -> f64 {
-        self.cores as f64 * self.gflops_per_core
     }
 
     /// Time in microseconds to execute `flops` floating-point operations on
@@ -109,16 +92,6 @@ impl Node {
         self.devices.push(device);
         self
     }
-
-    /// Finds a device by name.
-    pub(crate) fn device(&self, name: &str) -> Option<&FpgaDevice> {
-        self.devices.iter().find(|d| d.name == name)
-    }
-
-    /// Mutable device lookup.
-    pub(crate) fn device_mut(&mut self, name: &str) -> Option<&mut FpgaDevice> {
-        self.devices.iter_mut().find(|d| d.name == name)
-    }
 }
 
 #[cfg(test)]
@@ -145,17 +118,7 @@ mod tests {
     fn edge_cpus_are_slower_but_lower_power() {
         let p9 = CpuSpec::power9();
         let arm = CpuSpec::arm_edge();
-        assert!(p9.total_gflops() > arm.total_gflops());
+        assert!(p9.compute_us(1e9, p9.cores) < arm.compute_us(1e9, arm.cores));
         assert!(p9.power_w > arm.power_w);
-    }
-
-    #[test]
-    fn node_device_lookup() {
-        let node = Node::new("n", NodeKind::CloudPower9, CpuSpec::power9(), 1 << 36)
-            .with_device(FpgaDevice::bus_attached("f0"))
-            .with_device(FpgaDevice::network_attached("f1", true));
-        assert!(node.device("f0").is_some());
-        assert!(node.device("nope").is_none());
-        assert!(node.kind.is_cloud());
     }
 }

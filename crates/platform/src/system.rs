@@ -38,19 +38,9 @@ impl System {
         &self.nodes
     }
 
-    /// Mutable access to all nodes.
-    pub(crate) fn nodes_mut(&mut self) -> &mut [Node] {
-        &mut self.nodes
-    }
-
     /// Looks up a node by name.
     pub fn node_by_name(&self, name: &str) -> Option<&Node> {
         self.nodes.iter().find(|n| n.name == name)
-    }
-
-    /// Mutable node lookup.
-    pub(crate) fn node_by_name_mut(&mut self, name: &str) -> Option<&mut Node> {
-        self.nodes.iter_mut().find(|n| n.name == name)
     }
 
     /// The link between two nodes.
@@ -70,14 +60,6 @@ impl System {
             }
         }
         Err(PlatformError::NoRoute { from: from.to_owned(), to: to.to_owned() })
-    }
-
-    /// Every FPGA device in the system as `(node, device)` name pairs.
-    pub(crate) fn fpga_inventory(&self) -> Vec<(String, String)> {
-        self.nodes
-            .iter()
-            .flat_map(|n| n.devices.iter().map(move |d| (n.name.clone(), d.name.clone())))
-            .collect()
     }
 
     /// The stream budget a fusable edge must fit on *any* FPGA of this
@@ -145,7 +127,7 @@ mod tests {
         let rack = sys.node_by_name("cloudfpga-rack").unwrap();
         assert_eq!(rack.devices.len(), 4);
         assert!(rack.devices.iter().all(|d| d.attachment.is_disaggregated()));
-        assert_eq!(sys.fpga_inventory().len(), 7);
+        assert_eq!(sys.nodes().iter().map(|n| n.devices.len()).sum::<usize>(), 7);
     }
 
     #[test]
@@ -182,7 +164,7 @@ mod tests {
     #[test]
     fn custom_topologies_compose() {
         let mut sys = System::new();
-        sys.add_node(Node::new("a", NodeKind::CloudX86, CpuSpec::x86_server(), 1 << 30));
+        sys.add_node(Node::new("a", NodeKind::CloudX86, CpuSpec::power9(), 1 << 30));
         sys.add_node(Node::new("b", NodeKind::EdgeArm, CpuSpec::arm_edge(), 1 << 30));
         sys.connect("a", "b", Link::lan());
         assert_eq!(sys.nodes().len(), 2);

@@ -102,11 +102,6 @@ impl Autotuner {
         self
     }
 
-    /// The operating points.
-    pub(crate) fn points(&self) -> &[Variant] {
-        &self.points
-    }
-
     /// Feeds back an observed latency for point `id`, updating its
     /// correction factor.
     pub(crate) fn observe(&mut self, id: &str, observed_us: f64) {

@@ -108,22 +108,6 @@ impl OffloadManager {
         OffloadManager::new(chain, plan)
     }
 
-    /// Replaces the retry policy.
-    #[must_use]
-    pub(crate) fn with_retry(mut self, retry: RetryPolicy) -> OffloadManager {
-        self.retry = retry;
-        self
-    }
-
-    /// Replaces every breaker's thresholds (breakers reset to Closed).
-    #[must_use]
-    pub(crate) fn with_breaker(mut self, cfg: BreakerConfig) -> OffloadManager {
-        for rung in self.lanes.iter_mut().flat_map(|lane| &mut lane.rungs) {
-            rung.breaker = CircuitBreaker::new(cfg);
-        }
-        self
-    }
-
     /// Enables hardware-in-the-loop style pacing for batch folds: each
     /// lane replays its virtual clock at `scale` simulated microseconds
     /// per real microsecond, sleeping off the difference. Pacing never
@@ -141,13 +125,6 @@ impl OffloadManager {
         assert!(scale > 0.0 && scale.is_finite(), "pacing scale must be positive");
         self.pacing = Some(scale);
         self
-    }
-
-    /// The number of independent fold lanes (one per primary device;
-    /// a chain with no FPGA rungs collapses to one lane). Invocation
-    /// `task` folds on lane `task % lane_count()`.
-    pub(crate) fn lane_count(&self) -> usize {
-        self.lanes.len()
     }
 
     /// The fallback chain, in preference order.

@@ -1,5 +1,5 @@
-use super::*;
 use super::event::OffloadEvent;
+use super::*;
 use everest_platform::{LinkProfile, System};
 
 fn call(kernel: &str) -> OffloadCall {
@@ -36,9 +36,10 @@ fn healthy_plan_completes_on_first_rung_without_degradation() {
 #[test]
 fn meltdown_falls_back_to_cpu_and_reports_degraded() {
     let mut mgr = manager("meltdown", 7);
-    // One call per lane kills every FPGA in that lane on first
-    // contact; after a full round of the lanes all 7 are dead.
-    for _ in 0..mgr.lane_count() {
+    // One call per lane (one lane per FPGA) kills every FPGA in that
+    // lane on first contact; after a full round of the lanes all 7 are
+    // dead.
+    for _ in 0..7 {
         let outcome = mgr.execute(&call("fft")).unwrap();
         assert_eq!(outcome.class, TargetClass::HostCpu);
         assert!(outcome.degraded);

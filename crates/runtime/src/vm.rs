@@ -86,26 +86,13 @@ impl VfpgaManager {
     /// # Errors
     ///
     /// Returns [`RuntimeError::Unknown`] for a bogus handle.
-    pub(crate) fn release(&mut self, handle: &str) -> RuntimeResult<()> {
+    pub fn release(&mut self, handle: &str) -> RuntimeResult<()> {
         let grant =
             self.grants.remove(handle).ok_or_else(|| RuntimeError::Unknown(handle.to_owned()))?;
         self.devices[grant.device]
             .undeploy(grant.slot)
             .map_err(|e| RuntimeError::Allocation(e.to_string()))?;
         Ok(())
-    }
-
-    /// The physical `(device, slot)` backing a handle.
-    pub(crate) fn backing(&self, handle: &str) -> Option<(usize, usize)> {
-        self.grants.get(handle).map(|g| (g.device, g.slot))
-    }
-
-    /// Handles granted to a VM.
-    pub(crate) fn handles_of(&self, vm: &str) -> Vec<&str> {
-        let mut hs: Vec<&str> =
-            self.grants.iter().filter(|(_, g)| g.vm == vm).map(|(h, _)| h.as_str()).collect();
-        hs.sort_unstable();
-        hs
     }
 }
 
@@ -139,11 +126,6 @@ impl Hypervisor {
     /// Looks up a VM.
     pub fn vm(&self, name: &str) -> Option<&Vm> {
         self.vms.iter().find(|v| v.name == name)
-    }
-
-    /// All VMs.
-    pub(crate) fn vms(&self) -> &[Vm] {
-        &self.vms
     }
 
     /// Grants a vFPGA to a VM (deploys the role and records the handle).
@@ -189,9 +171,7 @@ mod tests {
         let mut h = hypervisor();
         h.create_vm("guest0", 4, "linux-ppc64le");
         let handle = h.attach_vfpga("guest0", "gemm", small_area(10_000)).unwrap();
-        assert!(h.vfpga.backing(&handle).is_some());
-        assert_eq!(h.vm("guest0").unwrap().vfpgas, vec![handle.clone()]);
-        assert_eq!(h.vfpga.handles_of("guest0"), vec![handle.as_str()]);
+        assert_eq!(h.vm("guest0").unwrap().vfpgas, vec![handle]);
     }
 
     #[test]

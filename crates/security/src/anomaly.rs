@@ -55,11 +55,6 @@ impl TimingMonitor {
         }
         anomalous
     }
-
-    /// Current latency estimate.
-    pub(crate) fn mean(&self) -> f64 {
-        self.mean
-    }
 }
 
 /// Access-pattern monitor: learns the stride histogram of addresses during
@@ -195,11 +190,6 @@ impl AutoProtect {
             ProtectAction::None
         }
     }
-
-    /// Total alarms recorded so far.
-    pub(crate) fn total_alarms(&self) -> usize {
-        self.timing_alarms + self.access_alarms + self.range_alarms
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +205,7 @@ mod tests {
             assert!(!m.observe(100.0 + jitter), "baseline flagged at iter {i}");
         }
         assert!(m.observe(500.0), "5x latency spike must alarm");
-        assert!((m.mean() - 100.0).abs() < 5.0, "spike must not poison the mean");
+        assert!((m.mean - 100.0).abs() < 5.0, "spike must not poison the mean");
     }
 
     #[test]
@@ -264,7 +254,7 @@ mod tests {
         assert_eq!(p.step(false, true, false), ProtectAction::SwitchHardenedVariant);
         // Combined signals isolate immediately.
         assert_eq!(p.step(true, false, true), ProtectAction::Isolate);
-        assert_eq!(p.total_alarms(), 4);
+        assert_eq!(p.timing_alarms + p.access_alarms + p.range_alarms, 4);
     }
 
     #[test]

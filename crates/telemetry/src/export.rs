@@ -71,36 +71,8 @@ impl TraceEvent {
         }
     }
 
-    /// A begin (`B`) event.
-    pub fn begin(name: &str, cat: &str, ts_us: u64, pid: u32, tid: u32) -> Self {
-        TraceEvent {
-            name: name.to_owned(),
-            cat: cat.to_owned(),
-            ph: Phase::Begin,
-            ts_us,
-            dur_us: None,
-            pid,
-            tid,
-            args: Vec::new(),
-        }
-    }
-
-    /// An end (`E`) event.
-    pub fn end(name: &str, cat: &str, ts_us: u64, pid: u32, tid: u32) -> Self {
-        TraceEvent {
-            name: name.to_owned(),
-            cat: cat.to_owned(),
-            ph: Phase::End,
-            ts_us,
-            dur_us: None,
-            pid,
-            tid,
-            args: Vec::new(),
-        }
-    }
-
     /// Adds an `args` entry, builder style.
-    pub fn with_arg(mut self, key: &str, value: impl std::fmt::Display) -> Self {
+    pub(crate) fn with_arg(mut self, key: &str, value: impl std::fmt::Display) -> Self {
         self.args.push((key.to_owned(), value.to_string()));
         self
     }
@@ -135,10 +107,6 @@ impl TraceEvent {
 
 /// Pid lane used for compiler-side spans.
 pub(crate) const COMPILER_PID: u32 = 1;
-
-/// Pid lane used for simulated workflow timelines (keeps the Gantt chart
-/// separate from compiler spans in the viewer).
-pub const WORKFLOW_PID: u32 = 2;
 
 /// Converts finished spans into complete (`X`) trace events, carrying
 /// span id / parent id and every attribute in `args`.
@@ -288,10 +256,17 @@ mod tests {
 
     #[test]
     fn begin_end_events_serialize_with_phase_codes() {
-        let events = vec![
-            TraceEvent::begin("task", "workflow", 5, 2, 3),
-            TraceEvent::end("task", "workflow", 9, 2, 3),
-        ];
+        let event = |ph, ts_us| TraceEvent {
+            name: "task".to_owned(),
+            cat: "workflow".to_owned(),
+            ph,
+            ts_us,
+            dur_us: None,
+            pid: 2,
+            tid: 3,
+            args: Vec::new(),
+        };
+        let events = vec![event(Phase::Begin, 5), event(Phase::End, 9)];
         let json = chrome_trace_json(&events);
         let Value::Array(values) = serde_json::from_str(&json).unwrap() else {
             panic!("expected array")

@@ -254,11 +254,6 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    /// 90th-percentile estimate.
-    pub(crate) fn p90(&self) -> f64 {
-        self.quantile(0.90)
-    }
-
     /// 95th-percentile estimate.
     pub fn p95(&self) -> f64 {
         self.quantile(0.95)
@@ -267,11 +262,6 @@ impl HistogramSnapshot {
     /// 99th-percentile estimate.
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
-    }
-
-    /// 99.9th-percentile estimate.
-    pub(crate) fn p999(&self) -> f64 {
-        self.quantile(0.999)
     }
 
     /// Folds another snapshot into this one (sparse bucket-list merge).

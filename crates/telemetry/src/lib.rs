@@ -46,7 +46,6 @@ pub mod openmetrics;
 pub mod recorder;
 pub(crate) mod trace;
 
-pub use export::TraceEvent;
 pub use histogram::{HistogramSnapshot, LogHistogram};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use recorder::{EventKind, FlightRecorder, DEFAULT_RING_CAPACITY};
@@ -75,11 +74,6 @@ pub fn install_global(tracer: Tracer) {
     // stored below (or a later one).
     RECORDING.store(tracer.is_enabled(), Ordering::Release);
     *global = tracer;
-}
-
-/// A handle to the current global tracer.
-pub(crate) fn global() -> Tracer {
-    GLOBAL.read().clone()
 }
 
 /// Swaps the global tracer back to disabled and returns the old one, so

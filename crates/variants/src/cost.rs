@@ -42,7 +42,8 @@ const NET_BW_GBPS: f64 = 1.2;
 /// # Errors
 ///
 /// Propagates [`HlsError`] from hardware synthesis.
-pub(crate) fn evaluate_knob(
+#[cfg(test)]
+fn evaluate_knob(
     func: &Func,
     workload: &KernelWorkload,
     knob: &KnobVector,

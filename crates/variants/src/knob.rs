@@ -2,7 +2,7 @@
 //!
 //! Historically a design point crossed crate boundaries as an ad-hoc
 //! `Vec<Transform>` and every consumer re-derived the knobs it cared
-//! about through [`SpecExt`] defaults. That worked until three consumers
+//! about from that list with its own defaults. That worked until three consumers
 //! had to agree exactly: enumeration ([`DesignSpace::enumerate_knobs`]),
 //! synthesis memoization ([`everest_hls::cache::ConfigKey`] via
 //! [`KnobVector::hls_config`]) and the dataset's feature encoder
@@ -12,7 +12,6 @@
 //! enumerator produced.
 //!
 //! [`DesignSpace::enumerate_knobs`]: crate::space::DesignSpace::enumerate_knobs
-//! [`SpecExt`]: crate::transform::SpecExt
 
 use crate::analysis::KernelWorkload;
 use crate::transform::{Layout, Target, Transform};
@@ -99,8 +98,8 @@ impl KnobVector {
     /// synthesizer actually exploits (`min(pe, banks × ports_per_bank)`)
     /// — the interaction latency and area follow, surfaced as its own
     /// column so a consumer of the table does not have to learn the clamp.
-    pub(crate) fn to_features(&self) -> [f64; 10] {
-        match *self {
+    pub(crate) fn to_features(self) -> [f64; 10] {
+        match self {
             KnobVector::Software { threads, layout, tile } => [
                 0.0,
                 0.0,
@@ -136,8 +135,8 @@ impl KnobVector {
     /// records, HLS lowering, the runtime's variant metadata) consumes.
     /// The element order is part of the serialized [`crate::Variant`]
     /// schema.
-    pub(crate) fn to_transforms(&self) -> Vec<Transform> {
-        match *self {
+    pub(crate) fn to_transforms(self) -> Vec<Transform> {
+        match self {
             KnobVector::Software { threads, layout, tile } => {
                 let mut spec = vec![
                     Transform::OnTarget(Target::Cpu),
@@ -238,43 +237,50 @@ impl Deserialize for KnobVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::SpecExt;
     use everest_hls::cache::ConfigKey;
 
     #[test]
     fn transform_round_trip_is_identity() {
-        // Every typed knob must survive the lowering: what the `SpecExt`
-        // readers (variant records, the runtime) recover from the
-        // transform list is what the enumerator put in.
-        let points = [
-            KnobVector::Software { threads: 4, layout: Layout::Soa, tile: Some(32) },
-            KnobVector::Software { threads: 1, layout: Layout::Aos, tile: None },
-            KnobVector::Hardware {
-                target: Target::FpgaNetwork,
-                banks: 16,
-                pe: 32,
-                pipeline: false,
-                dift: true,
-            },
-        ];
-        for knob in points {
-            let spec = knob.to_transforms();
-            let back = match knob {
-                KnobVector::Software { .. } => KnobVector::Software {
-                    threads: spec.threads(),
-                    layout: spec.layout(),
-                    tile: spec.tile(),
-                },
-                KnobVector::Hardware { .. } => KnobVector::Hardware {
-                    target: spec.target(),
-                    banks: spec.banks(),
-                    pe: spec.pe(),
-                    pipeline: spec.pipelined(),
-                    dift: spec.dift(),
-                },
-            };
-            assert_eq!(back, knob);
-            assert_eq!(spec.target(), knob.target());
+        // Every typed knob must survive the lowering: the transform list
+        // the variant records carry names each knob the enumerator put in.
+        let sw = KnobVector::Software { threads: 4, layout: Layout::Soa, tile: Some(32) };
+        assert_eq!(
+            sw.to_transforms(),
+            [
+                Transform::OnTarget(Target::Cpu),
+                Transform::Threads(4),
+                Transform::DataLayout(Layout::Soa),
+                Transform::Tile(32),
+            ]
+        );
+        let untiled = KnobVector::Software { threads: 1, layout: Layout::Aos, tile: None };
+        assert_eq!(
+            untiled.to_transforms(),
+            [
+                Transform::OnTarget(Target::Cpu),
+                Transform::Threads(1),
+                Transform::DataLayout(Layout::Aos),
+            ]
+        );
+        let hw = KnobVector::Hardware {
+            target: Target::FpgaNetwork,
+            banks: 16,
+            pe: 32,
+            pipeline: false,
+            dift: true,
+        };
+        assert_eq!(
+            hw.to_transforms(),
+            [
+                Transform::OnTarget(Target::FpgaNetwork),
+                Transform::Banks(16),
+                Transform::Pe(32),
+                Transform::Pipeline(false),
+                Transform::Dift(true),
+            ]
+        );
+        for knob in [sw, untiled, hw] {
+            assert_eq!(crate::transform::target_of(&knob.to_transforms()), knob.target());
         }
     }
 

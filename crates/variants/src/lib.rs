@@ -56,16 +56,6 @@ pub use variant::{Metrics, Variant};
 use everest_hls::cache::{self, SynthCache};
 use everest_ir::Func;
 
-/// Generates the full variant set for a kernel over a design space using
-/// the sequential reference evaluator (`jobs = 1`).
-///
-/// # Errors
-///
-/// Returns [`VariantError`] for a malformed space or an HLS failure.
-pub(crate) fn generate(func: &Func, space: &space::DesignSpace) -> VariantResult<Vec<Variant>> {
-    generate_jobs(func, space, 1)
-}
-
 /// Generates the variant set for one kernel with `jobs` workers.
 ///
 /// See [`generate_all`] for the `jobs` semantics.

@@ -175,11 +175,6 @@ pub fn fastest(variants: &[Variant]) -> Option<&Variant> {
     variants.iter().min_by(|a, b| a.metrics.total_us().total_cmp(&b.metrics.total_us()))
 }
 
-/// The variant with the lowest energy.
-pub(crate) fn most_efficient(variants: &[Variant]) -> Option<&Variant> {
-    variants.iter().min_by(|a, b| a.metrics.energy_mj.total_cmp(&b.metrics.energy_mj))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,7 +267,6 @@ mod tests {
     fn extreme_selectors() {
         let variants = vec![v("fast", 1.0, 10.0, 0), v("eff", 10.0, 1.0, 0)];
         assert_eq!(fastest(&variants).unwrap().id, "fast");
-        assert_eq!(most_efficient(&variants).unwrap().id, "eff");
         assert!(fastest(&[]).is_none());
     }
 }

@@ -55,18 +55,6 @@ impl DesignSpace {
         }
     }
 
-    /// A software-only space (for hosts without FPGAs).
-    pub(crate) fn software_only() -> DesignSpace {
-        DesignSpace {
-            hw_targets: Vec::new(),
-            banks: Vec::new(),
-            pes: Vec::new(),
-            pipeline: Vec::new(),
-            dift: Vec::new(),
-            ..DesignSpace::default()
-        }
-    }
-
     /// Checks the space describes at least one design point, that no
     /// knob dimension silently zeroes out a cross product, and that no
     /// knob repeats a value.
@@ -198,9 +186,21 @@ mod tests {
         assert_eq!(s.enumerate_knobs().len(), 3);
     }
 
+    /// A space with every hardware knob group empty (a host without FPGAs).
+    fn software_only() -> DesignSpace {
+        DesignSpace {
+            hw_targets: Vec::new(),
+            banks: Vec::new(),
+            pes: Vec::new(),
+            pipeline: Vec::new(),
+            dift: Vec::new(),
+            ..DesignSpace::default()
+        }
+    }
+
     #[test]
     fn software_only_space_has_no_fpga_points() {
-        let s = DesignSpace::software_only();
+        let s = software_only();
         assert!(s.enumerate_knobs().iter().all(|knob| !knob.is_hardware()));
     }
 
@@ -208,7 +208,7 @@ mod tests {
     fn validate_accepts_the_stock_spaces() {
         assert!(DesignSpace::default().validate().is_ok());
         assert!(DesignSpace::small().validate().is_ok());
-        assert!(DesignSpace::software_only().validate().is_ok());
+        assert!(software_only().validate().is_ok());
     }
 
     #[test]

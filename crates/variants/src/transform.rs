@@ -62,97 +62,15 @@ pub enum Transform {
     Pe(usize),
 }
 
-/// A variant specification: an ordered list of transforms. Helper
-/// accessors pull out individual knobs with defaults.
-pub(crate) trait SpecExt {
-    /// The execution target (default CPU).
-    fn target(&self) -> Target;
-    /// Software threads (default 1).
-    fn threads(&self) -> u32;
-    /// Layout (default AoS).
-    fn layout(&self) -> Layout;
-    /// Tile size (None = untiled).
-    fn tile(&self) -> Option<usize>;
-    /// Banks (default 2).
-    fn banks(&self) -> usize;
-    /// Pipelining (default true).
-    fn pipelined(&self) -> bool;
-    /// DIFT hardening (default false).
-    fn dift(&self) -> bool;
-    /// Processing elements (default 8).
-    fn pe(&self) -> usize;
-}
-
-impl SpecExt for [Transform] {
-    fn target(&self) -> Target {
-        self.iter()
-            .find_map(|t| match t {
-                Transform::OnTarget(tg) => Some(*tg),
-                _ => None,
-            })
-            .unwrap_or(Target::Cpu)
-    }
-
-    fn threads(&self) -> u32 {
-        self.iter()
-            .find_map(|t| match t {
-                Transform::Threads(n) => Some(*n),
-                _ => None,
-            })
-            .unwrap_or(1)
-    }
-
-    fn layout(&self) -> Layout {
-        self.iter()
-            .find_map(|t| match t {
-                Transform::DataLayout(l) => Some(*l),
-                _ => None,
-            })
-            .unwrap_or(Layout::Aos)
-    }
-
-    fn tile(&self) -> Option<usize> {
-        self.iter().find_map(|t| match t {
-            Transform::Tile(s) => Some(*s),
+/// The execution target a variant specification (an ordered list of
+/// transforms) names; CPU when it names none.
+pub(crate) fn target_of(spec: &[Transform]) -> Target {
+    spec.iter()
+        .find_map(|t| match t {
+            Transform::OnTarget(tg) => Some(*tg),
             _ => None,
         })
-    }
-
-    fn banks(&self) -> usize {
-        self.iter()
-            .find_map(|t| match t {
-                Transform::Banks(b) => Some(*b),
-                _ => None,
-            })
-            .unwrap_or(2)
-    }
-
-    fn pipelined(&self) -> bool {
-        self.iter()
-            .find_map(|t| match t {
-                Transform::Pipeline(p) => Some(*p),
-                _ => None,
-            })
-            .unwrap_or(true)
-    }
-
-    fn dift(&self) -> bool {
-        self.iter()
-            .find_map(|t| match t {
-                Transform::Dift(d) => Some(*d),
-                _ => None,
-            })
-            .unwrap_or(false)
-    }
-
-    fn pe(&self) -> usize {
-        self.iter()
-            .find_map(|t| match t {
-                Transform::Pe(n) => Some(*n),
-                _ => None,
-            })
-            .unwrap_or(8)
-    }
+        .unwrap_or(Target::Cpu)
 }
 
 #[cfg(test)]
@@ -161,15 +79,8 @@ mod tests {
 
     #[test]
     fn spec_accessors_with_defaults() {
-        let spec: Vec<Transform> = vec![];
-        assert_eq!(spec.target(), Target::Cpu);
-        assert_eq!(spec.threads(), 1);
-        assert_eq!(spec.layout(), Layout::Aos);
-        assert_eq!(spec.tile(), None);
-        assert_eq!(spec.banks(), 2);
-        assert!(spec.pipelined());
-        assert!(!spec.dift());
-        assert_eq!(spec.pe(), 8);
+        assert_eq!(target_of(&[]), Target::Cpu);
+        assert_eq!(target_of(&[Transform::Threads(4), Transform::Tile(32)]), Target::Cpu);
     }
 
     #[test]
@@ -184,15 +95,8 @@ mod tests {
             Transform::DataLayout(Layout::Soa),
             Transform::Pe(16),
         ];
-        assert_eq!(spec.target(), Target::FpgaBus);
-        assert!(spec.target().is_fpga());
-        assert_eq!(spec.banks(), 8);
-        assert!(!spec.pipelined());
-        assert!(spec.dift());
-        assert_eq!(spec.threads(), 4);
-        assert_eq!(spec.tile(), Some(32));
-        assert_eq!(spec.layout(), Layout::Soa);
-        assert_eq!(spec.pe(), 16);
+        assert_eq!(target_of(&spec), Target::FpgaBus);
+        assert!(target_of(&spec).is_fpga());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! be provided to the runtime system to support dynamic selection"
 //! (paper III-B).
 
-use crate::transform::{SpecExt, Target, Transform};
+use crate::transform::{target_of, Target, Transform};
 use serde::{Deserialize, Serialize};
 
 /// Predicted metrics of one variant.
@@ -44,7 +44,7 @@ pub struct Variant {
 impl Variant {
     /// Execution target of this variant.
     pub fn target(&self) -> Target {
-        self.transforms.target()
+        target_of(&self.transforms)
     }
 
     /// `true` for FPGA variants.

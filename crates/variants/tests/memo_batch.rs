@@ -1,8 +1,9 @@
 //! The batch evaluator against its references, on a memo the test owns:
 //! the memoized engine equals the memo-free `jobs = 1` engine from any
-//! memo state, it counts exactly the lookups it makes, a failing point
-//! fails the same way and is not remembered, and a memo hit allocates
-//! nothing — the pin that fails if naming a point per point comes back.
+//! memo state, it counts exactly the lookups it makes and times its
+//! probes, a failing point fails the same way and is not remembered, and
+//! a memo hit allocates nothing — the pin that fails if naming a point
+//! per point comes back.
 
 use everest_alloc_counter::{measure, CountingAllocator};
 use everest_hls::cache::{func_fingerprint, ConfigKey, SynthCache};
@@ -151,6 +152,24 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn a_memoized_batch_times_its_probes() {
+    let pool = kernel_pool();
+    let funcs: Vec<&Func> = pool.iter().take(2).collect();
+    let space = space(vec![Target::FpgaBus], vec![4], vec![8]);
+    // The registry is process-global and other tests run in parallel, so
+    // assert growth rather than an exact count.
+    let timed = || {
+        everest_telemetry::metrics()
+            .snapshot()
+            .histogram("dse.hls.cache.hit_us")
+            .map_or(0, |h| h.count)
+    };
+    let before = timed();
+    generate_all_in(&SynthCache::new(), &funcs, &space, 2).expect("memoized run succeeds");
+    assert!(timed() > before, "a memoized batch records its probe time");
 }
 
 #[test]

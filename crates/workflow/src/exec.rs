@@ -30,14 +30,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Parallel speedup versus serial execution on a speed-1 worker.
-    pub(crate) fn speedup(&self, graph: &TaskGraph) -> f64 {
-        if self.makespan_us <= 0.0 {
-            return 1.0;
-        }
-        graph.total_work_us() / self.makespan_us
-    }
-
     /// Mean worker utilization (busy / makespan).
     pub fn mean_utilization(&self) -> f64 {
         if self.makespan_us <= 0.0 || self.worker_busy_us.is_empty() {
@@ -50,64 +42,6 @@ impl RunReport {
     /// Tasks assigned to worker `w`.
     pub fn tasks_on(&self, w: usize) -> Vec<TaskId> {
         self.assignment.iter().enumerate().filter(|(_, a)| **a == w).map(|(t, _)| t).collect()
-    }
-
-    /// Partitions all tasks by worker in one pass over the assignment
-    /// vector: `partition[w]` lists the tasks worker `w` ran. Tasks
-    /// assigned beyond `workers` are skipped, mirroring [`Self::tasks_on`]
-    /// returning an empty list for an out-of-range worker.
-    pub(crate) fn worker_partition(&self, workers: usize) -> Vec<Vec<TaskId>> {
-        let mut partition = vec![Vec::new(); workers];
-        for (task, &w) in self.assignment.iter().enumerate() {
-            if let Some(lane) = partition.get_mut(w) {
-                lane.push(task);
-            }
-        }
-        partition
-    }
-
-    /// Converts the timeline into Chrome trace events: exactly one `B`/`E`
-    /// pair per task, on the tid of the worker that ran it, so a scheduled
-    /// run renders as a per-worker Gantt chart in `chrome://tracing`.
-    ///
-    /// Emission walks a [`Self::worker_partition`] built in one pass —
-    /// not one assignment scan per worker — with each lane's tasks sorted
-    /// by start time. Because tasks on one worker never overlap, pushing
-    /// each task's `E` before the next task's `B` already yields the
-    /// per-lane timestamp order Chrome requires (end before begin on
-    /// ties), so no global sort is needed.
-    pub(crate) fn trace_events(&self, graph: &TaskGraph) -> Vec<everest_telemetry::TraceEvent> {
-        let workers =
-            self.worker_busy_us.len().max(self.assignment.iter().map(|w| w + 1).max().unwrap_or(0));
-        let mut partition = self.worker_partition(workers);
-        let mut events = Vec::with_capacity(self.assignment.len() * 2);
-        for (worker, lane) in partition.iter_mut().enumerate() {
-            lane.sort_by(|a, b| self.start[*a].total_cmp(&self.start[*b]));
-            let tid = worker as u32;
-            for &task in lane.iter() {
-                let name = graph.tasks().get(task).map(|t| t.name.as_str()).unwrap_or("task");
-                events.push(
-                    everest_telemetry::TraceEvent::begin(
-                        name,
-                        "workflow",
-                        self.start[task] as u64,
-                        everest_telemetry::export::WORKFLOW_PID,
-                        tid,
-                    )
-                    .with_arg("task", task)
-                    .with_arg("worker", worker)
-                    .with_arg("policy", self.policy),
-                );
-                events.push(everest_telemetry::TraceEvent::end(
-                    name,
-                    "workflow",
-                    self.finish[task] as u64,
-                    everest_telemetry::export::WORKFLOW_PID,
-                    tid,
-                ));
-            }
-        }
-        events
     }
 }
 
@@ -208,7 +142,7 @@ mod tests {
         let one = simulate(&g, &Worker::uniform_pool(1, 1.0), Policy::Heft).unwrap();
         let eight = simulate(&g, &Worker::uniform_pool(8, 1.0), Policy::Heft).unwrap();
         assert!(eight.makespan_us < one.makespan_us / 4.0);
-        assert!(eight.speedup(&g) > 4.0);
+        assert!(g.total_work_us() / eight.makespan_us > 4.0);
     }
 
     #[test]
@@ -272,8 +206,6 @@ mod tests {
             excluded_workers: vec![],
             degraded: false,
         };
-        let g = TaskGraph::wide(2, 10.0, 0);
-        assert_eq!(report.speedup(&g), 1.0);
         assert_eq!(report.mean_utilization(), 0.0);
         assert!(report.tasks_on(0).is_empty());
     }
@@ -353,66 +285,6 @@ mod tests {
         assert!(seen.iter().all(|s| *s));
         // Out-of-range worker indices are empty, not a panic.
         assert!(run.tasks_on(workers.len()).is_empty());
-    }
-
-    #[test]
-    fn worker_partition_matches_tasks_on() {
-        let g = TaskGraph::random(17, 6, 9, 350.0);
-        let workers = Worker::uniform_pool(4, 1.0);
-        let run = simulate(&g, &workers, Policy::Heft).unwrap();
-        let partition = run.worker_partition(workers.len());
-        assert_eq!(partition.len(), workers.len());
-        for (w, lane) in partition.iter().enumerate() {
-            assert_eq!(lane, &run.tasks_on(w));
-        }
-        assert_eq!(partition.iter().map(Vec::len).sum::<usize>(), g.len());
-        // Asking for fewer lanes than workers drops the out-of-range tasks
-        // rather than panicking, like `tasks_on` with an out-of-range index.
-        let truncated = run.worker_partition(1);
-        assert_eq!(truncated.len(), 1);
-        assert_eq!(truncated[0], run.tasks_on(0));
-    }
-
-    #[test]
-    fn trace_events_emit_one_begin_end_pair_per_task_on_its_worker_tid() {
-        use everest_telemetry::export::{Phase, WORKFLOW_PID};
-        let g = TaskGraph::random(11, 6, 8, 400.0);
-        let workers = Worker::uniform_pool(3, 1.0);
-        let run = simulate(&g, &workers, Policy::Heft).unwrap();
-        let events = run.trace_events(&g);
-        assert_eq!(events.len(), 2 * g.len());
-        for (task, spec) in g.tasks().iter().enumerate() {
-            let task_begins: Vec<_> = events
-                .iter()
-                .filter(|e| {
-                    e.ph == Phase::Begin && e.args.contains(&("task".to_owned(), task.to_string()))
-                })
-                .collect();
-            assert_eq!(task_begins.len(), 1, "task {task} must have exactly one B event");
-            let begin = task_begins[0];
-            assert_eq!(begin.name, spec.name);
-            assert_eq!(begin.tid, run.assignment[task] as u32, "task {task} on wrong tid");
-            assert_eq!(begin.pid, WORKFLOW_PID);
-            assert_eq!(begin.ts_us, run.start[task] as u64);
-        }
-        // Globally: one E per B, and per tid the lane is well-nested
-        // (non-overlapping tasks ⇒ depth alternates 0→1→0).
-        let begins = events.iter().filter(|e| e.ph == Phase::Begin).count();
-        let ends = events.iter().filter(|e| e.ph == Phase::End).count();
-        assert_eq!(begins, g.len());
-        assert_eq!(ends, g.len());
-        for w in 0..workers.len() {
-            let mut depth = 0i32;
-            for e in events.iter().filter(|e| e.tid == w as u32) {
-                match e.ph {
-                    Phase::Begin => depth += 1,
-                    Phase::End => depth -= 1,
-                    _ => {}
-                }
-                assert!((0..=1).contains(&depth), "lane {w} is not well-nested");
-            }
-            assert_eq!(depth, 0);
-        }
     }
 
     #[test]

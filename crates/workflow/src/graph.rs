@@ -67,7 +67,7 @@ impl TaskGraph {
     /// Returns [`WorkflowError::UnknownTask`] for a forward/missing
     /// dependency and [`WorkflowError::InvalidCost`] for a cost that is
     /// negative or not finite.
-    pub(crate) fn try_add_task(
+    pub fn try_add_task(
         &mut self,
         name: impl Into<String>,
         cost_us: f64,
@@ -101,7 +101,7 @@ impl TaskGraph {
     }
 
     /// `true` when the graph has no tasks.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
     }
 

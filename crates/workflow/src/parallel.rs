@@ -52,16 +52,6 @@ impl<T: Send + Sync + 'static> ParallelGraph<T> {
         ParallelGraph::default()
     }
 
-    /// Number of tasks.
-    pub(crate) fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// `true` when no tasks were added.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
     /// Adds a task computing from its dependencies' outputs.
     ///
     /// # Panics

@@ -19,6 +19,7 @@ pub struct TaskAccess {
     pub writes: BTreeSet<String>,
 }
 
+#[cfg(test)]
 impl TaskAccess {
     /// Builds an access record from slices of dataset names.
     pub(crate) fn new(task: impl Into<String>, reads: &[&str], writes: &[&str]) -> TaskAccess {
