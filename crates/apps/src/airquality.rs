@@ -146,7 +146,7 @@ impl PlumeModel {
     }
 
     /// Scalar reference for the concentration grid: sums
-    /// [`PlumeModel::stack_concentration`] (libm `exp`) per receptor.
+    /// `PlumeModel::stack_concentration` (libm `exp`) per receptor.
     /// The vectorized [`PlumeModel::concentration_grid`] is parity-tested
     /// against this at 1e-6.
     pub fn concentration_grid_scalar(&self, met: &Meteo) -> Grid2d {

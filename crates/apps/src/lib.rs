@@ -19,9 +19,9 @@
 //!   sampling, and a macroscopic traffic simulator with O/D demand;
 //! * [`micro`] — the microscopic half of VI-C: the Intelligent Driver
 //!   Model on a ring road and its fundamental diagram;
-//! * [`mlp`] — a small from-scratch neural network shared by the use
+//! * `mlp` — a small from-scratch neural network shared by the use
 //!   cases;
-//! * [`synthetic`] — seeded smooth-field and time-series generators.
+//! * `synthetic` — seeded smooth-field and time-series generators.
 
 // Index arithmetic over flat buffers (strided weights, grids) reads better
 // as explicit loops than as iterator chains here.
@@ -30,6 +30,6 @@
 pub mod airquality;
 pub mod micro;
 pub(crate) mod mlp;
-pub(crate) mod synthetic;
+pub mod synthetic;
 pub mod traffic;
 pub mod weather;

@@ -75,7 +75,7 @@ impl HashRing {
         HashRing { points, first, shift }
     }
 
-    /// The shard owning `key_hash` (e.g. a [`CacheKey::route_hash`](super::lru::CacheKey::route_hash)).
+    /// The shard owning `key_hash` (e.g. a cache key's route hash).
     pub fn shard_of(&self, key_hash: u64) -> usize {
         self.owner(mix(key_hash))
     }

@@ -8,7 +8,7 @@
 //! **cloud tier** backs every shard with a larger cache plus the
 //! Monte-Carlo recompute path. The pieces:
 //!
-//! * [`HashRing`] — consistent-hash routing of [`CacheKey`] route
+//! * [`HashRing`] — consistent-hash routing of `CacheKey` route
 //!   hashes to shards, with virtual nodes so adding or removing a shard
 //!   moves only ~1/N of the key space (and *every* moved key lands on
 //!   the changed shard — the segment-claiming property the proptest
@@ -42,7 +42,7 @@
 //! into one chunk of consecutive arrivals a worker (`serve.admit` on the
 //! same pool; inline at `jobs = 1`): a worker checks its chunk's time
 //! order (against the last arrival of the chunk before it, too), writes
-//! each arrival's [`CacheKey`] into its own slice of one key table, and
+//! each arrival's `CacheKey` into its own slice of one key table, and
 //! returns per shard the indices of the chunk's arrivals the ring routes
 //! there. Then each *shard* (`serve.shard`) walks its lists chunk by
 //! chunk. Indices ascend within a list and every index of a chunk is
@@ -221,7 +221,7 @@ impl LoadGen {
     /// # Panics
     ///
     /// Panics when the network yields no route of at least
-    /// [`MIN_ROUTE_EDGES`] edges.
+    /// `MIN_ROUTE_EDGES` edges.
     pub fn new(
         network: &RoadNetwork,
         profiles: &SpeedProfiles,

@@ -457,7 +457,7 @@ pub struct RouteQuery {
     /// Edge indices from origin to destination.
     pub route: Vec<usize>,
     /// Departure time, hours since midnight. Quantized to
-    /// [`DEPARTURE_BINS_PER_HOUR`] bins for caching and seeding, so two
+    /// `DEPARTURE_BINS_PER_HOUR` bins for caching and seeding, so two
     /// departures inside the same 15-minute bin return the same answer.
     pub depart_hour: f64,
     /// Monte-Carlo samples to draw.

@@ -45,7 +45,7 @@ pub(crate) mod sdk;
 pub use bridge::task_graph_from_workflow;
 pub use error::{SdkError, SdkResult};
 pub use fuse::{kernel_index, render_plan_text, unresolved_diags};
-pub use sdk::{Compiled, CompiledKernel, Sdk};
+pub use sdk::{Compiled, CompiledKernel, Deployment, ExploreReport, Sdk, SdkBuilder};
 
 // The shared diagnostic vocabulary of `everestc check`.
 pub use everest_ir::{Diagnostic, Severity};

@@ -188,7 +188,7 @@ pub struct Sdk {
     /// either way.
     pub jobs: usize,
     /// The armed fault-injection plan, if any (see
-    /// [`SdkBuilder::fault_plan`]).
+    /// `SdkBuilder::fault_plan`).
     pub fault_plan: Option<FaultPlan>,
 }
 

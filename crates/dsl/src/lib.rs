@@ -28,8 +28,8 @@
 //! module.verify().unwrap();
 //! ```
 
-pub(crate) mod ast;
-pub(crate) mod error;
+pub mod ast;
+pub mod error;
 pub(crate) mod lexer;
 pub mod lower;
 pub mod parser;

@@ -1,6 +1,6 @@
 //! Shape/type checking for the tensor-expression DSL.
 //!
-//! The checker infers a [`TensorTy`] for every expression and rejects
+//! The checker infers a `TensorTy` for every expression and rejects
 //! programs with incompatible shapes, unknown variables or malformed
 //! intrinsic calls — before any IR is built, so lowering never panics.
 

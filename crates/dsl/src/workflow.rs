@@ -164,7 +164,7 @@ impl WorkflowSpec {
     /// # Errors
     ///
     /// Returns a [`DslError`] if the spec is inconsistent (see
-    /// [`WorkflowSpec::validate`]).
+    /// `WorkflowSpec::validate`).
     pub fn to_ir(&self) -> DslResult<Module> {
         let mut span = everest_telemetry::span("dsl.workflow.lower", "dsl");
         span.attr("steps", self.steps.len());

@@ -9,12 +9,12 @@
 //! 2. [`cdfg`] builds a control/data-flow graph per loop body, including
 //!    memory-ordering edges;
 //! 3. [`schedule`] runs ASAP/ALAP and resource-constrained list scheduling
-//!    against the operator library in [`oplib`];
+//!    against the operator library in `oplib`;
 //! 4. [`binding`] allocates and binds functional units and estimates
 //!    registers;
 //! 5. [`memory`] partitions array buffers across BRAM banks (block/cyclic)
 //!    and analyses port conflicts;
-//! 6. [`pipeline`] computes initiation intervals for pipelined loops;
+//! 6. `pipeline` computes initiation intervals for pipelined loops;
 //! 7. [`dift`] adds TaintHLS-style dynamic information-flow tracking and
 //!    reports its area/latency overhead;
 //! 8. [`rtl`] emits a Verilog-subset FSMD description;

@@ -35,8 +35,8 @@ impl fmt::Display for Severity {
 pub struct Diagnostic {
     /// Severity class.
     pub severity: Severity,
-    /// Stable lint code (e.g. `"dead-store"`, `"taint-flow"`); see
-    /// [`crate::lints::LINT_CODES`] for the registry.
+    /// Stable lint code (e.g. `"dead-store"`, `"taint-flow"`): one of the
+    /// `LINT_*` constants of [`crate::lints`].
     pub code: &'static str,
     /// Enclosing function or workflow name (without the `@`).
     pub func: String,

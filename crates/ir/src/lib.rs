@@ -10,7 +10,7 @@
 //! The design intentionally mirrors MLIR's concepts at a smaller scale:
 //!
 //! * a [`Module`] holds a list of [`Func`]s;
-//! * a [`Func`] owns a [`Region`] of [`Block`]s, each block holding a list of
+//! * a [`Func`] owns a `Region` of [`Block`]s, each block holding a list of
 //!   [`Op`]s in program order;
 //! * every [`Op`] is a generic record — `name`, operands, results,
 //!   attributes, nested regions — whose structural constraints are supplied
@@ -66,7 +66,7 @@ pub use dataflow::{analyze, analyze_ordered, Analysis, Direction, Interval, Latt
 pub use diag::{render_json, render_text, Diagnostic, Severity};
 pub use error::IrError;
 pub use footprint::fn_footprint;
-pub use ir::{Block, BlockId, Func, Module, Op, Value};
+pub use ir::{Block, BlockId, Func, Module, Op, Region, Value};
 pub use lints::{check_func, check_module};
 pub use parse::parse_module;
 pub use types::Type;

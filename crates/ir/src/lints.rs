@@ -1,4 +1,4 @@
-//! Static analyses and lints built on the [`crate::dataflow`] engine.
+//! Static analyses and lints built on the `crate::dataflow` engine.
 //!
 //! Three IR-level analyses run over every function:
 //!

@@ -1,8 +1,8 @@
 //! Canonical textual form of the IR.
 //!
 //! The printer renumbers SSA values in print order, so the output of
-//! [`print_module`] is a fixed point: parsing it back and printing again
-//! yields byte-identical text. Grammar sketch (see [`crate::parse`] for the
+//! `print_module` is a fixed point: parsing it back and printing again
+//! yields byte-identical text. Grammar sketch (see `crate::parse` for the
 //! reader):
 //!
 //! ```text

@@ -6,12 +6,12 @@
 //! platform) plus ARM/RISC-V edge nodes and end-point devices. Since this
 //! reproduction has no physical FPGAs, this crate models that hardware:
 //!
-//! * [`node`] / [`fpga`] — nodes, CPUs and FPGA devices with fabric
+//! * `node` / [`fpga`] — nodes, CPUs and FPGA devices with fabric
 //!   capacity, clocking, attachment type and shell/role split with partial
 //!   reconfiguration (cloudFPGA);
-//! * [`link`] — interconnect models (OpenCAPI, PCIe, datacenter TCP/UDP,
+//! * `link` — interconnect models (OpenCAPI, PCIe, datacenter TCP/UDP,
 //!   edge WAN) with latency + bandwidth transfer costs;
-//! * [`system`] — assembled systems, including the reference EVEREST
+//! * `system` — assembled systems, including the reference EVEREST
 //!   demonstrator topology;
 //! * [`ecosystem`] — the endpoint → inner-edge → cloud hierarchy of Fig. 3
 //!   with tier-placement evaluation;
@@ -40,4 +40,5 @@ pub(crate) mod system;
 pub use error::PlatformError;
 pub use fpga::Attachment;
 pub use link::{Link, LinkProfile};
+pub use node::{CpuSpec, Node, NodeKind};
 pub use system::System;

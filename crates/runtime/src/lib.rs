@@ -5,13 +5,13 @@
 //! and monitor hardware access from guest applications, with three pillars:
 //!
 //! 1. **Data-protection layer** — monitors execution and reacts to
-//!    anomalies ([`monitor`], backed by [`everest_security`]);
+//!    anomalies (`monitor`, backed by [`everest_security`]);
 //! 2. **Dynamic hardware-software adaptation** — a mARGOt-style
 //!    autotuner ([`autotuner`]) selecting among the pre-generated variants
 //!    of [`everest_variants`], plus the closed adaptation loop in
 //!    [`adaptation`];
 //! 3. **Virtualization support** — VMs and the vFPGA manager with
-//!    partial-reconfiguration slots in [`vm`], and tenant VMs sharing
+//!    partial-reconfiguration slots in `vm`, and tenant VMs sharing
 //!    accelerator slots in [`contention`] (report §E16).
 //!
 //! Beside them, [`offload`] runs accelerator calls against injected
@@ -46,4 +46,4 @@ pub(crate) mod vm;
 pub use autotuner::{Autotuner, Objective};
 pub use error::RuntimeError;
 pub use monitor::RuntimeMonitor;
-pub use vm::Hypervisor;
+pub use vm::{Hypervisor, VfpgaManager, Vm};

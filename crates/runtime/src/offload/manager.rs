@@ -176,7 +176,7 @@ impl OffloadManager {
         out
     }
 
-    /// Executes one call on its lane (`task % lane_count()`), with the
+    /// Executes one call on its lane (`task` modulo the lane count), with the
     /// monitor fed immediately. Interleaving `execute` calls with
     /// [`OffloadManager::run_batch`] produces the same trace as one big
     /// batch — both fold each task on the same lane in task order.

@@ -20,7 +20,7 @@
 //!   breaker and graceful degradation down a fallback chain (network
 //!   FPGA → bus-attached FPGA → host CPU reference kernel), feeding the
 //!   [`RuntimeMonitor`](crate::monitor::RuntimeMonitor) and the
-//!   `offload.*` telemetry counters, and recording an [`OffloadEvent`]
+//!   `offload.*` telemetry counters, and recording an `OffloadEvent`
 //!   trace that is bit-identical for a given seed at any `jobs` count.
 //!
 //! One file per concern: `fault` (the plan and its per-device key),
@@ -59,7 +59,7 @@
 //!   [`RetryPolicy::backoff_us`], the public name-keyed forms, go through
 //!   the same keyed functions the fold calls, so there is one sampler. A
 //!   target none of whose rates is positive draws nothing.
-//! * **Events carry chain indices.** An [`OffloadEvent`] is `Copy`, 24
+//! * **Events carry chain indices.** An `OffloadEvent` is `Copy`, 24
 //!   bytes and owns no heap memory; [`OffloadManager::trace`] renders the
 //!   names back through the chain. An [`OffloadOutcome`] shares its
 //!   device name with the rung. A batch therefore allocates per buffer —
@@ -90,6 +90,8 @@ mod manager;
 mod tests;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
-pub use event::{OffloadCall, OffloadOutcome, TargetClass};
+pub use event::{
+    OffloadCall, OffloadEvent, OffloadOutcome, OffloadTarget, SkipReason, TargetClass,
+};
 pub use fault::{FaultKind, FaultPlan, FaultRates};
 pub use manager::OffloadManager;

@@ -1,4 +1,3 @@
-use super::event::OffloadEvent;
 use super::*;
 use everest_platform::{LinkProfile, System};
 

@@ -8,12 +8,12 @@
 //! the software reference implementations those accelerators are generated
 //! from:
 //!
-//! * [`aes`] — AES-128 block cipher, implemented from the FIPS-197 spec;
+//! * `aes` — AES-128 block cipher, implemented from the FIPS-197 spec;
 //! * [`modes`] — CTR encryption and GCM authenticated encryption
 //!   (GHASH over GF(2¹²⁸)), with tamper detection;
 //! * [`mod@sha256`] — SHA-256 and HMAC-SHA256 for integrity and
 //!   authentication;
-//! * [`anomaly`] — hardware-monitor models (timing, access-pattern, value
+//! * `anomaly` — hardware-monitor models (timing, access-pattern, value
 //!   range) feeding the "auto-protection" policy engine that reacts to
 //!   deviations from expected data behaviour.
 //!
@@ -41,4 +41,5 @@ pub mod sha256;
 
 pub use aes::Aes128;
 pub use anomaly::{AccessMonitor, AutoProtect, ProtectAction, RangeMonitor, TimingMonitor};
+pub use error::SecurityError;
 pub use sha256::{hmac_sha256, sha256};

@@ -104,8 +104,8 @@ impl AesGcm {
     ///
     /// # Errors
     ///
-    /// [`SecurityError::TruncatedCiphertext`] if `sealed` is shorter than
-    /// the tag; [`SecurityError::InvalidTag`] if authentication fails.
+    /// `SecurityError::TruncatedCiphertext` if `sealed` is shorter than
+    /// the tag; `SecurityError::InvalidTag` if authentication fails.
     pub fn open(
         &self,
         nonce: &[u8; NONCE_LEN],

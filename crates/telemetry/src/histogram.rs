@@ -110,7 +110,7 @@ impl LogHistogram {
     ///
     /// NaN is rejected (tracked in the `nan_rejected` tally) so a single
     /// bad sample can never poison `sum`/`mean`; negative values clamp
-    /// to the zero bucket; values above [`MAX_TRACKABLE`] (including
+    /// to the zero bucket; values above `MAX_TRACKABLE` (including
     /// `+inf`) clamp to the top bucket. Returns whether the value was
     /// accepted.
     pub fn observe(&mut self, value: f64) -> bool {
@@ -182,7 +182,7 @@ impl LogHistogram {
 /// One non-empty bucket of a [`HistogramSnapshot`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramBucket {
-    /// Dense log-linear bucket index (see [`HistogramBucket::bounds`]).
+    /// Dense log-linear bucket index (see `HistogramBucket::bounds`).
     pub index: u32,
     /// Observations in this bucket.
     pub count: u64,

@@ -3,14 +3,14 @@
 //!
 //! The crate has three layers:
 //!
-//! * [`trace`] — a thread-safe [`Tracer`] handing out RAII [`Span`]
+//! * `trace` — a thread-safe [`Tracer`] handing out RAII `Span`
 //!   guards. Spans record name, category, start/end timestamps (µs),
 //!   nesting (parent span ids), and `key=value` attributes. The global
 //!   tracer defaults to a no-op that performs **no heap allocation per
 //!   span**, so instrumented code costs nearly nothing when tracing is
 //!   off.
 //! * [`metrics`] — a [`MetricsRegistry`] of named counters, gauges, and
-//!   HDR-style log-bucketed [`histogram`]s with percentile estimation
+//!   HDR-style log-bucketed `histogram`s with percentile estimation
 //!   and a serializable, mergeable [`MetricsSnapshot`].
 //! * [`recorder`] — the always-on [`FlightRecorder`]: a bounded ring of
 //!   recent structured events per thread, dumped on demand or when a
@@ -46,11 +46,10 @@ pub mod openmetrics;
 pub mod recorder;
 pub(crate) mod trace;
 
-pub use histogram::{HistogramSnapshot, LogHistogram};
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
+pub use histogram::{HistogramBucket, HistogramSnapshot, LogHistogram};
+pub use metrics::{CounterSnapshot, GaugeSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use recorder::{EventKind, FlightRecorder, DEFAULT_RING_CAPACITY};
-pub(crate) use trace::Span;
-pub use trace::{SpanRecord, Tracer};
+pub use trace::{Span, SpanRecord, Tracer};
 
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};

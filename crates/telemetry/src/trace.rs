@@ -24,7 +24,7 @@ pub struct SpanRecord {
     pub end_us: u64,
     /// Small dense id of the recording thread.
     pub tid: u32,
-    /// `key=value` attributes attached via [`Span::attr`].
+    /// `key=value` attributes attached via `Span::attr`.
     pub attrs: Vec<(String, String)>,
 }
 

@@ -5,7 +5,7 @@
 //! ([`crate::generate_all`]; always memoized here — a dataset has no
 //! direct-synthesis reference to keep) — emitting one row per point:
 //! provenance (kernel name, IR fingerprint, seed, sample index), the
-//! feature encoding from [`crate::knob`], and the synthesis targets from
+//! feature encoding from `crate::knob`, and the synthesis targets from
 //! [`SynthSummary::targets`].
 //!
 //! Everything is seed-reproducible: sampling is a pure function of
@@ -132,7 +132,7 @@ pub struct DatasetRow {
 /// A produced table of synthesized points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
-    /// Feature column names: [`KERNEL_FEATURES`] then [`KNOB_FEATURES`].
+    /// Feature column names: `KERNEL_FEATURES` then `KNOB_FEATURES`.
     pub feature_names: Vec<String>,
     /// Target column names: [`SynthSummary::TARGET_NAMES`].
     pub target_names: Vec<String>,

@@ -5,20 +5,20 @@
 //! trade-offs that are exposed to the runtime system" (paper III-B). This
 //! crate implements that stage:
 //!
-//! * [`analysis`] — extracts a kernel's workload (flop count, bytes moved,
+//! * `analysis` — extracts a kernel's workload (flop count, bytes moved,
 //!   arithmetic intensity) from its IR;
-//! * [`transform`] — the transformation vocabulary (threads, layout,
+//! * `transform` — the transformation vocabulary (threads, layout,
 //!   tiling, FPGA offload, banking, pipelining, DIFT hardening);
-//! * [`cost`] — software (roofline-style) and hardware (via
+//! * `cost` — software (roofline-style) and hardware (via
 //!   [`everest_hls`]) cost models;
-//! * [`knob`] — the typed [`KnobVector`] design point shared by
+//! * `knob` — the typed [`KnobVector`] design point shared by
 //!   enumeration, memoization and the dataset feature encoder;
 //! * [`space`] — design-space enumeration and validation;
 //! * [`pareto`] — O(n log n) Pareto-front filtering over (latency,
 //!   energy, area), plus exact [`pareto::hypervolume`];
 //! * [`dataset`] — seed-reproducible tables of synthesized design points
 //!   (`everestc dataset`);
-//! * [`error`] — the [`VariantError`] DSE failure type;
+//! * `error` — the [`VariantError`] DSE failure type;
 //! * [`variant`] — the [`variant::Variant`] records, serializable as the
 //!   "meta-information about the variants ... provided to the runtime".
 //!
@@ -72,7 +72,7 @@ pub fn generate_jobs(
 }
 
 /// The one exploration: enumerates the space, gets the synthesis summary
-/// of every hardware (kernel × point) pair from [`cost`]'s batch evaluator
+/// of every hardware (kernel × point) pair from `cost`'s batch evaluator
 /// — the crate's only pool fan-out — and assembles the variant sets.
 /// Software points never reach the evaluator: the roofline model is
 /// arithmetic, evaluated during assembly.

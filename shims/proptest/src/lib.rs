@@ -153,7 +153,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S, R> {
         element: S,
