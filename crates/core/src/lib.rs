@@ -51,7 +51,7 @@ pub use sdk::{Compiled, CompiledKernel, Deployment, ExploreReport, Sdk, SdkBuild
 pub use everest_ir::{Diagnostic, Severity};
 
 // Re-export the types users touch on every path through the façade, so
-// `use everest::{Sdk, System, Link}` works without naming the subsystem
+// `use everest::{Sdk, System}` works without naming the subsystem
 // crates.
 pub use everest_platform::System;
 pub use everest_runtime::offload::{

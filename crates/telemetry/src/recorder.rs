@@ -18,8 +18,11 @@
 //! rings are kept, and a new thread adopts the oldest beyond that
 //! instead of allocating. The number of rings is therefore bounded by
 //! the peak number of threads recording at once plus that constant, not
-//! by how many threads ever recorded — pools that start short-lived
-//! workers for every batch recycle the same few rings.
+//! by how many threads ever recorded. The workspace's own fan-outs run on
+//! the parked workers of `everest_workflow::pool`, which never exit; the
+//! bound is for threads that callers and tests start and join themselves,
+//! so an embedding application that starts a thread per request recycles
+//! the same few rings instead of growing the registry.
 //!
 //! [`FlightRecorder::dump`] merges every thread's ring into one
 //! time-ordered [`FlightDump`] — a post-hoc "what just happened" trace.
@@ -39,7 +42,9 @@ use std::time::Instant;
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
 
 /// How many rings of exited threads stay registered (and dumpable)
-/// before new threads start adopting the oldest of them.
+/// before new threads start adopting the oldest of them. It bounds the
+/// memory that threads started and joined by callers and tests leave
+/// behind.
 pub const RETIRED_RINGS_KEPT: usize = 16;
 
 /// What a [`FlightEvent`] describes.
