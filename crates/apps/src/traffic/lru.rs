@@ -1,35 +1,51 @@
-//! The response cache of the PTDR serving engines: the cache identity
-//! of a query ([`CacheKey`], [`cache_key`], [`derive_seed`],
-//! [`bin_center_hour`]) and the fixed-capacity [`LruCache`] that
-//! [`PtdrService`](super::service::PtdrService) and every shard of the
-//! serving tier ([`super::serve`]) keep their finished responses in.
-//! Everything here is re-exported from [`super::service`], where it
-//! lived before the split.
+//! The response caches of the PTDR serving engines and the cache
+//! identity of a query ([`CacheKey`], [`cache_key`], [`derive_seed`],
+//! [`bin_center_hour`]; [`super::service`] re-exports the identity, not
+//! the caches):
 //!
-//! **One cache, any payload.** [`LruCache`] maps a [`CacheKey`] to a
-//! `Copy` payload and knows nothing about time. The tier's two levels
-//! store plain [`TravelTimeStats`](super::TravelTimeStats) — key, stats
-//! and the two list links make a slot one 64-byte line — and
-//! `PtdrService` stores `(TravelTimeStats, Instant)`, stamping an entry
-//! on its own miss path (≈ 10 µs of sampling) for the one-in-sixteen
-//! `ptdr.cache.hit_age_us` sample. A promote on the tier (edge miss,
-//! cloud hit, insert into the full edge cache) therefore reads no clock;
-//! it used to read one per insert, ≈ 55 ns that nobody looked at.
+//! * [`LruCache`] — one fixed-capacity level, the response cache of
+//!   [`PtdrService`](super::service::PtdrService);
+//! * [`TierCache`] — both levels of one shard of the serving tier
+//!   ([`super::serve`]): a small edge level in front of a large cloud
+//!   level, in one table.
 //!
-//! **Why the table may hash by word mixing.** The `HashMap` inside the
-//! cache hashes its key with a rotate-xor-multiply per word, not with
-//! SipHash, and a promote is five probes, so the hasher was most of what
-//! a cache-answered query cost (EXPERIMENTS.md E31). That is sound for
-//! this key and no other: its first word, [`CacheKey::route_hash`], is
-//! already a SipHash of the route, so the bits the table indexes by are
-//! well mixed before the first multiply; keys are made by [`cache_key`]
-//! from queries this program generated or was handed as routes over its
-//! own road network, and the cache is capacity-bound, so the worst a
-//! crafted set of colliding routes could do is slow one bounded table
-//! down; and nothing iterates the map, so no output can depend on its
-//! order. Correctness never rests on the hash: a proptest drives the
-//! cache with keys that collide under any word-wise hasher against a
-//! `Vec` kept in recency order.
+//! **One level, any payload.** [`LruCache`] maps a [`CacheKey`] to a
+//! `Copy` payload and knows nothing about time. `PtdrService` stores
+//! `(TravelTimeStats, Instant)`, stamping an entry on its own miss path
+//! (≈ 10 µs of sampling) for the one-in-sixteen `ptdr.cache.hit_age_us`
+//! sample; nothing on the tier reads a clock.
+//!
+//! **Two levels, one table.** Both levels of a shard hold the same
+//! answer for a key — a cloud hit is promoted into the edge, a
+//! recompute fills both — so [`TierCache`] keeps one entry a key: the
+//! payload sits in the hash-map bucket beside the key's slot index, and
+//! a slot carries a byte naming the levels that hold the key and one
+//! `[prev, next]` link pair per level. A cache-answered query is one
+//! probe. An edge hit moves the slot to the front of the edge list; a
+//! cloud hit moves it to the front of the cloud list and links it into
+//! the edge list, whose least recent slot leaves the edge — and the
+//! table, with a second probe, only when the cloud has dropped it too.
+//! Across two `LruCache`s the same promote is five table operations
+//! (edge probe, cloud probe, edge presence probe, victim removal,
+//! insert) and a copy of the payload (EXPERIMENTS.md E35). A released
+//! slot goes onto a free list threaded through its links, so a filled
+//! table allocates nothing, and a proptest drives the table and an edge
+//! and a cloud `LruCache` through the same look-ups and fills.
+//!
+//! **Why the tables may hash by word mixing.** The `HashMap` inside
+//! either cache hashes its key with a rotate-xor-multiply per word, not
+//! with SipHash, which was most of what a probe cost (EXPERIMENTS.md
+//! E31). That is sound
+//! for this key and no other: its first word, [`CacheKey::route_hash`],
+//! is already a SipHash of the route, so the bits the table indexes by
+//! are well mixed before the first multiply; keys are made by
+//! [`cache_key`] from queries this program generated or was handed as
+//! routes over its own road network, and both caches are
+//! capacity-bound, so the worst a crafted set of colliding routes could
+//! do is slow one bounded table down; and nothing iterates a map, so no
+//! output can depend on its order. Correctness never rests on the hash:
+//! the proptests drive the caches with keys that collide under any
+//! word-wise hasher.
 //!
 //! **What `#[derive(Hash)]` on [`CacheKey`] is still for.** Both hashers
 //! go through it. [`derive_seed`] feeds the key to a `DefaultHasher`
@@ -39,7 +55,7 @@
 //! golden file — and are not touched. The table's hasher sees the same
 //! three `write_*` calls and mixes them its own way.
 
-use super::HOUR_BINS;
+use super::{TravelTimeStats, HOUR_BINS};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -63,9 +79,9 @@ pub(crate) struct CacheKey {
     pub samples: u64,
 }
 
-/// Hasher of the table inside [`LruCache`]: one rotate-xor-multiply per
-/// word written (the FxHash step). Sound only because of what the table
-/// is keyed by — see the module docs.
+/// Hasher of the tables inside [`LruCache`] and [`TierCache`]: one
+/// rotate-xor-multiply per word written (the FxHash step). Sound only
+/// because of what the tables are keyed by — see the module docs.
 #[derive(Default)]
 struct WordMix(u64);
 
@@ -96,12 +112,14 @@ impl Hasher for WordMix {
     }
 }
 
-/// Sentinel slot index for the intrusive recency list.
+/// Sentinel slot index of [`LruCache`]'s recency list.
 const NIL: usize = usize::MAX;
 
+/// Table of [`LruCache`] and [`TierCache`].
+type Table<V> = HashMap<CacheKey, V, BuildHasherDefault<WordMix>>;
+
 /// One slab slot of the [`LruCache`]: the entry plus its intrusive
-/// doubly-linked recency list neighbours. With a
-/// [`TravelTimeStats`](super::TravelTimeStats) payload a slot is one 64-byte cache line.
+/// doubly-linked recency list neighbours.
 #[derive(Debug)]
 struct LruSlot<V> {
     key: CacheKey,
@@ -119,7 +137,7 @@ struct LruSlot<V> {
 pub(crate) struct LruCache<V> {
     capacity: usize,
     tick: u64,
-    map: HashMap<CacheKey, usize, BuildHasherDefault<WordMix>>,
+    map: Table<usize>,
     slots: Vec<LruSlot<V>>,
     /// Most-recently-used slot, `NIL` when empty.
     head: usize,
@@ -227,6 +245,205 @@ impl<V: Copy> LruCache<V> {
     }
 }
 
+/// The level of a [`TierCache`] that answered a look-up.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Lookup {
+    /// The edge level held the key.
+    Edge(TravelTimeStats),
+    /// Only the cloud level held the key; it is now in the edge level too.
+    Cloud(TravelTimeStats),
+    /// Neither level held the key.
+    Miss,
+}
+
+/// A [`TierCache`] level: its index into `links`, `capacity`, `len`,
+/// `head` and `tail`, and the bit it sets in a slot's level byte.
+const EDGE: usize = 0;
+const CLOUD: usize = 1;
+
+/// Sentinel slot index of [`TierCache`]'s lists; it bounds the table at
+/// 2³² − 1 slots.
+const NIL32: u32 = u32::MAX;
+
+/// Index of the previous and the next slot in a `[u32; 2]` link pair.
+const PREV: usize = 0;
+const NEXT: usize = 1;
+
+/// Both cache levels of one serving-tier shard in one table: a small
+/// edge level in front of a large cloud level, each least-recently-used
+/// with a fixed capacity, each its own recency list over one slab of
+/// entries (see the module docs). A key's payload sits in the map's
+/// bucket beside its slot index, so a look-up reads it from the probe
+/// that finds the slot. An entry leaves the table when it is in neither
+/// level. Look-ups, fills and evictions are O(1), and none of them
+/// reads a clock or, once the slab has grown to the two capacities,
+/// allocates.
+pub(crate) struct TierCache {
+    map: Table<(u32, TravelTimeStats)>,
+    /// Per slot: the key, to find the bucket of a slot that leaves.
+    keys: Vec<CacheKey>,
+    /// Per slot: bit `1 << level` set while the level holds the key;
+    /// 0 on a free slot.
+    levels: Vec<u8>,
+    /// Per level, per slot: `[prev, next]` in that level's recency
+    /// list. A free slot's edge `next` is the next free slot.
+    links: [Vec<[u32; 2]>; 2],
+    capacity: [u32; 2],
+    len: [u32; 2],
+    /// Most recently used slot of each level, `NIL32` when it is empty.
+    head: [u32; 2],
+    /// Least recently used slot of each level (its next victim).
+    tail: [u32; 2],
+    /// First free slot, `NIL32` when none is.
+    free: u32,
+}
+
+impl TierCache {
+    /// An empty table holding up to `edge` keys in the edge level and up
+    /// to `cloud` in the cloud level, each clamped to `1..=2³² − 1`.
+    pub(crate) fn new(edge: usize, cloud: usize) -> TierCache {
+        let clamp = |capacity: usize| u32::try_from(capacity.max(1)).unwrap_or(NIL32);
+        TierCache {
+            map: Table::default(),
+            keys: Vec::new(),
+            levels: Vec::new(),
+            links: [Vec::new(), Vec::new()],
+            capacity: [clamp(edge), clamp(cloud)],
+            len: [0; 2],
+            head: [NIL32; 2],
+            tail: [NIL32; 2],
+            free: NIL32,
+        }
+    }
+
+    /// Drops every entry and keeps every allocation.
+    pub(crate) fn clear(&mut self) {
+        self.map.clear();
+        self.keys.clear();
+        self.levels.clear();
+        self.links[EDGE].clear();
+        self.links[CLOUD].clear();
+        self.len = [0; 2];
+        self.head = [NIL32; 2];
+        self.tail = [NIL32; 2];
+        self.free = NIL32;
+    }
+
+    /// The payload cached under `key` and the level that held it. An
+    /// edge hit becomes the edge level's most recent entry; a cloud hit
+    /// becomes the most recent entry of both levels, the edge level
+    /// giving up its least recent one when full.
+    pub(crate) fn lookup(&mut self, key: &CacheKey) -> Lookup {
+        let Some(&(at, stats)) = self.map.get(key) else { return Lookup::Miss };
+        if self.levels[at as usize] & 1 << EDGE != 0 {
+            self.touch(EDGE, at);
+            return Lookup::Edge(stats);
+        }
+        self.touch(CLOUD, at);
+        self.make_room(EDGE);
+        self.levels[at as usize] |= 1 << EDGE;
+        self.link_front(EDGE, at);
+        Lookup::Cloud(stats)
+    }
+
+    /// Caches `stats` under `key`, which [`TierCache::lookup`] has just
+    /// missed, as the most recent entry of both levels. A full level gives
+    /// up its least recent entry, the cloud level first.
+    pub(crate) fn fill(&mut self, key: CacheKey, stats: TravelTimeStats) {
+        self.make_room(CLOUD);
+        self.make_room(EDGE);
+        let at = self.alloc(key);
+        let previous = self.map.insert(key, (at, stats));
+        debug_assert!(previous.is_none(), "fill of a cached key");
+        self.levels[at as usize] = 1 << EDGE | 1 << CLOUD;
+        self.link_front(CLOUD, at);
+        self.link_front(EDGE, at);
+    }
+
+    /// A free slot holding `key`, off the free list or new.
+    fn alloc(&mut self, key: CacheKey) -> u32 {
+        if self.free != NIL32 {
+            let at = self.free;
+            self.free = self.links[EDGE][at as usize][NEXT];
+            self.keys[at as usize] = key;
+            return at;
+        }
+        let at = u32::try_from(self.keys.len())
+            .ok()
+            .filter(|&at| at != NIL32)
+            .expect("a tier cache indexes at most 2^32 - 1 entries");
+        self.keys.push(key);
+        self.levels.push(0);
+        self.links[EDGE].push([NIL32; 2]);
+        self.links[CLOUD].push([NIL32; 2]);
+        at
+    }
+
+    /// Counts one more entry in `level`, or, when it is full, takes its
+    /// least recent entry out of it — and out of the table, when the
+    /// other level does not hold that entry either.
+    fn make_room(&mut self, level: usize) {
+        if self.len[level] < self.capacity[level] {
+            self.len[level] += 1;
+            return;
+        }
+        let victim = self.tail[level];
+        self.unlink(level, victim);
+        let levels = &mut self.levels[victim as usize];
+        *levels &= !(1 << level);
+        if *levels == 0 {
+            self.map.remove(&self.keys[victim as usize]);
+            self.links[EDGE][victim as usize][NEXT] = self.free;
+            self.free = victim;
+        }
+    }
+
+    /// Detaches `at` from `level`'s recency list.
+    fn unlink(&mut self, level: usize, at: u32) {
+        let [prev, next] = self.links[level][at as usize];
+        match prev {
+            NIL32 => self.head[level] = next,
+            p => self.links[level][p as usize][NEXT] = next,
+        }
+        match next {
+            NIL32 => self.tail[level] = prev,
+            n => self.links[level][n as usize][PREV] = prev,
+        }
+    }
+
+    /// Attaches `at` at the most recent end of `level`'s list.
+    fn link_front(&mut self, level: usize, at: u32) {
+        let head = self.head[level];
+        self.links[level][at as usize] = [NIL32, head];
+        match head {
+            NIL32 => self.tail[level] = at,
+            h => self.links[level][h as usize][PREV] = at,
+        }
+        self.head[level] = at;
+    }
+
+    /// Moves `at` to the most recent end of `level`'s list.
+    fn touch(&mut self, level: usize, at: u32) {
+        if self.head[level] != at {
+            self.unlink(level, at);
+            self.link_front(level, at);
+        }
+    }
+
+    /// Every entry of `level`, most recently used first.
+    #[cfg(test)]
+    fn by_recency(&self, level: usize) -> Vec<(CacheKey, TravelTimeStats)> {
+        let mut out = Vec::with_capacity(self.len[level] as usize);
+        let mut at = self.head[level];
+        while at != NIL32 {
+            let key = self.keys[at as usize];
+            out.push((key, self.map[&key].1));
+            at = self.links[level][at as usize][NEXT];
+        }
+        out
+    }
+}
+
 /// The cache identity of a query: structural route hash, quantized
 /// departure bin, sample count. Two queries with equal keys receive
 /// bit-identical answers — the per-query seed is a pure function of
@@ -257,7 +474,6 @@ pub(crate) fn bin_center_hour(key: &CacheKey) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::super::TravelTimeStats;
     use super::*;
     use proptest::prelude::*;
 
@@ -275,8 +491,83 @@ mod tests {
         TravelTimeStats { mean_h: f64::from(v), p95_h: 0.0, std_h: 0.0 }
     }
 
+    /// The two caches a shard kept before [`TierCache`], driven the way
+    /// the tier drove them: probe the edge; on a miss probe the cloud and
+    /// copy a hit into the edge; on a miss there too, insert into the
+    /// cloud and then into the edge.
+    struct TwoLevels {
+        edge: LruCache<TravelTimeStats>,
+        cloud: LruCache<TravelTimeStats>,
+    }
+
+    impl TwoLevels {
+        fn lookup(&mut self, key: &CacheKey) -> Lookup {
+            if let Some(stats) = self.edge.get(key) {
+                return Lookup::Edge(stats);
+            }
+            if let Some(stats) = self.cloud.get(key) {
+                self.edge.insert(*key, stats);
+                return Lookup::Cloud(stats);
+            }
+            Lookup::Miss
+        }
+
+        fn fill(&mut self, key: CacheKey, stats: TravelTimeStats) {
+            self.cloud.insert(key, stats);
+            self.edge.insert(key, stats);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The table against the pair of `LruCache`s it replaced, over
+        /// random look-ups, fills after a miss and clears, at capacities
+        /// where the cloud level is smaller than the edge level too (so
+        /// the cloud drops keys the edge still holds, and entries leave
+        /// the table from either level): the same level answers with the
+        /// same payload, both recency orders and both lengths agree after
+        /// every step, the table holds exactly the keys of either level,
+        /// and its slab no more slots than the two capacities.
+        #[test]
+        fn tier_cache_equals_an_edge_and_a_cloud_lru(
+            edge in 1usize..6,
+            cloud in 1usize..9,
+            ops in prop::collection::vec((0usize..12, 0u8..16, any::<u32>()), 1..300),
+        ) {
+            let mut table = TierCache::new(edge, cloud);
+            let fresh = || TwoLevels { edge: LruCache::new(edge), cloud: LruCache::new(cloud) };
+            let mut reference = fresh();
+            for (step, &(k, action, v)) in ops.iter().enumerate() {
+                if action == 0 {
+                    table.clear();
+                    reference = fresh();
+                } else {
+                    let answer = table.lookup(&key(k));
+                    prop_assert_eq!(answer, reference.lookup(&key(k)), "step {}: key {}", step, k);
+                    if answer == Lookup::Miss && action % 2 == 1 {
+                        table.fill(key(k), payload(v));
+                        reference.fill(key(k), payload(v));
+                    }
+                }
+                let (edge_order, cloud_order) =
+                    (reference.edge.by_recency(), reference.cloud.by_recency());
+                prop_assert_eq!(table.by_recency(EDGE), edge_order.clone(), "step {}", step);
+                prop_assert_eq!(table.by_recency(CLOUD), cloud_order.clone(), "step {}", step);
+                prop_assert_eq!(
+                    table.len.map(|n| n as usize),
+                    [reference.edge.len(), reference.cloud.len()],
+                    "step {}", step
+                );
+                let mut held: Vec<CacheKey> =
+                    edge_order.iter().chain(&cloud_order).map(|entry| entry.0).collect();
+                held.sort_by_key(|k| (k.route_hash, k.departure_bin, k.samples));
+                held.dedup();
+                prop_assert_eq!(table.map.len(), held.len(), "step {}", step);
+                // Released slots are reused: the slab never outgrows the levels.
+                prop_assert!(table.keys.len() <= edge + cloud, "step {}", step);
+            }
+        }
 
         /// The cache against the obvious model — a `Vec` kept in recency
         /// order — over random look-ups and inserts: the same hits with

@@ -13,9 +13,10 @@
 //!   moves only ~1/N of the key space (and *every* moved key lands on
 //!   the changed shard — the segment-claiming property the proptest
 //!   suite pins down).
-//! * [`ServeTier`] — N shards, each owning a small edge LRU, a larger
-//!   cloud-partition LRU (the cloud tier is co-partitioned with the
-//!   ring, as a real deployment does to keep fill affinity local), a
+//! * [`ServeTier`] — N shards, each owning a small edge LRU level in
+//!   front of a larger cloud-partition LRU level, both in one table (the
+//!   cloud tier is co-partitioned with the ring, as a real deployment
+//!   does to keep fill affinity local), a
 //!   [`PtdrEngine`] for recomputes, and a **bounded admission queue**:
 //!   arrivals beyond `queue_depth` waiting queries are load-shed —
 //!   [`ShedPolicy::RejectNew`] turns new arrivals away,
@@ -51,16 +52,18 @@
 //! like the number of workers, changes when work runs and never what it
 //! computes. The *merge* scatters the shards' results into arrival order
 //! and sums histograms and busy time in shard order, on the calling
-//! thread. Nothing on the path of a cache-answered arrival reads a
-//! clock, hashes a key with SipHash more than the once that makes the
-//! key, or allocates (`tests/serve_props.rs` pins the last).
+//! thread. A cache-answered arrival costs one probe of its shard's
+//! table, which holds both cache levels (`traffic/lru.rs`), and nothing
+//! on its path reads a clock, hashes a key with SipHash more than the
+//! once that makes the key, or allocates (`tests/serve_props.rs` pins
+//! the last).
 //!
 //! Telemetry: `serve.queries`, `serve.shard.{hit,miss,fill,shed,
 //! rejected}` counters, per-shard `serve.shard<i>.queue_depth` peak
 //! gauges, and `serve.query.latency_us` / `serve.queue.wait_us`
 //! virtual-time histograms, all exported through `everestc stats`.
 
-use super::lru::LruCache;
+use super::lru::{Lookup, TierCache};
 pub use super::ring::HashRing;
 pub(crate) use super::ring::DEFAULT_VNODES;
 use super::service::RouteQuery;
@@ -121,9 +124,12 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Virtual nodes per shard on the hash ring.
     pub vnodes: usize,
-    /// Per-shard edge-cache capacity (the small hot set).
+    /// Per-shard edge-cache capacity in keys (the small hot set),
+    /// clamped to `1..=2³² − 1`: the shard's table indexes its entries
+    /// by `u32`.
     pub edge_cache: usize,
-    /// Per-shard cloud-partition capacity (the large backing cache).
+    /// Per-shard cloud-partition capacity in keys (the large backing
+    /// cache), clamped like `edge_cache`.
     pub cloud_cache: usize,
     /// Bounded admission queue: maximum *waiting* queries per shard
     /// (clamped to at least 1).
@@ -316,8 +322,7 @@ impl LoadGen {
 /// Per-shard cache + engine state, persistent across runs so a repeated
 /// workload measures the warm path.
 struct ShardState {
-    edge: LruCache<TravelTimeStats>,
-    cloud: LruCache<TravelTimeStats>,
+    cache: TierCache,
     engine: PtdrEngine,
 }
 
@@ -483,8 +488,7 @@ impl ServeTier {
         let states = (0..config.shards)
             .map(|_| {
                 Mutex::new(ShardState {
-                    edge: LruCache::new(config.edge_cache),
-                    cloud: LruCache::new(config.cloud_cache),
+                    cache: TierCache::new(config.edge_cache, config.cloud_cache),
                     engine: PtdrEngine::new(),
                 })
             })
@@ -498,12 +502,11 @@ impl ServeTier {
     }
 
     /// Drops every cached response (cold restart); the ring and
-    /// configuration are untouched.
+    /// configuration are untouched. Each shard's cache keeps its table
+    /// and slab, so refilling it neither grows nor rehashes them again.
     pub fn reset(&self) {
         for state in &self.states {
-            let mut state = state.lock();
-            state.edge = LruCache::new(self.config.edge_cache);
-            state.cloud = LruCache::new(self.config.cloud_cache);
+            state.lock().cache.clear();
         }
     }
 
@@ -730,30 +733,31 @@ impl ServeTier {
         report: &mut ShardReport,
     ) -> (TravelTimeStats, f64) {
         let cost = &self.config.cost;
-        if let Some(stats) = state.edge.get(key) {
-            report.edge_hits += 1;
-            return (stats, cost.hit_us);
+        match state.cache.lookup(key) {
+            Lookup::Edge(stats) => {
+                report.edge_hits += 1;
+                (stats, cost.hit_us)
+            }
+            Lookup::Cloud(stats) => {
+                report.edge_misses += 1;
+                (stats, cost.fill_rtt_us + cost.hit_us)
+            }
+            Lookup::Miss => {
+                report.edge_misses += 1;
+                report.cloud_fills += 1;
+                let query = &arrival.query;
+                let stats = state.engine.estimate(
+                    &self.network,
+                    &self.profiles,
+                    &query.route,
+                    bin_center_hour(key),
+                    query.samples,
+                    derive_seed(self.config.seed, key),
+                );
+                state.cache.fill(*key, stats);
+                (stats, cost.fill_rtt_us + cost.compute_us(query.route.len(), query.samples))
+            }
         }
-        report.edge_misses += 1;
-        if let Some(stats) = state.cloud.get(key) {
-            state.edge.insert(*key, stats);
-            return (stats, cost.fill_rtt_us + cost.hit_us);
-        }
-        report.cloud_fills += 1;
-        let stats = state.engine.estimate(
-            &self.network,
-            &self.profiles,
-            &arrival.query.route,
-            bin_center_hour(key),
-            arrival.query.samples,
-            derive_seed(self.config.seed, key),
-        );
-        state.cloud.insert(*key, stats);
-        state.edge.insert(*key, stats);
-        (
-            stats,
-            cost.fill_rtt_us + cost.compute_us(arrival.query.route.len(), arrival.query.samples),
-        )
     }
 }
 

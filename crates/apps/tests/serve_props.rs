@@ -11,7 +11,7 @@
 
 use everest_alloc_counter::{measure, CountingAllocator};
 use everest_apps::traffic::serve::{
-    Arrival, HashRing, LoadGen, ServeConfig, ServeTier, ShedPolicy,
+    Arrival, HashRing, LoadGen, ServeConfig, ServeReport, ServeTier, ShedPolicy,
 };
 use everest_apps::traffic::{generate_fcd, RoadNetwork, SpeedProfiles};
 use everest_workflow::seed::{fnv1a, mix};
@@ -259,31 +259,49 @@ fn tier_reproduces_the_digests_pinned_on_the_parent() {
     assert_eq!(seen, TIER_DIGESTS, "left: this build, right: pinned");
 }
 
+/// Allocations of a replay of `arrivals` arrivals on a tier of
+/// `config` that served them once already, and the replay's report. At
+/// `jobs = 1` admission and the shards run inline, on the thread the
+/// allocator counts.
+fn replay_allocations(config: ServeConfig, arrivals: usize) -> (u64, ServeReport) {
+    let (network, profiles, generator) = fixture();
+    // Slow enough that nothing is shed, so the first run computes every
+    // answer the replay asks for.
+    let qps = 10_000.0;
+    let workload = generator.generate(0, qps, 1.05 * arrivals as f64 / qps, arrivals);
+    assert_eq!(workload.len(), arrivals);
+    let tier = ServeTier::new(network.clone(), profiles.clone(), config);
+    assert_eq!(tier.run(&workload).dropped(), 0, "the fill must not shed");
+    let mut replay = None;
+    let (allocations, _) = measure(|| replay = Some(tier.run(&workload)));
+    let replay = replay.expect("the replay ran");
+    assert_eq!(replay.served(), arrivals as u64);
+    (allocations, replay)
+}
+
 /// A replay on a filled tier allocates per buffer, never per arrival:
 /// four times the arrivals may cost a few more doublings of the shard
-/// lists and nothing else. At `jobs = 1` admission and the shards run
-/// inline, on the thread the allocator counts. Fails if a `Vec`, a
-/// `String` or a clone per arrival comes back into the cache-answered
-/// path.
+/// lists and nothing else. Fails if a `Vec`, a `String` or a clone per
+/// arrival comes back into the cache-answered path. Held on caches that
+/// keep every answer and on [`pinned_run`]'s small ones, where the
+/// replay promotes into full edge levels and, at 8 000 arrivals,
+/// recomputes what the cloud levels dropped — so entries leave the
+/// shards' tables and their slots are reused.
 #[test]
 fn a_replay_allocates_per_buffer_not_per_arrival() {
-    let (network, profiles, generator) = fixture();
-    let replay_allocations = |arrivals: usize| {
-        // Slow enough that nothing is shed, so the first run fills the
-        // caches with every answer the replay asks for.
-        let qps = 10_000.0;
-        let workload = generator.generate(0, qps, 1.05 * arrivals as f64 / qps, arrivals);
-        assert_eq!(workload.len(), arrivals);
-        let tier = ServeTier::new(network.clone(), profiles.clone(), ServeConfig::new(4));
-        assert_eq!(tier.run(&workload).dropped(), 0, "the fill must not shed");
-        let mut replay = None;
-        let (allocations, _) = measure(|| replay = Some(tier.run(&workload)));
-        let replay = replay.expect("the replay ran");
-        assert_eq!((replay.served(), replay.cloud_fills()), (arrivals as u64, 0));
-        allocations
-    };
+    let mut small_caches = ServeConfig::new(4);
+    small_caches.edge_cache = 128;
+    small_caches.cloud_cache = 1_500;
     // Warm-up: the registry's metric names.
-    replay_allocations(64);
-    let (small, large) = (replay_allocations(2_000), replay_allocations(8_000));
-    assert!(large <= small + 64, "2 000 arrivals made {small} allocations, 8 000 made {large}");
+    replay_allocations(ServeConfig::new(4), 64);
+    for (config, evicts) in [(ServeConfig::new(4), false), (small_caches, true)] {
+        let (small, _) = replay_allocations(config, 2_000);
+        let (large, replay) = replay_allocations(config, 8_000);
+        assert_eq!(replay.cloud_fills() > 0, evicts, "recomputes on {config:?}");
+        assert!(!evicts || replay.edge_misses() > replay.cloud_fills(), "the replay must promote");
+        assert!(
+            large <= small + 64,
+            "{config:?}: 2 000 arrivals made {small} allocations, 8 000 made {large}"
+        );
+    }
 }
