@@ -35,12 +35,11 @@
 //! **Why the tables may hash by word mixing.** The `HashMap` inside
 //! either cache hashes its key with a rotate-xor-multiply per word, not
 //! with SipHash, which was most of what a probe cost (EXPERIMENTS.md
-//! E31). That is sound
-//! for this key and no other: its first word, [`CacheKey::route_hash`],
-//! is already a SipHash of the route, so the bits the table indexes by
-//! are well mixed before the first multiply; keys are made by
-//! [`cache_key`] from queries this program generated or was handed as
-//! routes over its own road network, and both caches are
+//! E31). That is sound for this key and no other: its first word,
+//! [`CacheKey::route_hash`], is already a SipHash of the route, so the
+//! bits the table indexes by are well mixed before the first multiply;
+//! keys are made by [`cache_key`] from queries this program generated or
+//! was handed as routes over its own road network, and both caches are
 //! capacity-bound, so the worst a crafted set of colliding routes could
 //! do is slow one bounded table down; and nothing iterates a map, so no
 //! output can depend on its order. Correctness never rests on the hash:
