@@ -20,6 +20,8 @@ mod lru;
 mod ring;
 pub mod serve;
 pub mod service;
+#[cfg(test)]
+mod summary_reference;
 
 /// Hour bins per day for the speed profiles.
 pub(crate) const HOUR_BINS: usize = 24;

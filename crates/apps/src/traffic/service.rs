@@ -665,16 +665,16 @@ mod tests {
     }
 
     /// The sampling loop as it stood before the two-phase blocks: tables
-    /// copied per route, draw and arithmetic interleaved lane by lane, and
-    /// the summary as a pass of its own.
-    fn estimate_reference<const LANES: usize>(
+    /// copied per route, draw and arithmetic interleaved lane by lane. The
+    /// samples come back in the order they were drawn.
+    fn samples_reference<const LANES: usize>(
         network: &RoadNetwork,
         profiles: &SpeedProfiles,
         route: &[usize],
         depart_hour: f64,
         samples: usize,
         seed: u64,
-    ) -> TravelTimeStats {
+    ) -> Vec<f64> {
         let mut paths = SlowPaths::default();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut times = Vec::with_capacity(samples);
@@ -697,17 +697,27 @@ mod tests {
             times.extend_from_slice(&t[..width]);
             done += width;
         }
-        let mut mean = 0.0f64;
-        let mut m2 = 0.0f64;
-        for (i, &t) in times.iter().enumerate() {
-            let delta = t - mean;
-            mean += delta / (i + 1) as f64;
-            m2 += delta * (t - mean);
-        }
-        let var = (m2 / times.len() as f64).max(0.0);
-        let idx = ((0.95 * (times.len() - 1) as f64).round() as usize).min(times.len() - 1);
-        let (_, p95, _) = times.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
-        TravelTimeStats { mean_h: mean, p95_h: *p95, std_h: var.sqrt() }
+        times
+    }
+
+    /// The reference loop's samples, closed by the shipped summary: the
+    /// engine's sampling must reproduce them bit for bit.
+    fn estimate_reference<const LANES: usize>(
+        network: &RoadNetwork,
+        profiles: &SpeedProfiles,
+        route: &[usize],
+        depart_hour: f64,
+        samples: usize,
+        seed: u64,
+    ) -> TravelTimeStats {
+        summarize(&mut samples_reference::<LANES>(
+            network,
+            profiles,
+            route,
+            depart_hour,
+            samples,
+            seed,
+        ))
     }
 
     #[test]
@@ -808,6 +818,101 @@ mod tests {
         }
         for depart in [8.03125, 8.96875, 0.5] {
             check::<32>(&back, &profiles, &long, depart, 200);
+        }
+    }
+
+    /// The summary under the committed tolerance policy
+    /// (`tests/golden/tolerance_policy.txt`), on PTDR sample buffers in the
+    /// order they are drawn: tier queries (`LoadGen`, 192–312 samples)
+    /// until 10⁷ normals have been drawn, then the golden table's queries
+    /// (`tests/ptdr_golden.rs`: 1 to 10 000 samples, block widths 32 and
+    /// 4). Every buffer's p95 must be the selection's element and its mean
+    /// and std within the policy's bounds of Welford.
+    ///
+    /// Then accuracy: against compensated sums, the summary's largest and
+    /// average relative errors must be no larger than Welford's. That
+    /// check is an aggregate, not one per buffer: which of two forms lands
+    /// nearer the exact value on one buffer is close to a coin flip at the
+    /// ulp level, so a per-buffer rule fails whichever form ships, while
+    /// Welford's serial chain shows in the maximum and the average.
+    #[test]
+    fn summary_keeps_the_policy_and_welfords_accuracy() {
+        use super::super::serve::LoadGen;
+        use super::super::summary_reference::{check, compensated, welford};
+        const DRAWS: usize = 10_000_000;
+        let net = RoadNetwork::grid(2026, 12, 1.0);
+        let profiles = SpeedProfiles::learn(&net, &generate_fcd(&net, 7, 150_000));
+        // Per form (summary, Welford) and moment (mean, std): the largest
+        // and the summed relative error.
+        let mut errors = [[(0.0f64, 0.0f64); 2]; 2];
+        let mut buffers = 0usize;
+        let mut judge = |times: &[f64]| {
+            let stats = summarize(&mut times.to_vec());
+            check(times, (stats.mean_h, stats.p95_h, stats.std_h)).unwrap();
+            let exact = compensated(times);
+            let forms = [(stats.mean_h, stats.std_h), welford(times)];
+            for (form, (mean, std)) in forms.into_iter().enumerate() {
+                for (moment, (got, want)) in
+                    [(mean, exact.0), (std, exact.1)].into_iter().enumerate()
+                {
+                    let error = if got == want { 0.0 } else { ((got - want) / want).abs() };
+                    let (max, sum) = &mut errors[form][moment];
+                    *max = max.max(error);
+                    *sum += error;
+                }
+            }
+            buffers += 1;
+        };
+        let gen = LoadGen::new(&net, &profiles, 24, 2026);
+        let mut drawn = 0usize;
+        'days: for day in 0.. {
+            for (i, arrival) in gen.generate(day, 40_000.0, 0.05, 2_000).iter().enumerate() {
+                let q = &arrival.query;
+                let seed = day << 32 | i as u64;
+                judge(&samples_reference::<32>(
+                    &net,
+                    &profiles,
+                    &q.route,
+                    q.depart_hour,
+                    q.samples,
+                    seed,
+                ));
+                drawn += q.route.len() * q.samples;
+                if drawn >= DRAWS {
+                    break 'days;
+                }
+            }
+        }
+        let long = shortest_route(&net, &profiles, 0, net.nodes.len() - 1, 8).unwrap();
+        for route in [&long[..1], &long[..4], &long[..]] {
+            for depart in [0.125, 8.125, 17.625, 23.875] {
+                for samples in [1usize, 2, 31, 32, 33, 192, 312, 10_000] {
+                    for seed in [1u64, 2026, 0x9E37_79B9_7F4A_7C15] {
+                        judge(&samples_reference::<32>(
+                            &net, &profiles, route, depart, samples, seed,
+                        ));
+                        judge(&samples_reference::<4>(
+                            &net, &profiles, route, depart, samples, seed,
+                        ));
+                    }
+                }
+            }
+        }
+        let [summary, reference] =
+            errors.map(|moments| moments.map(|(max, sum)| (max, sum / buffers as f64)));
+        eprintln!("{buffers} buffers; relative error against compensated sums:");
+        for moment in 0..2 {
+            let (name, (max, mean), (welford_max, welford_mean)) =
+                (["mean", "std"][moment], summary[moment], reference[moment]);
+            eprintln!(
+                "  {name}: summary max {max:.2e} average {mean:.2e}, \
+                 Welford max {welford_max:.2e} average {welford_mean:.2e}"
+            );
+            assert!(max <= welford_max, "{name}: max error {max:e} > Welford's {welford_max:e}");
+            assert!(
+                mean <= welford_mean,
+                "{name}: average error {mean:e} > Welford's {welford_mean:e}"
+            );
         }
     }
 
