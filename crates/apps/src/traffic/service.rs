@@ -32,14 +32,20 @@
 //!   out-of-line function, so the hot loop holds neither their code nor
 //!   their register spills; it takes the generator by value and hands it
 //!   back, which lets the loop keep the generator's state in a register.
-//!   The summary is streaming Welford mean/variance, pushed in a loop of
-//!   its own after each block's last edge, plus a `select_nth_unstable`
-//!   95th percentile instead of a full sort. RNG words are consumed in
-//!   the order the one-loop, one-sample-at-a-time form of this kernel
-//!   consumed them, and every floating-point operation is the same
-//!   operation on the same operands, so every answer is bit-identical to
-//!   that form's — which survives as the unit tests' reference, next to a
-//!   committed golden table (`tests/ptdr_golden.rs`).
+//!   RNG words are consumed in the order the one-loop,
+//!   one-sample-at-a-time form of this kernel consumed them, and every
+//!   sampling operation is the same operation on the same operands, so
+//!   every sample is bit-identical to that form's — which survives as the
+//!   unit tests' reference, next to a committed golden table
+//!   (`tests/ptdr_golden.rs`).
+//!   The summary, [`summarize`], runs over the stored samples once the
+//!   last block is done: the mean and standard deviation in two passes of
+//!   four accumulators each, so no addition waits on the one before it,
+//!   and a `select_nth_unstable` 95th percentile instead of a full sort.
+//!   The streaming Welford form it replaced is the test reference, and a
+//!   committed tolerance policy (`tests/golden/tolerance_policy.txt`)
+//!   bounds how far the two may differ: the p95 not at all, the mean and
+//!   std by 1e-12 of the samples' scale.
 //! * [`PtdrService`] — the batch front-end: fans a slice of
 //!   [`RouteQuery`]s across [`everest_workflow::pool::parallel_map`]
 //!   and answers repeated questions from an LRU response cache keyed by
@@ -111,47 +117,37 @@ pub fn ptdr_travel_time_reference(
 }
 
 // ---------------------------------------------------------------------------
-// Streaming summary
+// Summary
 // ---------------------------------------------------------------------------
 
-/// Welford's streaming mean/variance, one sample at a time. The engine
-/// pushes a block's lanes in a loop of their own once the block's last
-/// edge has been stepped, which keeps that step the same branch-free
-/// loop as every other edge's; the cost is that each push's divide chain
-/// (subtract, divide, add: ≈ 22 cycles, each step waiting on the one
-/// before) runs serially.
-#[derive(Debug, Default)]
-struct Moments {
-    count: usize,
-    mean: f64,
-    m2: f64,
+/// `f(t)` summed over `times` in four interleaved accumulators (sample
+/// `i` into accumulator `i mod 4`), combined pairwise at the end: four
+/// additions in flight instead of one chain that waits on each. `f` sees
+/// the samples in buffer order.
+#[inline(always)]
+fn sum4(times: &[f64], mut f: impl FnMut(f64) -> f64) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let chunks = times.chunks_exact(4);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (acc, &t) in acc.iter_mut().zip(chunk) {
+            *acc += f(t);
+        }
+    }
+    for (acc, &t) in acc.iter_mut().zip(rest) {
+        *acc += f(t);
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-impl Moments {
-    #[inline(always)]
-    fn push(&mut self, t: f64) {
-        self.count += 1;
-        let delta = t - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (t - self.mean);
-    }
-
-    /// Closes the summary over `times`, the samples pushed (reordered in
-    /// place by the selection).
-    fn finish(self, times: &mut [f64]) -> TravelTimeStats {
-        assert_eq!(self.count, times.len(), "one push per sample");
-        let var = (self.m2 / times.len() as f64).max(0.0);
-        let idx = ((0.95 * (times.len() - 1) as f64).round() as usize).min(times.len() - 1);
-        let (_, p95, _) = times.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
-        TravelTimeStats { mean_h: self.mean, p95_h: *p95, std_h: var.sqrt() }
-    }
-}
-
-/// Summarizes a sample buffer without sorting it: Welford's
-/// streaming mean/variance in one pass, then the 95th percentile via
-/// `select_nth_unstable` (average O(n), versus O(n log n) for the sorted
-/// reference). Produces the same percentile element the sorted reference
-/// indexes at `round(0.95 * (n - 1))`.
+/// Summarizes a sample buffer without sorting it: the mean and standard
+/// deviation in two passes (the sum, then the squared deviations from
+/// its mean), then the 95th percentile via `select_nth_unstable` (average
+/// O(n), versus O(n log n) for the sorted reference). Produces the same
+/// percentile element the sorted reference indexes at
+/// `round(0.95 * (n - 1))`. The mean and std are within the committed
+/// tolerance policy (`tests/golden/tolerance_policy.txt`) of the
+/// streaming Welford form this replaced.
 ///
 /// The buffer is reordered in place by the selection.
 ///
@@ -160,11 +156,13 @@ impl Moments {
 /// Panics on an empty buffer.
 pub fn summarize(times: &mut [f64]) -> TravelTimeStats {
     assert!(!times.is_empty(), "need at least one sample");
-    let mut moments = Moments::default();
-    for &t in times.iter() {
-        moments.push(t);
-    }
-    moments.finish(times)
+    let n = times.len() as f64;
+    let mean = sum4(times, |t| t) / n;
+    // `max` maps a NaN variance to 0, as the Welford form did.
+    let var = (sum4(times, |t| (t - mean) * (t - mean)) / n).max(0.0);
+    let idx = ((0.95 * (times.len() - 1) as f64).round() as usize).min(times.len() - 1);
+    let (_, p95, _) = times.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
+    TravelTimeStats { mean_h: mean, p95_h: *p95, std_h: var.sqrt() }
 }
 
 // ---------------------------------------------------------------------------
@@ -394,7 +392,6 @@ impl<const LANES: usize> PtdrEngine<LANES> {
         let mut rng = StdRng::seed_from_u64(seed);
         self.times.clear();
         self.times.reserve(samples);
-        let mut moments = Moments::default();
         let mut t = [0.0f64; LANES];
         let mut z = [0.0f64; LANES];
         // A lane whose `depart_hour + t` is below `boundary` reads hour
@@ -435,13 +432,10 @@ impl<const LANES: usize> PtdrEngine<LANES> {
                     }
                 }
             }
-            for &lane_t in t.iter() {
-                moments.push(lane_t);
-            }
             self.times.extend_from_slice(t);
             done += width;
         }
-        moments.finish(&mut self.times)
+        summarize(&mut self.times)
     }
 }
 
