@@ -39,13 +39,9 @@
 //!   unit tests' reference, next to a committed golden table
 //!   (`tests/ptdr_golden.rs`).
 //!   The summary, [`summarize`], runs over the stored samples once the
-//!   last block is done, in two passes with four accumulators each, so
-//!   no addition waits on the one before it: the sum, then the squared
-//!   deviations from the mean. The passes also build a 256-bucket
-//!   histogram of the samples' `total_cmp` keys, and the 95th percentile
-//!   is selected inside the one bucket that holds it — the element a
-//!   selection over the whole buffer returns, without a full sort or a
-//!   whole-buffer partition.
+//!   last block is done: the mean and standard deviation in two passes of
+//!   four accumulators each, so no addition waits on the one before it,
+//!   and a `select_nth_unstable` 95th percentile instead of a full sort.
 //!   The streaming Welford form it replaced is the test reference, and a
 //!   committed tolerance policy (`tests/golden/tolerance_policy.txt`)
 //!   bounds how far the two may differ: the p95 not at all, the mean and
@@ -144,35 +140,16 @@ fn sum4(times: &[f64], mut f: impl FnMut(f64) -> f64) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-/// `f64::total_cmp` as an unsigned order: `order_key(a) < order_key(b)`
-/// exactly when `a.total_cmp(&b)` is `Less`. The list scheduler's
-/// `total_key` transform (a negative value's magnitude bits flipped), with
-/// the sign bit flipped as well so that the order is unsigned.
-#[inline(always)]
-fn order_key(t: f64) -> u64 {
-    let bits = t.to_bits();
-    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
-}
-
-/// Summarizes a sample buffer without sorting it, in two passes:
+/// Summarizes a sample buffer without sorting it: the mean and standard
+/// deviation in two passes (the sum, then the squared deviations from
+/// its mean), then the 95th percentile via `select_nth_unstable` (average
+/// O(n), versus O(n log n) for the sorted reference). Produces the same
+/// percentile element the sorted reference indexes at
+/// `round(0.95 * (n - 1))`. The mean and std are within the committed
+/// tolerance policy (`tests/golden/tolerance_policy.txt`) of the
+/// streaming Welford form this replaced.
 ///
-/// 1. the sum, and the smallest and largest [`total_cmp`](f64::total_cmp)
-///    key;
-/// 2. the squared deviations from the mean, and a 256-bucket histogram
-///    of the keys over that range.
-///
-/// Each sum runs in four accumulators, so no addition waits on the one
-/// before it. The 95th percentile, the element the sorted reference
-/// indexes at `round(0.95 * (n - 1))`, is then found by counting buckets
-/// down from the top to the one that holds it, gathering that bucket to
-/// the front of the buffer and selecting inside it. Keys order exactly as
-/// `total_cmp` does, so this is the element `select_nth_unstable_by`
-/// over the whole buffer returns, for every input: negatives, ±0.0, NaN
-/// and ±∞ included. The mean and std are within the committed tolerance
-/// policy (`tests/golden/tolerance_policy.txt`) of the streaming Welford
-/// form this replaced.
-///
-/// The buffer is reordered in place.
+/// The buffer is reordered in place by the selection.
 ///
 /// # Panics
 ///
@@ -180,37 +157,11 @@ fn order_key(t: f64) -> u64 {
 pub fn summarize(times: &mut [f64]) -> TravelTimeStats {
     assert!(!times.is_empty(), "need at least one sample");
     let n = times.len() as f64;
-    let (mut lo, mut hi) = (u64::MAX, 0u64);
-    let mean = sum4(times, |t| {
-        let key = order_key(t);
-        (lo, hi) = (lo.min(key), hi.max(key));
-        t
-    }) / n;
-    // A bucket is the top 8 bits of a key's offset from the smallest.
-    let shift = (u64::BITS - (hi - lo).leading_zeros()).saturating_sub(8);
-    let bucket = |t: f64| ((order_key(t) - lo) >> shift) as usize;
-    let mut counts = [0usize; 256];
-    let squares = sum4(times, |t| {
-        counts[bucket(t)] += 1;
-        (t - mean) * (t - mean)
-    });
+    let mean = sum4(times, |t| t) / n;
     // `max` maps a NaN variance to 0, as the Welford form did.
-    let var = (squares / n).max(0.0);
-    // The p95 has `above` samples after it in key order.
-    let rank = ((0.95 * (times.len() - 1) as f64).round() as usize).min(times.len() - 1);
-    let (mut above, mut top) = (times.len() - 1 - rank, 255);
-    while above >= counts[top] {
-        above -= counts[top];
-        top -= 1;
-    }
-    let mut len = 0;
-    for i in 0..times.len() {
-        if bucket(times[i]) == top {
-            times.swap(len, i);
-            len += 1;
-        }
-    }
-    let (_, p95, _) = times[..len].select_nth_unstable_by(len - 1 - above, f64::total_cmp);
+    let var = (sum4(times, |t| (t - mean) * (t - mean)) / n).max(0.0);
+    let idx = ((0.95 * (times.len() - 1) as f64).round() as usize).min(times.len() - 1);
+    let (_, p95, _) = times.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
     TravelTimeStats { mean_h: mean, p95_h: *p95, std_h: var.sqrt() }
 }
 
