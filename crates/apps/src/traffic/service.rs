@@ -122,10 +122,9 @@ pub fn ptdr_travel_time_reference(
 
 /// `f(t)` summed over `times` in four interleaved accumulators (sample
 /// `i` into accumulator `i mod 4`), combined pairwise at the end: four
-/// additions in flight instead of one chain that waits on each. `f` sees
-/// the samples in buffer order.
+/// additions in flight instead of one chain that waits on each.
 #[inline(always)]
-fn sum4(times: &[f64], mut f: impl FnMut(f64) -> f64) -> f64 {
+fn sum4(times: &[f64], f: impl Fn(f64) -> f64) -> f64 {
     let mut acc = [0.0f64; 4];
     let chunks = times.chunks_exact(4);
     let rest = chunks.remainder();
@@ -145,9 +144,9 @@ fn sum4(times: &[f64], mut f: impl FnMut(f64) -> f64) -> f64 {
 /// its mean), then the 95th percentile via `select_nth_unstable` (average
 /// O(n), versus O(n log n) for the sorted reference). Produces the same
 /// percentile element the sorted reference indexes at
-/// `round(0.95 * (n - 1))`. The mean and std are within the committed
-/// tolerance policy (`tests/golden/tolerance_policy.txt`) of the
-/// streaming Welford form this replaced.
+/// `round(0.95 * (n - 1))`. The mean and std keep the committed
+/// tolerance policy (`tests/golden/tolerance_policy.txt`) against
+/// Welford's streaming form, the tests' reference.
 ///
 /// The buffer is reordered in place by the selection.
 ///
@@ -825,10 +824,11 @@ mod tests {
     ///
     /// Then accuracy: against compensated sums, the summary's largest and
     /// average relative errors must be no larger than Welford's. That
-    /// check is an aggregate, not one per buffer: which of two forms lands
-    /// nearer the exact value on one buffer is close to a coin flip at the
-    /// ulp level, so a per-buffer rule fails whichever form ships, while
-    /// Welford's serial chain shows in the maximum and the average.
+    /// check is an aggregate, not one per buffer: on one buffer either
+    /// form can land nearer the exact value at the ulp level (the two
+    /// passes are the further off on about one buffer in ten here), so a
+    /// per-buffer rule would fail whichever form ships, while Welford's
+    /// serial chain shows in the maximum and the average.
     #[test]
     fn summary_keeps_the_policy_and_welfords_accuracy() {
         use super::super::serve::LoadGen;
@@ -837,23 +837,31 @@ mod tests {
         let net = RoadNetwork::grid(2026, 12, 1.0);
         let profiles = SpeedProfiles::learn(&net, &generate_fcd(&net, 7, 150_000));
         // Per form (summary, Welford) and moment (mean, std): the largest
-        // and the summed relative error.
+        // and the summed relative error; per moment, the buffers on which
+        // the summary is the further off.
         let mut errors = [[(0.0f64, 0.0f64); 2]; 2];
+        let mut worse = [0usize; 2];
         let mut buffers = 0usize;
         let mut judge = |times: &[f64]| {
             let stats = summarize(&mut times.to_vec());
             check(times, (stats.mean_h, stats.p95_h, stats.std_h)).unwrap();
             let exact = compensated(times);
-            let forms = [(stats.mean_h, stats.std_h), welford(times)];
-            for (form, (mean, std)) in forms.into_iter().enumerate() {
-                for (moment, (got, want)) in
-                    [(mean, exact.0), (std, exact.1)].into_iter().enumerate()
-                {
-                    let error = if got == want { 0.0 } else { ((got - want) / want).abs() };
+            let forms = [[stats.mean_h, stats.std_h], <[f64; 2]>::from(welford(times))];
+            for (moment, want) in <[f64; 2]>::from(exact).into_iter().enumerate() {
+                let error = forms.map(|form| {
+                    let got = form[moment];
+                    if got == want {
+                        0.0
+                    } else {
+                        ((got - want) / want).abs()
+                    }
+                });
+                for (form, error) in error.into_iter().enumerate() {
                     let (max, sum) = &mut errors[form][moment];
                     *max = max.max(error);
                     *sum += error;
                 }
+                worse[moment] += usize::from(error[0] > error[1]);
             }
             buffers += 1;
         };
@@ -900,7 +908,9 @@ mod tests {
                 (["mean", "std"][moment], summary[moment], reference[moment]);
             eprintln!(
                 "  {name}: summary max {max:.2e} average {mean:.2e}, \
-                 Welford max {welford_max:.2e} average {welford_mean:.2e}"
+                 Welford max {welford_max:.2e} average {welford_mean:.2e}; \
+                 the summary further off on {} buffers",
+                worse[moment]
             );
             assert!(max <= welford_max, "{name}: max error {max:e} > Welford's {welford_max:e}");
             assert!(

@@ -6,11 +6,11 @@
 //!   (`tests/golden/tolerance_policy.txt`): the p95 is the element
 //!   `select_nth_unstable_by(total_cmp)` returns, bit for bit, on any bit
 //!   pattern — negatives, ±0.0, NaN and ±∞ included — on all-equal
-//!   buffers, and beside one 1e300 outlier, which puts almost every other
-//!   sample in one bucket of a histogram over the value range; the mean and
-//!   std stay within the policy's bounds of Welford. Sizes 1, 2, 3, 312
-//!   and 10 000 are each taken. CI runs this file in release as well,
-//!   since that is the code generation that ships.
+//!   buffers, and beside one 1e300 outlier, so that every other sample
+//!   sits at one end of the value range; the mean and std stay within the
+//!   policy's bounds of Welford. Sizes 1, 2, 3, 312 and 10 000 are each
+//!   taken. CI runs this file in release as well, since that is the code
+//!   generation that ships.
 
 use everest_apps::traffic::service::summarize;
 use everest_apps::traffic::TravelTimeStats;
