@@ -1,19 +1,15 @@
-//! The response caches of the PTDR serving engines and the cache
+//! The response cache of the PTDR serving engines and the cache
 //! identity of a query ([`CacheKey`], [`cache_key`], [`derive_seed`],
 //! [`bin_center_hour`]; [`super::service`] re-exports the identity, not
-//! the caches):
+//! the cache):
 //!
-//! * [`LruCache`] — one fixed-capacity level, the response cache of
-//!   [`PtdrService`](super::service::PtdrService);
-//! * [`TierCache`] — both levels of one shard of the serving tier
-//!   ([`super::serve`]): a small edge level in front of a large cloud
-//!   level, in one table.
-//!
-//! **One level, any payload.** [`LruCache`] maps a [`CacheKey`] to a
-//! `Copy` payload and knows nothing about time. `PtdrService` stores
-//! `(TravelTimeStats, Instant)`, stamping an entry on its own miss path
-//! (≈ 10 µs of sampling) for the one-in-sixteen `ptdr.cache.hit_age_us`
-//! sample; nothing on the tier reads a clock.
+//! * [`TierCache`] — both levels of one shard of either front-end (a
+//!   part of [`PtdrService`](super::service::PtdrService), a shard of the
+//!   serving tier, [`super::serve`]): a small edge level in front of a
+//!   large cloud level, in one table. Nothing on its paths reads a clock.
+//! * `LruCache` — one fixed-capacity level, kept under `#[cfg(test)]` as
+//!   the reference the table is tested against: an edge and a cloud
+//!   `LruCache` are the pair a shard kept before the table.
 //!
 //! **Two levels, one table.** Both levels of a shard hold the same
 //! answer for a key — a cloud hit is promoted into the edge, a
@@ -32,14 +28,14 @@
 //! table allocates nothing, and a proptest drives the table and an edge
 //! and a cloud `LruCache` through the same look-ups and fills.
 //!
-//! **Why the tables may hash by word mixing.** The `HashMap` inside
-//! either cache hashes its key with a rotate-xor-multiply per word, not
-//! with SipHash, which was most of what a probe cost (EXPERIMENTS.md
-//! E31). That is sound for this key and no other: its first word,
+//! **Why the table may hash by word mixing.** The `HashMap` inside the
+//! table (and inside the reference) hashes its key with a
+//! rotate-xor-multiply per word, not with SipHash, which was most of
+//! what a probe cost (EXPERIMENTS.md E31). That is sound for this key and no other: its first word,
 //! [`CacheKey::route_hash`], is already a SipHash of the route, so the
 //! bits the table indexes by are well mixed before the first multiply;
 //! keys are made by [`cache_key`] from queries this program generated or
-//! was handed as routes over its own road network, and both caches are
+//! was handed as routes over its own road network, and the table is
 //! capacity-bound, so the worst a crafted set of colliding routes could
 //! do is slow one bounded table down; and nothing iterates a map, so no
 //! output can depend on its order. Correctness never rests on the hash:
@@ -78,7 +74,7 @@ pub(crate) struct CacheKey {
     pub samples: u64,
 }
 
-/// Hasher of the tables inside [`LruCache`] and [`TierCache`]: one
+/// Hasher of the tables inside [`TierCache`] and `LruCache`: one
 /// rotate-xor-multiply per word written (the FxHash step). Sound only
 /// because of what the tables are keyed by — see the module docs.
 #[derive(Default)]
@@ -111,14 +107,16 @@ impl Hasher for WordMix {
     }
 }
 
-/// Sentinel slot index of [`LruCache`]'s recency list.
+/// Sentinel slot index of `LruCache`'s recency list.
+#[cfg(test)]
 const NIL: usize = usize::MAX;
 
-/// Table of [`LruCache`] and [`TierCache`].
+/// Table of [`TierCache`] and `LruCache`.
 type Table<V> = HashMap<CacheKey, V, BuildHasherDefault<WordMix>>;
 
-/// One slab slot of the [`LruCache`]: the entry plus its intrusive
+/// One slab slot of the `LruCache`: the entry plus its intrusive
 /// doubly-linked recency list neighbours.
+#[cfg(test)]
 #[derive(Debug)]
 struct LruSlot<V> {
     key: CacheKey,
@@ -132,10 +130,10 @@ struct LruSlot<V> {
 /// an intrusive doubly-linked recency list. Lookups, inserts, *and
 /// eviction* are O(1), and none of them reads a clock or allocates once
 /// the slab is full.
+#[cfg(test)]
 #[derive(Debug)]
 pub(crate) struct LruCache<V> {
     capacity: usize,
-    tick: u64,
     map: Table<usize>,
     slots: Vec<LruSlot<V>>,
     /// Most-recently-used slot, `NIL` when empty.
@@ -144,11 +142,11 @@ pub(crate) struct LruCache<V> {
     tail: usize,
 }
 
+#[cfg(test)]
 impl<V: Copy> LruCache<V> {
     pub(crate) fn new(capacity: usize) -> LruCache<V> {
         LruCache {
             capacity: capacity.max(1),
-            tick: 0,
             map: HashMap::default(),
             slots: Vec::new(),
             head: NIL,
@@ -191,7 +189,6 @@ impl<V: Copy> LruCache<V> {
     /// The payload cached under `key`, which becomes the most recently
     /// used entry.
     pub(crate) fn get(&mut self, key: &CacheKey) -> Option<V> {
-        self.tick += 1;
         let at = *self.map.get(key)?;
         self.touch(at);
         Some(self.slots[at].value)
@@ -200,7 +197,6 @@ impl<V: Copy> LruCache<V> {
     /// Caches `value` under `key` as the most recently used entry; a
     /// full cache gives up its least recently used one.
     pub(crate) fn insert(&mut self, key: CacheKey, value: V) {
-        self.tick += 1;
         if let Some(&at) = self.map.get(&key) {
             self.slots[at].value = value;
             self.touch(at);
@@ -225,14 +221,7 @@ impl<V: Copy> LruCache<V> {
         self.map.len()
     }
 
-    /// Look-ups and inserts so far: what a caller that samples one
-    /// operation in N counts on.
-    pub(crate) fn tick(&self) -> u64 {
-        self.tick
-    }
-
     /// Every entry, most recently used first.
-    #[cfg(test)]
     fn by_recency(&self) -> Vec<(CacheKey, V)> {
         let mut out = Vec::with_capacity(self.len());
         let mut at = self.head;
@@ -313,6 +302,11 @@ impl TierCache {
             tail: [NIL32; 2],
             free: NIL32,
         }
+    }
+
+    /// Keys held by either level.
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
     }
 
     /// Drops every entry and keeps every allocation.

@@ -1,23 +1,25 @@
 //! City-scale sharded PTDR serving tier over the endpoint→edge→cloud
 //! hierarchy (paper Fig. 3 + §VI-C, "route calculation as a service").
 //!
-//! [`PtdrService`](super::service::PtdrService) is a single-node pool
-//! with one LRU cache. This module scales that design out the way the
+//! [`PtdrService`](super::service::PtdrService) answers from four shards
+//! on one node. This module scales the same shards out the way the
 //! paper's ecosystem does: end-point devices emit route queries, a rank
 //! of **inner-edge shards** answers them from per-shard caches, and the
 //! **cloud tier** backs every shard with a larger cache plus the
-//! Monte-Carlo recompute path. The pieces:
+//! Monte-Carlo recompute path, behind admission queues. The pieces:
 //!
 //! * [`HashRing`] — consistent-hash routing of `CacheKey` route
 //!   hashes to shards, with virtual nodes so adding or removing a shard
 //!   moves only ~1/N of the key space (and *every* moved key lands on
 //!   the changed shard — the segment-claiming property the proptest
 //!   suite pins down).
-//! * [`ServeTier`] — N shards, each owning a small edge LRU level in
-//!   front of a larger cloud-partition LRU level, both in one table (the
-//!   cloud tier is co-partitioned with the ring, as a real deployment
-//!   does to keep fill affinity local), a
-//!   [`PtdrEngine`] for recomputes, and a **bounded admission queue**:
+//! * [`ServeTier`] — N shards of the type `PtdrService` answers from,
+//!   each owning a small edge LRU level in front of a larger
+//!   cloud-partition LRU level, both in one table (the cloud tier is
+//!   co-partitioned with the ring, as a real deployment does to keep
+//!   fill affinity local), and a
+//!   [`PtdrEngine`](super::service::PtdrEngine) for recomputes; in front
+//!   of each, a **bounded admission queue**:
 //!   arrivals beyond `queue_depth` waiting queries are load-shed —
 //!   [`ShedPolicy::RejectNew`] turns new arrivals away,
 //!   [`ShedPolicy::ShedOldest`] drops the longest-waiting query to
@@ -63,11 +65,12 @@
 //! gauges, and `serve.query.latency_us` / `serve.queue.wait_us`
 //! virtual-time histograms, all exported through `everestc stats`.
 
-use super::lru::{Lookup, TierCache};
+use super::lru::Lookup;
 pub use super::ring::HashRing;
 pub(crate) use super::ring::DEFAULT_VNODES;
-use super::service::RouteQuery;
-use super::service::{bin_center_hour, cache_key, derive_seed, CacheKey, PtdrEngine};
+use super::service::{
+    cache_key, CacheKey, RouteQuery, ShardState, CLOUD_CACHE_KEYS, EDGE_CACHE_KEYS,
+};
 use super::{random_od, shortest_route, RoadNetwork, SpeedProfiles, TravelTimeStats};
 use everest_platform::ecosystem::ServeCostModel;
 use everest_telemetry::{HistogramSnapshot, LogHistogram};
@@ -150,8 +153,8 @@ impl ServeConfig {
         ServeConfig {
             shards: shards.max(1),
             vnodes: DEFAULT_VNODES,
-            edge_cache: 2_048,
-            cloud_cache: 65_536,
+            edge_cache: EDGE_CACHE_KEYS,
+            cloud_cache: CLOUD_CACHE_KEYS,
             queue_depth: 64,
             policy: ShedPolicy::RejectNew,
             seed: 0,
@@ -319,13 +322,6 @@ impl LoadGen {
 // The sharded tier
 // ---------------------------------------------------------------------------
 
-/// Per-shard cache + engine state, persistent across runs so a repeated
-/// workload measures the warm path.
-struct ShardState {
-    cache: TierCache,
-    engine: PtdrEngine,
-}
-
 /// Deterministic per-shard accounting of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardReport {
@@ -486,12 +482,7 @@ impl ServeTier {
         config.jobs = config.jobs.max(1);
         let ring = HashRing::new(config.shards, config.vnodes.max(1));
         let states = (0..config.shards)
-            .map(|_| {
-                Mutex::new(ShardState {
-                    cache: TierCache::new(config.edge_cache, config.cloud_cache),
-                    engine: PtdrEngine::new(),
-                })
-            })
+            .map(|_| Mutex::new(ShardState::new(config.edge_cache, config.cloud_cache)))
             .collect();
         ServeTier { network, profiles, config, ring, states }
     }
@@ -746,15 +737,7 @@ impl ServeTier {
                 report.edge_misses += 1;
                 report.cloud_fills += 1;
                 let query = &arrival.query;
-                let stats = state.engine.estimate(
-                    &self.network,
-                    &self.profiles,
-                    &query.route,
-                    bin_center_hour(key),
-                    query.samples,
-                    derive_seed(self.config.seed, key),
-                );
-                state.cache.fill(*key, stats);
+                let stats = state.miss(&self.network, &self.profiles, self.config.seed, query, key);
                 (stats, cost.fill_rtt_us + cost.compute_us(query.route.len(), query.samples))
             }
         }

@@ -46,28 +46,34 @@
 //!   committed tolerance policy (`tests/golden/tolerance_policy.txt`)
 //!   bounds how far the two may differ: the p95 not at all, the mean and
 //!   std by 1e-12 of the samples' scale.
-//! * [`PtdrService`] — the batch front-end: fans a slice of
-//!   [`RouteQuery`]s across [`everest_workflow::pool::parallel_map`]
-//!   and answers repeated questions from an LRU response cache keyed by
-//!   (route hash, departure bin, sample count). Departure times are
-//!   quantized to 15-minute bins and the per-query RNG seed is derived
-//!   from the cache key, so a cached answer is bit-identical to a
-//!   recomputed one and `jobs = N` reproduces `jobs = 1` exactly.
-//!   Mirroring the DSE engine, `jobs = 1` is the sequential *reference*
-//!   path (no cache consulted); `jobs >= 2` enables the pooled, cached
-//!   engine — outputs are identical either way.
+//! * [`PtdrService`] — the single-node front-end, built from the serving
+//!   tier's parts ([`super::serve`]): four shards, each a two-level
+//!   response cache keyed by (route hash, departure bin, sample count)
+//!   and an engine behind its own lock, and the tier's hash ring to pick
+//!   a key's shard. Departure times are quantized to 15-minute bins and
+//!   the per-query RNG seed is derived from the cache key, so a cached
+//!   answer is bit-identical to a recomputed one and `jobs = N`
+//!   reproduces `jobs = 1` exactly. Mirroring the DSE engine, `jobs = 1`
+//!   is the sequential *reference* path (no cache consulted); at
+//!   `jobs >= 2` a batch lists each shard's queries and answers each
+//!   list on one [`everest_workflow::pool::parallel_map`] worker, so no
+//!   worker waits on another's lock and each distinct key is computed
+//!   once. The tier's shards and these are one type with one miss path.
 //!
 //! Telemetry: `ptdr.queries`, `ptdr.cache.hit`, `ptdr.cache.miss`
-//! counters, and a `ptdr.batch` span per batch.
+//! counters and the `ptdr.query.latency_us` histogram of computed
+//! queries (hits are counted, never timed), published once per batch;
+//! a `ptdr.batch` span per batch.
 
-use super::lru::LruCache;
-pub(crate) use super::lru::{bin_center_hour, cache_key, derive_seed, CacheKey};
+use super::lru::{bin_center_hour, derive_seed, Lookup, TierCache};
+pub(crate) use super::lru::{cache_key, CacheKey};
+use super::ring::{HashRing, DEFAULT_VNODES};
 use super::{RoadNetwork, SpeedProfiles, TravelTimeStats, HOUR_BINS};
+use everest_telemetry::LogHistogram;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cell::RefCell;
 use std::time::Instant;
 
 /// Slowest speed a sampled segment can fall to, km/h (matches the
@@ -457,33 +463,126 @@ pub struct RouteQuery {
     pub samples: usize,
 }
 
-thread_local! {
-    /// One engine per serving thread, so table/scratch buffers amortize
-    /// across the queries a worker handles.
-    static ENGINE: RefCell<PtdrEngine> = RefCell::new(PtdrEngine::new());
+/// Edge-level capacity of one shard's cache, keys: a serving-tier
+/// shard's default and the size of each part of a [`PtdrService`].
+pub(crate) const EDGE_CACHE_KEYS: usize = 2_048;
+
+/// Cloud-level capacity of one shard's cache, keys (likewise).
+pub(crate) const CLOUD_CACHE_KEYS: usize = 65_536;
+
+/// One shard of either front-end — a part of a [`PtdrService`], a shard
+/// of the serving tier ([`super::serve`]): both cache levels in one
+/// table, and the engine that recomputes what they miss. Each shard sits
+/// behind its own lock and a batch hands it to one worker, so no worker
+/// waits on another's shard.
+pub(crate) struct ShardState {
+    pub(crate) cache: TierCache,
+    engine: PtdrEngine,
+}
+
+impl ShardState {
+    /// An empty shard whose cache holds up to `edge` and `cloud` keys.
+    pub(crate) fn new(edge: usize, cloud: usize) -> ShardState {
+        ShardState { cache: TierCache::new(edge, cloud), engine: PtdrEngine::new() }
+    }
+
+    /// The answer to `query`, whose cache identity is `key`, computed on
+    /// this shard's engine without consulting the cache: estimated at the
+    /// center of the key's departure bin, with a seed derived from `seed`
+    /// and the key, so every query of a key gets the same answer.
+    pub(crate) fn compute(
+        &mut self,
+        network: &RoadNetwork,
+        profiles: &SpeedProfiles,
+        seed: u64,
+        query: &RouteQuery,
+        key: &CacheKey,
+    ) -> TravelTimeStats {
+        self.engine.estimate(
+            network,
+            profiles,
+            &query.route,
+            bin_center_hour(key),
+            query.samples,
+            derive_seed(seed, key),
+        )
+    }
+
+    /// A cache miss on either front-end: [`ShardState::compute`], then
+    /// the answer fills both cache levels.
+    pub(crate) fn miss(
+        &mut self,
+        network: &RoadNetwork,
+        profiles: &SpeedProfiles,
+        seed: u64,
+        query: &RouteQuery,
+        key: &CacheKey,
+    ) -> TravelTimeStats {
+        let stats = self.compute(network, profiles, seed, query, key);
+        self.cache.fill(*key, stats);
+        stats
+    }
+}
+
+/// Parts of a [`PtdrService`]'s cache. Fixed, not the worker count, so
+/// which part answers a key — and every counter and `cache_len` — is
+/// the same at any `jobs`.
+const PARTS: usize = 4;
+
+/// Cache outcomes of some queries: hits counted, misses counted and
+/// timed (nothing on the cached path reads a clock).
+#[derive(Default)]
+struct Tally {
+    hits: u64,
+    misses: u64,
+    latency: LogHistogram,
+}
+
+impl Tally {
+    /// Exports the tally of `queries` queries into the global metrics
+    /// registry: one lock a metric, however many queries.
+    fn publish(&self, queries: usize) {
+        let m = everest_telemetry::metrics();
+        m.counter_add("ptdr.queries", queries as u64);
+        m.counter_add("ptdr.cache.hit", self.hits);
+        m.counter_add("ptdr.cache.miss", self.misses);
+        m.merge_histogram("ptdr.query.latency_us", &self.latency);
+    }
 }
 
 /// The PTDR serving engine: owns the network and learned speed profiles,
-/// fans batches across a worker pool, and caches finished responses.
+/// and answers from four shards of the serving tier's kind, which a hash
+/// ring picks by route as the tier's ring picks its shards.
 pub struct PtdrService {
     network: RoadNetwork,
     profiles: SpeedProfiles,
     jobs: usize,
     seed: u64,
-    /// Finished responses, each with the instant it was computed at.
-    cache: Mutex<LruCache<(TravelTimeStats, Instant)>>,
+    ring: HashRing,
+    parts: Vec<Mutex<ShardState>>,
 }
 
 impl PtdrService {
     /// A service over `network`/`profiles` with `jobs = 1` (the
-    /// sequential reference path) and a 4096-entry response cache.
+    /// sequential reference path) and an empty response cache of four
+    /// parts, each sized like a serving-tier shard's (2 048 edge and
+    /// 65 536 cloud keys).
     pub fn new(network: RoadNetwork, profiles: SpeedProfiles) -> PtdrService {
-        PtdrService { network, profiles, jobs: 1, seed: 0, cache: Mutex::new(LruCache::new(4096)) }
+        PtdrService {
+            network,
+            profiles,
+            jobs: 1,
+            seed: 0,
+            ring: HashRing::new(PARTS, DEFAULT_VNODES),
+            parts: (0..PARTS)
+                .map(|_| Mutex::new(ShardState::new(EDGE_CACHE_KEYS, CLOUD_CACHE_KEYS)))
+                .collect(),
+        }
     }
 
     /// Sets the worker count: `1` serves batches sequentially without
     /// consulting the response cache (the bit-identical reference), `2+`
-    /// fans queries across the pool with caching enabled.
+    /// answers each part's queries on a pool worker, from the cache.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> PtdrService {
         self.jobs = jobs.max(1);
@@ -497,17 +596,9 @@ impl PtdrService {
         self
     }
 
-    /// Replaces the response cache with an empty one of `capacity`
-    /// entries (clamped to at least 1): whatever was cached is dropped.
-    #[must_use]
-    pub fn with_cache_capacity(mut self, capacity: usize) -> PtdrService {
-        self.cache = Mutex::new(LruCache::new(capacity));
-        self
-    }
-
     /// Number of cached responses.
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().len()
+        self.parts.iter().map(|part| part.lock().cache.len()).sum()
     }
 
     /// The cache identity of `query` (see [`cache_key`]).
@@ -515,93 +606,117 @@ impl PtdrService {
         cache_key(&query.route, query.depart_hour, query.samples)
     }
 
-    /// Computes a query on this thread's engine, bypassing the cache.
-    fn compute(&self, query: &RouteQuery, key: &CacheKey) -> TravelTimeStats {
-        ENGINE.with(|engine| {
-            engine.borrow_mut().estimate(
-                &self.network,
-                &self.profiles,
-                &query.route,
-                bin_center_hour(key),
-                query.samples,
-                derive_seed(self.seed, key),
-            )
-        })
+    /// Replaces the response cache with an empty one whose parts hold up
+    /// to `keys` keys each, in either level.
+    #[cfg(test)]
+    fn with_part_capacity(mut self, keys: usize) -> PtdrService {
+        self.parts = (0..PARTS).map(|_| Mutex::new(ShardState::new(keys, keys))).collect();
+        self
     }
 
-    /// Serves one query through the response cache.
-    ///
-    /// Latency telemetry: misses always observe
-    /// `ptdr.query.latency_us`; hits observe it (plus
-    /// `ptdr.cache.hit_age_us`) sampled one-in-sixteen on the cache
-    /// tick, so the sub-µs warm path pays a couple of nanoseconds
-    /// amortized while the percentile estimates stay representative.
-    fn serve_cached(&self, query: &RouteQuery) -> TravelTimeStats {
-        let telemetry = everest_telemetry::metrics();
-        telemetry.counter_inc("ptdr.queries");
-        let start = Instant::now();
-        let key = self.key(query);
-        let (hit, tick) = {
-            let mut cache = self.cache.lock();
-            (cache.get(&key), cache.tick())
-        };
-        if let Some((stats, inserted)) = hit {
-            telemetry.counter_inc("ptdr.cache.hit");
-            if tick % 16 == 0 {
-                telemetry.observe("ptdr.cache.hit_age_us", inserted.elapsed().as_secs_f64() * 1e6);
-                telemetry.observe("ptdr.query.latency_us", start.elapsed().as_secs_f64() * 1e6);
-            }
+    /// The part that answers `key`.
+    fn part_of(&self, key: &CacheKey) -> usize {
+        self.ring.shard_of(key.route_hash)
+    }
+
+    /// Answers `query` from `part`'s cache, or computes and fills it.
+    fn answer(
+        &self,
+        part: &mut ShardState,
+        query: &RouteQuery,
+        key: &CacheKey,
+        tally: &mut Tally,
+    ) -> TravelTimeStats {
+        if let Lookup::Edge(stats) | Lookup::Cloud(stats) = part.cache.lookup(key) {
+            tally.hits += 1;
             return stats;
         }
-        telemetry.counter_inc("ptdr.cache.miss");
         everest_telemetry::flight().marker("ptdr.cache.miss", 1.0);
-        let stats = self.compute(query, &key);
-        let computed = Instant::now();
-        self.cache.lock().insert(key, (stats, computed));
-        telemetry.observe("ptdr.query.latency_us", start.elapsed().as_secs_f64() * 1e6);
+        let start = Instant::now();
+        let stats = part.miss(&self.network, &self.profiles, self.seed, query, key);
+        tally.misses += 1;
+        tally.latency.observe(start.elapsed().as_secs_f64() * 1e6);
         stats
     }
 
     /// Answers a single query (always cache-enabled). The warm path — a
-    /// repeated key — is a pure lookup: no sampling, no heap allocation.
+    /// repeated key — is a pure lookup: no sampling, no clock read, no
+    /// heap allocation.
     pub fn query(&self, query: &RouteQuery) -> TravelTimeStats {
-        self.serve_cached(query)
+        let key = self.key(query);
+        let mut tally = Tally::default();
+        let stats =
+            self.answer(&mut self.parts[self.part_of(&key)].lock(), query, &key, &mut tally);
+        tally.publish(1);
+        stats
     }
 
     /// Answers a batch of queries. Results land in input order and are
     /// bit-identical for every `jobs` setting: `jobs = 1` recomputes
-    /// every query sequentially (the reference), `jobs >= 2` fans the
-    /// batch across [`everest_workflow::pool::parallel_map`] workers
-    /// with the response cache deduplicating repeated keys.
+    /// every query sequentially (the reference); `jobs >= 2` lists each
+    /// part's queries on the calling thread and answers every list on
+    /// one [`everest_workflow::pool::parallel_map`] worker, which locks
+    /// its part once and answers in input order, so each distinct key
+    /// is computed exactly once.
     pub fn route_batch(&self, queries: &[RouteQuery]) -> Vec<TravelTimeStats> {
         let mut span = everest_telemetry::span("ptdr.batch", "traffic");
         span.attr("queries", queries.len());
         span.attr("jobs", self.jobs);
+        let mut total = Tally::default();
         if self.jobs <= 1 {
-            queries
+            let answers = queries
                 .iter()
                 .map(|query| {
-                    let telemetry = everest_telemetry::metrics();
-                    telemetry.counter_inc("ptdr.queries");
+                    let key = self.key(query);
                     let start = Instant::now();
-                    let out = self.compute(query, &self.key(query));
-                    telemetry.observe("ptdr.query.latency_us", start.elapsed().as_secs_f64() * 1e6);
-                    out
+                    let mut part = self.parts[self.part_of(&key)].lock();
+                    let stats = part.compute(&self.network, &self.profiles, self.seed, query, &key);
+                    total.latency.observe(start.elapsed().as_secs_f64() * 1e6);
+                    stats
                 })
-                .collect()
-        } else {
-            everest_workflow::pool::parallel_map(
-                "ptdr.batch.worker",
-                self.jobs,
-                queries.iter().collect(),
-                |_, query| self.serve_cached(query),
-            )
+                .collect();
+            total.publish(queries.len());
+            return answers;
         }
+        let keys: Vec<CacheKey> = queries.iter().map(|query| self.key(query)).collect();
+        // An even share and a quarter: most lists never regrow.
+        let share = queries.len() / PARTS;
+        let mut lists: Vec<Vec<usize>> =
+            (0..PARTS).map(|_| Vec::with_capacity(share + share / 4 + 8)).collect();
+        for (i, key) in keys.iter().enumerate() {
+            lists[self.part_of(key)].push(i);
+        }
+        let runs = everest_workflow::pool::parallel_map(
+            "ptdr.batch.worker",
+            self.jobs,
+            lists.iter().enumerate().collect(),
+            |_, (part, list)| {
+                let mut state = self.parts[part].lock();
+                let mut tally = Tally::default();
+                let answers: Vec<TravelTimeStats> = list
+                    .iter()
+                    .map(|&i| self.answer(&mut state, &queries[i], &keys[i], &mut tally))
+                    .collect();
+                (answers, tally)
+            },
+        );
+        let mut out = vec![TravelTimeStats { mean_h: 0.0, p95_h: 0.0, std_h: 0.0 }; queries.len()];
+        for (list, (answers, tally)) in lists.iter().zip(&runs) {
+            for (&i, &stats) in list.iter().zip(answers) {
+                out[i] = stats;
+            }
+            total.hits += tally.hits;
+            total.misses += tally.misses;
+            total.latency.merge_from(&tally.latency);
+        }
+        total.publish(queries.len());
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::lru::LruCache;
     use super::super::{generate_fcd, shortest_route};
     use super::*;
 
@@ -1073,10 +1188,11 @@ mod tests {
     #[test]
     fn service_cache_len_respects_capacity_after_eviction() {
         let (net, profiles) = setup();
-        let service = PtdrService::new(net, profiles).with_cache_capacity(2);
+        let service = PtdrService::new(net, profiles).with_part_capacity(2);
         let route = vec![0usize, 1, 2];
         let q = |h: f64| RouteQuery { route: route.clone(), depart_hour: h, samples: 64 };
-        // Three distinct departure bins = three distinct cache keys.
+        // Three distinct departure bins = three distinct cache keys, all
+        // on one route, so all in the part the route maps to.
         let first = service.query(&q(6.0));
         service.query(&q(12.0));
         assert_eq!(service.cache_len(), 2, "two keys fill the cache");

@@ -63,12 +63,10 @@ fn service_cache_hits_allocate_nothing() {
 
     // Warm-up: populate the cache entry and auto-register the telemetry
     // counters and histograms (first use allocates the name and bucket
-    // storage). Hit-path observations are sampled on the cache tick, so
-    // enough warm hits are needed to cross a sampling point.
+    // storage). Hits are counted, never timed, so one warm hit registers
+    // everything the hit path touches.
     service.query(&query);
-    for _ in 0..32 {
-        service.query(&query);
-    }
+    service.query(&query);
 
     let (allocations, _) = measure(|| {
         for i in 0..1_000usize {

@@ -172,10 +172,7 @@ fn main() {
     }
     let tier_qps = queries.len() as f64 / (tier_wall_ms / 1e3);
 
-    let baseline = PtdrService::new(network.clone(), profiles.clone())
-        .with_jobs(4)
-        .with_seed(SEED)
-        .with_cache_capacity(1 << 18);
+    let baseline = PtdrService::new(network.clone(), profiles.clone()).with_jobs(4).with_seed(SEED);
     baseline.route_batch(&queries); // fill the cache
     let mut baseline_wall_ms = f64::INFINITY;
     for _ in 0..RUNS {
