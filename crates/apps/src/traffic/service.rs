@@ -46,19 +46,18 @@
 //!   committed tolerance policy (`tests/golden/tolerance_policy.txt`)
 //!   bounds how far the two may differ: the p95 not at all, the mean and
 //!   std by 1e-12 of the samples' scale.
-//! * [`PtdrService`] — the single-node front-end, built from the serving
-//!   tier's parts ([`super::serve`]): four shards, each a two-level
-//!   response cache keyed by (route hash, departure bin, sample count)
-//!   and an engine behind its own lock, and the tier's hash ring to pick
-//!   a key's shard. Departure times are quantized to 15-minute bins and
-//!   the per-query RNG seed is derived from the cache key, so a cached
-//!   answer is bit-identical to a recomputed one and `jobs = N`
-//!   reproduces `jobs = 1` exactly. Mirroring the DSE engine, `jobs = 1`
-//!   is the sequential *reference* path (no cache consulted); at
-//!   `jobs >= 2` a batch lists each shard's queries and answers each
-//!   list on one [`everest_workflow::pool::parallel_map`] worker, so no
-//!   worker waits on another's lock and each distinct key is computed
-//!   once. The tier's shards and these are one type with one miss path.
+//! * [`PtdrService`] — the single-node front-end on the serving tier's
+//!   shard type ([`super::serve`]): four parts, each a two-level response
+//!   cache keyed by (route hash, departure bin, sample count) and an
+//!   engine behind its own lock, picked by route hash. Departures are
+//!   quantized to 15-minute bins and the per-query RNG seed is derived
+//!   from the cache key, so a cached answer is bit-identical to one
+//!   recomputed on any engine, and `jobs = N` reproduces `jobs = 1`.
+//!   Mirroring the DSE engine, `jobs = 1` is the sequential *reference*
+//!   (no cache consulted); at `jobs >= 2` the calling thread looks a
+//!   batch up and only its distinct missed keys go to
+//!   [`everest_workflow::pool::parallel_map`] workers, so each is
+//!   computed once. A miss is the same computation on the tier and here.
 //!
 //! Telemetry: `ptdr.queries`, `ptdr.cache.hit`, `ptdr.cache.miss`
 //! counters and the `ptdr.query.latency_us` histogram of computed
@@ -67,13 +66,13 @@
 
 use super::lru::{bin_center_hour, derive_seed, Lookup, TierCache};
 pub(crate) use super::lru::{cache_key, CacheKey};
-use super::ring::{HashRing, DEFAULT_VNODES};
 use super::{RoadNetwork, SpeedProfiles, TravelTimeStats, HOUR_BINS};
 use everest_telemetry::LogHistogram;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Slowest speed a sampled segment can fall to, km/h (matches the
@@ -472,9 +471,9 @@ pub(crate) const CLOUD_CACHE_KEYS: usize = 65_536;
 
 /// One shard of either front-end — a part of a [`PtdrService`], a shard
 /// of the serving tier ([`super::serve`]): both cache levels in one
-/// table, and the engine that recomputes what they miss. Each shard sits
-/// behind its own lock and a batch hands it to one worker, so no worker
-/// waits on another's shard.
+/// table, and the engine that recomputes what they miss. Each sits
+/// behind its own lock, which a batch takes once: the tier's worker for
+/// its shard, the service's calling thread for all four parts.
 pub(crate) struct ShardState {
     pub(crate) cache: TierCache,
     engine: PtdrEngine,
@@ -486,30 +485,8 @@ impl ShardState {
         ShardState { cache: TierCache::new(edge, cloud), engine: PtdrEngine::new() }
     }
 
-    /// The answer to `query`, whose cache identity is `key`, computed on
-    /// this shard's engine without consulting the cache: estimated at the
-    /// center of the key's departure bin, with a seed derived from `seed`
-    /// and the key, so every query of a key gets the same answer.
-    pub(crate) fn compute(
-        &mut self,
-        network: &RoadNetwork,
-        profiles: &SpeedProfiles,
-        seed: u64,
-        query: &RouteQuery,
-        key: &CacheKey,
-    ) -> TravelTimeStats {
-        self.engine.estimate(
-            network,
-            profiles,
-            &query.route,
-            bin_center_hour(key),
-            query.samples,
-            derive_seed(seed, key),
-        )
-    }
-
-    /// A cache miss on either front-end: [`ShardState::compute`], then
-    /// the answer fills both cache levels.
+    /// A miss of a tier shard or of [`PtdrService::query`]: the key's
+    /// answer, [`compute`]d on this shard's engine, fills both levels.
     pub(crate) fn miss(
         &mut self,
         network: &RoadNetwork,
@@ -518,15 +495,36 @@ impl ShardState {
         query: &RouteQuery,
         key: &CacheKey,
     ) -> TravelTimeStats {
-        let stats = self.compute(network, profiles, seed, query, key);
+        let stats = compute(&mut self.engine, network, profiles, seed, query, key);
         self.cache.fill(*key, stats);
         stats
     }
 }
 
+/// The answer to `query`, whose cache identity is `key`, computed on
+/// `engine`: at the center of the key's departure bin, seeded from `seed`
+/// and the key, so every query of a key gets it on any engine.
+fn compute(
+    engine: &mut PtdrEngine,
+    network: &RoadNetwork,
+    profiles: &SpeedProfiles,
+    seed: u64,
+    query: &RouteQuery,
+    key: &CacheKey,
+) -> TravelTimeStats {
+    engine.estimate(
+        network,
+        profiles,
+        &query.route,
+        bin_center_hour(key),
+        query.samples,
+        derive_seed(seed, key),
+    )
+}
+
 /// Parts of a [`PtdrService`]'s cache. Fixed, not the worker count, so
-/// which part answers a key — and every counter and `cache_len` — is
-/// the same at any `jobs`.
+/// which part holds a key — and every counter and `cache_len` — is the
+/// same at any `jobs`.
 const PARTS: usize = 4;
 
 /// Cache outcomes of some queries: hits counted, misses counted and
@@ -551,14 +549,13 @@ impl Tally {
 }
 
 /// The PTDR serving engine: owns the network and learned speed profiles,
-/// and answers from four shards of the serving tier's kind, which a hash
-/// ring picks by route as the tier's ring picks its shards.
+/// and answers from four shards of the serving tier's kind, a key's
+/// shard picked by its route hash.
 pub struct PtdrService {
     network: RoadNetwork,
     profiles: SpeedProfiles,
     jobs: usize,
     seed: u64,
-    ring: HashRing,
     parts: Vec<Mutex<ShardState>>,
 }
 
@@ -573,16 +570,16 @@ impl PtdrService {
             profiles,
             jobs: 1,
             seed: 0,
-            ring: HashRing::new(PARTS, DEFAULT_VNODES),
             parts: (0..PARTS)
                 .map(|_| Mutex::new(ShardState::new(EDGE_CACHE_KEYS, CLOUD_CACHE_KEYS)))
                 .collect(),
         }
     }
 
-    /// Sets the worker count: `1` serves batches sequentially without
-    /// consulting the response cache (the bit-identical reference), `2+`
-    /// answers each part's queries on a pool worker, from the cache.
+    /// Sets the worker count: `1` serves batches sequentially on one
+    /// engine without the response cache (the bit-identical reference),
+    /// `2+` looks a batch up on the calling thread and computes the keys
+    /// it misses on up to `jobs` pool workers.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> PtdrService {
         self.jobs = jobs.max(1);
@@ -614,63 +611,71 @@ impl PtdrService {
         self
     }
 
-    /// The part that answers `key`.
-    fn part_of(&self, key: &CacheKey) -> usize {
-        self.ring.shard_of(key.route_hash)
-    }
-
-    /// Answers `query` from `part`'s cache, or computes and fills it.
-    fn answer(
+    /// [`compute`] with this service's network, profiles and seed.
+    fn estimate(
         &self,
-        part: &mut ShardState,
+        engine: &mut PtdrEngine,
         query: &RouteQuery,
         key: &CacheKey,
-        tally: &mut Tally,
     ) -> TravelTimeStats {
-        if let Lookup::Edge(stats) | Lookup::Cloud(stats) = part.cache.lookup(key) {
-            tally.hits += 1;
-            return stats;
-        }
-        everest_telemetry::flight().marker("ptdr.cache.miss", 1.0);
-        let start = Instant::now();
-        let stats = part.miss(&self.network, &self.profiles, self.seed, query, key);
-        tally.misses += 1;
-        tally.latency.observe(start.elapsed().as_secs_f64() * 1e6);
-        stats
+        compute(engine, &self.network, &self.profiles, self.seed, query, key)
+    }
+
+    /// The part that holds `key`.
+    fn part_of(key: &CacheKey) -> usize {
+        (key.route_hash % PARTS as u64) as usize
     }
 
     /// Answers a single query (always cache-enabled). The warm path — a
     /// repeated key — is a pure lookup: no sampling, no clock read, no
-    /// heap allocation.
+    /// heap allocation. A miss is computed on the part's engine under the
+    /// part's lock, so concurrent callers whose keys share a part wait
+    /// for each other's misses; [`PtdrService::route_batch`] is the
+    /// parallel path.
     pub fn query(&self, query: &RouteQuery) -> TravelTimeStats {
         let key = self.key(query);
         let mut tally = Tally::default();
-        let stats =
-            self.answer(&mut self.parts[self.part_of(&key)].lock(), query, &key, &mut tally);
+        let mut part = self.parts[Self::part_of(&key)].lock();
+        let stats = match part.cache.lookup(&key) {
+            Lookup::Edge(stats) | Lookup::Cloud(stats) => {
+                tally.hits = 1;
+                stats
+            }
+            Lookup::Miss => {
+                everest_telemetry::flight().marker("ptdr.cache.miss", 1.0);
+                let start = Instant::now();
+                let stats = part.miss(&self.network, &self.profiles, self.seed, query, &key);
+                tally.misses = 1;
+                tally.latency.observe(start.elapsed().as_secs_f64() * 1e6);
+                stats
+            }
+        };
+        drop(part);
         tally.publish(1);
         stats
     }
 
     /// Answers a batch of queries. Results land in input order and are
     /// bit-identical for every `jobs` setting: `jobs = 1` recomputes
-    /// every query sequentially (the reference); `jobs >= 2` lists each
-    /// part's queries on the calling thread and answers every list on
-    /// one [`everest_workflow::pool::parallel_map`] worker, which locks
-    /// its part once and answers in input order, so each distinct key
-    /// is computed exactly once.
+    /// every query sequentially (the reference). At `jobs >= 2` the
+    /// calling thread holds every part's lock for the batch and looks
+    /// each query up in input order, listing each key it misses once;
+    /// [`everest_workflow::pool::parallel_map`] computes the listed keys
+    /// on up to `jobs` workers, each key on a fresh engine, and the
+    /// caller fills them in list order. So each distinct key is computed
+    /// exactly once, and the other queries of a missed key count as hits.
     pub fn route_batch(&self, queries: &[RouteQuery]) -> Vec<TravelTimeStats> {
         let mut span = everest_telemetry::span("ptdr.batch", "traffic");
         span.attr("queries", queries.len());
         span.attr("jobs", self.jobs);
         let mut total = Tally::default();
         if self.jobs <= 1 {
+            let mut engine = PtdrEngine::new();
             let answers = queries
                 .iter()
                 .map(|query| {
-                    let key = self.key(query);
                     let start = Instant::now();
-                    let mut part = self.parts[self.part_of(&key)].lock();
-                    let stats = part.compute(&self.network, &self.profiles, self.seed, query, &key);
+                    let stats = self.estimate(&mut engine, query, &self.key(query));
                     total.latency.observe(start.elapsed().as_secs_f64() * 1e6);
                     stats
                 })
@@ -678,37 +683,46 @@ impl PtdrService {
             total.publish(queries.len());
             return answers;
         }
-        let keys: Vec<CacheKey> = queries.iter().map(|query| self.key(query)).collect();
-        // An even share and a quarter: most lists never regrow.
-        let share = queries.len() / PARTS;
-        let mut lists: Vec<Vec<usize>> =
-            (0..PARTS).map(|_| Vec::with_capacity(share + share / 4 + 8)).collect();
-        for (i, key) in keys.iter().enumerate() {
-            lists[self.part_of(key)].push(i);
+        let mut parts: Vec<_> = self.parts.iter().map(|part| part.lock()).collect();
+        let mut out = vec![TravelTimeStats { mean_h: 0.0, p95_h: 0.0, std_h: 0.0 }; queries.len()];
+        // Each missed key's first query, and every missed query with the
+        // index of its key in that list.
+        let mut missed: HashMap<CacheKey, usize> = HashMap::new();
+        let mut firsts: Vec<(usize, CacheKey)> = Vec::new();
+        let mut waiting: Vec<(usize, usize)> = Vec::new();
+        for (i, query) in queries.iter().enumerate() {
+            let key = self.key(query);
+            match parts[Self::part_of(&key)].cache.lookup(&key) {
+                Lookup::Edge(stats) | Lookup::Cloud(stats) => out[i] = stats,
+                Lookup::Miss => {
+                    let at = *missed.entry(key).or_insert_with(|| {
+                        firsts.push((i, key));
+                        firsts.len() - 1
+                    });
+                    waiting.push((i, at));
+                }
+            }
         }
-        let runs = everest_workflow::pool::parallel_map(
+        let computed = everest_workflow::pool::parallel_map(
             "ptdr.batch.worker",
             self.jobs,
-            lists.iter().enumerate().collect(),
-            |_, (part, list)| {
-                let mut state = self.parts[part].lock();
-                let mut tally = Tally::default();
-                let answers: Vec<TravelTimeStats> = list
-                    .iter()
-                    .map(|&i| self.answer(&mut state, &queries[i], &keys[i], &mut tally))
-                    .collect();
-                (answers, tally)
+            firsts.iter().collect(),
+            |_, &(i, key)| {
+                let start = Instant::now();
+                let stats = self.estimate(&mut PtdrEngine::new(), &queries[i], &key);
+                (stats, start.elapsed().as_secs_f64() * 1e6)
             },
         );
-        let mut out = vec![TravelTimeStats { mean_h: 0.0, p95_h: 0.0, std_h: 0.0 }; queries.len()];
-        for (list, (answers, tally)) in lists.iter().zip(&runs) {
-            for (&i, &stats) in list.iter().zip(answers) {
-                out[i] = stats;
-            }
-            total.hits += tally.hits;
-            total.misses += tally.misses;
-            total.latency.merge_from(&tally.latency);
+        for (&(_, key), &(stats, us)) in firsts.iter().zip(&computed) {
+            parts[Self::part_of(&key)].cache.fill(key, stats);
+            total.latency.observe(us);
         }
+        drop(parts);
+        for &(i, at) in &waiting {
+            out[i] = computed[at].0;
+        }
+        total.misses = firsts.len() as u64;
+        total.hits = (queries.len() - firsts.len()) as u64;
         total.publish(queries.len());
         out
     }

@@ -77,8 +77,8 @@ fn service_cache_hits_allocate_nothing() {
 }
 
 /// A pooled batch borrows its queries: on the calling thread (the
-/// allocator counts per thread) four times the queries may cost a few
-/// more doublings of the pool's queue and result table and nothing else.
+/// allocator counts per thread) a warm batch of four times the queries
+/// may cost a few more doublings of its result table and nothing else.
 /// Fails if the batch goes back to cloning its input, one route `Vec` a
 /// query.
 #[test]

@@ -8,6 +8,7 @@
 
 use everest_apps::traffic::service::{PtdrService, RouteQuery};
 use everest_apps::traffic::{generate_fcd, random_od, shortest_route, RoadNetwork, SpeedProfiles};
+use everest_telemetry::MetricsSnapshot;
 use std::sync::Mutex;
 
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
@@ -118,7 +119,11 @@ fn batch_counters_account_for_every_query() {
     assert_eq!(reference.cache_len(), 0, "jobs=1 must not populate the cache");
 
     // Pooled, cold cache: exactly one miss per unique key, every lookup
-    // counted, and the same counts at every worker count.
+    // counted, and the same counts at every worker count. The pool gets
+    // one task a missed key, not one a part, so however the keys fall
+    // on the parts they spread over every worker; a warm batch gives it
+    // none.
+    let tasks = |snap: &MetricsSnapshot| snap.histogram("pool.task_run_us").map_or(0, |h| h.count);
     let mut counts = Vec::new();
     for jobs in [2usize, 4, 8] {
         let pooled = PtdrService::new(net.clone(), profiles.clone()).with_jobs(jobs);
@@ -134,6 +139,7 @@ fn batch_counters_account_for_every_query() {
             "jobs={jobs}"
         );
         assert_eq!(pooled.cache_len(), unique, "jobs={jobs}");
+        assert_eq!(tasks(&after) - tasks(&before), unique as u64, "jobs={jobs}");
         counts.push((delta("ptdr.cache.hit"), delta("ptdr.cache.miss"), pooled.cache_len()));
 
         // Warm rerun: every lookup hits.
@@ -143,6 +149,7 @@ fn batch_counters_account_for_every_query() {
         let delta = |name: &str| after.counter(name) - before.counter(name);
         assert_eq!(delta("ptdr.cache.miss"), 0, "jobs={jobs}");
         assert_eq!(delta("ptdr.cache.hit"), queries.len() as u64, "jobs={jobs}");
+        assert_eq!(tasks(&after), tasks(&before), "jobs={jobs}");
     }
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "counters moved with jobs: {counts:?}");
 }
