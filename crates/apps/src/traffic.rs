@@ -16,6 +16,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BinaryHeap;
 
+mod load;
 mod lru;
 mod ring;
 pub mod serve;

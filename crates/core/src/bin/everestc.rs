@@ -1,96 +1,164 @@
 //! `everestc` — a command-line front door to the EVEREST SDK.
 //!
-//! Every subcommand is an entry in the [`COMMANDS`] registry: a name, an
-//! argument synopsis, a one-line summary, its flag documentation, and a
-//! run function. The help text, the usage error, and dispatch are all
-//! generated from that one table, so adding a subcommand is adding a row
-//! — there is no parallel `match` to keep in sync.
+//! Every subcommand is an entry in the [`COMMANDS`] registry: a name, its
+//! positional arguments, a one-line summary, its flags, and a run
+//! function. Each flag row carries the flag's name, the kind of value it
+//! takes, its default and its help text. The parser, the help text, the
+//! usage error, and dispatch are all generated from that one table, so
+//! adding a subcommand or a flag is adding a row — there is no parallel
+//! `match` or hand-written flag parser to keep in sync.
 //!
-//! ```text
-//! everestc ir <kernels.edsl>              print the unified IR
-//! everestc variants <kernels.edsl>        print the variant table per kernel
-//! everestc rtl <kernels.edsl> <kernel>    print the synthesized RTL
-//! everestc workflow <pipeline.ewf>        validate + print a workflow
-//! everestc check [--format <f>] <path>..  run the static lints
-//! everestc fuse [--explain] <wf.ewf> ..   prove which dataset edges can stream
-//! everestc profile <kernels.edsl>         per-phase timing summary table
-//! everestc dataset [--seed <n>] [--points <n>] [--out <csv>]
-//!                                         mass-produce an HLS data table
-//! everestc route [--queries <n>] ...      serve a PTDR routing workload
-//! everestc offload [--fault-profile <p>]  run a fault-injected offload batch
-//! everestc serve [--shards <n>] ...       drive the sharded PTDR serving tier
-//! everestc stats [--format <f>] <snap>..  merge + render metrics snapshots
-//! ```
-//!
-//! The global `--trace <out.json>` flag records every compiler phase and
-//! writes a Chrome trace-event file loadable in `chrome://tracing` or
-//! Perfetto. The global `--jobs <n>` flag sets the DSE worker count:
-//! `--jobs 1` runs the sequential reference evaluator, `--jobs 2` and up
-//! the pooled, memoized engine — outputs are identical either way.
-//!
-//! Observability: the global `--metrics <path>` flag writes the final
-//! metrics snapshot of any subcommand — OpenMetrics text when the path
-//! ends in `.prom`/`.txt`/`.om`, JSON otherwise — and `--flight <path>`
-//! dumps the flight recorder's recent-event rings. `everestc stats`
-//! reloads, merges, and re-renders JSON snapshots offline.
+//! `everestc help` prints the table; `tests/golden/everestc_help.txt` pins it.
 
 use everest::Sdk;
 use everest_telemetry::export::{chrome_trace_json, flame_summary, spans_to_events};
 use everest_telemetry::openmetrics::{openmetrics_text, render_table};
-use everest_telemetry::{MetricsSnapshot, Tracer};
+use everest_telemetry::{MetricsSnapshot, SpanRecord, Tracer};
 use std::process::ExitCode;
 
-/// Global context handed to every subcommand's run function.
-struct Ctx {
-    /// DSE / service worker count (`--jobs`).
-    jobs: usize,
+/// What a run function returns: the exit code, or an error that exits 1.
+type CmdResult<T = u8> = Result<T, Box<dyn std::error::Error>>;
+
+/// The kind of value a flag takes, its placeholder in the help text, and
+/// the value a run function reads when the flag is not given. The parser
+/// checks every value against its row's kind before a command runs, so a
+/// run function reads its flags back already valid.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Present or absent; takes no value.
+    Switch,
+    /// Any non-empty text: a path, or a name the library checks.
+    Text { placeholder: &'static str, default: Option<&'static str> },
+    /// A positive integer.
+    Count(Option<usize>),
+    /// Any unsigned 64-bit integer.
+    U64(u64),
+    /// Positive, finite seconds.
+    Seconds(f64),
+    /// One of a fixed set of words; the first is the default.
+    Choice { placeholder: &'static str, words: &'static [&'static str] },
 }
 
-type RunFn = fn(&Ctx, Vec<String>) -> Result<u8, Box<dyn std::error::Error>>;
+impl Kind {
+    fn default(self) -> Option<String> {
+        match self {
+            Kind::Switch => None,
+            Kind::Text { default, .. } => default.map(str::to_owned),
+            Kind::Count(default) => default.map(|n| n.to_string()),
+            Kind::U64(default) => Some(default.to_string()),
+            Kind::Seconds(default) => Some(default.to_string()),
+            Kind::Choice { words, .. } => Some(words[0].to_owned()),
+        }
+    }
 
-/// One documented flag: the name, its value placeholder, and help text.
+    fn check(self, flag: &str, value: &str) -> Result<(), String> {
+        let (ok, expected) = match self {
+            Kind::Switch => (value.is_empty(), "no value".into()),
+            Kind::Text { .. } => (!value.is_empty(), "a value".into()),
+            Kind::Count(_) => {
+                (value.parse::<usize>().is_ok_and(|n| n >= 1), "a positive count".into())
+            }
+            Kind::U64(_) => (value.parse::<u64>().is_ok(), "an unsigned integer".into()),
+            Kind::Seconds(_) => (
+                value.parse::<f64>().is_ok_and(|s| s > 0.0 && s.is_finite()),
+                "positive seconds".into(),
+            ),
+            Kind::Choice { words, .. } => {
+                (words.contains(&value), format!("one of {}", words.join(", ")))
+            }
+        };
+        match (ok, value) {
+            (true, _) => Ok(()),
+            (false, "") => Err(format!("{flag} requires {expected}")),
+            (false, _) => Err(format!("{flag} requires {expected}, got '{value}'")),
+        }
+    }
+}
+
+/// One flag: the only place it is declared. The parser reads its name and
+/// kind; the help text prints its name, placeholder, help and default.
 struct FlagDoc {
     name: &'static str,
-    value: &'static str,
+    kind: Kind,
     help: &'static str,
 }
 
-/// One subcommand: everything the driver needs to dispatch and document
-/// it. `records` opts the command into span recording even without
-/// `--trace` (and into the post-run flame summary).
+impl FlagDoc {
+    /// `--name <value>`, as the help text heads the flag's row.
+    fn head(&self) -> String {
+        let placeholder = match self.kind {
+            Kind::Switch => "",
+            Kind::Text { placeholder, .. } | Kind::Choice { placeholder, .. } => placeholder,
+            Kind::Count(_) | Kind::U64(_) => "<n>",
+            Kind::Seconds(_) => "<s>",
+        };
+        format!("{} {placeholder}", self.name).trim_end().to_owned()
+    }
+
+    /// `[--name <value>]` as a synopsis shows it; a choice lists its words.
+    fn synopsis(&self) -> String {
+        match self.kind {
+            Kind::Choice { words, .. } => format!("[{} {}]", self.name, words.join("|")),
+            _ => format!("[{}]", self.head()),
+        }
+    }
+
+    /// The help text, then the default the parser fills in.
+    fn help(&self) -> String {
+        let help = self.help.to_owned();
+        self.kind.default().map_or(help, |default| format!("{} (default {default})", self.help))
+    }
+}
+
+/// One subcommand: everything the driver needs to parse, dispatch and
+/// document it. `records` opts the command into span recording even
+/// without `--trace` (and into the post-run flame summary).
 struct CommandSpec {
     name: &'static str,
-    synopsis: &'static str,
+    /// Positional arguments: each `<arg>` is required, each `[arg]`
+    /// optional, and one ending in `...` repeats.
+    args: &'static [&'static str],
     summary: &'static str,
     flags: &'static [FlagDoc],
     records: bool,
-    run: RunFn,
+    run: fn(&Args) -> CmdResult,
+}
+
+impl CommandSpec {
+    /// The fewest and the most positional arguments the command takes.
+    fn arity(&self) -> (usize, usize) {
+        let min = self.args.iter().filter(|a| a.starts_with('<')).count();
+        let max =
+            if self.args.iter().any(|a| a.ends_with("...")) { usize::MAX } else { self.args.len() };
+        (min, max)
+    }
 }
 
 /// Flags accepted in any position, before or after the subcommand.
 const GLOBAL_FLAGS: &[FlagDoc] = &[
     FlagDoc {
         name: "--trace",
-        value: "<out.json>",
+        kind: Kind::Text { placeholder: "<out.json>", default: None },
         help: "write a Chrome trace-event JSON file covering the compiler \
                phases run by the subcommand",
     },
     FlagDoc {
         name: "--metrics",
-        value: "<path>",
+        kind: Kind::Text { placeholder: "<path>", default: None },
         help: "write the final metrics snapshot of any subcommand: OpenMetrics \
                text when <path> ends in .prom/.txt/.om, JSON otherwise \
                (reloadable by `everestc stats`)",
     },
     FlagDoc {
         name: "--flight",
-        value: "<path>",
+        kind: Kind::Text { placeholder: "<path>", default: None },
         help: "write the flight recorder's recent-event rings as JSON (the \
                always-on post-hoc trace)",
     },
     FlagDoc {
         name: "--jobs",
-        value: "<n>",
+        // The host's parallelism: see `Args::jobs`.
+        kind: Kind::Count(None),
         help: "worker count for design-space exploration and the PTDR routing \
                service (default: the host's available parallelism, at least \
                2); 1 runs the sequential reference evaluator, 2+ the pooled, \
@@ -98,12 +166,12 @@ const GLOBAL_FLAGS: &[FlagDoc] = &[
     },
 ];
 
-/// The subcommand registry. Dispatch, `everestc help` and the usage error
-/// are all generated from this table.
+/// The subcommand registry. Parsing, dispatch, `everestc help` and the
+/// usage error are all generated from this table.
 const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "ir",
-        synopsis: "<kernels.edsl>",
+        args: &["<kernels.edsl>"],
         summary: "compile tensor-DSL kernels and print the unified IR",
         flags: &[],
         records: false,
@@ -111,7 +179,7 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "variants",
-        synopsis: "<kernels.edsl>",
+        args: &["<kernels.edsl>"],
         summary: "explore the design space and print the variant table per kernel",
         flags: &[],
         records: false,
@@ -119,7 +187,7 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "rtl",
-        synopsis: "<kernels.edsl> <kernel>",
+        args: &["<kernels.edsl>", "<kernel>"],
         summary: "synthesize one kernel and print its RTL",
         flags: &[],
         records: false,
@@ -127,7 +195,7 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "workflow",
-        synopsis: "<pipeline.ewf>",
+        args: &["<pipeline.ewf>"],
         summary: "validate a workflow spec and print its IR and task graph",
         flags: &[],
         records: false,
@@ -135,37 +203,36 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "check",
-        synopsis: "[--format text|json] <file.edsl|file.eir|file.ewf>...",
+        args: &["<file.edsl|file.eir|file.ewf>..."],
         summary: "run the static lints (liveness, range, taint/IFC, workflow races)",
         flags: &[FlagDoc {
             name: "--format",
-            value: "<f>",
-            help: "diagnostic output format: text (default) or json; exit code \
-                   is 1 when any error-severity diagnostic is reported, 0 when \
-                   clean",
+            kind: Kind::Choice { placeholder: "<f>", words: &["text", "json"] },
+            help: "diagnostic output format: text or json; exit code is 1 when \
+                   any error-severity diagnostic is reported, 0 when clean",
         }],
         records: false,
         run: cmd_check,
     },
     CommandSpec {
         name: "fuse",
-        synopsis: "[--explain] [--format text|json] <pipeline.ewf> [kernels.edsl...]",
+        args: &["<pipeline.ewf>", "[kernels.edsl...]"],
         summary: "classify every workflow dataset edge as fusable / must-spill / racy",
         flags: &[
             FlagDoc {
                 name: "--explain",
-                value: "",
+                kind: Kind::Switch,
                 help: "print the proof behind every verdict: the ordering path, \
                        the footprint bound vs the BRAM stream budget, or the \
                        race counterexample",
             },
             FlagDoc {
                 name: "--format",
-                value: "<f>",
-                help: "plan output format: text (default) or json (the \
-                       machine-checkable FusionPlan, stable under --jobs); \
-                       diagnostics go to stderr in json mode; exit code is 1 \
-                       when any edge is racy or a kernel is unresolved",
+                kind: Kind::Choice { placeholder: "<f>", words: &["text", "json"] },
+                help: "plan output format: text or json (the machine-checkable \
+                       FusionPlan, stable under --jobs); diagnostics go to \
+                       stderr in json mode; exit code is 1 when any edge is \
+                       racy or a kernel is unresolved",
             },
         ],
         records: false,
@@ -173,7 +240,7 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "profile",
-        synopsis: "<kernels.edsl>",
+        args: &["<kernels.edsl>"],
         summary: "compile with the recording tracer and print a per-phase summary",
         flags: &[],
         records: true,
@@ -181,30 +248,30 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "dataset",
-        synopsis: "[--seed <n>] [--points <n>] [--kernels <file.edsl>] [--out <csv>]",
+        args: &[],
         summary: "mass-produce a seed-reproducible table of synthesized design points",
         flags: &[
             FlagDoc {
                 name: "--seed",
-                value: "<n>",
+                kind: Kind::U64(7),
                 help: "knob-sampling seed; the same seed yields a byte-identical \
-                       table at any --jobs count (dataset: default 7)",
+                       table at any --jobs count",
             },
             FlagDoc {
                 name: "--points",
-                value: "<n>",
-                help: "number of (kernel, knob-vector) rows to produce \
-                       (default 256)",
+                kind: Kind::Count(Some(256)),
+                help: "number of (kernel, knob-vector) rows to produce",
             },
             FlagDoc {
                 name: "--kernels",
-                value: "<file.edsl>",
+                // `DATASET_CORPUS`, which is no value a user could type.
+                kind: Kind::Text { placeholder: "<file.edsl>", default: None },
                 help: "tensor-DSL source providing the kernels to sample \
                        (default: an embedded four-kernel corpus)",
             },
             FlagDoc {
                 name: "--out",
-                value: "<csv>",
+                kind: Kind::Text { placeholder: "<csv>", default: None },
                 help: "write the table to this file instead of stdout",
             },
         ],
@@ -213,20 +280,18 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "route",
-        synopsis: "[--queries <n>] [--samples <n>]",
+        args: &[],
         summary: "serve a synthetic PTDR routing workload cold and warm",
         flags: &[
             FlagDoc {
                 name: "--queries",
-                value: "<n>",
-                help: "routing requests in the synthetic workload (route: \
-                       default 256; serve: cap on generated arrivals per load \
-                       point, default 50000)",
+                kind: Kind::Count(Some(256)),
+                help: "routing requests in the synthetic workload",
             },
             FlagDoc {
                 name: "--samples",
-                value: "<n>",
-                help: "Monte-Carlo samples per routing request (default 1000)",
+                kind: Kind::Count(Some(1_000)),
+                help: "Monte-Carlo samples per routing request",
             },
         ],
         records: false,
@@ -234,26 +299,25 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "offload",
-        synopsis: "[--seed <n>] [--fault-profile <name>] [--calls <n>]",
+        args: &[],
         summary: "run a fault-injected offload batch through the recovery layer",
         flags: &[
             FlagDoc {
                 name: "--seed",
-                value: "<n>",
+                kind: Kind::U64(7),
                 help: "workload/fault-plan seed; the same seed yields a \
-                       bit-identical trace at any --jobs count (offload and \
-                       serve: default 7)",
+                       bit-identical trace at any --jobs count",
             },
             FlagDoc {
                 name: "--fault-profile",
-                value: "<p>",
-                help: "fault scenario: none, lossy, flaky or meltdown \
-                       (default lossy)",
+                // `FaultPlan::from_profile` knows the profiles.
+                kind: Kind::Text { placeholder: "<p>", default: Some("lossy") },
+                help: "fault scenario: none, lossy, flaky or meltdown",
             },
             FlagDoc {
                 name: "--calls",
-                value: "<n>",
-                help: "kernel invocations in the offload batch (default 32)",
+                kind: Kind::Count(Some(32)),
+                help: "kernel invocations in the offload batch",
             },
         ],
         records: false,
@@ -261,32 +325,42 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "serve",
-        synopsis: "[--shards <n>] [--duration <s>] [--queue-depth <n>] [--policy <p>] [--seed <n>] [--queries <n>]",
+        args: &[],
         summary: "drive the sharded PTDR serving tier through 0.5x/1x/2x offered load",
         flags: &[
             FlagDoc {
                 name: "--shards",
-                value: "<n>",
-                help: "edge shard count on the consistent-hash ring (default 4)",
+                kind: Kind::Count(Some(4)),
+                help: "edge shard count on the consistent-hash ring",
             },
             FlagDoc {
                 name: "--duration",
-                value: "<s>",
+                kind: Kind::Seconds(0.2),
                 help: "virtual seconds of open-loop load per offered-load point; \
-                       one diurnal day is compressed into the window \
-                       (default 0.2)",
+                       one diurnal day is compressed into the window",
             },
             FlagDoc {
                 name: "--queue-depth",
-                value: "<n>",
+                kind: Kind::Count(Some(64)),
                 help: "bounded admission queue per shard; arrivals beyond it are \
-                       load-shed (default 64)",
+                       load-shed",
             },
             FlagDoc {
                 name: "--policy",
-                value: "<p>",
-                help: "shedding policy once a queue fills: reject-new or \
-                       shed-oldest (default reject-new)",
+                // `ShedPolicy`'s `FromStr` knows the policies.
+                kind: Kind::Text { placeholder: "<p>", default: Some("reject-new") },
+                help: "shedding policy once a queue fills: reject-new or shed-oldest",
+            },
+            FlagDoc {
+                name: "--seed",
+                kind: Kind::U64(7),
+                help: "load-generator and tier seed; the same seed yields a \
+                       bit-identical table at any --jobs count",
+            },
+            FlagDoc {
+                name: "--queries",
+                kind: Kind::Count(Some(50_000)),
+                help: "cap on generated arrivals per offered-load point",
             },
         ],
         records: false,
@@ -294,12 +368,12 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "stats",
-        synopsis: "[--format table|openmetrics|json] <snapshot.json>...",
+        args: &["<snapshot.json>..."],
         summary: "merge metrics snapshots and render them offline",
         flags: &[FlagDoc {
             name: "--format",
-            value: "<f>",
-            help: "stats output format: table (default), openmetrics or json",
+            kind: Kind::Choice { placeholder: "<f>", words: &["table", "openmetrics", "json"] },
+            help: "stats output format: table, openmetrics or json",
         }],
         records: false,
         run: cmd_stats,
@@ -308,269 +382,213 @@ const COMMANDS: &[CommandSpec] = &[
 
 /// Renders the full help text from [`GLOBAL_FLAGS`] and [`COMMANDS`].
 fn usage_text() -> String {
-    let mut out = String::from(
-        "usage:\n  everestc [--trace <out.json>] [--metrics <path>] [--flight <path>]\n           \
-         [--jobs <n>] <command> [options] <args>\n  everestc help | --help | -h\n  everestc \
-         --version | -V\n\ncommands:\n",
+    let globals: Vec<String> = GLOBAL_FLAGS.iter().map(FlagDoc::synopsis).collect();
+    // Wrapped after the third flag to stay within 80 columns.
+    let mut out = format!(
+        "usage:\n  everestc {}\n           {} <command> [options] <args>\n  everestc help | \
+         --help | -h\n  everestc --version | -V\n\ncommands:\n",
+        globals[..3].join(" "),
+        globals[3..].join(" ")
     );
     for cmd in COMMANDS {
-        out.push_str(&format!("  {} {}\n      {}\n", cmd.name, cmd.synopsis, cmd.summary));
+        let flags = cmd.flags.iter().map(FlagDoc::synopsis);
+        let synopsis: Vec<String> = flags.chain(cmd.args.iter().map(|a| a.to_string())).collect();
+        out.push_str(&format!("  {} {}\n      {}\n", cmd.name, synopsis.join(" "), cmd.summary));
     }
     out.push_str("\nglobal options:\n");
     for flag in GLOBAL_FLAGS {
-        out.push_str(&format!("  {} {}\n      {}\n", flag.name, flag.value, flag.help));
+        out.push_str(&format!("  {}\n      {}\n", flag.head(), flag.help()));
     }
     out.push_str("\ncommand options:\n");
     for cmd in COMMANDS.iter().filter(|c| !c.flags.is_empty()) {
         out.push_str(&format!("  {}:\n", cmd.name));
         for flag in cmd.flags {
-            let head = format!("{} {}", flag.name, flag.value);
-            out.push_str(&format!("    {:<22} {}\n", head.trim_end(), flag.help));
+            out.push_str(&format!("    {:<22} {}\n", flag.head(), flag.help()));
         }
     }
     out
 }
 
-fn usage() -> u8 {
-    eprintln!("{}", usage_text());
-    2
+/// A parsed command line: every flag that was given or has a default, as
+/// checked text (a switch's is empty), and the positional arguments.
+struct Args {
+    flags: Vec<(&'static str, String)>,
+    positional: Vec<String>,
 }
 
-/// Extracts the global `--trace <path>` / `--trace=<path>` flag, which is
-/// valid in any position.
-fn extract_trace_flag(args: &mut Vec<String>) -> Result<Option<String>, String> {
-    if let Some(at) = args.iter().position(|a| a == "--trace") {
-        if at + 1 >= args.len() {
-            return Err("--trace requires a file argument".to_owned());
-        }
-        let path = args.remove(at + 1);
-        args.remove(at);
-        return Ok(Some(path));
+impl Args {
+    /// A flag's value: as given, else its row's default.
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.flags.iter().find(|(name, _)| *name == flag).map(|(_, value)| value.as_str())
     }
-    if let Some(at) = args.iter().position(|a| a.starts_with("--trace=")) {
-        let path = args.remove(at)["--trace=".len()..].to_owned();
-        if path.is_empty() {
-            return Err("--trace requires a file argument".to_owned());
-        }
-        return Ok(Some(path));
-    }
-    Ok(None)
-}
 
-/// Extracts the global `--jobs <n>` / `--jobs=<n>` flag, valid in any
-/// position. Defaults to the host's available parallelism (at least 2, so
-/// the memoized engine is on by default).
-fn extract_jobs_flag(args: &mut Vec<String>) -> Result<usize, String> {
-    let raw = if let Some(at) = args.iter().position(|a| a == "--jobs") {
-        if at + 1 >= args.len() {
-            return Err("--jobs requires a worker count".to_owned());
-        }
-        let value = args.remove(at + 1);
-        args.remove(at);
-        Some(value)
-    } else {
-        args.iter()
-            .position(|a| a.starts_with("--jobs="))
-            .map(|at| args.remove(at)["--jobs=".len()..].to_owned())
-    };
-    match raw {
-        Some(value) => match value.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("--jobs requires a positive worker count, got '{value}'")),
-        },
-        None => Ok(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(2)),
+    /// A flag that has a default, read back as the type its kind promises.
+    fn value<T: std::str::FromStr>(&self, flag: &str) -> T {
+        let value = self.get(flag).and_then(|value| value.parse().ok());
+        value.unwrap_or_else(|| panic!("{flag} has no default of its kind"))
+    }
+
+    /// `--jobs`, else the host's available parallelism — at least 2, so
+    /// the memoized engine is on by default.
+    fn jobs(&self) -> usize {
+        let host = || std::thread::available_parallelism().map_or(1, |n| n.get()).max(2);
+        self.get("--jobs").map_or_else(host, |_| self.value("--jobs"))
     }
 }
 
-/// Extracts a `--flag <value>` / `--flag=<value>` string option, valid in
-/// any position of the subcommand's argument list.
-fn extract_value_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    if let Some(at) = args.iter().position(|a| a == flag) {
-        if at + 1 >= args.len() {
-            return Err(format!("{flag} requires a value"));
-        }
-        let value = args.remove(at + 1);
-        args.remove(at);
-        return Ok(Some(value));
+/// Prints why a command line is refused — with the usage text when it
+/// exits 2 — and returns the exit code.
+fn refuse(message: String, code: u8) -> u8 {
+    eprintln!("error: {message}");
+    if code == 2 {
+        eprintln!("{}", usage_text());
     }
-    let prefix = format!("{flag}=");
-    if let Some(at) = args.iter().position(|a| a.starts_with(&prefix)) {
-        let value = args.remove(at)[prefix.len()..].to_owned();
-        if value.is_empty() {
-            return Err(format!("{flag} requires a value"));
-        }
-        return Ok(Some(value));
-    }
-    Ok(None)
+    code
 }
 
-/// Extracts a `--flag <n>` / `--flag=<n>` positive count, valid in any
-/// position of the subcommand's argument list.
-fn extract_count_flag(args: &mut Vec<String>, flag: &str, default: usize) -> Result<usize, String> {
-    let raw = if let Some(at) = args.iter().position(|a| a == flag) {
-        if at + 1 >= args.len() {
-            return Err(format!("{flag} requires a count"));
+/// Parses `argv` against [`GLOBAL_FLAGS`] and the command's rows. Before
+/// the command word only global flags may appear; after it, global and
+/// command flags in any order and mixed with positional arguments, as
+/// `--flag value` or `--flag=value`. A flag that takes a value takes the
+/// next argument, whatever it is.
+///
+/// `Err` is the exit code of a command line that runs no command: 0 once
+/// the help or the version is printed; 2 for a usage error (an unknown
+/// command, an unknown, repeated or stray flag or argument, a missing
+/// argument) or a bad global value; 1 for a bad command value.
+fn parse(argv: &[String]) -> Result<(&'static CommandSpec, Args), u8> {
+    let mut spec: Option<&'static CommandSpec> = None;
+    let mut given: Vec<(&'static str, String)> = Vec::new();
+    let mut positional = Vec::new();
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) if arg.starts_with("--") => (name, Some(value)),
+            _ => (arg.as_str(), None),
+        };
+        let global = GLOBAL_FLAGS.iter().find(|f| f.name == name);
+        let Some(row) = global.or_else(|| spec?.flags.iter().find(|f| f.name == name)) else {
+            match (spec, arg.as_str()) {
+                (None, "help" | "--help" | "-h") => {
+                    println!("{}", usage_text());
+                    return Err(0);
+                }
+                (None, "--version" | "-V") => {
+                    println!("everestc {}", env!("CARGO_PKG_VERSION"));
+                    return Err(0);
+                }
+                (None, word) => match COMMANDS.iter().find(|c| c.name == word) {
+                    Some(found) => spec = Some(found),
+                    None => return Err(refuse(format!("unknown command '{word}'"), 2)),
+                },
+                (Some(_), flag) if flag.starts_with("--") => {
+                    return Err(refuse(format!("unknown option '{flag}'"), 2))
+                }
+                (Some(_), _) => positional.push(arg.clone()),
+            }
+            continue;
+        };
+        if given.iter().any(|(seen, _)| *seen == row.name) {
+            return Err(refuse(format!("{} given twice", row.name), 2));
         }
-        let value = args.remove(at + 1);
-        args.remove(at);
-        Some(value)
-    } else {
-        let prefix = format!("{flag}=");
-        args.iter()
-            .position(|a| a.starts_with(&prefix))
-            .map(|at| args.remove(at)[prefix.len()..].to_owned())
-    };
-    match raw {
-        Some(value) => match value.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("{flag} requires a positive count, got '{value}'")),
-        },
-        None => Ok(default),
+        let value = match (row.kind, inline) {
+            (_, Some(value)) => value.to_owned(),
+            (Kind::Switch, None) => String::new(),
+            (_, None) => rest.next().cloned().unwrap_or_default(),
+        };
+        let code = if global.is_some() { 2 } else { 1 };
+        row.kind.check(row.name, &value).map_err(|e| refuse(e, code))?;
+        given.push((row.name, value));
     }
-}
-
-/// Extracts a `--flag <n>` / `--flag=<n>` unsigned seed, valid in any
-/// position of the subcommand's argument list.
-fn extract_seed_flag(args: &mut Vec<String>, default: u64) -> Result<u64, String> {
-    match extract_value_flag(args, "--seed")? {
-        Some(raw) => raw
-            .parse::<u64>()
-            .map_err(|_| format!("--seed requires an unsigned integer, got '{raw}'")),
-        None => Ok(default),
+    let spec = spec.ok_or_else(|| refuse("no command given".into(), 2))?;
+    let (min, max) = spec.arity();
+    if let Some(stray) = positional.get(max) {
+        return Err(refuse(format!("unexpected argument '{stray}'"), 2));
     }
-}
-
-/// Extracts a presence-only `--flag`, valid in any position.
-fn extract_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(at) => {
-            args.remove(at);
-            true
+    if positional.len() < min {
+        return Err(refuse(format!("{} needs {}", spec.name, spec.args.join(" ")), 2));
+    }
+    for row in GLOBAL_FLAGS.iter().chain(spec.flags) {
+        if !given.iter().any(|(name, _)| *name == row.name) {
+            given.extend(row.kind.default().map(|value| (row.name, value)));
         }
-        None => false,
     }
+    Ok((spec, Args { flags: given, positional }))
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_path = match extract_trace_flag(&mut args) {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let metrics_path = match extract_value_flag(&mut args, "--metrics") {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let flight_path = match extract_value_flag(&mut args, "--flight") {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let jobs = match extract_jobs_flag(&mut args) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let (cmd, rest) = match args.split_first() {
-        Some((c, r)) => (c.as_str(), r),
-        None => return ExitCode::from(usage()),
-    };
-    match cmd {
-        "help" | "--help" | "-h" => {
-            println!("{}", usage_text());
-            return ExitCode::SUCCESS;
-        }
-        "--version" | "-V" => {
-            println!("everestc {}", env!("CARGO_PKG_VERSION"));
-            return ExitCode::SUCCESS;
-        }
-        _ => {}
-    }
-    let Some(spec) = COMMANDS.iter().find(|c| c.name == cmd) else {
-        return ExitCode::from(usage());
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (spec, args) = match parse(&argv) {
+        Ok(parsed) => parsed,
+        Err(code) => return ExitCode::from(code),
     };
 
     // Recording subcommands always record; `--trace` opts any in.
-    let recording = trace_path.is_some() || spec.records;
+    let recording = args.get("--trace").is_some() || spec.records;
     if recording {
         everest_telemetry::install_global(Tracer::recording());
-        everest_telemetry::metrics().reset();
     }
-    if metrics_path.is_some() {
+    if recording || args.get("--metrics").is_some() {
         // A clean registry, so the written snapshot covers exactly this
         // invocation.
         everest_telemetry::metrics().reset();
     }
 
-    let ctx = Ctx { jobs };
-    let result = (spec.run)(&ctx, rest.to_vec());
+    let result = (spec.run)(&args);
 
     let spans = everest_telemetry::take_global().finish();
-    if let Some(path) = &trace_path {
-        let json = chrome_trace_json(&spans_to_events(&spans));
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: cannot write trace '{path}': {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("trace: {} spans written to {path}", spans.len());
+    if let Err(e) = write_artifacts(&args, &spans) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
-    if let Some(path) = &metrics_path {
-        let snapshot = everest_telemetry::metrics().snapshot();
-        let openmetrics =
-            path.ends_with(".prom") || path.ends_with(".txt") || path.ends_with(".om");
-        let body = if openmetrics {
-            openmetrics_text(&snapshot)
-        } else {
-            serde_json::to_string_pretty(&snapshot).expect("snapshot serializes")
-        };
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("error: cannot write metrics '{path}': {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "metrics: {} counters, {} gauges, {} histograms written to {path}",
-            snapshot.counters.len(),
-            snapshot.gauges.len(),
-            snapshot.histograms.len()
-        );
-    }
-    if let Some(path) = &flight_path {
-        let dump = everest_telemetry::flight().dump("cli");
-        if let Err(e) = std::fs::write(path, dump.to_json()) {
-            eprintln!("error: cannot write flight dump '{path}': {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "flight: {} events from {} threads ({} overwritten) written to {path}",
-            dump.events.len(),
-            dump.threads,
-            dump.dropped
-        );
-    }
-
     match result {
-        Ok(code) => {
-            if spec.records && code == 0 {
-                print!("{}", flame_summary(&spans));
-                print_counters();
-            }
-            ExitCode::from(code)
+        Ok(0) if spec.records => {
+            print!("{}", flame_summary(&spans));
+            print_counters();
+            ExitCode::SUCCESS
         }
+        Ok(code) => ExitCode::from(code),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Writes the artifacts the global flags ask for — the trace, the metrics
+/// snapshot, the flight dump — and names each on stderr, stopping at the
+/// first that cannot be written.
+fn write_artifacts(args: &Args, spans: &[SpanRecord]) -> Result<(), String> {
+    let write = |what: &str, path: &str, body: String, summary: String| {
+        std::fs::write(path, body).map_err(|e| format!("cannot write {what} '{path}': {e}"))?;
+        eprintln!("{summary} written to {path}");
+        Ok::<(), String>(())
+    };
+    if let Some(path) = args.get("--trace") {
+        let json = chrome_trace_json(&spans_to_events(spans));
+        write("trace", path, json, format!("trace: {} spans", spans.len()))?;
+    }
+    if let Some(path) = args.get("--metrics") {
+        let snapshot = everest_telemetry::metrics().snapshot();
+        let body = if [".prom", ".txt", ".om"].iter().any(|ext| path.ends_with(ext)) {
+            openmetrics_text(&snapshot)
+        } else {
+            serde_json::to_string_pretty(&snapshot).expect("snapshot serializes")
+        };
+        let (counters, gauges) = (snapshot.counters.len(), snapshot.gauges.len());
+        let histograms = snapshot.histograms.len();
+        let summary =
+            format!("metrics: {counters} counters, {gauges} gauges, {histograms} histograms");
+        write("metrics", path, body, summary)?;
+    }
+    if let Some(path) = args.get("--flight") {
+        let dump = everest_telemetry::flight().dump("cli");
+        let (events, threads, dropped) = (dump.events.len(), dump.threads, dump.dropped);
+        let summary =
+            format!("flight: {events} events from {threads} threads ({dropped} overwritten)");
+        write("flight dump", path, dump.to_json(), summary)?;
+    }
+    Ok(())
 }
 
 fn print_counters() {
@@ -585,27 +603,20 @@ fn print_counters() {
     }
 }
 
-fn read(path: &str) -> Result<String, Box<dyn std::error::Error>> {
+fn read(path: &str) -> CmdResult<String> {
     Ok(std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?)
 }
 
-fn cmd_ir(ctx: &Ctx, rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let _ = ctx;
-    let [path] = rest.as_slice() else {
-        return Ok(usage());
-    };
-    let source = read(path)?;
+fn cmd_ir(args: &Args) -> CmdResult {
+    let source = read(&args.positional[0])?;
     let module = everest::dsl::compile_kernels(&source)?;
     print!("{}", module.to_text());
     Ok(0)
 }
 
-fn cmd_variants(ctx: &Ctx, rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let [path] = rest.as_slice() else {
-        return Ok(usage());
-    };
-    let source = read(path)?;
-    let compiled = Sdk::builder().jobs(ctx.jobs).build().compile(&source)?;
+fn cmd_variants(args: &Args) -> CmdResult {
+    let source = read(&args.positional[0])?;
+    let compiled = Sdk::builder().jobs(args.jobs()).build().compile(&source)?;
     for kernel in &compiled.kernels {
         println!("kernel {} — {} variants:", kernel.name, kernel.variants.len());
         for v in &kernel.variants {
@@ -625,13 +636,10 @@ fn cmd_variants(ctx: &Ctx, rest: Vec<String>) -> Result<u8, Box<dyn std::error::
     Ok(0)
 }
 
-fn cmd_rtl(ctx: &Ctx, rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let [path, kernel] = rest.as_slice() else {
-        return Ok(usage());
-    };
-    let source = read(path)?;
-    let sdk = Sdk::builder().jobs(ctx.jobs).build();
-    let acc = sdk.synthesize_kernel(&source, kernel)?;
+fn cmd_rtl(args: &Args) -> CmdResult {
+    let source = read(&args.positional[0])?;
+    let sdk = Sdk::builder().jobs(args.jobs()).build();
+    let acc = sdk.synthesize_kernel(&source, &args.positional[1])?;
     eprintln!(
         "// {}: {} cycles @ {} MHz, II={}, pe={}, area: {}",
         acc.name, acc.latency_cycles, acc.clock_mhz, acc.innermost_ii, acc.pe, acc.area
@@ -640,12 +648,8 @@ fn cmd_rtl(ctx: &Ctx, rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error
     Ok(0)
 }
 
-fn cmd_workflow(ctx: &Ctx, rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let _ = ctx;
-    let [path] = rest.as_slice() else {
-        return Ok(usage());
-    };
-    let source = read(path)?;
+fn cmd_workflow(args: &Args) -> CmdResult {
+    let source = read(&args.positional[0])?;
     let spec = everest::dsl::WorkflowSpec::parse(&source)?;
     println!("workflow {} — {} steps", spec.name, spec.steps.len());
     let module = spec.to_ir()?;
@@ -659,272 +663,12 @@ fn cmd_workflow(ctx: &Ctx, rest: Vec<String>) -> Result<u8, Box<dyn std::error::
     Ok(0)
 }
 
-fn cmd_check(ctx: &Ctx, mut rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let format = extract_value_flag(&mut rest, "--format")?.unwrap_or_else(|| "text".into());
-    if format != "text" && format != "json" {
-        return Err(format!("--format must be 'text' or 'json', got '{format}'").into());
-    }
-    if rest.is_empty() {
-        return Ok(usage());
-    }
-    let sdk = Sdk::builder().jobs(ctx.jobs).build();
-    run_check(&sdk, &rest, &format)
-}
-
-fn cmd_fuse(ctx: &Ctx, mut rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let explain = extract_bool_flag(&mut rest, "--explain");
-    let format = extract_value_flag(&mut rest, "--format")?.unwrap_or_else(|| "text".into());
-    if format != "text" && format != "json" {
-        return Err(format!("--format must be 'text' or 'json', got '{format}'").into());
-    }
-    let workflows: Vec<String> = rest.iter().filter(|p| p.ends_with(".ewf")).cloned().collect();
-    let kernels: Vec<String> = rest.iter().filter(|p| p.ends_with(".edsl")).cloned().collect();
-    if workflows.is_empty() || workflows.len() + kernels.len() != rest.len() {
-        return Ok(usage());
-    }
-    let sdk = Sdk::builder().jobs(ctx.jobs).build();
-    run_fuse(&sdk, &workflows, &kernels, &format, explain)
-}
-
-/// The kernel search path for one workflow: the `.edsl` files named on the
-/// command line, or — when none were given — every sibling `.edsl` of the
-/// workflow file, in sorted order (deterministic regardless of readdir
-/// order).
-fn kernel_search_path(
-    workflow: &str,
-    explicit: &[String],
-) -> Result<Vec<String>, Box<dyn std::error::Error>> {
-    if !explicit.is_empty() {
-        return Ok(explicit.to_vec());
-    }
-    let dir = std::path::Path::new(workflow).parent().unwrap_or(std::path::Path::new("."));
-    let mut found = Vec::new();
-    for entry in
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read '{}': {e}", dir.display()))?
-    {
-        let path = entry?.path();
-        if path.extension().is_some_and(|e| e == "edsl") {
-            found.push(path.to_string_lossy().into_owned());
-        }
-    }
-    found.sort();
-    Ok(found)
-}
-
-/// `everestc fuse`: runs the stream-fusion legality analysis over each
-/// workflow — interprocedural footprint inference on the kernels, then the
-/// dependence classifier against the platform's weakest-device BRAM stream
-/// budget. Text mode prints the plan (with `--explain`, each verdict's
-/// proof) followed by any diagnostics; json mode prints one machine-
-/// checkable `FusionPlan` object per workflow on stdout and keeps
-/// diagnostics on stderr, so the artifact stays parseable. Exits 1 when
-/// any kernel is unresolved or any edge is racy.
-fn run_fuse(
-    sdk: &Sdk,
-    workflows: &[String],
-    kernels: &[String],
-    format: &str,
-    explain: bool,
-) -> Result<u8, Box<dyn std::error::Error>> {
-    let mut errors = 0;
-    for wf_path in workflows {
-        let wf_source = read(wf_path)?;
-        let search = kernel_search_path(wf_path, kernels)?;
-        let kernel_sources = search.iter().map(|p| read(p)).collect::<Result<Vec<_>, _>>()?;
-        let refs: Vec<&str> = kernel_sources.iter().map(String::as_str).collect();
-        let (plan, mut diags) = sdk.fuse_workflow(&wf_source, &refs)?;
-        for d in &mut diags {
-            d.file = wf_path.clone();
-        }
-        errors += everest::ir::diag::tally(&diags).0;
-        match format {
-            "json" => {
-                print!("{}", plan.to_json());
-                if !diags.is_empty() {
-                    eprint!("{}", everest::ir::render_text(&diags));
-                }
-            }
-            _ => {
-                print!("{}", everest::render_plan_text(&plan, explain));
-                for d in &diags {
-                    println!("{}", d.render());
-                }
-            }
-        }
-    }
-    Ok(u8::from(errors > 0))
-}
-
-fn cmd_profile(ctx: &Ctx, rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let [path] = rest.as_slice() else {
-        return Ok(usage());
-    };
-    let source = read(path)?;
-    let sdk = Sdk::builder().jobs(ctx.jobs).build();
-    let compiled = sdk.compile(&source)?;
-    let variants: usize = compiled.kernels.iter().map(|k| k.variants.len()).sum();
-    let pareto: usize = compiled.kernels.iter().map(|k| k.pareto_front().len()).sum();
-    println!(
-        "profiled {} kernels: {} variants ({} pareto-optimal)\n",
-        compiled.kernels.len(),
-        variants,
-        pareto
-    );
-    // The flame table is printed by main() after the tracer is drained,
-    // so the compile spans above are all captured.
-    Ok(0)
-}
-
-/// The embedded kernel corpus `everestc dataset` samples when no
-/// `--kernels` file is given: four structurally distinct kernels (dense
-/// matmul, stencil, streaming triad, pointwise scale) so the produced
-/// table spans compute-bound and memory-bound shapes.
-const DATASET_CORPUS: &str = "
-    kernel gemm(a: tensor<16x16xf64>, b: tensor<16x16xf64>) -> tensor<16x16xf64> {
-        return a @ b;
-    }
-    kernel smooth(x: tensor<64xf64>) -> tensor<64xf64> {
-        return stencil(x, [0.25, 0.5, 0.25]);
-    }
-    kernel axpy(a: tensor<64xf64>, b: tensor<64xf64>) -> tensor<64xf64> {
-        return 2.0 * a + b;
-    }
-    kernel scale(x: tensor<32x32xf64>) -> tensor<32x32xf64> {
-        return 3.0 * x;
-    }
-";
-
-fn cmd_dataset(ctx: &Ctx, mut rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    use everest::variants::DatasetConfig;
-
-    let seed = extract_seed_flag(&mut rest, 7)?;
-    let points = extract_count_flag(&mut rest, "--points", 256)?;
-    let kernels_path = extract_value_flag(&mut rest, "--kernels")?;
-    let out_path = extract_value_flag(&mut rest, "--out")?;
-    if !rest.is_empty() {
-        return Ok(usage());
-    }
-
-    let source = match &kernels_path {
-        Some(path) => read(path)?,
-        None => DATASET_CORPUS.to_owned(),
-    };
-    let module = everest::dsl::compile_kernels(&source)?;
-    let funcs: Vec<&everest::ir::Func> = module.iter().collect();
-    let cfg = DatasetConfig { seed, points, jobs: ctx.jobs, ..DatasetConfig::default() };
-    let dataset = everest::variants::dataset::produce(&funcs, &cfg)?;
-    eprintln!(
-        "dataset: {} rows ({} requested), {} kernels, seed={seed}, jobs={}",
-        dataset.rows.len(),
-        points,
-        funcs.len(),
-        ctx.jobs
-    );
-
-    let csv = dataset.to_csv();
-    match &out_path {
-        Some(path) => {
-            std::fs::write(path, &csv).map_err(|e| format!("cannot write '{path}': {e}"))?;
-            eprintln!("dataset: table written to {path}");
-        }
-        None => print!("{csv}"),
-    }
-
-    Ok(0)
-}
-
-fn cmd_route(ctx: &Ctx, mut rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let queries = extract_count_flag(&mut rest, "--queries", 256)?;
-    let samples = extract_count_flag(&mut rest, "--samples", 1_000)?;
-    if !rest.is_empty() {
-        return Ok(usage());
-    }
-    run_route(queries, samples, ctx.jobs)
-}
-
-fn cmd_offload(ctx: &Ctx, mut rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let seed = extract_seed_flag(&mut rest, 7)?;
-    let profile =
-        extract_value_flag(&mut rest, "--fault-profile")?.unwrap_or_else(|| "lossy".into());
-    let calls = extract_count_flag(&mut rest, "--calls", 32)?;
-    if !rest.is_empty() {
-        return Ok(usage());
-    }
-    run_offload(&profile, seed, calls, ctx.jobs)
-}
-
-fn cmd_serve(ctx: &Ctx, mut rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let shards = extract_count_flag(&mut rest, "--shards", 4)?;
-    let queue_depth = extract_count_flag(&mut rest, "--queue-depth", 64)?;
-    let max_queries = extract_count_flag(&mut rest, "--queries", 50_000)?;
-    let seed = extract_seed_flag(&mut rest, 7)?;
-    let duration_s = match extract_value_flag(&mut rest, "--duration")? {
-        Some(raw) => match raw.parse::<f64>() {
-            Ok(s) if s > 0.0 && s.is_finite() => s,
-            _ => return Err(format!("--duration requires positive seconds, got '{raw}'").into()),
-        },
-        None => 0.2,
-    };
-    let policy = extract_value_flag(&mut rest, "--policy")?.unwrap_or_else(|| "reject-new".into());
-    if !rest.is_empty() {
-        return Ok(usage());
-    }
-    run_serve(shards, duration_s, queue_depth, &policy, seed, max_queries, ctx.jobs)
-}
-
-fn cmd_stats(ctx: &Ctx, mut rest: Vec<String>) -> Result<u8, Box<dyn std::error::Error>> {
-    let _ = ctx;
-    let format = extract_value_flag(&mut rest, "--format")?.unwrap_or_else(|| "table".into());
-    if !["table", "openmetrics", "json"].contains(&format.as_str()) {
-        return Err(
-            format!("--format must be 'table', 'openmetrics' or 'json', got '{format}'").into()
-        );
-    }
-    if rest.is_empty() {
-        return Ok(usage());
-    }
-    run_stats(&rest, &format)
-}
-
-/// `everestc stats`: reloads one or more JSON metrics snapshots (as
-/// written by `--metrics <path>.json`), merges them — counters add,
-/// histograms merge bucket-wise, so percentiles stay exact across
-/// shards — and renders the result as a table, OpenMetrics text, or
-/// merged JSON.
-fn run_stats(paths: &[String], format: &str) -> Result<u8, Box<dyn std::error::Error>> {
-    let mut merged: Option<MetricsSnapshot> = None;
-    for path in paths {
-        let source = read(path)?;
-        let snapshot: MetricsSnapshot = serde_json::from_str(&source)
-            .map_err(|e| format!("'{path}' is not a metrics snapshot: {e}"))?;
-        match &mut merged {
-            Some(acc) => acc.merge(&snapshot),
-            None => merged = Some(snapshot),
-        }
-    }
-    let merged = merged.expect("caller checked paths is non-empty");
-    match format {
-        "openmetrics" => print!("{}", openmetrics_text(&merged)),
-        "json" => println!("{}", serde_json::to_string_pretty(&merged)?),
-        _ => {
-            println!(
-                "stats: {} snapshot(s), {} counters, {} gauges, {} histograms",
-                paths.len(),
-                merged.counters.len(),
-                merged.gauges.len(),
-                merged.histograms.len()
-            );
-            print!("{}", render_table(&merged));
-        }
-    }
-    Ok(0)
-}
-
 /// `everestc check`: runs every static lint over the given source files —
 /// tensor-DSL kernels (`.edsl`), printed IR modules (`.eir`), and workflow
 /// specs (`.ewf`) — and renders the findings in one diagnostic stream.
 /// Exits 1 when any error-severity diagnostic is reported.
-fn run_check(sdk: &Sdk, paths: &[String], format: &str) -> Result<u8, Box<dyn std::error::Error>> {
+fn cmd_check(args: &Args) -> CmdResult {
+    let (sdk, paths) = (Sdk::builder().jobs(args.jobs()).build(), &args.positional);
     // The `.edsl` files of this invocation double as the kernel search
     // path for its workflows: when any are present, a workflow task whose
     // kernel is missing from them is a hard `wf-unresolved-kernel` error
@@ -961,11 +705,179 @@ fn run_check(sdk: &Sdk, paths: &[String], format: &str) -> Result<u8, Box<dyn st
         diags.extend(found);
     }
     let (errors, _) = everest::ir::diag::tally(&diags);
-    match format {
-        "json" => print!("{}", everest::ir::render_json(&diags)),
+    match args.get("--format") {
+        Some("json") => print!("{}", everest::ir::render_json(&diags)),
         _ => print!("{}", everest::ir::render_text(&diags)),
     }
     Ok(u8::from(errors > 0))
+}
+
+/// The kernel search path for one workflow: the `.edsl` files named on the
+/// command line, or — when none were given — every sibling `.edsl` of the
+/// workflow file, in sorted order (deterministic regardless of readdir
+/// order).
+fn kernel_search_path(workflow: &str, explicit: &[String]) -> CmdResult<Vec<String>> {
+    if !explicit.is_empty() {
+        return Ok(explicit.to_vec());
+    }
+    let dir = std::path::Path::new(workflow).parent().unwrap_or(std::path::Path::new("."));
+    let mut found = Vec::new();
+    for entry in
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read '{}': {e}", dir.display()))?
+    {
+        let path = entry?.path();
+        if path.extension().is_some_and(|e| e == "edsl") {
+            found.push(path.to_string_lossy().into_owned());
+        }
+    }
+    found.sort();
+    Ok(found)
+}
+
+/// `everestc fuse`: runs the stream-fusion legality analysis over each
+/// workflow — interprocedural footprint inference on the kernels, then the
+/// dependence classifier against the platform's weakest-device BRAM stream
+/// budget. Text mode prints the plan (with `--explain`, each verdict's
+/// proof) followed by any diagnostics; json mode prints one machine-
+/// checkable `FusionPlan` object per workflow on stdout and keeps
+/// diagnostics on stderr, so the artifact stays parseable. Exits 1 when
+/// any kernel is unresolved or any edge is racy.
+fn cmd_fuse(args: &Args) -> CmdResult {
+    let paths = &args.positional;
+    let workflows: Vec<&String> = paths.iter().filter(|p| p.ends_with(".ewf")).collect();
+    let kernels: Vec<String> = paths.iter().filter(|p| p.ends_with(".edsl")).cloned().collect();
+    if workflows.is_empty() || workflows.len() + kernels.len() != paths.len() {
+        return Ok(refuse("fuse takes .ewf workflows and .edsl kernels".into(), 2));
+    }
+    let sdk = Sdk::builder().jobs(args.jobs()).build();
+    let mut errors = 0;
+    for wf_path in workflows {
+        let wf_source = read(wf_path)?;
+        let search = kernel_search_path(wf_path, &kernels)?;
+        let kernel_sources = search.iter().map(|p| read(p)).collect::<Result<Vec<_>, _>>()?;
+        let refs: Vec<&str> = kernel_sources.iter().map(String::as_str).collect();
+        let (plan, mut diags) = sdk.fuse_workflow(&wf_source, &refs)?;
+        for d in &mut diags {
+            d.file = wf_path.clone();
+        }
+        errors += everest::ir::diag::tally(&diags).0;
+        match args.get("--format") {
+            Some("json") => {
+                print!("{}", plan.to_json());
+                if !diags.is_empty() {
+                    eprint!("{}", everest::ir::render_text(&diags));
+                }
+            }
+            _ => {
+                print!("{}", everest::render_plan_text(&plan, args.get("--explain").is_some()));
+                for d in &diags {
+                    println!("{}", d.render());
+                }
+            }
+        }
+    }
+    Ok(u8::from(errors > 0))
+}
+
+fn cmd_profile(args: &Args) -> CmdResult {
+    let source = read(&args.positional[0])?;
+    let sdk = Sdk::builder().jobs(args.jobs()).build();
+    let compiled = sdk.compile(&source)?;
+    let variants: usize = compiled.kernels.iter().map(|k| k.variants.len()).sum();
+    let pareto: usize = compiled.kernels.iter().map(|k| k.pareto_front().len()).sum();
+    println!(
+        "profiled {} kernels: {} variants ({} pareto-optimal)\n",
+        compiled.kernels.len(),
+        variants,
+        pareto
+    );
+    // The flame table is printed by main() after the tracer is drained,
+    // so the compile spans above are all captured.
+    Ok(0)
+}
+
+/// The embedded kernel corpus `everestc dataset` samples when no
+/// `--kernels` file is given: four structurally distinct kernels (dense
+/// matmul, stencil, streaming triad, pointwise scale) so the produced
+/// table spans compute-bound and memory-bound shapes.
+const DATASET_CORPUS: &str = "
+    kernel gemm(a: tensor<16x16xf64>, b: tensor<16x16xf64>) -> tensor<16x16xf64> {
+        return a @ b;
+    }
+    kernel smooth(x: tensor<64xf64>) -> tensor<64xf64> {
+        return stencil(x, [0.25, 0.5, 0.25]);
+    }
+    kernel axpy(a: tensor<64xf64>, b: tensor<64xf64>) -> tensor<64xf64> {
+        return 2.0 * a + b;
+    }
+    kernel scale(x: tensor<32x32xf64>) -> tensor<32x32xf64> {
+        return 3.0 * x;
+    }
+";
+
+fn cmd_dataset(args: &Args) -> CmdResult {
+    use everest::variants::DatasetConfig;
+
+    let (seed, points, jobs) = (args.value("--seed"), args.value("--points"), args.jobs());
+    let source = match args.get("--kernels") {
+        Some(path) => read(path)?,
+        None => DATASET_CORPUS.to_owned(),
+    };
+    let module = everest::dsl::compile_kernels(&source)?;
+    let funcs: Vec<&everest::ir::Func> = module.iter().collect();
+    let cfg = DatasetConfig { seed, points, jobs, ..DatasetConfig::default() };
+    let dataset = everest::variants::dataset::produce(&funcs, &cfg)?;
+    eprintln!(
+        "dataset: {} rows ({points} requested), {} kernels, seed={seed}, jobs={jobs}",
+        dataset.rows.len(),
+        funcs.len(),
+    );
+
+    let csv = dataset.to_csv();
+    match args.get("--out") {
+        Some(path) => {
+            std::fs::write(path, &csv).map_err(|e| format!("cannot write '{path}': {e}"))?;
+            eprintln!("dataset: table written to {path}");
+        }
+        None => print!("{csv}"),
+    }
+
+    Ok(0)
+}
+
+/// `everestc stats`: reloads one or more JSON metrics snapshots (as
+/// written by `--metrics <path>.json`), merges them — counters add,
+/// histograms merge bucket-wise, so percentiles stay exact across
+/// shards — and renders the result as a table, OpenMetrics text, or
+/// merged JSON.
+fn cmd_stats(args: &Args) -> CmdResult {
+    let paths = &args.positional;
+    let mut merged: Option<MetricsSnapshot> = None;
+    for path in paths {
+        let source = read(path)?;
+        let snapshot: MetricsSnapshot = serde_json::from_str(&source)
+            .map_err(|e| format!("'{path}' is not a metrics snapshot: {e}"))?;
+        match &mut merged {
+            Some(acc) => acc.merge(&snapshot),
+            None => merged = Some(snapshot),
+        }
+    }
+    let merged = merged.expect("the parser checked paths is non-empty");
+    match args.get("--format") {
+        Some("openmetrics") => print!("{}", openmetrics_text(&merged)),
+        Some("json") => println!("{}", serde_json::to_string_pretty(&merged)?),
+        _ => {
+            println!(
+                "stats: {} snapshot(s), {} counters, {} gauges, {} histograms",
+                paths.len(),
+                merged.counters.len(),
+                merged.gauges.len(),
+                merged.histograms.len()
+            );
+            print!("{}", render_table(&merged));
+        }
+    }
+    Ok(0)
 }
 
 /// `everestc offload`: runs a batch of synthetic kernel invocations
@@ -973,19 +885,16 @@ fn run_check(sdk: &Sdk, paths: &[String], format: &str) -> Result<u8, Box<dyn st
 /// breakers + fallback chain), then reschedules the same workload off the
 /// tripped devices. Everything printed is a pure function of the seed, so
 /// two runs with the same `--seed` diff clean at any `--jobs` count.
-fn run_offload(
-    profile: &str,
-    seed: u64,
-    calls: usize,
-    jobs: usize,
-) -> Result<u8, Box<dyn std::error::Error>> {
+fn cmd_offload(args: &Args) -> CmdResult {
     use everest::workflow::exec::simulate_available;
     use everest::workflow::scheduler::Policy;
     use everest::workflow::{TaskGraph, Worker};
     use everest::{FaultPlan, OffloadCall, Sdk};
 
+    let profile: String = args.value("--fault-profile");
+    let (seed, calls, jobs) = (args.value("--seed"), args.value::<usize>("--calls"), args.jobs());
     everest_telemetry::metrics().reset();
-    let plan = FaultPlan::from_profile(profile, seed)?;
+    let plan = FaultPlan::from_profile(&profile, seed)?;
     let sdk = Sdk::builder().jobs(jobs).fault_plan(plan).build();
     let mut mgr = sdk.offload_manager()?;
 
@@ -1064,29 +973,20 @@ fn run_offload(
 /// decisions, virtual-time latency percentiles) is a pure function of
 /// the seed and topology and diffs clean at any `--jobs`; wall-clock
 /// throughput is machine-dependent and goes to stderr.
-fn run_serve(
-    shards: usize,
-    duration_s: f64,
-    queue_depth: usize,
-    policy: &str,
-    seed: u64,
-    max_queries: usize,
-    jobs: usize,
-) -> Result<u8, Box<dyn std::error::Error>> {
+fn cmd_serve(args: &Args) -> CmdResult {
     use everest::apps::traffic::serve::{LoadGen, ServeConfig, ServeTier, ShedPolicy};
     use everest::apps::traffic::{generate_fcd, RoadNetwork, SpeedProfiles};
 
-    let policy: ShedPolicy = policy.parse()?;
+    let policy: ShedPolicy = args.value::<String>("--policy").parse()?;
+    let (shards, seed, jobs) = (args.value("--shards"), args.value("--seed"), args.jobs());
+    let (queue_depth, duration_s) = (args.value("--queue-depth"), args.value("--duration"));
+    let max_queries = args.value("--queries");
     let network = RoadNetwork::grid(2026, 8, 1.0);
     let fcd = generate_fcd(&network, 7, 40_000);
     let profiles = SpeedProfiles::learn(&network, &fcd);
     let generator = LoadGen::new(&network, &profiles, 48, seed);
 
-    let mut config = ServeConfig::new(shards);
-    config.seed = seed;
-    config.jobs = jobs;
-    config.queue_depth = queue_depth;
-    config.policy = policy;
+    let config = ServeConfig { seed, jobs, queue_depth, policy, ..ServeConfig::new(shards) };
     let tier = ServeTier::new(network, profiles, config);
     // Day 0 warms the caches, day 1 measures the steady-state mixed
     // hit/miss capacity; the sweep then serves fresh days 2..4 without
@@ -1129,16 +1029,13 @@ fn run_serve(
 /// city (paper §VI-C, "route calculation as a service"), replays a
 /// request stream of repeated commutes cold and warm, and reports
 /// latency, throughput, and cache effectiveness.
-fn run_route(
-    queries: usize,
-    samples: usize,
-    jobs: usize,
-) -> Result<u8, Box<dyn std::error::Error>> {
+fn cmd_route(args: &Args) -> CmdResult {
     use everest::apps::traffic::service::{PtdrService, RouteQuery};
     use everest::apps::traffic::{
         generate_fcd, random_od, shortest_route, RoadNetwork, SpeedProfiles,
     };
 
+    let (queries, samples, jobs) = (args.value("--queries"), args.value("--samples"), args.jobs());
     let network = RoadNetwork::grid(2026, 8, 1.0);
     let fcd = generate_fcd(&network, 7, 40_000);
     let profiles = SpeedProfiles::learn(&network, &fcd);
