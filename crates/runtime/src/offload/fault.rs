@@ -60,7 +60,7 @@ impl FaultRates {
     fn validate(&self) -> RuntimeResult<()> {
         let parts = [self.drop, self.timeout, self.corrupt, self.device_loss];
         if parts.iter().any(|p| !(0.0..=1.0).contains(p)) || parts.iter().sum::<f64>() > 1.0 {
-            return Err(RuntimeError::Unknown(format!("invalid fault rates {self:?}")));
+            return Err(RuntimeError::Config(format!("invalid fault rates {self:?}")));
         }
         Ok(())
     }
@@ -111,7 +111,7 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Unknown`] for an unrecognized name.
+    /// Returns [`RuntimeError::Config`] for an unrecognized name.
     pub fn from_profile(name: &str, seed: u64) -> RuntimeResult<FaultPlan> {
         let network = |drop, timeout, corrupt, device_loss| FaultRates {
             drop,
@@ -129,8 +129,8 @@ impl FaultPlan {
                 .with_rates(LinkProfile::UdpDatacenter.name(), network(0.35, 0.15, 0.10, 0.02))?
                 .with_rates(LinkProfile::OpenCapi.name(), network(0.02, 0.0, 0.01, 0.0)),
             "meltdown" => FaultPlan::new(seed, FaultRates { device_loss: 1.0, ..FaultRates::NONE }),
-            other => Err(RuntimeError::Unknown(format!(
-                "fault profile '{other}' (expected one of: {})",
+            other => Err(RuntimeError::Config(format!(
+                "unknown fault profile '{other}' (expected one of: {})",
                 FaultPlan::PROFILES.join(", ")
             ))),
         }

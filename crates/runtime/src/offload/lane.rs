@@ -16,6 +16,7 @@ use super::event::{
     OffloadCall, OffloadEvent, OffloadOutcome, OffloadTarget, SkipReason, TargetClass,
 };
 use super::fault::{FaultKey, FaultKind, FaultPlan};
+use super::trace::LaneTrace;
 use crate::error::{RuntimeError, RuntimeResult};
 use everest_platform::Link;
 use everest_telemetry::{EventKind, LogHistogram};
@@ -81,7 +82,7 @@ pub(super) struct Lane {
     pub(super) clock_us: f64,
     /// Scratch: the flight events of the call being folded, recorded as
     /// one group (one clock read, one ring lock) when the call ends.
-    flight: Vec<(EventKind, &'static str, f64)>,
+    pub(super) flight: Vec<(EventKind, &'static str, f64)>,
 }
 
 impl Lane {
@@ -225,21 +226,20 @@ pub(super) type MonitorRecord = (f64, bool, bool);
 pub(super) struct LaneReport {
     pub(super) lane: Lane,
     pub(super) results: Vec<RuntimeResult<OffloadOutcome>>,
-    pub(super) events: Vec<OffloadEvent>,
-    pub(super) records: Vec<MonitorRecord>,
-    /// Per task, where its events and records end in the two buffers
-    /// above (they begin where the previous task's end).
-    pub(super) ends: Vec<(usize, usize)>,
+    /// The lane's trace events, kept by the manager as they are.
+    pub(super) trace: LaneTrace,
+    records: Vec<MonitorRecord>,
+    /// Per task, where its monitor records end in `records`.
+    record_ends: Vec<u32>,
     pub(super) stats: LaneStats,
     pub(super) fold_us: f64,
 }
 
 impl LaneReport {
-    /// The events and monitor records of the lane's `k`-th task.
-    pub(super) fn task(&self, k: usize) -> (&[OffloadEvent], &[MonitorRecord]) {
-        let (events_at, records_at) = if k == 0 { (0, 0) } else { self.ends[k - 1] };
-        let (events_end, records_end) = self.ends[k];
-        (&self.events[events_at..events_end], &self.records[records_at..records_end])
+    /// The monitor records of the lane's `k`-th task.
+    pub(super) fn records(&self, k: usize) -> &[MonitorRecord] {
+        let start = if k == 0 { 0 } else { self.record_ends[k - 1] as usize };
+        &self.records[start..self.record_ends[k] as usize]
     }
 }
 
@@ -247,7 +247,9 @@ impl LaneReport {
 /// fault outcomes and backoff jitter sampled inline (they are pure in
 /// `(seed, device, task, attempt)`, so inline sampling is identical to
 /// pre-sampling). Mutates only lane-local state; trace events and
-/// monitor observations queue into the caller's buffers for the merge.
+/// monitor observations queue into the caller's buffers for the merge,
+/// and the call's flight events into `lane.flight`, for the caller to
+/// record as one group (or to count, when its ring would drop them).
 pub(super) fn fold_call(
     retry: &RetryPolicy,
     lane: &mut Lane,
@@ -379,7 +381,6 @@ pub(super) fn fold_call(
         None
     };
     flight.push((EventKind::SpanEnd, "offload.call", *clock_us - clock_start));
-    everest_telemetry::flight().record_all(flight);
     let result = completed.ok_or_else(|| RuntimeError::OffloadFailed {
         kernel: call.kernel.clone(),
         attempts: stats.attempts,
@@ -394,6 +395,17 @@ const PACING_QUANTUM_US: f64 = 200.0;
 /// Folds every task assigned to one lane, in task order, on the calling
 /// pool worker.
 ///
+/// A call records its flight events only when the thread's ring can
+/// still hold them once the fold returns. Every call records at least two
+/// (its `offload.call` begin and end), so a call followed by more than
+/// `capacity / 2` further calls of the lane is overwritten by them: the
+/// fold records none of its events and adds their count to the ring's
+/// written total instead, once per lane. After the fold the ring holds
+/// the same events, in the same order, with the same `dropped`, as if
+/// every call had recorded. What differs is what a dump taken by another
+/// thread while the lane folds can see: that lane's events only from its
+/// last `capacity / 2` calls on.
+///
 /// With `pacing = Some(scale)` the lane replays its virtual clock at
 /// `scale` simulated microseconds per real microsecond, sleeping off any
 /// accumulated lag after each call (hardware-in-the-loop style
@@ -404,14 +416,44 @@ const PACING_QUANTUM_US: f64 = 200.0;
 /// queues do.
 pub(super) fn fold_lane(
     retry: &RetryPolicy,
-    mut lane: Lane,
+    lane: Lane,
     tasks: &[(u64, &OffloadCall)],
     pacing: Option<f64>,
 ) -> LaneReport {
+    let capacity = everest_telemetry::flight().capacity();
+    fold_lane_recording_from(
+        retry,
+        lane,
+        tasks,
+        pacing,
+        tasks.len().saturating_sub(capacity / 2 + 1),
+    )
+}
+
+/// The fold that records every call's flight events: the reference the
+/// skip above is tested against.
+#[cfg(test)]
+pub(super) fn fold_lane_recording_every_call(
+    retry: &RetryPolicy,
+    lane: Lane,
+    tasks: &[(u64, &OffloadCall)],
+) -> LaneReport {
+    fold_lane_recording_from(retry, lane, tasks, None, 0)
+}
+
+/// [`fold_lane`], recording the flight events of the tasks from
+/// `recorded_from` on and counting those of the tasks before it.
+fn fold_lane_recording_from(
+    retry: &RetryPolicy,
+    mut lane: Lane,
+    tasks: &[(u64, &OffloadCall)],
+    pacing: Option<f64>,
+    recorded_from: usize,
+) -> LaneReport {
     let t = Instant::now();
+    let flight = everest_telemetry::flight();
     let clock_start = lane.clock_us;
     let mut results = Vec::with_capacity(tasks.len());
-    let mut ends = Vec::with_capacity(tasks.len());
     // Sized for the steady state of a faulty lane, so that the buffers
     // are not doubled (copied, and their new half paged in) once per
     // batch: a call that skips a dead rung and completes on the next
@@ -419,14 +461,22 @@ pub(super) fn fold_lane(
     // monitor record; the slack and the second record absorb the calls
     // that retry. What a healthy lane leaves untouched is never paged in,
     // and a lane that needs more still grows.
-    let mut events = Vec::with_capacity(4 * tasks.len() + 64);
+    let mut trace = LaneTrace::with_capacity(tasks.len(), 4 * tasks.len() + 64);
     let mut records = Vec::with_capacity(2 * tasks.len());
+    let mut record_ends = Vec::with_capacity(tasks.len());
     let mut stats = LaneStats::default();
-    for &(task, call) in tasks {
+    let mut overwritten = 0;
+    for (k, &(task, call)) in tasks.iter().enumerate() {
         let (result, call_stats) =
-            fold_call(retry, &mut lane, task, call, &mut events, &mut records);
+            fold_call(retry, &mut lane, task, call, &mut trace.events, &mut records);
+        if k < recorded_from {
+            overwritten += lane.flight.len() as u64;
+        } else {
+            flight.record_all(&lane.flight);
+        }
         results.push(result);
-        ends.push((events.len(), records.len()));
+        trace.end_task();
+        record_ends.push(u32::try_from(records.len()).expect("a lane holds < 2^32 records"));
         stats.add(&call_stats);
         if let Some(scale) = pacing {
             let owed_us = (lane.clock_us - clock_start) / scale;
@@ -436,6 +486,9 @@ pub(super) fn fold_lane(
             }
         }
     }
+    if overwritten > 0 {
+        flight.record_overwritten(overwritten);
+    }
     let fold_us = t.elapsed().as_secs_f64() * 1e6;
-    LaneReport { lane, results, events, records, ends, stats, fold_us }
+    LaneReport { lane, results, trace, records, record_ends, stats, fold_us }
 }

@@ -5,6 +5,7 @@ use super::breaker::{BreakerConfig, CircuitBreaker, RetryPolicy};
 use super::event::{OffloadCall, OffloadEvent, OffloadOutcome, OffloadTarget, TargetClass};
 use super::fault::FaultPlan;
 use super::lane::{fold_call, fold_lane, partition_lanes, Lane, LaneReport, MonitorRecord, Rung};
+use super::trace::Trace;
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::monitor::RuntimeMonitor;
 use everest_platform::{Attachment, Link, LinkProfile, System};
@@ -19,7 +20,7 @@ pub struct OffloadManager {
     chain: Vec<OffloadTarget>,
     lanes: Vec<Lane>,
     monitor: RuntimeMonitor,
-    events: Vec<OffloadEvent>,
+    trace: Trace,
     /// Scratch of [`OffloadManager::execute`]: the monitor records of the
     /// call in flight. Empty between calls; kept so that a call does not
     /// allocate.
@@ -33,14 +34,14 @@ impl OffloadManager {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Unknown`] for an empty chain, or one too
+    /// Returns [`RuntimeError::Config`] for an empty chain, or one too
     /// long for the 16-bit target index trace events carry.
     pub(crate) fn new(chain: Vec<OffloadTarget>, plan: FaultPlan) -> RuntimeResult<OffloadManager> {
         if chain.is_empty() {
-            return Err(RuntimeError::Unknown("empty offload chain".to_owned()));
+            return Err(RuntimeError::Config("empty offload chain".to_owned()));
         }
         if chain.len() > usize::from(u16::MAX) + 1 {
-            return Err(RuntimeError::Unknown(format!(
+            return Err(RuntimeError::Config(format!(
                 "offload chain of {} targets (at most {})",
                 chain.len(),
                 usize::from(u16::MAX) + 1
@@ -54,7 +55,7 @@ impl OffloadManager {
             lanes,
             chain,
             monitor: RuntimeMonitor::new(0),
-            events: Vec::new(),
+            trace: Trace::default(),
             records: Vec::new(),
             invocations: 0,
             pacing: None,
@@ -67,12 +68,12 @@ impl OffloadManager {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Unknown`] when the system has no nodes.
+    /// Returns [`RuntimeError::Config`] when the system has no nodes.
     pub fn for_system(system: &System, plan: FaultPlan) -> RuntimeResult<OffloadManager> {
         let host = system
             .nodes()
             .first()
-            .ok_or_else(|| RuntimeError::Unknown("system has no nodes".to_owned()))?;
+            .ok_or_else(|| RuntimeError::Config("system has no nodes".to_owned()))?;
         let mut network = Vec::new();
         let mut bus = Vec::new();
         for node in system.nodes() {
@@ -132,9 +133,10 @@ impl OffloadManager {
         &self.chain
     }
 
-    /// The event trace so far, in invocation order.
-    pub fn events(&self) -> &[OffloadEvent] {
-        &self.events
+    /// The event trace so far, in invocation order. The events stay in
+    /// the lane buffers their batch folded them into; this walks them.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = &OffloadEvent> {
+        self.trace.events()
     }
 
     /// The monitor fed by completed invocations.
@@ -168,9 +170,10 @@ impl OffloadManager {
     /// The trace as one line per event (what `everestc offload` prints
     /// and what the determinism contract compares).
     pub fn trace(&self) -> String {
+        let events = self.events();
         // A line is 40–90 bytes.
-        let mut out = String::with_capacity(64 * self.events.len());
-        for event in &self.events {
+        let mut out = String::with_capacity(64 * events.len());
+        for event in events {
             writeln!(out, "{}", event.display(&self.chain)).expect("writing to a String");
         }
         out
@@ -189,14 +192,12 @@ impl OffloadManager {
         let task = self.invocations;
         self.invocations += 1;
         let lane_idx = (task % self.lanes.len() as u64) as usize;
-        let (result, stats) = fold_call(
-            &self.retry,
-            &mut self.lanes[lane_idx],
-            task,
-            call,
-            &mut self.events,
-            &mut self.records,
-        );
+        let lane = &mut self.lanes[lane_idx];
+        let trace = self.trace.single();
+        let (result, stats) =
+            fold_call(&self.retry, lane, task, call, &mut trace.events, &mut self.records);
+        trace.end_task();
+        everest_telemetry::flight().record_all(&lane.flight);
         stats.publish();
         for (latency, access, range) in self.records.drain(..) {
             self.monitor.record(latency, access, range);
@@ -274,15 +275,13 @@ impl OffloadManager {
 
         // Phase 3: merge lane-local results back into invocation order.
         // Each call's slot says which task of which lane it was, and each
-        // report says where that task's events and records lie in its
-        // buffers: the merge copies slices, it never looks inside an event.
+        // report says where that task's records lie in its buffer. The
+        // monitor replays them here, after every lane has folded, so its
+        // alarms dump the rings the folds left. The events stay in the
+        // lane buffers, kept as this batch's trace segment.
         let t_merge = Instant::now();
-        self.events.reserve(reports.iter().map(|r| r.events.len()).sum());
-        for (lane, k) in slots() {
-            self.events.extend_from_slice(reports[lane].task(k).0);
-        }
         self.monitor
-            .record_batch(slots().flat_map(|(lane, k)| reports[lane].task(k).1.iter().copied()));
+            .record_batch(slots().flat_map(|(lane, k)| reports[lane].records(k).iter().copied()));
         let mut results: Vec<_> =
             reports.iter_mut().map(|r| std::mem::take(&mut r.results).into_iter()).collect();
         let mut outcomes = Vec::with_capacity(calls.len());
@@ -293,7 +292,9 @@ impl OffloadManager {
                 Err(error) => drop(first_error.get_or_insert(error)),
             }
         }
-        self.lanes = reports.into_iter().map(|r| r.lane).collect();
+        let (lanes, traces) = reports.into_iter().map(|r| (r.lane, r.trace)).unzip();
+        self.lanes = lanes;
+        self.trace.push_batch(first_lane, traces);
         let merge_us = t_merge.elapsed().as_secs_f64() * 1e6;
         telemetry.observe("offload.phase.merge_us", merge_us);
         flight.marker("offload.phase.merge_us", merge_us);
@@ -314,7 +315,10 @@ impl OffloadManager {
 /// The `(lane, k)` slot of each call of a batch dealt round-robin from
 /// `first_lane`: the `i`-th call is the `i / nlanes`-th task of lane
 /// `(first_lane + i) % nlanes`, stepped here without dividing.
-fn round_robin_slots(first_lane: usize, nlanes: usize) -> impl Iterator<Item = (usize, usize)> {
+pub(super) fn round_robin_slots(
+    first_lane: usize,
+    nlanes: usize,
+) -> impl Iterator<Item = (usize, usize)> {
     let (mut lane, mut dealt, mut k) = (first_lane, 0, 0);
     std::iter::from_fn(move || {
         let slot = (lane, k);

@@ -88,6 +88,7 @@ mod lane;
 mod manager;
 #[cfg(test)]
 mod tests;
+mod trace;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 pub use event::{

@@ -233,3 +233,91 @@ fn a_chain_too_long_for_the_event_index_is_rejected() {
     let err = OffloadManager::new(chain, FaultPlan::none(0)).unwrap_err();
     assert!(err.to_string().contains("65537 targets"), "{err}");
 }
+
+/// The flight events the calling thread's ring holds once `calls` calls
+/// under `profile` are folded lane by lane, as a batch at `jobs = 1`
+/// folds them (through the reference fold, or the fold that skips what
+/// its ring would drop), and how many events the thread wrote that the
+/// ring no longer holds. Only this thread's events are read, so tests
+/// recording on other threads do not disturb the answer.
+fn fold_on_this_thread(
+    profile: &str,
+    calls: usize,
+    reference: bool,
+) -> (Vec<(everest_telemetry::EventKind, &'static str, f64)>, u64) {
+    use super::lane::{fold_lane, fold_lane_recording_every_call, partition_lanes};
+    static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    let flight = everest_telemetry::flight();
+    let plan = FaultPlan::from_profile(profile, 2026).unwrap();
+    let chain = manager(profile, 2026).chain().to_vec();
+    let lanes = partition_lanes(&chain, &plan, BreakerConfig::default());
+    let calls: Vec<OffloadCall> = (0..calls).map(|i| call(&format!("k{}", i % 64))).collect();
+    let retry = RetryPolicy::default();
+
+    // Claims this thread's ring, which may be a retired one still holding
+    // another thread's events; a marker names this thread in the dump.
+    let written_before = flight.record_overwritten(0);
+    let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed) as f64;
+    flight.marker("offload.test.thread", nonce);
+    let tid = flight
+        .dump("test")
+        .events
+        .iter()
+        .find(|e| e.name == "offload.test.thread" && e.value == nonce)
+        .expect("the marker is the ring's newest event")
+        .tid;
+    let nlanes = lanes.len();
+    for (i, lane) in lanes.into_iter().enumerate() {
+        let tasks: Vec<(u64, &OffloadCall)> =
+            (i..calls.len()).step_by(nlanes).map(|t| (t as u64, &calls[t])).collect();
+        if reference {
+            fold_lane_recording_every_call(&retry, lane, &tasks);
+        } else {
+            fold_lane(&retry, lane, &tasks, None);
+        }
+    }
+    let written = flight.record_overwritten(0) - written_before;
+    let events: Vec<_> = flight
+        .dump("test")
+        .events
+        .into_iter()
+        .filter(|e| e.tid == tid)
+        .map(|e| (e.kind, e.name, e.value))
+        .collect();
+    let dropped = written - events.len() as u64;
+    (events, dropped)
+}
+
+#[test]
+fn a_lane_skips_only_the_flight_events_its_ring_would_drop() {
+    let capacity = everest_telemetry::flight().capacity();
+    assert!(capacity >= 16, "the recorder is on at its default size");
+    let lanes = manager("none", 1).lane_devices().len();
+    // Lanes shorter than, at, just past and far past `capacity / 2` calls.
+    for per_lane in [capacity / 4, capacity / 2, capacity / 2 + 1, capacity / 2 + 2, 3 * capacity] {
+        for profile in FaultPlan::PROFILES {
+            let calls = lanes * per_lane;
+            let fold = |reference| {
+                std::thread::scope(|s| {
+                    s.spawn(|| fold_on_this_thread(profile, calls, reference)).join().unwrap()
+                })
+            };
+            let (expected, expected_dropped) = fold(true);
+            let (events, dropped) = fold(false);
+            let first_difference = events.iter().zip(&expected).position(|(a, b)| a != b);
+            assert!(
+                events == expected,
+                "{profile}, {per_lane} calls a lane: {} events in the ring against {}, \
+                 first difference at {first_difference:?}",
+                events.len(),
+                expected.len()
+            );
+            assert_eq!(dropped, expected_dropped, "{profile}, {per_lane} calls a lane: dropped");
+            if per_lane > capacity {
+                assert_eq!(events.len(), capacity, "{profile}: the ring is full");
+                assert!(dropped > 0, "{profile}: the fold skipped events");
+            }
+        }
+    }
+}

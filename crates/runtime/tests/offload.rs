@@ -296,3 +296,62 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A batch's trace stays in its lanes' buffers, one segment a batch,
+    /// and calls made one at a time append to a trailing segment of their
+    /// own. However a call list is cut into batches (at jobs ∈ {1, 2, 4,
+    /// 8}) and runs of single calls, the trace reads back byte for byte as
+    /// the calls made one by one write it, `events()` counts its lines,
+    /// and the outcomes and the tripped set are those of the calls made
+    /// one by one.
+    #[test]
+    fn any_cut_into_batches_and_single_calls_traces_like_calls_one_by_one(
+        profile_idx in 0usize..=FaultPlan::PROFILES.len(),
+        rates in (0.0f64..0.3, 0.0f64..0.3, 0.0f64..0.3, 0.0f64..0.02),
+        seed in any::<u64>(),
+        pieces in prop::collection::vec((0usize..5, 1usize..400), 1..12),
+    ) {
+        let plan = match FaultPlan::PROFILES.get(profile_idx) {
+            Some(profile) => FaultPlan::from_profile(profile, seed).unwrap(),
+            None => {
+                let (drop, timeout, corrupt, device_loss) = rates;
+                FaultPlan::new(seed, FaultRates { drop, timeout, corrupt, device_loss }).unwrap()
+            }
+        };
+        let manager =
+            || OffloadManager::for_system(&System::everest_reference(), plan.clone()).unwrap();
+        let calls: Vec<OffloadCall> =
+            (0..pieces.iter().map(|&(_, len)| len).sum()).map(mixed_call).collect();
+
+        let mut reference = manager();
+        let expected: Vec<_> = calls.iter().map(|c| reference.execute(c).unwrap()).collect();
+        let expected_trace = reference.trace();
+
+        let mut mgr = manager();
+        let mut outcomes = Vec::with_capacity(calls.len());
+        let mut rest = &calls[..];
+        for &(kind, len) in &pieces {
+            let (piece, tail) = rest.split_at(len);
+            rest = tail;
+            match [1, 2, 4, 8].get(kind) {
+                Some(&jobs) => outcomes.extend(mgr.run_batch(piece, jobs).unwrap()),
+                None => outcomes.extend(piece.iter().map(|c| mgr.execute(c).unwrap())),
+            }
+        }
+        let trace = mgr.trace();
+        let first_difference = trace.lines().zip(expected_trace.lines()).position(|(a, b)| a != b);
+        prop_assert!(
+            trace == expected_trace,
+            "trace diverges at line {:?} of {} ({:?})",
+            first_difference,
+            expected_trace.lines().count(),
+            pieces
+        );
+        prop_assert_eq!(mgr.events().len(), trace.lines().count());
+        prop_assert_eq!(&outcomes, &expected);
+        prop_assert_eq!(mgr.tripped_devices(), reference.tripped_devices());
+    }
+}

@@ -167,7 +167,7 @@ impl FlightRecorder {
     }
 
     /// Current per-thread ring capacity; 0 means disabled.
-    pub(crate) fn capacity(&self) -> usize {
+    pub fn capacity(&self) -> usize {
         self.capacity.load(Ordering::Relaxed)
     }
 
@@ -225,6 +225,27 @@ impl FlightRecorder {
                 ring.push(FlightEvent { ts_us, tid: *tid, kind, name, value });
             }
         });
+    }
+
+    /// Counts `events` events that the calling thread leaves unrecorded
+    /// because events it records next would overwrite them in its ring
+    /// anyway: they add to the ring's written total, so
+    /// [`FlightDump::dropped`] reads as if they had been recorded and
+    /// overwritten. A batch fold that knows most of its calls' events
+    /// cannot survive it skips them this way: one lock for the lot,
+    /// instead of a clock read, a lock and a slot write each. Returns the
+    /// calling thread's written total (0 while recording is disabled).
+    pub fn record_overwritten(&self, events: u64) -> u64 {
+        let capacity = self.capacity.load(Ordering::Relaxed);
+        if capacity == 0 {
+            return 0;
+        }
+        THREAD_RING.with(|cell| {
+            let (_, ring) = cell.get_or_init(|| (current_tid(), self.claim_ring(capacity)));
+            let mut ring = ring.lock();
+            ring.written += events;
+            ring.written
+        })
     }
 
     /// A ring for a thread recording its first event. A ring is retired

@@ -84,6 +84,25 @@ fn ring_overwrites_oldest_and_accounts_drops() {
 }
 
 #[test]
+fn events_counted_as_overwritten_leave_the_ring_of_recorded_ones() {
+    with_recorder(8, |flight| {
+        // Twenty events, the first twelve of which the ring would drop:
+        // counted instead of recorded, they leave the ring and `dropped`
+        // that recording all twenty leaves.
+        assert_eq!(flight.record_overwritten(12), 12);
+        for i in 12..20 {
+            flight.marker("t10.ev", i as f64);
+        }
+        assert_eq!(flight.record_overwritten(0), 20, "the written total");
+        let dump = flight.dump("test");
+        let values: Vec<f64> =
+            dump.events.iter().filter(|e| e.name == "t10.ev").map(|e| e.value).collect();
+        assert_eq!(values, (12..20).map(f64::from).collect::<Vec<_>>());
+        assert_eq!(dump.dropped, 12);
+    });
+}
+
+#[test]
 fn zero_capacity_disables_recording() {
     with_recorder(0, |flight| {
         flight.marker("t3.ev", 1.0);
@@ -91,6 +110,8 @@ fn zero_capacity_disables_recording() {
         let dump = flight.dump("test");
         assert!(dump.events.iter().all(|e| !e.name.starts_with("t3.")));
         assert!(flight.take_alarm_dump().is_none());
+        assert_eq!(flight.record_overwritten(7), 0, "nothing counts while off");
+        assert_eq!(flight.dump("test").dropped, 0);
     });
 }
 
