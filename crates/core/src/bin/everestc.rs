@@ -14,6 +14,7 @@ use everest::Sdk;
 use everest_telemetry::export::{chrome_trace_json, flame_summary, spans_to_events};
 use everest_telemetry::openmetrics::{openmetrics_text, render_table};
 use everest_telemetry::{MetricsSnapshot, SpanRecord, Tracer};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 /// What a run function returns: the exit code, or an error that exits 1.
@@ -121,7 +122,7 @@ struct CommandSpec {
     summary: &'static str,
     flags: &'static [FlagDoc],
     records: bool,
-    run: fn(&Args) -> CmdResult,
+    run: fn(&Args, &mut dyn Write) -> CmdResult,
 }
 
 impl CommandSpec {
@@ -437,13 +438,13 @@ impl Args {
 }
 
 /// Prints why a command line is refused — with the usage text when it
-/// exits 2 — and returns the exit code.
-fn refuse(message: String, code: u8) -> u8 {
+/// exits 2 — and ends the run with the exit code.
+fn refuse(message: String, code: u8) -> CmdResult {
     eprintln!("error: {message}");
     if code == 2 {
         eprintln!("{}", usage_text());
     }
-    code
+    Ok(code)
 }
 
 /// Parses `argv` against [`GLOBAL_FLAGS`] and the command's rows. Before
@@ -452,11 +453,11 @@ fn refuse(message: String, code: u8) -> u8 {
 /// `--flag value` or `--flag=value`. A flag that takes a value takes the
 /// next argument, whatever it is.
 ///
-/// `Err` is the exit code of a command line that runs no command: 0 once
-/// the help or the version is printed; 2 for a usage error (an unknown
-/// command, an unknown, repeated or stray flag or argument, a missing
-/// argument) or a bad global value; 1 for a bad command value.
-fn parse(argv: &[String]) -> Result<(&'static CommandSpec, Args), u8> {
+/// `Err` is how a command line that runs no command ends: exit 0 once
+/// the help or the version is written to `out`; 2 for a usage error (an
+/// unknown command, an unknown, repeated or stray flag or argument, a
+/// missing argument) or a bad global value; 1 for a bad command value.
+fn parse(argv: &[String], out: &mut dyn Write) -> Result<(&'static CommandSpec, Args), CmdResult> {
     let mut spec: Option<&'static CommandSpec> = None;
     let mut given: Vec<(&'static str, String)> = Vec::new();
     let mut positional = Vec::new();
@@ -470,12 +471,12 @@ fn parse(argv: &[String]) -> Result<(&'static CommandSpec, Args), u8> {
         let Some(row) = global.or_else(|| spec?.flags.iter().find(|f| f.name == name)) else {
             match (spec, arg.as_str()) {
                 (None, "help" | "--help" | "-h") => {
-                    println!("{}", usage_text());
-                    return Err(0);
+                    let written = writeln!(out, "{}", usage_text());
+                    return Err(written.map(|()| 0).map_err(Into::into));
                 }
                 (None, "--version" | "-V") => {
-                    println!("everestc {}", env!("CARGO_PKG_VERSION"));
-                    return Err(0);
+                    let written = writeln!(out, "everestc {}", env!("CARGO_PKG_VERSION"));
+                    return Err(written.map(|()| 0).map_err(Into::into));
                 }
                 (None, word) => match COMMANDS.iter().find(|c| c.name == word) {
                     Some(found) => spec = Some(found),
@@ -518,9 +519,28 @@ fn parse(argv: &[String]) -> Result<(&'static CommandSpec, Args), u8> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (spec, args) = match parse(&argv) {
+    let mut out = io::stdout().lock();
+    match run(&argv, &mut out).and_then(|code| Ok(out.flush().map(|()| code)?)) {
+        Ok(code) => ExitCode::from(code),
+        Err(e) => match e.downcast_ref::<io::Error>() {
+            // Whoever read stdout stopped (`everestc … | head`): what they
+            // did not read is not an error.
+            Some(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+            _ => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
+        },
+    }
+}
+
+/// Parses `argv`, runs the command with everything it prints going to
+/// `out`, writes the artifacts the global flags ask for, and returns the
+/// exit code.
+fn run(argv: &[String], out: &mut dyn Write) -> CmdResult {
+    let (spec, args) = match parse(argv, out) {
         Ok(parsed) => parsed,
-        Err(code) => return ExitCode::from(code),
+        Err(ended) => return ended,
     };
 
     // Recording subcommands always record; `--trace` opts any in.
@@ -534,25 +554,15 @@ fn main() -> ExitCode {
         everest_telemetry::metrics().reset();
     }
 
-    let result = (spec.run)(&args);
+    let result = (spec.run)(&args, out);
 
     let spans = everest_telemetry::take_global().finish();
-    if let Err(e) = write_artifacts(&args, &spans) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
+    write_artifacts(&args, &spans)?;
+    if spec.records && matches!(result, Ok(0)) {
+        write!(out, "{}", flame_summary(&spans))?;
+        print_counters(out)?;
     }
-    match result {
-        Ok(0) if spec.records => {
-            print!("{}", flame_summary(&spans));
-            print_counters();
-            ExitCode::SUCCESS
-        }
-        Ok(code) => ExitCode::from(code),
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    result
 }
 
 /// Writes the artifacts the global flags ask for — the trace, the metrics
@@ -591,52 +601,54 @@ fn write_artifacts(args: &Args, spans: &[SpanRecord]) -> Result<(), String> {
     Ok(())
 }
 
-fn print_counters() {
+fn print_counters(out: &mut dyn Write) -> io::Result<()> {
     let snapshot = everest_telemetry::metrics().snapshot();
     if snapshot.counters.is_empty() {
-        return;
+        return Ok(());
     }
-    println!();
-    println!("counters:");
+    writeln!(out)?;
+    writeln!(out, "counters:")?;
     for counter in &snapshot.counters {
-        println!("  {:<32} {}", counter.name, counter.value);
+        writeln!(out, "  {:<32} {}", counter.name, counter.value)?;
     }
+    Ok(())
 }
 
 fn read(path: &str) -> CmdResult<String> {
     Ok(std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?)
 }
 
-fn cmd_ir(args: &Args) -> CmdResult {
+fn cmd_ir(args: &Args, out: &mut dyn Write) -> CmdResult {
     let source = read(&args.positional[0])?;
     let module = everest::dsl::compile_kernels(&source)?;
-    print!("{}", module.to_text());
+    write!(out, "{}", module.to_text())?;
     Ok(0)
 }
 
-fn cmd_variants(args: &Args) -> CmdResult {
+fn cmd_variants(args: &Args, out: &mut dyn Write) -> CmdResult {
     let source = read(&args.positional[0])?;
     let compiled = Sdk::builder().jobs(args.jobs()).build().compile(&source)?;
     for kernel in &compiled.kernels {
-        println!("kernel {} — {} variants:", kernel.name, kernel.variants.len());
+        writeln!(out, "kernel {} — {} variants:", kernel.name, kernel.variants.len())?;
         for v in &kernel.variants {
-            println!(
+            writeln!(
+                out,
                 "  {:<16} target={:<9} total={:>10.2} us  energy={:>9.4} mJ  luts={}",
                 v.id,
                 v.target().to_string(),
                 v.metrics.total_us(),
                 v.metrics.energy_mj,
                 v.metrics.area_luts
-            );
+            )?;
         }
         let front = kernel.pareto_front();
         let ids: Vec<&str> = front.iter().map(|v| v.id.as_str()).collect();
-        println!("  pareto: {}", ids.join(", "));
+        writeln!(out, "  pareto: {}", ids.join(", "))?;
     }
     Ok(0)
 }
 
-fn cmd_rtl(args: &Args) -> CmdResult {
+fn cmd_rtl(args: &Args, out: &mut dyn Write) -> CmdResult {
     let source = read(&args.positional[0])?;
     let sdk = Sdk::builder().jobs(args.jobs()).build();
     let acc = sdk.synthesize_kernel(&source, &args.positional[1])?;
@@ -644,22 +656,23 @@ fn cmd_rtl(args: &Args) -> CmdResult {
         "// {}: {} cycles @ {} MHz, II={}, pe={}, area: {}",
         acc.name, acc.latency_cycles, acc.clock_mhz, acc.innermost_ii, acc.pe, acc.area
     );
-    print!("{}", acc.rtl);
+    write!(out, "{}", acc.rtl)?;
     Ok(0)
 }
 
-fn cmd_workflow(args: &Args) -> CmdResult {
+fn cmd_workflow(args: &Args, out: &mut dyn Write) -> CmdResult {
     let source = read(&args.positional[0])?;
     let spec = everest::dsl::WorkflowSpec::parse(&source)?;
-    println!("workflow {} — {} steps", spec.name, spec.steps.len());
+    writeln!(out, "workflow {} — {} steps", spec.name, spec.steps.len())?;
     let module = spec.to_ir()?;
-    print!("{}", module.to_text());
+    write!(out, "{}", module.to_text())?;
     let graph = everest::task_graph_from_workflow(&spec, |_| (1_000.0, 10_000));
-    println!(
+    writeln!(
+        out,
         "// task graph: {} tasks, critical path {:.1} ms (unit costs)",
         graph.len(),
         graph.critical_path_us() / 1e3
-    );
+    )?;
     Ok(0)
 }
 
@@ -667,7 +680,7 @@ fn cmd_workflow(args: &Args) -> CmdResult {
 /// tensor-DSL kernels (`.edsl`), printed IR modules (`.eir`), and workflow
 /// specs (`.ewf`) — and renders the findings in one diagnostic stream.
 /// Exits 1 when any error-severity diagnostic is reported.
-fn cmd_check(args: &Args) -> CmdResult {
+fn cmd_check(args: &Args, out: &mut dyn Write) -> CmdResult {
     let (sdk, paths) = (Sdk::builder().jobs(args.jobs()).build(), &args.positional);
     // The `.edsl` files of this invocation double as the kernel search
     // path for its workflows: when any are present, a workflow task whose
@@ -706,8 +719,8 @@ fn cmd_check(args: &Args) -> CmdResult {
     }
     let (errors, _) = everest::ir::diag::tally(&diags);
     match args.get("--format") {
-        Some("json") => print!("{}", everest::ir::render_json(&diags)),
-        _ => print!("{}", everest::ir::render_text(&diags)),
+        Some("json") => write!(out, "{}", everest::ir::render_json(&diags))?,
+        _ => write!(out, "{}", everest::ir::render_text(&diags))?,
     }
     Ok(u8::from(errors > 0))
 }
@@ -742,12 +755,12 @@ fn kernel_search_path(workflow: &str, explicit: &[String]) -> CmdResult<Vec<Stri
 /// checkable `FusionPlan` object per workflow on stdout and keeps
 /// diagnostics on stderr, so the artifact stays parseable. Exits 1 when
 /// any kernel is unresolved or any edge is racy.
-fn cmd_fuse(args: &Args) -> CmdResult {
+fn cmd_fuse(args: &Args, out: &mut dyn Write) -> CmdResult {
     let paths = &args.positional;
     let workflows: Vec<&String> = paths.iter().filter(|p| p.ends_with(".ewf")).collect();
     let kernels: Vec<String> = paths.iter().filter(|p| p.ends_with(".edsl")).cloned().collect();
     if workflows.is_empty() || workflows.len() + kernels.len() != paths.len() {
-        return Ok(refuse("fuse takes .ewf workflows and .edsl kernels".into(), 2));
+        return refuse("fuse takes .ewf workflows and .edsl kernels".into(), 2);
     }
     let sdk = Sdk::builder().jobs(args.jobs()).build();
     let mut errors = 0;
@@ -763,15 +776,19 @@ fn cmd_fuse(args: &Args) -> CmdResult {
         errors += everest::ir::diag::tally(&diags).0;
         match args.get("--format") {
             Some("json") => {
-                print!("{}", plan.to_json());
+                write!(out, "{}", plan.to_json())?;
                 if !diags.is_empty() {
                     eprint!("{}", everest::ir::render_text(&diags));
                 }
             }
             _ => {
-                print!("{}", everest::render_plan_text(&plan, args.get("--explain").is_some()));
+                write!(
+                    out,
+                    "{}",
+                    everest::render_plan_text(&plan, args.get("--explain").is_some())
+                )?;
                 for d in &diags {
-                    println!("{}", d.render());
+                    writeln!(out, "{}", d.render())?;
                 }
             }
         }
@@ -779,18 +796,19 @@ fn cmd_fuse(args: &Args) -> CmdResult {
     Ok(u8::from(errors > 0))
 }
 
-fn cmd_profile(args: &Args) -> CmdResult {
+fn cmd_profile(args: &Args, out: &mut dyn Write) -> CmdResult {
     let source = read(&args.positional[0])?;
     let sdk = Sdk::builder().jobs(args.jobs()).build();
     let compiled = sdk.compile(&source)?;
     let variants: usize = compiled.kernels.iter().map(|k| k.variants.len()).sum();
     let pareto: usize = compiled.kernels.iter().map(|k| k.pareto_front().len()).sum();
-    println!(
+    writeln!(
+        out,
         "profiled {} kernels: {} variants ({} pareto-optimal)\n",
         compiled.kernels.len(),
         variants,
         pareto
-    );
+    )?;
     // The flame table is printed by main() after the tracer is drained,
     // so the compile spans above are all captured.
     Ok(0)
@@ -815,7 +833,7 @@ const DATASET_CORPUS: &str = "
     }
 ";
 
-fn cmd_dataset(args: &Args) -> CmdResult {
+fn cmd_dataset(args: &Args, out: &mut dyn Write) -> CmdResult {
     use everest::variants::DatasetConfig;
 
     let (seed, points, jobs) = (args.value("--seed"), args.value("--points"), args.jobs());
@@ -839,7 +857,7 @@ fn cmd_dataset(args: &Args) -> CmdResult {
             std::fs::write(path, &csv).map_err(|e| format!("cannot write '{path}': {e}"))?;
             eprintln!("dataset: table written to {path}");
         }
-        None => print!("{csv}"),
+        None => write!(out, "{csv}")?,
     }
 
     Ok(0)
@@ -850,7 +868,7 @@ fn cmd_dataset(args: &Args) -> CmdResult {
 /// histograms merge bucket-wise, so percentiles stay exact across
 /// shards — and renders the result as a table, OpenMetrics text, or
 /// merged JSON.
-fn cmd_stats(args: &Args) -> CmdResult {
+fn cmd_stats(args: &Args, out: &mut dyn Write) -> CmdResult {
     let paths = &args.positional;
     let mut merged: Option<MetricsSnapshot> = None;
     for path in paths {
@@ -864,17 +882,18 @@ fn cmd_stats(args: &Args) -> CmdResult {
     }
     let merged = merged.expect("the parser checked paths is non-empty");
     match args.get("--format") {
-        Some("openmetrics") => print!("{}", openmetrics_text(&merged)),
-        Some("json") => println!("{}", serde_json::to_string_pretty(&merged)?),
+        Some("openmetrics") => write!(out, "{}", openmetrics_text(&merged))?,
+        Some("json") => writeln!(out, "{}", serde_json::to_string_pretty(&merged)?)?,
         _ => {
-            println!(
+            writeln!(
+                out,
                 "stats: {} snapshot(s), {} counters, {} gauges, {} histograms",
                 paths.len(),
                 merged.counters.len(),
                 merged.gauges.len(),
                 merged.histograms.len()
-            );
-            print!("{}", render_table(&merged));
+            )?;
+            write!(out, "{}", render_table(&merged))?;
         }
     }
     Ok(0)
@@ -885,7 +904,7 @@ fn cmd_stats(args: &Args) -> CmdResult {
 /// breakers + fallback chain), then reschedules the same workload off the
 /// tripped devices. Everything printed is a pure function of the seed, so
 /// two runs with the same `--seed` diff clean at any `--jobs` count.
-fn cmd_offload(args: &Args) -> CmdResult {
+fn cmd_offload(args: &Args, out: &mut dyn Write) -> CmdResult {
     use everest::workflow::exec::simulate_available;
     use everest::workflow::scheduler::Policy;
     use everest::workflow::{TaskGraph, Worker};
@@ -910,26 +929,28 @@ fn cmd_offload(args: &Args) -> CmdResult {
             work_us: t.cost_us,
         })
         .collect();
-    println!(
+    writeln!(
+        out,
         "offload: profile={profile} seed={seed} calls={} targets={} jobs={jobs}",
         batch.len(),
         mgr.chain().len()
-    );
+    )?;
     let outcomes = mgr.run_batch(&batch, jobs)?;
-    print!("{}", mgr.trace());
+    write!(out, "{}", mgr.trace())?;
 
     let degraded = outcomes.iter().filter(|o| o.degraded).count();
     let attempts: u32 = outcomes.iter().map(|o| o.attempts).sum();
-    println!(
+    writeln!(
+        out,
         "completed {}/{} calls ({degraded} degraded, {attempts} attempts)",
         outcomes.len(),
         batch.len()
-    );
+    )?;
     let tripped = mgr.tripped_devices();
     if tripped.is_empty() {
-        println!("tripped devices: none");
+        writeln!(out, "tripped devices: none")?;
     } else {
-        println!("tripped devices: {}", tripped.join(", "));
+        writeln!(out, "tripped devices: {}", tripped.join(", "))?;
     }
 
     // Reschedule the workload off the tripped targets: one worker per
@@ -948,20 +969,21 @@ fn cmd_offload(args: &Args) -> CmdResult {
         .collect();
     let available: Vec<bool> = mgr.chain().iter().map(|t| !tripped.contains(&t.device)).collect();
     let run = simulate_available(&graph, &workers, Policy::Heft, &available)?;
-    println!(
+    writeln!(
+        out,
         "reschedule: makespan {:.1} us on {}/{} workers, mode={}",
         run.makespan_us,
         workers.len() - run.excluded_workers.len(),
         workers.len(),
         if run.degraded { "degraded" } else { "healthy" }
-    );
+    )?;
 
     let snapshot = everest_telemetry::metrics().snapshot();
-    println!("counters:");
+    writeln!(out, "counters:")?;
     for name in
         ["offload.completed", "offload.retries", "offload.breaker.open", "offload.fallbacks"]
     {
-        println!("  {:<24} {}", name, snapshot.counter(name));
+        writeln!(out, "  {:<24} {}", name, snapshot.counter(name))?;
     }
     Ok(0)
 }
@@ -973,7 +995,7 @@ fn cmd_offload(args: &Args) -> CmdResult {
 /// decisions, virtual-time latency percentiles) is a pure function of
 /// the seed and topology and diffs clean at any `--jobs`; wall-clock
 /// throughput is machine-dependent and goes to stderr.
-fn cmd_serve(args: &Args) -> CmdResult {
+fn cmd_serve(args: &Args, out: &mut dyn Write) -> CmdResult {
     use everest::apps::traffic::serve::{LoadGen, ServeConfig, ServeTier, ShedPolicy};
     use everest::apps::traffic::{generate_fcd, RoadNetwork, SpeedProfiles};
 
@@ -993,29 +1015,34 @@ fn cmd_serve(args: &Args) -> CmdResult {
     // a cold restart, like a long-running tier.
     let cold_capacity = tier.calibrate(&generator, 0, 2_000);
     let capacity = tier.calibrate(&generator, 1, 2_000);
-    println!(
+    writeln!(
+        out,
         "serve tier: {shards} shards x {} vnodes, queue depth {queue_depth} ({policy}), \
          jobs={jobs}",
         config.vnodes
-    );
-    println!("calibrated capacity: cold {cold_capacity:.0} q/s, warm {capacity:.0} q/s (virtual)");
-    println!(
+    )?;
+    writeln!(
+        out,
+        "calibrated capacity: cold {cold_capacity:.0} q/s, warm {capacity:.0} q/s (virtual)"
+    )?;
+    writeln!(
+        out,
         "{:>6}  {:>10}  {:>8}  {:>6}  {:>6}  {:>8}  {:>8}  {:>8}",
         "load", "offered", "served", "shed", "reject", "p50_us", "p95_us", "p99_us"
-    );
+    )?;
     for (day, mult) in [0.5f64, 1.0, 2.0].into_iter().enumerate() {
         let offered = mult * capacity;
         let workload = generator.generate(2 + day as u64, offered, duration_s, max_queries);
         let report = tier.run(&workload);
         let shed: u64 = report.shards.iter().map(|s| s.shed).sum();
         let rejected: u64 = report.shards.iter().map(|s| s.rejected).sum();
-        println!(
+        writeln!(out,
             "{mult:>5.2}x  {offered:>10.0}  {:>8}  {shed:>6}  {rejected:>6}  {:>8.1}  {:>8.1}  {:>8.1}",
             report.served(),
             report.latency.p50(),
             report.latency.p95(),
             report.latency.p99()
-        );
+        )?;
         eprintln!(
             "  {mult:.1}x wall: {:.1} ms, {:.0} served q/s (wall-clock, machine-dependent)",
             report.wall_s * 1e3,
@@ -1029,7 +1056,7 @@ fn cmd_serve(args: &Args) -> CmdResult {
 /// city (paper §VI-C, "route calculation as a service"), replays a
 /// request stream of repeated commutes cold and warm, and reports
 /// latency, throughput, and cache effectiveness.
-fn cmd_route(args: &Args) -> CmdResult {
+fn cmd_route(args: &Args, out: &mut dyn Write) -> CmdResult {
     use everest::apps::traffic::service::{PtdrService, RouteQuery};
     use everest::apps::traffic::{
         generate_fcd, random_od, shortest_route, RoadNetwork, SpeedProfiles,
@@ -1061,10 +1088,11 @@ fn cmd_route(args: &Args) -> CmdResult {
         .collect();
 
     let service = PtdrService::new(network, profiles).with_jobs(jobs).with_seed(7);
-    println!(
+    writeln!(
+        out,
         "ptdr service: 8x8 grid, {} routes, {queries} queries x {samples} samples, jobs={jobs}",
         routes.len()
-    );
+    )?;
     for phase in ["cold", "warm"] {
         let before = everest_telemetry::metrics().snapshot();
         let start = std::time::Instant::now();
@@ -1075,14 +1103,15 @@ fn cmd_route(args: &Args) -> CmdResult {
         let misses = after.counter("ptdr.cache.miss") - before.counter("ptdr.cache.miss");
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
         let slowest = stats.iter().map(|s| s.p95_h).fold(0.0f64, f64::max);
-        println!(
+        writeln!(
+            out,
             "{phase}: {:>8.2} ms  {:>9.1} queries/s  cache {hits}h/{misses}m ({:.0}% hit)  \
              worst p95 {:.3} h",
             wall * 1e3,
             queries as f64 / wall.max(1e-12),
             hit_rate * 100.0,
             slowest
-        );
+        )?;
     }
     Ok(0)
 }

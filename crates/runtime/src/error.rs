@@ -12,6 +12,10 @@ pub enum RuntimeError {
     NoFeasiblePoint,
     /// A named VM/device/variant does not exist.
     Unknown(String),
+    /// A configuration the runtime cannot run — an empty or too long
+    /// offload chain, a system with no nodes, invalid fault rates, an
+    /// unknown fault profile. The message says what, and prints as is.
+    Config(String),
     /// A vFPGA request could not be satisfied.
     Allocation(String),
     /// No device could host a role: every candidate device is listed with
@@ -40,6 +44,7 @@ impl fmt::Display for RuntimeError {
                 write!(f, "no operating point satisfies the constraints")
             }
             RuntimeError::Unknown(what) => write!(f, "unknown runtime entity '{what}'"),
+            RuntimeError::Config(msg) => f.write_str(msg),
             RuntimeError::Allocation(msg) => write!(f, "vFPGA allocation failed: {msg}"),
             RuntimeError::Exhausted { role, luts, refusals } => {
                 write!(f, "no device can host '{role}' ({luts} LUTs)")?;
@@ -68,6 +73,10 @@ mod tests {
             "no operating point satisfies the constraints"
         );
         assert_eq!(RuntimeError::Unknown("vm0".into()).to_string(), "unknown runtime entity 'vm0'");
+        assert_eq!(
+            RuntimeError::Config("empty offload chain".into()).to_string(),
+            "empty offload chain"
+        );
     }
 
     #[test]

@@ -85,3 +85,28 @@ fn bad_flags_are_rejected() {
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
     }
 }
+
+/// A reader that stops early (`everestc dataset … | head -1`) ends the run
+/// quietly: the table is far larger than a pipe's buffer, so the write
+/// that finds the pipe closed is a real one.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let mut child = everestc()
+        .args(["dataset", "--seed", "7", "--points", "2000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("everestc runs");
+    let mut header = String::new();
+    BufReader::new(child.stdout.take().expect("piped")).read_line(&mut header).unwrap();
+    assert!(!header.is_empty(), "the table starts with its header");
+    // The reader is dropped above: the pipe is closed.
+    let mut stderr = String::new();
+    child.stderr.take().expect("piped").read_to_string(&mut stderr).unwrap();
+    let status = child.wait().unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(status.code(), Some(0), "{stderr}");
+}
