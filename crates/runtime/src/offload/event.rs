@@ -2,9 +2,10 @@
 //! outcomes and the retry/fallback trace events.
 //!
 //! A batch makes two to four events per call, so an [`OffloadEvent`] is
-//! `Copy` and owns nothing: it names a device by its index in the
-//! manager's chain, and [`OffloadEvent::display`] puts the name back when
-//! the trace is printed. An [`OffloadOutcome`] — one per call — shares
+//! `Copy`, 16 bytes, and owns nothing: it names a device by its index in
+//! the manager's chain, and [`OffloadEvent::display`] puts the name back
+//! when the trace is printed. Its invocation is where it sits in the
+//! trace, so it does not carry one. An [`OffloadOutcome`] — one per call — shares
 //! its device name with the chain target instead of copying it.
 
 use super::fault::FaultKind;
@@ -97,15 +98,16 @@ impl fmt::Display for SkipReason {
 
 /// One entry of the deterministic retry/fallback trace. Every `device`,
 /// `from` and `to` is an index into [`OffloadManager::chain`] of the
-/// manager that recorded the event.
+/// manager that recorded the event. The invocation an event belongs to is
+/// where it sits in the trace: [`OffloadManager::events`] yields each
+/// event with its invocation index.
 ///
 /// [`OffloadManager::chain`]: super::OffloadManager::chain
+/// [`OffloadManager::events`]: super::OffloadManager::events
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OffloadEvent {
     /// An attempt started on a device.
     Attempt {
-        /// Invocation index.
-        task: u64,
         /// Target device.
         device: u16,
         /// Attempt number on this device (0-based).
@@ -113,8 +115,6 @@ pub enum OffloadEvent {
     },
     /// An attempt failed.
     Fault {
-        /// Invocation index.
-        task: u64,
         /// Target device.
         device: u16,
         /// Attempt number on this device.
@@ -124,8 +124,6 @@ pub enum OffloadEvent {
     },
     /// The manager backed off before retrying.
     Backoff {
-        /// Invocation index.
-        task: u64,
         /// Target device.
         device: u16,
         /// The retry this wait precedes (1-based).
@@ -135,8 +133,6 @@ pub enum OffloadEvent {
     },
     /// A target was skipped without an attempt.
     Skip {
-        /// Invocation index.
-        task: u64,
         /// Skipped device.
         device: u16,
         /// Why.
@@ -144,36 +140,26 @@ pub enum OffloadEvent {
     },
     /// A device's breaker tripped open.
     BreakerOpened {
-        /// Invocation index that tripped it.
-        task: u64,
         /// Device.
         device: u16,
     },
     /// A breaker began half-open probing.
     BreakerHalfOpen {
-        /// Invocation index probing it.
-        task: u64,
         /// Device.
         device: u16,
     },
     /// A half-open breaker re-closed after successful probes.
     BreakerClosed {
-        /// Invocation index that closed it.
-        task: u64,
         /// Device.
         device: u16,
     },
     /// A device was lost permanently.
     DeviceLost {
-        /// Invocation index that observed the loss.
-        task: u64,
         /// Device.
         device: u16,
     },
     /// The call moved down the fallback chain.
     Fallback {
-        /// Invocation index.
-        task: u64,
         /// Abandoned device.
         from: u16,
         /// Next device in the chain.
@@ -181,8 +167,6 @@ pub enum OffloadEvent {
     },
     /// The call completed.
     Completed {
-        /// Invocation index.
-        task: u64,
         /// Completing device.
         device: u16,
         /// Attempts across the whole chain.
@@ -193,20 +177,25 @@ pub enum OffloadEvent {
 }
 
 impl OffloadEvent {
-    /// The event as its trace line, with device names (and the completing
-    /// target's class) looked up in `chain`.
+    /// The event as the trace line of invocation `task`, with device
+    /// names (and the completing target's class) looked up in `chain`.
     ///
     /// # Panics
     ///
     /// Formatting panics when `chain` is shorter than the chain of the
     /// manager that recorded the event.
-    pub(crate) fn display<'a>(&'a self, chain: &'a [OffloadTarget]) -> impl fmt::Display + 'a {
-        TraceLine { event: self, chain }
+    pub(crate) fn display<'a>(
+        &'a self,
+        task: u64,
+        chain: &'a [OffloadTarget],
+    ) -> impl fmt::Display + 'a {
+        TraceLine { task, event: self, chain }
     }
 }
 
 /// [`OffloadEvent::display`]'s adapter.
 struct TraceLine<'a> {
+    task: u64,
     event: &'a OffloadEvent,
     chain: &'a [OffloadTarget],
 }
@@ -214,37 +203,38 @@ struct TraceLine<'a> {
 impl fmt::Display for TraceLine<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = |index: u16| self.chain[usize::from(index)].device.as_str();
+        let task = self.task;
         match *self.event {
-            OffloadEvent::Attempt { task, device, attempt } => {
+            OffloadEvent::Attempt { device, attempt } => {
                 write!(f, "task {task}: attempt {attempt} on {}", name(device))
             }
-            OffloadEvent::Fault { task, device, attempt, kind } => {
+            OffloadEvent::Fault { device, attempt, kind } => {
                 write!(f, "task {task}: {kind} on {} (attempt {attempt})", name(device))
             }
-            OffloadEvent::Backoff { task, device, attempt, wait_us } => write!(
+            OffloadEvent::Backoff { device, attempt, wait_us } => write!(
                 f,
                 "task {task}: backoff {wait_us:.1} us before retry {attempt} on {}",
                 name(device)
             ),
-            OffloadEvent::Skip { task, device, reason } => {
+            OffloadEvent::Skip { device, reason } => {
                 write!(f, "task {task}: skip {} ({reason})", name(device))
             }
-            OffloadEvent::BreakerOpened { task, device } => {
+            OffloadEvent::BreakerOpened { device } => {
                 write!(f, "task {task}: breaker OPEN on {}", name(device))
             }
-            OffloadEvent::BreakerHalfOpen { task, device } => {
+            OffloadEvent::BreakerHalfOpen { device } => {
                 write!(f, "task {task}: breaker HALF-OPEN on {}", name(device))
             }
-            OffloadEvent::BreakerClosed { task, device } => {
+            OffloadEvent::BreakerClosed { device } => {
                 write!(f, "task {task}: breaker CLOSED on {}", name(device))
             }
-            OffloadEvent::DeviceLost { task, device } => {
+            OffloadEvent::DeviceLost { device } => {
                 write!(f, "task {task}: device LOST: {}", name(device))
             }
-            OffloadEvent::Fallback { task, from, to } => {
+            OffloadEvent::Fallback { from, to } => {
                 write!(f, "task {task}: fallback {} -> {}", name(from), name(to))
             }
-            OffloadEvent::Completed { task, device, attempts, elapsed_us } => write!(
+            OffloadEvent::Completed { device, attempts, elapsed_us } => write!(
                 f,
                 "task {task}: completed on {} [{}] after {attempts} attempts, {elapsed_us:.1} us",
                 name(device),

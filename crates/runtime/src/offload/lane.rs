@@ -280,17 +280,17 @@ pub(super) fn fold_call(
             let tried = 'rung: {
                 if rung.lost {
                     let reason = SkipReason::DeviceLost;
-                    events.push(OffloadEvent::Skip { task, device, reason });
+                    events.push(OffloadEvent::Skip { device, reason });
                     break 'rung false;
                 }
                 match rung.breaker.poll(*clock_us) {
                     BreakerState::Open => {
                         let reason = SkipReason::BreakerOpen;
-                        events.push(OffloadEvent::Skip { task, device, reason });
+                        events.push(OffloadEvent::Skip { device, reason });
                         break 'rung false;
                     }
                     BreakerState::HalfOpen => {
-                        events.push(OffloadEvent::BreakerHalfOpen { task, device });
+                        events.push(OffloadEvent::BreakerHalfOpen { device });
                     }
                     BreakerState::Closed => {}
                 }
@@ -299,7 +299,7 @@ pub(super) fn fold_call(
                 let compute_us = call.work_us / rung.speedup;
                 let mut abandoned = false;
                 for attempt in 0..retry.max_attempts.max(1) {
-                    events.push(OffloadEvent::Attempt { task, device, attempt });
+                    events.push(OffloadEvent::Attempt { device, attempt });
                     stats.attempts += 1;
                     let mut attempt_span = everest_telemetry::span("offload.attempt", "offload");
                     attempt_span.attr("task", task);
@@ -311,10 +311,10 @@ pub(super) fn fold_call(
                         *clock_us += latency;
                         records.push((latency, false, false));
                         if rung.breaker.on_success() {
-                            events.push(OffloadEvent::BreakerClosed { task, device });
+                            events.push(OffloadEvent::BreakerClosed { device });
                         }
                         let (attempts, elapsed_us) = (stats.attempts, *clock_us);
-                        events.push(OffloadEvent::Completed { task, device, attempts, elapsed_us });
+                        events.push(OffloadEvent::Completed { device, attempts, elapsed_us });
                         stats.counters.completed = 1;
                         stats.completed = Some((latency, elapsed_us - clock_start));
                         break 'rungs Some(OffloadOutcome {
@@ -328,7 +328,7 @@ pub(super) fn fold_call(
                     };
                     stats.counters.faults += 1;
                     flight.push((EventKind::CounterAdd, "offload.faults", 1.0));
-                    events.push(OffloadEvent::Fault { task, device, attempt, kind });
+                    events.push(OffloadEvent::Fault { device, attempt, kind });
                     // Cost of the failed attempt: a corrupt result came
                     // back (full round trip, checksum reject);
                     // everything else burns the deadline.
@@ -343,14 +343,14 @@ pub(super) fn fold_call(
                         rung.breaker.force_open();
                         stats.counters.device_loss += 1;
                         flight.push((EventKind::Marker, "offload.device_loss", task as f64));
-                        events.push(OffloadEvent::DeviceLost { task, device });
+                        events.push(OffloadEvent::DeviceLost { device });
                         abandoned = true;
                         break;
                     }
                     if rung.breaker.on_failure(*clock_us) {
                         stats.counters.breaker_open += 1;
                         flight.push((EventKind::Marker, "offload.breaker_open", task as f64));
-                        events.push(OffloadEvent::BreakerOpened { task, device });
+                        events.push(OffloadEvent::BreakerOpened { device });
                         abandoned = true;
                         break;
                     }
@@ -363,7 +363,7 @@ pub(super) fn fold_call(
                     *clock_us += wait_us;
                     stats.counters.retries += 1;
                     flight.push((EventKind::Marker, "offload.backoff_us", wait_us));
-                    events.push(OffloadEvent::Backoff { task, device, attempt: retry_no, wait_us });
+                    events.push(OffloadEvent::Backoff { device, attempt: retry_no, wait_us });
                 }
                 debug_assert!(abandoned, "loop only exits via success or abandonment");
                 true
@@ -371,7 +371,7 @@ pub(super) fn fold_call(
             // The call moves down the lane; the fallback is counted only
             // when the abandoned rung was actually attempted.
             if let Some(to) = next {
-                events.push(OffloadEvent::Fallback { task, from: device, to });
+                events.push(OffloadEvent::Fallback { from: device, to });
                 if tried {
                     stats.counters.fallbacks += 1;
                     flight.push((EventKind::Marker, "offload.fallback", task as f64));

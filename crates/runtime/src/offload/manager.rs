@@ -133,9 +133,10 @@ impl OffloadManager {
         &self.chain
     }
 
-    /// The event trace so far, in invocation order. The events stay in
-    /// the lane buffers their batch folded them into; this walks them.
-    pub fn events(&self) -> impl ExactSizeIterator<Item = &OffloadEvent> {
+    /// The event trace so far, in invocation order, each event with its
+    /// invocation index. The events stay in the lane buffers their batch
+    /// folded them into; this walks them.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = (u64, &OffloadEvent)> {
         self.trace.events()
     }
 
@@ -173,8 +174,8 @@ impl OffloadManager {
         let events = self.events();
         // A line is 40–90 bytes.
         let mut out = String::with_capacity(64 * events.len());
-        for event in events {
-            writeln!(out, "{}", event.display(&self.chain)).expect("writing to a String");
+        for (task, event) in events {
+            writeln!(out, "{}", event.display(task, &self.chain)).expect("writing to a String");
         }
         out
     }
@@ -193,7 +194,7 @@ impl OffloadManager {
         self.invocations += 1;
         let lane_idx = (task % self.lanes.len() as u64) as usize;
         let lane = &mut self.lanes[lane_idx];
-        let trace = self.trace.single();
+        let trace = self.trace.single(task);
         let (result, stats) =
             fold_call(&self.retry, lane, task, call, &mut trace.events, &mut self.records);
         trace.end_task();
@@ -209,9 +210,10 @@ impl OffloadManager {
     /// are dealt round-robin to lanes (phase 1, `partition`), each lane
     /// folds its tasks on a pool worker (phase 2, `fold` — lanes share
     /// no mutable state, and fault/backoff sampling is pure in the
-    /// invocation index), and lane-local traces, monitor observations
-    /// and outcomes merge back in invocation order (phase 3, `merge`).
-    /// The merged trace, outcomes and counters are bit-identical at any
+    /// invocation index), and lane-local monitor observations and
+    /// outcomes merge back in invocation order (phase 3, `merge`), while
+    /// the lanes' event buffers stay as they are, as the batch's trace
+    /// segment. The trace, outcomes and counters are bit-identical at any
     /// `jobs` count; `jobs <= 1` folds the lanes inline and is the
     /// sequential reference.
     ///
@@ -294,7 +296,7 @@ impl OffloadManager {
         }
         let (lanes, traces) = reports.into_iter().map(|r| (r.lane, r.trace)).unzip();
         self.lanes = lanes;
-        self.trace.push_batch(first_lane, traces);
+        self.trace.push_batch(first_task, first_lane, traces);
         let merge_us = t_merge.elapsed().as_secs_f64() * 1e6;
         telemetry.observe("offload.phase.merge_us", merge_us);
         flight.marker("offload.phase.merge_us", merge_us);

@@ -25,8 +25,8 @@
 //!
 //! One file per concern: `fault` (the plan and its per-device key),
 //! `breaker` (retry backoff and the breaker), `event` (targets, calls,
-//! outcomes, trace events), `lane` (the fold) and `manager` (chain,
-//! dealing, merge).
+//! outcomes, trace events), `lane` (the fold), `manager` (chain,
+//! dealing, merge) and `trace` (where the trace lives).
 //!
 //! # Lane-partitioned parallel fold
 //!
@@ -40,11 +40,16 @@
 //! `task % lanes`, and
 //! each lane owns its breakers, loss flags and virtual clock, so
 //! [`OffloadManager::run_batch`] folds all lanes concurrently on a
-//! worker pool and then merges lane-local events, monitor records and
-//! outcomes back into invocation order. Fault outcomes and backoff
-//! jitter are pure in `(seed, device, invocation, attempt)`, so the
-//! merged trace is bit-identical at any `jobs` count — `jobs = 1`
-//! simply folds the lanes inline.
+//! worker pool and then merges lane-local monitor records and outcomes
+//! back into invocation order. The trace is not merged: each lane's
+//! event buffer stays where the fold wrote it, kept with where each of
+//! its tasks' events end as the batch's trace segment, and
+//! [`OffloadManager::events`] and [`OffloadManager::trace`] walk the
+//! segments in invocation order by the dealing formula. Calls made by
+//! [`OffloadManager::execute`] append to a trailing segment of one
+//! buffer. Fault outcomes and backoff jitter are pure in `(seed, device,
+//! invocation, attempt)`, so the trace reads back bit-identical at any
+//! `jobs` count — `jobs = 1` simply folds the lanes inline.
 //!
 //! # What a call costs
 //!
@@ -59,23 +64,35 @@
 //!   [`RetryPolicy::backoff_us`], the public name-keyed forms, go through
 //!   the same keyed functions the fold calls, so there is one sampler. A
 //!   target none of whose rates is positive draws nothing.
-//! * **Events carry chain indices.** An `OffloadEvent` is `Copy`, 24
-//!   bytes and owns no heap memory; [`OffloadManager::trace`] renders the
-//!   names back through the chain. An [`OffloadOutcome`] shares its
+//! * **Events carry chain indices, not their task.** An `OffloadEvent`
+//!   is `Copy`, 16 bytes and owns no heap memory: its task is where it
+//!   sits in the trace, and [`OffloadManager::trace`] renders the names
+//!   back through the chain. An [`OffloadOutcome`] shares its
 //!   device name with the rung. A batch therefore allocates per buffer —
 //!   never per event, rung, attempt or call (pinned by
 //!   `tests/offload.rs`).
-//! * **One recorder clock read per call.** A call's flight events are
-//!   gathered and recorded as one group when it ends
-//!   (`FlightRecorder::record_all`); its two spans cost one atomic load
-//!   each while tracing is off.
-//! * **The merge copies slices.** Each lane reports where every task's
-//!   events and monitor records end in its buffers; the merge reserves
-//!   once, copies those runs in invocation order, replays the monitor
-//!   through one batch-local latency histogram and flushes the lanes'
+//! * **Flight events only where a ring keeps them.** A call's flight
+//!   events are gathered and recorded as one group
+//!   (`FlightRecorder::record_all`: one clock read, one ring lock); its
+//!   two spans cost one atomic load each while tracing is off. In a
+//!   batch a lane records them only for its last `capacity / 2 + 1`
+//!   calls: every call records at least two, so an earlier call's events
+//!   would be overwritten in the thread's ring before the fold returns.
+//!   The fold adds their count to the ring's written total instead
+//!   (`FlightRecorder::record_overwritten`, once per lane), so after the
+//!   fold the ring and `FlightDump::dropped` are what recording every
+//!   call leaves. The monitor raises its alarms — the recorder's only
+//!   automatic dumps — in the merge, after every lane has folded. Only a
+//!   dump taken by another thread while a lane folds can tell: it sees
+//!   that lane's events from its last `capacity / 2` calls on.
+//!   [`OffloadManager::execute`] records every call.
+//! * **The merge copies no event.** Each lane reports where every task's
+//!   monitor records end; the merge replays the monitor in invocation
+//!   order through one batch-local latency histogram, flushes the lanes'
 //!   `offload.*` statistics in lane order, so every counter and
 //!   histogram — floating-point sums included — is the same at any
-//!   `jobs`.
+//!   `jobs`, and keeps the lanes' event buffers as the batch's trace
+//!   segment (a task's event end is a `u32`).
 //!
 //! [`OffloadManager::execute`] folds through the same `fold_call` and
 //! publishes the call's handful of observations directly; after the

@@ -36,21 +36,24 @@ impl LaneTrace {
     }
 }
 
-/// A run of consecutive invocations: one batch, whose first call was
-/// dealt to the buffer `first_lane` and each next call to the next
-/// buffer round-robin, or calls made one at a time (one buffer).
+/// A run of consecutive invocations from `first_task` on: one batch,
+/// whose first call was dealt to the buffer `first_lane` and each next
+/// call to the next buffer round-robin, or calls made one at a time (one
+/// buffer).
 #[derive(Debug, Clone)]
 struct Segment {
+    first_task: u64,
     first_lane: usize,
     lanes: Vec<LaneTrace>,
 }
 
 impl Segment {
-    fn events(&self) -> impl Iterator<Item = &OffloadEvent> {
+    fn events(&self) -> impl Iterator<Item = (u64, &OffloadEvent)> {
         let calls = self.lanes.iter().map(|lane| lane.ends.len()).sum();
-        round_robin_slots(self.first_lane, self.lanes.len())
-            .take(calls)
-            .flat_map(|(lane, k)| self.lanes[lane].task(k))
+        let slots = round_robin_slots(self.first_lane, self.lanes.len()).take(calls);
+        (self.first_task..).zip(slots).flat_map(|(task, (lane, k))| {
+            self.lanes[lane].task(k).iter().map(move |event| (task, event))
+        })
     }
 }
 
@@ -61,23 +64,26 @@ pub(super) struct Trace {
 }
 
 impl Trace {
-    /// Keeps a batch's lane buffers as its segment.
-    pub(super) fn push_batch(&mut self, first_lane: usize, lanes: Vec<LaneTrace>) {
-        self.segments.push(Segment { first_lane, lanes });
+    /// Keeps the lane buffers of a batch starting at `first_task` as its
+    /// segment.
+    pub(super) fn push_batch(&mut self, first_task: u64, first_lane: usize, lanes: Vec<LaneTrace>) {
+        self.segments.push(Segment { first_task, first_lane, lanes });
     }
 
-    /// The buffer a call made on its own appends to: the last segment's
-    /// when it has one buffer (round-robin over one buffer is invocation
-    /// order), else a new segment's.
-    pub(super) fn single(&mut self) -> &mut LaneTrace {
+    /// The buffer the call `task`, made on its own, appends to: the last
+    /// segment's when it has one buffer (round-robin over one buffer is
+    /// invocation order, and `task` follows the last segment's calls),
+    /// else a new segment's.
+    pub(super) fn single(&mut self, task: u64) -> &mut LaneTrace {
         if self.segments.last().is_none_or(|segment| segment.lanes.len() != 1) {
-            self.segments.push(Segment { first_lane: 0, lanes: vec![LaneTrace::default()] });
+            let lanes = vec![LaneTrace::default()];
+            self.segments.push(Segment { first_task: task, first_lane: 0, lanes });
         }
         &mut self.segments.last_mut().expect("pushed above").lanes[0]
     }
 
-    /// Every event, in invocation order.
-    pub(super) fn events(&self) -> impl ExactSizeIterator<Item = &OffloadEvent> {
+    /// Every event with its invocation, in invocation order.
+    pub(super) fn events(&self) -> impl ExactSizeIterator<Item = (u64, &OffloadEvent)> {
         let len = self.segments.iter().flat_map(|s| &s.lanes).map(|l| l.events.len()).sum();
         Counted { inner: self.segments.iter().flat_map(Segment::events), len }
     }
