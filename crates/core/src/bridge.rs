@@ -3,8 +3,7 @@
 //! ... and its integration on HyperLoom").
 
 use everest_dsl::{WorkflowSpec, WorkflowStep};
-use everest_workflow::{TaskGraph, TaskId};
-use std::collections::HashMap;
+use everest_workflow::TaskGraph;
 
 /// Converts a validated workflow spec into an executable task graph.
 ///
@@ -13,38 +12,32 @@ use std::collections::HashMap;
 /// sinks become lightweight I/O tasks. A cost below 1 µs or NaN becomes
 /// 1 µs and +∞ the largest finite cost, which the graph accepts.
 ///
+/// Each step adds one task in step order, so a task's dependencies are
+/// the step numbers of its inputs in [`WorkflowSpec::producers`].
+///
 /// # Panics
 ///
-/// Panics if the spec is inconsistent (call [`WorkflowSpec::validate`]
-/// first; specs from [`WorkflowSpec::parse`] are always valid).
+/// Panics if a step reads an item that `producers` does not resolve (specs
+/// from [`WorkflowSpec::parse`] always resolve).
 pub fn task_graph_from_workflow(
     spec: &WorkflowSpec,
     mut cost_of: impl FnMut(&str) -> (f64, u64),
 ) -> TaskGraph {
     let mut graph = TaskGraph::new(spec.name.clone());
-    // Producer of each data item: task id in the graph.
-    let mut producer: HashMap<&str, TaskId> = HashMap::new();
+    let producer = |item: &String| spec.producers[item].0;
     for step in &spec.steps {
         match step {
-            WorkflowStep::Source { name, kind } => {
+            WorkflowStep::Source { kind, .. } => {
                 let (cost, bytes) = cost_of(kind);
-                let id = graph.add_task(format!("source:{kind}"), task_cost(cost), bytes, &[]);
-                producer.insert(name, id);
+                graph.add_task(format!("source:{kind}"), task_cost(cost), bytes, &[]);
             }
-            WorkflowStep::Task { name, inputs, outputs } => {
-                let deps: Vec<TaskId> = inputs
-                    .iter()
-                    .map(|i| *producer.get(i.as_str()).expect("validated spec"))
-                    .collect();
+            WorkflowStep::Task { name, inputs, .. } => {
+                let deps: Vec<usize> = inputs.iter().map(producer).collect();
                 let (cost, bytes) = cost_of(name);
-                let id = graph.add_task(name.clone(), task_cost(cost), bytes, &deps);
-                for out in outputs {
-                    producer.insert(out, id);
-                }
+                graph.add_task(name.clone(), task_cost(cost), bytes, &deps);
             }
             WorkflowStep::Sink { name, kind } => {
-                let dep = *producer.get(name.as_str()).expect("validated spec");
-                graph.add_task(format!("sink:{kind}"), 1.0, 0, &[dep]);
+                graph.add_task(format!("sink:{kind}"), 1.0, 0, &[producer(name)]);
             }
         }
     }

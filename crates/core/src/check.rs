@@ -14,42 +14,27 @@ use everest_ir::diag::record_metrics;
 use everest_ir::lints::LINT_WF_RACE;
 use everest_ir::{Diagnostic, Severity};
 use everest_workflow::race::{detect_races, Race, TaskAccess};
-use std::collections::BTreeMap;
 
 /// Derives each task's external-dataset access set from a workflow spec:
 /// reads are the kinds of sources whose items the task consumes, writes the
 /// kinds of sinks its outputs feed.
 pub(crate) fn workflow_accesses(spec: &WorkflowSpec) -> Vec<TaskAccess> {
-    let mut source_kind: BTreeMap<&str, &str> = BTreeMap::new();
-    let mut sink_kinds: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for step in &spec.steps {
-        match step {
-            WorkflowStep::Source { name, kind } => {
-                source_kind.insert(name, kind);
-            }
-            WorkflowStep::Sink { name, kind } => {
-                sink_kinds.entry(name).or_default().push(kind);
-            }
-            WorkflowStep::Task { .. } => {}
-        }
-    }
+    let kind = |step: usize| match &spec.steps[step] {
+        WorkflowStep::Source { kind, .. } | WorkflowStep::Sink { kind, .. } => Some(kind.clone()),
+        WorkflowStep::Task { .. } => None,
+    };
     spec.steps
         .iter()
         .filter_map(|step| match step {
-            WorkflowStep::Task { name, inputs, outputs } => {
-                let mut access = TaskAccess { task: name.clone(), ..TaskAccess::default() };
-                for input in inputs {
-                    if let Some(kind) = source_kind.get(input.as_str()) {
-                        access.reads.insert(kind.to_string());
-                    }
-                }
-                for output in outputs {
-                    for kind in sink_kinds.get(output.as_str()).map(Vec::as_slice).unwrap_or(&[]) {
-                        access.writes.insert(kind.to_string());
-                    }
-                }
-                Some(access)
-            }
+            WorkflowStep::Task { name, inputs, outputs } => Some(TaskAccess {
+                task: name.clone(),
+                reads: inputs.iter().filter_map(|item| kind(spec.producers[item].0)).collect(),
+                writes: outputs
+                    .iter()
+                    .flat_map(|item| &spec.consumers[item])
+                    .filter_map(|&(reader, _)| kind(reader))
+                    .collect(),
+            }),
             _ => None,
         })
         .collect()

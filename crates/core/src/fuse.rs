@@ -6,10 +6,10 @@
 //!
 //! * `everest-ir` computes per-kernel footprint summaries
 //!   ([`module_footprints`]) — byte bounds for every kernel result;
-//! * [`build_plan`] turns a [`WorkflowSpec`] into [`DataEdge`]s (single
-//!   producer per item is DSL-enforced), attaches the byte bound of each
-//!   item by positionally mapping task outputs onto kernel results, and
-//!   hands everything to [`classify`];
+//! * [`build_plan`] turns the items a [`WorkflowSpec`] resolves into
+//!   [`DataEdge`]s, attaches the byte bound of each item by positionally
+//!   mapping task outputs onto kernel results, and hands everything to
+//!   [`classify`];
 //! * [`unresolved_diags`] makes a missing kernel a *hard* error before
 //!   classification — fusion analysis must never run on a partial graph;
 //! * [`plan_diags`] renders racy classifications as `fuse-racy`
@@ -79,63 +79,31 @@ pub(crate) fn build_plan(
     budget_bytes: u64,
 ) -> FusionPlan {
     let mut span = everest_telemetry::span("workflow.fuse", "workflow");
-    // Single producer per item (DSL-validated): a source node or a task.
-    let mut producer: BTreeMap<&str, EdgeEnd> = BTreeMap::new();
-    let mut item_bytes: BTreeMap<&str, Option<u64>> = BTreeMap::new();
-    for step in &spec.steps {
-        match step {
-            WorkflowStep::Source { name, kind } => {
-                producer.insert(name, EdgeEnd::source(name, kind));
-                item_bytes.insert(name, None);
+    let end = |item: &str, step: usize| match &spec.steps[step] {
+        WorkflowStep::Source { kind, .. } => EdgeEnd::source(item, kind),
+        WorkflowStep::Task { name, .. } => EdgeEnd::task(name),
+        WorkflowStep::Sink { kind, .. } => EdgeEnd::sink(item, kind),
+    };
+    let mut edges = Vec::new();
+    for (item, &(from, output)) in &spec.producers {
+        let consumers = &spec.consumers[item];
+        let bytes = match &spec.steps[from] {
+            WorkflowStep::Task { name, .. } => {
+                index.get(name).and_then(|fp| fp.out_shapes.get(output)).and_then(|s| s.max_bytes())
             }
-            WorkflowStep::Task { name, outputs, .. } => {
-                let fp = index.get(name);
-                for (pos, out) in outputs.iter().enumerate() {
-                    producer.insert(out, EdgeEnd::task(name));
-                    let bytes =
-                        fp.and_then(|fp| fp.out_shapes.get(pos)).and_then(|s| s.max_bytes());
-                    item_bytes.insert(out, bytes);
-                }
-            }
-            WorkflowStep::Sink { .. } => {}
+            _ => None,
+        };
+        for &(to, reads) in consumers {
+            edges.push(DataEdge {
+                item: item.clone(),
+                producer: end(item, from),
+                consumer: end(item, to),
+                bytes,
+                readers: consumers.len(),
+                reads,
+            });
         }
     }
-    // Consumers: tasks (with per-consumer read counts) and sinks.
-    let mut consumers: Vec<(&str, EdgeEnd, usize)> = Vec::new();
-    for step in &spec.steps {
-        match step {
-            WorkflowStep::Task { name, inputs, .. } => {
-                let mut reads: BTreeMap<&str, usize> = BTreeMap::new();
-                for input in inputs {
-                    *reads.entry(input).or_default() += 1;
-                }
-                for (item, count) in reads {
-                    consumers.push((item, EdgeEnd::task(name), count));
-                }
-            }
-            WorkflowStep::Sink { name, kind } => {
-                consumers.push((name, EdgeEnd::sink(name, kind), 1));
-            }
-            WorkflowStep::Source { .. } => {}
-        }
-    }
-    let mut reader_count: BTreeMap<&str, usize> = BTreeMap::new();
-    for (item, _, _) in &consumers {
-        *reader_count.entry(item).or_default() += 1;
-    }
-    let edges: Vec<DataEdge> = consumers
-        .iter()
-        .filter_map(|(item, consumer, reads)| {
-            Some(DataEdge {
-                item: item.to_string(),
-                producer: producer.get(item)?.clone(),
-                consumer: consumer.clone(),
-                bytes: item_bytes.get(item).copied().flatten(),
-                readers: reader_count[item],
-                reads: *reads,
-            })
-        })
-        .collect();
     span.attr("edges", edges.len());
     let plan = classify(
         &spec.name,

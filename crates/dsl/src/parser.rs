@@ -25,8 +25,7 @@ use crate::lexer::{lex, SpannedTok, Tok};
 ///
 /// Returns [`DslError`] with the offending line on malformed input.
 pub fn parse_program(source: &str) -> DslResult<Program> {
-    let toks = lex(source)?;
-    let mut p = P { toks, pos: 0 };
+    let mut p = P::new(source)?;
     let mut kernels = Vec::new();
     while !p.at_end() {
         kernels.push(p.kernel()?);
@@ -34,17 +33,23 @@ pub fn parse_program(source: &str) -> DslResult<Program> {
     Ok(Program { kernels })
 }
 
-struct P {
+/// The token cursor both grammars run on: kernels here, workflows in
+/// `workflow.rs`.
+pub(crate) struct P {
     toks: Vec<SpannedTok>,
     pos: usize,
 }
 
 impl P {
+    pub(crate) fn new(source: &str) -> DslResult<P> {
+        Ok(P { toks: lex(source)?, pos: 0 })
+    }
+
     fn at_end(&self) -> bool {
         self.pos >= self.toks.len()
     }
 
-    fn line(&self) -> usize {
+    pub(crate) fn line(&self) -> usize {
         self.toks.get(self.pos).or_else(|| self.toks.last()).map(|t| t.line).unwrap_or(0)
     }
 
@@ -52,7 +57,7 @@ impl P {
         self.toks.get(self.pos).map(|t| &t.tok)
     }
 
-    fn bump(&mut self) -> DslResult<Tok> {
+    pub(crate) fn bump(&mut self) -> DslResult<Tok> {
         let t = self
             .toks
             .get(self.pos)
@@ -62,7 +67,7 @@ impl P {
         Ok(t.tok)
     }
 
-    fn expect(&mut self, want: &Tok) -> DslResult<()> {
+    pub(crate) fn expect(&mut self, want: &Tok) -> DslResult<()> {
         let line = self.line();
         let got = self.bump()?;
         if &got == want {
@@ -72,7 +77,7 @@ impl P {
         }
     }
 
-    fn eat(&mut self, want: &Tok) -> bool {
+    pub(crate) fn eat(&mut self, want: &Tok) -> bool {
         if self.peek() == Some(want) {
             self.pos += 1;
             true
@@ -81,7 +86,7 @@ impl P {
         }
     }
 
-    fn ident(&mut self) -> DslResult<String> {
+    pub(crate) fn ident(&mut self) -> DslResult<String> {
         let line = self.line();
         match self.bump()? {
             Tok::Ident(s) => Ok(s),
@@ -89,7 +94,15 @@ impl P {
         }
     }
 
-    fn keyword(&mut self, kw: &str) -> DslResult<()> {
+    pub(crate) fn string(&mut self) -> DslResult<String> {
+        let line = self.line();
+        match self.bump()? {
+            Tok::Str(s) => Ok(s),
+            other => Err(DslError::parse(line, format!("expected string, got {other:?}"))),
+        }
+    }
+
+    pub(crate) fn keyword(&mut self, kw: &str) -> DslResult<()> {
         let line = self.line();
         let name = self.ident()?;
         if name == kw {

@@ -13,10 +13,11 @@
 //! ```
 
 use crate::error::{DslError, DslResult};
-use crate::lexer::{lex, SpannedTok, Tok};
+use crate::lexer::Tok;
+use crate::parser::P;
 use everest_ir::dialects::df;
 use everest_ir::{FuncBuilder, Module, Type, Value};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One step of a workflow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +47,17 @@ pub enum WorkflowStep {
     },
 }
 
+impl WorkflowStep {
+    /// The items this step reads and the items it produces.
+    fn reads_writes(&self) -> (&[String], &[String]) {
+        match self {
+            WorkflowStep::Source { name, .. } => (&[], std::slice::from_ref(name)),
+            WorkflowStep::Task { inputs, outputs, .. } => (inputs, outputs),
+            WorkflowStep::Sink { name, .. } => (std::slice::from_ref(name), &[]),
+        }
+    }
+}
+
 /// A parsed and validated workflow.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkflowSpec {
@@ -53,6 +65,15 @@ pub struct WorkflowSpec {
     pub name: String,
     /// Steps in declaration order.
     pub steps: Vec<WorkflowStep>,
+    /// Each data item's producer `(step, output)`: a source step, or a task
+    /// step and the item's position in its outputs (0 for a source). Step
+    /// numbers index `steps`; [`WorkflowSpec::parse`] resolves this and
+    /// `consumers` once.
+    pub producers: BTreeMap<String, (usize, usize)>,
+    /// Each produced item's readers `(step, reads)` in step order: a task
+    /// with the number of times it lists the item as an input, or a sink
+    /// (1). Every key of `producers` has an entry, empty if nothing reads it.
+    pub consumers: BTreeMap<String, Vec<(usize, usize)>>,
 }
 
 impl WorkflowSpec {
@@ -61,7 +82,7 @@ impl WorkflowSpec {
     /// # Errors
     ///
     /// Returns [`DslError`] on syntax errors, uses of undefined items or
-    /// duplicate producers.
+    /// duplicate producers; a dataflow error names its step's line.
     ///
     /// ```
     /// let spec = everest_dsl::WorkflowSpec::parse(
@@ -72,55 +93,43 @@ impl WorkflowSpec {
     pub fn parse(source: &str) -> DslResult<WorkflowSpec> {
         let mut span = everest_telemetry::span("dsl.workflow.parse", "dsl");
         span.attr("bytes", source.len());
-        let toks = lex(source)?;
-        let mut p = WfParser { toks, pos: 0 };
-        let spec = p.workflow()?;
-        spec.validate()?;
+        let spec = P::new(source)?.workflow()?;
         span.attr("steps", spec.steps.len());
         Ok(spec)
     }
 
-    /// Checks dataflow consistency: every consumed item has a producer
-    /// declared earlier, and every item has exactly one producer.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DslError`] (phase `Type`) naming the offending item.
-    pub(crate) fn validate(&self) -> DslResult<()> {
-        let mut produced: HashMap<&str, ()> = HashMap::new();
-        for step in &self.steps {
-            match step {
-                WorkflowStep::Source { name, .. } => {
-                    if produced.insert(name, ()).is_some() {
-                        return Err(DslError::ty(0, format!("item '{name}' produced twice")));
-                    }
+    /// Resolves `producers` and `consumers` from `steps`: every consumed item has a producer
+    /// declared earlier, and every item has exactly one producer. An error
+    /// (phase `Type`) names the item and its step's line in `lines`.
+    fn resolve(&mut self, lines: &[usize]) -> DslResult<()> {
+        for (step, (s, &line)) in self.steps.iter().zip(lines).enumerate() {
+            let (reads, writes) = s.reads_writes();
+            for (i, input) in reads.iter().enumerate() {
+                let Some(consumers) = self.consumers.get_mut(input) else {
+                    let reader = match s {
+                        WorkflowStep::Task { name, .. } => format!("task '{name}'"),
+                        _ => "sink".to_string(),
+                    };
+                    let msg = format!("{reader} consumes undefined item '{input}'");
+                    return Err(DslError::ty(line, msg));
+                };
+                if !reads[..i].contains(input) {
+                    consumers.push((step, reads.iter().filter(|r| *r == input).count()));
                 }
-                WorkflowStep::Task { name, inputs, outputs } => {
-                    for input in inputs {
-                        if !produced.contains_key(input.as_str()) {
-                            return Err(DslError::ty(
-                                0,
-                                format!("task '{name}' consumes undefined item '{input}'"),
-                            ));
-                        }
-                    }
-                    for output in outputs {
-                        if produced.insert(output, ()).is_some() {
-                            return Err(DslError::ty(0, format!("item '{output}' produced twice")));
-                        }
-                    }
+            }
+            for (output, item) in writes.iter().enumerate() {
+                if self.producers.insert(item.clone(), (step, output)).is_some() {
+                    return Err(DslError::ty(line, format!("item '{item}' produced twice")));
                 }
-                WorkflowStep::Sink { name, .. } => {
-                    if !produced.contains_key(name.as_str()) {
-                        return Err(DslError::ty(
-                            0,
-                            format!("sink consumes undefined item '{name}'"),
-                        ));
-                    }
-                }
+                self.consumers.insert(item.clone(), Vec::new());
             }
         }
         Ok(())
+    }
+
+    /// The step that produces `item`, if the spec resolves it.
+    fn producer(&self, item: &str) -> Option<&WorkflowStep> {
+        self.producers.get(item).map(|(step, _)| &self.steps[*step])
     }
 
     /// Names of all task steps, in order.
@@ -137,20 +146,12 @@ impl WorkflowSpec {
     /// Producer→consumer edges between tasks (by task name), derived from
     /// shared data items. Source/sink steps are not included.
     pub fn task_edges(&self) -> Vec<(String, String)> {
-        let mut producer_of: HashMap<&str, &str> = HashMap::new();
-        for step in &self.steps {
-            if let WorkflowStep::Task { name, outputs, .. } = step {
-                for out in outputs {
-                    producer_of.insert(out, name);
-                }
-            }
-        }
         let mut edges = Vec::new();
         for step in &self.steps {
             if let WorkflowStep::Task { name, inputs, .. } = step {
                 for input in inputs {
-                    if let Some(producer) = producer_of.get(input.as_str()) {
-                        edges.push(((*producer).to_owned(), name.clone()));
+                    if let Some(WorkflowStep::Task { name: producer, .. }) = self.producer(input) {
+                        edges.push((producer.clone(), name.clone()));
                     }
                 }
             }
@@ -163,36 +164,40 @@ impl WorkflowSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`DslError`] if the spec is inconsistent (see
-    /// `WorkflowSpec::validate`).
+    /// Returns a [`DslError`] if a step reads an item that `producers`
+    /// does not resolve to an earlier step.
     pub fn to_ir(&self) -> DslResult<Module> {
         let mut span = everest_telemetry::span("dsl.workflow.lower", "dsl");
         span.attr("steps", self.steps.len());
-        self.validate()?;
         let mut module = Module::new(self.name.clone());
         let mut fb = FuncBuilder::new(self.name.clone(), &[], &[]);
         fb.set_func_attr("dsl", "workflow");
-        let mut items: HashMap<&str, Value> = HashMap::new();
-        let item_ty = Type::Token;
+        // The values each step produced, in step order.
+        let mut outs: Vec<Vec<Value>> = Vec::with_capacity(self.steps.len());
         for step in &self.steps {
-            match step {
-                WorkflowStep::Source { name, kind } => {
-                    let v = df::source(&mut fb, kind, item_ty.clone());
-                    items.insert(name, v);
+            let (reads, writes) = step.reads_writes();
+            let value = |item: &String| {
+                let (from, output) = self.producers.get(item)?;
+                outs.get(*from)?.get(*output).copied()
+            };
+            let ins = reads
+                .iter()
+                .map(|item| {
+                    value(item).ok_or_else(|| {
+                        DslError::lower(0, format!("item '{item}' has no earlier producer"))
+                    })
+                })
+                .collect::<DslResult<Vec<Value>>>()?;
+            outs.push(match step {
+                WorkflowStep::Source { kind, .. } => vec![df::source(&mut fb, kind, Type::Token)],
+                WorkflowStep::Task { name, .. } => {
+                    df::task(&mut fb, name, &ins, &vec![Type::Token; writes.len()])
                 }
-                WorkflowStep::Task { name, inputs, outputs } => {
-                    let ins: Vec<Value> = inputs.iter().map(|i| items[i.as_str()]).collect();
-                    let out_tys = vec![item_ty.clone(); outputs.len()];
-                    let outs = df::task(&mut fb, name, &ins, &out_tys);
-                    for (o, v) in outputs.iter().zip(outs) {
-                        items.insert(o, v);
-                    }
+                WorkflowStep::Sink { kind, .. } => {
+                    df::sink(&mut fb, kind, &ins);
+                    Vec::new()
                 }
-                WorkflowStep::Sink { name, kind } => {
-                    let v = items[name.as_str()];
-                    df::sink(&mut fb, kind, &[v]);
-                }
-            }
+            });
         }
         fb.ret(&[]);
         module.push(fb.finish());
@@ -203,123 +208,74 @@ impl WorkflowSpec {
     }
 }
 
-struct WfParser {
-    toks: Vec<SpannedTok>,
-    pos: usize,
-}
-
-impl WfParser {
-    fn line(&self) -> usize {
-        self.toks.get(self.pos).or_else(|| self.toks.last()).map(|t| t.line).unwrap_or(0)
-    }
-
-    fn bump(&mut self) -> DslResult<Tok> {
-        let t = self
-            .toks
-            .get(self.pos)
-            .cloned()
-            .ok_or_else(|| DslError::parse(self.line(), "unexpected end of input"))?;
-        self.pos += 1;
-        Ok(t.tok)
-    }
-
-    fn expect(&mut self, want: &Tok) -> DslResult<()> {
-        let line = self.line();
-        let got = self.bump()?;
-        if &got == want {
-            Ok(())
-        } else {
-            Err(DslError::parse(line, format!("expected {want:?}, got {got:?}")))
-        }
-    }
-
-    fn ident(&mut self) -> DslResult<String> {
-        let line = self.line();
-        match self.bump()? {
-            Tok::Ident(s) => Ok(s),
-            other => Err(DslError::parse(line, format!("expected identifier, got {other:?}"))),
-        }
-    }
-
-    fn string(&mut self) -> DslResult<String> {
-        let line = self.line();
-        match self.bump()? {
-            Tok::Str(s) => Ok(s),
-            other => Err(DslError::parse(line, format!("expected string, got {other:?}"))),
-        }
-    }
-
+impl P {
+    /// `workflow NAME { step* }`; the dataflow is resolved once the last
+    /// step is read, so a syntax error anywhere wins over a dataflow error.
     fn workflow(&mut self) -> DslResult<WorkflowSpec> {
-        let line = self.line();
-        let kw = self.ident()?;
-        if kw != "workflow" {
-            return Err(DslError::parse(line, format!("expected 'workflow', got '{kw}'")));
-        }
+        self.keyword("workflow")?;
         let name = self.ident()?;
         self.expect(&Tok::LBrace)?;
-        let mut steps = Vec::new();
+        let mut spec = WorkflowSpec { name, ..WorkflowSpec::default() };
+        let mut lines = Vec::new();
         loop {
             let line = self.line();
-            match self.bump()? {
+            let step = match self.bump()? {
                 Tok::RBrace => break,
-                Tok::Ident(kw) => match kw.as_str() {
-                    "source" => {
-                        let item = self.ident()?;
-                        self.expect(&Tok::Colon)?;
-                        let kind = self.string()?;
-                        self.expect(&Tok::Semi)?;
-                        steps.push(WorkflowStep::Source { name: item, kind });
+                Tok::Ident(kw) if kw == "source" || kw == "sink" => {
+                    let name = self.ident()?;
+                    self.expect(&Tok::Colon)?;
+                    let kind = self.string()?;
+                    if kw == "source" {
+                        WorkflowStep::Source { name, kind }
+                    } else {
+                        WorkflowStep::Sink { name, kind }
                     }
-                    "task" => {
-                        let tname = self.ident()?;
-                        self.expect(&Tok::LParen)?;
-                        let mut inputs = Vec::new();
-                        loop {
-                            inputs.push(self.ident()?);
-                            match self.bump()? {
-                                Tok::Comma => continue,
-                                Tok::RParen => break,
-                                other => {
-                                    return Err(DslError::parse(
-                                        line,
-                                        format!("expected ',' or ')', got {other:?}"),
-                                    ))
-                                }
+                }
+                Tok::Ident(kw) if kw == "task" => {
+                    let name = self.ident()?;
+                    self.expect(&Tok::LParen)?;
+                    let mut inputs = Vec::new();
+                    loop {
+                        inputs.push(self.ident()?);
+                        match self.bump()? {
+                            Tok::Comma => continue,
+                            Tok::RParen => break,
+                            other => {
+                                return Err(DslError::parse(
+                                    line,
+                                    format!("expected ',' or ')', got {other:?}"),
+                                ))
                             }
                         }
-                        self.expect(&Tok::Arrow)?;
-                        let mut outputs = vec![self.ident()?];
-                        while self.toks.get(self.pos).map(|t| &t.tok) == Some(&Tok::Comma) {
-                            self.pos += 1;
-                            outputs.push(self.ident()?);
-                        }
-                        self.expect(&Tok::Semi)?;
-                        steps.push(WorkflowStep::Task { name: tname, inputs, outputs });
                     }
-                    "sink" => {
-                        let item = self.ident()?;
-                        self.expect(&Tok::Colon)?;
-                        let kind = self.string()?;
-                        self.expect(&Tok::Semi)?;
-                        steps.push(WorkflowStep::Sink { name: item, kind });
+                    self.expect(&Tok::Arrow)?;
+                    let mut outputs = vec![self.ident()?];
+                    while self.eat(&Tok::Comma) {
+                        outputs.push(self.ident()?);
                     }
-                    other => {
-                        return Err(DslError::parse(
-                            line,
-                            format!("expected 'source', 'task' or 'sink', got '{other}'"),
-                        ))
-                    }
-                },
+                    WorkflowStep::Task { name, inputs, outputs }
+                }
+                Tok::Ident(other) => {
+                    return Err(DslError::parse(
+                        line,
+                        format!("expected 'source', 'task' or 'sink', got '{other}'"),
+                    ))
+                }
                 other => return Err(DslError::parse(line, format!("unexpected token {other:?}"))),
-            }
+            };
+            self.expect(&Tok::Semi)?;
+            spec.steps.push(step);
+            lines.push(line);
         }
-        Ok(WorkflowSpec { name, steps })
+        spec.resolve(&lines)?;
+        Ok(spec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     const TRAFFIC: &str = r#"
         workflow traffic {
@@ -361,6 +317,38 @@ mod tests {
     fn rejects_duplicate_producer() {
         let src = "workflow w { source a: \"x\"; task t(a) -> a; sink a: \"o\"; }";
         assert!(WorkflowSpec::parse(src).unwrap_err().to_string().contains("produced twice"));
+    }
+
+    #[test]
+    fn dataflow_errors_name_their_steps_line() {
+        for (step, msg) in [
+            ("task t(b) -> c;", "consumes undefined item 'b'"),
+            ("task t(a) -> a;", "item 'a' produced twice"),
+        ] {
+            let src = format!("workflow w {{\n    source a: \"in\";\n    {step}\n}}");
+            let err = WorkflowSpec::parse(&src).unwrap_err().to_string();
+            assert!(err.starts_with("type error at line 3: "), "{err}");
+            assert!(err.contains(msg), "{err}");
+        }
+    }
+
+    #[test]
+    fn items_resolve_producers_and_consumers() {
+        let spec = WorkflowSpec::parse(TRAFFIC).unwrap();
+        // build_model is step 2; predict (step 4) reads model once, after simulate (3).
+        assert_eq!(
+            (spec.producers["model"], &spec.consumers["model"][..]),
+            ((2, 0), &[(3, 1), (4, 1)][..])
+        );
+        assert_eq!(
+            (spec.producers["forecast"], &spec.consumers["forecast"][..]),
+            ((4, 0), &[(5, 1)][..])
+        );
+        let src = "workflow w { source a: \"in\"; task t(a, a) -> b, c; sink c: \"o\"; }";
+        let spec = WorkflowSpec::parse(src).unwrap();
+        assert_eq!((spec.producers["a"], &spec.consumers["a"][..]), ((0, 0), &[(1, 2)][..]));
+        assert_eq!((spec.producers["c"], &spec.consumers["c"][..]), ((1, 1), &[(2, 1)][..]));
+        assert_eq!((spec.producers["b"], &spec.consumers["b"][..]), ((1, 0), &[][..]));
     }
 
     #[test]

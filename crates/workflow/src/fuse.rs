@@ -23,8 +23,7 @@
 //! disqualifier; racy edges embed the [`Race`] counterexample with its
 //! [`crate::race::OrderingEvidence`] witness.
 
-use crate::race::{detect_races, Race};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use crate::race::{detect_races, shortest_chain, Adjacency, Race};
 
 /// Version of the JSON fusion plan emitted by [`FusionPlan::to_json`].
 /// Bumped on any breaking field change; CI artifacts key on this.
@@ -218,37 +217,6 @@ impl FusionPlan {
     }
 }
 
-/// Shortest *directed* path from `from` to `to` through the ordering
-/// edges, as the full node chain (BFS, neighbours in sorted order).
-fn ordering_path(from: &str, to: &str, edges: &[(String, String)]) -> Option<Vec<String>> {
-    let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for (a, b) in edges {
-        adj.entry(a.as_str()).or_default().insert(b.as_str());
-    }
-    let mut prev: BTreeMap<&str, &str> = BTreeMap::new();
-    let mut queue = VecDeque::from([from]);
-    prev.insert(from, from);
-    while let Some(node) = queue.pop_front() {
-        if node == to {
-            let mut chain = vec![to.to_string()];
-            let mut cur = to;
-            while prev[cur] != cur {
-                cur = prev[cur];
-                chain.push(cur.to_string());
-            }
-            chain.reverse();
-            return Some(chain);
-        }
-        for &next in adj.get(node).into_iter().flatten() {
-            if let std::collections::btree_map::Entry::Vacant(e) = prev.entry(next) {
-                e.insert(node);
-                queue.push_back(next);
-            }
-        }
-    }
-    None
-}
-
 /// Classifies every dataset edge of one workflow.
 ///
 /// * `edges` — the dataset hand-offs (byte bounds already attached);
@@ -277,6 +245,10 @@ pub fn classify(
     budget_bytes: u64,
 ) -> FusionPlan {
     let races = detect_races(accesses, ordering);
+    let mut forward = Adjacency::new();
+    for (a, b) in ordering {
+        forward.entry(a).or_default().insert(b);
+    }
     let mut out: Vec<FusionEdge> = Vec::with_capacity(edges.len());
     for edge in edges {
         let race = races.iter().find(|r| {
@@ -364,7 +336,7 @@ pub fn classify(
                 race: None,
             }
         } else {
-            let path = ordering_path(&edge.producer.name, &edge.consumer.name, ordering);
+            let path = shortest_chain(&edge.producer.name, &edge.consumer.name, &forward);
             FusionEdge {
                 detail: format!(
                     "single reader, footprint {} B <= {} B budget, serialized by {}",
@@ -395,6 +367,7 @@ pub fn classify(
 mod tests {
     use super::*;
     use crate::race::TaskAccess;
+    use std::collections::BTreeMap;
 
     fn edge(a: &str, b: &str) -> (String, String) {
         (a.to_string(), b.to_string())

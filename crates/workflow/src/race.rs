@@ -102,18 +102,16 @@ pub(crate) fn canonical_pair<'a>(a: &'a str, b: &'a str) -> (&'a str, &'a str) {
     }
 }
 
-/// Shortest undirected chain between `from` and `to` through the ordering
-/// edges (BFS; deterministic because neighbours are visited in sorted
-/// order). Returns the full node chain including both endpoints.
-fn undirected_path(from: &str, to: &str, edges: &[(String, String)]) -> Option<Vec<String>> {
-    let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for (a, b) in edges {
-        adj.entry(a.as_str()).or_default().insert(b.as_str());
-        adj.entry(b.as_str()).or_default().insert(a.as_str());
-    }
-    let mut prev: BTreeMap<&str, &str> = BTreeMap::new();
+/// Task name → its neighbours through the ordering edges, in name order.
+pub(crate) type Adjacency<'a> = BTreeMap<&'a str, BTreeSet<&'a str>>;
+
+/// Shortest chain from `from` to `to` through `adj`, as the full node
+/// chain including both endpoints (BFS; deterministic because neighbours
+/// are visited in name order). The race witness searches the ordering
+/// edges both ways, the fusion proof only forwards.
+pub(crate) fn shortest_chain(from: &str, to: &str, adj: &Adjacency) -> Option<Vec<String>> {
+    let mut prev: BTreeMap<&str, &str> = BTreeMap::from([(from, from)]);
     let mut queue = std::collections::VecDeque::from([from]);
-    prev.insert(from, from);
     while let Some(node) = queue.pop_front() {
         if node == to {
             let mut chain = vec![to.to_string()];
@@ -138,7 +136,12 @@ fn undirected_path(from: &str, to: &str, edges: &[(String, String)]) -> Option<V
 /// The [`OrderingEvidence`] for an unordered pair: the shortest undirected
 /// chain through the ordering edges, or [`OrderingEvidence::NoPath`].
 pub(crate) fn ordering_evidence(a: &str, b: &str, edges: &[(String, String)]) -> OrderingEvidence {
-    match undirected_path(a, b, edges) {
+    let mut adj = Adjacency::new();
+    for (x, y) in edges {
+        adj.entry(x).or_default().insert(y);
+        adj.entry(y).or_default().insert(x);
+    }
+    match shortest_chain(a, b, &adj) {
         Some(chain) => OrderingEvidence::MisdirectedPath(chain),
         None => OrderingEvidence::NoPath,
     }
