@@ -93,10 +93,8 @@ pub struct Deployment {
 #[derive(Debug, Clone)]
 pub struct SdkBuilder {
     space: DesignSpace,
-    hls: HlsConfig,
     system: System,
     jobs: usize,
-    trace: bool,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -104,10 +102,8 @@ impl Default for SdkBuilder {
     fn default() -> SdkBuilder {
         SdkBuilder {
             space: DesignSpace::default(),
-            hls: HlsConfig::default(),
             system: System::everest_reference(),
             jobs: 2,
-            trace: false,
             fault_plan: None,
         }
     }
@@ -118,13 +114,6 @@ impl SdkBuilder {
     #[must_use]
     pub fn space(mut self, space: DesignSpace) -> SdkBuilder {
         self.space = space;
-        self
-    }
-
-    /// Sets the HLS configuration for hardware variants.
-    #[must_use]
-    pub fn hls(mut self, hls: HlsConfig) -> SdkBuilder {
-        self.hls = hls;
         self
     }
 
@@ -143,14 +132,6 @@ impl SdkBuilder {
         self
     }
 
-    /// When `true`, [`SdkBuilder::build`] installs the recording tracer so
-    /// every span the pipeline emits is captured for Chrome-trace export.
-    #[must_use]
-    pub fn trace(mut self, trace: bool) -> SdkBuilder {
-        self.trace = trace;
-        self
-    }
-
     /// Arms a fault-injection plan; [`Sdk::offload_manager`] wires it into
     /// the offload recovery layer.
     #[must_use]
@@ -161,17 +142,24 @@ impl SdkBuilder {
 
     /// Finalizes the configuration.
     pub fn build(self) -> Sdk {
-        if self.trace {
-            everest_telemetry::install_global(everest_telemetry::Tracer::recording());
-        }
         Sdk {
             space: self.space,
-            hls: self.hls,
+            hls: HlsConfig::default(),
             system: self.system,
             jobs: self.jobs,
             fault_plan: self.fault_plan,
         }
     }
+}
+
+/// The one kernel front end of [`Sdk`]: parse and type-check, lower to the
+/// unified IR, run the standard passes, verify.
+fn front_end(source: &str) -> SdkResult<Module> {
+    let mut module = compile_kernels(source)?;
+    PassManager::standard().run(&mut module)?;
+    let _span = everest_telemetry::span("ir.verify", "ir");
+    module.verify()?;
+    Ok(module)
 }
 
 /// The EVEREST SDK: configuration plus the compile/deploy entry points.
@@ -224,12 +212,7 @@ impl Sdk {
     /// Returns [`crate::SdkError`] for DSL, verification or HLS failures.
     pub fn compile(&self, source: &str) -> SdkResult<Compiled> {
         let mut compile_span = everest_telemetry::span("sdk.compile", "sdk");
-        let mut module = compile_kernels(source)?;
-        PassManager::standard().run(&mut module)?;
-        {
-            let _span = everest_telemetry::span("ir.verify", "ir");
-            module.verify()?;
-        }
+        let module = front_end(source)?;
         let kernels = {
             let funcs: Vec<&everest_ir::Func> = module.iter().collect();
             let sets = everest_variants::generate_all(&funcs, &self.space, self.jobs)?;
@@ -258,9 +241,7 @@ impl Sdk {
     /// malformed IR is a hard error, not a diagnostic.
     pub fn check(&self, source: &str) -> SdkResult<Vec<everest_ir::Diagnostic>> {
         let mut span = everest_telemetry::span("sdk.check", "sdk");
-        let mut module = compile_kernels(source)?;
-        PassManager::standard().run(&mut module)?;
-        module.verify()?;
+        let module = front_end(source)?;
         let diags = everest_ir::lints::check_module(&module);
         span.attr("diagnostics", diags.len());
         Ok(diags)
@@ -296,13 +277,7 @@ impl Sdk {
     ) -> SdkResult<(everest_workflow::fuse::FusionPlan, Vec<everest_ir::Diagnostic>)> {
         let mut span = everest_telemetry::span("sdk.fuse", "sdk");
         let spec = everest_dsl::WorkflowSpec::parse(workflow_source)?;
-        let mut modules = Vec::with_capacity(kernel_sources.len());
-        for source in kernel_sources {
-            let mut module = compile_kernels(source)?;
-            PassManager::standard().run(&mut module)?;
-            module.verify()?;
-            modules.push(module);
-        }
+        let modules = kernel_sources.iter().map(|s| front_end(s)).collect::<SdkResult<Vec<_>>>()?;
         let index = crate::fuse::kernel_index(&modules);
         let budget = self.system.stream_budget_bytes().unwrap_or(0);
         let mut diags = crate::fuse::unresolved_diags(&spec, &index);
@@ -314,7 +289,8 @@ impl Sdk {
     }
 
     /// Synthesizes one kernel to an accelerator artifact (RTL + reports)
-    /// without variant exploration.
+    /// without variant exploration, from the same canonicalized module
+    /// [`Sdk::compile`] explores.
     ///
     /// # Errors
     ///
@@ -326,7 +302,7 @@ impl Sdk {
     ) -> SdkResult<everest_hls::Accelerator> {
         let mut sdk_span = everest_telemetry::span("sdk.synthesize_kernel", "sdk");
         sdk_span.attr("kernel", kernel);
-        let module = compile_kernels(source)?;
+        let module = front_end(source)?;
         let func = module
             .func(kernel)
             .ok_or_else(|| everest_ir::IrError::UnknownSymbol(kernel.to_owned()))?;
