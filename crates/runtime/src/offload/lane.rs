@@ -397,14 +397,17 @@ const PACING_QUANTUM_US: f64 = 200.0;
 ///
 /// A call records its flight events only when the thread's ring can
 /// still hold them once the fold returns. Every call records at least two
-/// (its `offload.call` begin and end), so a call followed by more than
-/// `capacity / 2` further calls of the lane is overwritten by them: the
-/// fold records none of its events and adds their count to the ring's
-/// written total instead, once per lane. After the fold the ring holds
-/// the same events, in the same order, with the same `dropped`, as if
-/// every call had recorded. What differs is what a dump taken by another
-/// thread while the lane folds can see: that lane's events only from its
-/// last `capacity / 2` calls on.
+/// (its `offload.call` begin and end), and one that completes at least
+/// three (an `offload.attempt` marker too). A lane whose last rung is the
+/// host CPU completes every call, since that rung cannot fault. So a call
+/// followed by more than `capacity / 3` further calls of such a lane, or
+/// `capacity / 2` of any other, is overwritten by them: the fold records
+/// none of its events and adds their count to the ring's written total
+/// instead, once per lane. After the fold the ring holds the same events,
+/// in the same order, with the same `dropped`, as if every call had
+/// recorded. What differs is what a dump taken by another thread while
+/// the lane folds can see: that lane's events only from its last
+/// `capacity / 3 + 1` (or `capacity / 2 + 1`) calls on.
 ///
 /// With `pacing = Some(scale)` the lane replays its virtual clock at
 /// `scale` simulated microseconds per real microsecond, sleeping off any
@@ -421,13 +424,10 @@ pub(super) fn fold_lane(
     pacing: Option<f64>,
 ) -> LaneReport {
     let capacity = everest_telemetry::flight().capacity();
-    fold_lane_recording_from(
-        retry,
-        lane,
-        tasks,
-        pacing,
-        tasks.len().saturating_sub(capacity / 2 + 1),
-    )
+    let ends_on_host = lane.rungs.last().is_some_and(|r| r.class == TargetClass::HostCpu);
+    let events_per_call = if ends_on_host { 3 } else { 2 };
+    let recorded_from = tasks.len().saturating_sub(capacity / events_per_call + 1);
+    fold_lane_recording_from(retry, lane, tasks, pacing, recorded_from)
 }
 
 /// The fold that records every call's flight events: the reference the

@@ -236,13 +236,15 @@ fn a_chain_too_long_for_the_event_index_is_rejected() {
 }
 
 /// The flight events the calling thread's ring holds once `calls` calls
-/// under `profile` are folded lane by lane, as a batch at `jobs = 1`
+/// under `profile` are folded lane by lane (on the reference chain, or on
+/// its FPGAs alone when `host_cpu` is false), as a batch at `jobs = 1`
 /// folds them (through the reference fold, or the fold that skips what
 /// its ring would drop), and how many events the thread wrote that the
 /// ring no longer holds. Only this thread's events are read, so tests
 /// recording on other threads do not disturb the answer.
 fn fold_on_this_thread(
     profile: &str,
+    host_cpu: bool,
     calls: usize,
     reference: bool,
 ) -> (Vec<(everest_telemetry::EventKind, &'static str, f64)>, u64) {
@@ -251,7 +253,8 @@ fn fold_on_this_thread(
 
     let flight = everest_telemetry::flight();
     let plan = FaultPlan::from_profile(profile, 2026).unwrap();
-    let chain = manager(profile, 2026).chain().to_vec();
+    let mut chain = manager(profile, 2026).chain().to_vec();
+    chain.retain(|t| host_cpu || t.class != TargetClass::HostCpu);
     let lanes = partition_lanes(&chain, &plan, BreakerConfig::default());
     let calls: Vec<OffloadCall> = (0..calls).map(|i| call(&format!("k{}", i % 64))).collect();
     let retry = RetryPolicy::default();
@@ -295,13 +298,23 @@ fn a_lane_skips_only_the_flight_events_its_ring_would_drop() {
     let capacity = everest_telemetry::flight().capacity();
     assert!(capacity >= 16, "the recorder is on at its default size");
     let lanes = manager("none", 1).lane_devices().len();
-    // Lanes shorter than, at, just past and far past `capacity / 2` calls.
-    for per_lane in [capacity / 4, capacity / 2, capacity / 2 + 1, capacity / 2 + 2, 3 * capacity] {
+    // Lanes that end on the host CPU complete every call, three events or
+    // more each: lanes around `capacity / 3` calls, at and past
+    // `capacity / 2`, and far past the ring. Without the host CPU a failed
+    // call records two events, so the lanes go around `capacity / 2`.
+    let (third, half) = (capacity / 3, capacity / 2);
+    let with_host =
+        [capacity / 4, third - 1, third, third + 1, third + 2, half, half + 1, 3 * capacity];
+    let fpgas_only = [third + 1, half - 1, half, half + 1, half + 2, 3 * capacity];
+    let cases = with_host.map(|n| (true, n)).into_iter().chain(fpgas_only.map(|n| (false, n)));
+    for (host_cpu, per_lane) in cases {
         for profile in FaultPlan::PROFILES {
             let calls = lanes * per_lane;
             let fold = |reference| {
                 std::thread::scope(|s| {
-                    s.spawn(|| fold_on_this_thread(profile, calls, reference)).join().unwrap()
+                    s.spawn(|| fold_on_this_thread(profile, host_cpu, calls, reference))
+                        .join()
+                        .unwrap()
                 })
             };
             let (expected, expected_dropped) = fold(true);
@@ -309,12 +322,15 @@ fn a_lane_skips_only_the_flight_events_its_ring_would_drop() {
             let first_difference = events.iter().zip(&expected).position(|(a, b)| a != b);
             assert!(
                 events == expected,
-                "{profile}, {per_lane} calls a lane: {} events in the ring against {}, \
-                 first difference at {first_difference:?}",
+                "{profile}, host CPU {host_cpu}, {per_lane} calls a lane: {} events in the \
+                 ring against {}, first difference at {first_difference:?}",
                 events.len(),
                 expected.len()
             );
-            assert_eq!(dropped, expected_dropped, "{profile}, {per_lane} calls a lane: dropped");
+            assert_eq!(
+                dropped, expected_dropped,
+                "{profile}, {host_cpu}, {per_lane} calls: dropped"
+            );
             if per_lane > capacity {
                 assert_eq!(events.len(), capacity, "{profile}: the ring is full");
                 assert!(dropped > 0, "{profile}: the fold skipped events");
