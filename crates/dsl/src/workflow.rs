@@ -98,9 +98,10 @@ impl WorkflowSpec {
         Ok(spec)
     }
 
-    /// Resolves `producers` and `consumers` from `steps`: every consumed item has a producer
-    /// declared earlier, and every item has exactly one producer. An error
-    /// (phase `Type`) names the item and its step's line in `lines`.
+    /// Resolves `producers` and `consumers` from `steps`: every consumed
+    /// item has a producer declared earlier, and every item has exactly one
+    /// producer. An error (phase `Type`) names the item and its step's line
+    /// in `lines`.
     fn resolve(&mut self, lines: &[usize]) -> DslResult<()> {
         for (step, (s, &line)) in self.steps.iter().zip(lines).enumerate() {
             let (reads, writes) = s.reads_writes();
@@ -127,11 +128,6 @@ impl WorkflowSpec {
         Ok(())
     }
 
-    /// The step that produces `item`, if the spec resolves it.
-    fn producer(&self, item: &str) -> Option<&WorkflowStep> {
-        self.producers.get(item).map(|(step, _)| &self.steps[*step])
-    }
-
     /// Names of all task steps, in order.
     pub fn task_names(&self) -> Vec<&str> {
         self.steps
@@ -149,8 +145,8 @@ impl WorkflowSpec {
         let mut edges = Vec::new();
         for step in &self.steps {
             if let WorkflowStep::Task { name, inputs, .. } = step {
-                for input in inputs {
-                    if let Some(WorkflowStep::Task { name: producer, .. }) = self.producer(input) {
+                for (from, _) in inputs.iter().filter_map(|input| self.producers.get(input)) {
+                    if let WorkflowStep::Task { name: producer, .. } = &self.steps[*from] {
                         edges.push((producer.clone(), name.clone()));
                     }
                 }
