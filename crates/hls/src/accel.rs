@@ -12,7 +12,7 @@ use crate::rtl;
 use crate::schedule::{list_schedule, ResourceBudget};
 use crate::tensor_to_loops::lower_to_loops;
 use everest_ir::attr::Attr;
-use everest_ir::{Block, Func, Type, Value};
+use everest_ir::{Block, ForLoop, Func, Type, Value};
 use std::collections::HashMap;
 
 /// Configuration of one synthesis run.
@@ -292,17 +292,15 @@ fn block_latency(
         if op.name != "loop.for" {
             continue;
         }
-        let trips = trip_count(op)?;
-        let body = op.regions[0]
-            .entry()
-            .ok_or_else(|| HlsError::Lower("loop.for with empty body".into()))?;
+        let l = ForLoop::of(op).map_err(|e| HlsError::Lower(e.to_string()))?;
+        let (trips, body) = (l.trips(), l.body);
         let mut body_has_loop = false;
         for inner in &body.ops {
             body_has_loop |= inner.name == "loop.for";
         }
         let latency = if !body_has_loop && config.pipeline {
             let dfg = Dfg::from_block(func, body, &HashMap::new());
-            let mem_mii = memory_mii(func, body, config);
+            let mem_mii = memory_mii(func, &l, config);
             // Banked buffers multiply the usable memory ports.
             let ports = (config.banks * config.ports_per_bank).max(1);
             let budget = config
@@ -337,28 +335,12 @@ fn block_latency(
     Ok((schedule.len, dfg, schedule))
 }
 
-fn trip_count(op: &everest_ir::Op) -> HlsResult<u64> {
-    let get = |key: &str| {
-        op.attr(key)
-            .and_then(Attr::as_int)
-            .ok_or_else(|| HlsError::Lower(format!("loop.for missing '{key}'")))
-    };
-    let (lo, hi, step) = (get("lo")?, get("hi")?, get("step")?);
-    if step <= 0 {
-        return Err(HlsError::Lower("loop step must be positive".into()));
-    }
-    if hi <= lo {
-        return Ok(0);
-    }
-    Ok(((hi - lo + step - 1) / step) as u64)
-}
-
 /// Extracts per-buffer access offsets in a loop body and returns the worst
 /// memory-induced II over all buffers under the configured partitioning.
-fn memory_mii(func: &Func, body: &Block, config: &HlsConfig) -> u64 {
-    let iv = body.args.first().copied();
+fn memory_mii(func: &Func, l: &ForLoop<'_>, config: &HlsConfig) -> u64 {
+    let (body, iv) = (l.body, l.iv);
     let offset_of = |v: Value, ops: &[everest_ir::Op]| -> Option<i64> {
-        if Some(v) == iv {
+        if v == iv {
             return Some(0);
         }
         for op in ops {
@@ -375,10 +357,10 @@ fn memory_mii(func: &Func, body: &Block, config: &HlsConfig) -> u64 {
                                 })
                                 .and_then(|o| o.attr("value").and_then(Attr::as_int))
                         };
-                        if Some(a) == iv {
+                        if a == iv {
                             return const_side(b, ops);
                         }
-                        if Some(b) == iv {
+                        if b == iv {
                             return const_side(a, ops);
                         }
                         return None;
@@ -446,6 +428,29 @@ mod tests {
         assert!(acc.area.brams > 0, "buffers should occupy BRAM");
         assert!(acc.rtl.contains("module mm_loops"));
         assert!(crate::rtl::check_structure(&acc.rtl));
+    }
+
+    #[test]
+    fn latency_follows_the_trip_count_not_the_step() {
+        use everest_ir::types::MemSpace;
+        let scaled = |lo: i64, hi: i64, step: i64| {
+            let buf = Type::memref(Type::F64, &[64], MemSpace::Scratchpad);
+            let mut fb = everest_ir::FuncBuilder::new("scale", &[buf], &[]);
+            let b = fb.arg(0);
+            fb.for_loop(lo, hi, step, &[], |fb, iv, _| {
+                let x = fb.load(b, &[iv], Type::F64);
+                let k = fb.const_f(3.0, Type::F64);
+                let y = fb.binary("arith.mulf", x, k, Type::F64);
+                fb.store(y, b, &[iv]);
+                vec![]
+            });
+            fb.ret(&[]);
+            let one_pe = HlsConfig { pe: 1, ..HlsConfig::default() };
+            synthesize(&fb.finish(), &one_pe).unwrap().latency_cycles
+        };
+        // Both loops run 20 times; one more iteration costs a cycle.
+        assert_eq!(scaled(1, 59, 3), scaled(0, 20, 1));
+        assert_ne!(scaled(1, 59, 3), scaled(0, 21, 1));
     }
 
     #[test]

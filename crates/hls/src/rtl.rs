@@ -24,6 +24,15 @@ use crate::cdfg::Dfg;
 use crate::schedule::Schedule;
 use std::fmt::Write;
 
+/// `writeln!` into the RTL `String`. Writing to a `String` cannot fail, so
+/// the always-`Ok` result is dropped; the line is formatted in place, with
+/// no allocation of its own.
+macro_rules! emit {
+    ($v:expr, $($fmt:tt)*) => {{
+        let _ = writeln!($v, $($fmt)*);
+    }};
+}
+
 /// Emits a Verilog module named `name` for one scheduled block.
 pub(crate) fn emit_module(name: &str, dfg: &Dfg, schedule: &Schedule, binding: &Binding) -> String {
     let mut v = String::new();
@@ -43,53 +52,52 @@ pub(crate) fn emit_module(name: &str, dfg: &Dfg, schedule: &Schedule, binding: &
     steps.dedup();
     let longest_wait = steps.windows(2).map(|w| w[1] - w[0] - 1).max().unwrap_or(0);
 
-    writeln!(v, "// Generated by everest-hls (FSMD emission)").unwrap();
-    writeln!(v, "module {name} (").unwrap();
-    writeln!(v, "  input  wire clk,").unwrap();
-    writeln!(v, "  input  wire rst,").unwrap();
-    writeln!(v, "  input  wire start,").unwrap();
-    writeln!(v, "  output reg  done").unwrap();
-    writeln!(v, ");").unwrap();
-    writeln!(v, "  reg [{}:0] state;", state_bits.saturating_sub(1)).unwrap();
-    writeln!(v, "  localparam S_IDLE = {states};").unwrap();
+    emit!(v, "// Generated by everest-hls (FSMD emission)");
+    emit!(v, "module {name} (");
+    emit!(v, "  input  wire clk,");
+    emit!(v, "  input  wire rst,");
+    emit!(v, "  input  wire start,");
+    emit!(v, "  output reg  done");
+    emit!(v, ");");
+    emit!(v, "  reg [{}:0] state;", state_bits.saturating_sub(1));
+    emit!(v, "  localparam S_IDLE = {states};");
     if longest_wait > 0 {
         let wait_bits = 64 - longest_wait.leading_zeros();
-        writeln!(v, "  reg [{}:0] wait_cnt; // idle cycles spent in a control step", wait_bits - 1)
-            .unwrap();
+        emit!(v, "  reg [{}:0] wait_cnt; // idle cycles spent in a control step", wait_bits - 1);
     }
 
     // Datapath registers: one per SSA result of a latency-bearing op.
     for (id, node) in dfg.nodes.iter().enumerate() {
         for (ri, _) in node.results.iter().enumerate() {
-            writeln!(v, "  reg [63:0] r_{id}_{ri}; // {}", node.name).unwrap();
+            emit!(v, "  reg [63:0] r_{id}_{ri}; // {}", node.name);
         }
     }
     // Functional unit instances.
     for (kind, count) in &binding.allocation {
         for i in 0..*count {
-            writeln!(v, "  // functional unit: {kind} #{i}").unwrap();
-            writeln!(v, "  reg [63:0] fu_{kind}_{i}_out;").unwrap();
+            emit!(v, "  // functional unit: {kind} #{i}");
+            emit!(v, "  reg [63:0] fu_{kind}_{i}_out;");
         }
     }
 
-    writeln!(v, "  always @(posedge clk) begin").unwrap();
-    writeln!(v, "    if (rst) begin").unwrap();
-    writeln!(v, "      state <= S_IDLE;").unwrap();
-    writeln!(v, "      done <= 1'b0;").unwrap();
+    emit!(v, "  always @(posedge clk) begin");
+    emit!(v, "    if (rst) begin");
+    emit!(v, "      state <= S_IDLE;");
+    emit!(v, "      done <= 1'b0;");
     if longest_wait > 0 {
-        writeln!(v, "      wait_cnt <= 0;").unwrap();
+        emit!(v, "      wait_cnt <= 0;");
     }
-    writeln!(v, "    end else begin").unwrap();
-    writeln!(v, "      case (state)").unwrap();
-    writeln!(v, "        S_IDLE: if (start) begin state <= 0; done <= 1'b0; end").unwrap();
+    emit!(v, "    end else begin");
+    emit!(v, "      case (state)");
+    emit!(v, "        S_IDLE: if (start) begin state <= 0; done <= 1'b0; end");
     let mut issuing = order.iter().copied().peekable();
     for (si, &cycle) in steps.iter().enumerate() {
         // Idle cycles to sit out in this arm before the next control step.
         let wait = steps.get(si + 1).map_or(0, |next| next - cycle - 1);
-        writeln!(v, "        {cycle}: begin").unwrap();
+        emit!(v, "        {cycle}: begin");
         // An arm that waits issues its ops on its first cycle only.
         let pad = if wait > 0 {
-            writeln!(v, "          if (wait_cnt == 0) begin").unwrap();
+            emit!(v, "          if (wait_cnt == 0) begin");
             "            "
         } else {
             "          "
@@ -103,32 +111,31 @@ pub(crate) fn emit_module(name: &str, dfg: &Dfg, schedule: &Schedule, binding: &
                 .map(|(k, i)| format!("fu_{k}_{i}"))
                 .unwrap_or_else(|| "wire_only".to_owned());
             let operands: Vec<String> = node.operands.iter().map(|o| format!("v{}", o.0)).collect();
-            writeln!(v, "{pad}// issue {} on {} ({})", node.name, fu, operands.join(", ")).unwrap();
+            emit!(v, "{pad}// issue {} on {} ({})", node.name, fu, operands.join(", "));
             for (ri, _) in node.results.iter().enumerate() {
-                writeln!(v, "{pad}r_{id}_{ri} <= {fu}_out;").unwrap();
+                emit!(v, "{pad}r_{id}_{ri} <= {fu}_out;");
             }
         }
         match steps.get(si + 1) {
-            None => writeln!(v, "          state <= S_IDLE; done <= 1'b1;").unwrap(),
-            Some(next) if wait == 0 => writeln!(v, "          state <= {next};").unwrap(),
+            None => emit!(v, "          state <= S_IDLE; done <= 1'b1;"),
+            Some(next) if wait == 0 => emit!(v, "          state <= {next};"),
             Some(next) => {
-                writeln!(v, "          end").unwrap();
-                writeln!(v, "          // wait {wait} idle cycles").unwrap();
-                writeln!(
+                emit!(v, "          end");
+                emit!(v, "          // wait {wait} idle cycles");
+                emit!(
                     v,
                     "          if (wait_cnt == {wait}) begin wait_cnt <= 0; state <= {next}; end"
-                )
-                .unwrap();
-                writeln!(v, "          else wait_cnt <= wait_cnt + 1;").unwrap();
+                );
+                emit!(v, "          else wait_cnt <= wait_cnt + 1;");
             }
         }
-        writeln!(v, "        end").unwrap();
+        emit!(v, "        end");
     }
-    writeln!(v, "        default: state <= S_IDLE;").unwrap();
-    writeln!(v, "      endcase").unwrap();
-    writeln!(v, "    end").unwrap();
-    writeln!(v, "  end").unwrap();
-    writeln!(v, "endmodule").unwrap();
+    emit!(v, "        default: state <= S_IDLE;");
+    emit!(v, "      endcase");
+    emit!(v, "    end");
+    emit!(v, "  end");
+    emit!(v, "endmodule");
     v
 }
 

@@ -24,7 +24,7 @@
 
 use crate::attr::Attr;
 use crate::dataflow::{analyze, Analysis, Direction, Interval, Lattice};
-use crate::ir::{Block, Func, Module, Op, Value};
+use crate::ir::{Block, ForLoop, Func, Module, Op, Value};
 use crate::types::Type;
 use std::collections::BTreeMap;
 
@@ -222,13 +222,13 @@ impl Analysis for ShapeAnalysis<'_> {
         // `loop.for` binds the induction variable first, then the carried
         // values (initialized from the op's operands); other region-bearing
         // ops bind operands to entry args positionally.
-        let args: &[Value] =
-            if op.name == "loop.for" { entry.args.get(1..).unwrap_or(&[]) } else { &entry.args };
-        if op.name == "loop.for" {
-            if let Some(iv) = entry.args.first() {
-                state.insert(*iv, ShapeFact::of_type(func.value_type(*iv)));
+        let args = match ForLoop::of(op) {
+            Ok(l) => {
+                state.insert(l.iv, ShapeFact::of_type(func.value_type(l.iv)));
+                l.carried()
             }
-        }
+            Err(_) => &entry.args,
+        };
         for (operand, arg) in op.operands.iter().zip(args) {
             let fact = fact_of(state, *operand);
             state.entry(*arg).or_insert(ShapeFact::Bottom).join(&fact);
@@ -258,15 +258,10 @@ impl Analysis for ShapeAnalysis<'_> {
 }
 
 /// Static trip count of a `loop.for` op, as an interval: a point when the
-/// bounds are literal attributes, `TOP` otherwise.
+/// loop decodes and runs at most `i64::MAX` times, `TOP` otherwise.
 fn trip_count(op: &Op) -> Interval {
-    let lo = op.attr("lo").and_then(Attr::as_int);
-    let hi = op.attr("hi").and_then(Attr::as_int);
-    let step = op.attr("step").and_then(Attr::as_int);
-    match (lo, hi, step) {
-        (Some(lo), Some(hi), Some(step)) if step > 0 => {
-            Interval::point(((hi - lo).max(0) + step - 1) / step)
-        }
+    match ForLoop::of(op).map(|l| i64::try_from(l.trips())) {
+        Ok(Ok(trips)) => Interval::point(trips),
         _ => Interval::TOP,
     }
 }

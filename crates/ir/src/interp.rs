@@ -8,7 +8,7 @@
 
 use crate::attr::Attr;
 use crate::error::{IrError, IrResult};
-use crate::ir::{Block, Func, Module, Op, Value};
+use crate::ir::{Block, ForLoop, Func, Module, Op, Value};
 use std::collections::HashMap;
 
 /// A runtime value.
@@ -242,25 +242,15 @@ impl<'m> Interp<'m> {
             "arith.sitofp" => Ok(vec![RtValue::Float(operand(0)?.as_int()? as f64)]),
             "arith.fptosi" => Ok(vec![RtValue::Int(operand(0)?.as_float()? as i64)]),
             "loop.for" => {
-                let lo = op.attr("lo").and_then(Attr::as_int).unwrap_or(0);
-                let hi = op.attr("hi").and_then(Attr::as_int).unwrap_or(0);
-                let step = op.attr("step").and_then(Attr::as_int).unwrap_or(1);
-                if step <= 0 {
-                    return Err(IrError::Pass("loop step must be positive".into()));
-                }
-                let body = op.regions[0]
-                    .entry()
-                    .ok_or_else(|| IrError::Pass("loop without body".into()))?;
+                let l = ForLoop::of(op)?;
                 let mut carried: Vec<RtValue> =
                     op.operands.iter().map(|o| self.get(env, *o)).collect::<IrResult<_>>()?;
-                let mut iv = lo;
-                while iv < hi {
-                    env.insert(body.args[0], RtValue::Int(iv));
-                    for (arg, v) in body.args[1..].iter().zip(&carried) {
+                for k in 0..l.trips() {
+                    env.insert(l.iv, RtValue::Int(l.value(k)));
+                    for (arg, v) in l.carried().iter().zip(&carried) {
                         env.insert(*arg, v.clone());
                     }
-                    carried = self.run_block(func, body, env)?;
-                    iv += step;
+                    carried = self.run_block(func, l.body, env)?;
                 }
                 Ok(carried)
             }
@@ -622,23 +612,5 @@ mod tests {
         let main = m.func("main").unwrap();
         let out = Interp::with_module(&m).call(main, &[]).unwrap();
         assert_eq!(out, vec![RtValue::Float(42.0)]);
-    }
-
-    #[test]
-    fn unroll_preserves_semantics() {
-        let mut fb = FuncBuilder::new("f", &[Type::F64], &[Type::F64]);
-        let init = fb.arg(0);
-        let out = fb.for_loop(0, 5, 1, &[init], |fb, iv, c| {
-            let x = fb.unary("arith.sitofp", iv, Type::F64);
-            let p = fb.binary("arith.mulf", c[0], x, Type::F64);
-            vec![fb.binary("arith.addf", p, x, Type::F64)]
-        });
-        fb.ret(&[out[0]]);
-        let f = fb.finish();
-        let before = Interp::new().call(&f, &[RtValue::Float(1.5)]).unwrap();
-        let mut unrolled = f.clone();
-        assert!(crate::transforms::unroll_func(&mut unrolled, 8));
-        let after = Interp::new().call(&unrolled, &[RtValue::Float(1.5)]).unwrap();
-        assert_eq!(before, after);
     }
 }

@@ -2,7 +2,7 @@
 //! and SSA values.
 
 use crate::attr::Attr;
-use crate::error::IrResult;
+use crate::error::{IrError, IrResult};
 use crate::types::Type;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -71,6 +71,82 @@ impl Op {
     pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<Attr>) -> Op {
         self.attrs.insert(key.into(), value.into());
         self
+    }
+}
+
+/// A `loop.for` op, decoded once: integer bounds `lo..hi` walked by a
+/// positive `step`, and a body whose entry block takes the induction
+/// variable, then the loop-carried values.
+///
+/// Every reader of a loop — the verifier, the interpreter, the lints, the
+/// footprint analysis and HLS — goes through [`ForLoop::of`], so they agree
+/// on which loops are well formed and on how often each one runs.
+#[derive(Debug, Clone, Copy)]
+pub struct ForLoop<'a> {
+    pub(crate) lo: i64,
+    pub(crate) hi: i64,
+    pub(crate) step: i64,
+    /// The body's entry block.
+    pub body: &'a Block,
+    /// The induction variable: the body's first argument.
+    pub iv: Value,
+}
+
+impl<'a> ForLoop<'a> {
+    /// Decodes `op`.
+    ///
+    /// # Errors
+    ///
+    /// [`IrError::Verify`] when `op` is not a `loop.for`, when `lo`, `hi` or
+    /// `step` is missing or not an integer, when `step <= 0`, or when the
+    /// body has no entry block or that block no induction variable.
+    pub fn of(op: &'a Op) -> IrResult<ForLoop<'a>> {
+        let err = |msg: String| IrError::Verify(format!("loop.for: {msg}"));
+        if op.name != "loop.for" {
+            return Err(err(format!("{} is not a loop", op.name)));
+        }
+        let int = |key: &str| match op.attr(key) {
+            Some(Attr::Int(v)) => Ok(*v),
+            Some(other) => Err(err(format!("{key} = {other} is not an integer"))),
+            None => Err(err(format!("missing '{key}'"))),
+        };
+        let (lo, hi, step) = (int("lo")?, int("hi")?, int("step")?);
+        if step <= 0 {
+            return Err(err(format!("step {step} is not positive")));
+        }
+        let Some(body) = op.regions.first().and_then(Region::entry) else {
+            return Err(err("empty body region".into()));
+        };
+        let Some(&iv) = body.args.first() else {
+            return Err(err("body takes no induction variable".into()));
+        };
+        Ok(ForLoop { lo, hi, step, body, iv })
+    }
+
+    /// The number of iterations, `⌈(hi - lo) / step⌉`, or 0 when
+    /// `hi <= lo`. Computed in `i128`, so it is exact for any bounds.
+    pub fn trips(&self) -> u64 {
+        let span = (i128::from(self.hi) - i128::from(self.lo)).max(0);
+        let step = i128::from(self.step);
+        // At most 2^64 - 1 (span 2^64 - 1, step 1).
+        ((span + step - 1) / step) as u64
+    }
+
+    /// The induction value of iteration `k < trips()`: `lo + k·step`.
+    pub(crate) fn value(&self, k: u64) -> i64 {
+        // Below `hi` for every `k < trips()`, so it fits an `i64`.
+        (i128::from(self.lo) + i128::from(k) * i128::from(self.step)) as i64
+    }
+
+    /// The last induction value, when the loop runs at all.
+    pub(crate) fn last(&self) -> Option<i64> {
+        self.trips().checked_sub(1).map(|k| self.value(k))
+    }
+
+    /// The loop-carried values: the body's arguments after the induction
+    /// variable.
+    pub(crate) fn carried(&self) -> &'a [Value] {
+        &self.body.args[1..]
     }
 }
 
@@ -248,11 +324,6 @@ impl Module {
         self.funcs.iter().find(|f| f.name == name)
     }
 
-    /// Mutable lookup of a function by symbol name.
-    pub(crate) fn func_mut(&mut self, name: &str) -> Option<&mut Func> {
-        self.funcs.iter_mut().find(|f| f.name == name)
-    }
-
     /// Iterates over functions in definition order.
     pub fn iter(&self) -> std::slice::Iter<'_, Func> {
         self.funcs.iter()
@@ -343,6 +414,32 @@ mod tests {
         f.body.blocks.first_mut().unwrap().ops.push(outer);
         f.body.blocks.first_mut().unwrap().ops.push(Op::new("func.return"));
         assert_eq!(f.op_count(), 4);
+    }
+
+    #[test]
+    fn for_loop_rejects_what_no_reader_can_run() {
+        let mut body = Block::new(BlockId(1));
+        body.args.push(Value(0));
+        let mut region = Region::new();
+        region.blocks.push(body);
+        let mut op = Op::new("loop.for").with_attr("lo", 0i64).with_attr("hi", 10i64);
+        op.regions.push(region);
+        let reason = |op: &Op| ForLoop::of(op).unwrap_err().to_string();
+        assert_eq!(reason(&op), "verification failed: loop.for: missing 'step'");
+        let l = op.clone().with_attr("step", 3i64);
+        assert_eq!(ForLoop::of(&l).unwrap().trips(), 4);
+        assert_eq!(ForLoop::of(&l).unwrap().last(), Some(9));
+        assert!(ForLoop::of(&l).unwrap().carried().is_empty());
+        assert!(reason(&l.clone().with_attr("step", 0i64)).ends_with("step 0 is not positive"));
+        let float = l.clone().with_attr("hi", 10.0);
+        assert!(reason(&float).ends_with("hi = 10.0 is not an integer"));
+        let mut no_iv = l.clone();
+        no_iv.regions[0].blocks[0].args.clear();
+        assert!(reason(&no_iv).ends_with("body takes no induction variable"));
+        let mut no_body = l.clone();
+        no_body.regions.clear();
+        assert!(reason(&no_body).ends_with("empty body region"));
+        assert!(reason(&Op::new("df.graph")).ends_with("df.graph is not a loop"));
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod pass;
 pub mod print;
 pub mod registry;
 pub mod simd;
-pub mod transforms;
 pub mod types;
 pub mod verify;
 
@@ -66,7 +65,7 @@ pub use dataflow::{analyze, analyze_ordered, Analysis, Direction, Interval, Latt
 pub use diag::{render_json, render_text, Diagnostic, Severity};
 pub use error::IrError;
 pub use footprint::fn_footprint;
-pub use ir::{Block, BlockId, Func, Module, Op, Region, Value};
+pub use ir::{Block, BlockId, ForLoop, Func, Module, Op, Region, Value};
 pub use lints::{check_func, check_module};
 pub use parse::parse_module;
 pub use types::Type;

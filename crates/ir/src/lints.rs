@@ -18,7 +18,7 @@
 use crate::attr::Attr;
 use crate::dataflow::{analyze, Analysis, Direction, Interval, Lattice};
 use crate::diag::{op_snippet, record_metrics, Diagnostic, Severity};
-use crate::ir::{Block, Func, Module, Op, Value};
+use crate::ir::{Block, ForLoop, Func, Module, Op, Value};
 use crate::registry;
 use crate::types::Type;
 use std::collections::{BTreeMap, BTreeSet};
@@ -219,33 +219,17 @@ impl Analysis for RangeAnalysis {
         entry: &Block,
         state: &mut Self::State,
     ) {
-        if op.name == "loop.for" {
-            let lo = op.attr("lo").and_then(Attr::as_int);
-            let hi = op.attr("hi").and_then(Attr::as_int);
-            let step = op.attr("step").and_then(Attr::as_int);
-            let iv_range = match (lo, hi, step) {
-                (Some(lo), Some(hi), Some(step)) if step > 0 && hi > lo => {
-                    let last = lo + ((hi - 1 - lo) / step) * step;
-                    Interval::range(lo, last)
-                }
-                _ => Interval::TOP,
-            };
-            let mut args = entry.args.iter();
-            if let Some(iv) = args.next() {
-                state.insert(*iv, iv_range);
+        for arg in &entry.args {
+            if func.value_type(*arg).is_int() {
+                state.insert(*arg, Interval::TOP);
             }
-            // Loop-carried values are widened to TOP: they may change every
-            // iteration, and TOP guarantees the back-edge converges.
-            for carried in args {
-                if func.value_type(*carried).is_int() {
-                    state.insert(*carried, Interval::TOP);
-                }
-            }
-        } else {
-            for arg in &entry.args {
-                if func.value_type(*arg).is_int() {
-                    state.insert(*arg, Interval::TOP);
-                }
+        }
+        // A loop's induction variable ranges from its first value to its
+        // last. Loop-carried values stay TOP: they may change every
+        // iteration, and TOP guarantees the back-edge converges.
+        if let Ok(l) = ForLoop::of(op) {
+            if let Some(last) = l.last() {
+                state.insert(l.iv, Interval::range(l.lo, last));
             }
         }
     }
@@ -376,8 +360,7 @@ impl Analysis for TaintAnalysis {
     ) {
         // Bind the labels of the op's operands to the region's entry block
         // args (`loop.for` carries its inits after the induction variable).
-        let args: &[Value] =
-            if op.name == "loop.for" { entry.args.get(1..).unwrap_or(&[]) } else { &entry.args };
+        let args = ForLoop::of(op).map_or(entry.args.as_slice(), |l| l.carried());
         for (operand, arg) in op.operands.iter().zip(args) {
             let labels = labels_of(state, *operand);
             add_labels(state, *arg, &labels);

@@ -12,7 +12,7 @@
 
 use crate::attr::Attr;
 use crate::error::{IrError, IrResult};
-use crate::ir::{Block, Func, Module, Op, Value};
+use crate::ir::{Block, ForLoop, Func, Module, Op, Value};
 use crate::registry::{self, OpSpec};
 use crate::types::Type;
 use std::collections::HashSet;
@@ -339,19 +339,17 @@ fn verify_op_types(func: &Func, op: &Op) -> IrResult<()> {
             Ok(())
         }
         "loop.for" => {
+            let l = ForLoop::of(op)?;
             if op.results.len() != op.operands.len() {
                 return err("loop results must match loop-carried inits".into());
             }
-            let body = op.regions[0]
-                .entry()
-                .ok_or_else(|| IrError::Verify("loop.for: empty body region".into()))?;
-            if body.args.len() != 1 + op.operands.len() {
+            if l.carried().len() != op.operands.len() {
                 return err("loop body must take induction var + carried args".into());
             }
-            if ty(func, body.args[0]) != &Type::Index {
+            if ty(func, l.iv) != &Type::Index {
                 return err("loop induction variable must be index".into());
             }
-            match body.terminator() {
+            match l.body.terminator() {
                 Some(t) if t.name == "loop.yield" => {
                     if t.operands.len() != op.operands.len() {
                         return err("loop.yield count != carried count".into());

@@ -1,10 +1,8 @@
-//! Property tests: structural transforms (unrolling, inlining) and the
-//! canonicalization pipeline preserve a function's observable semantics,
-//! checked with the reference interpreter.
+//! Property test: the canonicalization pipeline preserves a function's
+//! observable semantics, checked with the reference interpreter.
 
 use everest_ir::interp::{Interp, RtValue};
 use everest_ir::pass::PassManager;
-use everest_ir::transforms::{inline_calls, unroll_func};
 use everest_ir::{FuncBuilder, Module, Type, Value};
 use proptest::prelude::*;
 
@@ -42,22 +40,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn unrolling_preserves_semantics(
-        lo in -3i64..4,
-        trips in 0i64..7,
-        picks in prop::collection::vec((any::<u8>(), any::<bool>()), 1..6),
-        x in -10.0f64..10.0,
-    ) {
-        let f = random_loop_func(lo, trips, &picks);
-        let before = eval(&f, x);
-        let mut unrolled = f.clone();
-        unroll_func(&mut unrolled, 16);
-        everest_ir::verify::verify_func(&unrolled).expect("unrolled verifies");
-        let after = eval(&unrolled, x);
-        prop_assert_eq!(before, after);
-    }
-
-    #[test]
     fn canonicalize_preserves_semantics(
         lo in 0i64..3,
         trips in 1i64..6,
@@ -71,63 +53,6 @@ proptest! {
         PassManager::standard().run(&mut m).expect("passes run");
         m.verify().expect("canonical module verifies");
         let after = eval(m.func("f").unwrap(), x);
-        prop_assert_eq!(before, after);
-    }
-
-    #[test]
-    fn unroll_then_canonicalize_preserves_semantics(
-        trips in 1i64..6,
-        picks in prop::collection::vec((any::<u8>(), any::<bool>()), 1..5),
-        x in -5.0f64..5.0,
-    ) {
-        let f = random_loop_func(0, trips, &picks);
-        let before = eval(&f, x);
-        let mut g = f.clone();
-        unroll_func(&mut g, 16);
-        let mut m = Module::new("m");
-        m.push(g);
-        PassManager::standard().run(&mut m).expect("passes run");
-        let after = eval(m.func("f").unwrap(), x);
-        // Full pipeline: float ops are evaluated in the same order by the
-        // interpreter and the folder, so equality is exact.
-        prop_assert_eq!(before, after);
-    }
-
-    #[test]
-    fn inlining_preserves_semantics(
-        picks in prop::collection::vec((any::<u8>(), any::<bool>()), 1..5),
-        x in -5.0f64..5.0,
-    ) {
-        // callee: a straight-line chain; caller calls it twice.
-        let mut m = Module::new("m");
-        let mut callee = FuncBuilder::new("g", &[Type::F64], &[Type::F64]);
-        let mut acc = callee.arg(0);
-        for (kind, _) in &picks {
-            let k = callee.const_f(f64::from(*kind) * 0.1 + 0.3, Type::F64);
-            let name = match kind % 3 {
-                0 => "arith.addf",
-                1 => "arith.mulf",
-                _ => "arith.subf",
-            };
-            acc = callee.binary(name, acc, k, Type::F64);
-        }
-        callee.ret(&[acc]);
-        m.push(callee.finish());
-
-        let mut caller = FuncBuilder::new("f", &[Type::F64], &[Type::F64]);
-        let a0 = caller.arg(0);
-        let once = caller.call("g", &[a0], &[Type::F64]);
-        let twice = caller.call("g", &[once[0]], &[Type::F64]);
-        caller.ret(&[twice[0]]);
-        m.push(caller.finish());
-
-        let before =
-            Interp::with_module(&m).call(m.func("f").unwrap(), &[RtValue::Float(x)]).unwrap();
-        let mut inlined = m.clone();
-        let n = inline_calls(&mut inlined).expect("inlines");
-        prop_assert_eq!(n, 2);
-        inlined.verify().expect("inlined verifies");
-        let after = Interp::new().call(inlined.func("f").unwrap(), &[RtValue::Float(x)]).unwrap();
         prop_assert_eq!(before, after);
     }
 }

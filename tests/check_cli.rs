@@ -105,3 +105,60 @@ fn bad_format_and_missing_paths_are_usage_errors() {
     let out = everestc().arg("check").output().unwrap();
     assert_eq!(out.status.code(), Some(2), "no paths is a usage error");
 }
+
+/// Runs `check` on `range_oob.eir` with its loop bounds replaced by
+/// `bounds`, written to a temp file: `(path, stdout, stderr, exit code)`.
+fn check_overrun_with(name: &str, bounds: &str) -> (String, String, String, i32) {
+    let source = std::fs::read_to_string(example("lints/range_oob.eir")).expect("fixture");
+    let seeded = "{hi = 12, lo = 0, step = 1}";
+    assert!(source.contains(seeded));
+    let path = std::env::temp_dir().join(format!("check_cli_{}_{name}.eir", std::process::id()));
+    std::fs::write(&path, source.replace(seeded, bounds)).expect("temp file");
+    let out = everestc().arg("check").arg(&path).output().expect("everestc runs");
+    std::fs::remove_file(&path).expect("temp file removed");
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8");
+    let path = path.to_string_lossy().into_owned();
+    (path, text(out.stdout), text(out.stderr), out.status.code().unwrap())
+}
+
+#[test]
+fn a_loop_with_a_zero_step_fails_verification() {
+    let (_, stdout, stderr, code) = check_overrun_with("zero_step", "{hi = 12, lo = 0, step = 0}");
+    assert_eq!(code, 1);
+    assert_eq!(stdout, "");
+    assert_eq!(
+        stderr,
+        "error: verification failed: in @overrun: at ^bb0 op 1 (loop.for): \
+         loop.for: step 0 is not positive\n"
+    );
+}
+
+#[test]
+fn a_loop_with_a_float_bound_fails_verification() {
+    let (_, stdout, stderr, code) = check_overrun_with("float_hi", "{hi = 12.0, lo = 0, step = 1}");
+    assert_eq!(code, 1);
+    assert_eq!(stdout, "");
+    assert_eq!(
+        stderr,
+        "error: verification failed: in @overrun: at ^bb0 op 1 (loop.for): \
+         loop.for: hi = 12.0 is not an integer\n"
+    );
+}
+
+#[test]
+fn a_loop_spanning_the_whole_i64_range_is_out_of_bounds() {
+    let (path, stdout, stderr, code) = check_overrun_with(
+        "i64_span",
+        "{hi = 9223372036854775807, lo = -9223372036854775807, step = 1}",
+    );
+    assert_eq!(code, 1, "{stderr}");
+    assert_eq!(stderr, "");
+    assert_eq!(
+        stdout,
+        format!(
+            "{path}: error[range-oob] @overrun at ^bb0 op 1 / ^bb1 op 0: index %3 ranges over \
+             [-9223372036854775807, 9223372036854775806] but dimension 0 of %0 has size 8\n    \
+             %5 = mem.load %0, %3\ncheck: 1 error, 0 warnings\n"
+        )
+    );
+}
