@@ -7,6 +7,12 @@
 //! cascade_synthesis`), so reproducing it byte for byte proves that
 //! change moved no number. The CLI case at the end pins the other half
 //! of that change: the RTL of a million-cycle kernel is kilobytes.
+//!
+//! `tests/golden/example_rtl.txt` pins `everestc rtl` for the seven
+//! kernels of `examples/{kernels,cascade}.edsl`: the summary line on
+//! stderr and the RTL on stdout. It was written before the synthesis
+//! driver was rewritten to build each table and schedule once, so
+//! reproducing it proves that rewrite moved no state, wait or unit.
 
 use everest::hls::cache::ConfigKey;
 use everest::hls::HlsConfig;
@@ -16,6 +22,9 @@ use std::fmt::Write;
 const GOLDEN: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/cascade_synthesis.json");
 const CASCADE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/cascade.edsl");
+const KERNELS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/kernels.edsl");
+const RTL_GOLDEN: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/example_rtl.txt");
 
 /// The distinct synthesis configurations among the space's hardware
 /// points, in enumeration order (points that differ only in attachment
@@ -94,4 +103,35 @@ fn rtl_of_the_full_size_ensemble_kernel_prints_under_a_mebibyte() {
     let rtl = String::from_utf8(out.stdout).expect("RTL is UTF-8");
     assert!(rtl.contains("module ensemble_loops ("), "{rtl}");
     assert!(everest::hls::rtl::check_structure(&rtl));
+}
+
+#[test]
+fn rtl_of_every_example_kernel_reproduces_the_golden_file_byte_for_byte() {
+    let kernels = [
+        (KERNELS, "gemm"),
+        (KERNELS, "smooth"),
+        (CASCADE, "assimilate"),
+        (CASCADE, "ensemble"),
+        (CASCADE, "plume"),
+        (CASCADE, "exceedance"),
+        (CASCADE, "report"),
+    ];
+    let mut rendered = String::new();
+    for (source, kernel) in kernels {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_everestc"))
+            .args(["rtl", source, kernel])
+            .output()
+            .expect("everestc runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8(out.stderr).expect("summary is UTF-8");
+        let stdout = String::from_utf8(out.stdout).expect("RTL is UTF-8");
+        writeln!(rendered, "==> {kernel}").unwrap();
+        rendered.push_str(&stderr);
+        rendered.push_str(&stdout);
+    }
+    if std::env::var_os("EVEREST_BLESS").is_some() {
+        std::fs::write(RTL_GOLDEN, &rendered).expect("golden file is writable");
+    }
+    let golden = std::fs::read_to_string(RTL_GOLDEN).expect("golden RTL file is committed");
+    assert_eq!(rendered, golden, "example RTL moved; see {RTL_GOLDEN}");
 }
