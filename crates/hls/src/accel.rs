@@ -4,12 +4,12 @@
 use crate::binding::{bind, Binding};
 use crate::cdfg::Dfg;
 use crate::dift::{instrument, DiftConfig, DiftReport};
-use crate::error::{HlsError, HlsResult};
+use crate::error::{too_long, HlsError, HlsResult};
 use crate::memory::{Partitioning, Scheme};
-use crate::oplib::AreaReport;
+use crate::oplib::{AreaReport, FuKind};
 use crate::pipeline;
 use crate::rtl;
-use crate::schedule::{list_schedule, ResourceBudget};
+use crate::schedule::{list_schedule, ResourceBudget, Schedule};
 use crate::tensor_to_loops::lower_to_loops;
 use everest_ir::attr::Attr;
 use everest_ir::{Block, ForLoop, Func, Type, Value};
@@ -55,6 +55,20 @@ impl Default for HlsConfig {
             assoc_reduction: true,
             dift: None,
         }
+    }
+}
+
+impl HlsConfig {
+    /// The processing elements the memory system can feed:
+    /// `pe` clamped to `1..=banks × ports_per_bank`. Synthesis replicates
+    /// the datapath this many times when the outer loops are parallel.
+    pub fn effective_pe(&self) -> usize {
+        self.pe.clamp(1, self.memory_ports().max(1))
+    }
+
+    /// Memory ports of one banked buffer: `banks × ports_per_bank`.
+    pub(crate) fn memory_ports(&self) -> usize {
+        self.banks.saturating_mul(self.ports_per_bank)
     }
 }
 
@@ -150,13 +164,6 @@ impl SynthSummary {
     }
 }
 
-#[derive(Default)]
-struct Stats {
-    innermost_ii: u64,
-    peak_binding: Option<Binding>,
-    peak_area: AreaReport,
-}
-
 /// Runs the full HLS flow on `func`.
 ///
 /// Accepts either a tensor-dialect kernel (it is lowered to loops first) or
@@ -164,11 +171,14 @@ struct Stats {
 ///
 /// # Errors
 ///
-/// Returns [`HlsError`] if the function contains unsupported constructs or
-/// the configuration is invalid.
+/// Returns [`HlsError`] if the function contains unsupported constructs,
+/// the configuration is invalid (no banks or no ports per bank), or a loop
+/// or the kernel takes more than `u64::MAX` cycles.
 pub fn synthesize(func: &Func, config: &HlsConfig) -> HlsResult<Accelerator> {
-    if config.banks == 0 {
-        return Err(HlsError::Config("banks must be >= 1".into()));
+    for (knob, value) in [("banks", config.banks), ("ports_per_bank", config.ports_per_bank)] {
+        if value == 0 {
+            return Err(HlsError::Config(format!("{knob} must be >= 1")));
+        }
     }
     let mut has_tensor_ops = false;
     func.walk(&mut |op| has_tensor_ops |= op.name.starts_with("tensor."));
@@ -180,164 +190,173 @@ pub fn synthesize(func: &Func, config: &HlsConfig) -> HlsResult<Accelerator> {
         func
     };
 
-    let mut stats = Stats { innermost_ii: 1, ..Stats::default() };
     let entry =
         func.body.entry().ok_or_else(|| HlsError::Lower("function has no entry block".into()))?;
-    let (latency, dfg, schedule) = block_latency(func, entry, config, &mut stats)?;
-    let binding = bind(&dfg, &schedule);
-    let top_area = binding.area();
-    if top_area.luts > stats.peak_area.luts {
-        stats.peak_area = top_area;
-        stats.peak_binding = Some(binding.clone());
-    }
+    let mut walk = Walk { func, config, innermost_ii: 1, peak: Binding::default() };
+    let (dfg, schedule, binding) = walk.block(entry)?;
 
     // Buffer area: every memref parameter and scratch alloc becomes banked
     // BRAM storage.
-    let mut buffer_elems = 0u64;
-    let mut buffer_area = AreaReport::default();
-    let mut consider = |ty: &Type| {
-        if let Type::MemRef { .. } = ty {
-            let elems = ty.num_elements().unwrap_or(0);
-            buffer_elems += elems as u64;
-            let banks = config.banks.min(elems.max(1));
-            if let Ok(p) =
-                Partitioning::new(elems.max(1), banks, config.scheme, config.ports_per_bank)
-            {
-                buffer_area += p.area();
-            }
-        }
-    };
-    for p in &func.params {
-        consider(p);
-    }
+    let mut buffers: Vec<&Type> = func.params.iter().collect();
     func.walk(&mut |op| {
         if op.name == "mem.alloc" {
-            // Result type is recorded in the function's value table.
-            consider(func.value_type(op.results[0]));
+            buffers.push(func.value_type(op.results[0]));
         }
     });
+    let mut buffer_elems = 0u64;
+    let mut buffer_area = AreaReport::default();
+    for ty in buffers.into_iter().filter(|ty| matches!(ty, Type::MemRef { .. })) {
+        let elems = ty.num_elements().unwrap_or(0);
+        buffer_elems += elems as u64;
+        let size = elems.max(1);
+        let banks = config.banks.min(size);
+        buffer_area += Partitioning::new(size, banks, config.scheme, config.ports_per_bank)?.area();
+    }
 
     // Processing-element replication: when the outermost loops carry no
     // dependences (each iteration writes disjoint outputs), the design
     // replicates the datapath `pe` times and splits the iteration space.
-    let effective_pe = if outer_loops_parallel(func) {
-        config.pe.clamp(1, (config.banks * config.ports_per_bank).max(1))
-    } else {
-        1
-    };
-    let mut area = stats.peak_area.scaled(effective_pe as u64) + buffer_area;
-    let mut latency_cycles = if effective_pe > 1 {
-        // Split the trip space + a small merge/sync epilogue.
-        latency.div_ceil(effective_pe as u64) + effective_pe.ilog2() as u64 + 2
-    } else {
-        latency.max(1)
-    };
-
-    let peak_binding = stats.peak_binding.clone().unwrap_or_default();
-    let dift_report = config.dift.as_ref().map(|cfg| {
-        let mut r = instrument(&peak_binding, buffer_elems, cfg);
+    let pe = if outer_loops_parallel(func) { config.effective_pe() } else { 1 };
+    let dift = config.dift.as_ref().map(|cfg| {
+        let mut report = instrument(&walk.peak, buffer_elems, cfg);
         // Shadow logic replicates with the datapath.
-        r.extra_area = r.extra_area.scaled(effective_pe as u64);
-        r
+        report.extra_area = report.extra_area.scaled(pe as u64);
+        report
     });
-    if let Some(report) = &dift_report {
+    let dift_cycles = dift.map_or(0, |report| report.latency_overhead);
+    let latency_cycles = latency(Piece::Kernel { block: schedule.len, pe, dift: dift_cycles })?;
+    let mut area = walk.peak.area().scaled(pe as u64) + buffer_area;
+    if let Some(report) = &dift {
         area += report.extra_area;
-        latency_cycles += report.latency_overhead;
     }
-
-    let rtl_text = rtl::emit_module(&func.name, &dfg, &schedule, &binding);
 
     Ok(Accelerator {
         name: func.name.clone(),
         latency_cycles,
-        innermost_ii: stats.innermost_ii,
-        pe: effective_pe,
+        innermost_ii: walk.innermost_ii,
+        pe,
         area,
         clock_mhz: config.clock_mhz,
-        rtl: rtl_text,
-        dift: dift_report,
+        rtl: rtl::emit_module(&func.name, &dfg, &schedule, &binding),
+        dift,
     })
+}
+
+/// What [`latency`] prices.
+#[derive(Debug, Clone, Copy)]
+enum Piece {
+    /// A loop whose body starts an iteration every `ii` cycles, each one
+    /// taking `depth`.
+    PipelinedLoop { trips: u64, depth: u64, ii: u64 },
+    /// A loop that runs its body, of `body` cycles, one iteration at a time.
+    SequentialLoop { trips: u64, body: u64 },
+    /// The kernel: its top block of `block` cycles split over `pe`
+    /// processing elements, plus `dift` cycles of taint checks.
+    Kernel { block: u64, pe: usize, dift: u64 },
+}
+
+/// The latency rule: every cycle count of [`Accelerator::latency_cycles`]
+/// that is not a list schedule's makespan is composed here, and every sum
+/// and product is checked. A count past `u64::MAX` is an
+/// [`HlsError::Schedule`], never a wrapped or saturated number.
+fn latency(piece: Piece) -> HlsResult<u64> {
+    let count = || -> Option<u64> {
+        Some(match piece {
+            // An empty loop still costs its entry cycle.
+            Piece::PipelinedLoop { trips: 0, .. } => 1,
+            // The first iteration fills the pipeline; each further one
+            // leaves it `ii` cycles later.
+            Piece::PipelinedLoop { trips, depth, ii } => {
+                (trips - 1).checked_mul(ii)?.checked_add(depth)?
+            }
+            // One cycle of loop control per iteration, one to enter.
+            Piece::SequentialLoop { trips, body } => {
+                trips.checked_mul(body.checked_add(1)?)?.checked_add(1)?
+            }
+            Piece::Kernel { block, pe: ..=1, dift } => block.max(1).checked_add(dift)?,
+            // Each PE runs its share of the trips, then a log-depth merge
+            // and two cycles of synchronization.
+            Piece::Kernel { block, pe, dift } => block
+                .div_ceil(pe as u64)
+                .checked_add(u64::from(pe.ilog2()) + 2)?
+                .checked_add(dift)?,
+        })
+    };
+    count().ok_or_else(|| too_long(format_args!("{piece:?}")))
 }
 
 /// `true` when every top-level loop of the function is data-parallel
 /// (carries no loop-carried values), so the iteration space can be tiled
 /// across processing elements.
 fn outer_loops_parallel(func: &Func) -> bool {
-    let Some(entry) = func.body.entry() else {
-        return false;
-    };
-    let mut saw_loop = false;
-    for op in &entry.ops {
-        if op.name == "loop.for" {
-            saw_loop = true;
-            if !op.operands.is_empty() {
-                return false;
-            }
-        }
-    }
-    saw_loop
+    let loops =
+        || func.body.entry().into_iter().flat_map(|b| &b.ops).filter(|op| op.name == "loop.for");
+    loops().next().is_some() && loops().all(|op| op.operands.is_empty())
 }
 
-/// Computes the latency of one block, recursing into nested loops, and
-/// returns the block's DFG and schedule.
-fn block_latency(
-    func: &Func,
-    block: &Block,
-    config: &HlsConfig,
-    stats: &mut Stats,
-) -> HlsResult<(u64, Dfg, crate::schedule::Schedule)> {
-    // First compute nested loop latencies (bottom-up).
-    let mut loop_latencies: HashMap<usize, u64> = HashMap::new();
-    for (pos, op) in block.ops.iter().enumerate() {
-        if op.name != "loop.for" {
-            continue;
+/// One synthesis run's walk over the loop nest, innermost loops first.
+struct Walk<'a> {
+    func: &'a Func,
+    config: &'a HlsConfig,
+    /// Worst II among pipelined loops (1 when none is).
+    innermost_ii: u64,
+    /// The binding with the most LUTs of any scheduled block (the first
+    /// of equals): the datapath one processing element replicates, and the
+    /// one DIFT instruments.
+    peak: Binding,
+}
+
+impl Walk<'_> {
+    /// Schedules and binds one block's DFG under `budget`. Every block is
+    /// scheduled here, once, so this is also where the peak datapath is
+    /// kept.
+    fn schedule(&mut self, dfg: &Dfg, budget: &ResourceBudget) -> HlsResult<(Schedule, Binding)> {
+        let schedule = list_schedule(dfg, budget)?;
+        let binding = bind(dfg, &schedule);
+        if binding.area().luts > self.peak.area().luts {
+            self.peak = binding.clone();
         }
-        let l = ForLoop::of(op).map_err(|e| HlsError::Lower(e.to_string()))?;
-        let (trips, body) = (l.trips(), l.body);
-        let mut body_has_loop = false;
-        for inner in &body.ops {
-            body_has_loop |= inner.name == "loop.for";
-        }
-        let latency = if !body_has_loop && config.pipeline {
-            let dfg = Dfg::from_block(func, body, &HashMap::new());
-            let mem_mii = memory_mii(func, &l, config);
-            // Banked buffers multiply the usable memory ports.
-            let ports = (config.banks * config.ports_per_bank).max(1);
-            let budget = config
-                .budget
-                .clone()
-                .with(crate::oplib::FuKind::MemRead, ports)
-                .with(crate::oplib::FuKind::MemWrite, ports);
-            let report = pipeline::analyze(&dfg, &budget, mem_mii, config.assoc_reduction)?;
-            stats.innermost_ii = stats.innermost_ii.max(report.ii);
-            let b = bind(&dfg, &list_schedule(&dfg, &budget)?);
-            let a = b.area();
-            if a.luts > stats.peak_area.luts {
-                stats.peak_area = a;
-                stats.peak_binding = Some(b);
-            }
-            report.loop_latency(trips)
-        } else {
-            let (body_latency, body_dfg, body_schedule) = block_latency(func, body, config, stats)?;
-            let b = bind(&body_dfg, &body_schedule);
-            let a = b.area();
-            if a.luts > stats.peak_area.luts {
-                stats.peak_area = a;
-                stats.peak_binding = Some(b);
-            }
-            // +1 cycle loop-control overhead per iteration, +1 for entry.
-            trips * (body_latency + 1) + 1
-        };
-        loop_latencies.insert(pos, latency.max(1));
+        Ok((schedule, binding))
     }
-    let dfg = Dfg::from_block(func, block, &loop_latencies);
-    let schedule = list_schedule(&dfg, &config.budget)?;
-    Ok((schedule.len, dfg, schedule))
+
+    /// The DFG, schedule and binding of `block`, its nested loops priced
+    /// first.
+    fn block(&mut self, block: &Block) -> HlsResult<(Dfg, Schedule, Binding)> {
+        let mut loop_latencies = Vec::new();
+        for op in block.ops.iter().filter(|op| op.name == "loop.for") {
+            let l = ForLoop::of(op).map_err(|e| HlsError::Lower(e.to_string()))?;
+            loop_latencies.push(self.loop_latency(&l)?);
+        }
+        let dfg = Dfg::from_block(block, &loop_latencies);
+        let budget = self.config.budget;
+        let (schedule, binding) = self.schedule(&dfg, &budget)?;
+        Ok((dfg, schedule, binding))
+    }
+
+    /// The latency of one loop: pipelined when its body holds no loop and
+    /// the configuration asks for it, else one iteration at a time.
+    fn loop_latency(&mut self, l: &ForLoop<'_>) -> HlsResult<u64> {
+        let trips = l.trips();
+        let config = self.config;
+        if !config.pipeline || l.body.ops.iter().any(|op| op.name == "loop.for") {
+            let (_, body, _) = self.block(l.body)?;
+            return latency(Piece::SequentialLoop { trips, body: body.len });
+        }
+        let dfg = Dfg::from_block(l.body, &[]);
+        // Banked buffers multiply the usable memory ports.
+        let ports = config.memory_ports();
+        let budget = config.budget.with(FuKind::MemRead, ports).with(FuKind::MemWrite, ports);
+        let (schedule, _) = self.schedule(&dfg, &budget)?;
+        let mem_mii = memory_mii(self.func, l, config)?;
+        let report = pipeline::analyze(&dfg, &schedule, &budget, mem_mii, config.assoc_reduction);
+        self.innermost_ii = self.innermost_ii.max(report.ii);
+        latency(Piece::PipelinedLoop { trips, depth: report.depth, ii: report.ii })
+    }
 }
 
 /// Extracts per-buffer access offsets in a loop body and returns the worst
 /// memory-induced II over all buffers under the configured partitioning.
-fn memory_mii(func: &Func, l: &ForLoop<'_>, config: &HlsConfig) -> u64 {
+fn memory_mii(func: &Func, l: &ForLoop<'_>, config: &HlsConfig) -> HlsResult<u64> {
     let (body, iv) = (l.body, l.iv);
     let offset_of = |v: Value, ops: &[everest_ir::Op]| -> Option<i64> {
         if v == iv {
@@ -390,9 +409,7 @@ fn memory_mii(func: &Func, l: &ForLoop<'_>, config: &HlsConfig) -> u64 {
     for (buf, (offsets, has_unknown)) in per_buffer {
         let size = func.value_type(buf).num_elements().unwrap_or(1).max(1);
         let banks = config.banks.min(size);
-        let Ok(p) = Partitioning::new(size, banks, config.scheme, config.ports_per_bank) else {
-            continue;
-        };
+        let p = Partitioning::new(size, banks, config.scheme, config.ports_per_bank)?;
         let accesses = offsets.len() + usize::from(has_unknown);
         let ii = if has_unknown {
             // Unknown patterns may all collide on one bank.
@@ -402,13 +419,12 @@ fn memory_mii(func: &Func, l: &ForLoop<'_>, config: &HlsConfig) -> u64 {
         };
         worst = worst.max(ii);
     }
-    worst
+    Ok(worst)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oplib::FuKind;
 
     fn kernel(src: &str, name: &str) -> Func {
         let module = everest_dsl::compile_kernels(src).unwrap();
@@ -562,10 +578,53 @@ mod tests {
     #[test]
     fn zero_banks_rejected() {
         let f = kernel("kernel id(a: tensor<4xf64>) -> tensor<4xf64> { return a; }", "id");
-        assert!(matches!(
-            synthesize(&f, &HlsConfig { banks: 0, ..HlsConfig::default() }),
-            Err(HlsError::Config(_))
-        ));
+        for config in [
+            HlsConfig { banks: 0, ..HlsConfig::default() },
+            HlsConfig { ports_per_bank: 0, ..HlsConfig::default() },
+        ] {
+            assert!(matches!(synthesize(&f, &config), Err(HlsError::Config(_))), "{config:?}");
+        }
+    }
+
+    #[test]
+    fn a_loop_over_the_whole_i64_range_is_too_long_pipelined_or_not() {
+        use everest_ir::types::MemSpace;
+        let buf = Type::memref(Type::F64, &[64], MemSpace::Scratchpad);
+        let mut fb = everest_ir::FuncBuilder::new("all", &[buf], &[]);
+        let b = fb.arg(0);
+        fb.for_loop(i64::MIN, i64::MAX, 1, &[], |fb, _iv, _| {
+            let i = fb.const_i(0, Type::Index);
+            let x = fb.load(b, &[i], Type::F64);
+            fb.store(x, b, &[i]);
+            vec![]
+        });
+        fb.ret(&[]);
+        let f = fb.finish();
+        for pipeline in [true, false] {
+            let config = HlsConfig { pipeline, ..HlsConfig::default() };
+            let err = synthesize(&f, &config).unwrap_err();
+            assert!(matches!(err, HlsError::Schedule(_)), "pipeline {pipeline}: {err}");
+            assert!(err.to_string().contains("18446744073709551615 cycles"), "{err}");
+        }
+    }
+
+    #[test]
+    fn the_latency_rule() {
+        let pipelined = |trips| latency(Piece::PipelinedLoop { trips, depth: 10, ii: 2 });
+        assert_eq!(pipelined(0), Ok(1), "an empty loop costs its entry cycle");
+        assert_eq!(pipelined(1), Ok(10));
+        assert_eq!(pipelined(100), Ok(10 + 99 * 2));
+        assert_eq!(latency(Piece::SequentialLoop { trips: 3, body: 4 }), Ok(3 * 5 + 1));
+        assert_eq!(latency(Piece::Kernel { block: 0, pe: 1, dift: 2 }), Ok(3));
+        assert_eq!(latency(Piece::Kernel { block: 100, pe: 8, dift: 0 }), Ok(13 + 3 + 2));
+        // Exactly `u64::MAX` fits; one cycle more does not.
+        let max = u64::MAX;
+        assert_eq!(latency(Piece::PipelinedLoop { trips: max, depth: 1, ii: 1 }), Ok(max));
+        assert!(latency(Piece::PipelinedLoop { trips: max, depth: 2, ii: 1 }).is_err());
+        assert!(latency(Piece::SequentialLoop { trips: max, body: 0 }).is_err());
+        assert!(latency(Piece::SequentialLoop { trips: 1, body: max }).is_err());
+        assert!(latency(Piece::Kernel { block: max, pe: 1, dift: 1 }).is_err());
+        assert!(latency(Piece::Kernel { block: max, pe: 2, dift: 0 }).is_ok());
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //! estimation counts values that must be carried across cycle boundaries.
 
 use crate::cdfg::Dfg;
-use crate::oplib::{AreaReport, FuKind};
+use crate::oplib::{AreaReport, FuCounts, FuKind};
 use crate::schedule::Schedule;
-use std::collections::HashMap;
 
 /// Result of allocation + binding for one scheduled block.
 #[derive(Debug, Clone, Default)]
 pub struct Binding {
     /// Instances allocated per unit kind.
-    pub allocation: HashMap<FuKind, usize>,
+    pub allocation: FuCounts,
     /// Per node: the unit instance `(kind, index)` it runs on, if any.
     pub assignment: Vec<Option<(FuKind, usize)>>,
     /// Peak number of live values crossing a cycle boundary.
@@ -26,8 +25,8 @@ impl Binding {
     /// small steering/mux overhead per bound op.
     pub(crate) fn area(&self) -> AreaReport {
         let mut area = AreaReport::default();
-        for (kind, count) in &self.allocation {
-            area += kind.area().scaled(*count as u64);
+        for (kind, count) in self.allocation.iter() {
+            area += kind.area().scaled(count as u64);
         }
         // One 64-bit register per live value; ~0.5 LUT/bit of muxing.
         area.ffs += 64 * self.registers as u64;
@@ -38,29 +37,25 @@ impl Binding {
 
 /// Computes allocation, binding and register pressure for a schedule.
 pub fn bind(dfg: &Dfg, schedule: &Schedule) -> Binding {
-    // Allocation: peak concurrent issues per kind.
-    let mut per_cycle: HashMap<(FuKind, u64), usize> = HashMap::new();
-    for (id, node) in dfg.nodes.iter().enumerate() {
-        if let Some(fu) = node.fu {
-            *per_cycle.entry((fu, schedule.start[id])).or_insert(0) += 1;
-        }
-    }
-    let mut allocation: HashMap<FuKind, usize> = HashMap::new();
-    for ((fu, _), count) in &per_cycle {
-        let e = allocation.entry(*fu).or_insert(0);
-        *e = (*e).max(*count);
-    }
-
-    // Binding: within each cycle, assign instances round-robin.
+    // Binding: the ops issued in one cycle take instances 0, 1, ... of
+    // their kind in program order; allocation is the peak over cycles.
+    let mut issues: Vec<(u64, usize, FuKind)> = dfg
+        .nodes
+        .iter()
+        .enumerate()
+        .filter_map(|(id, node)| Some((schedule.start[id], id, node.fu?)))
+        .collect();
+    issues.sort_unstable();
+    let mut allocation = FuCounts::default();
     let mut assignment = vec![None; dfg.len()];
-    let mut cursor: HashMap<(FuKind, u64), usize> = HashMap::new();
-    for (id, node) in dfg.nodes.iter().enumerate() {
-        if let Some(fu) = node.fu {
-            let key = (fu, schedule.start[id]);
-            let slot = cursor.entry(key).or_insert(0);
-            assignment[id] = Some((fu, *slot));
-            *slot += 1;
+    let mut issued = FuCounts::default();
+    for (i, &(cycle, id, fu)) in issues.iter().enumerate() {
+        if i > 0 && issues[i - 1].0 != cycle {
+            issued = FuCounts::default();
         }
+        assignment[id] = Some((fu, issued[fu]));
+        issued[fu] += 1;
+        allocation[fu] = allocation[fu].max(issued[fu]);
     }
 
     // Register estimation: a value produced by node `p` and consumed by
@@ -98,7 +93,6 @@ mod tests {
     use super::*;
     use crate::schedule::{list_schedule, ResourceBudget};
     use everest_ir::{FuncBuilder, Type};
-    use std::collections::HashMap as Map;
 
     fn sample_dfg(parallel: usize) -> Dfg {
         let mut fb = FuncBuilder::new("f", &[Type::F64, Type::F64], &[Type::F64]);
@@ -112,7 +106,7 @@ mod tests {
         }
         fb.ret(&[acc]);
         let f = fb.finish();
-        Dfg::from_block(&f, f.body.entry().unwrap(), &Map::new())
+        Dfg::from_block(f.body.entry().unwrap(), &[])
     }
 
     #[test]
@@ -121,7 +115,7 @@ mod tests {
         let budget = ResourceBudget::default().with(FuKind::FMul, 2);
         let s = list_schedule(&dfg, &budget).unwrap();
         let b = bind(&dfg, &s);
-        assert_eq!(b.allocation[&FuKind::FMul], 2);
+        assert_eq!(b.allocation[FuKind::FMul], 2);
     }
 
     #[test]
@@ -132,7 +126,7 @@ mod tests {
         let b = bind(&dfg, &s);
         for (id, a) in b.assignment.iter().enumerate() {
             if let Some((kind, slot)) = a {
-                assert!(slot < &b.allocation[kind], "node {id} bound past allocation");
+                assert!(*slot < b.allocation[*kind], "node {id} bound past allocation");
             }
         }
     }
@@ -171,7 +165,7 @@ mod tests {
         let fu_only: AreaReport = b
             .allocation
             .iter()
-            .fold(AreaReport::default(), |acc, (k, c)| acc + k.area().scaled(*c as u64));
+            .fold(AreaReport::default(), |acc, (k, c)| acc + k.area().scaled(c as u64));
         assert!(area.ffs > fu_only.ffs);
         assert!(area.luts > fu_only.luts);
     }
@@ -182,6 +176,6 @@ mod tests {
         let budget = ResourceBudget::default().with(FuKind::FMul, 1);
         let s = list_schedule(&dfg, &budget).unwrap();
         let b = bind(&dfg, &s);
-        assert_eq!(b.allocation[&FuKind::FMul], 1);
+        assert_eq!(b.allocation[FuKind::FMul], 1);
     }
 }

@@ -27,7 +27,7 @@
 use crate::accel::{synthesize, HlsConfig, SynthSummary};
 use crate::error::HlsResult;
 use crate::memory::Scheme;
-use crate::oplib::FuKind;
+use crate::schedule::ResourceBudget;
 use everest_ir::print::print_func;
 use everest_ir::Func;
 use parking_lot::Mutex;
@@ -69,8 +69,7 @@ pub struct ConfigKey {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Knobs {
-    /// Functional-unit counts in [`FuKind::ALL`] order.
-    budget: [usize; FuKind::ALL.len()],
+    budget: ResourceBudget,
     /// Bit pattern of the target clock (exact, not rounded).
     clock_bits: u64,
     pipeline: bool,
@@ -87,7 +86,7 @@ impl ConfigKey {
     /// Derives the key for one configuration.
     pub fn of(config: &HlsConfig) -> ConfigKey {
         let knobs = Knobs {
-            budget: FuKind::ALL.map(|kind| config.budget.count(kind)),
+            budget: config.budget,
             clock_bits: config.clock_mhz.to_bits(),
             pipeline: config.pipeline,
             banks: config.banks,

@@ -11,8 +11,8 @@
 //! Nested `loop.for` ops appear as *macro nodes* whose latency the caller
 //! supplies (computed bottom-up by [`crate::accel`]).
 
-use crate::oplib::{fu_for_op, latency_for_op, FuKind};
-use everest_ir::{Block, Func, Value};
+use crate::oplib::{fu_for_op, latency_for_op, FuCounts, FuKind};
+use everest_ir::{Block, Value};
 use std::collections::HashMap;
 
 /// Index of a node within a [`Dfg`].
@@ -51,12 +51,11 @@ pub struct Dfg {
 }
 
 impl Dfg {
-    /// Builds the DFG of `block` in `func`.
+    /// Builds the DFG of `block`.
     ///
-    /// `loop_latencies` supplies the latency of each nested `loop.for`
-    /// (keyed by op position in the block); loops without an entry default
-    /// to latency 1.
-    pub fn from_block(func: &Func, block: &Block, loop_latencies: &HashMap<usize, u64>) -> Dfg {
+    /// `loop_latencies[i]` is the latency of the block's `i`-th nested
+    /// `loop.for`; loops past the end of the slice default to latency 1.
+    pub fn from_block(block: &Block, loop_latencies: &[u64]) -> Dfg {
         let mut nodes: Vec<DfgNode> = Vec::new();
         // Producer map: value -> node that defines it.
         let mut producer: HashMap<Value, NodeId> = HashMap::new();
@@ -73,6 +72,7 @@ impl Dfg {
         // precedes it, and everything after depends on the fence.
         let mut effectful: Vec<NodeId> = Vec::new();
         let mut last_fence: Option<NodeId> = None;
+        let mut loops = loop_latencies.iter();
 
         let op_count = block.ops.len();
         let mut terminator_operands = Vec::new();
@@ -85,7 +85,7 @@ impl Dfg {
             }
             let id = nodes.len();
             let latency = if op.name == "loop.for" {
-                *loop_latencies.get(&pos).unwrap_or(&1)
+                loops.next().copied().unwrap_or(1)
             } else {
                 latency_for_op(&op.name)
             };
@@ -182,7 +182,6 @@ impl Dfg {
         for (from, to) in edges {
             nodes[from].succs.push(to);
         }
-        let _ = func; // reserved for future type-driven edge refinement
         Dfg { nodes, terminator_operands }
     }
 
@@ -196,9 +195,13 @@ impl Dfg {
         self.nodes.is_empty()
     }
 
-    /// Count of nodes that occupy the given functional-unit kind.
-    pub(crate) fn count_fu(&self, kind: FuKind) -> usize {
-        self.nodes.iter().filter(|n| n.fu == Some(kind)).count()
+    /// Number of nodes that occupy each functional-unit kind.
+    pub(crate) fn fu_counts(&self) -> FuCounts {
+        let mut counts = FuCounts::default();
+        for fu in self.nodes.iter().filter_map(|n| n.fu) {
+            counts[fu] += 1;
+        }
+        counts
     }
 
     /// The critical-path length in cycles (unconstrained ASAP makespan).
@@ -218,7 +221,7 @@ impl Dfg {
 mod tests {
     use super::*;
     use everest_ir::types::MemSpace;
-    use everest_ir::{FuncBuilder, Type};
+    use everest_ir::{Func, FuncBuilder, Type};
 
     fn build_axpy_block() -> (Func, usize) {
         // r = a*x + y over scalars (no loops) to test SSA edges.
@@ -232,7 +235,7 @@ mod tests {
     #[test]
     fn ssa_edges_connect_producer_to_consumer() {
         let (f, n) = build_axpy_block();
-        let dfg = Dfg::from_block(&f, f.body.entry().unwrap(), &HashMap::new());
+        let dfg = Dfg::from_block(f.body.entry().unwrap(), &[]);
         assert_eq!(dfg.len(), n);
         assert_eq!(dfg.nodes[1].preds, vec![0]);
         assert_eq!(dfg.nodes[0].succs, vec![1]);
@@ -242,7 +245,7 @@ mod tests {
     #[test]
     fn critical_path_sums_latencies() {
         let (f, _) = build_axpy_block();
-        let dfg = Dfg::from_block(&f, f.body.entry().unwrap(), &HashMap::new());
+        let dfg = Dfg::from_block(f.body.entry().unwrap(), &[]);
         // mulf (4) then addf (3).
         assert_eq!(dfg.critical_path(), 7);
     }
@@ -259,7 +262,7 @@ mod tests {
         fb.store(v2, fb.arg(0), &[i]);
         fb.ret(&[]);
         let f = fb.finish();
-        let dfg = Dfg::from_block(&f, f.body.entry().unwrap(), &HashMap::new());
+        let dfg = Dfg::from_block(f.body.entry().unwrap(), &[]);
         // nodes: 0 const, 1 load, 2 addf, 3 store, 4 load, 5 store
         assert!(dfg.nodes[3].preds.contains(&1), "store after load (anti-dep)");
         assert!(dfg.nodes[4].preds.contains(&3), "load after store (true dep)");
@@ -277,7 +280,7 @@ mod tests {
         fb.store(b, fb.arg(0), &[i]);
         fb.ret(&[]);
         let f = fb.finish();
-        let dfg = Dfg::from_block(&f, f.body.entry().unwrap(), &HashMap::new());
+        let dfg = Dfg::from_block(f.body.entry().unwrap(), &[]);
         // The two loads (nodes 1, 2) are independent.
         assert!(dfg.nodes[2].preds.is_empty() || dfg.nodes[2].preds == vec![0]);
     }
@@ -294,7 +297,7 @@ mod tests {
         let entry = f.body.entry().unwrap();
         let loop_op = entry.ops.iter().find(|o| o.name == "loop.for").unwrap();
         let body = loop_op.regions[0].entry().unwrap();
-        let dfg = Dfg::from_block(&f, body, &HashMap::new());
+        let dfg = Dfg::from_block(body, &[]);
         // const is not carried; addf consumes the carried arg.
         let addf = dfg.nodes.iter().find(|n| n.name == "arith.addf").unwrap();
         assert!(addf.uses_carried);
@@ -308,9 +311,7 @@ mod tests {
         fb.for_loop(0, 4, 1, &[], |_fb, _iv, _c| vec![]);
         fb.ret(&[]);
         let f = fb.finish();
-        let mut lat = HashMap::new();
-        lat.insert(0usize, 120u64);
-        let dfg = Dfg::from_block(&f, f.body.entry().unwrap(), &lat);
+        let dfg = Dfg::from_block(f.body.entry().unwrap(), &[120]);
         assert_eq!(dfg.nodes[0].latency, 120);
         assert_eq!(dfg.critical_path(), 120);
     }
@@ -318,9 +319,9 @@ mod tests {
     #[test]
     fn count_fu_tallies_kinds() {
         let (f, _) = build_axpy_block();
-        let dfg = Dfg::from_block(&f, f.body.entry().unwrap(), &HashMap::new());
-        assert_eq!(dfg.count_fu(FuKind::FMul), 1);
-        assert_eq!(dfg.count_fu(FuKind::FAdd), 1);
-        assert_eq!(dfg.count_fu(FuKind::FDiv), 0);
+        let counts = Dfg::from_block(f.body.entry().unwrap(), &[]).fu_counts();
+        assert_eq!(counts[FuKind::FMul], 1);
+        assert_eq!(counts[FuKind::FAdd], 1);
+        assert_eq!(counts[FuKind::FDiv], 0);
     }
 }

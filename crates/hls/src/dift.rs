@@ -42,7 +42,7 @@ pub struct DiftReport {
 /// total on-chip buffer elements.
 pub(crate) fn instrument(binding: &Binding, buffer_elems: u64, config: &DiftConfig) -> DiftReport {
     let tb = config.taint_bits as u64;
-    let fu_instances: u64 = binding.allocation.values().map(|c| *c as u64).sum();
+    let fu_instances: u64 = binding.allocation.iter().map(|(_, c)| c as u64).sum();
     // One propagation cell (OR-tree over operand labels) per FU instance:
     // ~4 LUTs + tb FFs each, per label bit.
     let prop_luts = 4 * tb * fu_instances;
@@ -126,13 +126,12 @@ impl TaintEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oplib::FuKind;
-    use std::collections::HashMap;
+    use crate::oplib::{FuCounts, FuKind};
 
     fn sample_binding() -> Binding {
-        let mut allocation = HashMap::new();
-        allocation.insert(FuKind::FAdd, 2);
-        allocation.insert(FuKind::FMul, 2);
+        let mut allocation = FuCounts::default();
+        allocation[FuKind::FAdd] = 2;
+        allocation[FuKind::FMul] = 2;
         Binding { allocation, assignment: Vec::new(), registers: 10 }
     }
 

@@ -31,6 +31,11 @@ impl fmt::Display for HlsError {
 
 impl std::error::Error for HlsError {}
 
+/// The error for `what` taking more than `u64::MAX` cycles.
+pub(crate) fn too_long(what: impl fmt::Display) -> HlsError {
+    HlsError::Schedule(format!("{what} takes more than {} cycles", u64::MAX))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

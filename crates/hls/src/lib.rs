@@ -55,4 +55,4 @@ pub mod tensor_to_loops;
 pub use accel::{synthesize, Accelerator, HlsConfig};
 pub use error::HlsError;
 pub use memory::stream_capacity_bytes;
-pub use oplib::{AreaReport, FuKind};
+pub use oplib::{AreaReport, FuCounts, FuKind};

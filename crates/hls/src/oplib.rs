@@ -6,7 +6,7 @@
 //! much more expensive than an adder — not absolutely.
 
 use std::fmt;
-use std::ops::{Add, AddAssign};
+use std::ops::{Add, AddAssign, Index, IndexMut};
 
 /// A functional-unit kind the binder can allocate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -90,6 +90,33 @@ impl fmt::Display for FuKind {
             FuKind::MemWrite => "mem_write",
         };
         f.write_str(s)
+    }
+}
+
+/// One count per functional-unit kind, indexed by [`FuKind`]: a budget of
+/// instances, an allocation, or the issues of one cycle. Its iteration
+/// order is [`FuKind::ALL`]'s, so everything printed from it is too.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct FuCounts(pub(crate) [usize; FuKind::ALL.len()]);
+
+impl FuCounts {
+    /// `(kind, count)` in [`FuKind::ALL`] order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (FuKind, usize)> + '_ {
+        FuKind::ALL.iter().map(|kind| (*kind, self[*kind]))
+    }
+}
+
+impl Index<FuKind> for FuCounts {
+    type Output = usize;
+
+    fn index(&self, kind: FuKind) -> &usize {
+        &self.0[kind as usize]
+    }
+}
+
+impl IndexMut<FuKind> for FuCounts {
+    fn index_mut(&mut self, kind: FuKind) -> &mut usize {
+        &mut self.0[kind as usize]
     }
 }
 
@@ -203,6 +230,15 @@ mod tests {
         let a = AreaReport { luts: 1, ffs: 2, dsps: 3, brams: 4 };
         assert_eq!(a.to_string(), "1 LUT, 2 FF, 3 DSP, 4 BRAM");
         assert_eq!(FuKind::FAdd.to_string(), "fadd");
+    }
+
+    #[test]
+    fn counts_are_indexed_in_the_order_of_all() {
+        let mut counts = FuCounts::default();
+        for (i, kind) in FuKind::ALL.iter().enumerate() {
+            counts[*kind] = i;
+        }
+        assert!(counts.iter().enumerate().all(|(i, (kind, n))| kind == FuKind::ALL[i] && n == i));
     }
 
     #[test]

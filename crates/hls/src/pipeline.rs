@@ -11,9 +11,7 @@
 //! * **MemMII** — bank conflicts computed by [`crate::memory`].
 
 use crate::cdfg::Dfg;
-use crate::error::HlsResult;
-use crate::oplib::FuKind;
-use crate::schedule::{list_schedule, ResourceBudget};
+use crate::schedule::{ResourceBudget, Schedule};
 
 /// Pipelining analysis result for one loop body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,23 +28,13 @@ pub(crate) struct PipelineReport {
     pub depth: u64,
 }
 
-impl PipelineReport {
-    /// Total latency of a pipelined loop with `trips` iterations.
-    pub(crate) fn loop_latency(&self, trips: u64) -> u64 {
-        if trips == 0 {
-            0
-        } else {
-            self.depth + (trips - 1) * self.ii
-        }
-    }
-}
-
 /// Operations whose loop-carried recurrences can be broken by the
 /// partial-sum transformation (associative + commutative).
 const ASSOCIATIVE: [&str; 6] =
     ["arith.addf", "arith.mulf", "arith.maxf", "arith.minf", "arith.addi", "arith.muli"];
 
-/// Analyses a loop-body DFG for pipelining.
+/// Analyses a loop-body DFG for pipelining, given its list schedule under
+/// `budget` (whose length is the depth of one iteration).
 ///
 /// `mem_mii` carries the memory-partitioning constraint (1 when the body's
 /// buffers are fully partitioned). With `break_associative` the analyzer
@@ -54,31 +42,21 @@ const ASSOCIATIVE: [&str; 6] =
 /// associative accumulations is split into interleaved partial
 /// accumulators (II becomes 1) at the cost of a tree-reduction epilogue
 /// added to the pipeline depth.
-///
-/// # Errors
-///
-/// Propagates scheduling failures (e.g. zero-budget unit kinds).
 pub(crate) fn analyze(
     dfg: &Dfg,
+    schedule: &Schedule,
     budget: &ResourceBudget,
     mem_mii: u64,
     break_associative: bool,
-) -> HlsResult<PipelineReport> {
-    let res_mii = FuKind::ALL
+) -> PipelineReport {
+    let res_mii = dfg
+        .fu_counts()
         .iter()
-        .map(|k| {
-            let n = dfg.count_fu(*k) as u64;
-            let b = budget.count(*k) as u64;
-            if n == 0 {
-                1
-            } else {
-                n.div_ceil(b.max(1))
-            }
-        })
+        .map(|(kind, n)| if n == 0 { 1 } else { (n as u64).div_ceil(budget[kind].max(1) as u64) })
         .max()
         .unwrap_or(1);
     let raw_rec_mii = recurrence_mii(dfg);
-    let mut depth = list_schedule(dfg, budget)?.len.max(1);
+    let mut depth = schedule.len.max(1);
     let rec_mii = if break_associative && raw_rec_mii > 1 && recurrence_is_associative(dfg) {
         // Partial sums: II drops to 1; merging the partial accumulators
         // costs a log-depth epilogue approximated by the chain latency.
@@ -88,7 +66,7 @@ pub(crate) fn analyze(
         raw_rec_mii
     };
     let ii = res_mii.max(rec_mii).max(mem_mii.max(1));
-    Ok(PipelineReport { res_mii, rec_mii, mem_mii: mem_mii.max(1), ii, depth })
+    PipelineReport { res_mii, rec_mii, mem_mii: mem_mii.max(1), ii, depth }
 }
 
 /// Longest latency chain through nodes that participate in a loop-carried
@@ -126,8 +104,9 @@ fn recurrence_is_associative(dfg: &Dfg) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oplib::FuKind;
+    use crate::schedule::list_schedule;
     use everest_ir::{FuncBuilder, Type};
-    use std::collections::HashMap;
 
     fn body_dfg(
         build: impl FnOnce(
@@ -144,7 +123,12 @@ mod tests {
         let f = fb.finish();
         let entry = f.body.entry().unwrap();
         let loop_op = entry.ops.iter().find(|o| o.name == "loop.for").unwrap();
-        Dfg::from_block(&f, loop_op.regions[0].entry().unwrap(), &HashMap::new())
+        Dfg::from_block(loop_op.regions[0].entry().unwrap(), &[])
+    }
+
+    /// Schedules `dfg` under `budget` and analyses it, as synthesis does.
+    fn analyzed(dfg: &Dfg, budget: &ResourceBudget, mem_mii: u64, assoc: bool) -> PipelineReport {
+        analyze(dfg, &list_schedule(dfg, budget).unwrap(), budget, mem_mii, assoc)
     }
 
     #[test]
@@ -157,11 +141,11 @@ mod tests {
             },
             1,
         );
-        let report = analyze(&dfg, &ResourceBudget::default(), 1, false).unwrap();
+        let report = analyzed(&dfg, &ResourceBudget::default(), 1, false);
         assert_eq!(report.rec_mii, 3);
         assert_eq!(report.ii, 3);
         // With the partial-sum transformation the recurrence breaks.
-        let broken = analyze(&dfg, &ResourceBudget::default(), 1, true).unwrap();
+        let broken = analyzed(&dfg, &ResourceBudget::default(), 1, true);
         assert_eq!(broken.rec_mii, 1);
         assert_eq!(broken.ii, 1);
         assert!(broken.depth > report.depth, "tree epilogue deepens the pipeline");
@@ -179,7 +163,7 @@ mod tests {
             },
             0,
         );
-        let report = analyze(&dfg, &ResourceBudget::default(), 1, false).unwrap();
+        let report = analyzed(&dfg, &ResourceBudget::default(), 1, false);
         assert_eq!(report.rec_mii, 1);
         assert_eq!(report.ii, 1);
     }
@@ -198,7 +182,7 @@ mod tests {
             0,
         );
         let budget = ResourceBudget::default().with(FuKind::FMul, 1);
-        let report = analyze(&dfg, &budget, 1, false).unwrap();
+        let report = analyzed(&dfg, &budget, 1, false);
         assert_eq!(report.res_mii, 4);
         assert_eq!(report.ii, 4);
     }
@@ -213,16 +197,8 @@ mod tests {
             },
             0,
         );
-        let report = analyze(&dfg, &ResourceBudget::default(), 5, false).unwrap();
+        let report = analyzed(&dfg, &ResourceBudget::default(), 5, false);
         assert_eq!(report.ii, 5);
-    }
-
-    #[test]
-    fn pipelined_latency_formula() {
-        let r = PipelineReport { res_mii: 1, rec_mii: 1, mem_mii: 1, ii: 2, depth: 10 };
-        assert_eq!(r.loop_latency(1), 10);
-        assert_eq!(r.loop_latency(100), 10 + 99 * 2);
-        assert_eq!(r.loop_latency(0), 0);
     }
 
     #[test]
@@ -237,7 +213,7 @@ mod tests {
             },
             1,
         );
-        let report = analyze(&dfg, &ResourceBudget::default(), 1, false).unwrap();
+        let report = analyzed(&dfg, &ResourceBudget::default(), 1, false);
         assert_eq!(report.rec_mii, 1);
     }
 }

@@ -73,8 +73,8 @@ pub(crate) fn emit_module(name: &str, dfg: &Dfg, schedule: &Schedule, binding: &
         }
     }
     // Functional unit instances.
-    for (kind, count) in &binding.allocation {
-        for i in 0..*count {
+    for (kind, count) in binding.allocation.iter() {
+        for i in 0..count {
             emit!(v, "  // functional unit: {kind} #{i}");
             emit!(v, "  reg [63:0] fu_{kind}_{i}_out;");
         }
@@ -157,7 +157,6 @@ mod tests {
     use crate::binding::bind;
     use crate::schedule::{list_schedule, ResourceBudget};
     use everest_ir::{FuncBuilder, Type};
-    use std::collections::HashMap;
 
     /// `p = a * b; q = p + a`, with the multiply's latency overridden
     /// when `mul_latency` is given (a stand-in for a loop macro node).
@@ -167,7 +166,7 @@ mod tests {
         let q = fb.binary("arith.addf", p, fb.arg(0), Type::F64);
         fb.ret(&[q]);
         let f = fb.finish();
-        let mut dfg = Dfg::from_block(&f, f.body.entry().unwrap(), &HashMap::new());
+        let mut dfg = Dfg::from_block(f.body.entry().unwrap(), &[]);
         if let Some(latency) = mul_latency {
             dfg.nodes[0].latency = latency;
         }

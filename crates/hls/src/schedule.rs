@@ -23,57 +23,54 @@
 //! Its scratch state lives in a reusable [`ScheduleArena`]: ready
 //! queues, in-degree counters, the ALAP priority table and the finish
 //! heap are bump-grown once and then recycled, and per-cycle issue
-//! counts use a fixed [`FuKind`]-indexed array instead of a hash map.
+//! counts use a fixed [`FuKind`]-indexed table instead of a hash map.
+//! Finish times are checked sums: a block whose makespan passes
+//! `u64::MAX` cycles is an error, never a wrapped count.
 //! After warm-up, [`ScheduleArena::list_schedule_into`] performs **zero
 //! heap allocations per candidate** (enforced by a counting-allocator
 //! test); the plain [`list_schedule`] entry point reuses a thread-local
 //! arena and allocates only its output.
 
 use crate::cdfg::Dfg;
-use crate::error::{HlsError, HlsResult};
-use crate::oplib::FuKind;
+use crate::error::{too_long, HlsError, HlsResult};
+use crate::oplib::{FuCounts, FuKind};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::ops::Index;
 
 /// Available functional-unit instances per kind.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceBudget {
-    counts: HashMap<FuKind, usize>,
+    counts: FuCounts,
 }
 
 impl Default for ResourceBudget {
     fn default() -> ResourceBudget {
-        let mut counts = HashMap::new();
-        counts.insert(FuKind::FAdd, 2);
-        counts.insert(FuKind::FMul, 2);
-        counts.insert(FuKind::FDiv, 1);
-        counts.insert(FuKind::FSqrt, 1);
-        counts.insert(FuKind::FExp, 1);
-        counts.insert(FuKind::IntAlu, 4);
-        counts.insert(FuKind::IntMul, 2);
-        counts.insert(FuKind::MemRead, 2);
-        counts.insert(FuKind::MemWrite, 1);
-        ResourceBudget { counts }
+        // fadd, fmul, fdiv, fsqrt, fexp, int_alu, int_mul, mem_read, mem_write
+        ResourceBudget { counts: FuCounts([2, 2, 1, 1, 1, 4, 2, 2, 1]) }
     }
 }
 
 impl ResourceBudget {
     /// A budget with `n` instances of every kind (useful for ablations).
     pub fn uniform(n: usize) -> ResourceBudget {
-        let counts = FuKind::ALL.iter().map(|k| (*k, n)).collect();
-        ResourceBudget { counts }
-    }
-
-    /// Number of instances of `kind` (0 if absent).
-    pub fn count(&self, kind: FuKind) -> usize {
-        self.counts.get(&kind).copied().unwrap_or(0)
+        ResourceBudget { counts: FuCounts([n; FuKind::ALL.len()]) }
     }
 
     /// Sets the instance count for `kind`, returning `self` for chaining.
     pub fn with(mut self, kind: FuKind, n: usize) -> ResourceBudget {
-        self.counts.insert(kind, n);
+        self.counts[kind] = n;
         self
+    }
+}
+
+impl Index<FuKind> for ResourceBudget {
+    type Output = usize;
+
+    /// Number of instances of `kind`.
+    fn index(&self, kind: FuKind) -> &usize {
+        &self.counts[kind]
     }
 }
 
@@ -132,9 +129,8 @@ pub struct ScheduleArena {
     /// per issued op of non-zero latency, popped when the clock reaches
     /// its finish. Sized by the node count, not by any latency.
     in_flight: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Per-cycle issue count and budget, indexed by `FuKind as usize`.
-    issued: [usize; FuKind::ALL.len()],
-    counts: [usize; FuKind::ALL.len()],
+    /// Ops issued per unit kind in the current cycle.
+    issued: FuCounts,
 }
 
 impl ScheduleArena {
@@ -146,16 +142,18 @@ impl ScheduleArena {
     /// Critical path (longest latency chain) via the reused `finish`
     /// scratch — same result as [`Dfg::critical_path`], no allocation
     /// after warm-up.
-    fn critical_path(&mut self, dfg: &Dfg) -> u64 {
+    fn critical_path(&mut self, dfg: &Dfg) -> HlsResult<u64> {
         self.finish.clear();
         self.finish.resize(dfg.len(), 0);
         let mut longest = 0;
         for (id, node) in dfg.nodes.iter().enumerate() {
             let start = node.preds.iter().map(|p| self.finish[*p]).max().unwrap_or(0);
-            self.finish[id] = start + node.latency;
+            self.finish[id] = start
+                .checked_add(node.latency)
+                .ok_or_else(|| too_long("a block's critical path"))?;
             longest = longest.max(self.finish[id]);
         }
-        longest
+        Ok(longest)
     }
 
     /// ALAP start times against `deadline`, into the reused
@@ -177,19 +175,16 @@ impl ScheduleArena {
     /// # Errors
     ///
     /// Returns [`HlsError::Schedule`] if some op needs a unit kind whose
-    /// budget is zero.
+    /// budget is zero, or if the schedule passes `u64::MAX` cycles.
     pub fn list_schedule_into(
         &mut self,
         out: &mut Schedule,
         dfg: &Dfg,
         budget: &ResourceBudget,
     ) -> HlsResult<()> {
-        for (i, kind) in FuKind::ALL.iter().enumerate() {
-            self.counts[i] = budget.count(*kind);
-        }
         for node in &dfg.nodes {
             if let Some(fu) = node.fu {
-                if self.counts[fu as usize] == 0 {
+                if budget[fu] == 0 {
                     return Err(HlsError::Schedule(format!(
                         "op '{}' needs a {fu} unit but the budget has none",
                         node.name
@@ -202,7 +197,7 @@ impl ScheduleArena {
         if dfg.is_empty() {
             return Ok(());
         }
-        let cp = self.critical_path(dfg);
+        let cp = self.critical_path(dfg)?;
         self.alap_into(dfg, cp);
 
         let n = dfg.len();
@@ -231,7 +226,7 @@ impl ScheduleArena {
                     }
                 }
             }
-            self.issued = [0; FuKind::ALL.len()];
+            self.issued = FuCounts::default();
             // Iterate within the cycle so zero-latency ops (constants)
             // release their consumers immediately instead of costing a
             // cycle.
@@ -246,14 +241,16 @@ impl ScheduleArena {
                     let i = self.ready[ri];
                     let can_issue = match dfg.nodes[i].fu {
                         None => true,
-                        Some(fu) => self.issued[fu as usize] < self.counts[fu as usize],
+                        Some(fu) => self.issued[fu] < budget[fu],
                     };
                     if can_issue {
                         if let Some(fu) = dfg.nodes[i].fu {
-                            self.issued[fu as usize] += 1;
+                            self.issued[fu] += 1;
                         }
                         out.start[i] = cycle;
-                        let fin = cycle + dfg.nodes[i].latency;
+                        let fin = cycle
+                            .checked_add(dfg.nodes[i].latency)
+                            .ok_or_else(|| too_long("a block's schedule"))?;
                         out.len = out.len.max(fin);
                         if dfg.nodes[i].latency == 0 {
                             for s in &dfg.nodes[i].succs {
@@ -305,7 +302,7 @@ thread_local! {
 /// # Errors
 ///
 /// Returns [`HlsError::Schedule`] if some op needs a unit kind whose budget
-/// is zero.
+/// is zero, or if the schedule passes `u64::MAX` cycles.
 pub fn list_schedule(dfg: &Dfg, budget: &ResourceBudget) -> HlsResult<Schedule> {
     ARENA.with(|arena| {
         let mut out = Schedule::default();
@@ -318,7 +315,7 @@ pub fn list_schedule(dfg: &Dfg, budget: &ResourceBudget) -> HlsResult<Schedule> 
 mod tests {
     use super::*;
     use everest_ir::{FuncBuilder, Type};
-    use std::collections::HashMap as Map;
+    use std::collections::HashMap;
 
     /// Builds a DFG with `k` independent multiplies feeding a reduction add.
     fn parallel_muls(k: usize) -> Dfg {
@@ -333,7 +330,7 @@ mod tests {
         }
         fb.ret(&[acc]);
         let f = fb.finish();
-        Dfg::from_block(&f, f.body.entry().unwrap(), &Map::new())
+        Dfg::from_block(f.body.entry().unwrap(), &[])
     }
 
     #[test]

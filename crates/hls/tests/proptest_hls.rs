@@ -1,12 +1,14 @@
 //! Property tests for the HLS engine: scheduling invariants over random
-//! DFGs and partitioning invariants over random configurations.
+//! DFGs, partitioning invariants over random configurations, and the
+//! latency of loops with bounds anywhere in `i64`.
 
 use everest_hls::binding::bind;
 use everest_hls::cdfg::Dfg;
 use everest_hls::memory::{Partitioning, Scheme};
 use everest_hls::schedule::{asap, list_schedule, ResourceBudget};
-use everest_hls::FuKind;
-use everest_ir::{FuncBuilder, Type, Value};
+use everest_hls::{synthesize, FuKind, HlsConfig, HlsError};
+use everest_ir::types::MemSpace;
+use everest_ir::{ForLoop, Func, FuncBuilder, Type, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -34,10 +36,64 @@ fn random_dfg(consts: usize, picks: &[(u8, usize, usize)]) -> Dfg {
     let last = *avail.last().unwrap();
     fb.ret(&[last]);
     let f = fb.finish();
-    Dfg::from_block(&f, f.body.entry().unwrap(), &HashMap::new())
+    Dfg::from_block(f.body.entry().unwrap(), &[])
+}
+
+/// `b[0] = 3 * b[0]` in a loop `lo..hi` by `step`, nested `inner` loops
+/// of 4 trips deep, and the number of times the statement runs.
+fn strided_nest(lo: i64, hi: i64, step: i64, inner: usize) -> (Func, u64) {
+    fn body(fb: &mut FuncBuilder, b: Value, depth: usize) {
+        if depth == 0 {
+            let i = fb.const_i(0, Type::Index);
+            let x = fb.load(b, &[i], Type::F64);
+            let k = fb.const_f(3.0, Type::F64);
+            let y = fb.binary("arith.mulf", x, k, Type::F64);
+            fb.store(y, b, &[i]);
+        } else {
+            fb.for_loop(0, 4, 1, &[], |fb, _, _| {
+                body(fb, b, depth - 1);
+                vec![]
+            });
+        }
+    }
+    let buf = Type::memref(Type::F64, &[4], MemSpace::Scratchpad);
+    let mut fb = FuncBuilder::new("nest", &[buf], &[]);
+    let b = fb.arg(0);
+    fb.for_loop(lo, hi, step, &[], |fb, _, _| {
+        body(fb, b, inner);
+        vec![]
+    });
+    fb.ret(&[]);
+    let func = fb.finish();
+    let outer = func.body.entry().unwrap().ops.iter().find(|op| op.name == "loop.for").unwrap();
+    let trips = ForLoop::of(outer).unwrap().trips();
+    (func, trips.saturating_mul(4u64.pow(inner as u32)))
 }
 
 proptest! {
+    /// Synthesis never panics or wraps on a loop's bounds: it returns a
+    /// latency of at least one cycle per executed statement, or says the
+    /// design takes more than `u64::MAX` cycles.
+    #[test]
+    fn any_loop_bounds_give_a_latency_or_a_too_long_error(
+        lo in prop_oneof![any::<i64>(), Just(i64::MIN), Just(i64::MAX), -3i64..3],
+        hi in prop_oneof![any::<i64>(), Just(i64::MIN), Just(i64::MAX), -3i64..3],
+        step in prop_oneof![1i64..=i64::MAX, Just(i64::MAX), 1i64..4],
+        inner in 0usize..3,
+        pipeline in any::<bool>(),
+    ) {
+        let (func, runs) = strided_nest(lo, hi, step, inner);
+        let config = HlsConfig { pipeline, pe: 1, ..HlsConfig::default() };
+        match synthesize(&func, &config) {
+            Ok(acc) => prop_assert!(acc.latency_cycles >= runs, "{} < {runs}", acc.latency_cycles),
+            Err(HlsError::Schedule(msg)) => {
+                prop_assert!(msg.ends_with("takes more than 18446744073709551615 cycles"), "{msg}");
+                prop_assert!(runs > u64::MAX / 64, "{runs} runs of the body overflowed");
+            }
+            Err(other) => prop_assert!(false, "{other}"),
+        }
+    }
+
     #[test]
     fn list_schedule_respects_dependences_and_budget(
         consts in 1usize..4,
@@ -83,7 +139,7 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         for (id, slot) in binding.assignment.iter().enumerate() {
             if let Some((kind, instance)) = slot {
-                prop_assert!(*instance < binding.allocation[kind]);
+                prop_assert!(*instance < binding.allocation[*kind]);
                 prop_assert!(
                     seen.insert((schedule.start[id], *kind, *instance)),
                     "instance double-booked"

@@ -49,7 +49,7 @@ fn naive_list_schedule(dfg: &Dfg, budget: &ResourceBudget) -> Schedule {
             for &i in &ready {
                 let node = &dfg.nodes[i];
                 if let Some(fu) = node.fu {
-                    if issued[fu as usize] >= budget.count(fu) {
+                    if issued[fu as usize] >= budget[fu] {
                         deferred.push(i);
                         continue;
                     }

@@ -18,7 +18,6 @@ use everest_hls::cdfg::Dfg;
 use everest_hls::schedule::{ResourceBudget, Schedule, ScheduleArena};
 use everest_hls::FuKind;
 use everest_ir::{FuncBuilder, Type};
-use std::collections::HashMap;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -38,7 +37,7 @@ fn candidate(k: usize) -> Dfg {
     }
     fb.ret(&[acc]);
     let f = fb.finish();
-    Dfg::from_block(&f, f.body.entry().unwrap(), &HashMap::new())
+    Dfg::from_block(f.body.entry().unwrap(), &[])
 }
 
 #[test]

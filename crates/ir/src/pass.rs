@@ -1,9 +1,9 @@
-//! The pass framework and the standard middle-end passes.
+//! The standard middle-end passes.
 //!
 //! EVEREST's compilation engine "explores code variants" over a normalized
 //! IR; the passes here perform that normalization: dead-code elimination,
-//! common-subexpression elimination and constant folding, plus a
-//! `canonicalize` driver that iterates them to a fixed point.
+//! common-subexpression elimination and constant folding, which
+//! [`PassManager::run`] iterates to a fixed point.
 
 use crate::attr::Attr;
 use crate::error::IrResult;
@@ -11,20 +11,9 @@ use crate::ir::{Block, Func, Module, Region, Value};
 use crate::registry;
 use std::collections::{HashMap, HashSet};
 
-/// A transformation over a module.
-pub(crate) trait Pass {
-    /// Human-readable pass name (used in diagnostics).
-    fn name(&self) -> &str;
-    /// Runs the pass; returns `true` if the module changed.
-    ///
-    /// # Errors
-    ///
-    /// Passes may fail with [`crate::IrError::Pass`] when preconditions are
-    /// violated.
-    fn run(&self, module: &mut Module) -> IrResult<bool>;
-}
-
-/// Runs a pipeline of passes in order.
+/// The standard middle-end pipeline: `canonicalize`, which iterates
+/// constant folding, CSE and DCE over every function until nothing changes
+/// (at most eight rounds).
 ///
 /// ```
 /// use everest_ir::{pass::PassManager, Module};
@@ -32,56 +21,59 @@ pub(crate) trait Pass {
 /// let mut m = Module::new("m");
 /// pm.run(&mut m).unwrap();
 /// ```
-#[derive(Default)]
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PassManager;
 
-impl std::fmt::Debug for PassManager {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = self.passes.iter().map(|p| p.name()).collect();
-        f.debug_struct("PassManager").field("passes", &names).finish()
-    }
-}
+/// Safety bound on `canonicalize`'s rounds.
+const MAX_ITERS: usize = 8;
 
 impl PassManager {
-    /// Creates an empty pipeline.
-    pub(crate) fn new() -> PassManager {
-        PassManager::default()
-    }
-
-    /// Appends a pass to the pipeline.
-    pub(crate) fn add(&mut self, pass: impl Pass + 'static) -> &mut Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
     /// The standard optimization pipeline (fold, cse, dce iterated).
     pub fn standard() -> PassManager {
-        let mut pm = PassManager::new();
-        pm.add(Canonicalize::default());
-        pm
+        PassManager
     }
 
-    /// Runs every pass once, in order; returns `true` if anything changed.
+    /// Canonicalizes `module`; returns `true` if anything changed.
     ///
     /// # Errors
     ///
-    /// Propagates the first pass failure.
+    /// Canonicalization cannot fail; the `Result` is the API its callers
+    /// propagate.
     pub fn run(&self, module: &mut Module) -> IrResult<bool> {
+        type FuncPass = fn(&mut Func) -> bool;
+        const STEPS: [(&str, &str, FuncPass); 3] = [
+            ("fold", "ir.pass.changed.fold", fold_func),
+            ("cse", "ir.pass.changed.cse", cse_func),
+            ("dce", "ir.pass.changed.dce", dce_func),
+        ];
         let mut pipeline = everest_telemetry::span("ir.pipeline", "ir");
-        pipeline.attr("passes", self.passes.len());
-        let mut changed = false;
-        for pass in &self.passes {
-            let mut span = everest_telemetry::span(pass.name(), "ir.pass");
-            let pass_changed = pass.run(module)?;
-            span.attr("changed", pass_changed);
-            if pass_changed {
-                everest_telemetry::metrics().counter_inc("ir.pass.changed");
+        pipeline.attr("passes", 1);
+        let mut pass = everest_telemetry::span("canonicalize", "ir.pass");
+        let mut any = false;
+        for iter in 0..MAX_ITERS {
+            let mut iter_span = everest_telemetry::span("canonicalize.iter", "ir.pass");
+            iter_span.attr("iteration", iter);
+            let mut changed = false;
+            for (name, counter, func_pass) in STEPS {
+                let mut span = everest_telemetry::span(name, "ir.pass");
+                let step_changed = for_each_func(module, func_pass);
+                span.attr("changed", step_changed);
+                if step_changed {
+                    everest_telemetry::metrics().counter_inc(counter);
+                }
+                changed |= step_changed;
             }
-            changed |= pass_changed;
+            iter_span.attr("changed", changed);
+            if !changed {
+                break;
+            }
+            any = true;
         }
-        Ok(changed)
+        pass.attr("changed", any);
+        if any {
+            everest_telemetry::metrics().counter_inc("ir.pass.changed");
+        }
+        Ok(any)
     }
 }
 
@@ -318,59 +310,6 @@ pub(crate) fn fold_func(func: &mut Func) -> bool {
     changed
 }
 
-// ---------------------------------------------------------------------------
-// Canonicalize: fold + cse + dce to a fixed point
-// ---------------------------------------------------------------------------
-
-/// Iterates folding, CSE and DCE until nothing changes (bounded).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Canonicalize {
-    /// Maximum number of iterations (safety bound).
-    pub max_iters: usize,
-}
-
-impl Default for Canonicalize {
-    fn default() -> Canonicalize {
-        Canonicalize { max_iters: 8 }
-    }
-}
-
-impl Pass for Canonicalize {
-    fn name(&self) -> &str {
-        "canonicalize"
-    }
-
-    fn run(&self, module: &mut Module) -> IrResult<bool> {
-        type FuncPass = fn(&mut Func) -> bool;
-        const STEPS: [(&str, &str, FuncPass); 3] = [
-            ("fold", "ir.pass.changed.fold", fold_func),
-            ("cse", "ir.pass.changed.cse", cse_func),
-            ("dce", "ir.pass.changed.dce", dce_func),
-        ];
-        let mut any = false;
-        for iter in 0..self.max_iters {
-            let mut iter_span = everest_telemetry::span("canonicalize.iter", "ir.pass");
-            iter_span.attr("iteration", iter);
-            let mut changed = false;
-            for (name, counter, func_pass) in STEPS {
-                let mut span = everest_telemetry::span(name, "ir.pass");
-                let step_changed = for_each_func(module, func_pass);
-                span.attr("changed", step_changed);
-                if step_changed {
-                    everest_telemetry::metrics().counter_inc(counter);
-                }
-                changed |= step_changed;
-            }
-            iter_span.attr("changed", changed);
-            if !changed {
-                break;
-            }
-            any = true;
-        }
-        Ok(any)
-    }
-}
-
 /// Returns the scalar constant feeding `v` in `func`, if `v` is defined by an
 /// `arith.constant` anywhere in the body.
 pub fn constant_of(func: &Func, v: Value) -> Option<Attr> {
@@ -518,11 +457,5 @@ mod tests {
             }
         });
         assert!(has_six);
-    }
-
-    #[test]
-    fn pass_manager_debug_lists_passes() {
-        let pm = PassManager::standard();
-        assert_eq!(format!("{pm:?}"), "PassManager { passes: [\"canonicalize\"] }");
     }
 }

@@ -95,9 +95,9 @@ impl KnobVector {
     /// `banks = pe = 0`, hardware points have `threads = 1`), so the
     /// vector length is identical for every point and one table can hold
     /// the whole space. `eff_pe` is the port-clamped replication the
-    /// synthesizer actually exploits (`min(pe, banks × ports_per_bank)`)
-    /// — the interaction latency and area follow, surfaced as its own
-    /// column so a consumer of the table does not have to learn the clamp.
+    /// synthesizer actually exploits ([`HlsConfig::effective_pe`]) — the
+    /// interaction latency and area follow, surfaced as its own column so
+    /// a consumer of the table does not have to learn the clamp.
     pub(crate) fn to_features(self) -> [f64; 10] {
         match self {
             KnobVector::Software { threads, layout, tile } => [
@@ -112,22 +112,18 @@ impl KnobVector {
                 0.0,
                 0.0,
             ],
-            KnobVector::Hardware { target, banks, pe, pipeline, dift } => {
-                let config = self.hls_config();
-                let eff_pe = pe.clamp(1, (config.banks * config.ports_per_bank).max(1));
-                [
-                    1.0,
-                    f64::from(target == Target::FpgaNetwork),
-                    1.0,
-                    0.0,
-                    0.0,
-                    banks as f64,
-                    pe as f64,
-                    eff_pe as f64,
-                    f64::from(pipeline),
-                    f64::from(dift),
-                ]
-            }
+            KnobVector::Hardware { target, banks, pe, pipeline, dift } => [
+                1.0,
+                f64::from(target == Target::FpgaNetwork),
+                1.0,
+                0.0,
+                0.0,
+                banks as f64,
+                pe as f64,
+                self.hls_config().effective_pe() as f64,
+                f64::from(pipeline),
+                f64::from(dift),
+            ],
         }
     }
 
