@@ -586,26 +586,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_loop_over_the_whole_i64_range_is_too_long_pipelined_or_not() {
+    /// `b[0] = b[0]` in one loop per `(lo, hi)` pair, one after another.
+    fn copy_loops(bounds: &[(i64, i64)]) -> Func {
         use everest_ir::types::MemSpace;
         let buf = Type::memref(Type::F64, &[64], MemSpace::Scratchpad);
-        let mut fb = everest_ir::FuncBuilder::new("all", &[buf], &[]);
+        let mut fb = everest_ir::FuncBuilder::new("copy", &[buf], &[]);
         let b = fb.arg(0);
-        fb.for_loop(i64::MIN, i64::MAX, 1, &[], |fb, _iv, _| {
-            let i = fb.const_i(0, Type::Index);
-            let x = fb.load(b, &[i], Type::F64);
-            fb.store(x, b, &[i]);
-            vec![]
-        });
+        for &(lo, hi) in bounds {
+            fb.for_loop(lo, hi, 1, &[], |fb, _iv, _| {
+                let i = fb.const_i(0, Type::Index);
+                let x = fb.load(b, &[i], Type::F64);
+                fb.store(x, b, &[i]);
+                vec![]
+            });
+        }
         fb.ret(&[]);
-        let f = fb.finish();
+        fb.finish()
+    }
+
+    fn assert_too_long(f: &Func) {
         for pipeline in [true, false] {
             let config = HlsConfig { pipeline, ..HlsConfig::default() };
-            let err = synthesize(&f, &config).unwrap_err();
+            let err = synthesize(f, &config).unwrap_err();
             assert!(matches!(err, HlsError::Schedule(_)), "pipeline {pipeline}: {err}");
             assert!(err.to_string().contains("18446744073709551615 cycles"), "{err}");
         }
+    }
+
+    #[test]
+    fn a_loop_over_the_whole_i64_range_is_too_long_pipelined_or_not() {
+        assert_too_long(&copy_loops(&[(i64::MIN, i64::MAX)]));
+    }
+
+    /// Each loop fits in `u64` cycles; the block that runs them in turn
+    /// does not, and the scheduler says so.
+    #[test]
+    fn two_loops_that_together_pass_u64_max_are_too_long() {
+        let half = copy_loops(&[(i64::MIN, 0)]);
+        let one_pe = HlsConfig { pe: 1, ..HlsConfig::default() };
+        assert!(synthesize(&half, &one_pe).unwrap().latency_cycles > 1 << 63);
+        assert_too_long(&copy_loops(&[(i64::MIN, 0), (i64::MIN, 0)]));
     }
 
     #[test]
