@@ -289,9 +289,19 @@ fn latency(piece: Piece) -> HlsResult<u64> {
 /// (carries no loop-carried values), so the iteration space can be tiled
 /// across processing elements.
 fn outer_loops_parallel(func: &Func) -> bool {
-    let loops =
-        || func.body.entry().into_iter().flat_map(|b| &b.ops).filter(|op| op.name == "loop.for");
-    loops().next().is_some() && loops().all(|op| op.operands.is_empty())
+    let Some(entry) = func.body.entry() else {
+        return false;
+    };
+    let mut saw_loop = false;
+    for op in &entry.ops {
+        if op.name == "loop.for" {
+            saw_loop = true;
+            if !op.operands.is_empty() {
+                return false;
+            }
+        }
+    }
+    saw_loop
 }
 
 /// One synthesis run's walk over the loop nest, innermost loops first.

@@ -6,20 +6,27 @@
 //!
 //! 1. [`tensor_to_loops`] lowers `tensor`-dialect kernels into explicit
 //!    memref loop nests (the form HLS schedules);
-//! 2. [`cdfg`] builds a control/data-flow graph per loop body, including
-//!    memory-ordering edges;
+//! 2. [`cdfg`] builds a control/data-flow graph per block, including
+//!    memory-ordering edges; a nested loop is one macro node carrying the
+//!    latency its caller priced;
 //! 3. [`schedule`] runs ASAP/ALAP and resource-constrained list scheduling
-//!    against the operator library in `oplib`;
+//!    against the operator library in `oplib`, whose [`FuCounts`] table
+//!    (one count per [`FuKind`]) holds every per-unit count: the
+//!    [`schedule::ResourceBudget`], the allocation and the issues of a cycle;
 //! 4. [`binding`] allocates and binds functional units and estimates
 //!    registers;
 //! 5. [`memory`] partitions array buffers across BRAM banks (block/cyclic)
 //!    and analyses port conflicts;
-//! 6. `pipeline` computes initiation intervals for pipelined loops;
+//! 6. `pipeline` computes the initiation interval and depth of a pipelined
+//!    loop from its body's schedule;
 //! 7. [`dift`] adds TaintHLS-style dynamic information-flow tracking and
 //!    reports its area/latency overhead;
 //! 8. [`rtl`] emits a Verilog-subset FSMD description;
 //! 9. [`accel`] drives the whole flow and produces an [`accel::Accelerator`]
-//!    with latency, area and RTL artifacts;
+//!    with latency, area and RTL artifacts. It walks the loop nest
+//!    innermost first, schedules and binds each block once, and composes
+//!    `latency_cycles` with one checked rule: a design past `u64::MAX`
+//!    cycles is an [`HlsError`], never a wrapped count;
 //! 10. [`cache`] memoizes synthesis summaries by structural kernel hash +
 //!     configuration key, so design-space exploration never synthesizes
 //!     the same point twice.

@@ -23,8 +23,7 @@ const GOLDEN: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/cascade_synthesis.json");
 const CASCADE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/cascade.edsl");
 const KERNELS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/kernels.edsl");
-const RTL_GOLDEN: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/example_rtl.txt");
+const RTL_GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/example_rtl.txt");
 
 /// The distinct synthesis configurations among the space's hardware
 /// points, in enumeration order (points that differ only in attachment
