@@ -37,25 +37,25 @@ impl Binding {
 
 /// Computes allocation, binding and register pressure for a schedule.
 pub fn bind(dfg: &Dfg, schedule: &Schedule) -> Binding {
-    // Binding: the ops issued in one cycle take instances 0, 1, ... of
+    // Binding: the ops that start in one cycle take instances 0, 1, ... of
     // their kind in program order; allocation is the peak over cycles.
-    let mut issues: Vec<(u64, usize, FuKind)> = dfg
+    let mut by_cycle: Vec<(u64, usize, FuKind)> = dfg
         .nodes
         .iter()
         .enumerate()
         .filter_map(|(id, node)| Some((schedule.start[id], id, node.fu?)))
         .collect();
-    issues.sort_unstable();
+    by_cycle.sort_unstable();
     let mut allocation = FuCounts::default();
     let mut assignment = vec![None; dfg.len()];
-    let mut issued = FuCounts::default();
-    for (i, &(cycle, id, fu)) in issues.iter().enumerate() {
-        if i > 0 && issues[i - 1].0 != cycle {
-            issued = FuCounts::default();
+    let mut taken = FuCounts::default();
+    for (i, &(cycle, id, fu)) in by_cycle.iter().enumerate() {
+        if i > 0 && by_cycle[i - 1].0 != cycle {
+            taken = FuCounts::default();
         }
-        assignment[id] = Some((fu, issued[fu]));
-        issued[fu] += 1;
-        allocation[fu] = allocation[fu].max(issued[fu]);
+        assignment[id] = Some((fu, taken[fu]));
+        taken[fu] += 1;
+        allocation[fu] = allocation[fu].max(taken[fu]);
     }
 
     // Register estimation: a value produced by node `p` and consumed by

@@ -12,7 +12,7 @@
 //! 3. [`schedule`] runs ASAP/ALAP and resource-constrained list scheduling
 //!    against the operator library in `oplib`, whose [`FuCounts`] table
 //!    (one count per [`FuKind`]) holds every per-unit count: the
-//!    [`schedule::ResourceBudget`], the allocation and the issues of a cycle;
+//!    [`schedule::ResourceBudget`], the allocation and the ops a cycle starts;
 //! 4. [`binding`] allocates and binds functional units and estimates
 //!    registers;
 //! 5. [`memory`] partitions array buffers across BRAM banks (block/cyclic)

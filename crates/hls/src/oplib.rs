@@ -94,7 +94,7 @@ impl fmt::Display for FuKind {
 }
 
 /// One count per functional-unit kind, indexed by [`FuKind`]: a budget of
-/// instances, an allocation, or the issues of one cycle. Its iteration
+/// instances, an allocation, or the ops one cycle starts. Its iteration
 /// order is [`FuKind::ALL`]'s, so everything printed from it is too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct FuCounts(pub(crate) [usize; FuKind::ALL.len()]);

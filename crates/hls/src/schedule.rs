@@ -129,7 +129,7 @@ pub struct ScheduleArena {
     /// per issued op of non-zero latency, popped when the clock reaches
     /// its finish. Sized by the node count, not by any latency.
     in_flight: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Ops issued per unit kind in the current cycle.
+    /// Ops started per unit kind in the current cycle.
     issued: FuCounts,
 }
 
