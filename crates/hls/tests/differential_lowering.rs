@@ -20,24 +20,27 @@ fn random_data(seed: u64, n: usize) -> Vec<f64> {
     (0..n).map(|_| rng.gen_range(-4.0..4.0)).collect()
 }
 
-/// Interprets the tensor form and the lowered loop form on the same data
-/// and asserts elementwise agreement.
+/// Interprets the tensor form and the lowered loop form on the same random
+/// data and asserts elementwise agreement.
 fn assert_lowering_preserves(func: &Func, seed: u64) {
+    let inputs = func
+        .params
+        .iter()
+        .enumerate()
+        .map(|(i, p)| random_data(seed + i as u64, p.num_elements().unwrap_or(1)))
+        .collect();
+    assert_lowering_preserves_on(func, inputs);
+}
+
+/// As [`assert_lowering_preserves`], on the given data: one vector per
+/// parameter, a single entry for a scalar.
+fn assert_lowering_preserves_on(func: &Func, raw_inputs: Vec<Vec<f64>>) {
     // Tensor-form inputs (scalars stay scalar).
     let mut tensor_args = Vec::new();
-    let mut raw_inputs: Vec<Vec<f64>> = Vec::new();
-    for (i, p) in func.params.iter().enumerate() {
+    for (p, data) in func.params.iter().zip(&raw_inputs) {
         match p {
-            Type::Tensor { shape, .. } => {
-                let data = random_data(seed + i as u64, shape.iter().product());
-                raw_inputs.push(data.clone());
-                tensor_args.push(RtValue::tensor(shape, data));
-            }
-            scalar if scalar.is_scalar() => {
-                let v = random_data(seed + i as u64, 1)[0];
-                raw_inputs.push(vec![v]);
-                tensor_args.push(RtValue::Float(v));
-            }
+            Type::Tensor { shape, .. } => tensor_args.push(RtValue::tensor(shape, data.clone())),
+            scalar if scalar.is_scalar() => tensor_args.push(RtValue::Float(data[0])),
             other => panic!("unexpected param {other}"),
         }
     }
@@ -52,12 +55,10 @@ fn assert_lowering_preserves(func: &Func, seed: u64) {
     everest_ir::verify::verify_func(&lowered).expect("lowered verifies");
     let mut interp = Interp::new();
     let mut loop_args = Vec::new();
-    for (i, p) in func.params.iter().enumerate() {
+    for (p, data) in func.params.iter().zip(&raw_inputs) {
         match p {
-            Type::Tensor { shape, .. } => {
-                loop_args.push(interp.alloc_buffer(shape, raw_inputs[i].clone()));
-            }
-            _ => loop_args.push(RtValue::Float(raw_inputs[i][0])),
+            Type::Tensor { shape, .. } => loop_args.push(interp.alloc_buffer(shape, data.clone())),
+            _ => loop_args.push(RtValue::Float(data[0])),
         }
     }
     let out_handle = interp.alloc_buffer(&ref_shape, vec![0.0; ref_data.len()]);
@@ -68,8 +69,8 @@ fn assert_lowering_preserves(func: &Func, seed: u64) {
     assert_eq!(got.len(), ref_data.len());
     for (i, (g, r)) in got.iter().zip(&ref_data).enumerate() {
         assert!(
-            (g - r).abs() <= 1e-9 * (1.0 + r.abs()),
-            "@{}: element {i} differs: lowered {g} vs tensor {r}",
+            g == r || (g - r).abs() <= 1e-9 * (1.0 + r.abs()),
+            "@{}: element {i} differs: lowered {g:e} vs tensor {r:e}",
             func.name
         );
     }
@@ -119,6 +120,50 @@ fn reduce_lowerings_are_exact() {
         );
         let f = compile(&src, "r");
         assert_lowering_preserves(&f, 5);
+    }
+}
+
+#[test]
+fn reductions_over_two_dims_are_exact() {
+    for kind in ["sum", "mean", "max", "min"] {
+        for dims in ["[0, 2]", "[2, 0]", "[1, 2]"] {
+            let kept = if dims == "[1, 2]" { 3 } else { 4 };
+            let src = format!(
+                "kernel r(a: tensor<3x4x5xf64>) -> tensor<{kept}xf64> {{ return reduce_{kind}(a, {dims}); }}"
+            );
+            let f = compile(&src, "r");
+            assert_lowering_preserves(&f, 14);
+        }
+    }
+}
+
+#[test]
+fn every_rank_3_transpose_is_exact() {
+    let shape = [2, 3, 4];
+    for perm in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+        let out = perm.map(|p| shape[p]);
+        let src = format!(
+            "kernel t(a: tensor<2x3x4xf64>) -> tensor<{}x{}x{}xf64> {{ return transpose(a, {perm:?}); }}",
+            out[0], out[1], out[2]
+        );
+        let f = compile(&src, "t");
+        assert_lowering_preserves(&f, 15);
+    }
+}
+
+/// A max over entries all below -1e308 (a min over entries all above
+/// 1e308) is one of those entries: the fold starts from the kind's
+/// identity in both forms, not from a large finite stand-in.
+#[test]
+fn max_and_min_start_from_their_identity() {
+    for (kind, x) in [("max", -1.5e308), ("min", 1.5e308)] {
+        let src = format!(
+            "kernel r(a: tensor<2x3xf64>) -> tensor<2xf64> {{ return reduce_{kind}(a, [1]); }}"
+        );
+        let f = compile(&src, "r");
+        let out = Interp::new().call(&f, &[RtValue::tensor(&[2, 3], vec![x; 6])]).unwrap();
+        assert_eq!(out[0], RtValue::tensor(&[2], vec![x; 2]), "reduce_{kind}");
+        assert_lowering_preserves_on(&f, vec![vec![x; 6]]);
     }
 }
 

@@ -106,19 +106,25 @@ fn bad_format_and_missing_paths_are_usage_errors() {
     assert_eq!(out.status.code(), Some(2), "no paths is a usage error");
 }
 
-/// Runs `check` on `range_oob.eir` with its loop bounds replaced by
-/// `bounds`, written to a temp file: `(path, stdout, stderr, exit code)`.
-fn check_overrun_with(name: &str, bounds: &str) -> (String, String, String, i32) {
-    let source = std::fs::read_to_string(example("lints/range_oob.eir")).expect("fixture");
-    let seeded = "{hi = 12, lo = 0, step = 1}";
-    assert!(source.contains(seeded));
-    let path = std::env::temp_dir().join(format!("check_cli_{}_{name}.eir", std::process::id()));
-    std::fs::write(&path, source.replace(seeded, bounds)).expect("temp file");
+/// Runs `check` on `source`, written to a temp file named after `name`
+/// (whose extension picks the front end): `(path, stdout, stderr, exit code)`.
+fn check_text(name: &str, source: &str) -> (String, String, String, i32) {
+    let path = std::env::temp_dir().join(format!("check_cli_{}_{name}", std::process::id()));
+    std::fs::write(&path, source).expect("temp file");
     let out = everestc().arg("check").arg(&path).output().expect("everestc runs");
     std::fs::remove_file(&path).expect("temp file removed");
     let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8");
     let path = path.to_string_lossy().into_owned();
     (path, text(out.stdout), text(out.stderr), out.status.code().unwrap())
+}
+
+/// Runs `check` on `range_oob.eir` with its loop bounds replaced by
+/// `bounds`: `(path, stdout, stderr, exit code)`.
+fn check_overrun_with(name: &str, bounds: &str) -> (String, String, String, i32) {
+    let source = std::fs::read_to_string(example("lints/range_oob.eir")).expect("fixture");
+    let seeded = "{hi = 12, lo = 0, step = 1}";
+    assert!(source.contains(seeded));
+    check_text(&format!("{name}.eir"), &source.replace(seeded, bounds))
 }
 
 #[test]
@@ -161,4 +167,90 @@ fn a_loop_spanning_the_whole_i64_range_is_out_of_bounds() {
              %5 = mem.load %0, %3\ncheck: 1 error, 0 warnings\n"
         )
     );
+}
+
+/// One `tensor.*` op on `%0: tensor<4x6xf64>` and `%1: tensor<5x5xf64>`,
+/// returned as `ret`; each would index out of bounds or compute something
+/// other than what the interpreter and the HLS lowering agree on.
+#[test]
+fn tensor_ops_that_no_reader_can_run_fail_verification() {
+    let cases = [
+        (
+            "%2 = tensor.reduce %0 {dims = [7], kind = \"sum\"} : tensor<4xf64>",
+            "tensor.reduce",
+            "dim 7 is out of range for rank 2",
+        ),
+        (
+            "%2 = tensor.reduce %0 {dims = [1, 1], kind = \"sum\"} : tensor<4xf64>",
+            "tensor.reduce",
+            "dim 1 is listed twice",
+        ),
+        (
+            "%2 = tensor.reduce %0 {dims = [1], kind = \"median\"} : tensor<4xf64>",
+            "tensor.reduce",
+            "kind \"median\" is not sum, max, min or mean",
+        ),
+        (
+            "%2 = tensor.transpose %0 {perm = [5, 0]} : tensor<6x4xf64>",
+            "tensor.transpose",
+            "perm [5, 0] is not a permutation of the 2 dimensions",
+        ),
+        (
+            "%2 = tensor.stencil %0 {weights = [0.5, 0.5]} : tensor<4x6xf64>",
+            "tensor.stencil",
+            "width 2 is not odd",
+        ),
+        (
+            "%2 = tensor.stencil %0 {weights = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]} \
+             : tensor<4x6xf64>",
+            "tensor.stencil",
+            "width 9 is wider than the last dimension 6",
+        ),
+        (
+            "%2 = tensor.conv2d %0, %1 : tensor<4x6xf64>",
+            "tensor.conv2d",
+            "kernel [5, 5] is larger than the input [4, 6]",
+        ),
+        (
+            "%2 = tensor.relu %0 : tensor<3xf64>",
+            "tensor.relu",
+            "declares tensor<3xf64> but computes tensor<4x6xf64>",
+        ),
+    ];
+    for (i, (op, name, reason)) in cases.iter().enumerate() {
+        let ret = op.rsplit(" : ").next().unwrap();
+        let source = format!(
+            "module @m {{\n  func @f(%0: tensor<4x6xf64>, %1: tensor<5x5xf64>) -> ({ret}) {{\n    \
+             {op}\n    func.return %2\n  }}\n}}\n"
+        );
+        let (_, stdout, stderr, code) = check_text(&format!("tensor_op_{i}.eir"), &source);
+        let want =
+            format!("error: verification failed: in @f: at ^bb0 op 0 ({name}): {name}: {reason}\n");
+        assert_eq!((stdout.as_str(), stderr.as_str(), code), ("", want.as_str(), 1), "{op}");
+    }
+}
+
+/// Intrinsic lists that once passed the checker and were then cast or
+/// folded into some other program.
+#[test]
+fn intrinsic_lists_that_are_not_dimension_indices_are_type_errors() {
+    let cases = [
+        ("reduce_sum(x, [1, 1])", "tensor<4xf64>", "'reduce_sum': dim 1 is listed twice"),
+        (
+            "reduce_sum(x, [-1])",
+            "tensor<4xf64>",
+            "'reduce_sum': list entry -1 is not a dimension index",
+        ),
+        (
+            "transpose(x, [1.7, 0.2])",
+            "tensor<6x4xf64>",
+            "'transpose': list entry 1.7 is not a dimension index",
+        ),
+    ];
+    for (i, (call, ret, reason)) in cases.iter().enumerate() {
+        let source = format!("kernel f(x: tensor<4x6xf64>) -> {ret} {{\n    return {call};\n}}\n");
+        let (_, stdout, stderr, code) = check_text(&format!("list_{i}.edsl"), &source);
+        let want = format!("error: type error at line 2: {reason}\n");
+        assert_eq!((stdout.as_str(), stderr.as_str(), code), ("", want.as_str(), 1), "{call}");
+    }
 }
