@@ -7,9 +7,9 @@
 
 use crate::ast::{BinOp, ElemTy, Expr, Kernel, Program, Stmt, TensorTy};
 use crate::error::{DslError, DslResult};
-use crate::typecheck::infer;
+use crate::typecheck::{infer, intrinsic};
 use everest_ir::dialects::tensor as tdl;
-use everest_ir::{FuncBuilder, Module, Type, Value};
+use everest_ir::{FuncBuilder, Module, TensorKind, Type, Value};
 use std::collections::HashMap;
 
 fn ir_elem(elem: ElemTy) -> Type {
@@ -116,19 +116,9 @@ fn lower_expr(
                             };
                             Ok(fb.binary(name, lv, rv, ir_elem(elem)))
                         }
-                        (true, false) => {
-                            let mut op_ir = everest_ir::Op::new("tensor.scale");
-                            op_ir.operands = vec![lv, rv];
-                            let ty = fb.value_type(rv).clone();
-                            Ok(fb.op1(op_ir, ty))
-                        }
-                        (false, true) => {
-                            // Normalize to scalar-first operand order.
-                            let mut op_ir = everest_ir::Op::new("tensor.scale");
-                            op_ir.operands = vec![rv, lv];
-                            let ty = fb.value_type(lv).clone();
-                            Ok(fb.op1(op_ir, ty))
-                        }
+                        (true, false) => Ok(tdl::scale(fb, lv, rv)),
+                        // Normalize to scalar-first operand order.
+                        (false, true) => Ok(tdl::scale(fb, rv, lv)),
                         (false, false) => {
                             let name = match op {
                                 BinOp::Add => "tensor.add",
@@ -143,45 +133,22 @@ fn lower_expr(
             .map_err(|e: DslError| DslError::lower(*line, e.msg))
         }
         Expr::Call { name, args, list, line } => {
-            if name == "conv2d" {
-                let x = lower_expr(fb, &args[0], tys, vals, hint)?;
-                let k = lower_expr(fb, &args[1], tys, vals, hint)?;
-                let ty = fb.value_type(x).clone();
-                let mut op_ir = everest_ir::Op::new("tensor.conv2d");
-                op_ir.operands = vec![x, k];
-                return Ok(fb.op1(op_ir, ty));
-            }
-            let arg = lower_expr(fb, &args[0], tys, vals, hint)?;
-            match name.as_str() {
-                "transpose" => {
-                    let perm: Vec<usize> = list
-                        .as_ref()
-                        .ok_or_else(|| DslError::lower(*line, "transpose without permutation"))?
-                        .iter()
-                        .map(|p| *p as usize)
-                        .collect();
-                    Ok(tdl::transpose(fb, arg, &perm))
+            let kind = intrinsic(name, list.as_deref(), *line).map_err(to_lower)?;
+            let x = lower_expr(fb, &args[0], tys, vals, hint)?;
+            Ok(match kind {
+                TensorKind::Transpose(perm) => tdl::transpose(fb, x, &perm),
+                TensorKind::Reduce(dims, kind) => tdl::reduce(fb, x, &dims, kind),
+                TensorKind::Stencil(weights) => tdl::stencil(fb, x, &weights),
+                TensorKind::Conv2d => {
+                    let k = lower_expr(fb, &args[1], tys, vals, hint)?;
+                    tdl::conv2d(fb, x, k)
                 }
-                "reduce_sum" | "reduce_max" | "reduce_min" | "reduce_mean" => {
-                    let dims: Vec<usize> = list
-                        .as_ref()
-                        .ok_or_else(|| DslError::lower(*line, "reduce without dimensions"))?
-                        .iter()
-                        .map(|d| *d as usize)
-                        .collect();
-                    let kind = &name["reduce_".len()..];
-                    Ok(tdl::reduce(fb, arg, &dims, kind))
+                TensorKind::Relu => tdl::relu(fb, x),
+                TensorKind::Sigmoid => tdl::sigmoid(fb, x),
+                other => {
+                    return Err(DslError::lower(*line, format!("'{name}' lowers to {other:?}")))
                 }
-                "stencil" => {
-                    let weights = list
-                        .as_ref()
-                        .ok_or_else(|| DslError::lower(*line, "stencil without weights"))?;
-                    Ok(tdl::stencil(fb, arg, weights))
-                }
-                "relu" => Ok(tdl::relu(fb, arg)),
-                "sigmoid" => Ok(tdl::sigmoid(fb, arg)),
-                other => Err(DslError::lower(*line, format!("unknown intrinsic '{other}'"))),
-            }
+            })
         }
     }
 }

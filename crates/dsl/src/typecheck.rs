@@ -3,9 +3,14 @@
 //! The checker infers a `TensorTy` for every expression and rejects
 //! programs with incompatible shapes, unknown variables or malformed
 //! intrinsic calls — before any IR is built, so lowering never panics.
+//! The shape of `@` and of every intrinsic is the IR op's own rule
+//! ([`TensorKind::result_shape`]); this module adds only the surface rules:
+//! names, literal element types, scalar vs tensor, and a reduce keeping at
+//! least one dimension.
 
 use crate::ast::{BinOp, ElemTy, Expr, Kernel, Program, Stmt, TensorTy};
 use crate::error::{DslError, DslResult};
+use everest_ir::{ReduceKind, TensorKind};
 use std::collections::HashMap;
 
 /// Type-checks every kernel of a program.
@@ -120,22 +125,13 @@ fn binary_type(
 ) -> DslResult<TensorTy> {
     match op {
         BinOp::MatMul => {
-            if lt.shape.len() != 2 || rt.shape.len() != 2 {
-                return Err(DslError::ty(
-                    line,
-                    format!("'@' requires rank-2 tensors, got {lt} and {rt}"),
-                ));
-            }
+            let shape = TensorKind::Matmul
+                .result_shape(&lt.shape, &rt.shape)
+                .map_err(|e| DslError::ty(line, format!("'@': {e}")))?;
             if lt.elem != rt.elem {
                 return Err(DslError::ty(line, format!("'@' element types differ: {lt} vs {rt}")));
             }
-            if lt.shape[1] != rt.shape[0] {
-                return Err(DslError::ty(
-                    line,
-                    format!("'@' inner dimensions differ: {} vs {}", lt.shape[1], rt.shape[0]),
-                ));
-            }
-            Ok(TensorTy { elem: lt.elem, shape: vec![lt.shape[0], rt.shape[1]] })
+            Ok(TensorTy { elem: lt.elem, shape })
         }
         BinOp::Div => {
             if !lt.is_scalar() || !rt.is_scalar() {
@@ -187,6 +183,40 @@ fn binary_type(
     }
 }
 
+/// The dimension indices a DSL list spells: each entry must be a
+/// non-negative integer, or the call names some other index than it reads.
+fn indices(list: &[f64], line: usize, name: &str) -> DslResult<Vec<usize>> {
+    list.iter()
+        .map(|x| {
+            // Exact: the entry is a whole number below 2^53.
+            if x.fract() == 0.0 && (0.0..9.0e15).contains(x) {
+                Ok(*x as usize)
+            } else {
+                Err(DslError::ty(
+                    line,
+                    format!("'{name}': list entry {x} is not a dimension index"),
+                ))
+            }
+        })
+        .collect()
+}
+
+/// The IR op an intrinsic call lowers to, with its list decoded.
+pub(crate) fn intrinsic(name: &str, list: Option<&[f64]>, line: usize) -> DslResult<TensorKind> {
+    let list = || list.ok_or_else(|| DslError::ty(line, format!("'{name}' needs a list")));
+    if let Some(kind) = name.strip_prefix("reduce_").and_then(ReduceKind::parse) {
+        return Ok(TensorKind::Reduce(indices(list()?, line, name)?, kind));
+    }
+    Ok(match name {
+        "transpose" => TensorKind::Transpose(indices(list()?, line, name)?),
+        "stencil" => TensorKind::Stencil(list()?.to_vec()),
+        "conv2d" => TensorKind::Conv2d,
+        "relu" => TensorKind::Relu,
+        "sigmoid" => TensorKind::Sigmoid,
+        other => return Err(DslError::ty(line, format!("unknown intrinsic '{other}'"))),
+    })
+}
+
 fn call_type(
     name: &str,
     args: &[Expr],
@@ -194,88 +224,33 @@ fn call_type(
     env: &HashMap<String, TensorTy>,
     line: usize,
 ) -> DslResult<TensorTy> {
-    let need_one_tensor = |args: &[Expr]| -> DslResult<TensorTy> {
-        if args.len() != 1 {
-            return Err(DslError::ty(line, format!("'{name}' takes exactly one tensor argument")));
-        }
-        let t = infer(&args[0], env)?;
-        if t.is_scalar() {
-            return Err(DslError::ty(line, format!("'{name}' requires a tensor argument")));
-        }
-        Ok(t)
+    let kind = intrinsic(name, list, line)?;
+    let (arity, takes) = match kind {
+        TensorKind::Conv2d => (2, "(input, kernel)"),
+        _ => (1, "exactly one tensor argument"),
     };
-    match name {
-        "transpose" => {
-            let t = need_one_tensor(args)?;
-            let perm =
-                list.ok_or_else(|| DslError::ty(line, "'transpose' needs a permutation list"))?;
-            let perm: Vec<usize> = perm.iter().map(|p| *p as usize).collect();
-            if perm.len() != t.shape.len() {
-                return Err(DslError::ty(line, "permutation rank mismatch"));
-            }
-            let mut sorted = perm.clone();
-            sorted.sort_unstable();
-            if sorted.iter().enumerate().any(|(i, p)| i != *p) {
-                return Err(DslError::ty(line, format!("{perm:?} is not a permutation")));
-            }
-            Ok(TensorTy { elem: t.elem, shape: perm.iter().map(|p| t.shape[*p]).collect() })
-        }
-        "reduce_sum" | "reduce_max" | "reduce_min" | "reduce_mean" => {
-            let t = need_one_tensor(args)?;
-            let dims =
-                list.ok_or_else(|| DslError::ty(line, format!("'{name}' needs a dimension list")))?;
-            let dims: Vec<usize> = dims.iter().map(|d| *d as usize).collect();
-            for d in &dims {
-                if *d >= t.shape.len() {
-                    return Err(DslError::ty(line, format!("reduce dim {d} out of range")));
-                }
-            }
-            let shape: Vec<usize> = t
-                .shape
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !dims.contains(i))
-                .map(|(_, d)| *d)
-                .collect();
-            if shape.is_empty() {
-                return Err(DslError::ty(
-                    line,
-                    "reduce over all dimensions is not supported; keep at least one",
-                ));
-            }
-            Ok(TensorTy { elem: t.elem, shape })
-        }
-        "stencil" => {
-            let t = need_one_tensor(args)?;
-            let w = list.ok_or_else(|| DslError::ty(line, "'stencil' needs a weight list"))?;
-            if w.len() % 2 == 0 {
-                return Err(DslError::ty(line, "stencil width must be odd"));
-            }
-            Ok(t)
-        }
-        "conv2d" => {
-            if args.len() != 2 {
-                return Err(DslError::ty(line, "'conv2d' takes (input, kernel)"));
-            }
-            let x = infer(&args[0], env)?;
-            let k = infer(&args[1], env)?;
-            if x.shape.len() != 2 || k.shape.len() != 2 {
-                return Err(DslError::ty(line, "'conv2d' requires rank-2 tensors"));
-            }
-            if x.elem != k.elem {
-                return Err(DslError::ty(line, format!("conv2d element types differ: {x} vs {k}")));
-            }
-            if k.shape[0] % 2 == 0 || k.shape[1] % 2 == 0 {
-                return Err(DslError::ty(line, "conv2d kernel dimensions must be odd"));
-            }
-            if k.shape[0] > x.shape[0] || k.shape[1] > x.shape[1] {
-                return Err(DslError::ty(line, "conv2d kernel larger than input"));
-            }
-            Ok(x)
-        }
-        "relu" | "sigmoid" => need_one_tensor(args),
-        other => Err(DslError::ty(line, format!("unknown intrinsic '{other}'"))),
+    if args.len() != arity {
+        return Err(DslError::ty(line, format!("'{name}' takes {takes}")));
     }
+    let (x, k) = (infer(&args[0], env)?, args.get(1).map(|k| infer(k, env)).transpose()?);
+    if x.is_scalar() || k.as_ref().is_some_and(TensorTy::is_scalar) {
+        return Err(DslError::ty(line, format!("'{name}' requires tensor arguments")));
+    }
+    if let Some(k) = &k {
+        if k.elem != x.elem {
+            return Err(DslError::ty(line, format!("'{name}' element types differ: {x} vs {k}")));
+        }
+    }
+    let b = k.as_ref().map_or(&[][..], |k| &k.shape);
+    let shape =
+        kind.result_shape(&x.shape, b).map_err(|e| DslError::ty(line, format!("'{name}': {e}")))?;
+    if shape.is_empty() {
+        return Err(DslError::ty(
+            line,
+            "reduce over all dimensions is not supported; keep at least one",
+        ));
+    }
+    Ok(TensorTy { elem: x.elem, shape })
 }
 
 #[cfg(test)]

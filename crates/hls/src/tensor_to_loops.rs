@@ -15,7 +15,7 @@
 use crate::error::{HlsError, HlsResult};
 use everest_ir::attr::Attr;
 use everest_ir::types::MemSpace;
-use everest_ir::{Func, FuncBuilder, Op, Type, Value};
+use everest_ir::{Func, FuncBuilder, Op, ReduceKind, TensorKind, TensorOp, Type, Value};
 use std::collections::HashMap;
 
 /// Lowers a straight-line tensor-dialect function into a loop-nest function
@@ -100,8 +100,16 @@ pub fn lower_to_loops(func: &Func) -> HlsResult<Func> {
                 env.insert(op.results[0], r);
             }
             name if name.starts_with("tensor.") => {
-                let dest = dest_buffer(&mut fb, func, op, ret_val, out_buf)?;
-                lower_tensor_op(&mut fb, func, op, &env, dest)?;
+                let t = TensorOp::of(func, op).map_err(|e| HlsError::Lower(e.to_string()))?;
+                // The out-parameter when the op produces the returned value,
+                // a fresh scratch buffer otherwise.
+                let dest = if op.results[0] == ret_val {
+                    out_buf
+                } else {
+                    let buf = Type::memref(t.elem.clone(), &t.shape, MemSpace::Scratchpad);
+                    fb.op1(Op::new("mem.alloc"), buf)
+                };
+                lower_tensor_op(&mut fb, &t, op, &env, dest);
                 env.insert(op.results[0], dest);
             }
             other => {
@@ -111,34 +119,6 @@ pub fn lower_to_loops(func: &Func) -> HlsResult<Func> {
     }
     fb.ret(&[]);
     Ok(fb.finish())
-}
-
-/// Picks (or allocates) the buffer an op writes into: the out-parameter when
-/// the op produces the returned value, a fresh scratch buffer otherwise.
-fn dest_buffer(
-    fb: &mut FuncBuilder,
-    func: &Func,
-    op: &Op,
-    ret_val: Value,
-    out_buf: Value,
-) -> HlsResult<Value> {
-    if op.results[0] == ret_val {
-        return Ok(out_buf);
-    }
-    let ty = func.value_type(op.results[0]);
-    let Type::Tensor { elem, shape } = ty else {
-        return Err(HlsError::Unsupported(format!("tensor op with non-tensor result {ty}")));
-    };
-    let buf_ty = Type::memref((**elem).clone(), shape, MemSpace::Scratchpad);
-    Ok(fb.op1(Op::new("mem.alloc"), buf_ty))
-}
-
-fn shape_of(func: &Func, v: Value) -> Vec<usize> {
-    func.value_type(v).shape().map(<[usize]>::to_vec).unwrap_or_default()
-}
-
-fn elem_of(func: &Func, v: Value) -> Type {
-    func.value_type(v).elem().cloned().unwrap_or(Type::F64)
 }
 
 /// Emits nested loops over `shape`, calling `body` with the index values.
@@ -169,184 +149,118 @@ fn emit_copy(fb: &mut FuncBuilder, src: Value, dst: Value, shape: &[usize], elem
     });
 }
 
+/// Emits the loop nest computing `t`, the view of `op`, into `dest`.
 fn lower_tensor_op(
     fb: &mut FuncBuilder,
-    func: &Func,
+    t: &TensorOp,
     op: &Op,
     env: &HashMap<Value, Value>,
     dest: Value,
-) -> HlsResult<()> {
-    let elem = elem_of(func, op.results[0]);
-    let float_suffix = |base: &str| -> String { format!("arith.{base}") };
-    match op.name.as_str() {
-        "tensor.matmul" => {
-            let (a, b) = (env[&op.operands[0]], env[&op.operands[1]]);
-            let a_shape = shape_of(func, op.operands[0]);
-            let b_shape = shape_of(func, op.operands[1]);
-            let (m, k, n) = (a_shape[0], a_shape[1], b_shape[1]);
-            let elem2 = elem.clone();
+) {
+    let elem = t.elem.clone();
+    let arg = |i: usize| env[&op.operands[i]];
+    match &t.kind {
+        TensorKind::Matmul => {
+            let (a, b) = (arg(0), arg(1));
+            let (m, k, n) = (t.a[0], t.a[1], t.b[1]);
             fb.for_loop(0, m as i64, 1, &[], |fb, i, _| {
-                let elem3 = elem2.clone();
                 fb.for_loop(0, n as i64, 1, &[], |fb, j, _| {
-                    let zero = fb.const_f(0.0, elem3.clone());
-                    let elem4 = elem3.clone();
+                    let zero = fb.const_f(0.0, elem.clone());
                     let sum = fb.for_loop(0, k as i64, 1, &[zero], |fb, kk, carried| {
-                        let av = fb.load(a, &[i, kk], elem4.clone());
-                        let bv = fb.load(b, &[kk, j], elem4.clone());
-                        let prod = fb.binary("arith.mulf", av, bv, elem4.clone());
-                        vec![fb.binary("arith.addf", carried[0], prod, elem4.clone())]
+                        let av = fb.load(a, &[i, kk], elem.clone());
+                        let bv = fb.load(b, &[kk, j], elem.clone());
+                        let prod = fb.binary("arith.mulf", av, bv, elem.clone());
+                        vec![fb.binary("arith.addf", carried[0], prod, elem.clone())]
                     })[0];
                     fb.store(sum, dest, &[i, j]);
                     vec![]
                 });
                 vec![]
             });
-            Ok(())
         }
-        "tensor.add" | "tensor.sub" | "tensor.mul" => {
-            let base = match op.name.as_str() {
-                "tensor.add" => "addf",
-                "tensor.sub" => "subf",
-                _ => "mulf",
+        TensorKind::Add | TensorKind::Sub | TensorKind::Mul => {
+            let name = match t.kind {
+                TensorKind::Add => "arith.addf",
+                TensorKind::Sub => "arith.subf",
+                _ => "arith.mulf",
             };
-            let (a, b) = (env[&op.operands[0]], env[&op.operands[1]]);
-            let shape = shape_of(func, op.operands[0]);
-            let name = float_suffix(base);
-            let elem2 = elem.clone();
-            nest(fb, &shape, &mut Vec::new(), &mut |fb, idx| {
-                let av = fb.load(a, idx, elem2.clone());
-                let bv = fb.load(b, idx, elem2.clone());
-                let r = fb.binary(&name, av, bv, elem2.clone());
+            let (a, b) = (arg(0), arg(1));
+            nest(fb, t.a, &mut Vec::new(), &mut |fb, idx| {
+                let av = fb.load(a, idx, elem.clone());
+                let bv = fb.load(b, idx, elem.clone());
+                let r = fb.binary(name, av, bv, elem.clone());
                 fb.store(r, dest, idx);
             });
-            Ok(())
         }
-        "tensor.scale" => {
-            let (s, t) = (env[&op.operands[0]], env[&op.operands[1]]);
-            let shape = shape_of(func, op.operands[1]);
-            let elem2 = elem.clone();
-            nest(fb, &shape, &mut Vec::new(), &mut |fb, idx| {
-                let tv = fb.load(t, idx, elem2.clone());
-                let r = fb.binary("arith.mulf", s, tv, elem2.clone());
+        TensorKind::Scale => {
+            let (s, x) = (arg(0), arg(1));
+            nest(fb, t.a, &mut Vec::new(), &mut |fb, idx| {
+                let tv = fb.load(x, idx, elem.clone());
+                let r = fb.binary("arith.mulf", s, tv, elem.clone());
                 fb.store(r, dest, idx);
             });
-            Ok(())
         }
-        "tensor.transpose" => {
-            let a = env[&op.operands[0]];
-            let perm: Vec<usize> = op
-                .attr("perm")
-                .and_then(Attr::to_ints)
-                .ok_or_else(|| HlsError::Lower("transpose without perm".into()))?
-                .iter()
-                .map(|p| *p as usize)
-                .collect();
-            let out_shape = shape_of(func, op.results[0]);
-            let elem2 = elem.clone();
+        TensorKind::Transpose(perm) => {
+            let a = arg(0);
             // out[idx] = in[perm applied inversely]: out dim d comes from in
             // dim perm[d], so in index at position perm[d] is idx[d].
-            nest(fb, &out_shape, &mut Vec::new(), &mut |fb, idx| {
-                let mut in_idx = vec![idx[0]; perm.len()];
+            nest(fb, &t.shape, &mut Vec::new(), &mut |fb, idx| {
+                let mut in_idx = idx.to_vec();
                 for (d, p) in perm.iter().enumerate() {
                     in_idx[*p] = idx[d];
                 }
-                let v = fb.load(a, &in_idx, elem2.clone());
+                let v = fb.load(a, &in_idx, elem.clone());
                 fb.store(v, dest, idx);
             });
-            Ok(())
         }
-        "tensor.reduce" => {
-            let a = env[&op.operands[0]];
-            let dims: Vec<usize> = op
-                .attr("dims")
-                .and_then(Attr::to_ints)
-                .ok_or_else(|| HlsError::Lower("reduce without dims".into()))?
-                .iter()
-                .map(|d| *d as usize)
-                .collect();
-            let kind = op
-                .attr("kind")
-                .and_then(Attr::as_str)
-                .ok_or_else(|| HlsError::Lower("reduce without kind".into()))?
-                .to_owned();
-            let in_shape = shape_of(func, op.operands[0]);
-            let kept: Vec<usize> = (0..in_shape.len()).filter(|d| !dims.contains(d)).collect();
-            let kept_shape: Vec<usize> = kept.iter().map(|d| in_shape[*d]).collect();
-            let red_shape: Vec<usize> = dims.iter().map(|d| in_shape[*d]).collect();
-            let count: usize = red_shape.iter().product();
-            let init = match kind.as_str() {
-                "sum" | "mean" => 0.0,
-                "max" => -1.0e308,
-                "min" => 1.0e308,
-                other => return Err(HlsError::Lower(format!("unknown reduce kind '{other}'"))),
+        TensorKind::Reduce(dims, kind) => {
+            let a = arg(0);
+            let kept: Vec<usize> = (0..t.a.len()).filter(|d| !dims.contains(d)).collect();
+            let combine = match kind {
+                ReduceKind::Max => "arith.maxf",
+                ReduceKind::Min => "arith.minf",
+                ReduceKind::Sum | ReduceKind::Mean => "arith.addf",
             };
-            let combine = match kind.as_str() {
-                "sum" | "mean" => "arith.addf",
-                "max" => "arith.maxf",
-                _ => "arith.minf",
+            let fold = |fb: &mut FuncBuilder, acc, idx: &[Value]| {
+                let v = fb.load(a, idx, elem.clone());
+                fb.binary(combine, acc, v, elem.clone())
             };
-            let elem2 = elem.clone();
-            let dims2 = dims.clone();
-            let kept2 = kept.clone();
-            nest(fb, &kept_shape, &mut Vec::new(), &mut |fb, kept_idx| {
-                let init_v = fb.const_f(init, elem2.clone());
-                let acc = reduce_nest(
-                    fb,
-                    a,
-                    &red_shape,
-                    &dims2,
-                    &kept2,
-                    kept_idx,
-                    &mut Vec::new(),
-                    init_v,
-                    combine,
-                    &elem2,
-                    in_shape.len(),
-                );
-                let result = if kind == "mean" {
-                    let n = fb.const_f(count as f64, elem2.clone());
-                    fb.binary("arith.divf", acc, n, elem2.clone())
+            nest(fb, &t.shape, &mut Vec::new(), &mut |fb, kept_idx| {
+                let init = fb.const_f(kind.identity(), elem.clone());
+                // Every entry is overwritten: by a kept index here, by a
+                // reduced one in `reduce_nest`.
+                let mut idx = vec![init; t.a.len()];
+                for (d, i) in kept.iter().zip(kept_idx) {
+                    idx[*d] = *i;
+                }
+                let acc = reduce_nest(fb, dims, t.a, &mut idx, init, &fold);
+                let result = if *kind == ReduceKind::Mean {
+                    let count = dims.iter().map(|d| t.a[*d]).product::<usize>();
+                    let n = fb.const_f(count as f64, elem.clone());
+                    fb.binary("arith.divf", acc, n, elem.clone())
                 } else {
                     acc
                 };
                 fb.store(result, dest, kept_idx);
             });
-            Ok(())
         }
-        "tensor.stencil" => {
-            let a = env[&op.operands[0]];
-            let weights: Vec<f64> = op
-                .attr("weights")
-                .and_then(Attr::as_array)
-                .ok_or_else(|| HlsError::Lower("stencil without weights".into()))?
-                .iter()
-                .filter_map(Attr::as_float)
-                .collect();
-            let shape = shape_of(func, op.operands[0]);
+        TensorKind::Stencil(weights) => {
+            let a = arg(0);
             let radius = weights.len() / 2;
-            let last = *shape.last().ok_or_else(|| HlsError::Lower("stencil on scalar".into()))?;
-            if last < weights.len() {
-                return Err(HlsError::Lower(format!(
-                    "stencil width {} exceeds last dimension {last}",
-                    weights.len()
-                )));
-            }
-            let outer = &shape[..shape.len() - 1];
-            let elem2 = elem.clone();
-            let weights2 = weights.clone();
+            let (outer, last) = (&t.a[..t.a.len() - 1], t.a[t.a.len() - 1]);
             nest(fb, outer, &mut Vec::new(), &mut |fb, outer_idx| {
                 // Interior: out[.., i] = sum_k w[k] * in[.., i + k - r]
                 fb.for_loop(radius as i64, (last - radius) as i64, 1, &[], |fb, i, _| {
-                    let mut acc = fb.const_f(0.0, elem2.clone());
-                    for (k, w) in weights2.iter().enumerate() {
+                    let mut acc = fb.const_f(0.0, elem.clone());
+                    for (k, w) in weights.iter().enumerate() {
                         let off = fb.const_i(k as i64 - radius as i64, Type::Index);
                         let pos = fb.binary("arith.addi", i, off, Type::Index);
                         let mut idx = outer_idx.to_vec();
                         idx.push(pos);
-                        let v = fb.load(a, &idx, elem2.clone());
-                        let wv = fb.const_f(*w, elem2.clone());
-                        let prod = fb.binary("arith.mulf", v, wv, elem2.clone());
-                        acc = fb.binary("arith.addf", acc, prod, elem2.clone());
+                        let v = fb.load(a, &idx, elem.clone());
+                        let wv = fb.const_f(*w, elem.clone());
+                        let prod = fb.binary("arith.mulf", v, wv, elem.clone());
+                        acc = fb.binary("arith.addf", acc, prod, elem.clone());
                     }
                     let mut idx = outer_idx.to_vec();
                     idx.push(i);
@@ -358,33 +272,22 @@ fn lower_tensor_op(
                     fb.for_loop(range.0, range.1, 1, &[], |fb, i, _| {
                         let mut idx = outer_idx.to_vec();
                         idx.push(i);
-                        let v = fb.load(a, &idx, elem2.clone());
+                        let v = fb.load(a, &idx, elem.clone());
                         fb.store(v, dest, &idx);
                         vec![]
                     });
                 }
             });
-            Ok(())
         }
-        "tensor.conv2d" => {
-            let (x, k) = (env[&op.operands[0]], env[&op.operands[1]]);
-            let in_shape = shape_of(func, op.operands[0]);
-            let k_shape = shape_of(func, op.operands[1]);
-            let (h, w) = (in_shape[0], in_shape[1]);
-            let (kh, kw) = (k_shape[0], k_shape[1]);
-            if kh > h || kw > w {
-                return Err(HlsError::Lower("conv2d kernel larger than input".into()));
-            }
+        TensorKind::Conv2d => {
+            let (x, k) = (arg(0), arg(1));
+            let (h, w, kh, kw) = (t.a[0], t.a[1], t.b[0], t.b[1]);
             let (ry, rx) = (kh / 2, kw / 2);
-            let elem2 = elem.clone();
             // Interior: out[i,j] = sum_{ky,kx} in[i+ky-ry, j+kx-rx] * k[ky,kx]
             fb.for_loop(ry as i64, (h - ry) as i64, 1, &[], |fb, i, _| {
-                let elem3 = elem2.clone();
                 fb.for_loop(rx as i64, (w - rx) as i64, 1, &[], |fb, j, _| {
-                    let zero = fb.const_f(0.0, elem3.clone());
-                    let elem4 = elem3.clone();
+                    let zero = fb.const_f(0.0, elem.clone());
                     let acc = fb.for_loop(0, kh as i64, 1, &[zero], |fb, ky, c| {
-                        let elem5 = elem4.clone();
                         let row = fb.for_loop(0, kw as i64, 1, &[c[0]], |fb, kx, cc| {
                             let oy = fb.const_i(-(ry as i64), Type::Index);
                             let ox = fb.const_i(-(rx as i64), Type::Index);
@@ -392,10 +295,10 @@ fn lower_tensor_op(
                             let dx = fb.binary("arith.addi", kx, ox, Type::Index);
                             let iy = fb.binary("arith.addi", i, dy, Type::Index);
                             let ix = fb.binary("arith.addi", j, dx, Type::Index);
-                            let v = fb.load(x, &[iy, ix], elem5.clone());
-                            let wv = fb.load(k, &[ky, kx], elem5.clone());
-                            let prod = fb.binary("arith.mulf", v, wv, elem5.clone());
-                            vec![fb.binary("arith.addf", cc[0], prod, elem5.clone())]
+                            let v = fb.load(x, &[iy, ix], elem.clone());
+                            let wv = fb.load(k, &[ky, kx], elem.clone());
+                            let prod = fb.binary("arith.mulf", v, wv, elem.clone());
+                            vec![fb.binary("arith.addf", cc[0], prod, elem.clone())]
                         })[0];
                         vec![row]
                     })[0];
@@ -406,13 +309,10 @@ fn lower_tensor_op(
             });
             // Borders copied through (top/bottom rows, then left/right
             // columns of the interior rows).
-            let elem_b = elem.clone();
             let copy_rows = |fb: &mut FuncBuilder, lo: i64, hi: i64| {
-                let elem_c = elem_b.clone();
                 fb.for_loop(lo, hi, 1, &[], |fb, i, _| {
-                    let elem_d = elem_c.clone();
                     fb.for_loop(0, w as i64, 1, &[], |fb, j, _| {
-                        let v = fb.load(x, &[i, j], elem_d.clone());
+                        let v = fb.load(x, &[i, j], elem.clone());
                         fb.store(v, dest, &[i, j]);
                         vec![]
                     });
@@ -421,13 +321,10 @@ fn lower_tensor_op(
             };
             copy_rows(fb, 0, ry as i64);
             copy_rows(fb, (h - ry) as i64, h as i64);
-            let elem_b2 = elem.clone();
             let copy_cols = |fb: &mut FuncBuilder, lo: i64, hi: i64| {
-                let elem_c = elem_b2.clone();
                 fb.for_loop(ry as i64, (h - ry) as i64, 1, &[], |fb, i, _| {
-                    let elem_d = elem_c.clone();
                     fb.for_loop(lo, hi, 1, &[], |fb, j, _| {
-                        let v = fb.load(x, &[i, j], elem_d.clone());
+                        let v = fb.load(x, &[i, j], elem.clone());
                         fb.store(v, dest, &[i, j]);
                         vec![]
                     });
@@ -436,103 +333,55 @@ fn lower_tensor_op(
             };
             copy_cols(fb, 0, rx as i64);
             copy_cols(fb, (w - rx) as i64, w as i64);
-            Ok(())
         }
-        "tensor.relu" => {
-            let a = env[&op.operands[0]];
-            let shape = shape_of(func, op.operands[0]);
-            let elem2 = elem.clone();
-            nest(fb, &shape, &mut Vec::new(), &mut |fb, idx| {
-                let v = fb.load(a, idx, elem2.clone());
-                let zero = fb.const_f(0.0, elem2.clone());
-                let r = fb.binary("arith.maxf", v, zero, elem2.clone());
+        TensorKind::Relu => {
+            let a = arg(0);
+            nest(fb, t.a, &mut Vec::new(), &mut |fb, idx| {
+                let v = fb.load(a, idx, elem.clone());
+                let zero = fb.const_f(0.0, elem.clone());
+                let r = fb.binary("arith.maxf", v, zero, elem.clone());
                 fb.store(r, dest, idx);
             });
-            Ok(())
         }
-        "tensor.sigmoid" => {
-            let a = env[&op.operands[0]];
-            let shape = shape_of(func, op.operands[0]);
-            let elem2 = elem.clone();
-            nest(fb, &shape, &mut Vec::new(), &mut |fb, idx| {
-                let v = fb.load(a, idx, elem2.clone());
-                let neg = fb.unary("arith.negf", v, elem2.clone());
-                let e = fb.unary("arith.expf", neg, elem2.clone());
-                let one = fb.const_f(1.0, elem2.clone());
-                let denom = fb.binary("arith.addf", one, e, elem2.clone());
-                let r = fb.binary("arith.divf", one, denom, elem2.clone());
+        TensorKind::Sigmoid => {
+            let a = arg(0);
+            nest(fb, t.a, &mut Vec::new(), &mut |fb, idx| {
+                let v = fb.load(a, idx, elem.clone());
+                let neg = fb.unary("arith.negf", v, elem.clone());
+                let e = fb.unary("arith.expf", neg, elem.clone());
+                let one = fb.const_f(1.0, elem.clone());
+                let denom = fb.binary("arith.addf", one, e, elem.clone());
+                let r = fb.binary("arith.divf", one, denom, elem.clone());
                 fb.store(r, dest, idx);
             });
-            Ok(())
         }
-        "tensor.fill" => {
-            let value = op.attr("value").and_then(Attr::as_float).unwrap_or(0.0);
-            let shape = shape_of(func, op.results[0]);
-            let elem2 = elem.clone();
-            nest(fb, &shape, &mut Vec::new(), &mut |fb, idx| {
-                let v = fb.const_f(value, elem2.clone());
+        TensorKind::Fill(value) => {
+            nest(fb, &t.shape, &mut Vec::new(), &mut |fb, idx| {
+                let v = fb.const_f(*value, elem.clone());
                 fb.store(v, dest, idx);
             });
-            Ok(())
         }
-        other => Err(HlsError::Unsupported(format!("tensor op '{other}'"))),
     }
 }
 
-/// Emits the reduction loop nest over the reduced dimensions, carrying the
-/// accumulator through each level, and returns the final accumulator.
-#[allow(clippy::too_many_arguments)]
+/// Emits a loop over each of the reduced `dims` of a tensor of `shape`,
+/// carrying the accumulator `acc` through each level, and returns the final
+/// accumulator. `idx` holds the kept dims' indices; each level writes its
+/// own, and `fold` combines the entry at `idx` into the accumulator.
 fn reduce_nest(
     fb: &mut FuncBuilder,
-    src: Value,
-    red_shape: &[usize],
     dims: &[usize],
-    kept: &[usize],
-    kept_idx: &[Value],
-    red_idx: &mut Vec<Value>,
-    acc_in: Value,
-    combine: &str,
-    elem: &Type,
-    rank: usize,
+    shape: &[usize],
+    idx: &mut [Value],
+    acc: Value,
+    fold: &dyn Fn(&mut FuncBuilder, Value, &[Value]) -> Value,
 ) -> Value {
-    if red_shape.is_empty() {
-        // Assemble the full index: kept dims from kept_idx, reduced dims
-        // from red_idx.
-        let mut idx = vec![red_idx.first().copied().unwrap_or(kept_idx[0]); rank];
-        for (pos, d) in kept.iter().enumerate() {
-            idx[*d] = kept_idx[pos];
-        }
-        for (pos, d) in dims.iter().enumerate() {
-            idx[*d] = red_idx[pos];
-        }
-        let v = fb.load(src, &idx, elem.clone());
-        return fb.binary(combine, acc_in, v, elem.clone());
-    }
-    let (dim, rest) = (red_shape[0], &red_shape[1..]);
-    let elem2 = elem.clone();
-    let combine2 = combine.to_owned();
-    let rest2 = rest.to_vec();
-    let dims2 = dims.to_vec();
-    let kept2 = kept.to_vec();
-    let kept_idx2 = kept_idx.to_vec();
-    let mut red_idx2 = std::mem::take(red_idx);
-    fb.for_loop(0, dim as i64, 1, &[acc_in], |fb, iv, carried| {
-        red_idx2.push(iv);
-        let r = reduce_nest(
-            fb,
-            src,
-            &rest2,
-            &dims2,
-            &kept2,
-            &kept_idx2,
-            &mut red_idx2,
-            carried[0],
-            &combine2,
-            &elem2,
-            rank,
-        );
-        red_idx2.pop();
-        vec![r]
+    let Some((&d, rest)) = dims.split_first() else {
+        return fold(fb, acc, idx);
+    };
+    fb.for_loop(0, shape[d] as i64, 1, &[acc], |fb, iv, carried| {
+        idx[d] = iv;
+        vec![reduce_nest(fb, rest, shape, idx, carried[0], fold)]
     })[0]
 }
 
@@ -677,11 +526,25 @@ mod tests {
 
     #[test]
     fn stencil_wider_than_dim_rejected() {
-        let module = everest_dsl::compile_kernels(
-            "kernel s(a: tensor<2xf64>) -> tensor<2xf64> { return stencil(a, [0.2, 0.2, 0.2, 0.2, 0.2]); }",
-        )
-        .unwrap();
-        let err = lower_to_loops(module.func("s").unwrap()).unwrap_err();
-        assert!(matches!(err, HlsError::Lower(_)));
+        // The DSL checker rejects it too, so the op is built by hand.
+        let src =
+            "kernel s(a: tensor<2xf64>) -> tensor<2xf64> { return stencil(a, [0.2, 0.2, 0.2]); }";
+        let err = everest_dsl::compile_kernels(src).unwrap_err();
+        assert!(err.to_string().ends_with("'stencil': width 3 is wider than the last dimension 2"));
+        let ty = Type::tensor(Type::F64, &[2]);
+        let mut fb = FuncBuilder::new("s", std::slice::from_ref(&ty), std::slice::from_ref(&ty));
+        let weights = Attr::Array(vec![Attr::Float(0.2); 3]);
+        let mut op = Op::new("tensor.stencil").with_attr("weights", weights);
+        op.operands = vec![fb.arg(0)];
+        let r = fb.op1(op, ty);
+        fb.ret(&[r]);
+        let err = lower_to_loops(&fb.finish()).unwrap_err();
+        assert_eq!(
+            err,
+            HlsError::Lower(
+                "verification failed: tensor.stencil: width 3 is wider than the last dimension 2"
+                    .into()
+            )
+        );
     }
 }

@@ -61,26 +61,32 @@ fn naive_shape(op: &str, a: &[usize], b: &[usize], ints: &[i64]) -> Vec<usize> {
 
 fn case() -> impl Strategy<Value = Case> {
     (
-        (0..OPS.len(), vec(1usize..5, 1..4), vec(1usize..5, 1..4), 0u8..3),
+        (0..OPS.len(), vec(1usize..6, 3), 0usize..5, vec(1usize..6, 1..4), 0u8..4),
         (vec(-1i64..4, 0..4), any::<u64>(), 0..KINDS.len()),
-        (vec(-2.0f64..2.0, 0..10), -3.0f64..3.0, 0u8..4, vec(1usize..5, 0..3)),
+        (vec(-2.0f64..2.0, 0..7), -3.0f64..3.0, 0u8..4, vec(1usize..5, 0..3)),
     )
         .prop_map(
             |(
-                (op, a, b_random, b_mode),
+                (op, dims, rank, b_random, b_mode),
                 (ints_random, bits, kind),
                 (weights, value, declare, wrong),
             )| {
                 let op = OPS[op];
+                // Rank 2 half the time: matmul and conv2d need it.
+                let a = dims[..[1, 2, 2, 2, 3][rank]].to_vec();
                 let b = match b_mode {
                     0 => a.clone(),
                     1 => vec![*a.last().unwrap(), b_random[0]],
+                    // The largest odd kernel that fits.
+                    2 => a.iter().map(|d| d - (1 - d % 2)).collect(),
                     _ => b_random,
                 };
-                // A third each: a random list, a permutation of the dimensions,
-                // a subset of them.
+                // A quarter each: a random list, a permutation of the
+                // dimensions, a subset of them, and a subset with its first
+                // entry repeated.
                 let rank = a.len() as i64;
-                let ints = match bits % 3 {
+                let mut subset: Vec<i64> = (0..rank).filter(|d| bits >> (2 + d) & 1 == 1).collect();
+                let ints = match bits % 4 {
                     0 => ints_random,
                     1 => {
                         let mut perm: Vec<i64> = (0..rank).collect();
@@ -89,7 +95,11 @@ fn case() -> impl Strategy<Value = Case> {
                         }
                         perm
                     }
-                    _ => (0..rank).filter(|d| bits >> (2 + d) & 1 == 1).collect(),
+                    2 => subset,
+                    _ => {
+                        subset.extend(subset.first().copied());
+                        subset
+                    }
                 };
                 let declared = if declare == 0 { wrong } else { naive_shape(op, &a, &b, &ints) };
                 Case { op, a, b, ints, kind: KINDS[kind], weights, value, declared }
@@ -143,7 +153,7 @@ fn inputs(func: &Func) -> Vec<Vec<f64>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(ProptestConfig::with_cases(2048))]
 
     #[test]
     fn a_verified_tensor_op_runs_alike_in_the_interpreter_and_the_loops(case in case()) {

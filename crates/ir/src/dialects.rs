@@ -9,98 +9,77 @@ use crate::ir::{Op, Value};
 use crate::types::Type;
 
 /// Helpers for the `tensor` dialect: EVEREST's data-centric dense-algebra
-/// abstraction (paper III-B).
+/// abstraction (paper III-B). Each types its result by the op's shape rule
+/// ([`TensorKind::result_shape`](crate::TensorKind::result_shape)).
+///
+/// # Panics
+///
+/// Each helper panics when its operands or attributes break that rule.
 pub mod tensor {
     use super::*;
+    use crate::tensor_op::{ReduceKind, TensorOp};
 
-    /// Emits `tensor.matmul` with the result shape inferred from the inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either input is not a rank-2 tensor.
+    /// Pushes `op` applied to `operands`, typed by its shape rule.
+    fn push(fb: &mut FuncBuilder, mut op: Op, operands: &[Value]) -> Value {
+        op.operands = operands.to_vec();
+        let ty = match TensorOp::decode(&op, |v| fb.value_type(v)) {
+            Ok(t) => t.result_type(),
+            Err(e) => panic!("{e}"),
+        };
+        fb.op1(op, ty)
+    }
+
+    fn indices(list: &[usize]) -> Attr {
+        Attr::ints(&list.iter().map(|i| *i as i64).collect::<Vec<_>>())
+    }
+
+    /// Emits `tensor.matmul a, b`.
     pub fn matmul(fb: &mut FuncBuilder, a: Value, b: Value) -> Value {
-        let (m, elem) = match fb.value_type(a) {
-            Type::Tensor { shape, elem } if shape.len() == 2 => (shape[0], (**elem).clone()),
-            other => panic!("matmul lhs must be rank-2 tensor, got {other}"),
-        };
-        let n = match fb.value_type(b) {
-            Type::Tensor { shape, .. } if shape.len() == 2 => shape[1],
-            other => panic!("matmul rhs must be rank-2 tensor, got {other}"),
-        };
-        let mut op = Op::new("tensor.matmul");
-        op.operands = vec![a, b];
-        fb.op1(op, Type::tensor(elem, &[m, n]))
+        push(fb, Op::new("tensor.matmul"), &[a, b])
     }
 
     /// Emits an elementwise op (`tensor.add`/`sub`/`mul`).
     pub fn elementwise(fb: &mut FuncBuilder, name: &str, a: Value, b: Value) -> Value {
-        let ty = fb.value_type(a).clone();
-        let mut op = Op::new(name);
-        op.operands = vec![a, b];
-        fb.op1(op, ty)
+        push(fb, Op::new(name), &[a, b])
+    }
+
+    /// Emits `tensor.scale s, t`: the scalar `s` times every element of `t`.
+    pub fn scale(fb: &mut FuncBuilder, s: Value, t: Value) -> Value {
+        push(fb, Op::new("tensor.scale"), &[s, t])
     }
 
     /// Emits `tensor.transpose` with the given permutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a permutation of the input rank.
     pub fn transpose(fb: &mut FuncBuilder, a: Value, perm: &[usize]) -> Value {
-        let (shape, elem) = match fb.value_type(a) {
-            Type::Tensor { shape, elem } => (shape.clone(), (**elem).clone()),
-            other => panic!("transpose input must be a tensor, got {other}"),
-        };
-        assert_eq!(perm.len(), shape.len(), "permutation rank mismatch");
-        let mut sorted: Vec<usize> = perm.to_vec();
-        sorted.sort_unstable();
-        assert!(sorted.iter().enumerate().all(|(i, p)| i == *p), "not a permutation: {perm:?}");
-        let new_shape: Vec<usize> = perm.iter().map(|p| shape[*p]).collect();
-        let mut op = Op::new("tensor.transpose")
-            .with_attr("perm", Attr::ints(&perm.iter().map(|p| *p as i64).collect::<Vec<_>>()));
-        op.operands = vec![a];
-        fb.op1(op, Type::tensor(elem, &new_shape))
+        push(fb, Op::new("tensor.transpose").with_attr("perm", indices(perm)), &[a])
     }
 
-    /// Emits `tensor.reduce` over the given dimensions (`kind` in
-    /// `{"sum", "max", "min", "mean"}`), producing a tensor with those
-    /// dimensions removed.
-    pub fn reduce(fb: &mut FuncBuilder, a: Value, dims: &[usize], kind: &str) -> Value {
-        let (shape, elem) = match fb.value_type(a) {
-            Type::Tensor { shape, elem } => (shape.clone(), (**elem).clone()),
-            other => panic!("reduce input must be a tensor, got {other}"),
-        };
-        let keep: Vec<usize> = (0..shape.len()).filter(|d| !dims.contains(d)).collect();
-        let new_shape: Vec<usize> = keep.iter().map(|d| shape[*d]).collect();
-        let mut op = Op::new("tensor.reduce")
-            .with_attr("dims", Attr::ints(&dims.iter().map(|d| *d as i64).collect::<Vec<_>>()))
-            .with_attr("kind", kind);
-        op.operands = vec![a];
-        fb.op1(op, Type::tensor(elem, &new_shape))
+    /// Emits `tensor.reduce` folding the given dimensions away.
+    pub fn reduce(fb: &mut FuncBuilder, a: Value, dims: &[usize], kind: ReduceKind) -> Value {
+        let op = Op::new("tensor.reduce")
+            .with_attr("dims", indices(dims))
+            .with_attr("kind", kind.name());
+        push(fb, op, &[a])
     }
 
-    /// Emits a 5-point (or generic odd-width) `tensor.stencil` with weights.
+    /// Emits an odd-width `tensor.stencil` with the given weights.
     pub fn stencil(fb: &mut FuncBuilder, a: Value, weights: &[f64]) -> Value {
-        let ty = fb.value_type(a).clone();
-        let mut op = Op::new("tensor.stencil")
-            .with_attr("weights", Attr::Array(weights.iter().map(|w| Attr::Float(*w)).collect()));
-        op.operands = vec![a];
-        fb.op1(op, ty)
+        let weights = Attr::Array(weights.iter().map(|w| Attr::Float(*w)).collect());
+        push(fb, Op::new("tensor.stencil").with_attr("weights", weights), &[a])
+    }
+
+    /// Emits `tensor.conv2d x, k`.
+    pub fn conv2d(fb: &mut FuncBuilder, x: Value, k: Value) -> Value {
+        push(fb, Op::new("tensor.conv2d"), &[x, k])
     }
 
     /// Emits `tensor.relu`.
     pub fn relu(fb: &mut FuncBuilder, a: Value) -> Value {
-        let ty = fb.value_type(a).clone();
-        let mut op = Op::new("tensor.relu");
-        op.operands = vec![a];
-        fb.op1(op, ty)
+        push(fb, Op::new("tensor.relu"), &[a])
     }
 
     /// Emits `tensor.sigmoid`.
     pub fn sigmoid(fb: &mut FuncBuilder, a: Value) -> Value {
-        let ty = fb.value_type(a).clone();
-        let mut op = Op::new("tensor.sigmoid");
-        op.operands = vec![a];
-        fb.op1(op, ty)
+        push(fb, Op::new("tensor.sigmoid"), &[a])
     }
 }
 
@@ -215,7 +194,7 @@ mod tests {
         let a = Type::tensor(Type::F32, &[6, 7]);
         let mut fb = FuncBuilder::new("r", &[a], &[Type::tensor(Type::F32, &[6])]);
         let a0 = fb.arg(0);
-        let r = tensor::reduce(&mut fb, a0, &[1], "sum");
+        let r = tensor::reduce(&mut fb, a0, &[1], crate::ReduceKind::Sum);
         assert_eq!(fb.value_type(r).shape(), Some(&[6][..]));
         fb.ret(&[r]);
         verify_func(&fb.finish()).unwrap();

@@ -9,6 +9,7 @@
 use crate::attr::Attr;
 use crate::error::{IrError, IrResult};
 use crate::ir::{Block, ForLoop, Func, Module, Op, Value};
+use crate::tensor_op::{ReduceKind, TensorKind, TensorOp};
 use std::collections::HashMap;
 
 /// A runtime value.
@@ -52,13 +53,6 @@ impl RtValue {
         match self {
             RtValue::Int(v) => Ok(*v),
             other => Err(IrError::Pass(format!("expected integer, got {other:?}"))),
-        }
-    }
-
-    fn as_tensor(&self) -> IrResult<(&[usize], &[f64])> {
-        match self {
-            RtValue::Tensor { shape, data } => Ok((shape, data)),
-            other => Err(IrError::Pass(format!("expected tensor, got {other:?}"))),
         }
     }
 }
@@ -312,79 +306,61 @@ impl<'m> Interp<'m> {
                     op.operands.iter().map(|o| self.get(env, *o)).collect::<IrResult<_>>()?;
                 self.call(callee, &args)
             }
-            name if name.starts_with("tensor.") => self.eval_tensor_op(func, op, env),
+            name if name.starts_with("tensor.") => {
+                let t = TensorOp::of(func, op)?;
+                let data = self.eval_tensor_op(&t, op, env)?;
+                Ok(vec![RtValue::Tensor { shape: t.shape, data }])
+            }
             other => Err(IrError::Pass(format!("interpreter does not support '{other}'"))),
         }
     }
 
+    /// The elements of the result of `t`, the view of `op`.
     fn eval_tensor_op(
-        &mut self,
-        func: &Func,
+        &self,
+        t: &TensorOp,
         op: &Op,
-        env: &mut HashMap<Value, RtValue>,
-    ) -> IrResult<Vec<RtValue>> {
-        let operand = |i: usize| -> IrResult<RtValue> { self.get(env, op.operands[i]) };
-        match op.name.as_str() {
-            "tensor.matmul" => {
-                let a = operand(0)?;
-                let b = operand(1)?;
-                let (ashape, adata) = a.as_tensor()?;
-                let (bshape, bdata) = b.as_tensor()?;
-                let (m, k, n) = (ashape[0], ashape[1], bshape[1]);
-                let out = crate::simd::matmul(adata, bdata, m, k, n);
-                Ok(vec![RtValue::tensor(&[m, n], out)])
+        env: &HashMap<Value, RtValue>,
+    ) -> IrResult<Vec<f64>> {
+        // The data of operand `i`, which must hold the shape its type
+        // declares.
+        let arg = |i: usize, shape: &[usize]| match env.get(&op.operands[i]) {
+            Some(RtValue::Tensor { shape: s, data })
+                if s == shape && data.len() == shape.iter().product::<usize>() =>
+            {
+                Ok(data.as_slice())
             }
-            "tensor.add" | "tensor.sub" | "tensor.mul" => {
-                let a = operand(0)?;
-                let b = operand(1)?;
-                let (shape, ad) = a.as_tensor()?;
-                let (_, bd) = b.as_tensor()?;
-                let f: fn(f64, f64) -> f64 = match op.name.as_str() {
-                    "tensor.add" => |x, y| x + y,
-                    "tensor.sub" => |x, y| x - y,
+            _ => Err(IrError::Pass(format!(
+                "operand {} is not a tensor of shape {shape:?}",
+                op.operands[i]
+            ))),
+        };
+        Ok(match &t.kind {
+            TensorKind::Fill(value) => vec![*value; t.shape.iter().product()],
+            TensorKind::Matmul => {
+                crate::simd::matmul(arg(0, t.a)?, arg(1, t.b)?, t.a[0], t.a[1], t.b[1])
+            }
+            TensorKind::Add | TensorKind::Sub | TensorKind::Mul => {
+                let f: fn(f64, f64) -> f64 = match t.kind {
+                    TensorKind::Add => |x, y| x + y,
+                    TensorKind::Sub => |x, y| x - y,
                     _ => |x, y| x * y,
                 };
-                let out = ad.iter().zip(bd).map(|(x, y)| f(*x, *y)).collect();
-                Ok(vec![RtValue::tensor(shape, out)])
+                arg(0, t.a)?.iter().zip(arg(1, t.b)?).map(|(x, y)| f(*x, *y)).collect()
             }
-            "tensor.scale" => {
-                let s = operand(0)?.as_float()?;
-                let t = operand(1)?;
-                let (shape, data) = t.as_tensor()?;
-                Ok(vec![RtValue::tensor(shape, data.iter().map(|x| s * x).collect())])
+            TensorKind::Scale => {
+                let s = self.get(env, op.operands[0])?.as_float()?;
+                arg(1, t.a)?.iter().map(|x| s * x).collect()
             }
-            "tensor.relu" => {
-                let t = operand(0)?;
-                let (shape, data) = t.as_tensor()?;
-                Ok(vec![RtValue::tensor(shape, data.iter().map(|x| x.max(0.0)).collect())])
-            }
-            "tensor.sigmoid" => {
-                let t = operand(0)?;
-                let (shape, data) = t.as_tensor()?;
-                Ok(vec![RtValue::tensor(shape, crate::simd::sigmoid(data))])
-            }
-            "tensor.fill" => {
-                let value = op.attr("value").and_then(Attr::as_float).unwrap_or(0.0);
-                let ty = func.value_type(op.results[0]);
-                let shape = ty.shape().ok_or_else(|| IrError::Pass("fill non-tensor".into()))?;
-                Ok(vec![RtValue::tensor(shape, vec![value; shape.iter().product()])])
-            }
-            "tensor.transpose" => {
-                let t = operand(0)?;
-                let (shape, data) = t.as_tensor()?;
-                let perm: Vec<usize> = op
-                    .attr("perm")
-                    .and_then(Attr::to_ints)
-                    .ok_or_else(|| IrError::Pass("transpose without perm".into()))?
-                    .iter()
-                    .map(|p| *p as usize)
-                    .collect();
-                let out_shape: Vec<usize> = perm.iter().map(|p| shape[*p]).collect();
-                let in_strides = strides(shape);
+            TensorKind::Relu => arg(0, t.a)?.iter().map(|x| x.max(0.0)).collect(),
+            TensorKind::Sigmoid => crate::simd::sigmoid(arg(0, t.a)?),
+            TensorKind::Transpose(perm) => {
+                let data = arg(0, t.a)?;
+                let in_strides = strides(t.a);
                 let mut out = vec![0.0; data.len()];
-                let mut out_idx = vec![0usize; shape.len()];
+                let mut out_idx = vec![0usize; t.a.len()];
                 for (flat, slot) in out.iter_mut().enumerate() {
-                    unflatten(flat, &out_shape, &mut out_idx);
+                    unflatten(flat, &t.shape, &mut out_idx);
                     // out[idx] = in at position where in-dim perm[d] = idx[d].
                     let mut in_flat = 0;
                     for (d, p) in perm.iter().enumerate() {
@@ -392,76 +368,41 @@ impl<'m> Interp<'m> {
                     }
                     *slot = data[in_flat];
                 }
-                Ok(vec![RtValue::tensor(&out_shape, out)])
+                out
             }
-            "tensor.reduce" => {
-                let t = operand(0)?;
-                let (shape, data) = t.as_tensor()?;
-                let dims: Vec<usize> = op
-                    .attr("dims")
-                    .and_then(Attr::to_ints)
-                    .ok_or_else(|| IrError::Pass("reduce without dims".into()))?
-                    .iter()
-                    .map(|d| *d as usize)
-                    .collect();
-                let kind = op.attr("kind").and_then(Attr::as_str).unwrap_or("sum").to_owned();
+            TensorKind::Reduce(dims, kind) => {
+                let (shape, data) = (t.a, arg(0, t.a)?);
                 let kept: Vec<usize> = (0..shape.len()).filter(|d| !dims.contains(d)).collect();
-                let out_shape: Vec<usize> = kept.iter().map(|d| shape[*d]).collect();
-                let count: usize = dims.iter().map(|d| shape[*d]).product();
-                let init = match kind.as_str() {
-                    "max" => f64::NEG_INFINITY,
-                    "min" => f64::INFINITY,
-                    _ => 0.0,
-                };
-                let mut out = vec![init; out_shape.iter().product::<usize>().max(1)];
-                let in_strides = strides(shape);
+                let mut out = vec![kind.identity(); t.shape.iter().product()];
                 let mut idx = vec![0usize; shape.len()];
                 for (flat, v) in data.iter().enumerate() {
                     unflatten(flat, shape, &mut idx);
-                    let mut out_flat = 0;
-                    for d in &kept {
-                        out_flat = out_flat * shape[*d] + idx[*d];
-                    }
-                    out[out_flat] = match kind.as_str() {
-                        "max" => out[out_flat].max(*v),
-                        "min" => out[out_flat].min(*v),
-                        _ => out[out_flat] + v,
+                    let o = kept.iter().fold(0, |o, d| o * shape[*d] + idx[*d]);
+                    out[o] = match kind {
+                        ReduceKind::Max => out[o].max(*v),
+                        ReduceKind::Min => out[o].min(*v),
+                        ReduceKind::Sum | ReduceKind::Mean => out[o] + v,
                     };
                 }
-                let _ = in_strides;
-                if kind == "mean" {
+                if *kind == ReduceKind::Mean {
+                    let count = dims.iter().map(|d| shape[*d]).product::<usize>() as f64;
                     for v in &mut out {
-                        *v /= count as f64;
+                        *v /= count;
                     }
                 }
-                Ok(vec![RtValue::tensor(&out_shape, out)])
+                out
             }
-            "tensor.stencil" => {
+            TensorKind::Stencil(weights) => {
                 // Semantics match the HLS lowering: 1-D convolution along
                 // the last dim, borders copied through.
-                let t = operand(0)?;
-                let (shape, data) = t.as_tensor()?;
-                let weights: Vec<f64> = op
-                    .attr("weights")
-                    .and_then(Attr::as_array)
-                    .ok_or_else(|| IrError::Pass("stencil without weights".into()))?
-                    .iter()
-                    .filter_map(Attr::as_float)
-                    .collect();
-                let last = *shape.last().ok_or_else(|| IrError::Pass("stencil scalar".into()))?;
-                let rows: usize = shape[..shape.len() - 1].iter().product::<usize>().max(1);
-                let out = crate::simd::stencil_rows(data, rows, last, &weights);
-                Ok(vec![RtValue::tensor(shape, out)])
+                let (outer, last) = t.a.split_at(t.a.len() - 1);
+                crate::simd::stencil_rows(arg(0, t.a)?, outer.iter().product(), last[0], weights)
             }
-            "tensor.conv2d" => {
+            TensorKind::Conv2d => {
                 // Matches the HLS lowering: interior convolution, borders
                 // copied through.
-                let x = operand(0)?;
-                let k = operand(1)?;
-                let (xs, xd) = x.as_tensor()?;
-                let (ks, kd) = k.as_tensor()?;
-                let (h, w) = (xs[0], xs[1]);
-                let (kh, kw) = (ks[0], ks[1]);
+                let (xd, kd) = (arg(0, t.a)?, arg(1, t.b)?);
+                let (h, w, kh, kw) = (t.a[0], t.a[1], t.b[0], t.b[1]);
                 let (ry, rx) = (kh / 2, kw / 2);
                 let mut out = xd.to_vec();
                 for i in ry..h - ry {
@@ -477,10 +418,9 @@ impl<'m> Interp<'m> {
                         out[i * w + j] = acc;
                     }
                 }
-                Ok(vec![RtValue::tensor(xs, out)])
+                out
             }
-            other => Err(IrError::Pass(format!("interpreter does not support '{other}'"))),
-        }
+        })
     }
 }
 
@@ -551,7 +491,7 @@ mod tests {
         let mut fb = FuncBuilder::new("f", &[a_ty], &[Type::tensor(Type::F64, &[3])]);
         let x = fb.arg(0);
         let t = tdl::transpose(&mut fb, x, &[1, 0]); // 3x2
-        let r = tdl::reduce(&mut fb, t, &[1], "sum"); // sum rows -> [3]
+        let r = tdl::reduce(&mut fb, t, &[1], ReduceKind::Sum); // sum rows -> [3]
         fb.ret(&[r]);
         let f = fb.finish();
         let input = RtValue::tensor(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);

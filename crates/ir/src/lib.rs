@@ -16,7 +16,11 @@
 //!   attributes, nested regions — whose structural constraints are supplied
 //!   by a dialect registry ([`crate::registry`]);
 //! * SSA [`Value`]s are function-scoped handles with types tracked in a side
-//!   table on the function.
+//!   table on the function;
+//! * a `loop.for` is read through [`ForLoop::of`] and a `tensor.*` op
+//!   through [`TensorOp::of`]: each decodes and checks the op's attributes
+//!   and operand types once, so the verifier, the interpreter and every
+//!   other reader agree on which ops are well formed and what they compute.
 //!
 //! Dialects provided (paper Section III): `arith`/`cf` (builtin scalar
 //! compute + control), `tensor` (data-centric tensor abstraction), `df`
@@ -56,6 +60,7 @@ pub mod pass;
 pub mod print;
 pub mod registry;
 pub mod simd;
+pub(crate) mod tensor_op;
 pub mod types;
 pub mod verify;
 
@@ -68,4 +73,5 @@ pub use footprint::fn_footprint;
 pub use ir::{Block, BlockId, ForLoop, Func, Module, Op, Region, Value};
 pub use lints::{check_func, check_module};
 pub use parse::parse_module;
+pub use tensor_op::{ReduceKind, TensorKind, TensorOp};
 pub use types::Type;

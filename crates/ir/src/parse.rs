@@ -319,6 +319,13 @@ impl<'a> Parser<'a> {
                 self.expect("!")?;
                 Ok(Attr::Type(self.ty()?))
             }
+            Some(b'-') if self.src.get(self.pos + 1) == Some(&b'i') => {
+                self.pos += 1;
+                match self.ident()?.as_str() {
+                    "inf" => Ok(Attr::Float(f64::NEG_INFINITY)),
+                    other => Err(self.err(format!("unknown attribute literal '-{other}'"))),
+                }
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => {
                 // Number: float iff it contains '.', 'e', 'inf' or 'NaN'.
                 let start = self.pos;
@@ -653,6 +660,24 @@ mod tests {
         let mut m = Module::new("attrs");
         m.push(fb.finish());
         round_trip(&m);
+    }
+
+    #[test]
+    fn round_trips_infinite_floats() {
+        let mut fb = FuncBuilder::new("f", &[], &[]);
+        for x in [f64::NEG_INFINITY, f64::INFINITY] {
+            fb.const_f(x, Type::F64);
+        }
+        fb.ret(&[]);
+        let mut m = Module::new("inf");
+        m.push(fb.finish());
+        assert!(m.to_text().contains("{value = -inf}"), "{}", m.to_text());
+        round_trip(&m);
+        let bad = m.to_text().replace("-inf", "-ind");
+        assert!(parse_module(&bad)
+            .unwrap_err()
+            .to_string()
+            .contains("unknown attribute literal '-ind'"));
     }
 
     #[test]

@@ -125,7 +125,6 @@ pub(crate) static OP_SPECS: &[OpSpec] = &[
     spec("tensor.scale", Arity::Exact(2), Arity::Exact(1), true, false, &[], 0),
     spec("tensor.transpose", Arity::Exact(1), Arity::Exact(1), true, false, &["perm"], 0),
     spec("tensor.reduce", Arity::Exact(1), Arity::Exact(1), true, false, &["dims", "kind"], 0),
-    spec("tensor.reshape", Arity::Exact(1), Arity::Exact(1), true, false, &["shape"], 0),
     spec("tensor.conv2d", Arity::Exact(2), Arity::Exact(1), true, false, &[], 0),
     spec("tensor.stencil", Arity::Exact(1), Arity::Exact(1), true, false, &["weights"], 0),
     spec("tensor.relu", Arity::Exact(1), Arity::Exact(1), true, false, &[], 0),

@@ -8,12 +8,14 @@
 //!    dominated by its definition (program order, with nested regions
 //!    inheriting the enclosing scope);
 //! 3. per-op type rules for the builtin dialects (scalar arithmetic,
-//!    memory, tensor algebra, returns and structured loops).
+//!    memory, returns and structured loops), and for every `tensor` op
+//!    the result type its [`TensorOp`] view computes.
 
 use crate::attr::Attr;
 use crate::error::{IrError, IrResult};
 use crate::ir::{Block, ForLoop, Func, Module, Op, Value};
 use crate::registry::{self, OpSpec};
+use crate::tensor_op::TensorOp;
 use crate::types::Type;
 use std::collections::HashSet;
 
@@ -275,53 +277,12 @@ fn verify_op_types(func: &Func, op: &Op) -> IrResult<()> {
                 other => err(format!("store into non-memref type {other}")),
             }
         }
-        "tensor.matmul" => {
-            let (a, b, r) =
-                (ty(func, op.operands[0]), ty(func, op.operands[1]), ty(func, op.results[0]));
-            match (a.shape(), b.shape(), r.shape()) {
-                (Some([m, k1]), Some([k2, n]), Some([rm, rn])) => {
-                    if k1 != k2 || m != rm || n != rn {
-                        return err(format!("shape mismatch {a} x {b} -> {r}"));
-                    }
-                    Ok(())
-                }
-                _ => err("matmul requires rank-2 tensors".into()),
+        name if name.starts_with("tensor.") => {
+            let (declared, t) = (ty(func, op.results[0]), TensorOp::of(func, op)?);
+            match declared {
+                Type::Tensor { elem, shape } if **elem == *t.elem && *shape == t.shape => Ok(()),
+                _ => err(format!("declares {declared} but computes {}", t.result_type())),
             }
-        }
-        "tensor.conv2d" => {
-            let (x, k, r) =
-                (ty(func, op.operands[0]), ty(func, op.operands[1]), ty(func, op.results[0]));
-            match (x.shape(), k.shape()) {
-                (Some([_, _]), Some([kh, kw])) => {
-                    if kh % 2 == 0 || kw % 2 == 0 {
-                        return err("conv2d kernel dims must be odd".into());
-                    }
-                    if x != r {
-                        return err("conv2d result shape must match input".into());
-                    }
-                    Ok(())
-                }
-                _ => err("conv2d requires rank-2 tensors".into()),
-            }
-        }
-        "tensor.add" | "tensor.sub" | "tensor.mul" => {
-            let (a, b, r) =
-                (ty(func, op.operands[0]), ty(func, op.operands[1]), ty(func, op.results[0]));
-            if a != b || a != r {
-                return err(format!("elementwise shape mismatch: {a}, {b} -> {r}"));
-            }
-            Ok(())
-        }
-        "tensor.scale" => {
-            let (s, t, r) =
-                (ty(func, op.operands[0]), ty(func, op.operands[1]), ty(func, op.results[0]));
-            if !s.is_scalar() {
-                return err("scale factor must be scalar".into());
-            }
-            if t != r {
-                return err("scale result shape mismatch".into());
-            }
-            Ok(())
         }
         "func.return" => {
             if op.operands.len() != func.results.len() {
@@ -439,7 +400,10 @@ mod tests {
         let r = fb.binary("tensor.matmul", fb.arg(0), fb.arg(1), c);
         fb.ret(&[r]);
         let err = verify_func(&fb.finish()).unwrap_err();
-        assert!(err.to_string().contains("shape mismatch"));
+        assert!(
+            err.to_string().ends_with("tensor.matmul: inner dimensions 8 and 9 differ"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Kernel workload analysis: flops, bytes and arithmetic intensity from IR.
 
-use everest_ir::attr::Attr;
-use everest_ir::{Func, Type};
+use everest_ir::{Func, TensorKind, TensorOp};
 
 /// Workload characteristics of one kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -25,61 +24,46 @@ impl KernelWorkload {
     }
 }
 
-fn tensor_elems(ty: &Type) -> f64 {
-    ty.num_elements().unwrap_or(1) as f64
+/// Floating-point operations of one run of a tensor op.
+fn tensor_flops(t: &TensorOp) -> f64 {
+    let elems = |shape: &[usize]| shape.iter().product::<usize>() as f64;
+    let out = elems(&t.shape);
+    match &t.kind {
+        // 2*m*k*n: out is m x n, the shared dim k is the lhs's second.
+        TensorKind::Matmul => 2.0 * out * t.a[1] as f64,
+        TensorKind::Add
+        | TensorKind::Sub
+        | TensorKind::Mul
+        | TensorKind::Scale
+        | TensorKind::Relu => out,
+        // exp + divide cost ~40 scalar flops each on a CPU (polynomial
+        // expansion + Newton division); custom FPGA function units make
+        // this the kernel class where acceleration shines.
+        TensorKind::Sigmoid => 40.0 * out,
+        TensorKind::Stencil(weights) => 2.0 * weights.len() as f64 * out,
+        TensorKind::Reduce(..) => elems(t.a),
+        TensorKind::Conv2d => 2.0 * elems(t.b) * out,
+        TensorKind::Fill(_) | TensorKind::Transpose(_) => 0.0,
+    }
 }
 
-/// Analyzes a tensor-dialect kernel.
+/// Analyzes a tensor-dialect kernel. A tensor op that does not decode
+/// counts no flops: it verifies nowhere, so nothing runs it.
 pub(crate) fn analyze(func: &Func) -> KernelWorkload {
     let mut flops = 0.0;
     let mut max_dim = 0usize;
     let mut bytes = 0.0;
-    for p in &func.params {
-        bytes += p.byte_size().unwrap_or(8) as f64;
-        if let Some(shape) = p.shape() {
-            max_dim = max_dim.max(shape.iter().copied().max().unwrap_or(0));
-        }
-    }
-    for r in &func.results {
-        bytes += r.byte_size().unwrap_or(8) as f64;
-        if let Some(shape) = r.shape() {
+    for ty in func.params.iter().chain(&func.results) {
+        bytes += ty.byte_size().unwrap_or(8) as f64;
+        if let Some(shape) = ty.shape() {
             max_dim = max_dim.max(shape.iter().copied().max().unwrap_or(0));
         }
     }
     func.walk(&mut |op| {
-        let out_elems =
-            op.results.first().map(|r| tensor_elems(func.value_type(*r))).unwrap_or(0.0);
-        match op.name.as_str() {
-            "tensor.matmul" => {
-                // 2*m*k*n: out is m x n, the shared dim comes from operand 0.
-                let k = func.value_type(op.operands[0]).shape().map(|s| s[1]).unwrap_or(1);
-                flops += 2.0 * out_elems * k as f64;
-            }
-            "tensor.add" | "tensor.sub" | "tensor.mul" | "tensor.scale" | "tensor.relu" => {
-                flops += out_elems;
-            }
-            // exp + divide cost ~40 scalar flops each on a CPU (polynomial
-            // expansion + Newton division); custom FPGA function units make
-            // this the kernel class where acceleration shines.
-            "tensor.sigmoid" => flops += 40.0 * out_elems,
-            "tensor.stencil" => {
-                let w = op.attr("weights").and_then(Attr::as_array).map(|a| a.len()).unwrap_or(3);
-                flops += 2.0 * w as f64 * out_elems;
-            }
-            "tensor.reduce" => {
-                let in_elems = tensor_elems(func.value_type(op.operands[0]));
-                flops += in_elems;
-            }
-            "tensor.conv2d" => {
-                let taps: f64 = func
-                    .value_type(op.operands[1])
-                    .shape()
-                    .map(|s| s.iter().product::<usize>() as f64)
-                    .unwrap_or(9.0);
-                flops += 2.0 * taps * out_elems;
-            }
-            name if name.starts_with("arith.") && name != "arith.constant" => flops += 1.0,
-            _ => {}
+        if op.name.starts_with("tensor.") {
+            flops += TensorOp::of(func, op).map_or(0.0, |t| tensor_flops(&t));
+        } else if op.name.starts_with("arith.") && op.name != "arith.constant" {
+            flops += 1.0;
         }
     });
     KernelWorkload { flops, bytes, max_dim }
