@@ -11,7 +11,9 @@
 //! Nested `loop.for` ops appear as *macro nodes* whose latency the caller
 //! supplies (computed bottom-up by [`crate::accel`]).
 
+use crate::error::HlsResult;
 use crate::oplib::{fu_for_op, latency_for_op, FuCounts, FuKind};
+use crate::schedule::ScheduleArena;
 use everest_ir::{Block, Value};
 use std::collections::HashMap;
 
@@ -205,15 +207,13 @@ impl Dfg {
     }
 
     /// The critical-path length in cycles (unconstrained ASAP makespan).
-    pub fn critical_path(&self) -> u64 {
-        let mut finish = vec![0u64; self.nodes.len()];
-        let mut longest = 0;
-        for (id, node) in self.nodes.iter().enumerate() {
-            let start = node.preds.iter().map(|p| finish[*p]).max().unwrap_or(0);
-            finish[id] = start + node.latency;
-            longest = longest.max(finish[id]);
-        }
-        longest
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HlsError::Schedule`](crate::HlsError::Schedule) if it passes
+    /// `u64::MAX` cycles.
+    pub fn critical_path(&self) -> HlsResult<u64> {
+        ScheduleArena::new().critical_path(self)
     }
 }
 
@@ -247,7 +247,7 @@ mod tests {
         let (f, _) = build_axpy_block();
         let dfg = Dfg::from_block(f.body.entry().unwrap(), &[]);
         // mulf (4) then addf (3).
-        assert_eq!(dfg.critical_path(), 7);
+        assert_eq!(dfg.critical_path(), Ok(7));
     }
 
     #[test]
@@ -313,7 +313,24 @@ mod tests {
         let f = fb.finish();
         let dfg = Dfg::from_block(f.body.entry().unwrap(), &[120]);
         assert_eq!(dfg.nodes[0].latency, 120);
-        assert_eq!(dfg.critical_path(), 120);
+        assert_eq!(dfg.critical_path(), Ok(120));
+    }
+
+    #[test]
+    fn two_loops_that_together_pass_u64_max_are_too_long_for_every_schedule() {
+        let mut fb = FuncBuilder::new("l", &[], &[Type::F64]);
+        let init = fb.const_f(0.0, Type::F64);
+        let first = fb.for_loop(0, 4, 1, &[init], |_fb, _iv, c| vec![c[0]]);
+        let second = fb.for_loop(0, 4, 1, &[first[0]], |_fb, _iv, c| vec![c[0]]);
+        fb.ret(&[second[0]]);
+        let f = fb.finish();
+        let dfg = Dfg::from_block(f.body.entry().unwrap(), &[u64::MAX, u64::MAX]);
+        let too_long = Err(crate::error::too_long("a block's critical path"));
+        assert_eq!(dfg.critical_path(), too_long);
+        assert_eq!(crate::schedule::asap(&dfg).map(|s| s.len), too_long);
+        assert_eq!(crate::schedule::alap(&dfg, u64::MAX).map(|s| s.len), too_long);
+        let budget = crate::schedule::ResourceBudget::default();
+        assert_eq!(crate::schedule::list_schedule(&dfg, &budget).map(|s| s.len), too_long);
     }
 
     #[test]

@@ -84,30 +84,35 @@ pub struct Schedule {
 }
 
 /// As-soon-as-possible schedule (ignores resources).
-pub fn asap(dfg: &Dfg) -> Schedule {
-    let mut start = vec![0u64; dfg.len()];
-    let mut len = 0;
-    for (id, node) in dfg.nodes.iter().enumerate() {
-        let s = node.preds.iter().map(|p| start[*p] + dfg.nodes[*p].latency).max().unwrap_or(0);
-        start[id] = s;
-        len = len.max(s + node.latency);
-    }
-    Schedule { start, len }
+///
+/// # Errors
+///
+/// Returns [`HlsError::Schedule`] if the critical path passes `u64::MAX`
+/// cycles.
+pub fn asap(dfg: &Dfg) -> HlsResult<Schedule> {
+    let mut arena = ScheduleArena::new();
+    let len = arena.critical_path(dfg)?;
+    // Every finish time is at least its node's latency.
+    let start = dfg.nodes.iter().zip(&arena.finish).map(|(n, f)| f - n.latency).collect();
+    Ok(Schedule { start, len })
 }
 
 /// As-late-as-possible schedule against `deadline` (ignores resources).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `deadline` is shorter than the critical path.
-pub fn alap(dfg: &Dfg, deadline: u64) -> Schedule {
-    assert!(deadline >= dfg.critical_path(), "deadline below critical path");
-    let mut start = vec![0u64; dfg.len()];
-    for (id, node) in dfg.nodes.iter().enumerate().rev() {
-        let latest_finish = node.succs.iter().map(|s| start[*s]).min().unwrap_or(deadline);
-        start[id] = latest_finish - node.latency;
+/// Returns [`HlsError::Schedule`] if the critical path passes `u64::MAX`
+/// cycles or `deadline`.
+pub fn alap(dfg: &Dfg, deadline: u64) -> HlsResult<Schedule> {
+    let mut arena = ScheduleArena::new();
+    let cp = arena.critical_path(dfg)?;
+    if deadline < cp {
+        return Err(HlsError::Schedule(format!(
+            "deadline {deadline} is below the critical path {cp}"
+        )));
     }
-    Schedule { start, len: deadline }
+    arena.alap_into(dfg, deadline);
+    Ok(Schedule { start: arena.late_start, len: deadline })
 }
 
 /// Reusable scratch for the list scheduler. Buffers grow to the largest
@@ -140,9 +145,9 @@ impl ScheduleArena {
     }
 
     /// Critical path (longest latency chain) via the reused `finish`
-    /// scratch — same result as [`Dfg::critical_path`], no allocation
-    /// after warm-up.
-    fn critical_path(&mut self, dfg: &Dfg) -> HlsResult<u64> {
+    /// scratch, which it leaves holding each node's ASAP finish time; no
+    /// allocation after warm-up.
+    pub(crate) fn critical_path(&mut self, dfg: &Dfg) -> HlsResult<u64> {
         self.finish.clear();
         self.finish.resize(dfg.len(), 0);
         let mut longest = 0;
@@ -157,7 +162,8 @@ impl ScheduleArena {
     }
 
     /// ALAP start times against `deadline`, into the reused
-    /// `late_start` buffer (the priority table).
+    /// `late_start` buffer (the priority table). `deadline` must be at
+    /// least the critical path.
     fn alap_into(&mut self, dfg: &Dfg, deadline: u64) {
         self.late_start.clear();
         self.late_start.resize(dfg.len(), 0);
@@ -336,8 +342,8 @@ mod tests {
     #[test]
     fn asap_matches_critical_path() {
         let dfg = parallel_muls(4);
-        let s = asap(&dfg);
-        assert_eq!(s.len, dfg.critical_path());
+        let s = asap(&dfg).unwrap();
+        assert_eq!(s.len, dfg.critical_path().unwrap());
         // All four muls start at 0 when unconstrained.
         for i in 0..4 {
             assert_eq!(s.start[i], 0);
@@ -347,9 +353,9 @@ mod tests {
     #[test]
     fn alap_pushes_ops_late() {
         let dfg = parallel_muls(2);
-        let cp = dfg.critical_path();
-        let late = alap(&dfg, cp + 10);
-        let early = asap(&dfg);
+        let cp = dfg.critical_path().unwrap();
+        let late = alap(&dfg, cp + 10).unwrap();
+        let early = asap(&dfg).unwrap();
         for i in 0..dfg.len() {
             assert!(late.start[i] >= early.start[i]);
         }
@@ -357,10 +363,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadline below critical path")]
     fn alap_rejects_tight_deadline() {
         let dfg = parallel_muls(2);
-        alap(&dfg, 1);
+        let err = HlsError::Schedule("deadline 1 is below the critical path 7".into());
+        assert_eq!(alap(&dfg, 1).unwrap_err(), err);
     }
 
     #[test]
@@ -408,7 +414,7 @@ mod tests {
         let tight = list_schedule(&dfg, &ResourceBudget::uniform(1)).unwrap();
         let wide = list_schedule(&dfg, &ResourceBudget::uniform(8)).unwrap();
         assert!(wide.len <= tight.len);
-        assert_eq!(wide.len, dfg.critical_path());
+        assert_eq!(wide.len, dfg.critical_path().unwrap());
     }
 
     #[test]

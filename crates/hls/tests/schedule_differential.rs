@@ -24,7 +24,7 @@ fn naive_list_schedule(dfg: &Dfg, budget: &ResourceBudget) -> Schedule {
     if n == 0 {
         return Schedule::default();
     }
-    let late = alap(dfg, dfg.critical_path()).start;
+    let late = alap(dfg, dfg.critical_path().unwrap()).unwrap().start;
     let mut start = vec![u64::MAX; n];
     let mut len = 0u64;
     let mut remaining: Vec<usize> = dfg.nodes.iter().map(|nd| nd.preds.len()).collect();
