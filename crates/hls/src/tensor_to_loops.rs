@@ -157,7 +157,7 @@ fn lower_tensor_op(
     env: &HashMap<Value, Value>,
     dest: Value,
 ) {
-    let elem = t.elem.clone();
+    let elem = t.elem;
     let arg = |i: usize| env[&op.operands[i]];
     match &t.kind {
         TensorKind::Matmul => {
