@@ -682,21 +682,24 @@ fn cmd_workflow(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// Exits 1 when any error-severity diagnostic is reported.
 fn cmd_check(args: &Args, out: &mut dyn Write) -> CmdResult {
     let (sdk, paths) = (Sdk::builder().jobs(args.jobs()).build(), &args.positional);
-    // The `.edsl` files of this invocation double as the kernel search
-    // path for its workflows: when any are present, a workflow task whose
+    // Every `.edsl` file is compiled once, before anything else is read.
+    // Its kernels are checked below, and when a workflow is on the command
+    // line they double as its kernel search path: a workflow task whose
     // kernel is missing from them is a hard `wf-unresolved-kernel` error
-    // (fusion analysis must never run on a partial graph). With no
-    // `.edsl` on the command line there is no search path to resolve
-    // against, and workflows are race-checked standalone as before.
+    // (fusion analysis must never run on a partial graph). With no `.edsl`
+    // on the command line there is no search path to resolve against, and
+    // workflows are race-checked standalone as before.
     let mut modules = Vec::new();
     for path in paths.iter().filter(|p| p.ends_with(".edsl")) {
         modules.push(everest::dsl::compile_kernels(&read(path)?)?);
     }
-    let kernel_index = (!modules.is_empty()).then(|| everest::kernel_index(&modules));
+    let kernel_index = (!modules.is_empty() && paths.iter().any(|p| p.ends_with(".ewf")))
+        .then(|| everest::kernel_index(&modules));
+    let mut modules = modules.into_iter();
     let mut diags: Vec<everest::Diagnostic> = Vec::new();
     for path in paths {
-        let source = read(path)?;
         let mut found = if path.ends_with(".ewf") {
+            let source = read(path)?;
             let mut found = sdk.check_workflow(&source)?;
             if let Some(index) = &kernel_index {
                 let spec = everest::dsl::WorkflowSpec::parse(&source)?;
@@ -704,11 +707,11 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> CmdResult {
             }
             found
         } else if path.ends_with(".edsl") {
-            sdk.check(&source)?
+            sdk.check(modules.next().expect("one module per .edsl path"))?
         } else {
             // `.eir` and anything else: printed IR, checked as written —
             // no canonicalization, so seeded lint fixtures stay seeded.
-            let module = everest::ir::parse_module(&source)?;
+            let module = everest::ir::parse_module(&read(path)?)?;
             module.verify()?;
             everest::ir::check_module(&module)
         };

@@ -156,10 +156,17 @@ impl SdkBuilder {
 /// unified IR, run the standard passes, verify.
 fn front_end(source: &str) -> SdkResult<Module> {
     let mut module = compile_kernels(source)?;
-    PassManager::standard().run(&mut module)?;
+    canonicalize(&mut module)?;
+    Ok(module)
+}
+
+/// Runs the standard pass pipeline over a compiled module and verifies
+/// the result.
+fn canonicalize(module: &mut Module) -> SdkResult<()> {
+    PassManager::standard().run(module)?;
     let _span = everest_telemetry::span("ir.verify", "ir");
     module.verify()?;
-    Ok(module)
+    Ok(())
 }
 
 /// The EVEREST SDK: configuration plus the compile/deploy entry points.
@@ -230,18 +237,20 @@ impl Sdk {
         Ok(Compiled { module, kernels, explore })
     }
 
-    /// Statically checks tensor-DSL source: compiles and canonicalizes the
-    /// kernels like [`Sdk::compile`], then runs every IR lint (liveness,
-    /// range, taint/IFC) without generating variants. Returns the
-    /// diagnostics; an empty vector means the source is clean.
+    /// Statically checks tensor-DSL kernels that
+    /// [`everest_dsl::compile_kernels`] compiled: canonicalizes them like
+    /// [`Sdk::compile`], then runs every IR lint (liveness, range, taint/IFC)
+    /// without generating variants. Returns the diagnostics; an empty vector
+    /// means the source is clean. Taking the compiled module lets a caller
+    /// that also needs it for something else compile the source once.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::SdkError`] for DSL or verification failures —
+    /// Returns [`crate::SdkError`] for pass or verification failures —
     /// malformed IR is a hard error, not a diagnostic.
-    pub fn check(&self, source: &str) -> SdkResult<Vec<everest_ir::Diagnostic>> {
+    pub fn check(&self, mut module: Module) -> SdkResult<Vec<everest_ir::Diagnostic>> {
         let mut span = everest_telemetry::span("sdk.check", "sdk");
-        let module = front_end(source)?;
+        canonicalize(&mut module)?;
         let diags = everest_ir::lints::check_module(&module);
         span.attr("diagnostics", diags.len());
         Ok(diags)

@@ -2,17 +2,18 @@
 
 use crate::error::{DslError, DslResult};
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Tok {
+/// A lexical token. Identifiers and strings borrow their text from the
+/// source, so lexing allocates only the token buffer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Tok<'a> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Float literal (contains `.` or exponent).
     Float(f64),
     /// Double-quoted string literal.
-    Str(String),
+    Str(&'a str),
     /// `(`
     LParen,
     /// `)`
@@ -52,10 +53,10 @@ pub(crate) enum Tok {
 }
 
 /// A token with its 1-based source line.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SpannedTok {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SpannedTok<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// 1-based line number.
     pub line: usize,
 }
@@ -67,7 +68,7 @@ pub(crate) struct SpannedTok {
 /// # Errors
 ///
 /// Returns [`DslError`] on unknown characters or malformed literals.
-pub(crate) fn lex(source: &str) -> DslResult<Vec<SpannedTok>> {
+pub(crate) fn lex(source: &str) -> DslResult<Vec<SpannedTok<'_>>> {
     let bytes = source.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
@@ -172,7 +173,7 @@ pub(crate) fn lex(source: &str) -> DslResult<Vec<SpannedTok>> {
                 }
                 let text = std::str::from_utf8(&bytes[start..j])
                     .map_err(|_| DslError::lex(line, "invalid utf-8 in string"))?;
-                toks.push(SpannedTok { tok: Tok::Str(text.to_owned()), line });
+                toks.push(SpannedTok { tok: Tok::Str(text), line });
                 i = j + 1;
             }
             b'0'..=b'9' => {
@@ -211,7 +212,7 @@ pub(crate) fn lex(source: &str) -> DslResult<Vec<SpannedTok>> {
                     i += 1;
                 }
                 let text = std::str::from_utf8(&bytes[start..i]).expect("ascii ident");
-                toks.push(SpannedTok { tok: Tok::Ident(text.to_owned()), line });
+                toks.push(SpannedTok { tok: Tok::Ident(text), line });
             }
             other => {
                 return Err(DslError::lex(
@@ -228,14 +229,14 @@ pub(crate) fn lex(source: &str) -> DslResult<Vec<SpannedTok>> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
     #[test]
     fn lexes_kernel_header() {
         let toks = kinds("kernel f(a: tensor<4x4xf64>) -> tensor<4x4xf64> {");
-        assert_eq!(toks[0], Tok::Ident("kernel".into()));
+        assert_eq!(toks[0], Tok::Ident("kernel"));
         assert!(toks.contains(&Tok::Arrow));
         assert!(toks.contains(&Tok::Lt));
     }
@@ -245,7 +246,7 @@ mod tests {
         assert_eq!(kinds("42"), vec![Tok::Int(42)]);
         assert_eq!(kinds("2.5"), vec![Tok::Float(2.5)]);
         assert_eq!(kinds("1e3"), vec![Tok::Float(1000.0)]);
-        assert_eq!(kinds("\"hello\""), vec![Tok::Str("hello".into())]);
+        assert_eq!(kinds("\"hello\""), vec![Tok::Str("hello")]);
     }
 
     #[test]
@@ -258,7 +259,7 @@ mod tests {
     #[test]
     fn skips_comments() {
         let toks = kinds("a # comment with symbols @{}<>\nb");
-        assert_eq!(toks, vec![Tok::Ident("a".into()), Tok::Ident("b".into())]);
+        assert_eq!(toks, vec![Tok::Ident("a"), Tok::Ident("b")]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::ast::{BinOp, ElemTy, Expr, Kernel, Program, Stmt, TensorTy};
 use crate::error::{DslError, DslResult};
-use crate::typecheck::{infer, intrinsic};
+use crate::typecheck::{binary_type, call_result, intrinsic};
 use everest_ir::dialects::tensor as tdl;
 use everest_ir::{FuncBuilder, Module, TensorKind, Type, Value};
 use std::collections::HashMap;
@@ -55,24 +55,19 @@ pub(crate) fn lower_kernel(kernel: &Kernel) -> DslResult<everest_ir::Func> {
     let mut fb = FuncBuilder::new(kernel.name.clone(), &param_types, &ret_types);
     fb.set_func_attr("dsl", "tensor");
 
-    let mut tys: HashMap<String, TensorTy> = HashMap::new();
-    let mut vals: HashMap<String, Value> = HashMap::new();
+    let mut env: Env = HashMap::new();
     for (i, param) in kernel.params.iter().enumerate() {
-        tys.insert(param.name.clone(), param.ty.clone());
-        vals.insert(param.name.clone(), fb.arg(i));
+        env.insert(&param.name, (fb.arg(i), param.ty.clone()));
     }
 
     for stmt in &kernel.body {
         match stmt {
             Stmt::Var { name, expr, .. } => {
-                let ty = infer(expr, &tys)
-                    .map_err(|e| DslError::lower(e.line, format!("untyped expr: {}", e.msg)))?;
-                let v = lower_expr(&mut fb, expr, &tys, &vals, Some(ty.elem))?;
-                tys.insert(name.clone(), ty);
-                vals.insert(name.clone(), v);
+                let lowered = lower_expr(&mut fb, expr, &env, None)?;
+                env.insert(name, lowered);
             }
             Stmt::Return { expr, .. } => {
-                let v = lower_expr(&mut fb, expr, &tys, &vals, Some(kernel.ret.elem))?;
+                let (v, _) = lower_expr(&mut fb, expr, &env, Some(kernel.ret.elem))?;
                 fb.ret(&[v]);
             }
         }
@@ -80,76 +75,104 @@ pub(crate) fn lower_kernel(kernel: &Kernel) -> DslResult<everest_ir::Func> {
     Ok(fb.finish())
 }
 
+/// Every name in scope: its value and its type.
+type Env<'k> = HashMap<&'k str, (Value, TensorTy)>;
+
+/// Lowers `expr` and returns its value with the type the checker infers
+/// for it, so that no subtree is typed twice. A literal lowers to the
+/// element type `hint` (f64 without one) and is typed f64, as the checker
+/// types it.
 fn lower_expr(
     fb: &mut FuncBuilder,
     expr: &Expr,
-    tys: &HashMap<String, TensorTy>,
-    vals: &HashMap<String, Value>,
+    env: &Env<'_>,
     hint: Option<ElemTy>,
-) -> DslResult<Value> {
+) -> DslResult<(Value, TensorTy)> {
     match expr {
-        Expr::Var { name, line } => vals
-            .get(name)
-            .copied()
+        Expr::Var { name, line } => env
+            .get(name.as_str())
+            .cloned()
             .ok_or_else(|| DslError::lower(*line, format!("unbound variable '{name}'"))),
         Expr::Num { value, .. } => {
             let elem = hint.unwrap_or(ElemTy::F64);
-            Ok(fb.const_f(*value, ir_elem(elem)))
+            Ok((fb.const_f(*value, ir_elem(elem)), TensorTy::scalar(ElemTy::F64)))
         }
         Expr::Binary { op, lhs, rhs, line } => {
-            let lt = infer(lhs, tys).map_err(to_lower)?;
-            let rt = infer(rhs, tys).map_err(to_lower)?;
             // Literals adopt the element type of the non-literal side.
-            let elem = if matches!(**lhs, Expr::Num { .. }) { rt.elem } else { lt.elem };
-            let lv = lower_expr(fb, lhs, tys, vals, Some(elem))?;
-            let rv = lower_expr(fb, rhs, tys, vals, Some(elem))?;
-            match op {
-                BinOp::MatMul => Ok(tdl::matmul(fb, lv, rv)),
-                BinOp::Div => Ok(fb.binary("arith.divf", lv, rv, ir_elem(elem))),
-                BinOp::Add | BinOp::Sub | BinOp::Mul => {
-                    match (lt.is_scalar(), rt.is_scalar()) {
-                        (true, true) => {
-                            let name = match op {
-                                BinOp::Add => "arith.addf",
-                                BinOp::Sub => "arith.subf",
-                                _ => "arith.mulf",
-                            };
-                            Ok(fb.binary(name, lv, rv, ir_elem(elem)))
-                        }
-                        (true, false) => Ok(tdl::scale(fb, lv, rv)),
-                        // Normalize to scalar-first operand order.
-                        (false, true) => Ok(tdl::scale(fb, rv, lv)),
-                        (false, false) => {
-                            let name = match op {
-                                BinOp::Add => "tensor.add",
-                                BinOp::Sub => "tensor.sub",
-                                _ => "tensor.mul",
-                            };
-                            Ok(tdl::elementwise(fb, name, lv, rv))
-                        }
+            let l_lit = matches!(**lhs, Expr::Num { .. });
+            let r_lit = matches!(**rhs, Expr::Num { .. });
+            let rhs_elem = if l_lit { Some(elem_of(rhs, env, *line)?) } else { None };
+            let (lv, lt) = lower_expr(fb, lhs, env, rhs_elem)?;
+            let elem = rhs_elem.unwrap_or(lt.elem);
+            let (rv, rt) = lower_expr(fb, rhs, env, Some(elem))?;
+            let ty = binary_type(*op, &lt, &rt, l_lit, r_lit, *line).map_err(to_lower)?;
+            let v = match op {
+                BinOp::MatMul => tdl::matmul(fb, lv, rv),
+                BinOp::Div => fb.binary("arith.divf", lv, rv, ir_elem(elem)),
+                BinOp::Add | BinOp::Sub | BinOp::Mul => match (lt.is_scalar(), rt.is_scalar()) {
+                    (true, true) => {
+                        let name = match op {
+                            BinOp::Add => "arith.addf",
+                            BinOp::Sub => "arith.subf",
+                            _ => "arith.mulf",
+                        };
+                        fb.binary(name, lv, rv, ir_elem(elem))
                     }
-                }
-            }
-            .map_err(|e: DslError| DslError::lower(*line, e.msg))
+                    (true, false) => tdl::scale(fb, lv, rv),
+                    // Normalize to scalar-first operand order.
+                    (false, true) => tdl::scale(fb, rv, lv),
+                    (false, false) => {
+                        let name = match op {
+                            BinOp::Add => "tensor.add",
+                            BinOp::Sub => "tensor.sub",
+                            _ => "tensor.mul",
+                        };
+                        tdl::elementwise(fb, name, lv, rv)
+                    }
+                },
+            };
+            Ok((v, ty))
         }
         Expr::Call { name, args, list, line } => {
             let kind = intrinsic(name, list.as_deref(), *line).map_err(to_lower)?;
-            let x = lower_expr(fb, &args[0], tys, vals, hint)?;
-            Ok(match kind {
+            let (x, xt) = lower_expr(fb, &args[0], env, hint)?;
+            let k = match kind {
+                TensorKind::Conv2d => Some(lower_expr(fb, &args[1], env, hint)?),
+                _ => None,
+            };
+            let ty = call_result(&kind, name, &xt, k.as_ref().map(|(_, kt)| kt), *line)
+                .map_err(to_lower)?;
+            let v = match kind {
                 TensorKind::Transpose(perm) => tdl::transpose(fb, x, &perm),
                 TensorKind::Reduce(dims, kind) => tdl::reduce(fb, x, &dims, kind),
                 TensorKind::Stencil(weights) => tdl::stencil(fb, x, &weights),
-                TensorKind::Conv2d => {
-                    let k = lower_expr(fb, &args[1], tys, vals, hint)?;
-                    tdl::conv2d(fb, x, k)
-                }
+                TensorKind::Conv2d => tdl::conv2d(fb, x, k.expect("conv2d lowered its kernel").0),
                 TensorKind::Relu => tdl::relu(fb, x),
                 TensorKind::Sigmoid => tdl::sigmoid(fb, x),
                 other => {
                     return Err(DslError::lower(*line, format!("'{name}' lowers to {other:?}")))
                 }
-            })
+            };
+            Ok((v, ty))
         }
+    }
+}
+
+/// The element type the checker infers for `expr`, read down its left
+/// spine without lowering or building a shape: a binary expression takes
+/// its left operand's element type unless that operand is a literal.
+fn elem_of(expr: &Expr, env: &Env<'_>, line: usize) -> DslResult<ElemTy> {
+    match expr {
+        Expr::Var { name, .. } => env
+            .get(name.as_str())
+            .map(|(_, ty)| ty.elem)
+            .ok_or_else(|| DslError::lower(line, format!("unbound variable '{name}'"))),
+        Expr::Num { .. } => Ok(ElemTy::F64),
+        Expr::Binary { lhs, rhs, .. } if matches!(**lhs, Expr::Num { .. }) => {
+            elem_of(rhs, env, line)
+        }
+        Expr::Binary { lhs, .. } => elem_of(lhs, env, line),
+        Expr::Call { args, .. } => elem_of(&args[0], env, line),
     }
 }
 

@@ -34,14 +34,16 @@ pub fn parse_program(source: &str) -> DslResult<Program> {
 }
 
 /// The token cursor both grammars run on: kernels here, workflows in
-/// `workflow.rs`.
-pub(crate) struct P {
-    toks: Vec<SpannedTok>,
+/// `workflow.rs`. Tokens borrow their text from the source, so stepping
+/// over one allocates nothing; only the names the AST keeps are copied
+/// out.
+pub(crate) struct P<'a> {
+    toks: Vec<SpannedTok<'a>>,
     pos: usize,
 }
 
-impl P {
-    pub(crate) fn new(source: &str) -> DslResult<P> {
+impl<'a> P<'a> {
+    pub(crate) fn new(source: &'a str) -> DslResult<P<'a>> {
         Ok(P { toks: lex(source)?, pos: 0 })
     }
 
@@ -53,21 +55,21 @@ impl P {
         self.toks.get(self.pos).or_else(|| self.toks.last()).map(|t| t.line).unwrap_or(0)
     }
 
-    fn peek(&self) -> Option<&Tok> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.pos).map(|t| &t.tok)
     }
 
-    pub(crate) fn bump(&mut self) -> DslResult<Tok> {
+    pub(crate) fn bump(&mut self) -> DslResult<Tok<'a>> {
         let t = self
             .toks
             .get(self.pos)
-            .cloned()
-            .ok_or_else(|| DslError::parse(self.line(), "unexpected end of input"))?;
+            .ok_or_else(|| DslError::parse(self.line(), "unexpected end of input"))?
+            .tok;
         self.pos += 1;
-        Ok(t.tok)
+        Ok(t)
     }
 
-    pub(crate) fn expect(&mut self, want: &Tok) -> DslResult<()> {
+    pub(crate) fn expect(&mut self, want: &Tok<'_>) -> DslResult<()> {
         let line = self.line();
         let got = self.bump()?;
         if &got == want {
@@ -77,7 +79,7 @@ impl P {
         }
     }
 
-    pub(crate) fn eat(&mut self, want: &Tok) -> bool {
+    pub(crate) fn eat(&mut self, want: &Tok<'_>) -> bool {
         if self.peek() == Some(want) {
             self.pos += 1;
             true
@@ -86,7 +88,7 @@ impl P {
         }
     }
 
-    pub(crate) fn ident(&mut self) -> DslResult<String> {
+    pub(crate) fn ident(&mut self) -> DslResult<&'a str> {
         let line = self.line();
         match self.bump()? {
             Tok::Ident(s) => Ok(s),
@@ -94,7 +96,7 @@ impl P {
         }
     }
 
-    pub(crate) fn string(&mut self) -> DslResult<String> {
+    pub(crate) fn string(&mut self) -> DslResult<&'a str> {
         let line = self.line();
         match self.bump()? {
             Tok::Str(s) => Ok(s),
@@ -115,12 +117,12 @@ impl P {
     fn kernel(&mut self) -> DslResult<Kernel> {
         let line = self.line();
         self.keyword("kernel")?;
-        let name = self.ident()?;
+        let name = self.ident()?.to_owned();
         self.expect(&Tok::LParen)?;
         let mut params = Vec::new();
         if self.peek() != Some(&Tok::RParen) {
             loop {
-                let pname = self.ident()?;
+                let pname = self.ident()?.to_owned();
                 self.expect(&Tok::Colon)?;
                 let ty = self.ty()?;
                 params.push(Param { name: pname, ty });
@@ -143,8 +145,7 @@ impl P {
 
     fn ty(&mut self) -> DslResult<TensorTy> {
         let line = self.line();
-        let name = self.ident()?;
-        match name.as_str() {
+        match self.ident()? {
             "f32" => Ok(TensorTy::scalar(ElemTy::F32)),
             "f64" => Ok(TensorTy::scalar(ElemTy::F64)),
             "tensor" => {
@@ -167,7 +168,7 @@ impl P {
                             match self.bump()? {
                                 Tok::Ident(rest) => {
                                     // e.g. "x8xf64" or "x" alone
-                                    let mut parsed = parse_fused_dims(&rest, &mut shape, line)?;
+                                    let mut parsed = parse_fused_dims(rest, &mut shape, line)?;
                                     if let Some(e) = parsed.take() {
                                         elem = e;
                                         break;
@@ -182,7 +183,7 @@ impl P {
                             }
                         }
                         Tok::Ident(word) => {
-                            elem = elem_of(&word, line)?;
+                            elem = elem_of(word, line)?;
                             break;
                         }
                         other => {
@@ -202,10 +203,9 @@ impl P {
 
     fn stmt(&mut self) -> DslResult<Stmt> {
         let line = self.line();
-        let kw = self.ident()?;
-        match kw.as_str() {
+        match self.ident()? {
             "var" => {
-                let name = self.ident()?;
+                let name = self.ident()?.to_owned();
                 self.expect(&Tok::Eq)?;
                 let expr = self.expr()?;
                 self.expect(&Tok::Semi)?;
@@ -291,9 +291,9 @@ impl P {
                         }
                     }
                     self.expect(&Tok::RParen)?;
-                    Ok(Expr::Call { name, args, list, line })
+                    Ok(Expr::Call { name: name.to_owned(), args, list, line })
                 } else {
-                    Ok(Expr::Var { name, line })
+                    Ok(Expr::Var { name: name.to_owned(), line })
                 }
             }
             other => Err(DslError::parse(line, format!("unexpected token {other:?}"))),
@@ -350,7 +350,7 @@ fn parse_fused_dims(rest: &str, shape: &mut Vec<usize>, line: usize) -> DslResul
             return Ok(Some(elem_of(s, line)?));
         }
         // Otherwise a run of digits, optionally followed by more 'x...'.
-        let digits: String = s.chars().take_while(|c| c.is_ascii_digit()).collect();
+        let digits = &s[..s.bytes().take_while(u8::is_ascii_digit).count()];
         if digits.is_empty() {
             return Err(DslError::parse(line, format!("bad tensor dimensions '{rest}'")));
         }

@@ -115,7 +115,9 @@ fn unify_elem(a: ElemTy, a_is_lit: bool, b: ElemTy, b_is_lit: bool) -> Option<El
     }
 }
 
-fn binary_type(
+/// The type of `lt op rt`, where `l_lit` / `r_lit` say whether an operand
+/// is a numeric literal.
+pub(crate) fn binary_type(
     op: BinOp,
     lt: &TensorTy,
     rt: &TensorTy,
@@ -233,15 +235,27 @@ fn call_type(
         return Err(DslError::ty(line, format!("'{name}' takes {takes}")));
     }
     let (x, k) = (infer(&args[0], env)?, args.get(1).map(|k| infer(k, env)).transpose()?);
-    if x.is_scalar() || k.as_ref().is_some_and(TensorTy::is_scalar) {
+    call_result(&kind, name, &x, k.as_ref(), line)
+}
+
+/// The type of intrinsic `name` (which lowers to `kind`) applied to an
+/// input of type `x` and, for `conv2d`, a kernel of type `k`.
+pub(crate) fn call_result(
+    kind: &TensorKind,
+    name: &str,
+    x: &TensorTy,
+    k: Option<&TensorTy>,
+    line: usize,
+) -> DslResult<TensorTy> {
+    if x.is_scalar() || k.is_some_and(TensorTy::is_scalar) {
         return Err(DslError::ty(line, format!("'{name}' requires tensor arguments")));
     }
-    if let Some(k) = &k {
+    if let Some(k) = k {
         if k.elem != x.elem {
             return Err(DslError::ty(line, format!("'{name}' element types differ: {x} vs {k}")));
         }
     }
-    let b = k.as_ref().map_or(&[][..], |k| &k.shape);
+    let b = k.map_or(&[][..], |k| &k.shape);
     let shape =
         kind.result_shape(&x.shape, b).map_err(|e| DslError::ty(line, format!("'{name}': {e}")))?;
     if shape.is_empty() {

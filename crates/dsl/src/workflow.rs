@@ -204,12 +204,12 @@ impl WorkflowSpec {
     }
 }
 
-impl P {
+impl P<'_> {
     /// `workflow NAME { step* }`; the dataflow is resolved once the last
     /// step is read, so a syntax error anywhere wins over a dataflow error.
     fn workflow(&mut self) -> DslResult<WorkflowSpec> {
         self.keyword("workflow")?;
-        let name = self.ident()?;
+        let name = self.ident()?.to_owned();
         self.expect(&Tok::LBrace)?;
         let mut spec = WorkflowSpec { name, ..WorkflowSpec::default() };
         let mut lines = Vec::new();
@@ -217,22 +217,22 @@ impl P {
             let line = self.line();
             let step = match self.bump()? {
                 Tok::RBrace => break,
-                Tok::Ident(kw) if kw == "source" || kw == "sink" => {
-                    let name = self.ident()?;
+                Tok::Ident(kw @ ("source" | "sink")) => {
+                    let name = self.ident()?.to_owned();
                     self.expect(&Tok::Colon)?;
-                    let kind = self.string()?;
+                    let kind = self.string()?.to_owned();
                     if kw == "source" {
                         WorkflowStep::Source { name, kind }
                     } else {
                         WorkflowStep::Sink { name, kind }
                     }
                 }
-                Tok::Ident(kw) if kw == "task" => {
-                    let name = self.ident()?;
+                Tok::Ident("task") => {
+                    let name = self.ident()?.to_owned();
                     self.expect(&Tok::LParen)?;
                     let mut inputs = Vec::new();
                     loop {
-                        inputs.push(self.ident()?);
+                        inputs.push(self.ident()?.to_owned());
                         match self.bump()? {
                             Tok::Comma => continue,
                             Tok::RParen => break,
@@ -245,9 +245,9 @@ impl P {
                         }
                     }
                     self.expect(&Tok::Arrow)?;
-                    let mut outputs = vec![self.ident()?];
+                    let mut outputs = vec![self.ident()?.to_owned()];
                     while self.eat(&Tok::Comma) {
-                        outputs.push(self.ident()?);
+                        outputs.push(self.ident()?.to_owned());
                     }
                     WorkflowStep::Task { name, inputs, outputs }
                 }

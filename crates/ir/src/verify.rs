@@ -277,6 +277,16 @@ fn verify_op_types(func: &Func, op: &Op) -> IrResult<()> {
                 other => err(format!("store into non-memref type {other}")),
             }
         }
+        "mem.copy" => match (ty(func, op.operands[0]), ty(func, op.operands[1])) {
+            (Type::MemRef { elem: a, shape: s, .. }, Type::MemRef { elem: b, shape: t, .. })
+                if a == b && s == t =>
+            {
+                Ok(())
+            }
+            (src, dst) => err(format!(
+                "copy from {src} into {dst}: not memrefs of one element type and shape"
+            )),
+        },
         name if name.starts_with("tensor.") => {
             let (declared, t) = (ty(func, op.results[0]), TensorOp::of(func, op)?);
             match declared {
@@ -434,6 +444,27 @@ mod tests {
         });
         fb.ret(&[out[0]]);
         assert!(verify_func(&fb.finish()).is_ok());
+    }
+
+    #[test]
+    fn a_copy_needs_one_element_type_and_shape_in_any_spaces() {
+        use crate::types::MemSpace;
+        let copy = |src: Type, dst: Type| {
+            let mut fb = FuncBuilder::new("f", &[], &[]);
+            let (s, d) = (fb.op1(IrOp::new("mem.alloc"), src), fb.op1(IrOp::new("mem.alloc"), dst));
+            let mut op = IrOp::new("mem.copy");
+            op.operands = vec![s, d];
+            fb.push_op(op);
+            fb.ret(&[]);
+            verify_func(&fb.finish())
+        };
+        let host = Type::memref(Type::F64, &[4, 2], MemSpace::Host);
+        copy(host.clone(), Type::memref(Type::F64, &[4, 2], MemSpace::Scratchpad)).unwrap();
+        let wider = Type::memref(Type::F64, &[8], MemSpace::Host);
+        for dst in [wider, Type::memref(Type::F32, &[4, 2], MemSpace::Host)] {
+            let err = copy(host.clone(), dst).unwrap_err();
+            assert!(err.to_string().contains("not memrefs of one element type and shape"), "{err}");
+        }
     }
 
     #[test]

@@ -187,7 +187,7 @@ mod tests {
         Variant {
             id: id.into(),
             kernel: "k".into(),
-            transforms,
+            transforms: transforms.into(),
             metrics: Metrics {
                 latency_us: latency,
                 transfer_us: transfer,

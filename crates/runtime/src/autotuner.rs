@@ -194,7 +194,7 @@ mod tests {
         Variant {
             id: id.into(),
             kernel: "k".into(),
-            transforms,
+            transforms: transforms.into(),
             metrics: Metrics {
                 latency_us: latency,
                 transfer_us: transfer,

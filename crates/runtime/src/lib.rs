@@ -25,7 +25,7 @@
 //! use everest_variants::{Metrics, Variant};
 //!
 //! let mk = |id: &str, t: f64| Variant {
-//!     id: id.into(), kernel: "k".into(), transforms: vec![],
+//!     id: id.into(), kernel: "k".into(), transforms: [].into(),
 //!     metrics: Metrics { latency_us: t, transfer_us: 0.0, energy_mj: t / 10.0,
 //!                        area_luts: 0, area_brams: 0 },
 //! };

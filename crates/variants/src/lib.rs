@@ -55,6 +55,7 @@ pub use variant::{Metrics, Variant};
 
 use everest_hls::cache::{self, SynthCache};
 use everest_ir::Func;
+use std::sync::Arc;
 
 /// Generates the variant set for one kernel with `jobs` workers.
 ///
@@ -140,15 +141,19 @@ pub fn generate_all_in(
     let summaries = batch.summaries.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     // What every kernel's variant of a point shares is made once per point:
-    // the id suffix and the transform list.
-    let points: Vec<(String, Vec<Transform>)> =
-        knobs.iter().enumerate().map(|(i, knob)| (format!("#{i}"), knob.to_transforms())).collect();
+    // the id suffix and the transform list, which the variants point to.
+    let points: Vec<(String, Arc<[Transform]>)> = knobs
+        .iter()
+        .enumerate()
+        .map(|(i, knob)| (format!("#{i}"), knob.to_transforms().into()))
+        .collect();
     let mut exact = summaries.iter();
     let mut sets = Vec::with_capacity(funcs.len());
     for (func, workload) in funcs.iter().zip(&workloads) {
         let mut span = everest_telemetry::span("variants.generate", "variants");
         span.attr("kernel", &func.name);
         span.attr("space", knobs.len());
+        let kernel: Arc<str> = func.name.as_str().into();
         let mut variants = Vec::with_capacity(knobs.len());
         for (knob, (suffix, transforms)) in knobs.iter().zip(&points) {
             let metrics = if knob.is_hardware() {
@@ -159,8 +164,8 @@ pub fn generate_all_in(
             };
             variants.push(Variant {
                 id: [func.name.as_str(), suffix].concat(),
-                kernel: func.name.clone(),
-                transforms: transforms.clone(),
+                kernel: Arc::clone(&kernel),
+                transforms: Arc::clone(transforms),
                 metrics,
             });
         }

@@ -77,12 +77,9 @@ fn dominated_objective_flags(objs: &[(f64, f64, u64)]) -> Vec<bool> {
             // The group improves the staircase: remove the entries it
             // covers (energy ≥ this, area ≥ this), then insert. Each
             // entry is inserted and removed at most once overall.
-            let covered: Vec<OrdF64> = stairs
-                .range(OrdF64(energy)..)
-                .take_while(|(_, &a)| a >= area)
-                .map(|(&e, _)| e)
-                .collect();
-            for e in covered {
+            while let Some((&e, _)) =
+                stairs.range(OrdF64(energy)..).next().filter(|(_, &a)| a >= area)
+            {
                 stairs.remove(&e);
             }
             stairs.insert(OrdF64(energy), area);
@@ -93,17 +90,21 @@ fn dominated_objective_flags(objs: &[(f64, f64, u64)]) -> Vec<bool> {
 }
 
 /// Extracts the Pareto-optimal subset (non-dominated variants), preserving
-/// input order. Runs in O(n log n) via a sort-then-sweep filter.
+/// input order. Runs in O(n log n) via a sort-then-sweep filter. A front
+/// member's clone allocates only its id: the kernel name and transform
+/// list stay shared with the input.
 pub fn pareto_front(variants: &[Variant]) -> Vec<Variant> {
     let mut span = everest_telemetry::span("variants.pareto", "variants");
     span.attr("candidates", variants.len());
     let dominated = dominated_flags(variants);
-    let front: Vec<Variant> = variants
-        .iter()
-        .zip(&dominated)
-        .filter(|(_, dominated)| !**dominated)
-        .map(|(v, _)| v.clone())
-        .collect();
+    let mut front = Vec::with_capacity(dominated.iter().filter(|d| !**d).count());
+    front.extend(
+        variants
+            .iter()
+            .zip(&dominated)
+            .filter(|(_, dominated)| !**dominated)
+            .map(|(v, _)| v.clone()),
+    );
     span.attr("front", front.len());
     front
 }
@@ -184,7 +185,7 @@ mod tests {
         Variant {
             id: id.into(),
             kernel: "k".into(),
-            transforms: vec![],
+            transforms: [].into(),
             metrics: Metrics {
                 latency_us: time,
                 transfer_us: 0.0,

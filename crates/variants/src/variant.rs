@@ -4,6 +4,7 @@
 
 use crate::transform::{target_of, Target, Transform};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Predicted metrics of one variant.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -29,14 +30,20 @@ impl Metrics {
 }
 
 /// One generated variant of a kernel.
+///
+/// A variant owns only its id. Its kernel name is shared by every
+/// variant of the kernel, and its transform list by every kernel's
+/// variant of the same design point, so a variant costs one allocation
+/// to make and one to clone.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Variant {
     /// Unique id (`kernel#index`).
     pub id: String,
-    /// Kernel this variant implements.
-    pub kernel: String,
-    /// Transformations applied.
-    pub transforms: Vec<Transform>,
+    /// Kernel this variant implements, shared by all of its variants.
+    pub kernel: Arc<str>,
+    /// Transformations applied, shared by every kernel's variant of this
+    /// design point.
+    pub transforms: Arc<[Transform]>,
     /// Predicted metrics.
     pub metrics: Metrics,
 }
@@ -75,7 +82,7 @@ mod tests {
         Variant {
             id: "mm#3".into(),
             kernel: "mm".into(),
-            transforms: vec![Transform::OnTarget(Target::FpgaBus), Transform::Banks(4)],
+            transforms: [Transform::OnTarget(Target::FpgaBus), Transform::Banks(4)].into(),
             metrics: Metrics {
                 latency_us: 120.0,
                 transfer_us: 30.0,
@@ -94,7 +101,7 @@ mod tests {
     #[test]
     fn hardware_detection() {
         assert!(sample().is_hardware());
-        let sw = Variant { transforms: vec![], ..sample() };
+        let sw = Variant { transforms: [].into(), ..sample() };
         assert!(!sw.is_hardware());
     }
 
@@ -103,6 +110,22 @@ mod tests {
         let v = sample();
         let back = Variant::from_json(&v.to_json()).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn shared_fields_write_the_bytes_owned_ones_did() {
+        let v = sample();
+        let twin = Variant { id: "mm#4".into(), ..v.clone() };
+        assert!(Arc::ptr_eq(&v.kernel, &twin.kernel));
+        assert!(Arc::ptr_eq(&v.transforms, &twin.transforms));
+        let json = v.to_json();
+        assert_eq!(
+            json,
+            r#"{"id":"mm#3","kernel":"mm","transforms":[{"OnTarget":"FpgaBus"},{"Banks":4}],"metrics":{"latency_us":120.0,"transfer_us":30.0,"energy_mj":1.5,"area_luts":40000,"area_brams":64}}"#
+        );
+        let back = Variant::from_json(&json).unwrap();
+        assert_eq!(back, v);
+        assert_eq!(back.to_json(), json);
     }
 
     #[test]

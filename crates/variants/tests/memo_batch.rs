@@ -1,13 +1,15 @@
 //! The batch evaluator against its references, on a memo the test owns:
 //! the memoized engine equals the memo-free `jobs = 1` engine from any
 //! memo state, it counts exactly the lookups it makes and times its
-//! probes, a failing point fails the same way and is not remembered, and
-//! a memo hit allocates nothing — the pin that fails if naming a point
-//! per point comes back.
+//! probes, a failing point fails the same way and is not remembered, a
+//! memo hit allocates nothing — the pin that fails if naming a point per
+//! point comes back — and a variant, in a batch or cloned into a Pareto
+//! front, allocates only its id.
 
 use everest_alloc_counter::{measure, CountingAllocator};
 use everest_hls::cache::{func_fingerprint, ConfigKey, SynthCache};
 use everest_ir::Func;
+use everest_variants::pareto::pareto_front;
 use everest_variants::space::DesignSpace;
 use everest_variants::{generate_all_in, Layout, Target, Variant};
 use proptest::prelude::*;
@@ -200,46 +202,105 @@ fn a_failing_point_fails_like_the_reference_and_is_not_remembered() {
     }
 }
 
+/// What 16 more kernels add to an all-hit batch over `space`, in
+/// allocations: their fingerprints, workloads and variant sets. The pool
+/// repeats every eight kernels, so the second sixteen of 32 cost what the
+/// first sixteen do.
+fn sixteen_kernels_cost(space: &DesignSpace) -> u64 {
+    let pool = kernel_pool();
+    let funcs: Vec<&Func> = (0..32).map(|i| &pool[i % pool.len()]).collect();
+    let cache = SynthCache::new();
+    generate_all_in(&cache, &funcs, space, 2).expect("fills the memo");
+    let hardware = space.enumerate_knobs().iter().filter(|k| k.is_hardware()).count();
+    let allocations = |kernels: usize| {
+        let mut sets = None;
+        let (counted, hits, misses) = lookups_during(&cache, || {
+            measure(|| sets = Some(generate_all_in(&cache, &funcs[..kernels], space, 2))).0
+        });
+        assert_eq!((hits, misses), ((kernels * hardware) as u64, 0), "all hits");
+        assert!(sets.expect("ran").is_ok());
+        counted
+    };
+    let (half, full) = (allocations(16), allocations(32));
+    assert!(full > half);
+    full - half
+}
+
+/// Eight points, two of them hardware.
+fn two_of_eight_in_hardware() -> DesignSpace {
+    DesignSpace {
+        threads: vec![1, 2, 4, 8, 16, 32],
+        ..space(vec![Target::FpgaBus], vec![4], vec![8, 32])
+    }
+}
+
 #[test]
 fn a_memo_hit_allocates_nothing() {
     // Eight points per kernel either way, so the variant sets cost the
     // same; two of them are hardware points in one space, all eight in
-    // the other.
-    let two = DesignSpace {
-        threads: vec![1, 2, 4, 8, 16, 32],
-        ..space(vec![Target::FpgaBus], vec![4], vec![8, 32])
-    };
+    // the other. A print, a config or a key per point would make what a
+    // kernel costs grow with the hardware points.
     let eight = DesignSpace {
         threads: Vec::new(),
         layouts: Vec::new(),
         tiles: Vec::new(),
         ..space(vec![Target::FpgaBus, Target::FpgaNetwork], vec![4, 16], vec![8, 32])
     };
-    let pool = kernel_pool();
-    let funcs: Vec<&Func> = (0..32).map(|i| &pool[i % pool.len()]).collect();
+    assert_eq!((two_of_eight_in_hardware().size(), eight.size()), (8, 8));
+    assert_eq!(sixteen_kernels_cost(&two_of_eight_in_hardware()), sixteen_kernels_cost(&eight));
+}
 
-    // What one more kernel costs an all-hit batch: its fingerprint, its
-    // workload and its variant set. A print, a config or a key per point
-    // would make that grow with the hardware points.
-    let per_kernel = |space: &DesignSpace| {
-        assert_eq!(space.size(), 8);
-        let cache = SynthCache::new();
-        generate_all_in(&cache, &funcs, space, 2).expect("fills the memo");
-        let hardware = space.enumerate_knobs().iter().filter(|k| k.is_hardware()).count();
-        let allocations = |kernels: usize| {
-            let mut sets = None;
-            let (counted, hits, misses) = lookups_during(&cache, || {
-                measure(|| sets = Some(generate_all_in(&cache, &funcs[..kernels], space, 2))).0
-            });
-            assert_eq!((hits, misses), ((kernels * hardware) as u64, 0), "all hits");
-            assert!(sets.expect("ran").is_ok());
-            counted
-        };
-        let (half, full) = (allocations(16), allocations(32));
-        // The pool repeats every eight kernels, so the second sixteen
-        // cost what the first sixteen do.
-        assert!(full > half);
-        full - half
+/// A variant owns its id and shares its kernel name with the kernel's
+/// other variants and its transform list with the other kernels' variants
+/// of its point: one allocation a variant beyond a fixed cost a kernel.
+#[test]
+fn a_variant_costs_one_allocation() {
+    let two = two_of_eight_in_hardware();
+    // Sixteen points: eight more, six of them hardware.
+    let sixteen = DesignSpace {
+        threads: vec![1, 2, 3, 4, 8, 16, 32, 64],
+        ..space(vec![Target::FpgaBus, Target::FpgaNetwork], vec![4, 16], vec![8, 32])
     };
-    assert_eq!(per_kernel(&two), per_kernel(&eight));
+    assert_eq!((two.size(), sixteen.size()), (8, 16));
+    let (small, large) = (sixteen_kernels_cost(&two), sixteen_kernels_cost(&sixteen));
+    let more_variants = 16 * (sixteen.size() - two.size()) as u64;
+    println!("{more_variants} more variants: {small} -> {large} allocations");
+    assert!(
+        large - small <= more_variants,
+        "{more_variants} more variants cost {} allocations ({small} -> {large})",
+        large - small
+    );
+}
+
+/// A front member's clone allocates its id and nothing else; the rest is
+/// the front's `Vec` and the sweep's own scratch, whatever the front's
+/// size.
+#[test]
+fn a_pareto_front_allocates_one_block_per_member() {
+    // The sweep's objective, order and flag vectors and its staircase's
+    // one node (a staircase of more than eleven steps would take more;
+    // these fronts stop short).
+    const SWEEP_SCRATCH: u64 = 4;
+    let pool = kernel_pool();
+    let funcs: Vec<&Func> = pool.iter().collect();
+    let space = DesignSpace {
+        threads: vec![1, 2, 4, 8, 16, 32],
+        layouts: vec![Layout::Aos, Layout::Soa],
+        tiles: vec![None, Some(16)],
+        pipeline: vec![true, false],
+        ..space(vec![Target::FpgaBus, Target::FpgaNetwork], vec![4, 16], vec![8, 32])
+    };
+    let sets = generate_all_in(&SynthCache::new(), &funcs, &space, 1).expect("runs");
+    let all: Vec<Variant> = sets.iter().flatten().cloned().collect();
+    for variants in sets.iter().chain([&all]) {
+        let mut front = Vec::new();
+        let (counted, _) = measure(|| front = pareto_front(variants));
+        assert!(front.len() > 1);
+        println!("{} candidates, front {}: {counted} allocations", variants.len(), front.len());
+        assert!(
+            counted <= front.len() as u64 + 1 + SWEEP_SCRATCH,
+            "a front of {} cost {counted} allocations",
+            front.len()
+        );
+    }
 }

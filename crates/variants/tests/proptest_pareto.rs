@@ -10,7 +10,7 @@ fn variant(i: usize, time: f64, energy: f64, luts: u64) -> Variant {
     Variant {
         id: format!("v{i}"),
         kernel: "k".into(),
-        transforms: vec![],
+        transforms: [].into(),
         metrics: Metrics {
             latency_us: time,
             transfer_us: 0.0,

@@ -57,6 +57,7 @@ pub mod value {
     }
 }
 
+use std::sync::Arc;
 use value::Value;
 
 /// Deserialization failure: what was expected vs. what was found.
@@ -223,9 +224,15 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
+impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn to_value(&self) -> Value {
+        self.as_slice().to_value()
     }
 }
 
@@ -235,6 +242,29 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             Value::Array(items) => items.iter().map(T::from_value).collect(),
             other => Err(DeError::expected("array", other)),
         }
+    }
+}
+
+/// A shared value serializes as what it points to, so sharing a field
+/// changes no serialized byte.
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl Deserialize for Arc<str> {
+    fn from_value(v: &Value) -> Result<Arc<str>, DeError> {
+        match v {
+            Value::Str(s) => Ok(Arc::from(s.as_str())),
+            other => Err(DeError::expected("string", other)),
+        }
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<[T]> {
+    fn from_value(v: &Value) -> Result<Arc<[T]>, DeError> {
+        Vec::<T>::from_value(v).map(Arc::from)
     }
 }
 
@@ -265,6 +295,16 @@ mod tests {
         assert_eq!(u64::from_value(&(u64::MAX).to_value()).unwrap(), u64::MAX);
         assert_eq!(i64::from_value(&(-5i64).to_value()).unwrap(), -5);
         assert!(u32::from_value(&Value::Int(-1)).is_err());
+    }
+
+    #[test]
+    fn shared_strings_and_slices_serialize_as_owned_ones() {
+        let (text, items) = (Arc::<str>::from("mm"), Arc::<[u8]>::from(vec![1, 2]));
+        assert_eq!(text.to_value(), String::from("mm").to_value());
+        assert_eq!(items.to_value(), vec![1u8, 2].to_value());
+        assert_eq!(Arc::<str>::from_value(&text.to_value()).unwrap(), text);
+        assert_eq!(Arc::<[u8]>::from_value(&items.to_value()).unwrap(), items);
+        assert!(Arc::<str>::from_value(&Value::Int(1)).is_err());
     }
 
     #[test]

@@ -151,6 +151,34 @@ fn a_loop_with_a_float_bound_fails_verification() {
     );
 }
 
+/// A copy between memrefs of different shapes once verified, and the
+/// interpreter then read past the copied data.
+#[test]
+fn a_copy_between_memrefs_of_different_shapes_fails_verification() {
+    let source = "module @copy_mismatch {
+  func @widen(%0: f64) -> (f64) {
+    %1 = mem.alloc : memref<4xf64, host>
+    %2 = mem.alloc : memref<8xf64, host>
+    mem.copy %1, %2
+    %3 = arith.constant {value = 7} : index
+    %4 = mem.load %2, %3 : f64
+    func.return %4
+  }
+}
+";
+    let (_, stdout, stderr, code) = check_text("copy_mismatch.eir", source);
+    assert_eq!(
+        (stdout.as_str(), stderr.as_str(), code),
+        (
+            "",
+            "error: verification failed: in @widen: at ^bb0 op 2 (mem.copy): mem.copy: copy from \
+             memref<4xf64, host> into memref<8xf64, host>: not memrefs of one element type and \
+             shape\n",
+            1
+        )
+    );
+}
+
 #[test]
 fn a_loop_spanning_the_whole_i64_range_is_out_of_bounds() {
     let (path, stdout, stderr, code) = check_overrun_with(

@@ -57,6 +57,40 @@ fn trace_flag_writes_chrome_trace_covering_all_compile_phases() {
     assert_eq!(names.iter().filter(|n| **n == "variants.generate").count(), 2);
 }
 
+/// The names of the events in the Chrome trace `everestc --trace` writes
+/// for `args`.
+fn traced_names(name: &str, args: &[&PathBuf]) -> Vec<String> {
+    let out = temp_trace(name);
+    let status = everestc().arg("--trace").arg(&out).args(args).status().expect("everestc runs");
+    assert!(status.success());
+    let text = std::fs::read_to_string(&out).expect("trace file exists");
+    std::fs::remove_file(&out).ok();
+    let Value::Array(events) = serde_json::from_str(&text).expect("trace is valid JSON") else {
+        panic!("Chrome trace must be a JSON array of events");
+    };
+    events
+        .iter()
+        .filter_map(|e| match e.get("name") {
+            Some(Value::Str(s)) => Some(s.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn check_compiles_each_kernel_file_once() {
+    let examples = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let (cascade, workflow) = (examples.join("cascade.edsl"), examples.join("pipeline.ewf"));
+    let check = PathBuf::from("check");
+    let lowered = |names: &[String]| names.iter().filter(|n| *n == "dsl.lower").count();
+    assert_eq!(lowered(&traced_names("check-one", &[&check, &fixture()])), 1);
+    assert_eq!(lowered(&traced_names("check-two", &[&check, &fixture(), &cascade])), 2);
+    // A workflow resolves its tasks against the same compiled kernels.
+    let names = traced_names("check-wf", &[&check, &fixture(), &cascade, &workflow]);
+    assert_eq!(lowered(&names), 2);
+    assert!(names.iter().any(|n| n == "workflow.check"), "{names:?}");
+}
+
 #[test]
 fn trace_flag_is_position_independent() {
     let out = temp_trace("tail");
