@@ -1,11 +1,15 @@
-//! Counted work in the tensor-DSL front end: parsing allocates only what
-//! the AST keeps (no string per keyword, punctuation token or dimension),
-//! and lowering types each subtree once, so its allocations grow linearly
-//! with the length of an expression.
+//! Counted work in the tensor-DSL front end and the IR analyses behind
+//! `everestc check`: parsing allocates only what the AST keeps (no string
+//! per keyword, punctuation token or dimension), lowering types each
+//! subtree once, and the footprint summarizes each function in one pass
+//! that keeps no per-op state, so their allocations grow linearly with the
+//! length of an expression. The lints hold no more state than the values
+//! live at one op, so theirs do not grow at all on a chain.
 
 use everest_alloc_counter::{measure, CountingAllocator};
 use everest_dsl::ast::{Expr, Kernel, Stmt, TensorTy};
 use everest_dsl::{lower, parser, typecheck};
+use everest_ir::{check_module, footprint::module_footprints, Module};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -77,33 +81,82 @@ fn parsing_allocates_only_what_the_ast_owns() {
     );
 }
 
-/// Allocations of lowering a kernel that returns `a + a + … + a` with
-/// `terms` terms. The checker and lowering recurse once per `+`, which
-/// takes more than a test thread's 2 MiB of stack at 800 terms in an
-/// unoptimized build, so the count is taken on a thread of its own.
-fn lower_chain_allocations(terms: usize) -> u64 {
+/// Runs `count` on a kernel that returns `a + a + … + a` with `terms`
+/// terms. The checker and lowering recurse once per `+`, which takes more
+/// than a test thread's 2 MiB of stack at 800 terms in an unoptimized
+/// build, so the count is taken on a thread of its own.
+fn on_chain(terms: usize, count: fn(&everest_dsl::ast::Program) -> u64) -> u64 {
     let chain = vec!["a"; terms].join(" + ");
     let source = format!("kernel f(a: tensor<4xf64>) -> tensor<4xf64> {{ return {chain}; }}");
-    let count = move || {
+    let run = move || {
         let program = parser::parse_program(&source).expect("parses");
         typecheck::check_program(&program).expect("type-checks");
-        let mut module = None;
-        let (allocations, _) = measure(|| module = Some(lower::lower_program(&program)));
-        module.expect("ran").expect("lowers");
-        allocations
+        count(&program)
     };
-    let thread = std::thread::Builder::new().stack_size(16 << 20).spawn(count);
-    thread.expect("thread starts").join().expect("lowering runs")
+    let thread = std::thread::Builder::new().stack_size(16 << 20).spawn(run);
+    thread.expect("thread starts").join().expect("the count runs")
+}
+
+/// Allocations of lowering the chain.
+fn lowering(program: &everest_dsl::ast::Program) -> u64 {
+    let mut module = None;
+    let (allocations, _) = measure(|| module = Some(lower::lower_program(program)));
+    module.expect("ran").expect("lowers");
+    allocations
+}
+
+/// Allocations of `analysis` on the lowered chain.
+fn on_lowered(program: &everest_dsl::ast::Program, analysis: fn(&Module)) -> u64 {
+    let module = lower::lower_program(program).expect("lowers");
+    measure(|| analysis(&module)).0
+}
+
+fn footprints(module: &Module) {
+    assert_eq!(module_footprints(module).len(), 1, "one kernel, one summary");
+}
+
+fn lints(module: &Module) {
+    assert!(check_module(module).is_empty(), "a chain is clean");
+}
+
+/// The allocations of `count` on chains of `n` and `2n` terms.
+fn doubled(n: usize, count: fn(&everest_dsl::ast::Program) -> u64) -> (u64, u64) {
+    let (short, long) = (on_chain(n, count), on_chain(2 * n, count));
+    println!("{n} terms: {short} allocations, {} terms: {long}", 2 * n);
+    (short, long)
 }
 
 #[test]
 fn lowering_allocates_linearly_in_expression_length() {
     let n = 400;
-    let (short, long) = (lower_chain_allocations(n), lower_chain_allocations(2 * n));
-    println!("{n} terms: {short} allocations, {} terms: {long}", 2 * n);
+    let (short, long) = doubled(n, lowering);
     assert!(
         (long as f64) < 2.5 * short as f64,
         "{n} terms cost {short} allocations, {} terms {long}",
         2 * n
     );
+}
+
+/// The engine hands each op's state to the footprint's visitor instead of
+/// recording a copy per op, and each function is summarized once: a
+/// recorded copy of a state that maps every value so far is quadratic.
+#[test]
+fn footprints_allocate_linearly_in_expression_length() {
+    let n = 400;
+    let (short, long) = doubled(n, |program| on_lowered(program, footprints));
+    assert!(
+        (long as f64) < 2.5 * short as f64,
+        "{n} terms cost {short} allocations, {} terms {long}",
+        2 * n
+    );
+}
+
+/// Along a chain at most two values are live and no value is an integer
+/// or carries a label, so the lints' states stay the same size and a lint
+/// that reads them allocates nothing per op.
+#[test]
+fn lints_allocate_the_same_on_any_chain_length() {
+    let n = 400;
+    let (short, long) = doubled(n, |program| on_lowered(program, lints));
+    assert!(long <= short + 8, "{n} terms cost {short} allocations, {} terms {long}", 2 * n);
 }

@@ -6,17 +6,19 @@
 //! (`cf.br`/`cf.cond_br` edges), iterates structured nested regions
 //! (`loop.for` bodies, `df.graph` graphs) to a local fixpoint through the
 //! exit→entry back edge, and finally replays the converged solution in
-//! program order, reporting the state *entering* every op (in the analysis
-//! direction) so lints can inspect per-op facts.
+//! program order. The replay hands a visitor each op, its [`Site`] and the
+//! state *entering* it (in the analysis direction), by reference: the
+//! engine records nothing, so a caller that reads one op's state pays for
+//! that op alone.
 //!
 //! The worklist order is a parameter ([`analyze_ordered`]); for monotone
 //! transfer functions the fixpoint is order-independent, which the property
 //! tests exercise by shuffling the order. Safety caps bound the iteration
 //! count so even a non-monotone (buggy) analysis terminates.
 
-use crate::attr::Attr;
-use crate::ir::{Block, BlockId, Func, Op, Region};
+use crate::ir::{Block, BlockId, ForLoop, Func, Op, Region, Value, BRANCH_TARGETS};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// A join-semilattice: `bottom` is the least element, `join` computes the
 /// least upper bound in place and reports whether anything changed.
@@ -239,54 +241,95 @@ pub trait Analysis {
     }
 }
 
-/// Where a recorded program point sits, as a stable human-readable path
-/// (`"^bb0 op 3"`, nested: `"^bb0 op 1 / ^bb1 op 0"`). The same format the
-/// verifier uses in its error context.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Site {
+/// Where a visited op sits: its block, its index in that block, and the
+/// site of the op whose region holds the block. It renders as a stable
+/// path (`"^bb0 op 3"`, nested: `"^bb0 op 1 / ^bb1 op 0"`), the format the
+/// verifier uses in its error context, and only when something prints it.
+#[derive(Debug, Clone, Copy)]
+pub struct Site<'p> {
     /// The innermost block.
     pub block: BlockId,
     /// Index of the op within that block.
     pub op_index: usize,
-    /// Full nested path.
-    pub path: String,
+    parent: Option<&'p Site<'p>>,
 }
 
-/// One entry of the converged solution: the op, its location, and the state
-/// entering it in the analysis direction (pre-state for forward analyses,
-/// post-state for backward ones).
-pub(crate) type SolvedOp<'f, S> = (Site, &'f Op, S);
+impl fmt::Display for Site<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(parent) = self.parent {
+            write!(f, "{parent} / ")?;
+        }
+        write!(f, "{} op {}", self.block, self.op_index)
+    }
+}
+
+/// The caller's visitor, when the engine replays a converged solution.
+type Visit<'v, 'f, S> = Option<&'v mut (dyn FnMut(&Site<'_>, &Op, &S) + 'f)>;
 
 /// Safety cap on back-edge iterations of one structured region.
 const MAX_REGION_PASSES: usize = 64;
 /// Safety cap on worklist pops, as a multiple of the block count.
 const MAX_POPS_PER_BLOCK: usize = 128;
 
-/// Runs `analysis` over `func` to a fixpoint and returns the per-op
-/// incoming states in deterministic program order (reverse program order
-/// for backward analyses).
-pub fn analyze<'f, A: Analysis>(func: &'f Func, analysis: &A) -> Vec<SolvedOp<'f, A::State>> {
+/// Runs `analysis` over `func` to a fixpoint, then hands `visit` every op
+/// with its site and the state entering it in the analysis direction
+/// (pre-state forward, post-state backward), in program order (reverse
+/// program order backward).
+pub fn analyze<A: Analysis>(
+    func: &Func,
+    analysis: &A,
+    visit: impl FnMut(&Site<'_>, &Op, &A::State),
+) {
     let order: Vec<usize> = (0..func.body.blocks.len()).collect();
-    analyze_ordered(func, analysis, &order)
+    analyze_ordered(func, analysis, &order, visit);
 }
 
 /// Like [`analyze`], but seeds the top-level worklist in the given block
 /// order (a permutation of `0..blocks.len()`). Monotone analyses converge
 /// to the same solution for every order — the property the tests check.
-pub fn analyze_ordered<'f, A: Analysis>(
-    func: &'f Func,
+pub fn analyze_ordered<A: Analysis>(
+    func: &Func,
     analysis: &A,
     order: &[usize],
-) -> Vec<SolvedOp<'f, A::State>> {
+    mut visit: impl FnMut(&Site<'_>, &Op, &A::State),
+) {
     let solver = Solver { func, analysis };
-    let input = analysis.boundary(func);
-    let (in_states, _exit) = solver.converge(&func.body, &input, order);
-    let mut solution = Vec::new();
-    for (bi, block) in solver.block_iter(&func.body) {
-        let mut state = in_states[bi].clone();
-        solver.flow_block(block, "", &mut state, &mut Some(&mut solution));
+    let (in_states, _exit) = solver.converge(&func.body, &analysis.boundary(func), order);
+    solver.replay(&func.body, in_states, None, &mut visit);
+}
+
+/// Joins each operand's fact into the value a region of `op` binds it to:
+/// a `loop.for`'s carried values (after its induction variable), or else
+/// the entry block's args, positionally. The shared `enter_region` of the
+/// analyses over per-value facts.
+pub(crate) fn bind_region_args<V: Lattice>(op: &Op, entry: &Block, state: &mut BTreeMap<Value, V>) {
+    let args = ForLoop::of(op).map_or(entry.args.as_slice(), |l| l.carried());
+    for (operand, arg) in op.operands.iter().zip(args) {
+        if let Some(fact) = state.get(operand).cloned() {
+            state.entry(*arg).or_insert_with(V::bottom).join(&fact);
+        }
     }
-    solution
+}
+
+/// Joins each `*.yield` operand's fact at a region's exit into the
+/// matching result of `op`. The shared `exit_region` of the analyses over
+/// per-value facts.
+pub(crate) fn bind_region_results<V: Lattice>(
+    op: &Op,
+    region_index: usize,
+    exit: &BTreeMap<Value, V>,
+    state: &mut BTreeMap<Value, V>,
+) {
+    for block in &op.regions[region_index].blocks {
+        let Some(term) = block.terminator().filter(|t| t.name.ends_with(".yield")) else {
+            continue;
+        };
+        for (v, r) in term.operands.iter().zip(&op.results) {
+            if let Some(fact) = exit.get(v) {
+                state.entry(*r).or_insert_with(V::bottom).join(fact);
+            }
+        }
+    }
 }
 
 struct Solver<'f, 'a, A: Analysis> {
@@ -294,45 +337,24 @@ struct Solver<'f, 'a, A: Analysis> {
     analysis: &'a A,
 }
 
-type Record<'s, 'f, S> = Option<&'s mut Vec<SolvedOp<'f, S>>>;
-
-impl<'f, 'a, A: Analysis> Solver<'f, 'a, A> {
+impl<A: Analysis> Solver<'_, '_, A> {
     fn forward(&self) -> bool {
         self.analysis.direction() == Direction::Forward
     }
 
-    /// Blocks of `region` in processing order for the replay pass (layout
-    /// order forward, reversed backward).
-    fn block_iter<'r>(&self, region: &'r Region) -> Vec<(usize, &'r Block)> {
-        let mut v: Vec<(usize, &'r Block)> = region.blocks.iter().enumerate().collect();
-        if !self.forward() {
-            v.reverse();
-        }
-        v
-    }
-
     /// CFG successor indices of every block within `region`, resolved from
     /// the terminator's `dest`/`true_dest`/`false_dest` attributes (either
-    /// an integer block id or a `"^bbN"` string).
+    /// an integer block id or a `"^bbN"` string). The verifier rejects a
+    /// target that names no block of the region.
     fn successors(&self, region: &Region) -> Vec<Vec<usize>> {
-        let index_of: BTreeMap<u32, usize> =
-            region.blocks.iter().enumerate().map(|(i, b)| (b.id.0, i)).collect();
-        let resolve = |attr: &Attr| -> Option<usize> {
-            let id = match attr {
-                Attr::Int(n) => u32::try_from(*n).ok()?,
-                Attr::Str(s) => s.strip_prefix("^bb")?.parse().ok()?,
-                _ => return None,
-            };
-            index_of.get(&id).copied()
-        };
         region
             .blocks
             .iter()
             .map(|block| {
                 let mut succs = Vec::new();
                 if let Some(term) = block.terminator() {
-                    for key in ["dest", "true_dest", "false_dest"] {
-                        if let Some(s) = term.attr(key).and_then(resolve) {
+                    for key in BRANCH_TARGETS {
+                        if let Some(s) = term.attr(key).and_then(|a| region.block_index(a)) {
                             if !succs.contains(&s) {
                                 succs.push(s);
                             }
@@ -392,7 +414,7 @@ impl<'f, 'a, A: Analysis> Solver<'f, 'a, A> {
                 break; // safety cap for non-monotone transfers
             }
             let mut state = in_states[b].clone();
-            self.flow_block(&region.blocks[b], "", &mut state, &mut None);
+            self.flow_block(&region.blocks[b], None, &mut state, None);
             out_states[b] = state;
             for succ in &edges[b] {
                 if in_states[*succ].join(&out_states[b]) && !queued[*succ] {
@@ -409,33 +431,45 @@ impl<'f, 'a, A: Analysis> Solver<'f, 'a, A> {
         (in_states, exit)
     }
 
+    /// Flows each block of `region` from its converged incoming state (in
+    /// layout order forward, reversed backward), handing every op to
+    /// `visit`.
+    fn replay(
+        &self,
+        region: &Region,
+        in_states: Vec<A::State>,
+        parent: Option<&Site<'_>>,
+        visit: &mut dyn FnMut(&Site<'_>, &Op, &A::State),
+    ) {
+        let mut blocks: Vec<(&Block, A::State)> = region.blocks.iter().zip(in_states).collect();
+        if !self.forward() {
+            blocks.reverse();
+        }
+        for (block, mut state) in blocks {
+            self.flow_block(block, parent, &mut state, Some(&mut *visit));
+        }
+    }
+
     /// Applies every op of `block` to `state` in the analysis direction,
-    /// recursing into nested regions. When `record` is set, pushes the
-    /// incoming state of every op onto the solution.
+    /// recursing into nested regions. When `visit` is set, hands it the
+    /// incoming state of every op.
     fn flow_block(
         &self,
-        block: &'f Block,
-        prefix: &str,
+        block: &Block,
+        parent: Option<&Site<'_>>,
         state: &mut A::State,
-        record: &mut Record<'_, 'f, A::State>,
+        mut visit: Visit<'_, '_, A::State>,
     ) {
-        let indices: Vec<usize> = if self.forward() {
-            (0..block.ops.len()).collect()
-        } else {
-            (0..block.ops.len()).rev().collect()
-        };
-        for i in indices {
-            let op = &block.ops[i];
-            let path = format!("{prefix}^bb{} op {i}", block.id.0);
-            if let Some(rec) = record.as_deref_mut() {
-                rec.push((
-                    Site { block: block.id, op_index: i, path: path.clone() },
-                    op,
-                    state.clone(),
-                ));
+        let n = block.ops.len();
+        for k in 0..n {
+            let op_index = if self.forward() { k } else { n - 1 - k };
+            let op = &block.ops[op_index];
+            let site = Site { block: block.id, op_index, parent };
+            if let Some(visit) = visit.as_deref_mut() {
+                visit(&site, op, state);
             }
             for (ri, nested) in op.regions.iter().enumerate() {
-                self.flow_nested_region(op, ri, nested, &format!("{path} / "), state, record);
+                self.flow_nested_region(op, ri, nested, &site, state, visit.as_deref_mut());
             }
             self.analysis.transfer(self.func, op, state);
         }
@@ -448,12 +482,12 @@ impl<'f, 'a, A: Analysis> Solver<'f, 'a, A> {
     /// joined into the surrounding state.
     fn flow_nested_region(
         &self,
-        op: &'f Op,
+        op: &Op,
         region_index: usize,
-        region: &'f Region,
-        prefix: &str,
+        region: &Region,
+        site: &Site<'_>,
         state: &mut A::State,
-        record: &mut Record<'_, 'f, A::State>,
+        visit: Visit<'_, '_, A::State>,
     ) {
         if region.blocks.is_empty() {
             return;
@@ -481,12 +515,9 @@ impl<'f, 'a, A: Analysis> Solver<'f, 'a, A> {
             }
             input = next;
         }
-        if record.is_some() {
+        if let Some(visit) = visit {
             let (in_states, _) = self.converge(region, &input, &order);
-            for (bi, nested_block) in self.block_iter(region) {
-                let mut s = in_states[bi].clone();
-                self.flow_block(nested_block, prefix, &mut s, record);
-            }
+            self.replay(region, in_states, Some(site), visit);
         }
         state.join(&exit);
         self.analysis.exit_region(self.func, op, region_index, &exit, state);
@@ -514,6 +545,15 @@ mod tests {
         fn transfer(&self, _func: &Func, op: &Op, state: &mut Self::State) {
             state.insert(op.name.clone());
         }
+    }
+
+    /// Every visited op as (path, op name, incoming state).
+    fn solve<A: Analysis>(func: &Func, analysis: &A) -> Vec<(String, String, A::State)> {
+        let mut solution = Vec::new();
+        analyze(func, analysis, |site, op, state| {
+            solution.push((site.to_string(), op.name.clone(), state.clone()));
+        });
+        solution
     }
 
     #[test]
@@ -550,11 +590,11 @@ mod tests {
         let x = fb.unary("arith.negf", fb.arg(0), Type::F64);
         fb.ret(&[x]);
         let func = fb.finish();
-        let solution = analyze(&func, &SeenOps);
+        let solution = solve(&func, &SeenOps);
         assert_eq!(solution.len(), 2);
         // Before the negf nothing has executed; before the return it has.
         assert!(solution[0].2.is_empty());
-        assert_eq!(solution[0].0.path, "^bb0 op 0");
+        assert_eq!(solution[0].0, "^bb0 op 0");
         assert!(solution[1].2.contains("arith.negf"));
     }
 
@@ -568,21 +608,18 @@ mod tests {
         });
         fb.ret(&[out[0]]);
         let func = fb.finish();
-        let solution = analyze(&func, &SeenOps);
-        // Ops inside the loop body are recorded with nested paths.
-        let nested: Vec<&str> = solution
-            .iter()
-            .filter(|(s, ..)| s.path.contains(" / "))
-            .map(|(s, ..)| s.path.as_str())
-            .collect();
+        let solution = solve(&func, &SeenOps);
+        // Ops inside the loop body are visited with nested paths.
+        let nested: Vec<&str> =
+            solution.iter().filter(|(s, ..)| s.contains(" / ")).map(|(s, ..)| s.as_str()).collect();
         assert!(nested.iter().all(|p| p.starts_with("^bb0 op 1 / ^bb1")), "{nested:?}");
         // The loop body sees its own ops through the back edge.
         let (_, _, body_state) =
-            solution.iter().find(|(_, op, _)| op.name == "arith.addf").expect("addf recorded");
+            solution.iter().find(|(_, op, _)| op == "arith.addf").expect("addf visited");
         assert!(body_state.contains("arith.constant"));
         // After the loop, the return sees the body's ops.
         let (_, _, ret_state) =
-            solution.iter().find(|(_, op, _)| op.name == "func.return").expect("return recorded");
+            solution.iter().find(|(_, op, _)| op == "func.return").expect("return visited");
         assert!(ret_state.contains("arith.addf"));
         assert!(ret_state.contains("loop.for"));
     }
@@ -604,13 +641,13 @@ mod tests {
         let x = fb.unary("arith.negf", fb.arg(0), Type::F64);
         fb.ret(&[x]);
         let func = fb.finish();
-        let solution = analyze(&func, &SeenBelow);
+        let solution = solve(&func, &SeenBelow);
         // Backward: the negf's incoming state holds what executes after it.
         let (_, _, below) =
-            solution.iter().find(|(_, op, _)| op.name == "arith.negf").expect("negf recorded");
+            solution.iter().find(|(_, op, _)| op == "arith.negf").expect("negf visited");
         assert!(below.contains("func.return"));
         let (_, _, at_ret) =
-            solution.iter().find(|(_, op, _)| op.name == "func.return").expect("ret recorded");
+            solution.iter().find(|(_, op, _)| op == "func.return").expect("ret visited");
         assert!(at_ret.is_empty());
     }
 }

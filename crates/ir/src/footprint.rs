@@ -19,11 +19,15 @@
 //!   facts at `func.return`, and peak local allocation as an [`Interval`]
 //!   (each `mem.alloc` scaled by the trip counts of its enclosing
 //!   `loop.for` nests; an unknown trip count makes the bound unbounded).
-//!   `module_footprints` iterates the call graph to a fixpoint so `f` calls
-//!   `g` in either declaration order.
+//!   `module_footprints` summarizes each function once, callees first (a
+//!   depth-first walk of the call graph), so `f` calls `g` in either
+//!   declaration order. A callee with no summary — missing, or on a call
+//!   cycle, which the verifier rejects — reads `Top`.
 
 use crate::attr::Attr;
-use crate::dataflow::{analyze, Analysis, Direction, Interval, Lattice};
+use crate::dataflow::{
+    analyze, bind_region_args, bind_region_results, Analysis, Direction, Interval, Lattice,
+};
 use crate::ir::{Block, ForLoop, Func, Module, Op, Value};
 use crate::types::Type;
 use std::collections::BTreeMap;
@@ -219,20 +223,11 @@ impl Analysis for ShapeAnalysis<'_> {
         entry: &Block,
         state: &mut Self::State,
     ) {
-        // `loop.for` binds the induction variable first, then the carried
-        // values (initialized from the op's operands); other region-bearing
-        // ops bind operands to entry args positionally.
-        let args = match ForLoop::of(op) {
-            Ok(l) => {
-                state.insert(l.iv, ShapeFact::of_type(func.value_type(l.iv)));
-                l.carried()
-            }
-            Err(_) => &entry.args,
-        };
-        for (operand, arg) in op.operands.iter().zip(args) {
-            let fact = fact_of(state, *operand);
-            state.entry(*arg).or_insert(ShapeFact::Bottom).join(&fact);
+        // A `loop.for` also binds its induction variable, to its type.
+        if let Ok(l) = ForLoop::of(op) {
+            state.insert(l.iv, ShapeFact::of_type(func.value_type(l.iv)));
         }
+        bind_region_args(op, entry, state);
     }
 
     fn exit_region(
@@ -243,17 +238,7 @@ impl Analysis for ShapeAnalysis<'_> {
         exit: &Self::State,
         state: &mut Self::State,
     ) {
-        // Yielded values hand their facts to the op's results.
-        for block in &op.regions[region_index].blocks {
-            if let Some(term) = block.terminator() {
-                if term.name.ends_with(".yield") {
-                    for (v, r) in term.operands.iter().zip(&op.results) {
-                        let fact = fact_of(exit, *v);
-                        state.entry(*r).or_insert(ShapeFact::Bottom).join(&fact);
-                    }
-                }
-            }
-        }
+        bind_region_results(op, region_index, exit, state);
     }
 }
 
@@ -313,21 +298,18 @@ pub fn fn_footprint(func: &Func, summaries: &BTreeMap<String, FnFootprint>) -> F
 
     // Result facts: the converged shapes of `func.return` operands, falling
     // back to the declared result type when the analysis lost precision.
-    let analysis = ShapeAnalysis::new(summaries);
     let mut out_shapes: Vec<ShapeFact> = func.results.iter().map(ShapeFact::of_type).collect();
-    for (_, op, before) in analyze(func, &analysis) {
+    analyze(func, &ShapeAnalysis::new(summaries), |_, op, before| {
         if op.name != "func.return" {
-            continue;
+            return;
         }
-        for (i, operand) in op.operands.iter().enumerate() {
-            let fact = fact_of(&before, *operand);
+        for (slot, operand) in out_shapes.iter_mut().zip(&op.operands) {
+            let fact = fact_of(before, *operand);
             if fact.max_bytes().is_some() {
-                if let Some(slot) = out_shapes.get_mut(i) {
-                    *slot = fact;
-                }
+                *slot = fact;
             }
         }
-    }
+    });
     let out_bytes = out_shapes.iter().try_fold(0u64, |acc, f| Some(acc + f.max_bytes()?));
 
     let mut locals = Interval::point(0);
@@ -337,28 +319,15 @@ pub fn fn_footprint(func: &Func, summaries: &BTreeMap<String, FnFootprint>) -> F
     FnFootprint { in_bytes, out_bytes, local_bytes: locals, out_shapes }
 }
 
-/// Safety cap on call-graph passes (cycles or pathological chains).
-const MAX_CALLGRAPH_PASSES: usize = 16;
-
-/// Summarizes every function of `module`, iterating to a fixpoint over the
-/// call graph so summaries flow through `func.call` regardless of
-/// declaration order. Deterministic: functions are processed in module
-/// order, results keyed by name in a sorted map.
+/// Summarizes every function of `module` once, callees before callers, so
+/// summaries flow through `func.call` regardless of declaration order.
+/// Results are keyed by name in a sorted map.
 pub fn module_footprints(module: &Module) -> BTreeMap<String, FnFootprint> {
     let mut span = everest_telemetry::span("ir.footprint", "ir");
     let mut summaries: BTreeMap<String, FnFootprint> = BTreeMap::new();
-    for _ in 0..MAX_CALLGRAPH_PASSES {
-        let mut changed = false;
-        for func in module.iter() {
-            let fresh = fn_footprint(func, &summaries);
-            if summaries.get(&func.name) != Some(&fresh) {
-                summaries.insert(func.name.clone(), fresh);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
+    for func in module.callees_first().0 {
+        let summary = fn_footprint(func, &summaries);
+        summaries.insert(func.name.clone(), summary);
     }
     span.attr("functions", summaries.len());
     summaries

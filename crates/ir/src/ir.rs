@@ -4,7 +4,7 @@
 use crate::attr::Attr;
 use crate::error::{IrError, IrResult};
 use crate::types::Type;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A function-scoped SSA value handle.
@@ -181,6 +181,9 @@ pub struct Region {
     pub blocks: Vec<Block>,
 }
 
+/// The attributes of a terminator that name the blocks it branches to.
+pub(crate) const BRANCH_TARGETS: [&str; 3] = ["dest", "true_dest", "false_dest"];
+
 impl Region {
     /// Creates an empty region.
     pub(crate) fn new() -> Region {
@@ -190,6 +193,21 @@ impl Region {
     /// The entry block, if present.
     pub fn entry(&self) -> Option<&Block> {
         self.blocks.first()
+    }
+
+    /// Index of the block a branch target (an attribute named in
+    /// [`BRANCH_TARGETS`]) names, as an integer block id or a `"^bbN"`
+    /// string, when it is one of this region's blocks.
+    pub(crate) fn block_index(&self, target: &Attr) -> Option<usize> {
+        let id = match target {
+            Attr::Int(n) => u32::try_from(*n).ok()?,
+            Attr::Str(s) => s.strip_prefix("^bb")?.parse().ok()?,
+            _ => return None,
+        };
+        match self.blocks.get(id as usize) {
+            Some(b) if b.id.0 == id => Some(id as usize),
+            _ => self.blocks.iter().position(|b| b.id.0 == id),
+        }
     }
 
     /// Visits every op in this region, depth-first, in program order.
@@ -324,6 +342,56 @@ impl Module {
         self.funcs.iter().find(|f| f.name == name)
     }
 
+    /// The module's functions, each after every function it calls (a
+    /// depth-first walk of the `func.call` edges from each function in
+    /// module order), and the first call found to close a cycle, as
+    /// `(caller, callee)`. A call to a missing function is no edge.
+    pub(crate) fn callees_first(&self) -> (Vec<&Func>, Option<(&Func, &Func)>) {
+        // Built at the first call: most modules make none.
+        let mut index: Option<HashMap<&str, usize>> = None;
+        // 0: not reached, 1: on the walk's current path, 2: ordered.
+        let mut mark = vec![0u8; self.funcs.len()];
+        let (mut order, mut cycle) = (Vec::with_capacity(self.funcs.len()), None);
+        // (function, its caller, whether its callees are all ordered)
+        let mut stack = Vec::new();
+        for root in 0..self.funcs.len() {
+            stack.push((root, root, false));
+            while let Some((f, caller, leaving)) = stack.pop() {
+                if leaving {
+                    mark[f] = 2;
+                    order.push(&self.funcs[f]);
+                    continue;
+                }
+                match mark[f] {
+                    0 => mark[f] = 1,
+                    1 => {
+                        cycle = cycle.or(Some((&self.funcs[caller], &self.funcs[f])));
+                        continue;
+                    }
+                    _ => continue,
+                }
+                stack.push((f, f, true));
+                self.funcs[f].walk(&mut |op| {
+                    if op.name != "func.call" {
+                        return;
+                    }
+                    let index = index.get_or_insert_with(|| {
+                        let mut index = HashMap::new();
+                        for (i, func) in self.funcs.iter().enumerate() {
+                            index.entry(func.name.as_str()).or_insert(i);
+                        }
+                        index
+                    });
+                    let callee = op.attr("callee").and_then(Attr::as_str);
+                    if let Some(&g) = callee.and_then(|c| index.get(c)) {
+                        stack.push((g, f, false));
+                    }
+                });
+            }
+        }
+        (order, cycle)
+    }
+
     /// Iterates over functions in definition order.
     pub fn iter(&self) -> std::slice::Iter<'_, Func> {
         self.funcs.iter()
@@ -446,5 +514,35 @@ mod tests {
     fn module_collect_from_iterator() {
         let m: Module = vec![Func::new("x", &[], &[])].into_iter().collect();
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn callees_come_first_and_a_cycle_is_named() {
+        // a calls b and c, b calls c, c calls nothing, d calls a missing e.
+        let calls = [("a", &["b", "c"][..]), ("b", &["c"]), ("c", &[]), ("d", &["e"])];
+        let module = |calls: &[(&str, &[&str])]| -> Module {
+            calls
+                .iter()
+                .map(|(name, callees)| {
+                    let mut f = Func::new(*name, &[], &[]);
+                    let entry = f.body.blocks.first_mut().unwrap();
+                    for callee in *callees {
+                        entry.ops.push(Op::new("func.call").with_attr("callee", *callee));
+                    }
+                    entry.ops.push(Op::new("func.return"));
+                    f
+                })
+                .collect()
+        };
+        let m = module(&calls);
+        let (order, cycle) = m.callees_first();
+        let names: Vec<&str> = order.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["c", "b", "a", "d"]);
+        assert!(cycle.is_none());
+        let m = module(&[("f", &["g"]), ("g", &["h"]), ("h", &["f"])]);
+        let (order, cycle) = m.callees_first();
+        assert_eq!(order.len(), 3, "every function is ordered once");
+        let (caller, callee) = cycle.expect("f -> g -> h -> f");
+        assert_eq!((caller.name.as_str(), callee.name.as_str()), ("h", "f"));
     }
 }

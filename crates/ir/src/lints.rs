@@ -16,7 +16,9 @@
 //! entry point used by `everestc check`.
 
 use crate::attr::Attr;
-use crate::dataflow::{analyze, Analysis, Direction, Interval, Lattice};
+use crate::dataflow::{
+    analyze, bind_region_args, bind_region_results, Analysis, Direction, Interval, Lattice,
+};
 use crate::diag::{op_snippet, record_metrics, Diagnostic, Severity};
 use crate::ir::{Block, ForLoop, Func, Module, Op, Value};
 use crate::registry;
@@ -108,9 +110,9 @@ fn liveness_lints(func: &Func) -> Vec<Diagnostic> {
         }
     });
     let mut diags = Vec::new();
-    // Backward analysis: the recorded state at each op holds the facts about
-    // what executes *after* it.
-    for (site, op, after) in analyze(func, &Liveness) {
+    // Backward analysis: the state handed over at each op holds the facts
+    // about what executes *after* it.
+    analyze(func, &Liveness, |site, op, after| {
         if op.name == "mem.store" {
             if let Some(buf) = op.operands.get(1) {
                 if local_bufs.contains(buf) && !after.read_bufs.contains(buf) {
@@ -121,7 +123,7 @@ fn liveness_lints(func: &Func) -> Vec<Diagnostic> {
                             &func.name,
                             format!("store to {buf} is never read"),
                         )
-                        .at(&site.path)
+                        .at(site.to_string())
                         .with_snippet(op_snippet(op)),
                     );
                 }
@@ -139,11 +141,11 @@ fn liveness_lints(func: &Func) -> Vec<Diagnostic> {
                     &func.name,
                     format!("result {} of pure op {} is never used", rs.join(", "), op.name),
                 )
-                .at(&site.path)
+                .at(site.to_string())
                 .with_snippet(op_snippet(op)),
             );
         }
-    }
+    });
     diags
 }
 
@@ -246,12 +248,12 @@ fn access_of(op: &Op) -> Option<(Value, &[Value])> {
 
 fn range_lints(func: &Func) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    for (site, op, before) in analyze(func, &RangeAnalysis) {
-        let Some((buf, indices)) = access_of(op) else { continue };
-        let Some(shape) = func.value_type(buf).shape() else { continue };
+    analyze(func, &RangeAnalysis, |site, op, before| {
+        let Some((buf, indices)) = access_of(op) else { return };
+        let Some(shape) = func.value_type(buf).shape() else { return };
         for (dim, idx) in indices.iter().enumerate() {
             let Some(&extent) = shape.get(dim) else { continue };
-            let range = range_of(&before, *idx);
+            let range = range_of(before, *idx);
             if range.is_bounded() && (range.lo < 0 || range.hi >= extent as i64) {
                 diags.push(
                     Diagnostic::new(
@@ -264,12 +266,12 @@ fn range_lints(func: &Func) -> Vec<Diagnostic> {
                             range.lo, range.hi
                         ),
                     )
-                    .at(&site.path)
+                    .at(site.to_string())
                     .with_snippet(op_snippet(op)),
                 );
             }
         }
-    }
+    });
     diags
 }
 
@@ -358,13 +360,7 @@ impl Analysis for TaintAnalysis {
         entry: &Block,
         state: &mut Self::State,
     ) {
-        // Bind the labels of the op's operands to the region's entry block
-        // args (`loop.for` carries its inits after the induction variable).
-        let args = ForLoop::of(op).map_or(entry.args.as_slice(), |l| l.carried());
-        for (operand, arg) in op.operands.iter().zip(args) {
-            let labels = labels_of(state, *operand);
-            add_labels(state, *arg, &labels);
-        }
+        bind_region_args(op, entry, state);
     }
 
     fn exit_region(
@@ -375,17 +371,7 @@ impl Analysis for TaintAnalysis {
         exit: &Self::State,
         state: &mut Self::State,
     ) {
-        // Yielded values hand their labels to the op's results.
-        for block in &op.regions[region_index].blocks {
-            if let Some(term) = block.terminator() {
-                if term.name.ends_with(".yield") {
-                    for (v, r) in term.operands.iter().zip(&op.results) {
-                        let labels = labels_of(exit, *v);
-                        add_labels(state, *r, &labels);
-                    }
-                }
-            }
-        }
+        bind_region_results(op, region_index, exit, state);
     }
 }
 
@@ -403,12 +389,12 @@ fn checked_values(func: &Func) -> BTreeSet<Value> {
 fn taint_lints(func: &Func) -> Vec<Diagnostic> {
     let checked = checked_values(func);
     let mut diags = Vec::new();
-    for (site, op, before) in analyze(func, &TaintAnalysis) {
+    analyze(func, &TaintAnalysis, |site, op, before| {
         if op.name != "df.sink" && op.name != "func.return" {
-            continue;
+            return;
         }
         for operand in &op.operands {
-            let labels = labels_of(&before, *operand);
+            let labels = labels_of(before, *operand);
             if is_secret(&labels) && !checked.contains(operand) {
                 let secret: Vec<&str> =
                     labels.iter().filter(|l| l.as_str() != "public").map(String::as_str).collect();
@@ -425,12 +411,12 @@ fn taint_lints(func: &Func) -> Vec<Diagnostic> {
                             op.name
                         ),
                     )
-                    .at(&site.path)
+                    .at(site.to_string())
                     .with_snippet(op_snippet(op)),
                 );
             }
         }
-    }
+    });
     diags
 }
 

@@ -9,44 +9,62 @@
 //!    inheriting the enclosing scope);
 //! 3. per-op type rules for the builtin dialects (scalar arithmetic,
 //!    memory, returns and structured loops), and for every `tensor` op
-//!    the result type its [`TensorOp`] view computes.
+//!    the result type its [`TensorOp`] view computes;
+//! 4. every branch target names a block of the branch's region;
+//! 5. in a module, every `func.call` names a function of the module and
+//!    matches its signature, and no chain of calls leads back to its
+//!    caller.
 
 use crate::attr::Attr;
 use crate::error::{IrError, IrResult};
-use crate::ir::{Block, ForLoop, Func, Module, Op, Value};
+use crate::ir::{Block, ForLoop, Func, Module, Op, Region, Value, BRANCH_TARGETS};
 use crate::registry::{self, OpSpec};
 use crate::tensor_op::TensorOp;
 use crate::types::Type;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-/// Verifies every function in `module`.
+/// The functions a `func.call` may name, by symbol.
+type Callees<'m> = HashMap<&'m str, &'m Func>;
+
+/// Verifies every function in `module`, and every call between them.
 ///
 /// # Errors
 ///
 /// Returns the first [`IrError`] encountered; the module is left untouched.
 pub(crate) fn verify_module(module: &Module) -> IrResult<()> {
-    let mut names = HashSet::new();
+    let mut callees = Callees::new();
     for func in module.iter() {
-        if !names.insert(func.name.as_str()) {
+        if callees.insert(func.name.as_str(), func).is_some() {
             return Err(IrError::Verify(format!("duplicate function symbol @{}", func.name)));
         }
     }
     for func in module.iter() {
-        verify_func(func).map_err(|e| match e {
+        verify_body(func, Some(&callees)).map_err(|e| match e {
             IrError::Verify(msg) => IrError::Verify(format!("in @{}: {msg}", func.name)),
             other => other,
         })?;
     }
-    Ok(())
+    match module.callees_first().1 {
+        Some((caller, callee)) => Err(IrError::Verify(format!(
+            "in @{}: the call to @{} closes a call cycle",
+            caller.name, callee.name
+        ))),
+        None => Ok(()),
+    }
 }
 
-/// Verifies a single function.
+/// Verifies a single function. Its calls are checked against their
+/// callees only as part of a module ([`Module::verify`]).
 ///
 /// # Errors
 ///
 /// Returns [`IrError::Verify`] or [`IrError::UnknownOp`] on the first
 /// violation.
 pub fn verify_func(func: &Func) -> IrResult<()> {
+    verify_body(func, None)
+}
+
+fn verify_body(func: &Func, callees: Option<&Callees<'_>>) -> IrResult<()> {
     let entry =
         func.body.entry().ok_or_else(|| IrError::Verify("function has no entry block".into()))?;
     if entry.args.len() != func.params.len() {
@@ -67,8 +85,18 @@ pub fn verify_func(func: &Func) -> IrResult<()> {
 
     let mut defined: HashSet<Value> = HashSet::new();
     let mut all_defs: HashSet<Value> = HashSet::new();
-    for block in &func.body.blocks {
-        verify_block(func, block, &mut defined, &mut all_defs)?;
+    verify_region(func, &func.body, callees, &mut defined, &mut all_defs)
+}
+
+fn verify_region(
+    func: &Func,
+    region: &Region,
+    callees: Option<&Callees<'_>>,
+    defined: &mut HashSet<Value>,
+    all_defs: &mut HashSet<Value>,
+) -> IrResult<()> {
+    for block in &region.blocks {
+        verify_block(func, region, block, callees, defined, all_defs)?;
     }
     Ok(())
 }
@@ -91,7 +119,9 @@ fn define(
 
 fn verify_block(
     func: &Func,
+    region: &Region,
     block: &Block,
+    callees: Option<&Callees<'_>>,
     defined: &mut HashSet<Value>,
     all_defs: &mut HashSet<Value>,
 ) -> IrResult<()> {
@@ -126,6 +156,14 @@ fn verify_block(
                 block.id, op.name
             ))));
         }
+        for key in BRANCH_TARGETS.into_iter().filter(|_| spec.terminator) {
+            if let Some(target) = op.attr(key).filter(|t| region.block_index(t).is_none()) {
+                return Err(ctx(IrError::Verify(format!(
+                    "{}: {key} = {target} names no block of its region",
+                    op.name
+                ))));
+            }
+        }
         for operand in &op.operands {
             if !defined.contains(operand) {
                 return Err(ctx(IrError::Verify(format!(
@@ -137,16 +175,14 @@ fn verify_block(
         // Nested regions see everything defined so far (but their local
         // definitions must not leak back out except through op results).
         // Their errors carry their own inner location context.
-        for region in &op.regions {
+        for inner_region in &op.regions {
             let mut inner = defined.clone();
-            for inner_block in &region.blocks {
-                verify_block(func, inner_block, &mut inner, all_defs)?;
-            }
+            verify_region(func, inner_region, callees, &mut inner, all_defs)?;
         }
         for result in &op.results {
             define(*result, func, defined, all_defs).map_err(ctx)?;
         }
-        verify_op_types(func, op).map_err(ctx)?;
+        verify_op_types(func, op, callees).map_err(ctx)?;
     }
     Ok(())
 }
@@ -188,9 +224,40 @@ fn ty(func: &Func, v: Value) -> &Type {
     func.value_type(v)
 }
 
-fn verify_op_types(func: &Func, op: &Op) -> IrResult<()> {
+/// `(t0, t1, …)`: the types of a call's operands, results or signature.
+fn type_list<'t>(types: impl Iterator<Item = &'t Type>) -> String {
+    format!("({})", types.map(Type::to_string).collect::<Vec<_>>().join(", "))
+}
+
+fn verify_op_types(func: &Func, op: &Op, callees: Option<&Callees<'_>>) -> IrResult<()> {
     let err = |msg: String| Err(IrError::Verify(format!("{}: {msg}", op.name)));
     match op.name.as_str() {
+        "func.call" => {
+            let Some(callees) = callees else { return Ok(()) };
+            let target = &op.attrs["callee"];
+            let Some(callee) = target.as_str().and_then(|name| callees.get(name)) else {
+                return err(format!("callee {target} names no function of this module"));
+            };
+            let args = op.operands.iter().map(|v| ty(func, *v));
+            if !args.clone().eq(&callee.params) {
+                return err(format!(
+                    "passes {} to @{}, which takes {}",
+                    type_list(args),
+                    callee.name,
+                    type_list(callee.params.iter())
+                ));
+            }
+            let results = op.results.iter().map(|v| ty(func, *v));
+            if !results.clone().eq(&callee.results) {
+                return err(format!(
+                    "expects {} from @{}, which returns {}",
+                    type_list(results),
+                    callee.name,
+                    type_list(callee.results.iter())
+                ));
+            }
+            Ok(())
+        }
         "arith.constant" => {
             let rt = ty(func, op.results[0]);
             match op.attrs.get("value") {
@@ -359,6 +426,31 @@ mod tests {
         m.push(simple_func());
         let err = verify_module(&m).unwrap_err();
         assert!(err.to_string().contains("duplicate function symbol"));
+    }
+
+    #[test]
+    fn calls_are_checked_against_their_callee_in_a_module() {
+        let module = |result: Type| {
+            let mut m = Module::new("m");
+            let mut fb = FuncBuilder::new("caller", &[Type::F64], std::slice::from_ref(&result));
+            let out = fb.call("callee", &[fb.arg(0), fb.arg(0)], std::slice::from_ref(&result));
+            fb.ret(&out);
+            m.push(fb.finish());
+            let mut fb = FuncBuilder::new("callee", &[Type::F64, Type::F64], &[Type::F64]);
+            let s = fb.binary("arith.addf", fb.arg(0), fb.arg(1), Type::F64);
+            fb.ret(&[s]);
+            m.push(fb.finish());
+            m
+        };
+        // A callee declared after its caller, with a matching signature.
+        verify_module(&module(Type::F64)).unwrap();
+        let err = verify_module(&module(Type::F32)).unwrap_err();
+        assert!(
+            err.to_string().ends_with("expects (f32) from @callee, which returns (f64)"),
+            "{err}"
+        );
+        // Alone, a function's calls have no callee to be checked against.
+        verify_func(module(Type::F32).func("caller").unwrap()).unwrap();
     }
 
     #[test]

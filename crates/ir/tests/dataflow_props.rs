@@ -7,7 +7,7 @@
 use everest_ir::types::MemSpace;
 use everest_ir::{
     analyze, analyze_ordered, check_func, Analysis, Block, BlockId, Direction, Func, FuncBuilder,
-    Interval, Lattice, Op, Type,
+    Interval, Lattice, Op, Site, Type,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -68,13 +68,17 @@ fn random_cfg(n: usize, picks: &[(usize, usize)]) -> Func {
     func
 }
 
-/// Projects a solution onto comparable (path, op name, state) triples.
-fn shape(solution: &[(everest_ir::Site, &Op, BTreeSet<String>)]) -> Vec<(String, String, String)> {
-    solution
-        .iter()
-        .map(|(site, op, state)| (site.path.clone(), op.name.clone(), format!("{:?}", state)))
-        .collect()
+/// Collects the visited ops of a solution as comparable (path, op name,
+/// state) triples.
+fn shape(solve: impl FnOnce(&mut dyn FnMut(&Site<'_>, &Op, &BTreeSet<String>))) -> Triples {
+    let mut triples = Vec::new();
+    solve(&mut |site, op, state| {
+        triples.push((site.to_string(), op.name.clone(), format!("{state:?}")));
+    });
+    triples
 }
+
+type Triples = Vec<(String, String, String)>;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -151,11 +155,11 @@ proptest! {
         keys in prop::collection::vec(any::<u64>(), 7),
     ) {
         let func = random_cfg(n, &picks);
-        let reference = analyze(&func, &SeenOps);
+        let reference = shape(|visit| analyze(&func, &SeenOps, visit));
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|i| keys[*i]);
-        let shuffled = analyze_ordered(&func, &SeenOps, &order);
-        prop_assert_eq!(shape(&reference), shape(&shuffled));
+        let shuffled = shape(|visit| analyze_ordered(&func, &SeenOps, &order, visit));
+        prop_assert_eq!(reference, shuffled);
     }
 }
 

@@ -7,7 +7,7 @@
 use everest_ir::footprint::{ShapeAnalysis, ShapeFact};
 use everest_ir::{
     analyze, analyze_ordered, fn_footprint, Block, BlockId, Func, FuncBuilder, Interval, Lattice,
-    Op, Type,
+    Op, Site, Type,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -69,15 +69,19 @@ fn random_shaped_cfg(n: usize, picks: &[(usize, usize)], ranks: &[usize]) -> Fun
     func
 }
 
-type ShapeSolution<'a> = Vec<(everest_ir::Site, &'a Op, BTreeMap<everest_ir::Value, ShapeFact>)>;
+type ShapeState = BTreeMap<everest_ir::Value, ShapeFact>;
 
-/// Projects a solution onto comparable (path, op, state) triples.
-fn shape(solution: &ShapeSolution<'_>) -> Vec<(String, String, String)> {
-    solution
-        .iter()
-        .map(|(site, op, state)| (site.path.clone(), op.name.clone(), format!("{:?}", state)))
-        .collect()
+/// Collects the visited ops of a solution as comparable (path, op, state)
+/// triples.
+fn shape(solve: impl FnOnce(&mut dyn FnMut(&Site<'_>, &Op, &ShapeState))) -> Triples {
+    let mut triples = Vec::new();
+    solve(&mut |site, op, state| {
+        triples.push((site.to_string(), op.name.clone(), format!("{state:?}")));
+    });
+    triples
 }
+
+type Triples = Vec<(String, String, String)>;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -142,11 +146,11 @@ proptest! {
         let func = random_shaped_cfg(n, &picks, &ranks);
         let summaries = BTreeMap::new();
         let analysis = ShapeAnalysis::new(&summaries);
-        let reference = analyze(&func, &analysis);
+        let reference = shape(|visit| analyze(&func, &analysis, visit));
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|i| keys[*i]);
-        let shuffled = analyze_ordered(&func, &analysis, &order);
-        prop_assert_eq!(shape(&reference), shape(&shuffled));
+        let shuffled = shape(|visit| analyze_ordered(&func, &analysis, &order, visit));
+        prop_assert_eq!(reference, shuffled);
     }
 
     #[test]

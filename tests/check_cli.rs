@@ -282,3 +282,73 @@ fn intrinsic_lists_that_are_not_dimension_indices_are_type_errors() {
         assert_eq!((stdout.as_str(), stderr.as_str(), code), ("", want.as_str(), 1), "{call}");
     }
 }
+
+/// Calls that once verified: the interpreter then returned an arity error,
+/// returned `UnknownSymbol`, or overflowed its stack on the self-call.
+#[test]
+fn calls_that_do_not_match_a_function_of_the_module_fail_verification() {
+    let cases = [
+        (
+            "func @f(%0: f64) -> (f64) {\n    %1 = func.call %0 {callee = \"f\"} : f64\n    \
+             func.return %1\n  }",
+            "in @f: the call to @f closes a call cycle",
+        ),
+        (
+            "func @g(%0: f64, %1: f64) -> (f64) {\n    %2 = arith.addf %0, %1 : f64\n    \
+             func.return %2\n  }\n  func @f(%0: f64) -> (f64) {\n    \
+             %1 = func.call %0 {callee = \"g\"} : f64\n    func.return %1\n  }",
+            "in @f: at ^bb0 op 0 (func.call): func.call: passes (f64) to @g, which takes \
+             (f64, f64)",
+        ),
+        (
+            "func @f(%0: f64) -> (f64) {\n    %1 = func.call %0 {callee = \"nowhere\"} : f64\n    \
+             func.return %1\n  }",
+            "in @f: at ^bb0 op 0 (func.call): func.call: callee \"nowhere\" names no function \
+             of this module",
+        ),
+    ];
+    for (i, (funcs, reason)) in cases.iter().enumerate() {
+        let source = format!("module @calls {{\n  {funcs}\n}}\n");
+        let (_, stdout, stderr, code) = check_text(&format!("call_{i}.eir"), &source);
+        let want = format!("error: verification failed: {reason}\n");
+        assert_eq!((stdout.as_str(), stderr.as_str(), code), ("", want.as_str(), 1), "{source}");
+    }
+}
+
+/// The lints once analysed this function without the branch: the dataflow
+/// engine dropped the edge it could not resolve.
+#[test]
+fn a_branch_to_a_missing_block_fails_verification() {
+    let source = "module @br {
+  func @f(%0: f64) -> (f64) {
+    cf.br {dest = 7}
+  ^bb1():
+    func.return %0
+  }
+}
+";
+    let (_, stdout, stderr, code) = check_text("branch.eir", source);
+    assert_eq!(
+        (stdout.as_str(), stderr.as_str(), code),
+        (
+            "",
+            "error: verification failed: in @f: at ^bb0 op 0 (cf.br): cf.br: dest = 7 names no \
+             block of its region\n",
+            1
+        )
+    );
+}
+
+/// Type checking, lowering and dropping an expression recurse once per
+/// level, so a 20 000-term sum once overflowed the main thread's stack and
+/// aborted the process (exit 134).
+#[test]
+fn an_expression_nested_past_the_bound_is_a_parse_error() {
+    let sum = vec!["a"; 20_000].join(" + ");
+    let source = format!("kernel k(a: tensor<4xf64>) -> tensor<4xf64> {{\n    return {sum};\n}}\n");
+    let (_, stdout, stderr, code) = check_text("deep.edsl", &source);
+    assert_eq!(
+        (stdout.as_str(), stderr.as_str(), code),
+        ("", "error: parse error at line 2: expression nests deeper than 1000 levels\n", 1)
+    );
+}
