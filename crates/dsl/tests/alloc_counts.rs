@@ -7,7 +7,7 @@
 //! live at one op, so theirs do not grow at all on a chain.
 
 use everest_alloc_counter::{measure, CountingAllocator};
-use everest_dsl::ast::{Expr, Kernel, Stmt, TensorTy};
+use everest_dsl::ast::{Expr, Kernel, Program, Stmt, TensorTy};
 use everest_dsl::{lower, parser, typecheck};
 use everest_ir::{check_module, footprint::module_footprints, Module};
 
@@ -85,7 +85,7 @@ fn parsing_allocates_only_what_the_ast_owns() {
 /// terms. The checker and lowering recurse once per `+`, which takes more
 /// than a test thread's 2 MiB of stack at 800 terms in an unoptimized
 /// build, so the count is taken on a thread of its own.
-fn on_chain(terms: usize, count: fn(&everest_dsl::ast::Program) -> u64) -> u64 {
+fn on_chain(terms: usize, count: fn(&Program) -> u64) -> u64 {
     let chain = vec!["a"; terms].join(" + ");
     let source = format!("kernel f(a: tensor<4xf64>) -> tensor<4xf64> {{ return {chain}; }}");
     let run = move || {
@@ -98,7 +98,7 @@ fn on_chain(terms: usize, count: fn(&everest_dsl::ast::Program) -> u64) -> u64 {
 }
 
 /// Allocations of lowering the chain.
-fn lowering(program: &everest_dsl::ast::Program) -> u64 {
+fn lowering(program: &Program) -> u64 {
     let mut module = None;
     let (allocations, _) = measure(|| module = Some(lower::lower_program(program)));
     module.expect("ran").expect("lowers");
@@ -106,7 +106,7 @@ fn lowering(program: &everest_dsl::ast::Program) -> u64 {
 }
 
 /// Allocations of `analysis` on the lowered chain.
-fn on_lowered(program: &everest_dsl::ast::Program, analysis: fn(&Module)) -> u64 {
+fn on_lowered(program: &Program, analysis: fn(&Module)) -> u64 {
     let module = lower::lower_program(program).expect("lowers");
     measure(|| analysis(&module)).0
 }
@@ -120,7 +120,7 @@ fn lints(module: &Module) {
 }
 
 /// The allocations of `count` on chains of `n` and `2n` terms.
-fn doubled(n: usize, count: fn(&everest_dsl::ast::Program) -> u64) -> (u64, u64) {
+fn doubled(n: usize, count: fn(&Program) -> u64) -> (u64, u64) {
     let (short, long) = (on_chain(n, count), on_chain(2 * n, count));
     println!("{n} terms: {short} allocations, {} terms: {long}", 2 * n);
     (short, long)
