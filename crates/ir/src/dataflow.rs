@@ -4,12 +4,11 @@
 //! a [`Direction`], and a monotone per-op transfer function. The engine
 //! runs a block-level worklist over each region's control-flow graph
 //! (`cf.br`/`cf.cond_br` edges), iterates structured nested regions
-//! (`loop.for` bodies, `df.graph` graphs) to a local fixpoint through the
-//! exit→entry back edge, and finally replays the converged solution in
-//! program order. The replay hands a visitor each op, its [`Site`] and the
-//! state *entering* it (in the analysis direction), by reference: the
-//! engine records nothing, so a caller that reads one op's state pays for
-//! that op alone.
+//! (`loop.for` bodies) to a local fixpoint through the exit→entry back
+//! edge, and finally replays the converged solution in program order. The
+//! replay hands a visitor each op, its [`Site`] and the state *entering*
+//! it (in the analysis direction), by reference: the engine records
+//! nothing, so a caller that reads one op's state pays for that op alone.
 //!
 //! The worklist order is a parameter ([`analyze_ordered`]); for monotone
 //! transfer functions the fixpoint is order-independent, which the property

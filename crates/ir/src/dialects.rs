@@ -1,7 +1,7 @@
 //! Typed helper constructors for the non-builtin dialects.
 //!
-//! These functions build well-formed [`Op`]s for the `tensor`, `df`, `hls`
-//! and `secure` dialects so frontends don't assemble op records by hand.
+//! These functions build well-formed [`Op`]s for the `tensor`, `df` and
+//! `secure` dialects so frontends don't assemble op records by hand.
 
 use crate::attr::Attr;
 use crate::builder::FuncBuilder;

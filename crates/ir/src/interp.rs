@@ -137,7 +137,7 @@ impl<'m> Interp<'m> {
         Ok(flat)
     }
 
-    /// Runs a block; returns the terminator's operand values.
+    /// Runs a block; returns the operand values of its return or yield.
     fn run_block(
         &mut self,
         func: &Func,
@@ -145,7 +145,8 @@ impl<'m> Interp<'m> {
         env: &mut HashMap<Value, RtValue>,
     ) -> IrResult<Vec<RtValue>> {
         for op in &block.ops {
-            if crate::registry::is_terminator(&op.name) {
+            // A branch is no return: `eval_op` refuses it.
+            if matches!(op.name.as_str(), "func.return" | "loop.yield") {
                 return op.operands.iter().map(|o| self.get(env, *o)).collect();
             }
             let results = self.eval_op(func, op, env)?;
@@ -178,63 +179,6 @@ impl<'m> Interp<'m> {
                 };
                 Ok(vec![v])
             }
-            "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "arith.maxf"
-            | "arith.minf" => {
-                let a = operand(0)?.as_float()?;
-                let b = operand(1)?.as_float()?;
-                let r = match op.name.as_str() {
-                    "arith.addf" => a + b,
-                    "arith.subf" => a - b,
-                    "arith.mulf" => a * b,
-                    "arith.divf" => a / b,
-                    "arith.maxf" => a.max(b),
-                    _ => a.min(b),
-                };
-                Ok(vec![RtValue::Float(r)])
-            }
-            "arith.negf" => Ok(vec![RtValue::Float(-operand(0)?.as_float()?)]),
-            "arith.sqrtf" => Ok(vec![RtValue::Float(operand(0)?.as_float()?.sqrt())]),
-            "arith.expf" => Ok(vec![RtValue::Float(operand(0)?.as_float()?.exp())]),
-            "arith.addi" | "arith.subi" | "arith.muli" | "arith.divi" | "arith.remi" => {
-                let a = operand(0)?.as_int()?;
-                let b = operand(1)?.as_int()?;
-                let r = match op.name.as_str() {
-                    "arith.addi" => a.wrapping_add(b),
-                    "arith.subi" => a.wrapping_sub(b),
-                    "arith.muli" => a.wrapping_mul(b),
-                    "arith.divi" if b != 0 => a.wrapping_div(b),
-                    "arith.remi" if b != 0 => a.wrapping_rem(b),
-                    _ => return Err(IrError::Pass("integer division by zero".into())),
-                };
-                Ok(vec![RtValue::Int(r)])
-            }
-            "arith.cmpf" | "arith.cmpi" => {
-                let pred = op
-                    .attr("pred")
-                    .and_then(Attr::as_str)
-                    .ok_or_else(|| IrError::Pass("cmp without pred".into()))?;
-                let (a, b) = if op.name == "arith.cmpf" {
-                    (operand(0)?.as_float()?, operand(1)?.as_float()?)
-                } else {
-                    (operand(0)?.as_int()? as f64, operand(1)?.as_int()? as f64)
-                };
-                let r = match pred {
-                    "lt" => a < b,
-                    "le" => a <= b,
-                    "gt" => a > b,
-                    "ge" => a >= b,
-                    "eq" => a == b,
-                    "ne" => a != b,
-                    other => return Err(IrError::Pass(format!("unknown pred '{other}'"))),
-                };
-                Ok(vec![RtValue::Int(i64::from(r))])
-            }
-            "arith.select" => {
-                let c = operand(0)?.as_int()?;
-                Ok(vec![if c != 0 { operand(1)? } else { operand(2)? }])
-            }
-            "arith.sitofp" => Ok(vec![RtValue::Float(operand(0)?.as_int()? as f64)]),
-            "arith.fptosi" => Ok(vec![RtValue::Int(operand(0)?.as_float()? as i64)]),
             "loop.for" => {
                 let l = ForLoop::of(op)?;
                 let mut carried: Vec<RtValue> =
@@ -264,8 +208,9 @@ impl<'m> Interp<'m> {
                     .iter()
                     .map(|o| self.get(env, *o)?.as_int())
                     .collect::<IrResult<_>>()?;
-                let flat = self.flat_index(buf, &idx)?;
-                Ok(vec![RtValue::Float(self.buffers[buf][flat])])
+                let v = self.buffers[buf][self.flat_index(buf, &idx)?];
+                let int = func.value_type(op.results[0]).is_int();
+                Ok(vec![if int { RtValue::Int(v as i64) } else { RtValue::Float(v) }])
             }
             "mem.store" => {
                 let value = operand(0)?.as_float()?;
@@ -311,7 +256,10 @@ impl<'m> Interp<'m> {
                 let data = self.eval_tensor_op(&t, op, env)?;
                 Ok(vec![RtValue::Tensor { shape: t.shape, data }])
             }
-            other => Err(IrError::Pass(format!("interpreter does not support '{other}'"))),
+            other => match eval_scalar(op, |i| self.get(env, op.operands[i])) {
+                Some(result) => Ok(vec![result?]),
+                None => Err(IrError::Pass(format!("interpreter does not support '{other}'"))),
+            },
         }
     }
 
@@ -424,6 +372,68 @@ impl<'m> Interp<'m> {
     }
 }
 
+/// What the scalar `arith` op `op` computes from its operands, read through
+/// `arg`, or `None` when `op` is not one: the one scalar semantics of the
+/// interpreter and the constant folder.
+///
+/// # Errors
+///
+/// [`IrError::Pass`] on an integer division by zero, an unknown comparison
+/// predicate, or an operand `arg` cannot read as the op's kind.
+pub(crate) fn eval_scalar(
+    op: &Op,
+    arg: impl Fn(usize) -> IrResult<RtValue>,
+) -> Option<IrResult<RtValue>> {
+    let float = |i: usize| arg(i)?.as_float();
+    let int = |i: usize| arg(i)?.as_int();
+    let unary = |f: fn(f64) -> f64| Ok(RtValue::Float(f(float(0)?)));
+    let binary = |f: fn(f64, f64) -> f64| Ok(RtValue::Float(f(float(0)?, float(1)?)));
+    let integer = |f: fn(i64, i64) -> Option<i64>| match f(int(0)?, int(1)?) {
+        Some(r) => Ok(RtValue::Int(r)),
+        None => Err(IrError::Pass("integer division by zero".into())),
+    };
+    Some(match op.name.as_str() {
+        "arith.addf" => binary(|a, b| a + b),
+        "arith.subf" => binary(|a, b| a - b),
+        "arith.mulf" => binary(|a, b| a * b),
+        "arith.divf" => binary(|a, b| a / b),
+        "arith.maxf" => binary(f64::max),
+        "arith.minf" => binary(f64::min),
+        "arith.negf" => unary(|a| -a),
+        "arith.sqrtf" => unary(f64::sqrt),
+        "arith.expf" => unary(f64::exp),
+        "arith.addi" => integer(|a, b| Some(a.wrapping_add(b))),
+        "arith.subi" => integer(|a, b| Some(a.wrapping_sub(b))),
+        "arith.muli" => integer(|a, b| Some(a.wrapping_mul(b))),
+        "arith.divi" => integer(|a, b| (b != 0).then(|| a.wrapping_div(b))),
+        "arith.remi" => integer(|a, b| (b != 0).then(|| a.wrapping_rem(b))),
+        "arith.cmpf" => float(0).and_then(|a| compare(op, a.partial_cmp(&float(1)?))),
+        "arith.cmpi" => int(0).and_then(|a| compare(op, Some(a.cmp(&int(1)?)))),
+        "arith.select" => int(0).and_then(|c| arg(if c != 0 { 1 } else { 2 })),
+        "arith.sitofp" => int(0).map(|a| RtValue::Float(a as f64)),
+        "arith.fptosi" => float(0).map(|a| RtValue::Int(a as i64)),
+        _ => return None,
+    })
+}
+
+/// The `i1` (1 or 0) a comparison `op` gives for operands ordered `ord`
+/// (`None` when one is NaN, where every predicate but `ne` is false).
+fn compare(op: &Op, ord: Option<std::cmp::Ordering>) -> IrResult<RtValue> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let pred = op.attr("pred").and_then(Attr::as_str);
+    let pred = pred.ok_or_else(|| IrError::Pass("cmp without pred".into()))?;
+    let r = match pred {
+        "lt" => ord == Some(Less),
+        "le" => matches!(ord, Some(Less | Equal)),
+        "gt" => ord == Some(Greater),
+        "ge" => matches!(ord, Some(Greater | Equal)),
+        "eq" => ord == Some(Equal),
+        "ne" => ord != Some(Equal),
+        other => return Err(IrError::Pass(format!("unknown pred '{other}'"))),
+    };
+    Ok(RtValue::Int(i64::from(r)))
+}
+
 fn strides(shape: &[usize]) -> Vec<usize> {
     let mut s = vec![1; shape.len()];
     for d in (0..shape.len().saturating_sub(1)).rev() {
@@ -533,6 +543,51 @@ mod tests {
         let mut interp = Interp::new();
         let handle = interp.alloc_buffer(&[2], vec![0.0, 1.0]);
         assert!(interp.call(&f, &[handle]).is_err());
+    }
+
+    #[test]
+    fn a_branch_is_an_unsupported_op_not_a_return() {
+        let m = crate::parse_module(
+            "module @m {\n  func @f(%0: i1, %1: f64) -> (f64) {\n    \
+             cf.cond_br %0 {false_dest = 1, true_dest = 1}\n  ^bb1():\n    func.return %1\n  \
+             }\n}\n",
+        )
+        .unwrap();
+        m.verify().unwrap();
+        let args = [RtValue::Int(1), RtValue::Float(2.0)];
+        let err = Interp::new().call(m.func("f").unwrap(), &args).unwrap_err();
+        assert_eq!(err, IrError::Pass("interpreter does not support 'cf.cond_br'".into()));
+    }
+
+    #[test]
+    fn integers_compare_exactly_and_nan_only_unequal() {
+        let cmp = |name: &str, pred: &str, a: RtValue, b: RtValue| {
+            let op = Op::new(name).with_attr("pred", pred);
+            eval_scalar(&op, |i| Ok([a.clone(), b.clone()][i].clone())).unwrap().unwrap()
+        };
+        // 2^53 + 1 and 2^53 are one f64.
+        let (big, next) = (RtValue::Int((1 << 53) + 1), RtValue::Int(1 << 53));
+        assert_eq!(cmp("arith.cmpi", "gt", big.clone(), next.clone()), RtValue::Int(1));
+        assert_eq!(cmp("arith.cmpi", "eq", big, next), RtValue::Int(0));
+        for (pred, want) in [("lt", 0), ("le", 0), ("gt", 0), ("ge", 0), ("eq", 0), ("ne", 1)] {
+            let nan = RtValue::Float(f64::NAN);
+            assert_eq!(cmp("arith.cmpf", pred, nan, RtValue::Float(1.0)), RtValue::Int(want));
+        }
+    }
+
+    #[test]
+    fn loads_from_an_integer_buffer_are_integers() {
+        use crate::types::MemSpace;
+        let buf_ty = Type::memref(Type::I64, &[2], MemSpace::Host);
+        let mut fb = FuncBuilder::new("f", &[buf_ty], &[Type::I64]);
+        let i = fb.const_i(1, Type::Index);
+        let v = fb.load(fb.arg(0), &[i], Type::I64);
+        fb.ret(&[v]);
+        let f = fb.finish();
+        crate::verify::verify_func(&f).unwrap();
+        let mut interp = Interp::new();
+        let handle = interp.alloc_buffer(&[2], vec![0.0, 7.0]);
+        assert_eq!(interp.call(&f, &[handle]).unwrap(), vec![RtValue::Int(7)]);
     }
 
     #[test]

@@ -472,7 +472,7 @@ mod tests {
     #[test]
     fn region_walk_visits_nested_ops() {
         let mut f = Func::new("f", &[], &[]);
-        let mut outer = Op::new("df.graph");
+        let mut outer = Op::new("loop.for");
         let mut inner_region = Region::new();
         let mut inner_block = Block::new(BlockId(1));
         inner_block.ops.push(Op::new("df.task"));
@@ -507,7 +507,7 @@ mod tests {
         let mut no_body = l.clone();
         no_body.regions.clear();
         assert!(reason(&no_body).ends_with("empty body region"));
-        assert!(reason(&Op::new("df.graph")).ends_with("df.graph is not a loop"));
+        assert!(reason(&Op::new("df.task")).ends_with("df.task is not a loop"));
     }
 
     #[test]

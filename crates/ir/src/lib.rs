@@ -13,8 +13,8 @@
 //! * a [`Func`] owns a `Region` of [`Block`]s, each block holding a list of
 //!   [`Op`]s in program order;
 //! * every [`Op`] is a generic record — `name`, operands, results,
-//!   attributes, nested regions — whose structural constraints are supplied
-//!   by a dialect registry ([`crate::registry`]);
+//!   attributes, nested regions — whose structural constraints and type
+//!   rule are supplied by a dialect registry ([`crate::registry`]);
 //! * SSA [`Value`]s are function-scoped handles with types tracked in a side
 //!   table on the function;
 //! * a `loop.for` is read through [`ForLoop::of`] and a `tensor.*` op
@@ -23,9 +23,10 @@
 //!   other reader agree on which ops are well formed and what they compute.
 //!
 //! Dialects provided (paper Section III): `arith`/`cf` (builtin scalar
-//! compute + control), `tensor` (data-centric tensor abstraction), `df`
-//! (dataflow/workflow orchestration), `hls` (hardware-generation directives)
-//! and `secure` (data-protection annotations).
+//! compute + control), `func`, `loop` and `mem` (calls, counted loops,
+//! buffers), `tensor` (data-centric tensor abstraction), `df`
+//! (dataflow/workflow orchestration) and `secure` (data-protection
+//! annotations). Each op's registry row names its type rule.
 //!
 //! ## Example
 //!

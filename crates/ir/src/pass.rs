@@ -6,7 +6,8 @@
 //! [`PassManager::run`] iterates to a fixed point.
 
 use crate::attr::Attr;
-use crate::error::IrResult;
+use crate::error::{IrError, IrResult};
+use crate::interp::{eval_scalar, RtValue};
 use crate::ir::{Block, Func, Module, Region, Value};
 use crate::registry;
 use std::collections::{HashMap, HashSet};
@@ -134,12 +135,19 @@ pub(crate) fn dce_func(func: &mut Func) -> bool {
 // Common subexpression elimination
 // ---------------------------------------------------------------------------
 
+/// The attributes as text, a NaN with its bits: NaNs of other signs or
+/// payloads print alike.
 fn attr_key(attrs: &std::collections::BTreeMap<String, Attr>) -> String {
+    use std::fmt::Write;
     let mut out = String::new();
     for (k, v) in attrs {
         out.push_str(k);
         out.push('=');
-        out.push_str(&v.to_string());
+        // Writing to a `String` cannot fail.
+        let _ = match v {
+            Attr::Float(x) if x.is_nan() => write!(out, "NaN{:x}", x.to_bits()),
+            other => write!(out, "{other}"),
+        };
         out.push(';');
     }
     out
@@ -211,38 +219,6 @@ pub(crate) fn cse_func(func: &mut Func) -> bool {
 // Constant folding
 // ---------------------------------------------------------------------------
 
-fn fold_float(name: &str, a: f64, b: f64) -> Option<f64> {
-    Some(match name {
-        "arith.addf" => a + b,
-        "arith.subf" => a - b,
-        "arith.mulf" => a * b,
-        "arith.divf" => a / b,
-        "arith.maxf" => a.max(b),
-        "arith.minf" => a.min(b),
-        _ => return None,
-    })
-}
-
-fn fold_int(name: &str, a: i64, b: i64) -> Option<i64> {
-    Some(match name {
-        "arith.addi" => a.wrapping_add(b),
-        "arith.subi" => a.wrapping_sub(b),
-        "arith.muli" => a.wrapping_mul(b),
-        "arith.divi" if b != 0 => a.wrapping_div(b),
-        "arith.remi" if b != 0 => a.wrapping_rem(b),
-        _ => return None,
-    })
-}
-
-fn fold_unary_float(name: &str, a: f64) -> Option<f64> {
-    Some(match name {
-        "arith.negf" => -a,
-        "arith.sqrtf" if a >= 0.0 => a.sqrt(),
-        "arith.expf" => a.exp(),
-        _ => return None,
-    })
-}
-
 fn fold_region(func: &Func, region: &mut Region, consts: &mut HashMap<Value, Attr>) -> bool {
     let mut changed = false;
     for block in &mut region.blocks {
@@ -259,24 +235,15 @@ fn fold_region(func: &Func, region: &mut Region, consts: &mut HashMap<Value, Att
                 }
                 continue;
             }
-            let folded: Option<Attr> = match (op.operands.len(), op.name.as_str()) {
-                (2, name) => {
-                    let a = op.operands[0];
-                    let b = op.operands[1];
-                    match (consts.get(&a), consts.get(&b)) {
-                        (Some(Attr::Float(x)), Some(Attr::Float(y))) => {
-                            fold_float(name, *x, *y).map(Attr::Float)
-                        }
-                        (Some(Attr::Int(x)), Some(Attr::Int(y))) => {
-                            fold_int(name, *x, *y).map(Attr::Int)
-                        }
-                        _ => None,
-                    }
-                }
-                (1, name) => match consts.get(&op.operands[0]) {
-                    Some(Attr::Float(x)) => fold_unary_float(name, *x).map(Attr::Float),
-                    _ => None,
-                },
+            // Operands the folder has no constant for read as an error.
+            let arg = |i: usize| match consts.get(&op.operands[i]) {
+                Some(Attr::Float(x)) => Ok(RtValue::Float(*x)),
+                Some(Attr::Int(x)) => Ok(RtValue::Int(*x)),
+                _ => Err(IrError::Pass(String::new())),
+            };
+            let folded = match eval_scalar(op, arg) {
+                Some(Ok(RtValue::Float(x))) => Some(Attr::Float(x)),
+                Some(Ok(RtValue::Int(x))) => Some(Attr::Int(x)),
                 _ => None,
             };
             if let Some(value) = folded {
@@ -413,6 +380,28 @@ mod tests {
         fb.ret(&[d]);
         let mut m = module_of(fb.finish());
         assert!(!for_each_func(&mut m, fold_func));
+    }
+
+    /// The root of -1 and its negation are NaNs of two sign bits that print
+    /// alike.
+    #[test]
+    fn folded_nans_keep_the_bits_the_interpreter_computes() {
+        let mut fb = FuncBuilder::new("f", &[], &[Type::F64, Type::F64]);
+        let minus_one = fb.const_f(-1.0, Type::F64);
+        let nan = fb.unary("arith.sqrtf", minus_one, Type::F64);
+        let negated = fb.unary("arith.negf", nan, Type::F64);
+        fb.ret(&[nan, negated]);
+        let bits = |f: &Func| -> Vec<u64> {
+            let out = crate::interp::Interp::new().call(f, &[]).unwrap();
+            out.iter().map(|v| if let RtValue::Float(x) = v { x.to_bits() } else { 0 }).collect()
+        };
+        let f = fb.finish();
+        let before = bits(&f);
+        let mut m = module_of(f);
+        PassManager::standard().run(&mut m).unwrap();
+        // Two NaN constants and the return.
+        assert_eq!(m.func("f").unwrap().op_count(), 3, "{}", m.to_text());
+        assert_eq!(bits(m.func("f").unwrap()), before);
     }
 
     #[test]

@@ -2,23 +2,22 @@
 //!
 //! The verifier enforces, in order:
 //!
-//! 1. every op is registered and satisfies its [`OpSpec`] (arity, required
-//!    attributes, region count, terminator placement);
+//! 1. every op is registered, and terminators end their blocks;
 //! 2. SSA form: every value has exactly one definition, and every use is
 //!    dominated by its definition (program order, with nested regions
 //!    inheriting the enclosing scope);
-//! 3. per-op type rules for the builtin dialects (scalar arithmetic,
-//!    memory, returns and structured loops), and for every `tensor` op
-//!    the result type its [`TensorOp`] view computes;
-//! 4. every branch target names a block of the branch's region;
-//! 5. in a module, every `func.call` names a function of the module and
+//! 3. every op satisfies its [`OpSpec`]: arity, required attributes,
+//!    region count, then its type [`Rule`] (a `loop.for` through its
+//!    [`ForLoop`] view, a `tensor` op through its [`TensorOp`] view, a
+//!    branch's targets among the blocks of its region);
+//! 4. in a module, every `func.call` names a function of the module and
 //!    matches its signature, and no chain of calls leads back to its
 //!    caller.
 
 use crate::attr::Attr;
 use crate::error::{IrError, IrResult};
 use crate::ir::{Block, ForLoop, Func, Module, Op, Region, Value, BRANCH_TARGETS};
-use crate::registry::{self, OpSpec};
+use crate::registry::{self, OpSpec, Rule};
 use crate::tensor_op::TensorOp;
 use crate::types::Type;
 use std::collections::{HashMap, HashSet};
@@ -67,337 +66,285 @@ pub fn verify_func(func: &Func) -> IrResult<()> {
 fn verify_body(func: &Func, callees: Option<&Callees<'_>>) -> IrResult<()> {
     let entry =
         func.body.entry().ok_or_else(|| IrError::Verify("function has no entry block".into()))?;
-    if entry.args.len() != func.params.len() {
+    if !entry.args.iter().map(|v| func.value_type(*v)).eq(&func.params) {
+        let (args, params) = (entry.args.iter().map(|v| func.value_type(*v)), func.params.iter());
+        let (args, params) = (type_list(args), type_list(params));
         return Err(IrError::Verify(format!(
-            "entry block has {} args but function has {} params",
-            entry.args.len(),
-            func.params.len()
+            "entry block takes ({args}) but params are ({params})"
         )));
     }
-    for (arg, param) in entry.args.iter().zip(&func.params) {
-        if func.value_type(*arg) != param {
-            return Err(IrError::Verify(format!(
-                "entry arg {arg} type {} does not match param type {param}",
-                func.value_type(*arg)
-            )));
+    let mut verifier = Verifier { func, callees, all_defs: Defs::new() };
+    let mut defs = Defs::new();
+    func.body.blocks.iter().try_for_each(|b| verifier.block(&func.body, b, false, &mut defs))
+}
+
+type Defs = HashSet<Value>;
+
+/// The verification of one function.
+struct Verifier<'a> {
+    func: &'a Func,
+    callees: Option<&'a Callees<'a>>,
+    /// Every value defined so far, in any region.
+    all_defs: Defs,
+}
+
+impl Verifier<'_> {
+    fn define(&mut self, v: Value, defs: &mut Defs) -> IrResult<()> {
+        if v.0 as usize >= self.func.num_values() {
+            return Err(IrError::Verify(format!("value {v} was never allocated")));
         }
+        if !self.all_defs.insert(v) {
+            return Err(IrError::Verify(format!("value {v} defined more than once")));
+        }
+        defs.insert(v);
+        Ok(())
     }
 
-    let mut defined: HashSet<Value> = HashSet::new();
-    let mut all_defs: HashSet<Value> = HashSet::new();
-    verify_region(func, &func.body, callees, &mut defined, &mut all_defs)
-}
-
-fn verify_region(
-    func: &Func,
-    region: &Region,
-    callees: Option<&Callees<'_>>,
-    defined: &mut HashSet<Value>,
-    all_defs: &mut HashSet<Value>,
-) -> IrResult<()> {
-    for block in &region.blocks {
-        verify_block(func, region, block, callees, defined, all_defs)?;
-    }
-    Ok(())
-}
-
-fn define(
-    v: Value,
-    func: &Func,
-    defined: &mut HashSet<Value>,
-    all_defs: &mut HashSet<Value>,
-) -> IrResult<()> {
-    if v.0 as usize >= func.num_values() {
-        return Err(IrError::Verify(format!("value {v} was never allocated")));
-    }
-    if !all_defs.insert(v) {
-        return Err(IrError::Verify(format!("value {v} defined more than once")));
-    }
-    defined.insert(v);
-    Ok(())
-}
-
-fn verify_block(
-    func: &Func,
-    region: &Region,
-    block: &Block,
-    callees: Option<&Callees<'_>>,
-    defined: &mut HashSet<Value>,
-    all_defs: &mut HashSet<Value>,
-) -> IrResult<()> {
-    for arg in &block.args {
-        define(*arg, func, defined, all_defs)?;
-    }
-    if block.ops.is_empty() {
-        return Err(IrError::Verify(format!("block {} is empty", block.id)));
-    }
-    for (i, op) in block.ops.iter().enumerate() {
-        // Tag every op-local failure with its exact location, in the same
-        // `^bbN op I` format the dataflow lints report, so verifier and
-        // `everestc check` findings are directly comparable.
-        let ctx = |e: IrError| match e {
-            IrError::Verify(msg) => {
-                IrError::Verify(format!("at {} op {i} ({}): {msg}", block.id, op.name))
+    /// Verifies `block` of `region` (a loop body when `in_loop`), whose ops
+    /// see the values in `defs`.
+    fn block(
+        &mut self,
+        region: &Region,
+        block: &Block,
+        in_loop: bool,
+        defs: &mut Defs,
+    ) -> IrResult<()> {
+        for arg in &block.args {
+            self.define(*arg, defs)?;
+        }
+        if block.ops.is_empty() {
+            return Err(IrError::Verify(format!("block {} is empty", block.id)));
+        }
+        for (i, op) in block.ops.iter().enumerate() {
+            // Tag every op-local failure with its exact location, in the same
+            // `^bbN op I` format the dataflow lints report, so verifier and
+            // `everestc check` findings are directly comparable.
+            let (name, id) = (&op.name, block.id);
+            let at = |msg: String| IrError::Verify(format!("at {id} op {i} ({name}): {msg}"));
+            let spec = registry::lookup(name).ok_or_else(|| IrError::UnknownOp(name.clone()))?;
+            let last = i + 1 == block.ops.len();
+            if spec.rule.terminates() && !last {
+                return Err(at(format!("terminator {name} is not last in block {id}")));
             }
-            other => other,
-        };
-        let spec = registry::lookup(&op.name).ok_or_else(|| IrError::UnknownOp(op.name.clone()))?;
-        verify_op_shape(op, spec).map_err(ctx)?;
-        let is_last = i + 1 == block.ops.len();
-        if spec.terminator && !is_last {
-            return Err(ctx(IrError::Verify(format!(
-                "terminator {} is not last in block {}",
-                op.name, block.id
-            ))));
-        }
-        if is_last && !spec.terminator {
-            return Err(ctx(IrError::Verify(format!(
-                "block {} does not end with a terminator (ends with {})",
-                block.id, op.name
-            ))));
-        }
-        for key in BRANCH_TARGETS.into_iter().filter(|_| spec.terminator) {
-            if let Some(target) = op.attr(key).filter(|t| region.block_index(t).is_none()) {
-                return Err(ctx(IrError::Verify(format!(
-                    "{}: {key} = {target} names no block of its region",
-                    op.name
-                ))));
+            if last && !spec.rule.terminates() {
+                return Err(at(format!(
+                    "block {id} does not end with a terminator (ends with {name})"
+                )));
             }
-        }
-        for operand in &op.operands {
-            if !defined.contains(operand) {
-                return Err(ctx(IrError::Verify(format!(
-                    "operand {operand} of {} used before definition",
-                    op.name
-                ))));
+            if let Some(v) = op.operands.iter().find(|v| !defs.contains(v)) {
+                return Err(at(format!("operand {v} of {name} used before definition")));
             }
-        }
-        // Nested regions see everything defined so far (but their local
-        // definitions must not leak back out except through op results).
-        // Their errors carry their own inner location context.
-        for inner_region in &op.regions {
-            let mut inner = defined.clone();
-            verify_region(func, inner_region, callees, &mut inner, all_defs)?;
-        }
-        for result in &op.results {
-            define(*result, func, defined, all_defs).map_err(ctx)?;
-        }
-        verify_op_types(func, op, callees).map_err(ctx)?;
-    }
-    Ok(())
-}
-
-fn verify_op_shape(op: &Op, spec: &OpSpec) -> IrResult<()> {
-    if !spec.operands.admits(op.operands.len()) {
-        return Err(IrError::Verify(format!(
-            "{} expects operands {:?}, got {}",
-            op.name,
-            spec.operands,
-            op.operands.len()
-        )));
-    }
-    if !spec.results.admits(op.results.len()) {
-        return Err(IrError::Verify(format!(
-            "{} expects results {:?}, got {}",
-            op.name,
-            spec.results,
-            op.results.len()
-        )));
-    }
-    for key in spec.required_attrs {
-        if !op.attrs.contains_key(*key) {
-            return Err(IrError::Verify(format!("{} missing required attr '{key}'", op.name)));
-        }
-    }
-    if op.regions.len() != spec.regions {
-        return Err(IrError::Verify(format!(
-            "{} expects {} regions, got {}",
-            op.name,
-            spec.regions,
-            op.regions.len()
-        )));
-    }
-    Ok(())
-}
-
-fn ty(func: &Func, v: Value) -> &Type {
-    func.value_type(v)
-}
-
-/// `(t0, t1, …)`: the types of a call's operands, results or signature.
-fn type_list<'t>(types: impl Iterator<Item = &'t Type>) -> String {
-    format!("({})", types.map(Type::to_string).collect::<Vec<_>>().join(", "))
-}
-
-fn verify_op_types(func: &Func, op: &Op, callees: Option<&Callees<'_>>) -> IrResult<()> {
-    let err = |msg: String| Err(IrError::Verify(format!("{}: {msg}", op.name)));
-    match op.name.as_str() {
-        "func.call" => {
-            let Some(callees) = callees else { return Ok(()) };
-            let target = &op.attrs["callee"];
-            let Some(callee) = target.as_str().and_then(|name| callees.get(name)) else {
-                return err(format!("callee {target} names no function of this module"));
+            // Nested regions see everything defined so far (but their local
+            // definitions must not leak back out except through op results).
+            // Their errors carry their own inner location context.
+            for inner in &op.regions {
+                let mut defs = defs.clone();
+                let in_body = spec.rule == Rule::Loop;
+                inner.blocks.iter().try_for_each(|b| self.block(inner, b, in_body, &mut defs))?;
+            }
+            let located = |e: IrError| match e {
+                IrError::Verify(msg) => at(msg),
+                other => other,
             };
-            let args = op.operands.iter().map(|v| ty(func, *v));
-            if !args.clone().eq(&callee.params) {
-                return err(format!(
-                    "passes {} to @{}, which takes {}",
-                    type_list(args),
-                    callee.name,
-                    type_list(callee.params.iter())
-                ));
+            for result in &op.results {
+                self.define(*result, defs).map_err(located)?;
             }
-            let results = op.results.iter().map(|v| ty(func, *v));
-            if !results.clone().eq(&callee.results) {
-                return err(format!(
-                    "expects {} from @{}, which returns {}",
-                    type_list(results),
-                    callee.name,
-                    type_list(callee.results.iter())
-                ));
-            }
-            Ok(())
+            self.op(region, op, spec, in_loop).map_err(located)?;
         }
-        "arith.constant" => {
-            let rt = ty(func, op.results[0]);
-            match op.attrs.get("value") {
-                Some(Attr::Int(_)) if rt.is_int() => Ok(()),
-                Some(Attr::Float(_)) if rt.is_float() => Ok(()),
-                Some(a) => err(format!("value attr {a} incompatible with result type {rt}")),
-                None => unreachable!("required attr checked earlier"),
-            }
+        Ok(())
+    }
+
+    /// Checks `op` of `region` against its row `spec`: arity, attributes
+    /// and regions, then the row's type rule. Its operands and results are
+    /// defined, and its regions verified.
+    fn op(&self, region: &Region, op: &Op, spec: &OpSpec, in_loop: bool) -> IrResult<()> {
+        let (name, func) = (&op.name, self.func);
+        let fail = |msg: String| Err(IrError::Verify(msg));
+        let (operands, results, regions) = (op.operands.len(), op.results.len(), op.regions.len());
+        if !spec.operands.admits(operands) {
+            return fail(format!("{name} expects operands {:?}, got {operands}", spec.operands));
         }
-        "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" | "arith.maxf" | "arith.minf" => {
-            let (a, b, r) =
-                (ty(func, op.operands[0]), ty(func, op.operands[1]), ty(func, op.results[0]));
-            if a != b || a != r {
-                return err(format!("operand/result types differ: {a}, {b} -> {r}"));
-            }
-            if !a.is_float() {
-                return err(format!("float op on non-float type {a}"));
-            }
-            Ok(())
+        if !spec.results.admits(results) {
+            return fail(format!("{name} expects results {:?}, got {results}", spec.results));
         }
-        "arith.addi" | "arith.subi" | "arith.muli" | "arith.divi" | "arith.remi" => {
-            let (a, b, r) =
-                (ty(func, op.operands[0]), ty(func, op.operands[1]), ty(func, op.results[0]));
-            if a != b || a != r {
-                return err(format!("operand/result types differ: {a}, {b} -> {r}"));
-            }
-            if !a.is_int() {
-                return err(format!("integer op on non-integer type {a}"));
-            }
-            Ok(())
+        if let Some(key) = spec.required_attrs.iter().find(|k| !op.attrs.contains_key(**k)) {
+            return fail(format!("{name} missing required attr '{key}'"));
         }
-        "arith.cmpf" | "arith.cmpi" => {
-            if ty(func, op.results[0]) != &Type::I1 {
-                return err("comparison result must be i1".into());
-            }
-            Ok(())
+        if regions != spec.regions {
+            return fail(format!("{name} expects {} regions, got {regions}", spec.regions));
         }
-        "arith.select" => {
-            if ty(func, op.operands[0]) != &Type::I1 {
-                return err("select condition must be i1".into());
-            }
-            let (t, e, r) =
-                (ty(func, op.operands[1]), ty(func, op.operands[2]), ty(func, op.results[0]));
-            if t != e || t != r {
-                return err("select branches/result types differ".into());
-            }
-            Ok(())
-        }
-        "mem.load" => {
-            let buf = ty(func, op.operands[0]);
-            match buf {
-                Type::MemRef { elem, shape, .. } => {
-                    if op.operands.len() - 1 != shape.len() {
-                        return err(format!(
-                            "{} indices for rank-{} memref",
-                            op.operands.len() - 1,
-                            shape.len()
-                        ));
-                    }
-                    if ty(func, op.results[0]) != elem.as_ref() {
-                        return err("load result type != element type".into());
-                    }
-                    Ok(())
+
+        let err = |msg: String| fail(format!("{name}: {msg}"));
+        let ty = |v: &Value| func.value_type(*v);
+        let types = |values: &[Value]| type_list(values.iter().map(ty));
+        let operand = |i: usize| ty(&op.operands[i]);
+        let result = || ty(&op.results[0]);
+        match spec.rule {
+            Rule::Constant => match (&op.attrs["value"], result()) {
+                (Attr::Int(_), rt) if rt.is_int() => Ok(()),
+                (Attr::Float(_), rt) if rt.is_float() => Ok(()),
+                (a, rt) => err(format!("value attr {a} incompatible with result type {rt}")),
+            },
+            Rule::Float | Rule::Int => {
+                let (a, r, (kind, is)) = (operand(0), result(), scalar(spec.rule == Rule::Float));
+                if op.operands.iter().any(|v| ty(v) != a) || a != r {
+                    let a = types(&op.operands);
+                    return err(format!("operand/result types differ: {a} -> {r}"));
                 }
-                other => err(format!("load from non-memref type {other}")),
-            }
-        }
-        "mem.store" => {
-            let buf = ty(func, op.operands[1]);
-            match buf {
-                Type::MemRef { elem, shape, .. } => {
-                    if op.operands.len() - 2 != shape.len() {
-                        return err(format!(
-                            "{} indices for rank-{} memref",
-                            op.operands.len() - 2,
-                            shape.len()
-                        ));
-                    }
-                    if ty(func, op.operands[0]) != elem.as_ref() {
-                        return err("stored value type != element type".into());
-                    }
-                    Ok(())
+                match is(a) {
+                    true => Ok(()),
+                    false => err(format!("{kind} op on non-{kind} type {a}")),
                 }
-                other => err(format!("store into non-memref type {other}")),
             }
-        }
-        "mem.copy" => match (ty(func, op.operands[0]), ty(func, op.operands[1])) {
-            (Type::MemRef { elem: a, shape: s, .. }, Type::MemRef { elem: b, shape: t, .. })
-                if a == b && s == t =>
-            {
+            Rule::CmpFloat | Rule::CmpInt => {
+                let (a, b, (kind, is)) =
+                    (operand(0), operand(1), scalar(spec.rule == Rule::CmpFloat));
+                if a != b || !is(a) {
+                    return err(format!(
+                        "compares {a} with {b}, not two values of one {kind} type"
+                    ));
+                }
+                match result() {
+                    Type::I1 => Ok(()),
+                    _ => err("comparison result must be i1".into()),
+                }
+            }
+            Rule::Select if operand(0) != &Type::I1 => err("select condition must be i1".into()),
+            Rule::Select if operand(1) != operand(2) || operand(1) != result() => {
+                err("select branches/result types differ".into())
+            }
+            Rule::IntToFloat | Rule::FloatToInt => {
+                let to_float = spec.rule == Rule::IntToFloat;
+                let ((from, from_ok), (to, to_ok)) = (scalar(!to_float), scalar(to_float));
+                let (a, r) = (operand(0), result());
+                match from_ok(a) && to_ok(r) {
+                    true => Ok(()),
+                    false => err(format!("converts {a} to {r}, not {from} to {to}")),
+                }
+            }
+            Rule::Return if in_loop => err("returns from inside a loop body".into()),
+            Rule::Return if !op.operands.iter().map(ty).eq(&func.results) => {
+                let (got, declared) = (types(&op.operands), type_list(func.results.iter()));
+                err(format!("returns ({got}) but the function declares ({declared})"))
+            }
+            Rule::Call => {
+                let Some(callees) = self.callees else { return Ok(()) };
+                let target = &op.attrs["callee"];
+                let Some(callee) = target.as_str().and_then(|name| callees.get(name)) else {
+                    return err(format!("callee {target} names no function of this module"));
+                };
+                let at = &callee.name;
+                if !op.operands.iter().map(ty).eq(&callee.params) {
+                    let (args, takes) = (types(&op.operands), type_list(callee.params.iter()));
+                    return err(format!("passes ({args}) to @{at}, which takes ({takes})"));
+                }
+                if !op.results.iter().map(ty).eq(&callee.results) {
+                    let (got, returns) = (types(&op.results), type_list(callee.results.iter()));
+                    return err(format!("expects ({got}) from @{at}, which returns ({returns})"));
+                }
                 Ok(())
             }
-            (src, dst) => err(format!(
-                "copy from {src} into {dst}: not memrefs of one element type and shape"
-            )),
-        },
-        name if name.starts_with("tensor.") => {
-            let (declared, t) = (ty(func, op.results[0]), TensorOp::of(func, op)?);
-            match declared {
-                Type::Tensor { elem, shape } if **elem == *t.elem && *shape == t.shape => Ok(()),
-                _ => err(format!("declares {declared} but computes {}", t.result_type())),
-            }
-        }
-        "func.return" => {
-            if op.operands.len() != func.results.len() {
-                return err(format!(
-                    "returns {} values but function declares {}",
-                    op.operands.len(),
-                    func.results.len()
-                ));
-            }
-            for (v, want) in op.operands.iter().zip(&func.results) {
-                if ty(func, *v) != want {
-                    return err(format!("return type {} != declared {want}", ty(func, *v)));
+            Rule::Branch if in_loop => err("branches inside a loop body".into()),
+            Rule::Branch => {
+                if let Some(t) = op.operands.iter().map(ty).find(|t| **t != Type::I1) {
+                    return err(format!("branch condition {t} is not i1"));
                 }
-            }
-            Ok(())
-        }
-        "loop.for" => {
-            let l = ForLoop::of(op)?;
-            if op.results.len() != op.operands.len() {
-                return err("loop results must match loop-carried inits".into());
-            }
-            if l.carried().len() != op.operands.len() {
-                return err("loop body must take induction var + carried args".into());
-            }
-            if ty(func, l.iv) != &Type::Index {
-                return err("loop induction variable must be index".into());
-            }
-            match l.body.terminator() {
-                Some(t) if t.name == "loop.yield" => {
-                    if t.operands.len() != op.operands.len() {
-                        return err("loop.yield count != carried count".into());
+                for key in BRANCH_TARGETS {
+                    let Some(target) = op.attr(key) else { continue };
+                    let Some(b) = region.block_index(target).map(|b| &region.blocks[b]) else {
+                        return err(format!("{key} = {target} names no block of its region"));
+                    };
+                    if !b.args.is_empty() {
+                        return err(format!(
+                            "{key} {} takes arguments, which no branch binds",
+                            b.id
+                        ));
                     }
-                    Ok(())
                 }
-                _ => err("loop body must end with loop.yield".into()),
+                Ok(())
             }
+            Rule::Loop => {
+                let l = ForLoop::of(op)?;
+                if ty(&l.iv) != &Type::Index {
+                    return err("loop induction variable must be index".into());
+                }
+                // The body's verified entry block ends with its yield.
+                let yielded = l.body.terminator().map_or(&[][..], |y| &y.operands[..]);
+                let lists = [&op.operands[..], l.carried(), yielded, &op.results];
+                if lists.iter().any(|list| !list.iter().map(ty).eq(lists[0].iter().map(ty))) {
+                    let [i, c, y, r] = lists.map(types);
+                    return err(format!(
+                        "inits ({i}), body args ({c}), yielded values ({y}) and results ({r}) \
+                         are not one list of types"
+                    ));
+                }
+                Ok(())
+            }
+            Rule::Yield if !in_loop => err("ends no loop body".into()),
+            Rule::Alloc if !matches!(result(), Type::MemRef { .. }) => {
+                err(format!("allocates {}, not a memref", result()))
+            }
+            Rule::Load | Rule::Store => {
+                let load = spec.rule == Rule::Load;
+                let (buf, elem) = if load { (0, result()) } else { (1, operand(0)) };
+                let Type::MemRef { elem: want, shape, .. } = operand(buf) else {
+                    let from = if load { "load from" } else { "store into" };
+                    return err(format!("{from} non-memref type {}", operand(buf)));
+                };
+                let (indices, rank) = (&op.operands[buf + 1..], shape.len());
+                if indices.len() != rank {
+                    return err(format!("{} indices for rank-{rank} memref", indices.len()));
+                }
+                if let Some(t) = indices.iter().map(ty).find(|t| !t.is_int()) {
+                    return err(format!("index of type {t} is not an integer"));
+                }
+                match (elem == want.as_ref(), load) {
+                    (true, _) => Ok(()),
+                    (false, true) => err("load result type != element type".into()),
+                    (false, false) => err("stored value type != element type".into()),
+                }
+            }
+            Rule::MemCopy => match (operand(0), operand(1)) {
+                (
+                    Type::MemRef { elem: a, shape: s, .. },
+                    Type::MemRef { elem: b, shape: t, .. },
+                ) if a == b && s == t => Ok(()),
+                (src, dst) => err(format!(
+                    "copy from {src} into {dst}: not memrefs of one element type and shape"
+                )),
+            },
+            Rule::Tensor => {
+                let (declared, t) = (result(), TensorOp::of(func, op)?);
+                match declared {
+                    Type::Tensor { elem, shape } if **elem == *t.elem && *shape == t.shape => {
+                        Ok(())
+                    }
+                    _ => err(format!("declares {declared} but computes {}", t.result_type())),
+                }
+            }
+            Rule::SameType if operand(0) != result() => {
+                err(format!("result type {} is not the operand type {}", result(), operand(0)))
+            }
+            Rule::Bytes if !matches!(result(), Type::Bytes(_)) => {
+                err(format!("result type {} is not bytes", result()))
+            }
+            Rule::Select | Rule::Return | Rule::Yield | Rule::Alloc => Ok(()),
+            Rule::SameType | Rule::Bytes | Rule::Untyped => Ok(()),
         }
-        _ => Ok(()),
+    }
+}
+
+/// `t0, t1, …`: the types of a list of values, or of a signature.
+fn type_list<'t>(types: impl Iterator<Item = &'t Type>) -> String {
+    types.map(Type::to_string).collect::<Vec<_>>().join(", ")
+}
+
+/// The name and the test of the scalar kind a rule asks for.
+fn scalar(float: bool) -> (&'static str, fn(&Type) -> bool) {
+    if float {
+        ("float", Type::is_float)
+    } else {
+        ("integer", Type::is_int)
     }
 }
 
@@ -584,5 +531,99 @@ mod tests {
         fb.ret(&[]);
         let err = verify_func(&fb.finish()).unwrap_err();
         assert!(err.to_string().contains("rank-2"));
+    }
+
+    /// The reason `verify_func` gives for `@f` with `params`, `results` and
+    /// `body`.
+    fn reason(params: &str, results: &str, body: &str) -> String {
+        let text =
+            format!("module @m {{\n  func @f({params}) -> ({results}) {{\n{body}\n  }}\n}}\n");
+        let m = crate::parse_module(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        verify_func(m.func("f").unwrap()).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn every_rule_rejects_the_types_no_reader_runs() {
+        let loop_of = |body: &str| {
+            format!(
+                "    %1 = loop.for %0 {{hi = 4, lo = 0, step = 1}} ({{\n      \
+                 ^bb1(%2: index, %3: f64):\n{body}\n    }}) : f64\n    func.return %1"
+            )
+        };
+        let cases = [
+            (
+                "%0: f64, %1: f32",
+                "i1",
+                "    %2 = arith.cmpf %0, %1 {pred = \"lt\"} : i1\n    func.return %2".into(),
+                "op 0 (arith.cmpf): arith.cmpf: compares f64 with f32, not two values of one \
+                 float type",
+            ),
+            (
+                "%0: f64, %1: f64",
+                "i1",
+                "    %2 = arith.cmpi %0, %1 {pred = \"lt\"} : i1\n    func.return %2".into(),
+                "op 0 (arith.cmpi): arith.cmpi: compares f64 with f64, not two values of one \
+                 integer type",
+            ),
+            (
+                "%0: i64",
+                "i64",
+                "    %1 = arith.fptosi %0 : i64\n    func.return %1".into(),
+                "op 0 (arith.fptosi): arith.fptosi: converts i64 to i64, not float to integer",
+            ),
+            (
+                "%0: f64",
+                "f64",
+                "    cf.cond_br %0 {false_dest = 1, true_dest = 1}\n  ^bb1():\n    func.return %0"
+                    .into(),
+                "op 0 (cf.cond_br): cf.cond_br: branch condition f64 is not i1",
+            ),
+            (
+                "%0: f64",
+                "f64",
+                "    cf.br %0 {dest = 1}\n  ^bb1(%1: f64):\n    func.return %1".into(),
+                "op 0 (cf.br): cf.br expects operands Exact(0), got 1",
+            ),
+            (
+                "%0: f64",
+                "f64",
+                "    cf.br {dest = 1}\n  ^bb1(%1: f64):\n    func.return %0".into(),
+                "op 0 (cf.br): cf.br: dest ^bb1 takes arguments, which no branch binds",
+            ),
+            (
+                "%0: f64",
+                "f64",
+                "    loop.yield %0".into(),
+                "op 0 (loop.yield): loop.yield: ends no loop body",
+            ),
+            (
+                "%0: f64",
+                "f64",
+                loop_of("        func.return %3"),
+                "op 0 (func.return): func.return: returns from inside a loop body",
+            ),
+            (
+                "%0: memref<4xf64, host>, %1: f64",
+                "f64",
+                "    %2 = mem.load %0, %1 : f64\n    func.return %2".into(),
+                "op 0 (mem.load): mem.load: index of type f64 is not an integer",
+            ),
+            (
+                "%0: f64, %1: bytes<16>",
+                "f64",
+                "    %2 = secure.encrypt %0, %1 : f64\n    func.return %2".into(),
+                "op 0 (secure.encrypt): secure.encrypt: result type f64 is not bytes",
+            ),
+        ];
+        for (params, results, body, want) in cases {
+            let got = reason(params, results, &body);
+            assert!(got.ends_with(&format!("at ^bb0 {want}")) || got.ends_with(want), "{got}");
+        }
+        // The five ops nothing built or read are no longer registered.
+        for name in ["df.graph", "df.yield", "hls.offload", "hls.partition", "secure.decrypt"] {
+            let mut f = Func::new("f", &[], &[]);
+            f.body.blocks.first_mut().unwrap().ops.push(IrOp::new(name));
+            assert_eq!(verify_func(&f).unwrap_err(), IrError::UnknownOp(name.into()));
+        }
     }
 }

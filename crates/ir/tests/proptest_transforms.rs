@@ -7,7 +7,9 @@ use everest_ir::{FuncBuilder, Module, Type, Value};
 use proptest::prelude::*;
 
 /// Builds a function with a loop whose body is a random arithmetic chain
-/// over the induction variable and carried accumulator.
+/// over the induction variable and carried accumulator. A unary pick
+/// applies to the right-hand side and adds the outcome to the accumulator,
+/// so on a constant it folds (to a NaN, for the root of a negative one).
 fn random_loop_func(lo: i64, trips: i64, picks: &[(u8, bool)]) -> everest_ir::Func {
     let mut fb = FuncBuilder::new("f", &[Type::F64], &[Type::F64]);
     let init = fb.arg(0);
@@ -17,14 +19,18 @@ fn random_loop_func(lo: i64, trips: i64, picks: &[(u8, bool)]) -> everest_ir::Fu
         let mut acc: Value = c[0];
         for (kind, use_iv) in &picks {
             let rhs =
-                if *use_iv { ivf } else { fb.const_f(f64::from(*kind) * 0.25 + 0.5, Type::F64) };
-            let name = match kind % 4 {
-                0 => "arith.addf",
-                1 => "arith.subf",
-                2 => "arith.mulf",
-                _ => "arith.maxf",
+                if *use_iv { ivf } else { fb.const_f(f64::from(*kind) * 0.25 - 32.0, Type::F64) };
+            acc = match kind % 7 {
+                0 => fb.binary("arith.addf", acc, rhs, Type::F64),
+                1 => fb.binary("arith.subf", acc, rhs, Type::F64),
+                2 => fb.binary("arith.mulf", acc, rhs, Type::F64),
+                3 => fb.binary("arith.maxf", acc, rhs, Type::F64),
+                unary => {
+                    let name = ["arith.negf", "arith.sqrtf", "arith.expf"][usize::from(unary - 4)];
+                    let v = fb.unary(name, rhs, Type::F64);
+                    fb.binary("arith.addf", acc, v, Type::F64)
+                }
             };
-            acc = fb.binary(name, acc, rhs, Type::F64);
         }
         vec![acc]
     });
@@ -32,8 +38,15 @@ fn random_loop_func(lo: i64, trips: i64, picks: &[(u8, bool)]) -> everest_ir::Fu
     fb.finish()
 }
 
-fn eval(func: &everest_ir::Func, x: f64) -> Vec<RtValue> {
-    Interp::new().call(func, &[RtValue::Float(x)]).expect("interprets")
+/// The bits of each float `func` returns on `x` (a NaN is equal to itself).
+fn eval(func: &everest_ir::Func, x: f64) -> Vec<u64> {
+    let out = Interp::new().call(func, &[RtValue::Float(x)]).expect("interprets");
+    out.iter()
+        .map(|v| match v {
+            RtValue::Float(f) => f.to_bits(),
+            other => panic!("a float function returned {other:?}"),
+        })
+        .collect()
 }
 
 proptest! {

@@ -339,6 +339,45 @@ fn a_branch_to_a_missing_block_fails_verification() {
     );
 }
 
+/// Ops whose types the verifier once did not check: each module verified,
+/// and the interpreter then returned a value of another kind than the
+/// function declares (a float for the `negf`, an integer for the yield).
+#[test]
+fn ops_with_operands_or_results_of_the_wrong_type_fail_verification() {
+    let cases = [
+        (
+            "(%0: index) -> (f64) {\n    %1 = arith.negf %0 : f64\n    func.return %1",
+            "op 0 (arith.negf): arith.negf: operand/result types differ: index -> f64",
+        ),
+        (
+            "(%0: f64) -> (f64) {\n    %1 = arith.sitofp %0 : f64\n    func.return %1",
+            "op 0 (arith.sitofp): arith.sitofp: converts f64 to f64, not integer to float",
+        ),
+        (
+            "() -> (f64) {\n    %0 = mem.alloc : f64\n    func.return %0",
+            "op 0 (mem.alloc): mem.alloc: allocates f64, not a memref",
+        ),
+        (
+            "(%0: f64) -> (f64) {\n    %1 = loop.for %0 {hi = 4, lo = 0, step = 1} ({\n      \
+             ^bb1(%2: index, %3: f64):\n        loop.yield %2\n    }) : f64\n    func.return %1",
+            "op 0 (loop.for): loop.for: inits (f64), body args (f64), yielded values (index) and \
+             results (f64) are not one list of types",
+        ),
+        (
+            "(%0: f64) -> (tensor<4xf64>) {\n    %1 = secure.taint %0 {label = \"pii\"} : \
+             tensor<4xf64>\n    %2 = secure.declassify %1 : tensor<4xf64>\n    func.return %2",
+            "op 0 (secure.taint): secure.taint: result type tensor<4xf64> is not the operand type \
+             f64",
+        ),
+    ];
+    for (i, (func, reason)) in cases.iter().enumerate() {
+        let source = format!("module @m {{\n  func @f{func}\n  }}\n}}\n");
+        let (_, stdout, stderr, code) = check_text(&format!("typed_{i}.eir"), &source);
+        let want = format!("error: verification failed: in @f: at ^bb0 {reason}\n");
+        assert_eq!((stdout.as_str(), stderr.as_str(), code), ("", want.as_str(), 1), "{source}");
+    }
+}
+
 /// Type checking, lowering and dropping an expression recurse once per
 /// level, so a 20 000-term sum once overflowed the main thread's stack and
 /// aborted the process (exit 134).
